@@ -1,7 +1,7 @@
 """Opt-in performance-regression guard against the committed benchmark record.
 
-Re-times the committed ``BENCH_engine.json`` workload on the columnar
-backend and fails if any protocol's frames/sec falls more than 25 % below
+Re-times the committed ``BENCH_engine.json`` workload and fails if any
+protocol's frames/sec falls more than 25 % below
 the recorded baseline — the tripwire for "a refactor quietly made the hot
 path slow again".
 
@@ -79,7 +79,6 @@ def _frames_per_second(protocol: str, workload: dict,
         duration_s=workload["measured_s"],
         warmup_s=workload["warmup_s"],
         seed=workload["seed"],
-        engine_backend="columnar",
         rng_mode=rng_mode,
         macro_frames=macro_frames,
     )

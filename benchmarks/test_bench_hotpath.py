@@ -1,69 +1,32 @@
-"""Hot-path benchmark: engine backends and RNG modes, frames per second.
+"""Hot-path benchmark: in-session frame-loop assertions.
 
-Times the 100-terminal reference workload (the ROADMAP's "hot-path
-profiling" item) on both engine backends for every protocol and records the
-result in ``BENCH_engine.json`` at the repository root, appending to a
-history list so the frames/sec trajectory accumulates across sessions.
+Times the 100-terminal reference workload (80 voice + 20 data terminals)
+for every protocol and asserts the qualitative contracts of the frame loop,
+all measured in the same session so machine drift cancels out:
 
-Methodology
------------
-The two backends produce bit-identical results under a common seed (see
-``tests/sim/test_backend_parity.py``), so the backend table is a pure
-like-for-like timing comparison.  Backend measurements are interleaved and
-the best of several repetitions is kept, using CPU time, which cancels
-machine-load drift between the two sides.
-
-The *reference workload* for the headline speedup is RMAV on 100 terminals:
-RMAV's MAC layer is the thinnest of the six protocols (one competitive slot
-per frame, no request queue), so its frames/sec is the purest measure of
-the frame-loop cost — traffic generation, deadline expiry, channel advance,
-grant execution and metrics accumulation.  The per-protocol table shows the
-speedup including each protocol's own MAC overhead.
-
-Sections beyond the PR 3 record (``macro``/``dispatches`` added in PR 5):
-
-* the per-protocol table now carries ``macro_fps`` / ``macro_over_columnar``
-  — the macro-stepped frame loop (``Scenario.macro_frames=64``, bit
-  identical to per-frame in parity mode) against per-frame columnar
-  stepping, interleaved with the object backend.  The pair is measured in
-  the RNG mode under which the protocol's lookahead engages (recorded per
-  protocol as ``macro_rng_mode``): parity for most, **fast** for CHARISMA,
-  whose batched-CSI stream only exists in fast mode — its quotient is
-  fast-macro over fast-columnar (``macro_base_fps``);
+* ``macro_over_columnar`` — the macro-stepped frame loop
+  (``Scenario.macro_frames=64``) against per-frame stepping, in the RNG mode
+  under which the protocol's lookahead engages (``macro_rng_mode``): parity
+  for most, **fast** for CHARISMA, whose batched-CSI stream only exists in
+  fast mode.  Every current protocol must beat per-frame stepping by more
+  than 1.5x;
 * ``dispatches_per_frame`` — measured ``@kernel(batch=True)`` entries per
-  frame per phase (``enable_phase_timing(count_dispatches=True)``, backed
-  by ``repro.obs.dispatch``'s entry wrappers and the ``kernel.dispatches``
-  metrics counter) for the per-frame and macro-stepped modes, so the
-  dispatch floor the macro mode attacks is tracked, not inferred.
-
-* ``mac_kernels`` — the array-native ``run_frame_batch`` kernels (parity
-  and fast RNG modes) against the view-walking ``run_frame`` path on the
-  same columnar backend, interleaved in-session.  This is the clean
-  architecture comparison: absolute fps on this machine drifts by tens of
-  percent between sessions (CPU frequency phases), so the kernels' gain is
-  only meaningful measured side by side.  A fast-mode run draws a
-  *different* traffic realisation than a parity run under the same seed
-  (the draw partitioning differs), so the section aggregates throughput
-  over several seeds per configuration, which averages the realisation
-  difference out.
+  frame per phase (``enable_phase_timing(count_dispatches=True)``) for the
+  per-frame and macro-stepped modes; macro mode must need fewer;
 * ``phase_split`` — the engine's own per-phase timers (traffic / channel /
-  MAC / PHY / metrics fractions per protocol, parity mode), so the next
-  bottleneck is machine-readable; ``python -m repro profile --json``
-  reports the same split for arbitrary scenarios.
+  MAC / PHY / metrics fractions per protocol, parity mode); the MAC phase
+  must stay under three quarters of the frame.
 
-``vs_pr3`` compares this tree's columnar fps against the most recent
-PR 3-era record found in the file's history (entries without a
-``mac_kernels`` section) — indicative only, across-session machine drift
-applies.
+The tests print their tables and write no file.  ``BENCH_engine.json`` at
+the repository root is a frozen historical record of earlier runs;
+``perfbench/`` (see its README) is the benchmark of record.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import statistics
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 import pytest
 
@@ -74,9 +37,6 @@ from repro.sim.scenario import Scenario
 
 pytestmark = pytest.mark.slow
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RECORD_PATH = REPO_ROOT / "BENCH_engine.json"
-
 PARAMS = SimulationParameters()
 
 #: The reference workload: 100 terminals at the paper's 80/20 voice/data mix.
@@ -85,15 +45,14 @@ N_DATA = 20
 SEED = 1
 DURATION_S = 1.0
 WARMUP_S = 0.25
-REPETITIONS = 4
+REPETITIONS = 5
 
-#: Seeds over which the parity/fast comparison aggregates (see module doc).
-RNG_MODE_SEEDS = (1, 2, 3, 4, 5, 6)
-
+#: The thinnest MAC layer (one competitive slot per frame, no request
+#: queue), which isolates the frame-loop cost.
 REFERENCE_PROTOCOL = "rmav"
 
 
-#: Macro block size the ``macro`` section measures (the CLI's recommended
+#: Macro block size the ``macro`` legs measure (the CLI's recommended
 #: "large block" setting; bit-identical to per-frame in parity mode).
 MACRO_FRAMES = 64
 
@@ -105,8 +64,8 @@ LOOKAHEAD_PROTOCOLS = (
 )
 
 
-def _build_engine(protocol: str, backend: str, rng_mode: str, seed: int,
-                  use_batch_mac=None, macro_frames: int = 1):
+def _build_engine(protocol: str, rng_mode: str, seed: int = SEED,
+                  macro_frames: int = 1):
     scenario = Scenario(
         protocol=protocol,
         n_voice=N_VOICE,
@@ -114,30 +73,19 @@ def _build_engine(protocol: str, backend: str, rng_mode: str, seed: int,
         duration_s=DURATION_S,
         warmup_s=WARMUP_S,
         seed=seed,
-        engine_backend=backend,
         rng_mode=rng_mode,
         macro_frames=macro_frames,
     )
-    return UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=use_batch_mac)
+    return UplinkSimulationEngine(scenario, PARAMS)
 
 
-def _run_timed(protocol: str, backend: str, rng_mode: str = "parity",
-               seed: int = SEED, use_batch_mac=None,
-               macro_frames: int = 1) -> tuple:
-    """Run once; return (frames, cpu_seconds)."""
-    engine = _build_engine(protocol, backend, rng_mode, seed, use_batch_mac,
-                           macro_frames)
+def _frames_per_second(protocol: str, rng_mode: str = "parity",
+                       macro_frames: int = 1) -> float:
+    """Run once; return frames per CPU second."""
+    engine = _build_engine(protocol, rng_mode, macro_frames=macro_frames)
     start = time.process_time()
     engine.run()
-    return engine.frame_index, time.process_time() - start
-
-
-def _frames_per_second(protocol: str, backend: str,
-                       macro_frames: int = 1,
-                       rng_mode: str = "parity") -> float:
-    frames, elapsed = _run_timed(protocol, backend, rng_mode,
-                                 macro_frames=macro_frames)
-    return frames / elapsed
+    return engine.frame_index / (time.process_time() - start)
 
 
 def _macro_rng_mode(protocol: str) -> str:
@@ -149,59 +97,38 @@ def _macro_rng_mode(protocol: str) -> str:
     its batched-CSI stream exists only there — so its pair is measured
     fast/fast: same quotient discipline, different (recorded) mode.
     """
-    if _build_engine(protocol, "columnar", "parity",
-                     SEED).protocol.supports_macro_lookahead:
-        return "parity"
-    if _build_engine(protocol, "columnar", "fast",
-                     SEED).protocol.supports_macro_lookahead:
-        return "fast"
+    for mode in ("parity", "fast"):
+        if _build_engine(protocol, mode).protocol.supports_macro_lookahead:
+            return mode
     return "parity"
 
 
 def measure() -> dict:
-    """Interleaved best-of-N frames/sec per protocol: object vs columnar
-    vs macro-stepped columnar (interleaved, one quotient base per pair).
+    """Per-frame vs macro frames/sec per protocol, timed in adjacent pairs.
 
-    The ``macro_over_columnar`` quotient always compares macro-stepped
-    against per-frame stepping *in the same RNG mode* (the mode is recorded
-    per protocol as ``macro_rng_mode``); when that mode is not parity the
-    fast per-frame base is timed as a fourth interleaved leg and recorded
-    as ``macro_base_fps``.  ``macro_over_object`` keeps the parity object
-    backend as its base and is therefore cross-mode for fast-measured
-    protocols — indicative only.
+    The ``macro_over_columnar`` quotient compares macro-stepped against
+    per-frame stepping *in the same RNG mode* (recorded per protocol as
+    ``macro_rng_mode``).  It is the median over ``REPETITIONS`` pairs of
+    back-to-back runs, alternating which side runs first, so a CPU
+    frequency phase shifts both sides of a pair alike.  A quotient of two
+    best-of-N values mixes runs from different phases; on a 2-vCPU box it
+    ranged from 1.3 to 1.8 for DRMA across repeated runs.
     """
     protocols = {}
     for protocol in available_protocols():
-        macro_mode = _macro_rng_mode(protocol)
-        best = {"object": 0.0, "columnar": 0.0, "macro_base": 0.0,
-                "macro": 0.0}
-        for _ in range(REPETITIONS):
-            best["object"] = max(
-                best["object"], _frames_per_second(protocol, "object"))
-            best["columnar"] = max(
-                best["columnar"], _frames_per_second(protocol, "columnar"))
-            if macro_mode != "parity":
-                best["macro_base"] = max(
-                    best["macro_base"],
-                    _frames_per_second(protocol, "columnar",
-                                       rng_mode=macro_mode))
-            best["macro"] = max(
-                best["macro"],
-                _frames_per_second(protocol, "columnar",
-                                   macro_frames=MACRO_FRAMES,
-                                   rng_mode=macro_mode))
-        if macro_mode == "parity":
-            best["macro_base"] = best["columnar"]
+        mode = _macro_rng_mode(protocol)
+        per_frame, macro = [], []
+        for rep in range(REPETITIONS):
+            sides = [(per_frame, 1), (macro, MACRO_FRAMES)]
+            for runs, macro_frames in sides[::-1] if rep % 2 else sides:
+                runs.append(
+                    _frames_per_second(protocol, mode, macro_frames=macro_frames))
         protocols[protocol] = {
-            "object_fps": round(best["object"], 1),
-            "columnar_fps": round(best["columnar"], 1),
-            "macro_fps": round(best["macro"], 1),
-            "macro_base_fps": round(best["macro_base"], 1),
-            "macro_rng_mode": macro_mode,
-            "speedup": round(best["columnar"] / best["object"], 3),
-            "macro_over_columnar": round(
-                best["macro"] / best["macro_base"], 3),
-            "macro_over_object": round(best["macro"] / best["object"], 3),
+            "columnar_fps": round(max(per_frame), 1),
+            "macro_fps": round(max(macro), 1),
+            "macro_rng_mode": mode,
+            "macro_over_columnar": round(statistics.median(
+                m / p for m, p in zip(macro, per_frame)), 3),
         }
     return protocols
 
@@ -220,8 +147,7 @@ def measure_dispatches() -> dict:
     for protocol in available_protocols():
         row = {}
         for label, macro_frames in (("columnar", 1), ("macro", MACRO_FRAMES)):
-            engine = _build_engine(protocol, "columnar", "parity", SEED,
-                                   macro_frames=macro_frames)
+            engine = _build_engine(protocol, "parity", macro_frames=macro_frames)
             engine.enable_phase_timing(count_dispatches=True)
             try:
                 engine.run_frames(512)
@@ -237,47 +163,11 @@ def measure_dispatches() -> dict:
     return dispatches
 
 
-#: The in-session MAC-architecture comparison configurations:
-#: (label, rng_mode, use_batch_mac).
-_KERNEL_CONFIGS = (
-    ("view_fps", "parity", False),
-    ("batch_fps", "parity", True),
-    ("fast_fps", "fast", True),
-)
-
-
-def measure_mac_kernels() -> dict:
-    """Seed-aggregated view-path vs batch-kernel vs fast-mode throughput.
-
-    All three configurations run on the columnar backend, interleaved seed
-    by seed so machine-frequency drift hits them equally; fps is total
-    frames over total CPU seconds per configuration.
-    """
-    kernels = {}
-    for protocol in available_protocols():
-        totals = {label: [0, 0.0] for label, _, _ in _KERNEL_CONFIGS}
-        for seed in RNG_MODE_SEEDS:
-            for label, mode, batch in _KERNEL_CONFIGS:
-                frames, elapsed = _run_timed(
-                    protocol, "columnar", mode, seed, use_batch_mac=batch
-                )
-                totals[label][0] += frames
-                totals[label][1] += elapsed
-        fps = {
-            label: round(frames / elapsed, 1)
-            for label, (frames, elapsed) in totals.items()
-        }
-        fps["batch_over_view"] = round(fps["batch_fps"] / fps["view_fps"], 3)
-        fps["fast_over_view"] = round(fps["fast_fps"] / fps["view_fps"], 3)
-        kernels[protocol] = fps
-    return kernels
-
-
 def measure_phase_split() -> dict:
     """Per-protocol traffic/channel/MAC/PHY/metrics fractions (parity mode)."""
     split = {}
     for protocol in available_protocols():
-        engine = _build_engine(protocol, "columnar", "parity", SEED)
+        engine = _build_engine(protocol, "parity")
         phases = engine.enable_phase_timing()
         engine.run()
         total = sum(phases.values()) or 1.0
@@ -287,113 +177,21 @@ def measure_phase_split() -> dict:
     return split
 
 
-def _previous_latest() -> dict:
-    if not RECORD_PATH.exists():
-        return {}
-    try:
-        return json.loads(RECORD_PATH.read_text())
-    except (json.JSONDecodeError, OSError):
-        return {}
-
-
-def _pr3_era_protocols(previous: dict) -> dict:
-    """The most recent record without a ``mac_kernels`` section (PR 3 era)."""
-    candidates = []
-    latest = previous.get("latest")
-    if latest:
-        candidates.append(latest)
-    candidates.extend(reversed(previous.get("history", [])))
-    for entry in candidates:
-        if "mac_kernels" not in entry and "protocols" in entry:
-            return entry["protocols"]
-    return {}
-
-
-def test_bench_hotpath_backends():
-    previous = _previous_latest()
+def test_bench_hotpath():
     protocols = measure()
-    kernels = measure_mac_kernels()
     phase_split = measure_phase_split()
     dispatches = measure_dispatches()
-    reference = protocols[REFERENCE_PROTOCOL]
-
-    # Trajectory vs the PR 3-era record, per protocol: how much *additional*
-    # columnar throughput this tree delivers on the identical workload.
-    # Indicative only — absolute fps drifts between sessions on this
-    # machine; the in-session `mac_kernels` ratios are the clean comparison.
-    vs_pr3 = {}
-    for name, row in protocols.items():
-        then = _pr3_era_protocols(previous).get(name, {}).get("columnar_fps")
-        if then:
-            # The fast estimate scales the like-for-like parity comparison
-            # (both interleaved best-of-N on the same seed) by the
-            # in-session fast/batch ratio (both seed-aggregated) — never
-            # mixing the two timing methodologies in one quotient.
-            fast_over_batch = (
-                kernels[name]["fast_fps"] / kernels[name]["batch_fps"]
-            )
-            additional = row["columnar_fps"] / then
-            vs_pr3[name] = {
-                "pr3_columnar_fps": then,
-                "columnar_fps": row["columnar_fps"],
-                "additional_speedup": round(additional, 3),
-                "additional_speedup_fast": round(
-                    additional * fast_over_batch, 3
-                ),
-            }
-
-    record = {
-        "workload": {
-            "n_terminals": N_VOICE + N_DATA,
-            "n_voice": N_VOICE,
-            "n_data": N_DATA,
-            "seed": SEED,
-            "measured_s": DURATION_S,
-            "warmup_s": WARMUP_S,
-            "repetitions": REPETITIONS,
-            "timer": "process_time, interleaved best-of-N",
-            "rng_mode_seeds": list(RNG_MODE_SEEDS),
-        },
-        "reference": {
-            "protocol": REFERENCE_PROTOCOL,
-            "why": "thinnest MAC layer; isolates the frame-loop cost",
-            **reference,
-        },
-        "protocols": protocols,
-        "macro_frames": MACRO_FRAMES,
-        "mac_kernels": kernels,
-        "phase_split": phase_split,
-        "dispatches_per_frame": dispatches,
-        "vs_pr3": vs_pr3,
-        "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-
-    history = previous.get("history", [])
-    if "latest" in previous:
-        history = history + [previous["latest"]]
-    RECORD_PATH.write_text(
-        json.dumps({"latest": record, "history": history[-19:]}, indent=2)
-        + "\n"
-    )
 
     table = "\n".join(
-        f"  {name:10s} object {row['object_fps']:9.0f} fps   "
-        f"columnar {row['columnar_fps']:9.0f} fps   {row['speedup']:.2f}x   "
+        f"  {name:10s} per-frame {row['columnar_fps']:9.0f} fps   "
         f"macro {row['macro_fps']:9.0f} fps "
-        f"({row['macro_over_columnar']:.2f}x)   "
-        f"kernels view {kernels[name]['view_fps']:8.0f} "
-        f"batch {kernels[name]['batch_fps']:8.0f} "
-        f"fast {kernels[name]['fast_fps']:8.0f}"
+        f"({row['macro_over_columnar']:.2f}x, {row['macro_rng_mode']})   "
+        f"dispatches/frame {dispatches[name]['columnar']['total']:.1f} -> "
+        f"{dispatches[name]['macro']['total']:.1f}"
         for name, row in protocols.items()
     )
-    print(f"\nhot-path backends @ {N_VOICE + N_DATA} terminals:\n{table}")
+    print(f"\nhot path @ {N_VOICE + N_DATA} terminals:\n{table}")
 
-    # Correctness floor: the columnar backend must beat the object backend
-    # decisively on every protocol; the reference workload's headline
-    # speedup is recorded in BENCH_engine.json.
-    for name, row in protocols.items():
-        assert row["speedup"] > 1.5, (name, row)
-    assert reference["speedup"] > 2.0, reference
     # The MAC phase must no longer dwarf the frame loop on the MAC-heavy
     # protocols: the kernelised MAC keeps it under three quarters.
     for name, split in phase_split.items():
@@ -410,9 +208,6 @@ def test_bench_hotpath_backends():
         )
     for name, row in protocols.items():
         assert row["macro_over_columnar"] > 0.9, (name, row)
-    # The RAMA batch kernel must pay for itself again (the small-pool
-    # columnar round-tripping regression).
-    assert kernels["rama"]["batch_over_view"] > 1.0, kernels["rama"]
     # The macro mode must actually lower the measured dispatch floor on the
     # lookahead protocols.
     for name in ("rmav", "dtdma_vr"):
@@ -473,13 +268,12 @@ def _constellation_fps(n_workers: int) -> float:
 
 
 def test_bench_constellation():
-    """Record the 100-beam demo: aggregate fps and thread scaling.
+    """The 100-beam demo: aggregate fps at each worker count.
 
-    Merges a ``constellation`` section into ``BENCH_engine.json``'s
-    ``latest`` record (preserving every other section) with the aggregate
-    and per-beam frames/sec at each worker count and the scaling ratios
-    against the serial run.  On a single-core box the ratios sit near 1.0 —
-    ``cpu_count`` is recorded alongside so the numbers read honestly.
+    Prints the aggregate frames/sec at each worker count and the scaling
+    ratios against the serial run (on a single-core box the ratios sit near
+    1.0, so ``cpu_count`` is printed alongside), and asserts the aggregate
+    floor.
     """
     best = {}
     for n_workers in CONSTELLATION_WORKER_COUNTS:
@@ -490,43 +284,12 @@ def test_bench_constellation():
 
     aggregate = max(best.values())
     serial = best[CONSTELLATION_WORKER_COUNTS[0]]
-    section = {
-        "workload": {
-            "n_beams": CONSTELLATION_BEAMS,
-            "n_voice_per_beam": N_VOICE,
-            "n_data_per_beam": N_DATA,
-            "n_terminals_total": CONSTELLATION_BEAMS * (N_VOICE + N_DATA),
-            "protocol": REFERENCE_PROTOCOL,
-            "rng_mode": "fast",
-            "macro_frames": MACRO_FRAMES,
-            "seed": SEED,
-            "measured_s": CONSTELLATION_DURATION_S,
-            "warmup_s": CONSTELLATION_WARMUP_S,
-            "timer": "perf_counter (wall), best-of-2 per worker count",
-        },
-        "aggregate_fps": round(aggregate, 1),
-        "per_beam_fps": round(aggregate / CONSTELLATION_BEAMS, 1),
-        "threads": {
-            str(n): round(fps, 1) for n, fps in best.items()
-        },
-        "thread_scaling": {
-            str(n): round(fps / serial, 3) for n, fps in best.items()
-        },
-        "cpu_count": os.cpu_count(),
-    }
-
-    previous = _previous_latest()
-    latest = previous.get("latest", {})
-    latest["constellation"] = section
-    previous["latest"] = latest
-    RECORD_PATH.write_text(json.dumps(previous, indent=2) + "\n")
-
     rows = "  ".join(
-        f"{n}w {fps:8.0f} fps" for n, fps in best.items()
+        f"{n}w {fps:8.0f} fps ({fps / serial:.2f}x)" for n, fps in best.items()
     )
     print(
         f"\nconstellation @ {CONSTELLATION_BEAMS} beams x "
-        f"{N_VOICE + N_DATA} terminals: {rows}"
+        f"{N_VOICE + N_DATA} terminals, {os.cpu_count()} CPUs: {rows}"
     )
 
-    assert aggregate >= CONSTELLATION_FPS_FLOOR, section
+    assert aggregate >= CONSTELLATION_FPS_FLOOR, best

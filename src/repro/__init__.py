@@ -33,10 +33,10 @@ Subpackages
 ``repro.store``     Content-addressed run cache, resumable store, work-stealing executor.
 ``repro.channel``   Rayleigh fast fading × log-normal shadowing channel models.
 ``repro.phy``       Adaptive (ABICM-style) and fixed-rate physical layers, CSI estimation.
-``repro.traffic``   Voice / data sources, terminals, permission-probability contention.
+``repro.traffic``   Terminal population (voice / data sources), permission-probability gating.
 ``repro.mac``       MAC substrate and the five baseline protocols.
 ``repro.core``      The CHARISMA protocol (the paper's contribution).
-``repro.sim``       Discrete-event kernel, frame engine, scenario runner.
+``repro.sim``       Frame engine, macro stepping, scenario runner.
 ``repro.metrics``   Voice loss, data throughput/delay metrics and statistics.
 ``repro.analysis``  Capacity analysis, parameter sweeps, experiment registry.
 """

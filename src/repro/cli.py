@@ -26,9 +26,9 @@ Python:
   ``@kernel`` purity and store-schema hygiene, with ``--json`` and
   ``--update-baseline`` for the committed baseline/fingerprint files;
 * ``selftest`` (also reachable as ``python -m repro --selftest``) — smoke-run
-  one tiny experiment through every executor, check they agree, verify the
-  columnar and object engine backends produce identical results, and
-  round-trip the result store in a temporary directory.
+  one tiny experiment through every executor, check they agree, verify that
+  macro-stepped runs equal per-frame runs, and round-trip the result store
+  in a temporary directory.
 
 All simulation commands funnel through :mod:`repro.api`; ``--cache DIR``
 makes them resumable (finished points are served from the store in DIR).
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "selftest",
         help="run one tiny experiment through each executor, compare them, "
-             "check columnar/object engine-backend parity, cross-check the "
-             "fast RNG mode, round-trip an observability trace, and "
+             "check that macro-stepped runs equal per-frame runs, cross-check "
+             "the fast RNG mode, round-trip an observability trace, and "
              "round-trip the result store",
     )
     return parser
@@ -246,18 +246,14 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--speed", type=float, default=None,
                         help="mobile speed in km/h (default: Table 1 value)")
-    parser.add_argument("--backend", choices=("columnar", "object"),
-                        default="columnar",
-                        help="simulation core: vectorised struct-of-arrays "
-                             "(columnar, default) or per-terminal objects "
-                             "(object); both give identical results")
     parser.add_argument("--rng-mode", choices=("parity", "fast"),
                         default="parity", dest="rng_mode",
-                        help="random-draw batching: parity (default) is "
-                             "bit-identical to the object backend; fast "
-                             "batches whole-frame draws from per-subsystem "
-                             "child streams (statistically equivalent, "
-                             "fastest for paper-scale sweeps)")
+                        help="random-draw batching: parity (default) draws "
+                             "in a fixed scalar order, so macro-stepped runs "
+                             "equal per-frame runs bit for bit; fast batches "
+                             "whole-frame draws from per-subsystem child "
+                             "streams (statistically equivalent, fastest for "
+                             "paper-scale sweeps)")
     parser.add_argument("--macro-frames", type=int, default=1,
                         dest="macro_frames", metavar="K",
                         help="macro-step the columnar frame loop in blocks "
@@ -292,7 +288,6 @@ def _scenario_from_args(args: argparse.Namespace, protocol: Optional[str] = None
         warmup_s=args.warmup,
         seed=args.seed,
         mobile_speed_kmh=args.speed,
-        engine_backend=getattr(args, "backend", "columnar"),
         rng_mode=getattr(args, "rng_mode", "parity"),
         macro_frames=getattr(args, "macro_frames", 1),
     )
@@ -598,7 +593,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             )
         report = {
             "scenario": scenario.label(),
-            "backend": scenario.engine_backend,
             "rng_mode": scenario.rng_mode,
             "frames": frames,
             "cpu_seconds": round(elapsed, 6),
@@ -625,8 +619,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     result = engine.run()
     profiler.disable()
     frames = engine.frame_index
-    print(f"profiled {scenario.label()} [{scenario.engine_backend} backend]: "
-          f"{frames} frames")
+    print(f"profiled {scenario.label()}: {frames} frames")
     print(f"voice loss {result.voice.loss_rate:.4f}, "
           f"data throughput {result.data.throughput_packets_per_frame:.3f} pkt/frame")
     stats = pstats.Stats(profiler)
@@ -678,26 +671,20 @@ def _command_lint(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _selftest_backend_parity() -> bool:
-    """Columnar, object and macro-stepped engines must agree exactly."""
+def _selftest_macro_parity() -> bool:
+    """Macro-stepped runs must equal per-frame runs exactly (parity mode)."""
     from repro.sim.runner import run_simulation
 
     for protocol in ("charisma", "dtdma_vr", "rama"):
         base = Scenario(protocol=protocol, n_voice=6, n_data=2,
                         use_request_queue=True, duration_s=0.4, warmup_s=0.2,
                         seed=11)
-        results = {
-            backend: run_simulation(base.with_overrides(engine_backend=backend))
-            for backend in ("columnar", "object")
-        }
-        if results["columnar"].summary() != results["object"].summary():
-            print(f"  MISMATCH: engine backends disagree for {protocol}")
-            return False
+        per_frame = run_simulation(base)
         macro = run_simulation(base.with_overrides(macro_frames=16))
-        if macro.summary() != results["columnar"].summary():
+        if macro.summary() != per_frame.summary():
             print(f"  MISMATCH: macro-stepped engine disagrees for {protocol}")
             return False
-    print("  engine backends    columnar == object == macro-16 for 3 protocols")
+    print("  macro stepping     per-frame == macro-16 for 3 protocols")
     return True
 
 
@@ -820,7 +807,7 @@ def _command_selftest(_: argparse.Namespace) -> int:
     rows = results.aggregate(["voice_loss_rate"], by=("protocol", "n_voice"))
     print(f"  aggregate          {len(rows)} (protocol, n_voice) groups ok")
 
-    if not _selftest_backend_parity():
+    if not _selftest_macro_parity():
         return 1
     if not _selftest_rng_fast():
         return 1

@@ -158,7 +158,6 @@ class ConstellationScenario:
             warmup_s=self.warmup_s,
             seed=self.seed,
             mobile_speed_kmh=self.mobile_speed_kmh,
-            engine_backend="columnar",
             rng_mode=self.rng_mode,
             macro_frames=self.macro_frames,
         )

@@ -15,13 +15,12 @@ baseline protocols in :mod:`repro.mac`:
   request queue).
 """
 
-from repro.core.allocator import AllocationDecision, CSIRankedAllocator
+from repro.core.allocator import CSIRankedAllocator
 from repro.core.charisma import CharismaProtocol
 from repro.core.csi_polling import CSIPoller
 from repro.core.priority import PriorityCalculator
 
 __all__ = [
-    "AllocationDecision",
     "CSIRankedAllocator",
     "CSIPoller",
     "CharismaProtocol",

@@ -20,45 +20,14 @@ queue them (with-queue variant) or drop them (without-queue variant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.manager import ChannelSnapshot
-from repro.mac.requests import Allocation, GrantColumns, Request, RequestColumns
+from repro.mac.requests import GrantColumns, RequestColumns
 from repro.phy.abicm import AdaptiveModem
-from repro.traffic.terminal import Terminal
 
-__all__ = ["AllocationDecision", "CSIRankedAllocator"]
-
-
-@dataclass
-class AllocationDecision:
-    """Result of one frame's slot-allocation pass.
-
-    Attributes
-    ----------
-    allocations:
-        Slot grants, in the order they were made (highest priority first).
-    unserved:
-        Requests that received no slots (out of capacity).
-    deferred:
-        Requests skipped because their channel was in outage and their
-        deadline allowed waiting for a better channel state.
-    slots_used:
-        Total information slots granted.
-    """
-
-    allocations: List[Allocation] = field(default_factory=list)
-    unserved: List[Request] = field(default_factory=list)
-    deferred: List[Request] = field(default_factory=list)
-    slots_used: int = 0
-
-    @property
-    def leftovers(self) -> List[Request]:
-        """Requests that remain pending after this frame (unserved + deferred)."""
-        return self.unserved + self.deferred
+__all__ = ["CSIRankedAllocator"]
 
 
 class CSIRankedAllocator:
@@ -103,45 +72,6 @@ class CSIRankedAllocator:
         return self._margin
 
     # ------------------------------------------------------------------ API
-    def allocate(
-        self,
-        ranked_requests: Sequence[Request],
-        terminals_by_id: Dict[int, Terminal],
-        snapshot: ChannelSnapshot,
-        frame_index: int,
-    ) -> AllocationDecision:
-        """Grant the frame's information slots to the ranked requests."""
-        decision = AllocationDecision()
-        slots_left = self._n_slots
-        capacities = self._capacities_from_csi(ranked_requests)
-        for request, (per_slot, throughput) in zip(ranked_requests, capacities):
-            terminal = terminals_by_id.get(request.terminal_id)
-            if terminal is None or not terminal.has_pending_packets:
-                continue
-            if slots_left <= 0:
-                decision.unserved.append(request)
-                continue
-
-            if per_slot == 0:
-                if self._must_serve_despite_outage(request, frame_index):
-                    per_slot, throughput = 1, self._modem.mode_table[0].throughput
-                else:
-                    decision.deferred.append(request)
-                    continue
-
-            n_slots = self._slots_for(request, terminal, per_slot, slots_left)
-            decision.allocations.append(
-                Allocation(
-                    terminal_id=terminal.terminal_id,
-                    n_slots=n_slots,
-                    packet_capacity=per_slot * n_slots,
-                    throughput=throughput,
-                )
-            )
-            slots_left -= n_slots
-            decision.slots_used += n_slots
-        return decision
-
     def allocate_columns(
         self,
         columns: RequestColumns,
@@ -152,18 +82,20 @@ class CSIRankedAllocator:
         per_slot: Optional[np.ndarray] = None,
         throughput: Optional[np.ndarray] = None,
     ) -> Tuple[List[int], List[int]]:
-        """Column form of :meth:`allocate` for the array-native CHARISMA.
+        """Grant the frame's information slots to the ranked request rows.
 
         ``order`` is the priority ranking (row indices, best first); grants
         land in ``grants`` and the method returns ``(unserved_rows,
-        deferred_rows)`` so the protocol can queue the leftovers.  Decision
-        for decision identical to :meth:`allocate` on the materialised
-        ranked requests: the per-row capacities come from one vectorised
-        mode lookup over the estimated CSIs (zero packets marks outage; a
-        missing estimate falls back to the most robust mode), and the
-        sequential slots-left walk runs over plain Python scalars.
-        ``per_slot``/``throughput`` optionally supply the capacity columns
-        from a caller that already performed the frame's mode lookup.
+        deferred_rows)`` so the protocol can queue the leftovers.  The
+        per-row capacities come from one vectorised mode lookup over the
+        estimated CSIs (zero packets marks outage; a missing estimate falls
+        back to the most robust mode), and the sequential slots-left walk
+        runs over plain Python scalars.  Rows whose terminal has no packets
+        left are skipped; an outage row is deferred unless it is a voice
+        request within ``defer_deadline_margin`` frames of its deadline,
+        which is served at the most robust mode.  ``per_slot``/``throughput``
+        optionally supply the capacity columns from a caller that already
+        performed the frame's mode lookup.
         """
         n = len(columns)
         unserved: List[int] = []
@@ -232,8 +164,7 @@ class CSIRankedAllocator:
         """Per-mode (packets, throughput) lookup: row 0 outage, row 1+ modes.
 
         Row 0 encodes outage as zero packets (NaN throughput, never
-        granted); row ``mode_index + 1`` holds the mode's capacity pair —
-        the vectorised twin of :meth:`_capacities_from_csi`'s scalar cases,
+        granted); row ``mode_index + 1`` holds the mode's capacity pair,
         with "no estimate" mapping to row 1 (the most robust mode).
         """
         if self._column_lut is None:
@@ -248,55 +179,3 @@ class CSIRankedAllocator:
                 np.asarray(thrs, dtype=float),
             )
         return self._column_lut
-
-    def _capacities_from_csi(
-        self, requests: Sequence[Request]
-    ) -> List[Tuple[int, Optional[float]]]:
-        """Batched per-request capacities: one mode lookup for the frame.
-
-        Requests without an estimate are conservatively treated as the most
-        robust mode; estimated ones get the mode their CSI supports, with
-        ``(0, None)`` marking outage — element-for-element identical to the
-        scalar ``select_mode`` path.
-        """
-        table = self._modem.mode_table
-        reference = table.reference_throughput
-        lowest = table[0]
-        lowest_pair = (lowest.packets_per_slot(reference), lowest.throughput)
-        known = [
-            index for index, request in enumerate(requests) if request.csi is not None
-        ]
-        capacities: List[Tuple[int, Optional[float]]] = [lowest_pair] * len(requests)
-        if not known:
-            return capacities
-        mode_indices = self._modem.mode_index(
-            np.fromiter(
-                (requests[index].csi.amplitude for index in known),
-                dtype=float,
-                count=len(known),
-            )
-        )
-        for position, mode_index in zip(known, mode_indices):
-            if mode_index < 0:
-                capacities[position] = (0, None)
-            else:
-                mode = table[mode_index]
-                capacities[position] = (
-                    mode.packets_per_slot(reference),
-                    mode.throughput,
-                )
-        return capacities
-
-    def _must_serve_despite_outage(self, request: Request, frame_index: int) -> bool:
-        if not request.kind.is_voice:
-            return False
-        remaining = request.frames_to_deadline(frame_index)
-        return remaining is not None and remaining <= self._margin
-
-    def _slots_for(
-        self, request: Request, terminal: Terminal, per_slot: int, slots_left: int
-    ) -> int:
-        if request.kind.is_voice:
-            return 1
-        needed = math.ceil(terminal.buffer_occupancy / max(1, per_slot))
-        return max(1, min(slots_left, needed))

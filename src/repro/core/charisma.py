@@ -30,7 +30,7 @@ Frame procedure (uplink, Fig. 4a / Section 4.3)
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,18 +39,12 @@ from repro.config import SimulationParameters
 from repro.core.allocator import CSIRankedAllocator
 from repro.core.csi_polling import CSIPoller
 from repro.core.priority import PriorityCalculator
-from repro.mac.base import MACProtocol, terminal_lookup, traced_batch
-from repro.mac.contention import run_contention, run_contention_ids
+from repro.mac.base import MACProtocol, traced_batch
+from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import (
-    Acknowledgement,
-    FrameOutcome,
-    Request,
-    RequestColumns,
-)
+from repro.mac.requests import Acknowledgement, FrameOutcome, RequestColumns
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.csi import CSIEstimator
-from repro.traffic.terminal import Terminal
 
 __all__ = ["CharismaProtocol"]
 
@@ -96,8 +90,8 @@ class CharismaProtocol(MACProtocol):
         # (``csi_rng``) so the macro engine can prefetch a whole block of
         # standard normals and roll unconsumed draws back without touching
         # the shared MAC stream.  Parity mode keeps the shared ``rng`` —
-        # the object backend's draw order — and therefore falls back to
-        # the per-frame kernel inside macro blocks (bit-identity).
+        # the parity draw order — and therefore falls back to the per-frame
+        # kernel inside macro blocks (bit-identity).
         use_csi_stream = self.rng_fast and csi_rng is not None
         self.csi_estimator = csi_estimator or CSIEstimator(
             n_pilot_symbols=params.pilot_symbols_per_request,
@@ -124,94 +118,6 @@ class CharismaProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    def run_frame(
-        self,
-        frame_index: int,
-        terminals: Sequence[Terminal],
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        self.release_finished_reservations(terminals)
-        self.prune_queue(frame_index, terminals)
-        by_id = terminal_lookup(terminals)
-        outcome = FrameOutcome(frame_index)
-
-        # ----------------------------------------------------- request phase
-        candidates = self.contention_candidates(terminals)
-        contention = run_contention(
-            candidates, self.frame_structure.request_minislots, self.permission, self.rng
-        )
-        outcome.contention_attempts = contention.attempts
-        outcome.contention_collisions = contention.collisions
-        outcome.idle_request_slots = contention.idle_slots
-
-        # The winners' pilot symbols are estimated with one batched noise
-        # draw (stream-identical to per-winner estimation).
-        winner_estimates = self.csi_estimator.estimate_many(
-            [snapshot.amplitude_of(w.terminal_id) for w in contention.winners],
-            frame_index,
-        )
-        new_requests: List[Request] = []
-        for slot, (winner, csi) in enumerate(zip(contention.winners, winner_estimates)):
-            outcome.acknowledgements.append(
-                Acknowledgement(winner.terminal_id, slot, frame_index)
-            )
-            new_requests.append(self.make_request(winner, frame_index, csi=csi))
-
-        # Auto-generated requests of voice reservation holders: their ongoing
-        # per-period transmissions double as pilots, so the base station has a
-        # current estimate of their channel.
-        reserved = self.reservations.reserved_terminals(terminals)
-        reserved_estimates = self.csi_estimator.estimate_many(
-            [snapshot.amplitude_of(t.terminal_id) for t in reserved], frame_index
-        )
-        reservation_requests: List[Request] = [
-            self.make_request(terminal, frame_index, csi=csi, is_reservation=True)
-            for terminal, csi in zip(reserved, reserved_estimates)
-        ]
-
-        # Backlog from previous frames (with-queue variant only).
-        backlog: List[Request] = (
-            self.request_queue.pop_all() if self.request_queue is not None else []
-        )
-        self._refresh_voice_deadlines(backlog, by_id, frame_index)
-        if backlog and self.enable_csi_polling:
-            # One batched priority evaluation for the whole backlog; the
-            # poller's key then reads precomputed values instead of paying
-            # the vectorised machinery per request.
-            backlog_priority = dict(
-                zip(
-                    map(id, backlog),
-                    self.priority_calculator.priorities(backlog, frame_index),
-                )
-            )
-            self.csi_poller.refresh(
-                backlog,
-                snapshot,
-                frame_index,
-                priority_key=lambda r: backlog_priority[id(r)],
-            )
-
-        # -------------------------------------------------- allocation phase
-        pending = reservation_requests + new_requests + backlog
-        ranked = self.priority_calculator.rank(pending, frame_index)
-        decision = self.allocator.allocate(ranked, by_id, snapshot, frame_index)
-        outcome.allocations.extend(decision.allocations)
-
-        # Newly served voice requests acquire a reservation.
-        allocated_ids = {a.terminal_id for a in decision.allocations}
-        for request in pending:
-            if (
-                request.kind.is_voice
-                and not request.is_reservation
-                and request.terminal_id in allocated_ids
-            ):
-                self.reservations.grant(request.terminal_id, frame_index)
-
-        # Unserved / deferred requests go back to the queue (or are dropped).
-        self.queue_unserved(decision.leftovers)
-        outcome.queued_requests = self.queued_count()
-        return outcome
-
     @traced_batch
     def run_frame_batch(
         self,
@@ -219,12 +125,12 @@ class CharismaProtocol(MACProtocol):
         population,
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
-        """Array-native frame: the whole request pool lives in columns.
+        """Gather every request of the frame, then rank and allocate.
 
         Contention resolves over id arrays, CSI estimation returns amplitude
         columns, the priority metric and the mode lookup evaluate over the
         pooled :class:`RequestColumns`, and the ranked allocation walk emits
-        grant columns — the only per-request Python objects left are the
+        grant columns — the only per-request Python objects are the
         acknowledgements and any leftovers re-entering the request queue.
         """
         self.reservations.release_ended_population(population)
@@ -253,8 +159,8 @@ class CharismaProtocol(MACProtocol):
 
         # CSI estimation: the winners' pilot symbols plus the auto-polled
         # reservation holders (their ongoing per-period transmissions double
-        # as pilots).  Parity mode keeps the object path's two draws in
-        # order; fast mode folds both groups into one batched draw.
+        # as pilots).  Parity mode draws for the winners, then for the
+        # holders; fast mode folds both groups into one batched draw.
         reserved = self.reservations.reserved_ids(population)
         amplitude = snapshot.amplitude
         if self.rng_fast:
@@ -415,11 +321,14 @@ class CharismaProtocol(MACProtocol):
     def _refresh_voice_deadline_columns(
         self, columns: RequestColumns, population, frame_index: int
     ) -> None:
-        """Column form of :meth:`_refresh_voice_deadlines`.
+        """Update backlogged voice requests to their terminal's current deadline.
 
-        The object path skips unknown terminal ids (``by_id.get`` misses);
-        here they must be masked *before* the gather or the fancy index
-        itself raises.
+        A queued voice request may outlive the packet it was originally made
+        for (that packet could have been dropped and a new one generated);
+        the priority metric must therefore look at the current head-of-line
+        packet's deadline, not the stale one recorded at arrival time.
+        Unknown terminal ids are masked before the gather (the fancy index
+        would raise) and keep their recorded deadline.
         """
         tids = columns.terminal_ids
         known = tids < len(population)
@@ -434,24 +343,3 @@ class CharismaProtocol(MACProtocol):
             columns.deadline_frames[refresh] = (
                 frame_index + remaining[refresh]
             )
-
-    # ------------------------------------------------------------ internals
-    def _refresh_voice_deadlines(
-        self, requests: List[Request], by_id, frame_index: int
-    ) -> None:
-        """Update backlogged voice requests to their terminal's current deadline.
-
-        A queued voice request may outlive the packet it was originally made
-        for (that packet could have been dropped and a new one generated);
-        the priority metric must therefore look at the current head-of-line
-        packet's deadline, not the stale one recorded at arrival time.
-        """
-        for request in requests:
-            if not request.kind.is_voice:
-                continue
-            terminal = by_id.get(request.terminal_id)
-            if terminal is None:
-                continue
-            remaining = terminal.head_deadline_frames(frame_index)
-            if remaining is not None:
-                request.deadline_frame = frame_index + remaining

@@ -11,12 +11,11 @@ valid for another couple of frames.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.channel.manager import ChannelSnapshot
-from repro.mac.requests import Request
 from repro.phy.csi import CSIEstimator
 
 __all__ = ["CSIPoller"]
@@ -51,56 +50,10 @@ class CSIPoller:
         """Total number of poll responses processed so far."""
         return self._polls_sent
 
-    def stale_requests(self, requests: Sequence[Request], frame_index: int) -> List[Request]:
-        """Backlog requests whose CSI estimate has expired."""
-        return [
-            r for r in requests
-            if r.csi is None or r.csi.is_stale(frame_index)
-        ]
-
-    def refresh(
-        self,
-        requests: Sequence[Request],
-        snapshot: ChannelSnapshot,
-        frame_index: int,
-        priority_key: Callable[[Request], float] | None = None,
-    ) -> int:
-        """Refresh up to ``N_b`` stale requests' CSI estimates in place.
-
-        Parameters
-        ----------
-        requests:
-            The backlog (plus any other pending requests) to consider.
-        snapshot:
-            Current true channel state, from which the polled devices' pilot
-            transmissions are observed.
-        frame_index:
-            Current frame (stamped onto the fresh estimates).
-        priority_key:
-            Optional scoring function used to pick which stale requests get
-            the limited polling slots (highest score first); FIFO order is
-            used when omitted.
-
-        Returns
-        -------
-        int
-            Number of requests whose estimate was refreshed.
-        """
-        stale = self.stale_requests(requests, frame_index)
-        if priority_key is not None:
-            stale = sorted(stale, key=priority_key, reverse=True)
-        refreshed = 0
-        for request in stale[: self._n_pilot_slots]:
-            true_amplitude = snapshot.amplitude_of(request.terminal_id)
-            request.csi = self._estimator.estimate(true_amplitude, frame_index)
-            refreshed += 1
-            self._polls_sent += 1
-        return refreshed
-
     def stale_rows(self, columns, frame_index: int) -> np.ndarray:
         """Row indices of a request-column pool whose estimates expired.
 
-        The column twin of :meth:`stale_requests`; exposed separately so
+        A row without an estimate counts as stale.  Exposed separately so
         callers can skip building the polling priorities entirely when no
         row is stale (the common case for short backlogs).
         """
@@ -117,14 +70,15 @@ class CSIPoller:
         priorities: Optional[np.ndarray] = None,
         stale: Optional[np.ndarray] = None,
     ) -> int:
-        """Column form of :meth:`refresh` over a request-column backlog.
+        """Refresh up to ``N_b`` stale rows' CSI estimates in place.
 
         Staleness comes from the CSI frame-stamp column (or a precomputed
         ``stale`` row array from :meth:`stale_rows`), the polling short
         list from a stable descending sort on ``priorities`` (FIFO when
-        omitted), and the refreshed estimates from one batched estimator
-        call — which consumes the noise stream exactly as :meth:`refresh`'s
-        per-request scalar estimates would, in the same short-list order.
+        omitted), and the refreshed estimates — observed from the polled
+        devices' pilot transmissions on the current channel ``snapshot`` —
+        from one batched estimator call, in short-list order.  Returns the
+        number of rows refreshed.
         """
         if stale is None:
             stale = self.stale_rows(columns, frame_index)

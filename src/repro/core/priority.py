@@ -85,9 +85,7 @@ class PriorityCalculator:
     def priorities(self, requests: Sequence[Request], current_frame: int) -> np.ndarray:
         """Vectorised priority evaluation over a frame's pending requests.
 
-        One modem lookup over all estimated CSIs plus array urgency terms —
-        the per-request scalar path dominated CHARISMA's frame cost on the
-        columnar backend.
+        One modem lookup over all estimated CSIs plus array urgency terms.
         """
         n = len(requests)
         if n == 0:

@@ -1,7 +1,7 @@
 """Contract-aware static analysis for the simulation engine.
 
-The engine's headline guarantees — bit-identical parity across the object,
-columnar and macro-stepped backends, and deterministic per-seed fast-mode
+The engine's headline guarantees — bit-identical parity between per-frame
+and macro-stepped runs, and deterministic per-seed fast-mode
 streams — rest on *source-level* contracts that no runtime check sees until
 an expensive parity sweep diverges:
 

@@ -8,10 +8,9 @@ to three promises the parity suites otherwise only discover by diverging:
 
 * **No conditional draws** (``KRN001``): a random draw must not sit under a
   data-dependent branch, because the *number and order* of draws taken from
-  a stream is part of the cross-backend parity contract.  Where a kernel
-  deliberately gates a draw to mirror the object backend's per-terminal
-  order, the site must carry an explicit ``# lint: allow[KRN001]`` with the
-  reason.
+  a stream is part of the parity contract.  Where a kernel deliberately
+  gates a draw to keep the parity mode's per-terminal draw order, the site
+  must carry an explicit ``# lint: allow[KRN001]`` with the reason.
 * **No unordered iteration** (``KRN001``): iterating a ``set`` (or the
   views of a freshly-built ``dict``) makes the emission order depend on
   hashing/insertion history; kernels must iterate arrays, lists or
@@ -27,9 +26,9 @@ Besides the marker attribute, every decoration is recorded in
   call (one entry ≈ one vectorised step).  These are what
   :class:`repro.obs.dispatch.KernelDispatchCounter` counts, preserving the
   "macro mode needs fewer dispatches per frame" invariant that
-  ``BENCH_engine.json`` records as ``dispatches_per_frame``.
-* ``batch=False`` — a scalar per-terminal helper (e.g. the object
-  backend's single-terminal ``transmit``).  Still bound by the purity
+  ``benchmarks/test_bench_hotpath.py`` asserts.
+* ``batch=False`` — a scalar per-terminal helper (e.g. the population's
+  single-terminal ``transmit``).  Still bound by the purity
   contract, but excluded from dispatch counting: macro mode calls scalar
   helpers per *grant*, so counting them would invert the invariant.
 

@@ -8,23 +8,16 @@ five state-of-the-art protocols the paper compares CHARISMA against
 lives in :mod:`repro.core` but registers through the same
 :mod:`repro.mac.registry`.
 
-Every protocol exists in two interchangeable forms: the view-walking
-``run_frame`` path over per-terminal objects/views, and an array-native
-``run_frame_batch`` kernel operating directly on
-:class:`~repro.traffic.population.TerminalPopulation` columns (id-array
-contention via :func:`run_contention_ids`, columnar request pools via
-:class:`~repro.mac.requests.RequestColumns`, grant emission via
-:class:`~repro.mac.requests.GrantColumns`).  In parity RNG mode the two are
-bit-identical; see ``tests/mac/test_kernel_equivalence.py``.
+Every protocol implements one frame kernel, ``run_frame_batch``, operating
+directly on :class:`~repro.traffic.population.TerminalPopulation` columns
+(id-array contention via :func:`run_contention_ids`, columnar request pools
+via :class:`~repro.mac.requests.RequestColumns`, grant emission via
+:class:`~repro.mac.requests.GrantColumns`).  The golden baselines in
+``tests/golden`` pin every protocol's exact results.
 """
 
 from repro.mac.base import MACProtocol
-from repro.mac.contention import (
-    ContentionResult,
-    IndexContentionResult,
-    run_contention,
-    run_contention_ids,
-)
+from repro.mac.contention import IndexContentionResult, run_contention_ids
 from repro.mac.drma import DRMAProtocol
 from repro.mac.dtdma_fr import DTDMAFRProtocol
 from repro.mac.dtdma_vr import DTDMAVRProtocol
@@ -51,7 +44,6 @@ from repro.mac.rmav import RMAVProtocol
 __all__ = [
     "Acknowledgement",
     "Allocation",
-    "ContentionResult",
     "DRMAProtocol",
     "DTDMAFRProtocol",
     "DTDMAVRProtocol",
@@ -70,6 +62,5 @@ __all__ = [
     "build_modem",
     "create_protocol",
     "protocol_class",
-    "run_contention",
     "run_contention_ids",
 ]

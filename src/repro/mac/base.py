@@ -4,16 +4,21 @@ Every protocol in the study — the five baselines and CHARISMA — is a
 :class:`MACProtocol`.  The simulation engine drives it with one call per
 2.5 ms TDMA frame::
 
-    outcome = protocol.run_frame(frame_index, terminals, channel_snapshot)
+    outcome = protocol.run_frame_batch(frame_index, population, channel_snapshot)
 
-and then executes the returned :class:`~repro.mac.requests.FrameOutcome`
-(transmitting packets through the PHY error model and updating terminal
-statistics).  The base class provides the machinery all protocols share:
+where ``population`` is the cell's
+:class:`~repro.traffic.population.TerminalPopulation`.  The protocol reads
+the population arrays and emits the frame's grants as
+:class:`~repro.mac.requests.GrantColumns` on the returned
+:class:`~repro.mac.requests.FrameOutcome`; the engine then transmits them
+through the PHY error model.  The base class provides the machinery all
+protocols share:
 
-* permission-probability gated contention candidates,
+* permission-probability gated contention candidates (as id arrays),
 * the voice reservation table ("a slot every 20 ms until the talkspurt
   ends"),
 * the optional base-station request queue,
+* columnar request pools and FCFS service over them,
 * translation of a channel state into an information-slot packet capacity
   via the protocol's modem (adaptive or fixed-rate).
 """
@@ -34,7 +39,6 @@ from repro.obs import trace as _obs_trace
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import RequestQueue
 from repro.mac.requests import (
-    Allocation,
     FrameOutcome,
     GrantColumns,
     Request,
@@ -45,9 +49,8 @@ from repro.phy.abicm import AdaptiveModem
 from repro.phy.fixed import FixedRateModem
 from repro.traffic.packets import TrafficKind
 from repro.traffic.permission import PermissionPolicy
-from repro.traffic.terminal import Terminal
 
-__all__ = ["MACProtocol", "Modem", "terminal_lookup", "traced_batch"]
+__all__ = ["MACProtocol", "Modem", "traced_batch"]
 
 Modem = Union[AdaptiveModem, FixedRateModem]
 
@@ -55,10 +58,10 @@ Modem = Union[AdaptiveModem, FixedRateModem]
 def traced_batch(run_frame_batch):
     """Wrap a ``run_frame_batch`` entry in a ``mac.<name>.batch`` span.
 
-    Applied to the base default and every shipped protocol's override, so
-    a trace attributes each frame's MAC phase to the protocol that ran it
-    (nested under the engine's ``phase.mac`` span).  Costs one module
-    attribute check per frame when no tracer is installed.
+    Applied to every shipped protocol's kernel, so a trace attributes each
+    frame's MAC phase to the protocol that ran it (nested under the
+    engine's ``phase.mac`` span).  Costs one module attribute check per
+    frame when no tracer is installed.
     """
 
     @functools.wraps(run_frame_batch)
@@ -72,34 +75,6 @@ def traced_batch(run_frame_batch):
     return traced
 
 
-class _DenseTerminalLookup:
-    """Mapping-like id lookup over a dense (id == index) terminal sequence.
-
-    Replaces the per-frame ``{t.terminal_id: t for t in terminals}`` dict
-    build — an O(n) Python loop — with direct indexing when the sequence
-    guarantees dense ids (the engine validates the layout at construction).
-    """
-
-    __slots__ = ("_terminals",)
-
-    def __init__(self, terminals: Sequence[Terminal]) -> None:
-        self._terminals = terminals
-
-    def get(self, terminal_id: int, default=None):
-        if 0 <= terminal_id < len(self._terminals):
-            return self._terminals[terminal_id]
-        return default
-
-    def __getitem__(self, terminal_id: int):
-        terminal = self.get(terminal_id)
-        if terminal is None:
-            raise KeyError(terminal_id)
-        return terminal
-
-    def __contains__(self, terminal_id: int) -> bool:
-        return 0 <= terminal_id < len(self._terminals)
-
-
 def snapshot_snr_compatible(modem, params: SimulationParameters) -> bool:
     """Whether a snapshot's ``snr_db`` can replace the modem's conversion.
 
@@ -111,19 +86,6 @@ def snapshot_snr_compatible(modem, params: SimulationParameters) -> bool:
     the engine's and the MAC substrate's reuse decisions.
     """
     return getattr(modem, "mean_snr_db", None) == params.mean_snr_db
-
-
-def terminal_lookup(terminals: Sequence[Terminal]):
-    """Return an id -> terminal mapping for a population sequence.
-
-    Sequences that guarantee dense ids (``dense_ids`` attribute, e.g. the
-    columnar backend's :class:`~repro.traffic.population.TerminalViews`)
-    get an O(1) index-based lookup; anything else falls back to the classic
-    dict build, so arbitrary id layouts used in unit tests keep working.
-    """
-    if getattr(terminals, "dense_ids", False):
-        return _DenseTerminalLookup(terminals)
-    return {t.terminal_id: t for t in terminals}
 
 
 class MACProtocol(abc.ABC):
@@ -144,11 +106,10 @@ class MACProtocol(abc.ABC):
         Whether the base station keeps the optional request queue of
         Section 4.5.  Ignored for protocols that do not support one (RMAV).
     rng_mode:
-        ``"parity"`` (default) keeps every stochastic decision's draw order
-        identical to the scalar object-backend path, so the array-native
-        ``run_frame_batch`` kernels stay bit-identical to ``run_frame``.
-        ``"fast"`` lets the kernels batch a frame's draws into single calls
-        against a dedicated contention child stream — statistically
+        ``"parity"`` (default) draws every stochastic decision in a fixed
+        scalar order (the order the golden baselines in ``tests/golden``
+        pin).  ``"fast"`` lets the kernels batch a frame's draws into single
+        calls against a dedicated contention child stream — statistically
         equivalent, not bit-identical.
     contention_rng:
         The independent child stream fast mode draws contention from
@@ -233,92 +194,22 @@ class MACProtocol(abc.ABC):
         """Return the protocol's uplink frame layout."""
 
     @abc.abstractmethod
-    def run_frame(
+    def run_frame_batch(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        population,
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
-        """Run the request and allocation phases of one frame."""
+        """Run the request and allocation phases of one frame.
+
+        Reads the :class:`~repro.traffic.population.TerminalPopulation`
+        arrays and emits the grants through
+        :meth:`FrameOutcome.use_grant_columns`, never materialising a
+        per-terminal object in the hot loop.  Implementations are wrapped
+        in :func:`traced_batch`.
+        """
 
     # ------------------------------------------------------------- helpers
-    def contention_candidates(self, terminals: Sequence[Terminal]) -> List[Terminal]:
-        """Terminals that would transmit a request this frame.
-
-        * a voice terminal contends while it is in a talkspurt, has packets
-          buffered and holds no reservation;
-        * a data terminal contends while it has packets buffered;
-        * terminals whose earlier request is still queued at the base station
-          do not contend again (they are waiting for the announcement).
-        """
-        population = getattr(terminals, "population", None)
-        if population is not None:
-            return self._contention_candidates_columnar(terminals, population)
-        candidates: List[Terminal] = []
-        for terminal in terminals:
-            if not terminal.has_pending_packets:
-                continue
-            if self.request_queue is not None and self.request_queue.contains_terminal(
-                terminal.terminal_id
-            ):
-                continue
-            if terminal.is_voice:
-                in_talkspurt = getattr(terminal, "in_talkspurt", False)
-                if in_talkspurt and not self.reservations.has(terminal.terminal_id):
-                    candidates.append(terminal)
-            else:
-                candidates.append(terminal)
-        return candidates
-
-    def _contention_candidates_columnar(
-        self, terminals: Sequence[Terminal], population
-    ) -> List[Terminal]:
-        """Array fast path of :meth:`contention_candidates`.
-
-        Computes the candidate mask over the population arrays and returns
-        the matching views in ascending id order — the same order (and the
-        same selection rule) as the per-object loop.
-        """
-        mask = population.occupancy > 0
-        voice_mask = population.is_voice
-        mask &= population.is_data_mask | population.in_talkspurt
-        holders = self.reservations.holder_array()
-        if holders.shape[0]:
-            holders = holders[holders < mask.shape[0]]
-            mask[holders[voice_mask[holders]]] = False
-        if self.request_queue is not None and len(self.request_queue):
-            for request in self.request_queue:
-                if request.terminal_id < len(mask):
-                    mask[request.terminal_id] = False
-        return [terminals[i] for i in mask.nonzero()[0]]
-
-    def release_finished_reservations(self, terminals: Sequence[Terminal]) -> int:
-        """Release voice reservations whose talkspurt has ended."""
-        return self.reservations.release_ended_talkspurts(terminals)
-
-    def make_request(
-        self,
-        terminal: Terminal,
-        frame_index: int,
-        csi=None,
-        is_reservation: bool = False,
-    ) -> Request:
-        """Build the base-station record of a received (or auto) request."""
-        deadline = None
-        if terminal.is_voice:
-            remaining = terminal.head_deadline_frames(frame_index)
-            if remaining is not None:
-                deadline = frame_index + remaining
-        return Request(
-            terminal_id=terminal.terminal_id,
-            kind=terminal.kind,
-            arrival_frame=frame_index,
-            desired_packets=max(1, terminal.buffer_occupancy),
-            csi=csi,
-            deadline_frame=deadline,
-            is_reservation=is_reservation,
-        )
-
     def slot_capacity(self, amplitude: float) -> Tuple[int, Optional[float]]:
         """Packets one information slot carries at the given channel state.
 
@@ -338,114 +229,6 @@ class MACProtocol(abc.ABC):
             return 1, lowest.throughput
         return mode.packets_per_slot(self.modem.mode_table.reference_throughput), mode.throughput
 
-    def snapshot_snr_for(
-        self, snapshot: ChannelSnapshot, terminals: Sequence[Terminal]
-    ) -> Optional[List[float]]:
-        """Per-terminal snapshot SNRs for a batched modem call, or ``None``.
-
-        Returns ``None`` when the modem's SNR convention differs from the
-        snapshot's (see :func:`snapshot_snr_compatible`), in which case the
-        batched helpers convert from amplitudes instead.
-        """
-        if not self._snapshot_snr_usable:
-            return None
-        snr_db = snapshot.snr_db
-        return [snr_db[t.terminal_id] for t in terminals]
-
-    @kernel
-    def slot_capacities(
-        self, amplitudes, snr_db=None
-    ) -> List[Tuple[int, Optional[float]]]:
-        """Vectorised :meth:`slot_capacity` over many channel amplitudes.
-
-        One batched mode-table lookup instead of one scalar modem call per
-        grant; element-for-element identical to :meth:`slot_capacity`
-        (including the outage fallback to one packet at the most robust
-        mode).  ``snr_db`` optionally supplies precomputed SNRs (snapshot
-        convention) to skip the amplitude conversion.
-        """
-        if not self.modem.is_adaptive:
-            return [(1, None)] * len(amplitudes)
-        table = self.modem.mode_table
-        if snr_db is None:
-            snr_db = self.modem.snr_db_from_amplitude(
-                np.asarray(amplitudes, dtype=float)
-            )
-        else:
-            snr_db = np.asarray(snr_db, dtype=float)
-        indices = table.mode_index_for_snr(snr_db)
-        reference = table.reference_throughput
-        lowest = table[0]
-        result: List[Tuple[int, Optional[float]]] = []
-        for index in indices:
-            if index < 0:
-                result.append((1, lowest.throughput))
-            else:
-                mode = table[index]
-                result.append((mode.packets_per_slot(reference), mode.throughput))
-        return result
-
-    def build_allocation(
-        self,
-        terminal: Terminal,
-        amplitude: float,
-        n_slots: int,
-        capacity: Optional[Tuple[int, Optional[float]]] = None,
-    ) -> Allocation:
-        """Create an :class:`Allocation` of ``n_slots`` for ``terminal``.
-
-        ``capacity`` optionally supplies a precomputed ``(packets_per_slot,
-        throughput)`` pair (from :meth:`slot_capacities`) so batched callers
-        skip the per-grant modem lookup.
-        """
-        per_slot, throughput = (
-            capacity if capacity is not None else self.slot_capacity(amplitude)
-        )
-        return Allocation(
-            terminal_id=terminal.terminal_id,
-            n_slots=n_slots,
-            packet_capacity=per_slot * n_slots,
-            throughput=throughput,
-        )
-
-    def slots_needed_for_data(
-        self, terminal: Terminal, amplitude: float, slots_available: int
-    ) -> int:
-        """Slots a data grant should span to drain the terminal's buffer."""
-        if slots_available <= 0:
-            return 0
-        per_slot, _ = self.slot_capacity(amplitude)
-        needed = math.ceil(terminal.buffer_occupancy / max(1, per_slot))
-        return max(1, min(slots_available, needed))
-
-    def allocate_reserved_voice(
-        self,
-        terminals: Sequence[Terminal],
-        snapshot: ChannelSnapshot,
-        slots_available: int,
-        allocations: List[Allocation],
-    ) -> int:
-        """Serve reservation-holding voice terminals first (one slot each).
-
-        This is the behaviour of every baseline protocol: a reserved voice
-        user owns a slot per voice-packet period, independent of its channel
-        state.  Returns the number of slots consumed.
-        """
-        reserved = self.reservations.reserved_terminals(terminals)
-        if not reserved:
-            return 0
-        served = reserved[: max(0, slots_available)]
-        amplitude = snapshot.amplitude
-        amplitudes = [amplitude[t.terminal_id] for t in served]
-        capacities = self.slot_capacities(
-            amplitudes, snr_db=self.snapshot_snr_for(snapshot, served)
-        )
-        for terminal, amplitude, capacity in zip(served, amplitudes, capacities):
-            allocations.append(
-                self.build_allocation(terminal, amplitude, 1, capacity=capacity)
-            )
-        return len(served)
-
     def queue_unserved(self, requests: Sequence[Request]) -> int:
         """Store unserved requests in the base-station queue, if enabled."""
         if self.request_queue is None:
@@ -454,57 +237,25 @@ class MACProtocol(abc.ABC):
             r for r in requests if not r.is_reservation
         )
 
-    def prune_queue(self, frame_index: int, terminals: Sequence[Terminal]) -> None:
-        """Drop queued requests that are no longer actionable.
-
-        Expired voice requests are discarded (their packets have been dropped
-        at the device); requests of terminals whose buffer has emptied (e.g.
-        the talkspurt ended or the burst was already served) are removed.
-        """
-        if self.request_queue is None:
-            return
-        self.request_queue.drop_expired(frame_index)
-        by_id = terminal_lookup(terminals)
-        for request in list(self.request_queue):
-            terminal = by_id.get(request.terminal_id)
-            if terminal is None or not terminal.has_pending_packets:
-                self.request_queue.remove_terminal(request.terminal_id)
-
     def queued_count(self) -> int:
         """Number of requests currently queued at the base station."""
         return len(self.request_queue) if self.request_queue is not None else 0
 
     # ------------------------------------------------- array-native kernels
-    @traced_batch
-    def run_frame_batch(
-        self,
-        frame_index: int,
-        population,
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        """Columnar :meth:`run_frame`: one frame directly on population arrays.
-
-        The six shipped protocols override this with kernels that read the
-        :class:`~repro.traffic.population.TerminalPopulation` arrays and
-        emit :class:`~repro.mac.requests.GrantColumns`, never materialising
-        per-terminal views in the hot loop.  In parity RNG mode the kernels
-        are bit-identical to :meth:`run_frame` (same decisions, same draw
-        order); in fast mode they additionally batch a frame's random draws
-        into single calls.  This default keeps custom protocol subclasses
-        working on the columnar engine backend by delegating to their
-        :meth:`run_frame` over the population's views.
-        """
-        return self.run_frame(frame_index, population.views, snapshot)
-
     def contention_candidate_ids(
         self, population
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Id-array twin of :meth:`contention_candidates`.
+        """Terminals that would transmit a request this frame.
+
+        * a voice terminal contends while it is in a talkspurt, has packets
+          buffered and holds no reservation;
+        * a data terminal contends while it has packets buffered;
+        * terminals whose earlier request is still queued at the base station
+          do not contend again (they are waiting for the announcement).
 
         Returns ``(ids, probabilities)``: the candidate terminal ids in
-        ascending order (the object loop's order) aligned with each
-        candidate's permission probability — ready for
-        :func:`~repro.mac.contention.run_contention_ids`.
+        ascending order aligned with each candidate's permission
+        probability — ready for :func:`~repro.mac.contention.run_contention_ids`.
         """
         mask = population.occupancy > 0
         mask &= population.is_data_mask | population.in_talkspurt
@@ -539,11 +290,11 @@ class MACProtocol(abc.ABC):
         csi_amplitudes: Optional[np.ndarray] = None,
         csi_validity: int = 2,
     ) -> RequestColumns:
-        """Columnar :meth:`make_request` over many terminals at once.
+        """Base-station request records for many terminals at once.
 
-        Row-for-row equivalent to calling :meth:`make_request` per id in
-        order: the voice deadline is the current head-of-line packet's, the
-        desired packet count is the buffer occupancy (at least one).
+        Row-for-row equivalent to calling :meth:`make_request_for_id` per id
+        in order: the voice deadline is the current head-of-line packet's,
+        the desired packet count is the buffer occupancy (at least one).
         """
         ids = np.asarray(ids, dtype=np.int64)
         n = ids.shape[0]
@@ -604,7 +355,7 @@ class MACProtocol(abc.ABC):
         Returns ``(packets_per_slot, throughputs)`` aligned with ``ids``;
         ``throughputs`` is ``None`` on the fixed-rate PHY (every grant
         carries one packet per slot at the nominal mode).  Element-for-
-        element identical to :meth:`slot_capacities` on the same channel
+        element identical to :meth:`slot_capacity` on the same channel
         states, including the outage fallback.
         """
         if not self.modem.is_adaptive:
@@ -624,7 +375,12 @@ class MACProtocol(abc.ABC):
         slots_available: int,
         grants: GrantColumns,
     ) -> np.ndarray:
-        """Array-native :meth:`allocate_reserved_voice`; returns served ids."""
+        """Serve reservation-holding voice terminals first (one slot each).
+
+        This is the behaviour of every baseline protocol: a reserved voice
+        user owns a slot per voice-packet period, independent of its channel
+        state.  Returns the served ids.
+        """
         reserved = self.reservations.reserved_ids(population)
         if not reserved.shape[0]:
             return reserved
@@ -642,7 +398,12 @@ class MACProtocol(abc.ABC):
         return served
 
     def prune_queue_batch(self, frame_index: int, population) -> None:
-        """Array-native :meth:`prune_queue` (population occupancy lookups)."""
+        """Drop queued requests that are no longer actionable.
+
+        Expired voice requests are discarded (their packets have been dropped
+        at the device); requests of terminals whose buffer has emptied (e.g.
+        the talkspurt ended or the burst was already served) are removed.
+        """
         if self.request_queue is None:
             return
         self.request_queue.drop_expired(frame_index)
@@ -671,7 +432,7 @@ class MACProtocol(abc.ABC):
         frame_index: int,
         is_reservation: bool = False,
     ) -> Request:
-        """Scalar :meth:`make_request` straight from population arrays."""
+        """Build the base-station record of one terminal's request."""
         terminal_id = int(terminal_id)
         deadline = None
         if population.is_voice[terminal_id]:
@@ -706,10 +467,9 @@ class MACProtocol(abc.ABC):
     ) -> int:
         """FCFS voice service over column rows (one slot each, reservation).
 
-        Row-for-row identical to the view paths' voice loops: rows whose
-        terminal has drained its buffer are skipped outright, the first
-        ``slots_left`` remaining rows are granted one slot each (acquiring a
-        reservation), and the rest land in ``unserved_rows``.
+        Rows whose terminal has drained its buffer are skipped outright, the
+        first ``slots_left`` remaining rows are granted one slot each
+        (acquiring a reservation), and the rest land in ``unserved_rows``.
         """
         if not rows.shape[0]:
             return slots_left
@@ -748,10 +508,9 @@ class MACProtocol(abc.ABC):
     ) -> int:
         """FCFS data service over column rows (buffer-draining grants).
 
-        Mirrors the view paths' data loops: each live row gets enough slots
-        to drain its buffer at its channel's packets-per-slot, bounded by
-        what remains; once the frame is full the remaining rows become
-        unserved.
+        Each live row gets enough slots to drain its buffer at its channel's
+        packets-per-slot, bounded by what remains; once the frame is full
+        the remaining rows become unserved.
         """
         if not rows.shape[0]:
             return slots_left

@@ -12,118 +12,29 @@ the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.traffic.permission import PermissionPolicy
 from repro.lint.contracts import kernel
 from repro.obs import metrics as _metrics
-from repro.traffic.terminal import Terminal
 
 __all__ = [
-    "ContentionResult",
     "IndexContentionResult",
-    "run_contention",
     "run_contention_ids",
 ]
 
 
 @dataclass
-class ContentionResult:
+class IndexContentionResult:
     """Outcome of the request phase of one frame.
 
-    Attributes
-    ----------
-    winners:
-        Terminals whose request was successfully received, in the order the
-        minislots resolved them (this order is the FCFS order used by the
-        baseline protocols).
-    attempts:
-        Total number of request transmissions (every transmission costs the
-        sender energy, successful or not).
-    collisions:
-        Number of minislots wasted by collisions.
-    idle_slots:
-        Number of minislots in which nobody transmitted.
-    """
-
-    winners: List[Terminal] = field(default_factory=list)
-    attempts: int = 0
-    collisions: int = 0
-    idle_slots: int = 0
-
-    @property
-    def n_winners(self) -> int:
-        """Number of successful requests."""
-        return len(self.winners)
-
-
-@kernel
-def run_contention(
-    candidates: Sequence[Terminal],
-    n_minislots: int,
-    permission: PermissionPolicy,
-    rng: np.random.Generator,
-) -> ContentionResult:
-    """Run slotted contention over ``n_minislots`` request minislots.
-
-    Parameters
-    ----------
-    candidates:
-        Terminals that currently have a request to make.  A terminal stops
-        contending for the rest of the frame as soon as its request succeeds
-        (it then waits for the allocation announcement).
-    n_minislots:
-        Number of request minislots in this frame.
-    permission:
-        The ``p_v`` / ``p_d`` gating policy.
-    rng:
-        Random generator (used only through ``permission`` draws; kept as an
-        explicit argument so callers can reason about stream usage).
-
-    Returns
-    -------
-    ContentionResult
-        Winners in resolution order plus contention statistics.
-    """
-    if n_minislots < 0:
-        raise ValueError("n_minislots must be non-negative")
-    remaining = list(candidates)
-    # One permission probability per contender, kept aligned with
-    # ``remaining`` so each minislot costs a single batched uniform draw
-    # (stream-identical to per-candidate ``permission.permits`` calls).
-    voice_probability = permission.voice_probability
-    data_probability = permission.data_probability
-    probabilities = np.array(
-        [voice_probability if t.is_voice else data_probability for t in remaining],
-        dtype=float,
-    )
-    result = ContentionResult()
-    for _ in range(n_minislots):
-        if not remaining:
-            result.idle_slots += 1
-            continue
-        permitted = permission.permits_many(probabilities)
-        n_transmitters = int(np.count_nonzero(permitted))
-        result.attempts += n_transmitters
-        if n_transmitters == 1:
-            index = int(np.argmax(permitted))
-            result.winners.append(remaining.pop(index))
-            probabilities = np.delete(probabilities, index)
-        elif n_transmitters == 0:
-            result.idle_slots += 1
-        else:
-            result.collisions += 1
-    return result
-
-
-@dataclass
-class IndexContentionResult:
-    """Outcome of an index-native contention phase (no terminal objects).
-
     ``winner_ids`` lists the successful terminals in minislot-resolution
-    order; ``remaining_ids`` / ``remaining_probabilities`` are the still
+    order (the FCFS order used by the baseline protocols); ``attempts``
+    counts request transmissions (each costs the sender energy, successful
+    or not); ``collisions`` and ``idle_slots`` count the minislots wasted by
+    collisions and those in which nobody transmitted.
+    ``remaining_ids`` / ``remaining_probabilities`` are the still
     unserved contenders (aligned plain lists) for callers that continue a
     request phase over multiple calls.  (DRMA manages its own candidate
     lists instead — it must selectively *re-admit* data winners with deep
@@ -151,19 +62,17 @@ def run_contention_ids(
     rng: np.random.Generator,
     fast: bool = False,
 ) -> IndexContentionResult:
-    """Slotted contention over id/probability columns instead of objects.
+    """Run slotted contention over ``n_minislots`` request minislots.
 
-    The array-native twin of :func:`run_contention`: candidates are a dense
-    id sequence (array or list) plus an aligned per-candidate
-    permission-probability sequence, and winners come back as plain ids.
-    With ``fast=False`` the draws are one ``rng.random(n_remaining)`` per
-    non-empty minislot in minislot order — exactly the calls (sizes, order,
-    comparisons) the object path makes through
-    :meth:`PermissionPolicy.permits_many`, so the resolution is
-    bit-identical to :func:`run_contention` on the same candidates.  Small
-    pools resolve the comparison on Python scalars (cheaper than three
-    array kernels per minislot), large ones vectorise; the decisions are
-    identical either way.
+    Candidates are a dense id sequence (array or list) plus an aligned
+    per-candidate permission-probability sequence; winners come back as
+    plain ids.  A terminal stops contending for the rest of the frame as
+    soon as its request succeeds (it then waits for the allocation
+    announcement).  With ``fast=False`` the draws are one
+    ``rng.random(n_remaining)`` per non-empty minislot in minislot order —
+    the parity draw order.  Small pools resolve the comparison on Python
+    scalars (cheaper than three array kernels per minislot), large ones
+    vectorise; the decisions are identical either way.
 
     With ``fast=True`` the whole request phase costs a single
     ``rng.random((n_minislots, n_candidates))`` draw up front; already
@@ -197,8 +106,8 @@ def run_contention_ids(
         # only on the rare minislots that produce a winner (whose later
         # transmissions must stop counting).
         # The fast gate only switches draw *shape*, never count: this
-        # path owns its child stream, so no object-backend parity is
-        # promised here.
+        # path owns its child stream, so no parity draw order is promised
+        # here.
         # lint: allow[KRN001]
         transmitting = rng.random((n_minislots, n)) < probabilities
         counts = transmitting.sum(axis=1, dtype=np.int64)

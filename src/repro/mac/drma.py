@@ -18,17 +18,13 @@ base-station request queue helps it very little (Section 5.1).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from repro.channel.manager import ChannelSnapshot
-from repro.mac.base import MACProtocol, terminal_lookup, traced_batch
-from repro.mac.contention import run_contention, run_contention_ids
+from repro.mac.base import MACProtocol, traced_batch
+from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.requests import Acknowledgement, FrameOutcome, Request
-from repro.traffic.terminal import Terminal
 
 __all__ = ["DRMAProtocol"]
 
@@ -74,76 +70,6 @@ class DRMAProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    def run_frame(
-        self,
-        frame_index: int,
-        terminals: Sequence[Terminal],
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        self.release_finished_reservations(terminals)
-        self.prune_queue(frame_index, terminals)
-        by_id = terminal_lookup(terminals)
-        outcome = FrameOutcome(frame_index)
-
-        # Service order within the frame: reservation holders, then requests
-        # queued at the base station (if enabled), then requests that succeed
-        # in converted slots later in this same frame.
-        to_serve: Deque[Request] = deque()
-        for terminal in self.reservations.reserved_terminals(terminals):
-            to_serve.append(
-                self.make_request(terminal, frame_index, is_reservation=True)
-            )
-        if self.request_queue is not None:
-            to_serve.extend(self.request_queue.pop_all())
-
-        served_ids = {r.terminal_id for r in to_serve}
-        remaining_candidates = [
-            t for t in self.contention_candidates(terminals)
-            if t.terminal_id not in served_ids
-        ]
-
-        request_slot_counter = 0
-        for _ in range(self.frame_structure.info_slots):
-            request = self._next_serviceable(to_serve, by_id)
-            if request is not None:
-                terminal = by_id[request.terminal_id]
-                amplitude = snapshot.amplitude_of(terminal.terminal_id)
-                outcome.allocations.append(
-                    self.build_allocation(terminal, amplitude, 1)
-                )
-                if terminal.is_voice and not request.is_reservation:
-                    self.reservations.grant(terminal.terminal_id, frame_index)
-                continue
-
-            # Idle information slot: convert it into N_x request minislots.
-            contention = run_contention(
-                remaining_candidates,
-                self.params.drma_minislots_per_info_slot,
-                self.permission,
-                self.rng,
-            )
-            outcome.contention_attempts += contention.attempts
-            outcome.contention_collisions += contention.collisions
-            outcome.idle_request_slots += contention.idle_slots
-            for winner in contention.winners:
-                outcome.acknowledgements.append(
-                    Acknowledgement(winner.terminal_id, request_slot_counter, frame_index)
-                )
-                request_slot_counter += 1
-                to_serve.append(self.make_request(winner, frame_index))
-                # A voice winner is about to obtain a reservation and stops
-                # contending; a data winner only gets a single slot per
-                # request, so if it has more packets than that it keeps
-                # contending in later converted slots of the same frame.
-                if winner.is_voice or winner.buffer_occupancy <= 1:
-                    remaining_candidates.remove(winner)
-
-        # Requests that succeeded too late in the frame to get a slot.
-        leftovers = [r for r in to_serve if not r.is_reservation]
-        self.queue_unserved(leftovers)
-        outcome.queued_requests = self.queued_count()
-        return outcome
-
     @traced_batch
     def run_frame_batch(
         self,
@@ -151,16 +77,17 @@ class DRMAProtocol(MACProtocol):
         population,
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
-        """Array-native frame: cursor-driven service, id-array contention.
+        """Slot-by-slot service; idle slots become request minislots.
 
-        The pending pool (reservation holders, backlog, same-frame winners)
-        lives in three parallel Python lists advanced by an integer cursor —
-        the index-array replacement for the deque of ``Request`` objects.
-        Each entry is visited at most once per frame (the cursor never moves
+        Service order within the frame: reservation holders, then requests
+        queued at the base station (if enabled), then requests that succeed
+        in converted slots later in this same frame.  The pending pool lives
+        in three parallel Python lists advanced by an integer cursor.  Each
+        entry is visited at most once per frame (the cursor never moves
         backwards), so service stays O(pending) even with hundreds of
         backlogged data requests, and entries the frame never reaches remain
-        beyond the cursor exactly like unpopped deque entries — they are the
-        leftovers the queue-enabled variant stores.
+        beyond the cursor — they are the leftovers the queue-enabled variant
+        stores.
         """
         self.reservations.release_ended_population(population)
         self.prune_queue_batch(frame_index, population)
@@ -287,13 +214,3 @@ class DRMAProtocol(MACProtocol):
             self.queue_unserved(leftovers)
         outcome.queued_requests = self.queued_count()
         return outcome
-
-    # ------------------------------------------------------------ internals
-    def _next_serviceable(self, to_serve: Deque[Request], by_id) -> Request | None:
-        """Pop the next pending request whose terminal still has packets."""
-        while to_serve:
-            request = to_serve.popleft()
-            terminal = by_id.get(request.terminal_id)
-            if terminal is not None and terminal.has_pending_packets:
-                return request
-        return None

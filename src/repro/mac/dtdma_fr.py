@@ -12,22 +12,15 @@ packet per slot irrespective of the channel state.
 
 from __future__ import annotations
 
-import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.channel.manager import ChannelSnapshot
-from repro.mac.base import MACProtocol, terminal_lookup, traced_batch
-from repro.mac.contention import run_contention, run_contention_ids
+from repro.mac.base import MACProtocol, traced_batch
+from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import (
-    Acknowledgement,
-    FrameOutcome,
-    Request,
-    RequestColumns,
-)
-from repro.traffic.terminal import Terminal
+from repro.mac.requests import Acknowledgement, FrameOutcome, RequestColumns
 
 __all__ = ["DTDMAFRProtocol"]
 
@@ -55,58 +48,6 @@ class DTDMAFRProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    def run_frame(
-        self,
-        frame_index: int,
-        terminals: Sequence[Terminal],
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        self.release_finished_reservations(terminals)
-        self.prune_queue(frame_index, terminals)
-        by_id = terminal_lookup(terminals)
-        outcome = FrameOutcome(frame_index)
-        slots_left = self.frame_structure.info_slots
-
-        # Phase 0: reservation holders transmit without contention.
-        used = self.allocate_reserved_voice(
-            terminals, snapshot, slots_left, outcome.allocations
-        )
-        slots_left -= used
-
-        # Phase 1: request contention over the static request subframe.
-        candidates = self.contention_candidates(terminals)
-        contention = run_contention(
-            candidates, self.frame_structure.request_minislots, self.permission, self.rng
-        )
-        outcome.contention_attempts = contention.attempts
-        outcome.contention_collisions = contention.collisions
-        outcome.idle_request_slots = contention.idle_slots
-        for slot, winner in enumerate(contention.winners):
-            outcome.acknowledgements.append(
-                Acknowledgement(winner.terminal_id, slot, frame_index)
-            )
-        new_requests = [self.make_request(t, frame_index) for t in contention.winners]
-
-        # Phase 2: FCFS service — queued requests first, then this frame's,
-        # voice before data within each group.
-        backlog = self.request_queue.pop_all() if self.request_queue is not None else []
-        pending = backlog + new_requests
-        voice_requests = [r for r in pending if r.kind.is_voice]
-        data_requests = [r for r in pending if r.kind.is_data]
-
-        unserved: List[Request] = []
-        slots_left = self._serve_voice(
-            voice_requests, by_id, snapshot, frame_index, slots_left,
-            outcome, unserved,
-        )
-        slots_left = self._serve_data(
-            data_requests, by_id, snapshot, slots_left, outcome, unserved
-        )
-
-        self.queue_unserved(unserved)
-        outcome.queued_requests = self.queued_count()
-        return outcome
-
     @traced_batch
     def run_frame_batch(
         self,
@@ -114,7 +55,12 @@ class DTDMAFRProtocol(MACProtocol):
         population,
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
-        """Array-native frame: id-array contention, columnar FCFS service."""
+        """Reservations, slotted contention, then FCFS service.
+
+        Queued requests are served before this frame's, voice before data
+        within each group; requests left without a slot are queued (with
+        the request queue) or dropped.
+        """
         self.reservations.release_ended_population(population)
         self.prune_queue_batch(frame_index, population)
         outcome = FrameOutcome(frame_index)
@@ -179,82 +125,3 @@ class DTDMAFRProtocol(MACProtocol):
     def macro_minislots(self) -> int:
         """The static request subframe, resolvable from a pre-drawn pool."""
         return self.frame_structure.request_minislots
-
-    # -------------------------------------------------------------- service
-    def _serve_voice(
-        self,
-        requests: List[Request],
-        by_id,
-        snapshot: ChannelSnapshot,
-        frame_index: int,
-        slots_left: int,
-        outcome: FrameOutcome,
-        unserved: List[Request],
-    ) -> int:
-        actionable = self._actionable(requests, by_id)
-        if not actionable:
-            return slots_left
-        amplitudes = [snapshot.amplitude[t.terminal_id] for _, t in actionable]
-        capacities = self.slot_capacities(
-            amplitudes,
-            snr_db=self.snapshot_snr_for(snapshot, [t for _, t in actionable]),
-        )
-        for (request, terminal), amplitude, capacity in zip(
-            actionable, amplitudes, capacities
-        ):
-            if slots_left < 1:
-                unserved.append(request)
-                continue
-            outcome.allocations.append(
-                self.build_allocation(terminal, amplitude, 1, capacity=capacity)
-            )
-            slots_left -= 1
-            self.reservations.grant(terminal.terminal_id, frame_index)
-        return slots_left
-
-    def _serve_data(
-        self,
-        requests: List[Request],
-        by_id,
-        snapshot: ChannelSnapshot,
-        slots_left: int,
-        outcome: FrameOutcome,
-        unserved: List[Request],
-    ) -> int:
-        actionable = self._actionable(requests, by_id)
-        if not actionable:
-            return slots_left
-        amplitudes = [snapshot.amplitude[t.terminal_id] for _, t in actionable]
-        capacities = self.slot_capacities(
-            amplitudes,
-            snr_db=self.snapshot_snr_for(snapshot, [t for _, t in actionable]),
-        )
-        for (request, terminal), amplitude, capacity in zip(
-            actionable, amplitudes, capacities
-        ):
-            if slots_left < 1:
-                unserved.append(request)
-                continue
-            per_slot = max(1, capacity[0])
-            needed = math.ceil(terminal.buffer_occupancy / per_slot)
-            n_slots = max(1, min(slots_left, needed))
-            outcome.allocations.append(
-                self.build_allocation(terminal, amplitude, n_slots, capacity=capacity)
-            )
-            slots_left -= n_slots
-        return slots_left
-
-    @staticmethod
-    def _actionable(requests: List[Request], by_id) -> List[tuple]:
-        """The (request, terminal) pairs that can still be served.
-
-        Buffer states only change when the engine executes the frame's
-        grants, so filtering before the batched capacity lookup preserves
-        the per-request loop's behaviour exactly.
-        """
-        actionable = []
-        for request in requests:
-            terminal = by_id.get(request.terminal_id)
-            if terminal is not None and terminal.has_pending_packets:
-                actionable.append((request, terminal))
-        return actionable

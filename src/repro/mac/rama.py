@@ -22,20 +22,14 @@ request minislot (``N_a < N_r``).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.channel.manager import ChannelSnapshot
-from repro.mac.base import MACProtocol, terminal_lookup, traced_batch
+from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import (
-    Acknowledgement,
-    FrameOutcome,
-    Request,
-    RequestColumns,
-)
-from repro.traffic.terminal import Terminal
+from repro.mac.requests import Acknowledgement, FrameOutcome, RequestColumns
 
 __all__ = ["RAMAProtocol"]
 
@@ -79,78 +73,6 @@ class RAMAProtocol(MACProtocol):
         p_same = float(self.params.rama_digit_base) ** (-self.params.rama_id_digits)
         return 1.0 - (1.0 - p_same) ** (n_contenders - 1)
 
-    def run_frame(
-        self,
-        frame_index: int,
-        terminals: Sequence[Terminal],
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        self.release_finished_reservations(terminals)
-        self.prune_queue(frame_index, terminals)
-        by_id = terminal_lookup(terminals)
-        outcome = FrameOutcome(frame_index)
-        slots_left = self.frame_structure.info_slots
-
-        used = self.allocate_reserved_voice(
-            terminals, snapshot, slots_left, outcome.allocations
-        )
-        slots_left -= used
-
-        # Auction phase: every contender participates in every auction slot
-        # (no permission-probability gating — collisions are avoided by the
-        # auction itself).
-        remaining = self.contention_candidates(terminals)
-        winners: List[Terminal] = []
-        for auction_slot in range(self.frame_structure.request_minislots):
-            if not remaining:
-                outcome.idle_request_slots += 1
-                continue
-            outcome.contention_attempts += len(remaining)
-            pool = [t for t in remaining if t.is_voice] or remaining
-            if self.rng.random() < self.whole_id_tie_probability(len(pool)):
-                outcome.contention_collisions += 1
-                continue
-            winner = pool[int(self.rng.integers(len(pool)))]
-            remaining.remove(winner)
-            winners.append(winner)
-            outcome.acknowledgements.append(
-                Acknowledgement(winner.terminal_id, auction_slot, frame_index)
-            )
-
-        new_requests = [self.make_request(t, frame_index) for t in winners]
-        backlog = self.request_queue.pop_all() if self.request_queue is not None else []
-        pending = backlog + new_requests
-        voice_requests = [r for r in pending if r.kind.is_voice]
-        data_requests = [r for r in pending if r.kind.is_data]
-
-        unserved: List[Request] = []
-        for request in voice_requests:
-            terminal = by_id.get(request.terminal_id)
-            if terminal is None or not terminal.has_pending_packets:
-                continue
-            if slots_left < 1:
-                unserved.append(request)
-                continue
-            amplitude = snapshot.amplitude_of(terminal.terminal_id)
-            outcome.allocations.append(self.build_allocation(terminal, amplitude, 1))
-            slots_left -= 1
-            self.reservations.grant(terminal.terminal_id, frame_index)
-        for request in data_requests:
-            terminal = by_id.get(request.terminal_id)
-            if terminal is None or not terminal.has_pending_packets:
-                continue
-            if slots_left < 1:
-                unserved.append(request)
-                continue
-            amplitude = snapshot.amplitude_of(terminal.terminal_id)
-            n_slots = self.slots_needed_for_data(terminal, amplitude, slots_left)
-            outcome.allocations.append(self.build_allocation(terminal, amplitude, n_slots))
-            slots_left -= n_slots
-
-        self.queue_unserved(unserved)
-        outcome.queued_requests = self.queued_count()
-        return outcome
-
     @traced_batch
     def run_frame_batch(
         self,
@@ -158,13 +80,15 @@ class RAMAProtocol(MACProtocol):
         population,
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
-        """Array-native frame: id-array auction, columnar FCFS service.
+        """Auction phase, then FCFS service (voice before data).
 
-        The auction's two scalar draws per contested slot (whole-ID tie,
-        uniform winner) are kept in the object path's exact order — the
-        auction is inherently sequential (each slot's pool depends on the
-        previous winners) and makes at most ``N_a`` draw pairs per frame, so
-        there is nothing worth batching even in fast mode.
+        Every contender participates in every auction slot (no
+        permission-probability gating — collisions are avoided by the
+        auction itself).  The auction's two scalar draws per contested slot
+        (whole-ID tie, uniform winner) are made in slot order — the auction
+        is inherently sequential (each slot's pool depends on the previous
+        winners) and makes at most ``N_a`` draw pairs per frame, so there is
+        nothing worth batching even in fast mode.
         """
         self.reservations.release_ended_population(population)
         self.prune_queue_batch(frame_index, population)
@@ -256,8 +180,8 @@ class RAMAProtocol(MACProtocol):
 
         The auction yields at most ``N_a`` winners per frame, so columnising
         them (nine array allocations, masked row scans) costs more than it
-        saves — this was the ``batch_over_view`` regression.  Plain scalar
-        service over the handful of winners is decision-for-decision (and
+        saves.  Plain scalar service over the handful of winners is
+        decision-for-decision (and
         queue-entry-for-queue-entry) identical to the columnar
         ``_serve_voice_rows_batch`` / ``_serve_data_rows_batch`` pair on the
         same single-frame pool.

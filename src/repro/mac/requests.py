@@ -131,13 +131,13 @@ class Allocation:
 class GrantColumns:
     """One frame's slot grants as parallel columns instead of objects.
 
-    The array-native MAC kernels emit their grants by appending plain Python
-    scalars to these four parallel lists; the engine's batched executor
-    consumes the columns directly (index arrays into the population), so the
-    hot loop never materialises an :class:`Allocation` per grant.  The
-    object form is still available on demand via :meth:`to_allocations` —
-    that is what :attr:`FrameOutcome.allocations` lazily returns for
-    collectors, tests and debugging.
+    The MAC kernels emit their grants by appending plain Python scalars to
+    these four parallel lists; the engine's batched executor consumes the
+    columns directly (index arrays into the population), so the hot loop
+    never materialises an :class:`Allocation` per grant.  The object form
+    is available on demand via :meth:`to_allocations` — that is what
+    :attr:`FrameOutcome.allocations` lazily returns for tests and
+    debugging.
     """
 
     __slots__ = ("terminal_ids", "n_slots", "packet_capacities", "throughputs")
@@ -191,13 +191,13 @@ class GrantColumns:
 class FrameOutcome:
     """Everything a protocol decided in one frame, consumed by the engine.
 
-    Grants exist in one of two interchangeable representations: the
-    view-walking protocol paths append :class:`Allocation` objects to
-    :attr:`allocations`, while the array-native ``run_frame_batch`` kernels
-    fill :attr:`grants` (:class:`GrantColumns`) and never build per-grant
-    objects.  Reading :attr:`allocations` on a columnar outcome materialises
-    the objects on first access (and caches them), so consumers — metrics,
-    tests, equality comparison — see one canonical form either way.
+    The protocols' ``run_frame_batch`` kernels fill :attr:`grants`
+    (:class:`GrantColumns`) and never build per-grant objects; the engine
+    transmits the columns.  Reading :attr:`allocations` materialises the
+    objects on first access (and caches them) for tests, debugging and
+    equality comparison.  An outcome built by hand may instead append
+    :class:`Allocation` objects to :attr:`allocations` (the collector counts
+    their slots), but the engine only transmits grant columns.
 
     Attributes
     ----------
@@ -298,11 +298,9 @@ class RequestColumns:
 
     The base station's per-frame request pool — contention winners, the
     auto-generated requests of voice reservation holders, and the queued
-    backlog — is what the view-walking protocol paths shuttle around as
-    :class:`Request` dataclasses.  The array-native kernels keep the same
-    records as parallel NumPy columns: booking a request is an array append,
-    priority ranking is array math over the columns, and service order is an
-    argsort — no per-request object is ever built in the hot loop.
+    backlog — lives in parallel NumPy columns: booking a request is an array
+    append, priority ranking is array math over the columns, and service
+    order is an argsort — no per-request object is built in the hot loop.
 
     Sentinels (column encodings of the object form's ``None``):
 

@@ -7,9 +7,9 @@ current talkspurt ends.  Data users never get reservations.
 
 :class:`ReservationTable` is the base station's view of which voice terminals
 currently hold a reservation.  Protocols call :meth:`grant` when they first
-serve a voice request, :meth:`release_ended_talkspurts` once per frame, and
-:meth:`reserved_terminals` to find the reservation holders that need a slot
-in the current frame.
+serve a voice request, :meth:`release_ended_population` once per frame, and
+:meth:`reserved_ids` to find the reservation holders that need a slot in the
+current frame.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
-
-from repro.traffic.terminal import Terminal
 
 __all__ = ["ReservationTable"]
 
@@ -33,7 +31,7 @@ class ReservationTable:
     def holder_array(self) -> np.ndarray:
         """Current holder ids as a sorted array (cached between changes).
 
-        The columnar fast paths consult the holders every frame while
+        The MAC kernels consult the holders every frame while
         grants/releases are rare events, so the array is rebuilt lazily.
         """
         if self._holder_array is None:
@@ -92,11 +90,10 @@ class ReservationTable:
             self._holder_array = None
 
     def reserved_ids(self, population) -> np.ndarray:
-        """Reservation-holding terminal ids with packets buffered (ascending).
+        """Reservation-holding voice terminal ids with packets buffered.
 
-        The id-array twin of :meth:`reserved_terminals` for the array-native
-        MAC kernels: reads the population's state arrays directly and never
-        touches a per-terminal view.
+        Returned in ascending id order, read straight from the population's
+        state arrays.
         """
         if not self._granted_frame:
             return np.zeros(0, dtype=np.int64)
@@ -104,38 +101,14 @@ class ReservationTable:
         ids = ids[ids < len(population)]
         return ids[population.is_voice[ids] & (population.occupancy[ids] > 0)]
 
-    def release_ended_talkspurts(self, terminals: Iterable[Terminal]) -> int:
+    def release_ended_population(self, population) -> int:
         """Release reservations of voice terminals whose talkspurt has ended.
 
-        A reservation is also released if the terminal has drained its buffer
+        A reservation is released once the terminal has drained its buffer
         and left the talkspurt state — the paper's "until the current
-        talkspurt terminates" rule.  Returns the number of reservations
-        released.
-
-        On a columnar population (a sequence exposing ``population``) only
-        the current holders are inspected, against the state arrays, instead
-        of walking every terminal.
-        """
-        population = getattr(terminals, "population", None)
-        if population is not None:
-            return self.release_ended_population(population)
-        released = 0
-        for terminal in terminals:
-            if not terminal.is_voice:
-                continue
-            if terminal.terminal_id not in self._granted_frame:
-                continue
-            in_talkspurt = getattr(terminal, "in_talkspurt", False)
-            if not in_talkspurt and not terminal.has_pending_packets:
-                self.release(terminal.terminal_id)
-                released += 1
-        return released
-
-    def release_ended_population(self, population) -> int:
-        """Array-native :meth:`release_ended_talkspurts` over a population.
-
-        Only the current holders are inspected, against the population's
-        state arrays, instead of walking every terminal.
+        talkspurt terminates" rule.  Only the current holders are inspected,
+        against the population's state arrays.  Returns the number of
+        reservations released.
         """
         if not self._granted_frame:
             return 0
@@ -149,29 +122,6 @@ class ReservationTable:
         for terminal_id in releasable:
             self.release(int(terminal_id))
         return int(releasable.shape[0])
-
-    def reserved_terminals(self, terminals: Iterable[Terminal]) -> List[Terminal]:
-        """Reservation holders among ``terminals`` that have packets to send.
-
-        Returned in ascending terminal-id order (the object loop's order,
-        since populations are laid out by id); the columnar fast path only
-        touches the holders instead of the whole population.
-        """
-        population = getattr(terminals, "population", None)
-        if population is not None:
-            if not self._granted_frame:
-                return []
-            ids = self.holder_array()
-            ids = ids[ids < len(population)]
-            eligible = ids[
-                population.is_voice[ids] & (population.occupancy[ids] > 0)
-            ]
-            return [terminals[terminal_id] for terminal_id in eligible]
-        return [
-            t
-            for t in terminals
-            if t.is_voice and t.terminal_id in self._granted_frame and t.has_pending_packets
-        ]
 
     def clear(self) -> None:
         """Drop all reservations (used between independent runs)."""

@@ -24,14 +24,12 @@ the paper also notes.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
-from repro.mac.contention import run_contention, run_contention_ids
+from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.requests import Acknowledgement, FrameOutcome
-from repro.traffic.terminal import Terminal
 
 __all__ = ["RMAVProtocol"]
 
@@ -65,59 +63,8 @@ class RMAVProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    def run_frame(
-        self,
-        frame_index: int,
-        terminals: Sequence[Terminal],
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        self.release_finished_reservations(terminals)
-        outcome = FrameOutcome(frame_index)
-        slots_left = self.frame_structure.info_slots
-
-        used = self.allocate_reserved_voice(
-            terminals, snapshot, slots_left, outcome.allocations
-        )
-        slots_left -= used
-
-        # The single competitive slot: at most one winner per frame, however
-        # many users are waiting — the bottleneck that makes RMAV thrash as
-        # soon as a moderate number of users contend simultaneously (the
-        # instability the paper's Fig. 11 shows).
-        candidates = self.contention_candidates(terminals)
-        contention = run_contention(candidates, 1, self.permission, self.rng)
-        outcome.contention_attempts = contention.attempts
-        outcome.contention_collisions = contention.collisions
-        outcome.idle_request_slots = contention.idle_slots
-
-        if contention.winners:
-            winner = contention.winners[0]
-            outcome.acknowledgements.append(
-                Acknowledgement(winner.terminal_id, 0, frame_index)
-            )
-            if slots_left >= 1 and winner.has_pending_packets:
-                amplitude = snapshot.amplitude_of(winner.terminal_id)
-                if winner.is_voice:
-                    outcome.allocations.append(
-                        self.build_allocation(winner, amplitude, 1)
-                    )
-                    slots_left -= 1
-                    self.reservations.grant(winner.terminal_id, frame_index)
-                else:
-                    n_slots = min(
-                        self.params.rmav_pmax,
-                        self.slots_needed_for_data(winner, amplitude, slots_left),
-                    )
-                    outcome.allocations.append(
-                        self.build_allocation(winner, amplitude, n_slots)
-                    )
-                    slots_left -= n_slots
-
-        outcome.queued_requests = 0
-        return outcome
-
     def macro_minislots(self) -> int:
-        """One competitive slot per frame (see :meth:`run_frame`)."""
+        """One competitive slot per frame (see :meth:`run_frame_batch`)."""
         return 1
 
     def macro_data_slot_cap(self) -> int:
@@ -131,7 +78,13 @@ class RMAVProtocol(MACProtocol):
         population,
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
-        """Array-native frame: reservation ids, one contention draw, one grant."""
+        """Reservation holders, then the single competitive slot.
+
+        At most one winner per frame, however many users are waiting — the
+        bottleneck that makes RMAV thrash as soon as a moderate number of
+        users contend simultaneously (the instability the paper's Fig. 11
+        shows).
+        """
         self.reservations.release_ended_population(population)
         outcome = FrameOutcome(frame_index)
         grants = outcome.use_grant_columns()

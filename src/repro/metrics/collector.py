@@ -3,7 +3,7 @@
 :class:`MetricsCollector` is owned by the simulation engine.  It accumulates
 per-frame observations (delivered data packets, slot usage, contention
 outcomes) during the measured portion of a run and, at the end, aggregates
-the per-terminal counters into the :class:`~repro.metrics.voice.VoiceMetrics`
+the population's counters into the :class:`~repro.metrics.voice.VoiceMetrics`
 and :class:`~repro.metrics.data.DataMetrics` the experiments report.
 """
 
@@ -175,35 +175,15 @@ class MetricsCollector:
             data_per_frame.append(int(record[5]))
             loss_per_frame.append(int(record[6]))
 
-    def voice_metrics(self, terminals) -> VoiceMetrics:
-        """Aggregate voice metrics from terminals or a columnar population.
+    def voice_metrics(self, population: TerminalPopulation) -> VoiceMetrics:
+        """Aggregate the population's voice counters."""
+        return VoiceMetrics.from_population(population)
 
-        Accepts an iterable of :class:`Terminal` (object backend), a
-        :class:`~repro.traffic.population.TerminalPopulation` or any
-        sequence exposing one via a ``population`` attribute (columnar
-        backend) — the array path avoids per-object iteration.
-        """
-        population = self._population_of(terminals)
-        if population is not None:
-            return VoiceMetrics.from_population(population)
-        return VoiceMetrics.from_terminals(terminals)
-
-    def data_metrics(self, terminals) -> DataMetrics:
-        """Aggregate data metrics from terminals or a columnar population."""
-        population = self._population_of(terminals)
-        if population is not None:
-            return DataMetrics.from_population(
-                population, self._n_frames, self._params.frame_duration_s
-            )
-        return DataMetrics.from_terminals(
-            terminals, self._n_frames, self._params.frame_duration_s
+    def data_metrics(self, population: TerminalPopulation) -> DataMetrics:
+        """Aggregate the population's data counters over the recorded frames."""
+        return DataMetrics.from_population(
+            population, self._n_frames, self._params.frame_duration_s
         )
-
-    @staticmethod
-    def _population_of(terminals):
-        if isinstance(terminals, TerminalPopulation):
-            return terminals
-        return getattr(terminals, "population", None)
 
     def mac_stats(self) -> MacStats:
         """Aggregate MAC-layer statistics."""

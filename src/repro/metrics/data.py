@@ -7,8 +7,6 @@ from typing import Iterable, List
 
 import numpy as np
 
-from repro.traffic.terminal import Terminal
-
 __all__ = ["DataMetrics"]
 
 
@@ -135,39 +133,12 @@ class DataMetrics:
         n_frames: int,
         frame_duration_s: float,
     ) -> "DataMetrics":
-        """Aggregate a columnar :class:`TerminalPopulation`'s data arrays."""
+        """Aggregate a :class:`TerminalPopulation`'s data counters."""
         return cls(
             generated=int(population.data_generated.sum()),
             delivered=int(population.data_delivered.sum()),
             retransmissions=int(population.data_retransmissions.sum()),
             delay_frames=population.all_data_delays(),
-            n_frames=n_frames,
-            frame_duration_s=frame_duration_s,
-        )
-
-    @classmethod
-    def from_terminals(
-        cls,
-        terminals: Iterable[Terminal],
-        n_frames: int,
-        frame_duration_s: float,
-    ) -> "DataMetrics":
-        """Aggregate the per-terminal statistics of a finished run."""
-        generated = delivered = retransmissions = 0
-        delays: List[int] = []
-        for terminal in terminals:
-            if not terminal.is_data:
-                continue
-            stats = terminal.stats
-            generated += stats.data_generated
-            delivered += stats.data_delivered
-            retransmissions += stats.data_retransmissions
-            delays.extend(stats.data_delay_frames)
-        return cls(
-            generated=generated,
-            delivered=delivered,
-            retransmissions=retransmissions,
-            delay_frames=delays,
             n_frames=n_frames,
             frame_duration_s=frame_duration_s,
         )

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.traffic.terminal import Terminal
-
 __all__ = ["VoiceMetrics"]
 
 
@@ -91,23 +89,8 @@ class VoiceMetrics:
                    errored=errored, dropped=dropped)
 
     @classmethod
-    def from_terminals(cls, terminals: Iterable[Terminal]) -> "VoiceMetrics":
-        """Aggregate the per-terminal statistics of a finished run."""
-        generated = delivered = errored = dropped = 0
-        for terminal in terminals:
-            if not terminal.is_voice:
-                continue
-            stats = terminal.stats
-            generated += stats.voice_generated
-            delivered += stats.voice_delivered
-            errored += stats.voice_errored
-            dropped += stats.voice_dropped
-        return cls(generated=generated, delivered=delivered,
-                   errored=errored, dropped=dropped)
-
-    @classmethod
     def from_population(cls, population) -> "VoiceMetrics":
-        """Aggregate a columnar :class:`TerminalPopulation`'s voice arrays."""
+        """Aggregate a :class:`TerminalPopulation`'s voice counters."""
         return cls(
             generated=int(population.voice_generated.sum()),
             delivered=int(population.voice_delivered.sum()),

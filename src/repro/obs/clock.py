@@ -34,8 +34,8 @@ def now_ns() -> int:
 def cpu_now() -> float:
     """Process CPU seconds — the benchmark-grade time base.
 
-    Excludes sleep/IO, matching what ``BENCH_engine.json`` records and what
-    ``python -m repro profile`` reports as fps.
+    Excludes sleep/IO, matching what ``benchmarks/test_bench_hotpath.py``
+    times and what ``python -m repro profile`` reports as fps.
     """
     # The one sanctioned process_time read.  lint: allow[KRN002]
     return time.process_time()

@@ -14,7 +14,7 @@ every ``repro*`` module whose globals alias the function — which covers
 ``from repro.accel import contention_round_scan``-style imports the macro
 runner relies on.  Scalar per-terminal kernels (``batch=False``) are never
 patched, preserving the macro-vs-per-frame dispatch invariant that
-``BENCH_engine.json`` records.
+``benchmarks/test_bench_hotpath.py`` asserts.
 """
 
 from __future__ import annotations

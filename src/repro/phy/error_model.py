@@ -129,8 +129,8 @@ class PacketErrorModel:
         underlying bit stream element by element, so this single batched
         draw returns exactly the values (and leaves exactly the generator
         state) that sequential :meth:`transmit_packets` calls over the same
-        grants would — the property the columnar engine backend's
-        bit-for-bit parity with the object backend rests on.
+        grants would — so macro-stepped runs, which batch many frames'
+        grants into one draw, stay bit-identical to per-frame runs.
         """
         counts = np.asarray(n_packets, dtype=np.int64)
         if counts.size == 0:

@@ -1,10 +1,9 @@
-"""Simulation platform: event kernel, frame engine, scenarios and runners.
+"""Simulation platform: frame engine, scenarios and runners.
 
 This subpackage is the "common simulation platform" of the paper's Section 5:
 it wires the channel models, the physical layers, the traffic sources and the
 MAC protocols together and produces the metrics the evaluation reports.
 
-* :mod:`repro.sim.des` — a generic discrete-event kernel (substrate);
 * :mod:`repro.sim.engine` — the frame-synchronous TDMA engine;
 * :mod:`repro.sim.scenario` / :mod:`repro.sim.results` — run descriptions and
   result containers;
@@ -13,7 +12,6 @@ MAC protocols together and produces the metrics the evaluation reports.
 * :mod:`repro.sim.rng` — reproducible independent random streams.
 """
 
-from repro.sim.des import DiscreteEventSimulator, Event, EventQueue
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.results import SimulationResult, SweepResult
 from repro.sim.rng import RandomStreams
@@ -21,9 +19,6 @@ from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
 
 __all__ = [
-    "DiscreteEventSimulator",
-    "Event",
-    "EventQueue",
     "RandomStreams",
     "Scenario",
     "SimulationResult",

@@ -17,39 +17,29 @@ simulation platform" too).  Each call to :meth:`step` advances exactly one
 
 A warm-up period can be discarded so that measurements reflect steady state.
 
-Backends
---------
-Two interchangeable simulation cores implement the frame loop:
-
-* ``"columnar"`` (the default): traffic state lives in a struct-of-arrays
-  :class:`~repro.traffic.population.TerminalPopulation`, advanced by
-  vectorised kernels; the frame's grants are transmitted through one batched
-  :meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call; and
-  the MAC layer runs its array-native ``run_frame_batch`` kernels, emitting
-  grants as :class:`~repro.mac.requests.GrantColumns` the engine consumes
-  without materialising per-terminal views (``use_batch_mac=False`` forces
-  the retained view-walking ``run_frame`` path for differential testing).
-* ``"object"``: the original per-:class:`~repro.traffic.terminal.Terminal`
-  Python loop, retained for differential testing.
-
-In the default ``rng_mode="parity"`` both backends (and both MAC paths)
-consume the run's random streams in exactly the same order (batched draws
-are stream-compatible with their scalar equivalents), so they produce
-**bit-identical** :class:`~repro.sim.results.SimulationResult` values under
-a common seed; ``tests/sim/test_backend_parity.py`` asserts it for all six
-protocols.  ``rng_mode="fast"`` lets the columnar backend batch whole-frame
+Simulation core
+---------------
+Traffic state lives in a struct-of-arrays
+:class:`~repro.traffic.population.TerminalPopulation` advanced by vectorised
+kernels; the protocol's array-native ``run_frame_batch`` kernel emits the
+frame's grants as :class:`~repro.mac.requests.GrantColumns`; and the grants
+are transmitted through one batched
+:meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call.  With
+``Scenario.macro_frames > 1`` blocks of frames run through
+:class:`~repro.sim.macro.MacroRunner` instead, bit-identical to per-frame
+stepping in ``rng_mode="parity"``.  ``rng_mode="fast"`` batches whole-frame
 draws from per-subsystem child streams instead — statistically equivalent,
-not bit-identical (see :class:`~repro.sim.scenario.Scenario`).
+not bit-identical (see :class:`~repro.sim.scenario.Scenario`).  The golden
+baselines in ``tests/golden`` pin the exact results of both modes.
 
-Terminal ids must be dense (``terminal_id == population index``): both the
-:class:`~repro.channel.manager.ChannelSnapshot` row lookup and the columnar
-kernels index arrays by id.  The engine validates this at construction and
-raises a clear error for custom populations that violate it.
+Terminal ids are dense (``terminal_id == population index``): the
+:class:`~repro.channel.manager.ChannelSnapshot` rows and the population
+arrays are both indexed by id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -58,7 +48,7 @@ from repro.channel.manager import ChannelManager, ChannelSnapshot
 from repro.config import SimulationParameters
 from repro.mac.base import MACProtocol, snapshot_snr_compatible
 from repro.mac.registry import create_protocol
-from repro.mac.requests import FrameOutcome
+from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.metrics.collector import MetricsCollector
 from repro.obs import trace as _obs_trace
 from repro.obs.trace import PHASES, PhaseRecorder
@@ -66,9 +56,7 @@ from repro.phy.error_model import PacketErrorModel
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RandomStreams
 from repro.sim.scenario import Scenario
-from repro.traffic.generator import build_population
 from repro.traffic.population import TerminalPopulation
-from repro.traffic.terminal import Terminal
 
 __all__ = ["UplinkSimulationEngine"]
 
@@ -80,7 +68,7 @@ class UplinkSimulationEngine:
     ----------
     scenario:
         The run description (protocol, traffic mix, queueing, seed, speed,
-        engine backend).
+        RNG mode, macro-step block size).
     params:
         The shared simulation parameters (Table 1).
     protocol:
@@ -101,7 +89,6 @@ class UplinkSimulationEngine:
         scenario: Scenario,
         params: Optional[SimulationParameters] = None,
         protocol: Optional[MACProtocol] = None,
-        use_batch_mac: Optional[bool] = None,
         streams: Optional[RandomStreams] = None,
         beam: Optional[int] = None,
     ) -> None:
@@ -109,9 +96,8 @@ class UplinkSimulationEngine:
         self.params = params if params is not None else SimulationParameters()
         self.streams = streams if streams is not None else RandomStreams(scenario.seed)
         self.beam = None if beam is None else int(beam)
-        self.backend = scenario.engine_backend
         self.rng_mode = scenario.rng_mode
-        rng_fast = self.rng_mode == "fast" and self.backend == "columnar"
+        rng_fast = self.rng_mode == "fast"
 
         speed = (
             scenario.mobile_speed_kmh
@@ -131,29 +117,20 @@ class UplinkSimulationEngine:
             beam=self.beam,
         )
 
-        self.population: Optional[TerminalPopulation] = None
-        if self.backend == "columnar":
-            self.population = TerminalPopulation(
-                self.params,
-                scenario.n_voice,
-                scenario.n_data,
-                self.streams["traffic"],
-                rng_mode=self.rng_mode,
-                toggle_rng=(
-                    self.streams.child("traffic", "toggle") if rng_fast else None
-                ),
-                burst_rng=(
-                    self.streams.child("traffic", "burst") if rng_fast else None
-                ),
-                beam=self.beam,
-            )
-            self.terminals: Sequence = self.population.views
-        else:
-            self.terminals = build_population(
-                self.params, scenario.n_voice, scenario.n_data, self.streams["traffic"]
-            )
-        self._validate_dense_ids(self.terminals)
-        self._by_id: Dict[int, Terminal] = {t.terminal_id: t for t in self.terminals}
+        self.population = TerminalPopulation(
+            self.params,
+            scenario.n_voice,
+            scenario.n_data,
+            self.streams["traffic"],
+            rng_mode=self.rng_mode,
+            toggle_rng=(
+                self.streams.child("traffic", "toggle") if rng_fast else None
+            ),
+            burst_rng=(
+                self.streams.child("traffic", "burst") if rng_fast else None
+            ),
+            beam=self.beam,
+        )
 
         if protocol is None:
             protocol = create_protocol(
@@ -161,7 +138,7 @@ class UplinkSimulationEngine:
                 self.params,
                 self.streams["mac"],
                 use_request_queue=scenario.use_request_queue,
-                rng_mode=self.rng_mode if self.backend == "columnar" else "parity",
+                rng_mode=self.rng_mode,
                 contention_rng=(
                     self.streams.child("mac", "contention") if rng_fast else None
                 ),
@@ -170,15 +147,6 @@ class UplinkSimulationEngine:
                 ),
             )
         self.protocol = protocol
-        # The array-native MAC kernels drive the columnar backend by
-        # default; ``use_batch_mac=False`` forces the view-walking
-        # ``run_frame`` path instead (the kernel-equivalence suite compares
-        # the two head to head).
-        self._use_batch_mac = (
-            use_batch_mac
-            if use_batch_mac is not None
-            else self.backend == "columnar"
-        )
         self.error_model = PacketErrorModel(self.protocol.modem, self.streams["error"])
         self._reuse_snapshot_snr = snapshot_snr_compatible(
             self.protocol.modem, self.params
@@ -200,14 +168,14 @@ class UplinkSimulationEngine:
         self._clock: Optional[PhaseRecorder] = None
         self._dispatch_counter = None
         self._macro = None
-        # Channel snapshots for the columnar backend are produced in blocks
-        # (one batched draw + one linear-filter evaluation per block, bit
-        # identical to per-frame advancing); the buffer holds the frames the
-        # channel has produced ahead of the simulation.
+        # Channel snapshots are produced in blocks (one batched draw + one
+        # linear-filter evaluation per block, bit identical to per-frame
+        # advancing); the buffer holds the frames the channel has produced
+        # ahead of the simulation.
         self._snapshot_buffer: List[ChannelSnapshot] = []
         self._snapshot_cursor = 0
 
-    #: Frames advanced per batched channel evaluation on the columnar backend.
+    #: Frames advanced per batched channel evaluation.
     CHANNEL_BLOCK_FRAMES = 64
 
     # ------------------------------------------------------------------ API
@@ -223,9 +191,7 @@ class UplinkSimulationEngine:
             return self._step_timed()
         if self._clock is not None:  # tracer was uninstalled mid-run
             self._clock = None
-        if self.population is not None:
-            return self._step_columnar()
-        return self._step_object()
+        return self._step_untimed()
 
     def _ensure_instrumented(self) -> None:
         """Keep :attr:`_clock` live and pointed at the current tracer.
@@ -255,10 +221,10 @@ class UplinkSimulationEngine:
         (fading evolution), ``mac`` (the protocol's request/allocation
         phases), ``phy`` (grant execution through the error model) and
         ``metrics`` (collection).  The split is what the benchmark harness
-        records in ``BENCH_engine.json`` and ``python -m repro profile
-        --json`` reports, so the next bottleneck is machine-readable.  The
-        same brackets feed the ``phase.*`` spans when a
-        :mod:`repro.obs.trace` tracer is installed — one timing substrate.
+        checks and ``python -m repro profile --json`` reports, so the next
+        bottleneck is machine-readable.  The same brackets feed the
+        ``phase.*`` spans when a :mod:`repro.obs.trace` tracer is installed
+        — one timing substrate.
 
         With ``count_dispatches=True`` the engine additionally tallies, in
         :attr:`dispatch_counts`, how many batch-kernel dispatches (entries
@@ -296,55 +262,35 @@ class UplinkSimulationEngine:
         self._clock = None
 
     def _step_timed(self) -> FrameOutcome:
-        """Instrumented twin of the step bodies (kept in sync with both).
+        """Instrumented twin of :meth:`_step_untimed` (kept in sync with it).
 
-        One implementation covers both backends: each phase call dispatches
-        on ``self.population`` exactly like the untimed paths, and the
-        clock brackets the same five sections (labelling them for the
-        optional dispatch counter).
+        The clock brackets the same five sections, labelling them for the
+        optional dispatch counter.
         """
         clock = self._clock
         frame = self._frame_index
         population = self.population
-        columnar = population is not None
 
         clock.start("channel")
-        snapshot = self._next_snapshot() if columnar else self.channels.advance_frame()
+        snapshot = self._next_snapshot()
         clock.stop()
 
         clock.start("traffic")
-        if columnar:
-            voice_losses_before = population.voice_loss_total
-            population.advance_frame(frame)
-            population.drop_expired(frame)
-        else:
-            voice_losses_before = self._total_voice_losses()
-            for terminal in self.terminals:
-                terminal.advance_frame(frame)
-                terminal.drop_expired(frame)
+        voice_losses_before = population.voice_loss_total
+        population.advance_frame(frame)
+        population.drop_expired(frame)
         clock.stop()
 
         clock.start("mac")
-        if columnar and self._use_batch_mac:
-            outcome = self.protocol.run_frame_batch(frame, population, snapshot)
-        else:
-            outcome = self.protocol.run_frame(frame, self.terminals, snapshot)
+        outcome = self.protocol.run_frame_batch(frame, population, snapshot)
         clock.stop()
 
         clock.start("phy")
-        if columnar and outcome.grants is not None:
-            data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
-        elif columnar:
-            data_delivered = self._execute_allocations_batch(outcome, snapshot, frame)
-        else:
-            data_delivered = self._execute_allocations(outcome, snapshot, frame)
+        data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
         clock.stop()
 
         clock.start("metrics")
-        if columnar:
-            voice_losses = population.voice_loss_total - voice_losses_before
-        else:
-            voice_losses = self._total_voice_losses() - voice_losses_before
+        voice_losses = population.voice_loss_total - voice_losses_before
         self.collector.record_frame(outcome, data_delivered, voice_losses)
         clock.stop()
         self._frame_index += 1
@@ -353,10 +299,9 @@ class UplinkSimulationEngine:
     def run_frames(self, n_frames: int) -> None:
         """Advance ``n_frames`` frames, macro-stepped when configured.
 
-        With ``Scenario.macro_frames > 1`` on the columnar backend (batch
-        MAC path), frames execute in macro blocks through
-        :class:`~repro.sim.macro.MacroRunner` — bit-identical to per-frame
-        stepping in parity RNG mode.  Otherwise this is a plain
+        With ``Scenario.macro_frames > 1`` frames execute in macro blocks
+        through :class:`~repro.sim.macro.MacroRunner` — bit-identical to
+        per-frame stepping in parity RNG mode.  Otherwise this is a plain
         :meth:`step` loop.
         """
         if n_frames <= 0:
@@ -382,11 +327,7 @@ class UplinkSimulationEngine:
 
     def _macro_runner(self):
         """The lazily built macro runner, or ``None`` when not applicable."""
-        if (
-            self.scenario.macro_frames <= 1
-            or self.population is None
-            or not self._use_batch_mac
-        ):
+        if self.scenario.macro_frames <= 1:
             return None
         if self._macro is None:
             from repro.sim.macro import MacroRunner
@@ -408,7 +349,6 @@ class UplinkSimulationEngine:
         with tracer.span(
             "engine.run",
             protocol=self.scenario.protocol,
-            backend=self.backend,
             n_voice=self.scenario.n_voice,
             n_data=self.scenario.n_data,
             seed=self.scenario.seed,
@@ -447,66 +387,14 @@ class UplinkSimulationEngine:
 
     def collect_results(self) -> SimulationResult:
         """Aggregate the metrics collected since the last statistics reset."""
-        source = self.population if self.population is not None else self.terminals
         return SimulationResult(
             scenario=self.scenario,
-            voice=self.collector.voice_metrics(source),
-            data=self.collector.data_metrics(source),
+            voice=self.collector.voice_metrics(self.population),
+            data=self.collector.data_metrics(self.population),
             mac=self.collector.mac_stats(),
         )
 
-    # ------------------------------------------------------- object backend
-    def _step_object(self) -> FrameOutcome:
-        frame = self._frame_index
-        snapshot = self.channels.advance_frame()
-
-        voice_losses_before = self._total_voice_losses()
-        for terminal in self.terminals:
-            terminal.advance_frame(frame)
-            terminal.drop_expired(frame)
-
-        outcome = self.protocol.run_frame(frame, self.terminals, snapshot)
-        data_delivered = self._execute_allocations(outcome, snapshot, frame)
-
-        voice_losses = self._total_voice_losses() - voice_losses_before
-        self.collector.record_frame(outcome, data_delivered, voice_losses)
-        self._frame_index += 1
-        return outcome
-
-    def _execute_allocations(
-        self, outcome: FrameOutcome, snapshot: ChannelSnapshot, frame: int
-    ) -> int:
-        """Transmit the granted packets through the channel; return data deliveries."""
-        data_delivered = 0
-        for allocation in outcome.allocations:
-            terminal = self._by_id.get(allocation.terminal_id)
-            if terminal is None or not terminal.has_pending_packets:
-                continue
-            amplitude = snapshot.amplitude_of(allocation.terminal_id)
-            n_to_send = min(allocation.packet_capacity, terminal.buffer_occupancy)
-            delivered = self.error_model.transmit_packets(
-                amplitude, n_to_send, throughput=allocation.throughput
-            )
-            taken = terminal.transmit(
-                max_packets=allocation.packet_capacity,
-                n_delivered=delivered,
-                current_frame=frame,
-            )
-            if terminal.is_data:
-                data_delivered += delivered
-            # ``taken`` is only used for defensive consistency checking: the
-            # terminal must never consume more packets than the grant allowed.
-            assert taken <= allocation.packet_capacity
-        return data_delivered
-
-    def _total_voice_losses(self) -> int:
-        return sum(
-            t.stats.voice_dropped + t.stats.voice_errored
-            for t in self.terminals
-            if t.is_voice
-        )
-
-    # ----------------------------------------------------- columnar backend
+    # ------------------------------------------------------------ frame loop
     def _next_snapshot(self) -> ChannelSnapshot:
         if self._snapshot_cursor >= len(self._snapshot_buffer):
             self._snapshot_buffer = self.channels.advance_block(
@@ -517,7 +405,7 @@ class UplinkSimulationEngine:
         self._snapshot_cursor += 1
         return snapshot
 
-    def _step_columnar(self) -> FrameOutcome:
+    def _step_untimed(self) -> FrameOutcome:
         frame = self._frame_index
         population = self.population
         snapshot = self._next_snapshot()
@@ -526,107 +414,30 @@ class UplinkSimulationEngine:
         population.advance_frame(frame)
         population.drop_expired(frame)
 
-        if self._use_batch_mac:
-            outcome = self.protocol.run_frame_batch(frame, population, snapshot)
-        else:
-            outcome = self.protocol.run_frame(frame, self.terminals, snapshot)
-        if outcome.grants is not None:
-            data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
-        else:
-            data_delivered = self._execute_allocations_batch(outcome, snapshot, frame)
+        outcome = self.protocol.run_frame_batch(frame, population, snapshot)
+        data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
 
         voice_losses = population.voice_loss_total - voice_losses_before
         self.collector.record_frame(outcome, data_delivered, voice_losses)
         self._frame_index += 1
         return outcome
 
-    def _execute_allocations_batch(
-        self, outcome: FrameOutcome, snapshot: ChannelSnapshot, frame: int
+    def _execute_grant_columns(
+        self, grants: Optional[GrantColumns], snapshot: ChannelSnapshot, frame: int
     ) -> int:
-        """Batched grant execution: one PHY evaluation + one binomial draw.
-
-        Grants are accumulated and transmitted in a single
-        :meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call.
-        If a terminal appears in more than one allocation of the frame (a
-        protocol may split a grant), the pending batch is flushed first so
-        the later allocation sees the buffer state its predecessors left —
-        preserving both the semantics and the RNG draw order of the
-        sequential path exactly.
-        """
-        allocations = outcome.allocations
-        if not allocations:
-            return 0
-        population = self.population
-        n = len(population)
-        amplitude = snapshot.amplitude
-        snr_db = snapshot.snr_db
-        occupancy = population.occupancy
-        reuse_snr = self._reuse_snapshot_snr
-
-        data_delivered = 0
-        batch_ids: List[int] = []
-        batch_caps: List[int] = []
-        batch_n: List[int] = []
-        batch_chan: List[float] = []  # snr_db when reused, amplitude otherwise
-        batch_thr: List[float] = []
-        any_throughput = False
-        batched = set()
-
-        def flush() -> None:
-            nonlocal data_delivered, any_throughput
-            if not batch_ids:
-                return
-            channel = np.asarray(batch_chan, dtype=float)
-            delivered = self.error_model.transmit_batch(
-                None if reuse_snr else channel,
-                np.asarray(batch_n, dtype=np.int64),
-                np.asarray(batch_thr, dtype=float) if any_throughput else None,
-                snr_db=channel if reuse_snr else None,
-            )
-            data_delivered += population.apply_grants(
-                batch_ids, batch_caps, delivered, frame
-            )
-            batch_ids.clear()
-            batch_caps.clear()
-            batch_n.clear()
-            batch_chan.clear()
-            batch_thr.clear()
-            any_throughput = False
-            batched.clear()
-
-        for allocation in allocations:
-            tid = allocation.terminal_id
-            if tid in batched:
-                flush()
-            if tid >= n or occupancy[tid] == 0:
-                continue
-            batched.add(tid)
-            batch_ids.append(tid)
-            batch_caps.append(allocation.packet_capacity)
-            batch_n.append(min(allocation.packet_capacity, int(occupancy[tid])))
-            batch_chan.append(snr_db[tid] if reuse_snr else amplitude[tid])
-            throughput = allocation.throughput
-            if throughput is None:
-                batch_thr.append(np.nan)
-            else:
-                batch_thr.append(throughput)
-                any_throughput = True
-        flush()
-        return data_delivered
-
-    def _execute_grant_columns(self, grants, snapshot: ChannelSnapshot, frame: int) -> int:
-        """Consume a batch kernel's grant columns without touching objects.
+        """Transmit a frame's grant columns; return delivered data packets.
 
         The common case — every granted terminal distinct, as emitted by all
         protocols except DRMA's multi-win frames — is one fancy-indexed
         channel gather, one :meth:`transmit_batch` call and one
-        :meth:`apply_grants` pass.  Duplicate-terminal frames fall back to
-        the same flush-between-duplicates discipline as the object path, so
-        RNG draw order and buffer semantics stay bit-identical either way.
+        :meth:`apply_grants` pass.  Duplicate-terminal frames flush the
+        batch before each repeat instead (see
+        :meth:`_execute_grant_columns_segmented`).  An outcome without grant
+        columns granted nothing.
         """
-        ids = grants.terminal_ids
-        if not ids:
+        if grants is None or not grants.terminal_ids:
             return 0
+        ids = grants.terminal_ids
         if len(set(ids)) != len(ids):
             return self._execute_grant_columns_segmented(grants, snapshot, frame)
         population = self.population
@@ -669,9 +480,10 @@ class UplinkSimulationEngine:
     ) -> int:
         """Duplicate-terminal grant columns: flush before each repeat.
 
-        Mirrors :meth:`_execute_allocations_batch`'s flush discipline so a
-        terminal's later grant in the same frame sees the buffer state its
-        earlier grants left (and the same RNG draw boundaries).
+        A terminal's later grant in the same frame must see the buffer state
+        its earlier grants left, so the pending batch is transmitted and
+        applied before a terminal appears in it a second time.  The error
+        stream is consumed in grant order either way.
         """
         population = self.population
         occupancy = population.occupancy
@@ -732,28 +544,6 @@ class UplinkSimulationEngine:
         return data_delivered
 
     # ------------------------------------------------------------ internals
-    def _validate_dense_ids(self, terminals: Sequence) -> None:
-        """Require ``terminal_id == index`` (0..n-1) across the population.
-
-        The channel snapshot, the columnar arrays and the MAC fast paths all
-        index per-user state by terminal id; a sparse or permuted id layout
-        would silently read the wrong user's channel.  This was previously
-        an implicit assumption — now it fails fast with a clear error.
-        """
-        for index, terminal in enumerate(terminals):
-            if terminal.terminal_id != index:
-                where = (
-                    "" if self.beam is None
-                    else f" (beam {self.beam}: ids are beam-local within the "
-                         f"shard, not global constellation ids)"
-                )
-                raise ValueError(
-                    f"terminal ids must be dense 0..n-1 (id == population "
-                    f"index): found id {terminal.terminal_id} at index "
-                    f"{index}{where}; channel rows and columnar kernels "
-                    f"index per-user state by terminal id"
-                )
-
     def _reset_statistics(self) -> None:
         # Outcomes must be attributed to the same measurement window as the
         # generation events, or conservation (delivered + errored + dropped
@@ -765,9 +555,5 @@ class UplinkSimulationEngine:
         # counter (generated stays the pure in-window traffic, which also
         # keeps common-random-number traffic realisations comparable across
         # protocols).
-        if self.population is not None:
-            self.population.begin_measurement(self._frame_index)
-        else:
-            for terminal in self.terminals:
-                terminal.begin_measurement(self._frame_index)
+        self.population.begin_measurement(self._frame_index)
         self.collector.reset()

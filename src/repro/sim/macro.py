@@ -32,8 +32,9 @@ frame), DRMA/RAMA frames with live contenders — falls back to the
 protocol's own ``run_frame_batch`` after flushing all deferred state, so
 the surrounding frames still enjoy the fused traffic/channel/metrics path.
 In ``rng_mode="parity"`` the whole construction is **bit-identical** to
-``macro_frames=1``; ``tests/sim/test_backend_parity.py`` sweeps
-``macro_frames`` in {1, 4, 16, 64} over all six protocols to prove it.
+``macro_frames=1``; ``tests/sim/test_macro_parity.py`` sweeps
+``macro_frames`` in {1, 4, 16, 64} over all six protocols to prove it, and
+the golden baselines in ``tests/golden`` pin both modes.
 """
 
 from __future__ import annotations
@@ -1103,14 +1104,9 @@ class MacroRunner:
         if clock:
             clock.stop()
             clock.start("phy")
-        if outcome.grants is not None:
-            data_delivered = engine._execute_grant_columns(
-                outcome.grants, snapshot, frame
-            )
-        else:
-            data_delivered = engine._execute_allocations_batch(
-                outcome, snapshot, frame
-            )
+        data_delivered = engine._execute_grant_columns(
+            outcome.grants, snapshot, frame
+        )
         if clock:
             clock.stop()
             clock.start("metrics")

@@ -35,39 +35,33 @@ class Scenario:
         Optional override of the population's mobile speed (the Section 5.3.3
         speed ablation); ``None`` keeps the parameter default.
     engine_backend:
-        Simulation-core implementation: ``"columnar"`` (default) drives the
-        struct-of-arrays :class:`~repro.traffic.population.TerminalPopulation`
-        kernels and the batched PHY; ``"object"`` walks per-terminal Python
-        objects.  Both produce bit-identical results under a common seed
-        (the columnar kernels preserve the RNG call order); the object
-        backend is retained for differential testing.
+        Simulation core; ``"columnar"`` is the only one.  The field is kept
+        because result payloads, run hashes and the store schema fingerprint
+        include it; any other value raises ``ValueError``.
     rng_mode:
-        Random-draw batching contract of the columnar backend.  ``"parity"``
-        (default) preserves the object backend's scalar RNG call order
-        exactly, so both backends stay bit-identical under a common seed —
-        the mode the differential suite and any paired cross-backend
-        comparison must use.  ``"fast"`` relaxes the ordering: stochastic
-        subsystems draw from independent per-subsystem child streams (see
-        :func:`repro.sim.rng.child_stream`) and batch a whole frame's draws
-        into single calls.  Fast-mode runs are statistically equivalent to
-        parity-mode runs (seed-averaged metrics agree within confidence
-        intervals; asserted by ``tests/sim/test_rng_fast_mode.py``) but not
-        bit-identical, which is the right trade for paper-scale sweeps.
-        Ignored by the object backend.
+        Random-draw batching contract.  ``"parity"`` (default) draws every
+        stochastic decision in a fixed scalar order — the order the golden
+        baselines in ``tests/golden`` pin — so macro-stepped and per-frame
+        runs are bit-identical under a common seed.  ``"fast"`` relaxes the
+        ordering: stochastic subsystems draw from independent per-subsystem
+        child streams (see :func:`repro.sim.rng.child_stream`) and batch a
+        whole frame's draws into single calls.  Fast-mode runs are
+        statistically equivalent to parity-mode runs (seed-averaged metrics
+        agree within confidence intervals; asserted by
+        ``tests/sim/test_rng_fast_mode.py``) but not bit-identical, which is
+        the right trade for paper-scale sweeps.
     macro_frames:
-        Macro-stepping block size of the columnar backend's frame loop.
-        ``1`` (default) advances frame by frame; larger values let the
-        engine execute blocks of up to this many frames with fused
-        multi-frame kernels — the traffic plan is drawn for the whole block
-        up front, contention draws are served from a pre-drawn pool with
-        exact roll-back/replay at the first state-changing event, and
-        voice-reservation PHY outcomes are resolved in one batched draw per
-        block.  Because every per-subsystem random stream is consumed in
-        exactly the per-frame order, results are **bit-identical** to
-        ``macro_frames=1`` in ``rng_mode="parity"`` (asserted by
-        ``tests/sim/test_backend_parity.py`` for ``macro_frames`` in
-        {1, 4, 16, 64}).  Ignored by the object backend and by the
-        view-walking MAC path.
+        Macro-stepping block size of the frame loop.  ``1`` (default)
+        advances frame by frame; larger values let the engine execute
+        blocks of up to this many frames with fused multi-frame kernels —
+        the traffic plan is drawn for the whole block up front, contention
+        draws are served from a pre-drawn pool with exact roll-back/replay
+        at the first state-changing event, and voice-reservation PHY
+        outcomes are resolved in one batched draw per block.  Because every
+        per-subsystem random stream is consumed in exactly the per-frame
+        order, results are **bit-identical** to ``macro_frames=1`` in
+        ``rng_mode="parity"`` (asserted by ``tests/sim/test_macro_parity.py``
+        for ``macro_frames`` in {1, 4, 16, 64}).
     """
 
     protocol: str
@@ -95,10 +89,9 @@ class Scenario:
             raise ValueError("seed must be non-negative")
         if self.mobile_speed_kmh is not None and self.mobile_speed_kmh < 0:
             raise ValueError("mobile_speed_kmh must be non-negative")
-        if self.engine_backend not in ("columnar", "object"):
+        if self.engine_backend != "columnar":
             raise ValueError(
-                f"engine_backend must be 'columnar' or 'object', "
-                f"got {self.engine_backend!r}"
+                f"engine_backend must be 'columnar', got {self.engine_backend!r}"
             )
         if self.rng_mode not in ("parity", "fast"):
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Traffic substrate: voice/data sources, packets, terminals and contention gating.
+"""Traffic substrate: the terminal population, packets and contention gating.
 
 The paper's system model (Section 2) has exactly two request types:
 
@@ -16,42 +16,25 @@ probabilities ``p_v`` / ``p_d``.
 
 Public classes
 --------------
+:class:`~repro.traffic.population.TerminalPopulation`
+    The whole cell's terminals as struct-of-arrays state — sources, transmit
+    buffers and per-terminal statistics — advanced by vectorised kernels.
+:class:`~repro.traffic.population.TerminalMigrationState`
+    One terminal's complete state, detached for handover between cells.
 :class:`~repro.traffic.packets.Packet` and :class:`~repro.traffic.packets.TrafficKind`
     The unit of transmission and its service class.
-:class:`~repro.traffic.voice.VoiceSource` / :class:`~repro.traffic.data.DataSource`
-    Frame-synchronous packet generators.
-:class:`~repro.traffic.terminal.Terminal`, ``VoiceTerminal``, ``DataTerminal``
-    A mobile device: source + transmit buffer + per-terminal statistics.
 :class:`~repro.traffic.permission.PermissionPolicy`
     The ``p_v`` / ``p_d`` gating of request transmissions.
-:func:`~repro.traffic.generator.build_population`
-    Factory creating the mixed voice/data terminal population of a scenario.
-:class:`~repro.traffic.population.TerminalPopulation`
-    Struct-of-arrays population state driving the columnar engine backend
-    (with :class:`~repro.traffic.population.TerminalView` per-index views).
 """
 
-from repro.traffic.data import DataSource
-from repro.traffic.generator import build_population
 from repro.traffic.packets import Packet, TrafficKind
 from repro.traffic.permission import PermissionPolicy
-from repro.traffic.population import TerminalPopulation, TerminalView, TerminalViews
-from repro.traffic.terminal import DataTerminal, Terminal, TerminalStats, VoiceTerminal
-from repro.traffic.voice import VoiceActivity, VoiceSource
+from repro.traffic.population import TerminalMigrationState, TerminalPopulation
 
 __all__ = [
-    "DataSource",
-    "DataTerminal",
     "Packet",
     "PermissionPolicy",
-    "Terminal",
+    "TerminalMigrationState",
     "TerminalPopulation",
-    "TerminalStats",
-    "TerminalView",
-    "TerminalViews",
     "TrafficKind",
-    "VoiceActivity",
-    "VoiceSource",
-    "VoiceTerminal",
-    "build_population",
 ]

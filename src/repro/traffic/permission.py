@@ -59,16 +59,3 @@ class PermissionPolicy:
     def permits(self, kind: TrafficKind) -> bool:
         """Draw whether a device of the given class may contend right now."""
         return bool(self._rng.random() < self.probability_for(kind))
-
-    def permits_many(self, probabilities: np.ndarray) -> np.ndarray:
-        """Draw one permission per entry of a per-device probability vector.
-
-        Consumes the random stream exactly as the equivalent sequence of
-        :meth:`permits` calls would (``Generator.random`` fills arrays from
-        the bit stream element by element), so batched and scalar contention
-        resolution stay bit-identical.
-        """
-        probabilities = np.asarray(probabilities, dtype=float)
-        if probabilities.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self._rng.random(size=probabilities.shape[0]) < probabilities

@@ -1,45 +1,34 @@
-"""Struct-of-arrays terminal population for the columnar engine backend.
+"""Struct-of-arrays terminal population: the traffic state of a whole cell.
 
-The object backend walks one Python :class:`~repro.traffic.terminal.Terminal`
-per user per 2.5 ms frame, which dominates the run time at paper scale
-(tens of thousands of frames x up to ~200 terminals x six protocols).
-:class:`TerminalPopulation` keeps the whole population's traffic state in
-NumPy arrays — buffer occupancy, head-of-line created frames, talkspurt and
-burst countdowns, per-kind outcome counters — and advances it with a handful
-of vectorised operations per frame, looping in Python only over the rare
+:class:`TerminalPopulation` keeps every terminal's traffic state in NumPy
+arrays — buffer occupancy, head-of-line created frames, talkspurt and burst
+countdowns, per-kind outcome counters — and advances it with a handful of
+vectorised operations per frame, looping in Python only over the rare
 *events* of a frame (talkspurt toggles, burst arrivals, deadline expiries,
-grants).
+grants).  The MAC protocols' ``run_frame_batch`` kernels read the arrays
+directly.
 
-RNG-stream compatibility
-------------------------
-The population draws from the same ``traffic`` stream as the object
-population, in exactly the same order:
+RNG draw order
+--------------
+In parity RNG mode the population draws from the run's ``traffic`` stream
+in a fixed scalar order:
 
 * construction draws one exponential per voice terminal (initial silence)
-  followed by one per data terminal (initial inter-arrival), like
-  :func:`~repro.traffic.generator.build_population`;
+  followed by one per data terminal (initial inter-arrival);
 * :meth:`advance_frame` draws scalar exponentials only for the terminals
-  whose state toggles this frame, in ascending terminal-id order — the same
-  order in which the engine's object loop would reach them (voice ids always
-  precede data ids).
+  whose state toggles this frame, in ascending terminal-id order (voice ids
+  always precede data ids).
 
-Because of this the columnar backend is *bit-identical* to the object
-backend under a common seed; the differential tests in
-``tests/sim/test_backend_parity.py`` assert exactly that.
-
-MAC protocols keep working unchanged: :class:`TerminalView` is a thin
-per-index view exposing the read API of :class:`Terminal` (occupancy, head
-deadlines, talkspurt state, statistics) backed by the arrays, and
-:class:`TerminalViews` is the sequence of views the engine hands to
-``protocol.run_frame``.  Its ``population`` attribute is the capability flag
-the MAC layer's vectorised fast paths key on.
+:meth:`plan_frames` replays exactly that order for a whole macro block, so
+macro-stepped runs are bit-identical to per-frame runs.  The golden
+baselines in ``tests/golden`` pin the resulting realisations.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional, Sequence
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -51,14 +40,10 @@ from repro.accel import (
 )
 from repro.config import SimulationParameters
 from repro.lint.contracts import kernel
-from repro.traffic.packets import Packet, TrafficKind
-from repro.traffic.terminal import TerminalStats
 
 __all__ = [
     "TerminalMigrationState",
     "TerminalPopulation",
-    "TerminalView",
-    "TerminalViews",
     "TrafficBlockPlan",
 ]
 
@@ -84,7 +69,6 @@ class TerminalMigrationState:
     in_talkspurt: bool
     countdown: int
     frames_since_packet: int
-    talkspurt_started_frame: int
     occupancy: int
     head_created: int
     segments: List[List[int]] = field(default_factory=list)
@@ -131,9 +115,7 @@ class TerminalPopulation:
 
     Voice terminals occupy indices ``0 .. n_voice-1`` and data terminals the
     following ``n_data`` indices, so a terminal's id doubles as its row in
-    every array and in the :class:`~repro.channel.manager.ChannelManager` —
-    the same dense layout :func:`~repro.traffic.generator.build_population`
-    produces.
+    every array and in the :class:`~repro.channel.manager.ChannelManager`.
 
     Parameters
     ----------
@@ -142,8 +124,8 @@ class TerminalPopulation:
     n_voice, n_data:
         Population sizes per service class.
     rng:
-        The run's ``traffic`` random stream (shared with the object
-        population; the draw order is identical, see the module docstring).
+        The run's ``traffic`` random stream (see the module docstring for
+        the parity-mode draw order).
     """
 
     def __init__(
@@ -165,8 +147,8 @@ class TerminalPopulation:
         self._rng = rng
         # Fast RNG mode batches each frame's event draws (talkspurt/silence
         # toggles, burst arrivals) into single calls against dedicated child
-        # streams; parity mode replays the object backend's scalar draw
-        # order from the shared traffic stream.  Construction draws always
+        # streams; parity mode keeps the scalar draw order of the module
+        # docstring on the shared traffic stream.  Construction draws always
         # come from the shared stream, so the initial population state is
         # identical in both modes.
         self._rng_fast = rng_mode == "fast"
@@ -191,7 +173,7 @@ class TerminalPopulation:
         self.is_voice[: self.n_voice] = True
         self.is_data_mask = ~self.is_voice
 
-        # Talkspurt/burst state machines (columnar mirror of Voice/DataSource).
+        # Talkspurt/burst state machines of the voice and data sources.
         # ``countdown`` unifies the two per-terminal timers — frames to the
         # next talkspurt/silence toggle for voice rows, frames to the next
         # burst arrival for data rows — so one vector compare per frame
@@ -199,11 +181,6 @@ class TerminalPopulation:
         self.in_talkspurt = np.zeros(n, dtype=bool)
         self.countdown = np.zeros(n, dtype=np.int64)
         self.frames_since_packet = np.zeros(n, dtype=np.int64)
-        # Talkspurt-start events are stamped with their frame instead of a
-        # per-frame boolean reset: view.talkspurt_started() compares against
-        # the frame most recently advanced.
-        self._talkspurt_started_frame = np.full(n, -2, dtype=np.int64)
-        self._current_frame = -1
 
         # Transmit buffers: occupancy + head-of-line created frame per
         # terminal, with the full FIFO content as (created_frame, count)
@@ -213,7 +190,7 @@ class TerminalPopulation:
         self.head_created = np.full(n, -1, dtype=np.int64)
         self._segments: List[Deque[List[int]]] = [deque() for _ in range(n)]
 
-        # Per-terminal outcome counters (the columnar TerminalStats).
+        # Per-terminal outcome counters.
         self.voice_generated = np.zeros(n, dtype=np.int64)
         self.voice_delivered = np.zeros(n, dtype=np.int64)
         self.voice_errored = np.zeros(n, dtype=np.int64)
@@ -230,7 +207,7 @@ class TerminalPopulation:
         # per-frame deadline scan costs nothing while no voice backlog ages.
         self._next_drop_frame = _NO_DROP
 
-        # Initial state draws, in build_population order: every voice
+        # Initial state draws (voice rows, then data rows): every voice
         # terminal starts in a silence period of random exponential length,
         # every data terminal draws its first burst inter-arrival.
         mean_silence = params.mean_silence_s
@@ -239,8 +216,6 @@ class TerminalPopulation:
         mean_arrival = params.mean_data_interarrival_s
         for j in range(self.n_voice, n):
             self.countdown[j] = self._duration_frames(rng.exponential(mean_arrival))
-
-        self.views = TerminalViews(self)
 
     # ------------------------------------------------------------------ API
     def __len__(self) -> int:
@@ -268,14 +243,13 @@ class TerminalPopulation:
 
         Vectorised counters, with scalar RNG draws only for the terminals
         whose on/off state toggles or whose burst arrives this frame — in
-        ascending id order, matching the object backend's draw order.
+        ascending id order (the parity draw order).
         """
         if frame_index < 0:
             raise ValueError("frame_index must be non-negative")
         nv = self.n_voice
         params = self.params
         rng = self._rng
-        self._current_frame = frame_index
 
         countdown = self.countdown
         events = countdown == 0
@@ -286,21 +260,18 @@ class TerminalPopulation:
             if self._rng_fast:
                 self._fire_events_fast(events, frame_index)
             else:
-                # Ascending index order keeps the scalar draws in exactly
-                # the object backend's per-terminal order (voice ids precede
-                # data).
+                # Ascending index order fixes the scalar draw order (voice
+                # ids precede data).
                 for i in events.nonzero()[0]:
                     if i < nv:
                         if self.in_talkspurt[i]:
                             self.in_talkspurt[i] = False
-                            # Per-terminal draw order matches the object
-                            # backend exactly (ascending index, voice
-                            # before data).
+                            # Per-terminal draw in the parity order
+                            # (ascending index, voice before data).
                             # lint: allow[KRN001]
                             duration = rng.exponential(params.mean_silence_s)
                         else:
                             self.in_talkspurt[i] = True
-                            self._talkspurt_started_frame[i] = frame_index
                             self.frames_since_packet[i] = 0
                             # Same parity-ordered gate as the silence
                             # branch above.
@@ -365,7 +336,6 @@ class TerminalPopulation:
                         mean = params.mean_silence_s
                     else:
                         self.in_talkspurt[i] = True
-                        self._talkspurt_started_frame[i] = frame_index
                         self.frames_since_packet[i] = 0
                         mean = params.mean_talkspurt_s
                     countdown[i] = self._duration_frames(
@@ -407,9 +377,7 @@ class TerminalPopulation:
                 1, np.round(durations / dt).astype(np.int64)
             )
             self.in_talkspurt[voice_idx] = ~talking
-            starting = voice_idx[~talking]
-            self._talkspurt_started_frame[starting] = frame_index
-            self.frames_since_packet[starting] = 0
+            self.frames_since_packet[voice_idx[~talking]] = 0
 
         if data_idx.shape[0]:
             k = data_idx.shape[0]
@@ -663,15 +631,11 @@ class TerminalPopulation:
         :meth:`advance_frame` would have produced at this frame.
         """
         offset = frame_index - plan.start
-        self._current_frame = frame_index
         toggles = plan.toggles[offset]
         if toggles is not None:
             in_talkspurt = self.in_talkspurt
-            started = self._talkspurt_started_frame
             for i, now_talking in toggles:
                 in_talkspurt[i] = now_talking
-                if now_talking:
-                    started[i] = frame_index
         gen = plan.voice_gen[offset]
         if gen is not None:
             occupancy = self.occupancy
@@ -778,9 +742,9 @@ class TerminalPopulation:
     def drop_expired(self, current_frame: int) -> int:
         """Drop buffered voice packets whose 20 ms deadline has passed.
 
-        Returns the total number of packets removed; only in-window drops
-        count towards the statistics, exactly like
-        :meth:`Terminal.drop_expired`.  Frames at which no buffered voice
+        Returns the total number of packets removed; only drops of packets
+        created inside the measurement window count towards the statistics.
+        Frames at which no buffered voice
         packet can yet have expired (tracked via a conservative
         next-expiry lower bound) return without touching any array.
         """
@@ -838,8 +802,8 @@ class TerminalPopulation:
     ) -> int:
         """Record a transmission opportunity's outcome for one terminal.
 
-        Mirrors :meth:`Terminal.transmit` exactly, including the measurement
-        -window filtering of outcomes: voice pops every transmitted packet
+        Outcomes of packets created before the measurement window are not
+        counted.  Voice pops every transmitted packet
         (errored ones are lost), data pops only the delivered ones and
         counts the rest as retransmissions.
         """
@@ -980,7 +944,6 @@ class TerminalPopulation:
             in_talkspurt=bool(self.in_talkspurt[index]),
             countdown=int(self.countdown[index]),
             frames_since_packet=int(self.frames_since_packet[index]),
-            talkspurt_started_frame=int(self._talkspurt_started_frame[index]),
             occupancy=int(self.occupancy[index]),
             head_created=int(self.head_created[index]),
             segments=[list(segment) for segment in self._segments[index]],
@@ -1019,7 +982,6 @@ class TerminalPopulation:
         self.in_talkspurt[index] = state.in_talkspurt
         self.countdown[index] = state.countdown
         self.frames_since_packet[index] = state.frames_since_packet
-        self._talkspurt_started_frame[index] = state.talkspurt_started_frame
         self.occupancy[index] = state.occupancy
         self.head_created[index] = state.head_created
         self._segments[index] = deque(list(s) for s in state.segments)
@@ -1051,177 +1013,6 @@ class TerminalPopulation:
             merged.extend(self._data_delays[index])
         return merged
 
-    def stats_of(self, index: int) -> TerminalStats:
-        """Materialise one terminal's counters as a :class:`TerminalStats`."""
-        return TerminalStats(
-            voice_generated=int(self.voice_generated[index]),
-            voice_delivered=int(self.voice_delivered[index]),
-            voice_errored=int(self.voice_errored[index]),
-            voice_dropped=int(self.voice_dropped[index]),
-            data_generated=int(self.data_generated[index]),
-            data_delivered=int(self.data_delivered[index]),
-            data_retransmissions=int(self.data_retransmissions[index]),
-            data_delay_frames=list(self._data_delays[index]),
-        )
-
-    def packets_of(self, index: int, n: Optional[int] = None) -> List[Packet]:
-        """Materialise (a prefix of) a terminal's buffer as packet objects.
-
-        The synthesised packets carry fresh debug sequence numbers; their
-        kind, creation frame and deadline match the buffered state.
-        """
-        kind = TrafficKind.VOICE if self.is_voice[index] else TrafficKind.DATA
-        packets: List[Packet] = []
-        budget = int(self.occupancy[index]) if n is None else max(0, int(n))
-        for created, count in self._segments[index]:
-            for _ in range(min(count, budget - len(packets))):
-                packets.append(
-                    Packet(
-                        kind=kind,
-                        terminal_id=index,
-                        created_frame=int(created),
-                        deadline_frame=(
-                            int(created) + self._deadline if kind.is_voice else None
-                        ),
-                    )
-                )
-            if len(packets) >= budget:
-                break
-        return packets
-
     def _duration_frames(self, duration_s: float) -> int:
         return max(1, int(round(duration_s / self._dt)))
 
-
-class TerminalView:
-    """Thin per-index read/transmit view over a :class:`TerminalPopulation`.
-
-    Exposes the :class:`~repro.traffic.terminal.Terminal` API the MAC layer
-    and the engine consume, backed by the population arrays.  State advance
-    must go through the population's vectorised kernels (advancing a single
-    view would reorder the shared RNG stream), so :meth:`advance_frame` and
-    :meth:`drop_expired` raise.
-    """
-
-    __slots__ = ("population", "_index", "kind", "is_voice", "is_data")
-
-    def __init__(self, population: TerminalPopulation, index: int) -> None:
-        self.population = population
-        self._index = int(index)
-        # The service class is immutable, so it is cached as plain Python
-        # attributes — the MAC layer reads these in per-candidate loops.
-        self.is_voice = bool(population.is_voice[self._index])
-        self.is_data = not self.is_voice
-        self.kind = TrafficKind.VOICE if self.is_voice else TrafficKind.DATA
-
-    # ------------------------------------------------------------------ API
-    @property
-    def terminal_id(self) -> int:
-        """Population index of this device (dense, equals the array row)."""
-        return self._index
-
-    @property
-    def buffer_occupancy(self) -> int:
-        """Number of packets awaiting transmission."""
-        return int(self.population.occupancy[self._index])
-
-    @property
-    def has_pending_packets(self) -> bool:
-        """Whether at least one packet awaits transmission."""
-        return self.population.occupancy[self._index] > 0
-
-    @property
-    def in_talkspurt(self) -> bool:
-        """Whether the device is currently in a talkspurt (False for data)."""
-        return bool(self.population.in_talkspurt[self._index])
-
-    def talkspurt_started(self) -> bool:
-        """Whether a new talkspurt began at the latest frame boundary."""
-        population = self.population
-        return bool(
-            population._talkspurt_started_frame[self._index]
-            == population._current_frame
-        )
-
-    @property
-    def stats(self) -> TerminalStats:
-        """Snapshot of this terminal's counters (materialised on access)."""
-        return self.population.stats_of(self._index)
-
-    def peek_packets(self, n: int) -> List[Packet]:
-        """Materialise (without removing) the first ``n`` buffered packets."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return self.population.packets_of(self._index, n)
-
-    def head_deadline_frames(self, current_frame: int) -> Optional[int]:
-        """Frames to the head-of-line packet's deadline (None if no deadline)."""
-        pop = self.population
-        head = pop.head_created[self._index]
-        if head < 0 or not pop.is_voice[self._index]:
-            return None
-        return max(0, int(head) + pop.params.voice_deadline_frames - current_frame)
-
-    def head_waiting_frames(self, current_frame: int) -> int:
-        """Frames the head-of-line packet has been waiting (0 if empty)."""
-        head = self.population.head_created[self._index]
-        if head < 0:
-            return 0
-        return max(0, current_frame - int(head))
-
-    def transmit(self, max_packets: int, n_delivered: int, current_frame: int) -> int:
-        """Record a transmission outcome (delegates to the population)."""
-        return self.population.transmit(
-            self._index, max_packets, n_delivered, current_frame
-        )
-
-    def begin_measurement(self, frame_index: int) -> None:
-        """Unsupported per view: the window is population-wide."""
-        raise RuntimeError(
-            "begin_measurement is population-wide on the columnar backend; "
-            "call TerminalPopulation.begin_measurement instead"
-        )
-
-    def advance_frame(self, frame_index: int) -> int:
-        """Unsupported per view: advancing one terminal would desynchronise
-        the shared traffic RNG stream — advance the TerminalPopulation."""
-        raise RuntimeError(
-            "advance the TerminalPopulation, not an individual TerminalView"
-        )
-
-    def drop_expired(self, current_frame: int) -> int:
-        """Unsupported per view; use TerminalPopulation.drop_expired."""
-        raise RuntimeError(
-            "drop expired packets through TerminalPopulation.drop_expired"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TerminalView(id={self._index}, kind={self.kind.value}, "
-            f"occupancy={self.buffer_occupancy})"
-        )
-
-
-class TerminalViews(Sequence):
-    """Sequence of :class:`TerminalView` handed to ``protocol.run_frame``.
-
-    Iteration order is ascending terminal id, matching the object backend's
-    population list.  The ``population`` attribute (and ``dense_ids`` flag)
-    let the MAC layer's fast paths swap per-object loops for array kernels.
-    """
-
-    #: Terminal ids are guaranteed dense 0..n-1 (id == sequence index).
-    dense_ids = True
-
-    def __init__(self, population: TerminalPopulation) -> None:
-        self.population = population
-        self._views = [TerminalView(population, i) for i in range(len(population))]
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    def __getitem__(self, index):
-        return self._views[index]
-
-    def __iter__(self) -> Iterator[TerminalView]:
-        return iter(self._views)

@@ -6,26 +6,29 @@ what a digest covers and how to refresh the file after a deliberate change.
 
 import pytest
 
-from tests.golden.record import CASES, KEY_METRICS, load_baselines, run_case, digest, versions
+from tests.golden.record import CASES, KEY_METRICS, digest, load_baselines, run_case, versions
 
 BASELINES = load_baselines()
 
 
 def _mismatch_report(record, metrics) -> str:
+    """Each key metric's recorded and actual value, plus both version pairs."""
     lines = [f"{record['key']}: digest {record['digest'][:16]}... no longer matches"]
     for name in KEY_METRICS:
         recorded = record["metrics"][name]
         actual = metrics[name]
-        delta = (actual - recorded) / abs(recorded) if recorded else actual - recorded
+        if recorded:
+            delta = f"rel. delta {(actual - recorded) / abs(recorded):+.3e}"
+        else:
+            delta = f"abs. delta {actual - recorded:+.3e}"
         lines.append(
-            f"  {name:<26} recorded {recorded!r:<24} actual {actual!r:<24} "
-            f"rel. delta {delta:+.3e}"
+            f"  {name:<26} recorded {recorded!r:<24} actual {actual!r:<24} {delta}"
         )
-    recorded_versions = record["versions"]
+    recorded_versions, running = record["versions"], versions()
     lines.append(
         f"  recorded with numpy {recorded_versions['numpy']}, scipy "
-        f"{recorded_versions['scipy']}; running numpy {versions()['numpy']}, "
-        f"scipy {versions()['scipy']}"
+        f"{recorded_versions['scipy']}; running numpy {running['numpy']}, "
+        f"scipy {running['scipy']}"
     )
     return "\n".join(lines)
 

@@ -1,66 +1,57 @@
-"""Tests for slotted request contention."""
+"""Tests for slotted request contention and permission gating."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mac.contention import ContentionResult, run_contention
+from repro.mac.contention import IndexContentionResult, run_contention_ids
+from repro.traffic.packets import TrafficKind
 from repro.traffic.permission import PermissionPolicy
-from tests.utils import data_terminal_with_packets, voice_terminal_with_packet
 
 
-def policy(pv=1.0, pd=1.0, seed=0):
-    return PermissionPolicy(pv, pd, np.random.default_rng(seed))
+def contend(n_candidates, n_minislots, p=1.0, seed=0):
+    return run_contention_ids(
+        list(range(n_candidates)), [p] * n_candidates, n_minislots,
+        np.random.default_rng(seed),
+    )
 
 
 class TestRunContention:
     def test_single_candidate_always_wins_with_unity_permission(self):
-        terminal = voice_terminal_with_packet(0)
-        result = run_contention([terminal], 4, policy(), np.random.default_rng(0))
-        assert result.n_winners == 1
-        assert result.winners[0] is terminal
+        result = contend(1, 4)
+        assert result.winner_ids == [0]
         assert result.collisions == 0
 
     def test_two_candidates_with_unity_permission_always_collide(self):
-        terminals = [voice_terminal_with_packet(i) for i in range(2)]
-        result = run_contention(terminals, 5, policy(), np.random.default_rng(0))
-        assert result.n_winners == 0
+        result = contend(2, 5)
+        assert result.winner_ids == []
         assert result.collisions == 5
 
     def test_no_candidates_all_idle(self):
-        result = run_contention([], 6, policy(), np.random.default_rng(0))
-        assert result.n_winners == 0
+        result = contend(0, 6)
+        assert result.winner_ids == []
         assert result.idle_slots == 6
         assert result.attempts == 0
 
     def test_winner_stops_contending(self):
         """A successful terminal must not win a second minislot in the frame."""
-        terminal = voice_terminal_with_packet(0)
-        result = run_contention([terminal], 8, policy(), np.random.default_rng(0))
-        assert result.n_winners == 1
+        assert len(contend(1, 8).winner_ids) == 1
 
     def test_moderate_permission_resolves_two_contenders(self):
-        terminals = [data_terminal_with_packets(i, 5) for i in range(2)]
-        result = run_contention(
-            terminals, 20, policy(pd=0.3, seed=1), np.random.default_rng(1)
-        )
-        assert result.n_winners >= 1
+        assert len(contend(2, 20, p=0.3, seed=1).winner_ids) >= 1
 
     def test_attempts_counted(self):
-        terminals = [data_terminal_with_packets(i, 5) for i in range(3)]
-        result = run_contention(terminals, 5, policy(), np.random.default_rng(2))
+        result = contend(3, 5, seed=2)
         # with p=1 every remaining candidate transmits in every slot
         assert result.attempts == 15
         assert result.collisions == 5
 
     def test_negative_minislots_rejected(self):
         with pytest.raises(ValueError):
-            run_contention([], -1, policy(), np.random.default_rng(0))
+            contend(0, -1)
 
     def test_zero_minislots(self):
-        result = run_contention([voice_terminal_with_packet(0)], 0, policy(),
-                                np.random.default_rng(0))
-        assert result.n_winners == 0
+        assert contend(1, 0).winner_ids == []
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -71,17 +62,39 @@ class TestRunContention:
     def test_conservation_property(self, n_candidates, n_slots, p):
         """Winners + collisions + idle slots account for every minislot, and a
         terminal can win at most once."""
-        terminals = [data_terminal_with_packets(i, 3, seed=i) for i in range(n_candidates)]
-        result = run_contention(
-            terminals, n_slots, policy(pd=p, pv=p, seed=3), np.random.default_rng(3)
-        )
-        assert result.n_winners + result.collisions + result.idle_slots == n_slots
-        assert result.n_winners <= min(n_candidates, n_slots)
-        assert len({t.terminal_id for t in result.winners}) == result.n_winners
+        result = contend(n_candidates, n_slots, p=p, seed=3)
+        n_winners = len(result.winner_ids)
+        assert n_winners + result.collisions + result.idle_slots == n_slots
+        assert n_winners <= min(n_candidates, n_slots)
+        assert len(set(result.winner_ids)) == n_winners
 
 
 class TestContentionResult:
     def test_default_empty(self):
-        result = ContentionResult()
-        assert result.n_winners == 0
+        result = IndexContentionResult()
+        assert result.winner_ids == []
         assert result.attempts == 0
+
+
+class TestPermissionPolicy:
+    def test_probability_lookup(self):
+        policy = PermissionPolicy(0.5, 0.25, np.random.default_rng(0))
+        assert policy.probability_for(TrafficKind.VOICE) == 0.5
+        assert policy.probability_for(TrafficKind.DATA) == 0.25
+
+    def test_empirical_rates(self):
+        policy = PermissionPolicy(0.5, 0.25, np.random.default_rng(1))
+        voice_rate = np.mean([policy.permits(TrafficKind.VOICE) for _ in range(4000)])
+        data_rate = np.mean([policy.permits(TrafficKind.DATA) for _ in range(4000)])
+        assert voice_rate == pytest.approx(0.5, abs=0.05)
+        assert data_rate == pytest.approx(0.25, abs=0.05)
+
+    def test_unity_probability_always_permits(self):
+        policy = PermissionPolicy(1.0, 1.0, np.random.default_rng(2))
+        assert all(policy.permits(TrafficKind.VOICE) for _ in range(100))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            PermissionPolicy(0.0, 0.5, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            PermissionPolicy(0.5, 1.5, np.random.default_rng(0))

@@ -1,14 +1,15 @@
 """DRMA service-scan regression: deep data backlogs stay cheap and correct.
 
-The object path's per-frame service scan popped a deque of ``Request``
-objects through ``_next_serviceable``; the array-native kernel replaces it
-with an index-array cursor over parallel id columns.  The guarantee worth a
-regression test: with *hundreds* of backlogged data packets (every terminal
-mid-burst, queue full), the cursor path
+DRMA's kernel walks its pending pool with an index cursor over parallel id
+columns.  The guarantee worth a regression test: with *hundreds* of
+backlogged data packets (every terminal mid-burst, queue full), the cursor
 
-* stays decision-for-decision identical to the view path, and
 * touches each pending entry at most once per frame (O(pending), not
-  O(pending²) rescans).
+  O(pending²) rescans), and
+* re-queues the leftovers with their original arrival frames.
+
+The same deep-backlog cell is pinned exactly by the golden baselines
+(``tests/golden``, case ``drma_backlog``).
 """
 
 import numpy as np
@@ -31,26 +32,21 @@ def _deep_backlog_scenario(seed=13):
 
 
 class TestDeepDataBacklog:
-    def test_batch_kernel_identical_under_deep_backlog(self):
-        scenario = _deep_backlog_scenario()
-        batch = UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=True)
-        view = UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=False)
+    def test_scenario_builds_deep_backlogs(self):
+        engine = UplinkSimulationEngine(_deep_backlog_scenario(), PARAMS)
         deepest = 0
         for _ in range(280):
-            a = batch.step()
-            b = view.step()
-            assert a == b, a.frame_index
-            deepest = max(deepest, int(batch.population.occupancy.max()))
+            engine.step()
+            deepest = max(deepest, int(engine.population.occupancy.max()))
         # The regression scenario must actually exercise depth: at least one
         # buffer held a whole burst's worth of packets.
         assert deepest > 50, deepest
-        assert batch.collect_results().summary() == view.collect_results().summary()
 
     def test_cursor_visits_each_pending_entry_at_most_once(self, monkeypatch):
         """O(pending) scan: the per-frame serviceability checks are bounded
         by (entries ever pending) — no per-slot rescan of the whole pool."""
         scenario = _deep_backlog_scenario(seed=5)
-        engine = UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=True)
+        engine = UplinkSimulationEngine(scenario, PARAMS)
         protocol = engine.protocol
         assert isinstance(protocol, DRMAProtocol)
 
@@ -83,7 +79,7 @@ class TestDeepDataBacklog:
         """Leftovers the frame never reached re-enter the queue with their
         original arrival frames (backlog rows keep their Request object)."""
         scenario = _deep_backlog_scenario(seed=2)
-        engine = UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=True)
+        engine = UplinkSimulationEngine(scenario, PARAMS)
         saw_queued = False
         for _ in range(240):
             outcome = engine.step()

@@ -7,7 +7,7 @@ from repro.mac.request_queue import RequestQueue
 from repro.mac.requests import Allocation, FrameOutcome, Request
 from repro.mac.reservation import ReservationTable
 from repro.traffic.packets import TrafficKind
-from tests.utils import data_terminal_with_packets, voice_terminal_with_packet
+from tests.utils import make_population
 
 
 class TestReservationTable:
@@ -34,22 +34,21 @@ class TestReservationTable:
 
     def test_release_ended_talkspurts(self):
         table = ReservationTable()
-        active = voice_terminal_with_packet(0, in_talkspurt=True)
-        silent = voice_terminal_with_packet(1, in_talkspurt=False)
-        silent._buffer.clear()
+        # talker 0 keeps its reservation; 1 left its talkspurt with an empty buffer
+        population = make_population(voice=[1, 0], talking=[True, False])
         table.grant(0, 0)
         table.grant(1, 0)
-        released = table.release_ended_talkspurts([active, silent])
+        released = table.release_ended_population(population)
         assert released == 1
         assert table.has(0) and not table.has(1)
 
-    def test_reserved_terminals_requires_pending_packets(self):
+    def test_reserved_ids_require_pending_packets(self):
         table = ReservationTable()
-        terminal = voice_terminal_with_packet(0)
+        population = make_population(voice=[1])
         table.grant(0, 0)
-        assert table.reserved_terminals([terminal]) == [terminal]
-        terminal._buffer.clear()
-        assert table.reserved_terminals([terminal]) == []
+        assert table.reserved_ids(population).tolist() == [0]
+        population.transmit(0, max_packets=1, n_delivered=1, current_frame=0)
+        assert table.reserved_ids(population).tolist() == []
 
     def test_validation_and_clear(self):
         table = ReservationTable()

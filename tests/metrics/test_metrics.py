@@ -10,7 +10,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.data import DataMetrics
 from repro.metrics.stats import RunningStatistics, batch_means_confidence_interval
 from repro.metrics.voice import VoiceMetrics
-from tests.utils import data_terminal_with_packets, voice_terminal_with_packet
+from tests.utils import make_population
 
 PARAMS = SimulationParameters()
 
@@ -35,14 +35,13 @@ class TestVoiceMetrics:
         with pytest.raises(ValueError):
             VoiceMetrics(-1, 0, 0, 0)
 
-    def test_from_terminals(self):
-        voice = voice_terminal_with_packet(0)
-        voice.stats.voice_generated = 10
-        voice.stats.voice_delivered = 8
-        voice.stats.voice_errored = 1
-        voice.stats.voice_dropped = 1
-        data = data_terminal_with_packets(1, 3)
-        metrics = VoiceMetrics.from_terminals([voice, data])
+    def test_from_population(self):
+        population = make_population(voice=[1], data=[3])
+        population.voice_generated[0] = 10
+        population.voice_delivered[0] = 8
+        population.voice_errored[0] = 1
+        population.voice_dropped[0] = 1
+        metrics = VoiceMetrics.from_population(population)
         assert metrics.generated == 10 and metrics.lost == 2
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
@@ -171,10 +170,9 @@ class TestMetricsCollector:
         with pytest.raises(ValueError):
             collector.record_frame(self._outcome(), data_delivered=-1, voice_losses=0)
 
-    def test_terminal_aggregation(self):
+    def test_population_aggregation(self):
         collector = MetricsCollector(PARAMS, info_slots_per_frame=8)
         collector.record_frame(self._outcome(), 0, 0)
-        voice = voice_terminal_with_packet(0)
-        data = data_terminal_with_packets(1, 2)
-        assert collector.voice_metrics([voice, data]).generated == 1
-        assert collector.data_metrics([voice, data]).generated == 2
+        population = make_population(voice=[1], data=[2])
+        assert collector.voice_metrics(population).generated == 1
+        assert collector.data_metrics(population).generated == 2

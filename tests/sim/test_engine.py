@@ -53,6 +53,47 @@ class TestEngineBasics:
         assert default.doppler.speed_kmh == PARAMS.mobile_speed_kmh
 
 
+class TestStepPaths:
+    def test_frames_emit_grant_columns(self):
+        """The engine's frames carry grant columns, not allocation objects."""
+        engine = UplinkSimulationEngine(
+            scenario(protocol="dtdma_vr", n_voice=12, n_data=4,
+                     duration_s=0.5, warmup_s=0.1, seed=2),
+            PARAMS,
+        )
+        saw_grants = False
+        for _ in range(120):
+            outcome = engine.step()
+            if outcome.grants is not None and len(outcome.grants):
+                saw_grants = True
+                # Materialisation is consistent with the columns.
+                allocations = outcome.allocations
+                assert [a.terminal_id for a in allocations] == list(
+                    outcome.grants.terminal_ids
+                )
+                assert sum(a.n_slots for a in allocations) == (
+                    outcome.grants.total_slots
+                )
+        assert saw_grants
+
+    def test_timed_step_mirrors_untimed_step(self):
+        """The instrumented ``_step_timed`` body must stay in sync with the
+        plain step: identical per-frame outcomes and final results, with
+        every phase accumulating time."""
+        charisma = scenario(n_voice=8, n_data=3, queue=True, duration_s=0.4,
+                            warmup_s=0.1, seed=6)
+        timed = UplinkSimulationEngine(charisma, PARAMS)
+        plain = UplinkSimulationEngine(charisma, PARAMS)
+        phases = timed.enable_phase_timing()
+        for _ in range(150):
+            assert timed.step() == plain.step()
+        assert (
+            timed.collect_results().summary() == plain.collect_results().summary()
+        )
+        assert set(phases) == {"traffic", "channel", "mac", "phy", "metrics"}
+        assert all(seconds > 0.0 for seconds in phases.values())
+
+
 class TestEngineInvariants:
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_every_protocol_runs_and_accounts_packets(self, protocol):

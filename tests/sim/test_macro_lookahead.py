@@ -1,6 +1,6 @@
 """Macro-stepping correctness: lookahead truncation edges and machinery.
 
-The parity suite (``test_backend_parity.py``) asserts whole-run
+The parity suite (``test_macro_parity.py``) asserts whole-run
 bit-identity across block sizes; this module pins the specific events that
 truncate or re-align a lookahead block — a contention success mid-block, a
 reservation expiring at a block boundary, CHARISMA's per-frame CSI draws —

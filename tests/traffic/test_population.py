@@ -1,76 +1,23 @@
-"""Unit tests of the struct-of-arrays terminal population.
-
-The population's kernels must mirror the per-object ``Terminal`` semantics
-*and* its RNG consumption exactly — the backend parity suite checks the end
-result, these tests check the state machine step by step against a twin
-object population driven from an identically seeded generator.
-"""
+"""Unit tests of the struct-of-arrays terminal population."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulationParameters
-from repro.traffic.generator import build_population
 from repro.traffic.population import TerminalPopulation
-from repro.traffic.terminal import Terminal
+from tests.utils import make_population
 
 PARAMS = SimulationParameters()
 
 
-def make_pair(n_voice=6, n_data=3, seed=42):
-    objects = build_population(PARAMS, n_voice, n_data, np.random.default_rng(seed))
-    population = TerminalPopulation(
-        PARAMS, n_voice, n_data, np.random.default_rng(seed)
-    )
-    return objects, population
-
-
-def advance_both(objects, population, frame):
-    for terminal in objects:
-        terminal.advance_frame(frame)
-        terminal.drop_expired(frame)
-    population.advance_frame(frame)
-    population.drop_expired(frame)
-
-
-class TestStateMirrorsObjects:
-    def test_generation_and_drops_match_object_terminals(self):
-        objects, population = make_pair()
-        for frame in range(3000):
-            advance_both(objects, population, frame)
-        for index, terminal in enumerate(objects):
-            view = population.views[index]
-            assert view.buffer_occupancy == terminal.buffer_occupancy
-            stats, ostats = view.stats, terminal.stats
-            assert stats.voice_generated == ostats.voice_generated
-            assert stats.voice_dropped == ostats.voice_dropped
-            assert stats.data_generated == ostats.data_generated
-            if terminal.is_voice:
-                assert view.in_talkspurt == terminal.in_talkspurt
-
-    def test_talkspurt_started_matches(self):
-        objects, population = make_pair(n_voice=5, n_data=0, seed=3)
-        for frame in range(2000):
-            advance_both(objects, population, frame)
-            for index, terminal in enumerate(objects):
-                assert (
-                    population.views[index].talkspurt_started()
-                    == terminal.talkspurt_started()
-                )
-
-    def test_head_deadlines_match(self):
-        objects, population = make_pair(seed=11)
-        for frame in range(500):
-            advance_both(objects, population, frame)
-            for index, terminal in enumerate(objects):
-                view = population.views[index]
-                assert view.head_deadline_frames(frame) == terminal.head_deadline_frames(frame)
-                assert view.head_waiting_frames(frame) == terminal.head_waiting_frames(frame)
+def fresh(n_voice=6, n_data=3, seed=42):
+    return TerminalPopulation(PARAMS, n_voice, n_data, np.random.default_rng(seed))
 
 
 class TestTransmit:
     def test_voice_transmit_outcomes(self):
-        _, population = make_pair(n_voice=1, n_data=0, seed=1)
+        population = fresh(n_voice=1, n_data=0, seed=1)
         frame = 0
         while population.occupancy[0] == 0:
             population.advance_frame(frame)
@@ -83,7 +30,7 @@ class TestTransmit:
         assert population.head_created[0] == -1
 
     def test_data_transmit_records_delays_and_retransmissions(self):
-        _, population = make_pair(n_voice=0, n_data=1, seed=5)
+        population = fresh(n_voice=0, n_data=1, seed=5)
         frame = 0
         while population.occupancy[0] == 0:
             population.advance_frame(frame)
@@ -103,7 +50,7 @@ class TestTransmit:
         assert population.occupancy[0] == occupancy - 2
 
     def test_transmit_validates_arguments(self):
-        _, population = make_pair(n_voice=1, n_data=0)
+        population = fresh(n_voice=1, n_data=0)
         with pytest.raises(ValueError):
             population.transmit(0, max_packets=-1, n_delivered=0, current_frame=0)
         with pytest.raises(ValueError):
@@ -112,7 +59,7 @@ class TestTransmit:
 
 class TestMeasurementWindow:
     def test_pre_window_packets_excluded_from_outcomes(self):
-        _, population = make_pair(n_voice=0, n_data=1, seed=5)
+        population = fresh(n_voice=0, n_data=1, seed=5)
         frame = 0
         while population.occupancy[0] == 0:
             population.advance_frame(frame)
@@ -131,7 +78,7 @@ class TestMeasurementWindow:
         assert population.occupancy[0] == backlog - delivered
 
     def test_pre_window_voice_drops_not_counted(self):
-        _, population = make_pair(n_voice=1, n_data=0, seed=1)
+        population = fresh(n_voice=1, n_data=0, seed=1)
         frame = 0
         while population.occupancy[0] == 0:
             population.advance_frame(frame)
@@ -143,59 +90,36 @@ class TestMeasurementWindow:
         assert population.voice_loss_total == 0
 
 
-class TestViews:
-    def test_views_expose_terminal_api(self):
-        _, population = make_pair()
-        views = population.views
-        assert views.dense_ids
-        assert views.population is population
-        assert len(views) == len(population)
-        voice = views[0]
-        data = views[population.n_voice]
-        assert voice.is_voice and not voice.is_data
-        assert data.is_data and not data.is_voice
-        assert voice.kind.is_voice and data.kind.is_data
-        assert [v.terminal_id for v in views] == list(range(len(population)))
-        assert isinstance(voice, type(views[0]))
-
-    def test_views_refuse_per_index_advance(self):
-        _, population = make_pair()
-        view = population.views[0]
-        with pytest.raises(RuntimeError):
-            view.advance_frame(0)
-        with pytest.raises(RuntimeError):
-            view.drop_expired(0)
-        with pytest.raises(RuntimeError):
-            view.begin_measurement(0)
-
-    def test_peek_packets_materialises_buffer(self):
-        _, population = make_pair(n_voice=0, n_data=1, seed=5)
-        frame = 0
-        while population.occupancy[0] == 0:
-            population.advance_frame(frame)
-            frame += 1
-        view = population.views[0]
-        packets = view.peek_packets(2)
-        assert len(packets) == min(2, view.buffer_occupancy)
-        assert all(p.kind.is_data for p in packets)
-        assert all(p.terminal_id == 0 for p in packets)
-
-    def test_view_stats_are_terminal_stats(self):
-        from repro.traffic.terminal import TerminalStats
-
-        _, population = make_pair()
-        assert isinstance(population.views[0].stats, TerminalStats)
-
-
 class TestConstruction:
-    def test_rng_consumption_matches_build_population(self):
-        """Construction draws leave the generator in the object layout's state."""
-        rng_a = np.random.default_rng(77)
-        rng_b = np.random.default_rng(77)
-        build_population(PARAMS, 4, 3, rng_a)
-        TerminalPopulation(PARAMS, 4, 3, rng_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    def test_counts_and_ordering(self):
+        population = fresh(n_voice=3, n_data=2, seed=0)
+        assert len(population) == population.n_terminals == 5
+        assert population.is_voice.tolist() == [True, True, True, False, False]
+        assert population.is_data_mask.tolist() == [False, False, False, True, True]
+
+    def test_empty_population(self):
+        population = fresh(n_voice=0, n_data=0, seed=0)
+        assert len(population) == 0
+        population.advance_frame(0)
+        assert population.drop_expired(0) == 0
 
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             TerminalPopulation(PARAMS, -1, 0, np.random.default_rng(0))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
+    def test_population_size_property(self, nv, nd):
+        population = fresh(n_voice=nv, n_data=nd, seed=2)
+        assert len(population) == nv + nd
+        assert int(population.is_voice.sum()) == nv
+
+
+class TestForcedState:
+    def test_imported_state_is_what_the_mac_reads(self):
+        population = make_population(voice=[1, 0], data=[7], talking=[True, False])
+        assert population.occupancy.tolist() == [1, 0, 7]
+        assert population.in_talkspurt.tolist() == [True, False, False]
+        assert population.head_created.tolist() == [0, -1, 0]
+        assert population.voice_generated.sum() == 1
+        assert population.data_generated.sum() == 7

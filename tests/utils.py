@@ -1,18 +1,20 @@
-"""Shared helpers for the test-suite: synthetic terminals, snapshots, protocols."""
+"""Shared helpers for the test-suite: forced-state populations, snapshots, protocols."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.channel.manager import ChannelSnapshot
 from repro.config import SimulationParameters
 from repro.mac.registry import create_protocol
-from repro.traffic.packets import Packet, TrafficKind
-from repro.traffic.terminal import DataTerminal, Terminal, VoiceTerminal
+from repro.traffic.population import TerminalMigrationState, TerminalPopulation
 
 PARAMS = SimulationParameters()
+
+#: Countdown of a forced terminal's next source event: beyond any test.
+_NO_EVENT = 1 << 30
 
 
 def make_snapshot(amplitudes: Sequence[float], frame_index: int = 0,
@@ -24,46 +26,50 @@ def make_snapshot(amplitudes: Sequence[float], frame_index: int = 0,
     return ChannelSnapshot(amplitude=amplitude, snr_db=snr_db, frame_index=frame_index)
 
 
-def voice_terminal_with_packet(
-    terminal_id: int,
+def make_population(
+    voice: Sequence[int] = (),
+    data: Sequence[int] = (),
+    talking: Optional[Sequence[bool]] = None,
     frame: int = 0,
     params: SimulationParameters = PARAMS,
     seed: int = 0,
-    in_talkspurt: bool = True,
-) -> VoiceTerminal:
-    """A voice terminal holding exactly one fresh packet (forced state)."""
-    terminal = VoiceTerminal(terminal_id, params, np.random.default_rng(seed),
-                             start_silent=not in_talkspurt)
-    terminal._buffer.append(
-        Packet(
-            kind=TrafficKind.VOICE,
-            terminal_id=terminal_id,
-            created_frame=frame,
-            deadline_frame=frame + params.voice_deadline_frames,
-        )
+) -> TerminalPopulation:
+    """A population in a forced state: voice terminals first, then data.
+
+    ``voice`` and ``data`` give each terminal's buffered packets, all created
+    at ``frame`` and counted as generated.  ``talking`` says which voice
+    terminals are in a talkspurt (all of them by default).  No source event
+    fires for a very long time, so advancing the population adds nothing
+    but the talkers' periodic voice packets.
+    """
+    voice, data = list(voice), list(data)
+    talking = [True] * len(voice) if talking is None else list(talking)
+    population = TerminalPopulation(
+        params, len(voice), len(data), np.random.default_rng(seed)
     )
-    terminal.stats.voice_generated += 1
-    if in_talkspurt:
-        # Force the source into a talkspurt so contention eligibility holds.
-        terminal._source._state = terminal._source._state.__class__.TALKSPURT
-    return terminal
-
-
-def data_terminal_with_packets(
-    terminal_id: int,
-    n_packets: int,
-    frame: int = 0,
-    params: SimulationParameters = PARAMS,
-    seed: int = 0,
-) -> DataTerminal:
-    """A data terminal holding ``n_packets`` buffered packets (forced state)."""
-    terminal = DataTerminal(terminal_id, params, np.random.default_rng(seed))
-    for _ in range(n_packets):
-        terminal._buffer.append(
-            Packet(kind=TrafficKind.DATA, terminal_id=terminal_id, created_frame=frame)
-        )
-    terminal.stats.data_generated += n_packets
-    return terminal
+    for index, (n_packets, in_talkspurt) in enumerate(zip(voice, talking)):
+        population.import_terminal_state(index, TerminalMigrationState(
+            is_voice=True,
+            in_talkspurt=in_talkspurt,
+            countdown=_NO_EVENT,
+            frames_since_packet=1,
+            occupancy=n_packets,
+            head_created=frame if n_packets else -1,
+            segments=[[frame, 1] for _ in range(n_packets)],
+            voice_generated=n_packets,
+        ))
+    for index, n_packets in enumerate(data, start=len(voice)):
+        population.import_terminal_state(index, TerminalMigrationState(
+            is_voice=False,
+            in_talkspurt=False,
+            countdown=_NO_EVENT,
+            frames_since_packet=0,
+            occupancy=n_packets,
+            head_created=frame if n_packets else -1,
+            segments=[[frame, n_packets]] if n_packets else [],
+            data_generated=n_packets,
+        ))
+    return population
 
 
 def build_protocol(name: str, use_request_queue: bool = False,
@@ -73,8 +79,14 @@ def build_protocol(name: str, use_request_queue: bool = False,
                            use_request_queue=use_request_queue)
 
 
-def population_snapshot(terminals: List[Terminal], amplitude: float = 1.0,
+def population_snapshot(population: TerminalPopulation, amplitude: float = 1.0,
                         frame_index: int = 0) -> ChannelSnapshot:
     """A snapshot giving every terminal the same channel amplitude."""
-    n = max((t.terminal_id for t in terminals), default=-1) + 1
-    return make_snapshot([amplitude] * n, frame_index=frame_index)
+    return make_snapshot([amplitude] * len(population), frame_index=frame_index)
+
+
+def run_single_frame(protocol, population: TerminalPopulation,
+                     amplitude: float = 1.0, frame: int = 0):
+    """One MAC frame over a uniform channel."""
+    snapshot = population_snapshot(population, amplitude, frame_index=frame)
+    return protocol.run_frame_batch(frame, population, snapshot)
