@@ -23,8 +23,10 @@ Public classes
 :class:`~repro.channel.composite.CompositeChannel`
     Product channel ``c(t) = c_l(t) * c_s(t)`` for a single user.
 :class:`~repro.channel.manager.ChannelManager`
-    Vectorised collection of independent per-user composite channels, the
-    object the simulation engine advances once per TDMA frame.
+    Collection of independent per-user composite channels, the object the
+    simulation engine advances once per TDMA frame; its per-frame
+    :class:`~repro.channel.manager.ChannelSnapshot` handles are evaluated
+    eagerly for the whole population or lazily per read user.
 """
 
 from repro.channel.composite import CompositeChannel

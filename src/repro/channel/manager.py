@@ -1,13 +1,20 @@
 """Vectorised per-user channel manager.
 
-The simulation engine needs the composite fading amplitude of *every* mobile
-device once per 2.5 ms frame, for populations of up to a couple of hundred
-users and runs of tens of thousands of frames.  Advancing a couple of hundred
-independent :class:`~repro.channel.composite.CompositeChannel` objects in a
-Python loop would dominate the run time, so :class:`ChannelManager` keeps the
-whole population's state in NumPy arrays and advances them with a handful of
-vectorised operations per frame (see the HPC guidance on vectorising inner
-loops).
+The simulation engine needs the composite fading amplitude of the mobile
+devices it schedules once per 2.5 ms frame, for populations of up to ten
+thousand users.  :class:`ChannelManager` keeps the whole population's state
+and hands out one :class:`ChannelSnapshot` per frame, a read handle through
+which a consumer reads only the users it grants or polls.  It evaluates the
+channel in one of two ways:
+
+* **eager** (the default, and the engine's ``rng_mode="parity"``) -- every
+  user advances every frame, a block of frames at a time through one batched
+  noise draw plus one linear-filter evaluation per fading process (see the
+  HPC guidance on vectorising inner loops);
+* **lazy** (the engine's ``rng_mode="fast"``) -- a user advances only when a
+  consumer reads it, jumping all the frames since its previous read in one
+  step through the exact ``k``-step AR(1) marginal.  A frame nobody reads
+  costs nothing, and the results are equal in law to the eager path.
 
 The per-user statistics are identical to the scalar classes: complex AR(1)
 fast fading with Clarke correlation and dB-domain Gauss--Markov shadowing.
@@ -18,7 +25,6 @@ devices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -27,38 +33,53 @@ from scipy.signal import lfilter
 from repro.channel.doppler import DopplerModel
 from repro.channel.fading import clarke_correlation
 
-__all__ = ["ChannelManager", "ChannelSnapshot"]
+__all__ = ["ChannelManager", "ChannelSnapshot", "EagerSnapshot", "LazySnapshot"]
 
 
-@dataclass(frozen=True)
 class ChannelSnapshot:
-    """Immutable view of the whole population's channel at one frame.
+    """The channel of one frame, read per user.
+
+    Consumers read the users they schedule with :meth:`read` (one user) or
+    :meth:`gather` (many, in the given order) and never touch the rest of
+    the population.  Ids are dense population indices (the engine validates
+    ``terminal_id == index``); within a constellation shard they are
+    beam-local and id errors carry ``(beam, local_id)``.
 
     Attributes
     ----------
-    amplitude:
-        Composite fading amplitude ``c_i`` per user (shape ``(n_users,)``).
-    snr_db:
-        Instantaneous received SNR in dB per user.
     frame_index:
-        Frame counter at which the snapshot was taken.
+        Frame counter of the snapshot (the number of frames the channel had
+        advanced to produce it).
+    beam:
+        Beam index when the snapshot belongs to one shard of a multi-beam
+        constellation (``None`` for plain single-cell runs).
+    n_users:
+        Number of users covered by the snapshot.
     """
 
-    amplitude: np.ndarray
-    snr_db: np.ndarray
-    frame_index: int
-    #: Beam index when the snapshot belongs to one shard of a multi-beam
-    #: constellation (``None`` for plain single-cell runs).  Ids passed to
-    #: the accessors are then *beam-local*; the error messages say so.
-    beam: Optional[int] = None
+    __slots__ = ("frame_index", "beam", "n_users")
 
-    @property
-    def n_users(self) -> int:
-        """Number of users covered by the snapshot."""
-        return int(self.amplitude.shape[0])
+    frame_index: int
+    beam: Optional[int]
+    n_users: int
+
+    def read(self, user_id: int, snr_db: bool = False) -> float:
+        """One user's composite amplitude, or its SNR in dB with ``snr_db``.
+
+        Out-of-range ids raise :class:`IndexError` instead of silently
+        wrapping around like raw negative NumPy indexing would.
+        """
+        raise NotImplementedError
+
+    def gather(self, user_ids, snr_db: bool = False) -> np.ndarray:
+        """:meth:`read` over many users, as an array aligned with ``user_ids``.
+
+        A user listed more than once reads the same value every time.
+        """
+        raise NotImplementedError
 
     def _id_error(self, user_id: int) -> IndexError:
-        n = self.amplitude.shape[0]
+        n = self.n_users
         if self.beam is None:
             return IndexError(
                 f"user_id {user_id} outside the snapshot's dense 0.."
@@ -71,29 +92,87 @@ class ChannelSnapshot:
             f"double as channel rows within each beam)"
         )
 
-    def amplitude_of(self, user_id: int) -> float:
-        """Composite amplitude of a single user.
 
-        ``user_id`` must be the user's dense population index (the engine
-        validates ``terminal_id == index`` at construction); out-of-range
-        ids raise instead of silently wrapping around like raw negative
-        NumPy indexing would.  Within a constellation shard the id is
-        beam-local and the error carries ``(beam, local_id)``.
-        """
-        if not 0 <= user_id < self.amplitude.shape[0]:
-            raise self._id_error(user_id)
-        return float(self.amplitude[user_id])
+class EagerSnapshot(ChannelSnapshot):
+    """A snapshot holding the whole population's evaluated channel.
 
-    def snr_db_of(self, user_id: int) -> float:
-        """Instantaneous SNR (dB) of a single user (dense id, like
-        :meth:`amplitude_of`)."""
-        if not 0 <= user_id < self.snr_db.shape[0]:
+    Attributes
+    ----------
+    amplitude:
+        Composite fading amplitude ``c_i`` per user (shape ``(n_users,)``).
+    snr_db:
+        Instantaneous received SNR in dB per user.
+    """
+
+    __slots__ = ("amplitude", "snr_db")
+
+    def __init__(
+        self,
+        amplitude: np.ndarray,
+        snr_db: np.ndarray,
+        frame_index: int,
+        beam: Optional[int] = None,
+    ) -> None:
+        self.amplitude = amplitude
+        self.snr_db = snr_db
+        self.frame_index = frame_index
+        self.beam = beam
+        self.n_users = int(amplitude.shape[0])
+
+    def read(self, user_id: int, snr_db: bool = False) -> float:
+        if not 0 <= user_id < self.n_users:
             raise self._id_error(user_id)
-        return float(self.snr_db[user_id])
+        return float((self.snr_db if snr_db else self.amplitude)[user_id])
+
+    def gather(self, user_ids, snr_db: bool = False) -> np.ndarray:
+        # Plain NumPy indexing: ids past the population raise IndexError.
+        return (self.snr_db if snr_db else self.amplitude)[user_ids]
+
+
+class LazySnapshot(ChannelSnapshot):
+    """A read handle on a lazily evaluated channel at one frame.
+
+    Reading a user advances it to this frame (see
+    :meth:`ChannelManager._amplitude_at`), so the handles of one channel
+    must be read in non-decreasing frame order per user.  The interference
+    penalty in force at read time applies.
+    """
+
+    __slots__ = ("_channel",)
+
+    def __init__(self, channel: "ChannelManager", frame_index: int) -> None:
+        self._channel = channel
+        self.frame_index = frame_index
+        self.beam = channel.beam
+        self.n_users = channel.n_users
+
+    def read(self, user_id: int, snr_db: bool = False) -> float:
+        if not 0 <= user_id < self.n_users:
+            raise self._id_error(user_id)
+        channel = self._channel
+        amplitude = channel._amplitude_at(user_id, self.frame_index)
+        return channel._amplitude_db(amplitude) if snr_db else amplitude
+
+    def gather(self, user_ids, snr_db: bool = False) -> np.ndarray:
+        if isinstance(user_ids, np.ndarray):
+            user_ids = user_ids.tolist()
+        n = self.n_users
+        frame = self.frame_index
+        channel = self._channel
+        amplitude_at = channel._amplitude_at
+        values = []
+        for user_id in user_ids:
+            if not 0 <= user_id < n:
+                raise self._id_error(user_id)
+            values.append(amplitude_at(user_id, frame))
+        if snr_db:
+            to_db = channel._amplitude_db
+            values = [to_db(amplitude) for amplitude in values]
+        return np.array(values, dtype=float)
 
 
 class ChannelManager:
-    """Vectorised collection of independent per-user composite channels.
+    """Collection of independent per-user composite channels.
 
     Parameters
     ----------
@@ -114,7 +193,17 @@ class ChannelManager:
         Optional beam index when this manager serves one shard of a
         multi-beam constellation; carried into every snapshot so id errors
         report ``(beam, local_id)``.
+    lazy:
+        Evaluate a user's channel only when a snapshot read asks for it
+        (see the module docstring).  Snapshots are then
+        :class:`LazySnapshot` handles instead of :class:`EagerSnapshot`
+        arrays.  Construction draws the same stationary initial states
+        either way.
     """
+
+    #: Rows of (real, imaginary[, shadow]) standard normals a lazy manager
+    #: draws from ``rng`` at a time; its reads consume them in read order.
+    NORMAL_POOL_ROWS = 256
 
     def __init__(
         self,
@@ -127,6 +216,7 @@ class ChannelManager:
         shadow_decorrelation_s: float = 1.0,
         mean_snr_db: float = 20.0,
         beam: Optional[int] = None,
+        lazy: bool = False,
     ) -> None:
         if n_users < 0:
             raise ValueError("n_users must be non-negative")
@@ -144,6 +234,7 @@ class ChannelManager:
         self._rng = rng if rng is not None else np.random.default_rng()  # lint: allow[RNG001]
         self._mean_snr_db = float(mean_snr_db)
         self._beam = None if beam is None else int(beam)
+        self._lazy = bool(lazy)
         # Co-channel interference folded in by a constellation's coupling
         # layer between macro blocks: an SINR penalty in dB, applied as a
         # linear gain on the composite amplitude so every consumer (PHY
@@ -186,13 +277,14 @@ class ChannelManager:
             self._n == 0 or np.all(self._rho_fast == self._rho_fast[0])
         )
 
-        # Stationary initial states.  The shadowing state is stored as the
-        # dB *deviation* from the mean, so the per-frame update is the pure
-        # AR(1) recursion ``dev' = a * dev + shock`` — the same float
-        # expression a linear-filter block evaluation produces, which keeps
-        # frame-by-frame and block advancing bit-identical.
-        self._gain = self._draw_stationary_fast()
-        self._shadow_dev = self._draw_stationary_shadow_dev()
+        if self._lazy:
+            # Plain Python floats: a lazy read touches one user, where list
+            # indexing and ``math`` beat NumPy scalar arithmetic severalfold.
+            self._rho_list: List[float] = self._rho_fast.tolist()
+            self._lanes = 3 if self._shadow_std_db > 0.0 else 2
+            self._normals: List[float] = []
+            self._normal_position = 0
+        self._set_stationary_state()
 
     # ------------------------------------------------------------------ API
     @property
@@ -221,6 +313,11 @@ class ChannelManager:
         return self._beam
 
     @property
+    def lazy(self) -> bool:
+        """Whether users advance only when a snapshot read asks for them."""
+        return self._lazy
+
+    @property
     def interference_db(self) -> float:
         """Current co-channel interference penalty in dB (0 = none)."""
         return self._interference_db
@@ -233,35 +330,26 @@ class ChannelManager:
         ``snr_db`` drops by exactly ``penalty_db`` and every amplitude
         consumer (PHY error model, CSI estimation, adaptive mode selection)
         sees the same degraded channel.  A constellation's coupling layer
-        calls this between macro blocks; snapshots produced afterwards carry
-        the new penalty.  Zero restores the exact uncoupled amplitudes.
+        calls this between macro blocks; eager snapshots produced afterwards
+        carry the new penalty, and lazy reads made afterwards apply it.
+        Zero restores the exact uncoupled amplitudes.
         """
         if not math.isfinite(penalty_db) or penalty_db < 0.0:
             raise ValueError("interference penalty must be finite and >= 0 dB")
         self._interference_db = float(penalty_db)
         self._interference_gain = 10.0 ** (-float(penalty_db) / 20.0)
 
-    def amplitudes(self) -> np.ndarray:
-        """Current composite amplitude per user."""
+    def snapshot(self) -> ChannelSnapshot:
+        """Snapshot of the channel at the current frame."""
+        if self._lazy:
+            return LazySnapshot(self, self._frame_index)
         shadow_gain = 10.0 ** ((self._shadow_mean_db + self._shadow_dev) / 20.0)
         amplitude = np.abs(self._gain) * shadow_gain
         if self._interference_db != 0.0:
             amplitude = amplitude * self._interference_gain
-        return amplitude
-
-    def snr_db(self) -> np.ndarray:
-        """Current instantaneous SNR (dB) per user."""
-        amp = self.amplitudes()
-        with np.errstate(divide="ignore"):
-            amp_db = 20.0 * np.log10(amp)
-        return self._mean_snr_db + amp_db
-
-    def snapshot(self) -> ChannelSnapshot:
-        """Immutable snapshot of the current channel state."""
-        amplitude = self.amplitudes()
         with np.errstate(divide="ignore"):
             amp_db = 20.0 * np.log10(amplitude)
-        return ChannelSnapshot(
+        return EagerSnapshot(
             amplitude=amplitude,
             snr_db=self._mean_snr_db + amp_db,
             frame_index=self._frame_index,
@@ -270,7 +358,7 @@ class ChannelManager:
 
     def advance_frame(self) -> ChannelSnapshot:
         """Advance every user's channel by one frame and return a snapshot."""
-        if self._n > 0:
+        if self._n > 0 and not self._lazy:
             noise = self._rng.normal(size=self._n) + 1j * self._rng.normal(size=self._n)
             self._gain = self._rho_fast * self._gain + self._innovation_scale * noise
 
@@ -283,10 +371,12 @@ class ChannelManager:
     def advance_block(self, n_frames: int) -> List[ChannelSnapshot]:
         """Advance ``n_frames`` frames at once and return their snapshots.
 
-        One batched noise draw plus one linear-filter evaluation per fading
-        process replaces ``n_frames`` per-frame updates.  The returned
-        snapshots — and the generator state left behind — are **bit
-        identical** to calling :meth:`advance_frame` ``n_frames`` times:
+        A lazy manager only hands out the frames' read handles.  An eager
+        one makes one batched noise draw plus one linear-filter evaluation
+        per fading process instead of ``n_frames`` per-frame updates.  The
+        returned snapshots — and the generator state left behind — are
+        **bit identical** to calling :meth:`advance_frame` ``n_frames``
+        times:
 
         * the noise block consumes the ``channel`` stream in exactly the
           per-frame order (real, imaginary, shadow slices per frame);
@@ -294,17 +384,15 @@ class ChannelManager:
           whose update ``y[k] = x[k] + rho * y[k-1]`` is the same float
           expression as the per-frame code (addition commutes exactly).
 
-        Requires a population-wide uniform Doppler (the standard engine
-        configuration); mixed-speed populations fall back to per-frame
-        stepping automatically.
+        Eager block evaluation requires a population-wide uniform Doppler
+        (the standard engine configuration); mixed-speed populations fall
+        back to per-frame stepping automatically.
         """
         if n_frames < 0:
             raise ValueError("n_frames must be non-negative")
         if n_frames == 0:
             return []
-        if self._n == 0:
-            return [self.advance_frame() for _ in range(n_frames)]
-        if not self._uniform_rho:
+        if self._lazy or self._n == 0 or not self._uniform_rho:
             return [self.advance_frame() for _ in range(n_frames)]
 
         n = self._n
@@ -340,11 +428,11 @@ class ChannelManager:
             amplitude = amplitude * self._interference_gain
         with np.errstate(divide="ignore"):
             snr_db = self._mean_snr_db + 20.0 * np.log10(amplitude)
-        snapshots = []
+        snapshots: List[ChannelSnapshot] = []
         for offset in range(n_frames):
             self._frame_index += 1
             snapshots.append(
-                ChannelSnapshot(
+                EagerSnapshot(
                     amplitude=amplitude[offset],
                     snr_db=snr_db[offset],
                     frame_index=self._frame_index,
@@ -355,11 +443,88 @@ class ChannelManager:
 
     def reset(self) -> None:
         """Redraw all per-user states from their stationary distributions."""
-        self._gain = self._draw_stationary_fast()
-        self._shadow_dev = self._draw_stationary_shadow_dev()
+        self._set_stationary_state()
         self._frame_index = 0
 
+    # ------------------------------------------------------------ lazy reads
+    def _amplitude_at(self, user_id: int, frame: int) -> float:
+        """Composite amplitude of one user at ``frame``, advancing it there.
+
+        A user last advanced to frame ``s`` jumps ``k = frame - s`` frames
+        in one step through the exact ``k``-step marginals of its AR(1)
+        processes::
+
+            g <- rho^k g + sqrt((1 - rho^2k) / 2) (z1 + i z2)
+            d <- a^k d + sigma_s sqrt(1 - a^2k) z3
+
+        so the value is equal in law to ``k`` single-frame updates.  The
+        normals come from a pool refilled from the ``channel`` stream, so
+        draws are consumed in read order.  Reading the same user again at
+        the same frame draws nothing and returns the same value under the
+        same interference penalty.
+        """
+        stamps = self._stamp
+        k = frame - stamps[user_id]
+        re = self._re[user_id]
+        im = self._im[user_id]
+        dev = self._dev[user_id]
+        if k:
+            if k < 0:
+                raise ValueError(
+                    f"user {user_id} was last read at frame {stamps[user_id]}; "
+                    f"a lazy channel cannot be read back at frame {frame}"
+                )
+            lanes = self._lanes
+            normals = self._normals
+            position = self._normal_position
+            if position + lanes > len(normals):
+                normals = self._normals = self._rng.standard_normal(
+                    lanes * self.NORMAL_POOL_ROWS
+                ).tolist()
+                position = 0
+            self._normal_position = position + lanes
+            rho_k = self._rho_list[user_id] ** k
+            scale = math.sqrt(0.5 * (1.0 - rho_k * rho_k))
+            re = self._re[user_id] = rho_k * re + scale * normals[position]
+            im = self._im[user_id] = rho_k * im + scale * normals[position + 1]
+            if lanes == 3:
+                a_k = self._a_shadow ** k
+                dev = self._dev[user_id] = a_k * dev + (
+                    self._shadow_std_db
+                    * math.sqrt(1.0 - a_k * a_k)
+                    * normals[position + 2]
+                )
+            stamps[user_id] = frame
+        return (
+            math.hypot(re, im)
+            * 10.0 ** ((self._shadow_mean_db + dev) / 20.0)
+            * self._interference_gain
+        )
+
+    def _amplitude_db(self, amplitude: float) -> float:
+        """``mean_snr_db + 20 log10(amplitude)``; ``-inf`` at zero amplitude."""
+        if amplitude > 0.0:
+            return self._mean_snr_db + 20.0 * math.log10(amplitude)
+        return -math.inf
+
     # ------------------------------------------------------------ internals
+    def _set_stationary_state(self) -> None:
+        gain = self._draw_stationary_fast()
+        shadow_dev = self._draw_stationary_shadow_dev()
+        if self._lazy:
+            self._re: List[float] = gain.real.tolist()
+            self._im: List[float] = gain.imag.tolist()
+            self._dev: List[float] = shadow_dev.tolist()
+            self._stamp: List[int] = [0] * self._n
+        else:
+            # The shadowing state is stored as the dB *deviation* from the
+            # mean, so the per-frame update is the pure AR(1) recursion
+            # ``dev' = a * dev + shock`` — the same float expression a
+            # linear-filter block evaluation produces, which keeps
+            # frame-by-frame and block advancing bit-identical.
+            self._gain = gain
+            self._shadow_dev = shadow_dev
+
     def _draw_stationary_fast(self) -> np.ndarray:
         sigma = math.sqrt(0.5)
         return self._rng.normal(scale=sigma, size=self._n) + 1j * self._rng.normal(

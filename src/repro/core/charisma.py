@@ -162,17 +162,17 @@ class CharismaProtocol(MACProtocol):
         # as pilots).  Parity mode draws for the winners, then for the
         # holders; fast mode folds both groups into one batched draw.
         reserved = self.reservations.reserved_ids(population)
-        amplitude = snapshot.amplitude
         if self.rng_fast:
             estimates = self.csi_estimator.estimate_amplitudes(
-                amplitude[np.concatenate([reserved, winner_ids])], frame_index
+                snapshot.gather(np.concatenate([reserved, winner_ids])),
+                frame_index,
             )
         else:
             winner_estimates = self.csi_estimator.estimate_amplitudes(
-                amplitude[winner_ids], frame_index
+                snapshot.gather(winner_ids), frame_index
             )
             reserved_estimates = self.csi_estimator.estimate_amplitudes(
-                amplitude[reserved], frame_index
+                snapshot.gather(reserved), frame_index
             )
             estimates = np.concatenate([reserved_estimates, winner_estimates])
         base_columns = self._pending_columns(

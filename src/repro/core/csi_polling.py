@@ -88,7 +88,7 @@ class CSIPoller:
         if not polled.shape[0]:
             return 0
         estimates = self._estimator.estimate_amplitudes(
-            snapshot.amplitude[columns.terminal_ids[polled]], frame_index
+            snapshot.gather(columns.terminal_ids[polled]), frame_index
         )
         columns.csi_amplitudes[polled] = estimates
         columns.csi_frames[polled] = frame_index

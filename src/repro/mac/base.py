@@ -8,7 +8,9 @@ Every protocol in the study — the five baselines and CHARISMA — is a
 
 where ``population`` is the cell's
 :class:`~repro.traffic.population.TerminalPopulation`.  The protocol reads
-the population arrays and emits the frame's grants as
+the population arrays, reads the channel of only the terminals it serves
+through the snapshot's ``read``/``gather`` methods, and emits the frame's
+grants as
 :class:`~repro.mac.requests.GrantColumns` on the returned
 :class:`~repro.mac.requests.FrameOutcome`; the engine then transmits them
 through the PHY error model.  The base class provides the machinery all
@@ -76,11 +78,11 @@ def traced_batch(run_frame_batch):
 
 
 def snapshot_snr_compatible(modem, params: SimulationParameters) -> bool:
-    """Whether a snapshot's ``snr_db`` can replace the modem's conversion.
+    """Whether a snapshot's SNR reads can replace the modem's conversion.
 
     :class:`~repro.channel.manager.ChannelSnapshot` and the modems apply the
-    same ``mean_snr_db + 20 log10(amplitude)`` convention, so precomputed
-    snapshot SNRs are interchangeable with per-grant conversion exactly when
+    same ``mean_snr_db + 20 log10(amplitude)`` convention, so snapshot SNR
+    reads are interchangeable with per-grant conversion exactly when
     the mean-SNR operating points agree (always true for registry-built
     protocols; custom test modems may differ).  Single source of truth for
     the engine's and the MAC substrate's reuse decisions.
@@ -348,9 +350,9 @@ class MACProtocol(abc.ABC):
 
     @kernel
     def grant_capacity_columns(
-        self, ids: np.ndarray, snapshot: ChannelSnapshot
+        self, ids: Union[np.ndarray, Sequence[int]], snapshot: ChannelSnapshot
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Per-terminal slot capacities straight from the channel snapshot.
+        """Per-terminal slot capacities from one channel snapshot gather.
 
         Returns ``(packets_per_slot, throughputs)`` aligned with ``ids``;
         ``throughputs`` is ``None`` on the fixed-rate PHY (every grant
@@ -361,9 +363,9 @@ class MACProtocol(abc.ABC):
         if not self.modem.is_adaptive:
             return np.ones(len(ids), dtype=np.int64), None
         if self._snapshot_snr_usable:
-            snr_db = snapshot.snr_db[ids]
+            snr_db = snapshot.gather(ids, snr_db=True)
         else:
-            snr_db = self.modem.snr_db_from_amplitude(snapshot.amplitude[ids])
+            snr_db = self.modem.snr_db_from_amplitude(snapshot.gather(ids))
         indices = self.modem.mode_table.mode_index_for_snr(snr_db) + 1
         packs, thrs = self._capacity_tables()
         return packs[indices], thrs[indices]

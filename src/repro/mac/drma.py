@@ -129,7 +129,6 @@ class DRMAProtocol(MACProtocol):
         voice_list = population.is_voice.tolist()
         n = len(population)
         adaptive = self.modem.is_adaptive
-        amplitude = snapshot.amplitude if adaptive else None
         minislots = self.params.drma_minislots_per_info_slot
         acknowledgements = outcome.acknowledgements
         append_grant = grants.append
@@ -151,7 +150,7 @@ class DRMAProtocol(MACProtocol):
             if served_id >= 0:
                 if adaptive:
                     per_slot, throughput = self.slot_capacity(
-                        float(amplitude[served_id])
+                        snapshot.read(served_id)
                     )
                 else:
                     per_slot, throughput = 1, None

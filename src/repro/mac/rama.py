@@ -188,7 +188,6 @@ class RAMAProtocol(MACProtocol):
         """
         occupancy = population.occupancy
         is_voice = population.is_voice
-        amplitude = snapshot.amplitude
         unserved: List[int] = []
         append = grants.append
         for want_voice in (True, False):
@@ -201,7 +200,7 @@ class RAMAProtocol(MACProtocol):
                 if slots_left < 1:
                     unserved.append(tid)
                     continue
-                per_slot, throughput = self.slot_capacity(float(amplitude[tid]))
+                per_slot, throughput = self.slot_capacity(snapshot.read(tid))
                 if want_voice:
                     append(tid, 1, per_slot, throughput)
                     slots_left -= 1

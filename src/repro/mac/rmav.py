@@ -110,9 +110,7 @@ class RMAVProtocol(MACProtocol):
             )
             occupancy = int(population.occupancy[winner])
             if slots_left >= 1 and occupancy > 0:
-                per_slot, throughput = self.slot_capacity(
-                    float(snapshot.amplitude[winner])
-                )
+                per_slot, throughput = self.slot_capacity(snapshot.read(winner))
                 if population.is_voice[winner]:
                     grants.append(winner, 1, per_slot, throughput)
                     slots_left -= 1

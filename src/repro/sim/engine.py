@@ -32,9 +32,11 @@ draws from per-subsystem child streams instead — statistically equivalent,
 not bit-identical (see :class:`~repro.sim.scenario.Scenario`).  The golden
 baselines in ``tests/golden`` pin the exact results of both modes.
 
-Terminal ids are dense (``terminal_id == population index``): the
-:class:`~repro.channel.manager.ChannelSnapshot` rows and the population
-arrays are both indexed by id.
+Terminal ids are dense (``terminal_id == population index``): channel
+snapshot reads and the population arrays are both indexed by id.  In
+``rng_mode="parity"`` the channel advances every terminal in blocks of
+frames; in ``rng_mode="fast"`` it advances a terminal only when a grant or
+a CSI poll reads it (see :class:`~repro.channel.manager.ChannelManager`).
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ class UplinkSimulationEngine:
             shadow_decorrelation_s=self.params.shadow_decorrelation_s,
             mean_snr_db=self.params.mean_snr_db,
             beam=self.beam,
+            lazy=rng_fast,
         )
 
         self.population = TerminalPopulation(
@@ -168,10 +171,11 @@ class UplinkSimulationEngine:
         self._clock: Optional[PhaseRecorder] = None
         self._dispatch_counter = None
         self._macro = None
-        # Channel snapshots are produced in blocks (one batched draw + one
-        # linear-filter evaluation per block, bit identical to per-frame
-        # advancing); the buffer holds the frames the channel has produced
-        # ahead of the simulation.
+        # Channel snapshots are produced in blocks (in parity mode one
+        # batched draw + one linear-filter evaluation per block, bit
+        # identical to per-frame advancing; in fast mode just the frames'
+        # lazy read handles); the buffer holds the frames the channel has
+        # produced ahead of the simulation.
         self._snapshot_buffer: List[ChannelSnapshot] = []
         self._snapshot_cursor = 0
 
@@ -428,8 +432,8 @@ class UplinkSimulationEngine:
         """Transmit a frame's grant columns; return delivered data packets.
 
         The common case — every granted terminal distinct, as emitted by all
-        protocols except DRMA's multi-win frames — is one fancy-indexed
-        channel gather, one :meth:`transmit_batch` call and one
+        protocols except DRMA's multi-win frames — is one snapshot gather
+        over the live grants, one :meth:`transmit_batch` call and one
         :meth:`apply_grants` pass.  Duplicate-terminal frames flush the
         batch before each repeat instead (see
         :meth:`_execute_grant_columns_segmented`).  An outcome without grant
@@ -458,7 +462,7 @@ class UplinkSimulationEngine:
             throughputs = grants.throughputs
         counts = np.minimum(caps, occupancy)
         reuse_snr = self._reuse_snapshot_snr
-        channel = (snapshot.snr_db if reuse_snr else snapshot.amplitude)[ids_arr]
+        channel = snapshot.gather(ids_arr, snr_db=reuse_snr)
         if any(t is not None for t in throughputs):
             throughput_arr = np.asarray(
                 [np.nan if t is None else t for t in throughputs], dtype=float
@@ -487,8 +491,7 @@ class UplinkSimulationEngine:
         """
         population = self.population
         occupancy = population.occupancy
-        amplitude = snapshot.amplitude
-        snr_db = snapshot.snr_db
+        read = snapshot.read
         reuse_snr = self._reuse_snapshot_snr
         n = len(population)
 
@@ -534,7 +537,7 @@ class UplinkSimulationEngine:
             batch_ids.append(tid)
             batch_caps.append(capacity)
             batch_n.append(min(capacity, int(occupancy[tid])))
-            batch_chan.append(snr_db[tid] if reuse_snr else amplitude[tid])
+            batch_chan.append(read(tid, reuse_snr))
             if throughput is None:
                 batch_thr.append(np.nan)
             else:

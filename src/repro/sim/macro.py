@@ -375,7 +375,7 @@ class MacroRunner:
         grant_order = served + voice_winners + data_winners
         if self._adaptive and grant_order:
             per_slot_arr, thr_arr = protocol.grant_capacity_columns(
-                np.asarray(grant_order, dtype=np.int64), snapshot
+                grant_order, snapshot
             )
             per_slot_list = per_slot_arr.tolist()
             thr_list = thr_arr.tolist()
@@ -457,7 +457,8 @@ class MacroRunner:
         self._records.append(record)
 
         if voice_rows or data_rows:
-            chan_src = snapshot.snr_db if self._reuse_snr else snapshot.amplitude
+            read = snapshot.read
+            reuse_snr = self._reuse_snr
             phy_rec = self._phy_rec
             phy_tids = self._phy_tids
             phy_counts = self._phy_counts
@@ -475,7 +476,7 @@ class MacroRunner:
                 phy_aux.append(pre_window)
                 phy_voice.append(True)
                 phy_frames.append(frame)
-                phy_chans.append(float(chan_src[tid]))
+                phy_chans.append(read(tid, reuse_snr))
                 phy_thrs.append(np.nan if throughput is None else throughput)
             for tid, capacity, throughput in data_rows:
                 occupancy = int(occ_list[tid])
@@ -487,7 +488,7 @@ class MacroRunner:
                 phy_aux.append(capacity)
                 phy_voice.append(False)
                 phy_frames.append(frame)
-                phy_chans.append(float(chan_src[tid]))
+                phy_chans.append(read(tid, reuse_snr))
                 phy_thrs.append(np.nan if throughput is None else throughput)
         if clock:
             clock.stop()
@@ -656,7 +657,8 @@ class MacroRunner:
         pool_take = self._pool.take
 
         minislots = self._convert_minislots
-        chan_src = snapshot.snr_db if self._reuse_snr else snapshot.amplitude
+        read = snapshot.read
+        reuse_snr = self._reuse_snr
         phy_rec = self._phy_rec
         phy_tids = self._phy_tids
         phy_counts = self._phy_counts
@@ -711,7 +713,7 @@ class MacroRunner:
                     phy_aux.append(pre_window)
                     phy_voice.append(True)
                     phy_frames.append(frame)
-                    phy_chans.append(float(chan_src[served_id]))
+                    phy_chans.append(read(served_id, reuse_snr))
                     phy_thrs.append(np.nan)
                 else:
                     if frame_data_tids is not None and served_id in frame_data_tids:
@@ -737,7 +739,7 @@ class MacroRunner:
                     phy_aux.append(1)
                     phy_voice.append(False)
                     phy_frames.append(frame)
-                    phy_chans.append(float(chan_src[served_id]))
+                    phy_chans.append(read(served_id, reuse_snr))
                     phy_thrs.append(np.nan)
                 continue
 
@@ -922,7 +924,7 @@ class MacroRunner:
 
         # CSI estimation: one pooled noise draw for holders + winners.
         tid_arr = np.asarray(all_ids, dtype=np.int64)
-        amplitudes = snapshot.amplitude[tid_arr]
+        amplitudes = snapshot.gather(all_ids)
         std = self._csi_std
         if std == 0.0:
             estimates = amplitudes
@@ -1042,7 +1044,8 @@ class MacroRunner:
         any_data = False
         if g_tids:
             record[3] = sum(g_nslots)
-            chan_src = snapshot.snr_db if self._reuse_snr else snapshot.amplitude
+            read = snapshot.read
+            reuse_snr = self._reuse_snr
             phy_rec = self._phy_rec
             phy_tids = self._phy_tids
             phy_counts = self._phy_counts
@@ -1070,7 +1073,7 @@ class MacroRunner:
                     phy_aux.append(capacity)
                     phy_voice.append(False)
                 phy_frames.append(frame)
-                phy_chans.append(float(chan_src[tid]))
+                phy_chans.append(read(tid, reuse_snr))
                 phy_thrs.append(g_thrs[position])
         if clock:
             clock.stop()

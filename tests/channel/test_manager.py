@@ -92,8 +92,12 @@ class TestChannelManager:
     def test_snapshot_accessors(self):
         mgr = make(n_users=4, seed=7)
         snap = mgr.advance_frame()
-        assert snap.amplitude_of(2) == pytest.approx(snap.amplitude[2])
-        assert snap.snr_db_of(2) == pytest.approx(snap.snr_db[2])
+        assert snap.read(2) == snap.amplitude[2]
+        assert snap.read(2, snr_db=True) == snap.snr_db[2]
+        np.testing.assert_array_equal(snap.gather([3, 0, 3]), snap.amplitude[[3, 0, 3]])
+        np.testing.assert_array_equal(
+            snap.gather(np.array([1, 2]), snr_db=True), snap.snr_db[[1, 2]]
+        )
 
     def test_higher_speed_decorrelates_faster(self):
         slow = ChannelManager(1, DopplerModel(speed_kmh=5.0),

@@ -63,9 +63,11 @@ class TestChannelInjection:
         snap_clean = clean.snapshot()
         snap_noisy = noisy.snapshot()
         for user in range(4):
-            delta = snap_clean.snr_db_of(user) - snap_noisy.snr_db_of(user)
+            delta = snap_clean.read(user, snr_db=True) - snap_noisy.read(
+                user, snr_db=True
+            )
             assert delta == pytest.approx(6.0)
-            ratio = snap_noisy.amplitude_of(user) / snap_clean.amplitude_of(user)
+            ratio = snap_noisy.read(user) / snap_clean.read(user)
             assert ratio == pytest.approx(10.0 ** (-6.0 / 20.0))
 
     def test_zero_penalty_is_bit_exact(self):
@@ -73,7 +75,7 @@ class TestChannelInjection:
         gated = make_manager()
         gated.set_interference_db(0.0)
         for user in range(4):
-            assert gated.snapshot().amplitude_of(user) == reference.snapshot().amplitude_of(user)
+            assert gated.snapshot().read(user) == reference.snapshot().read(user)
 
     def test_penalty_must_be_finite_non_negative(self):
         manager = make_manager()
@@ -85,10 +87,10 @@ class TestChannelInjection:
     def test_snapshot_errors_carry_beam_and_local_id(self):
         sharded = make_manager(beam=7)
         with pytest.raises(IndexError, match=r"beam 7, local_id 99"):
-            sharded.snapshot().amplitude_of(99)
+            sharded.snapshot().read(99)
         plain = make_manager()
         with pytest.raises(IndexError, match=r"user_id 99"):
-            plain.snapshot().snr_db_of(99)
+            plain.snapshot().read(99, snr_db=True)
 
     def test_population_errors_carry_beam_and_local_id(self):
         from repro.traffic.population import TerminalPopulation

@@ -31,12 +31,10 @@ pre-obs tree (no call sites at all) and this tree were timed interleaved
 across 12 process pairs; the obs tree's mean fps was *higher* (within
 noise), i.e. the disabled overhead is below measurement resolution.
 
-The absolute test mirrors ``benchmarks/test_bench_guard.py``: a 25 %
-drift margin against the committed record, the tripwire for gross
-regressions that survive machine drift.
+The absolute test allows a 25 % drift margin against the committed
+record, the tripwire for gross regressions that survive machine drift.
 
-Opt-in like the other bench guards (wall-clock assertions are machine
-dependent):
+Opt-in (wall-clock assertions are machine dependent):
 
     REPRO_BENCH_GUARD=1 python -m pytest tests/obs/test_obs_overhead.py -m bench
 """
@@ -64,10 +62,9 @@ RECORD_PATH = REPO_ROOT / "BENCH_engine.json"
 
 #: The ISSUE budget: disabled observability may cost at most 2 % fps.
 ALLOWED_DROP = 0.02
-#: Drift margin for the absolute comparison against the committed record —
-#: matches benchmarks/test_bench_guard.py (absolute fps moves by tens of
-#: percent between sessions on this machine; 2 % is only resolvable
-#: in-session, see module docstring).
+#: Drift margin for the absolute comparison against the committed record
+#: (absolute fps moves by tens of percent between sessions on this
+#: machine; 2 % is only resolvable in-session, see module docstring).
 DRIFT_ALLOWED_DROP = 0.25
 REPETITIONS = 4
 

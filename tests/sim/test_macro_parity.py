@@ -109,13 +109,13 @@ class TestDenseIds:
         from tests.utils import make_snapshot
 
         snapshot = make_snapshot([1.0, 2.0, 0.5])
-        assert snapshot.amplitude_of(2) == 0.5
+        assert snapshot.read(2) == 0.5
         with pytest.raises(IndexError, match="dense"):
-            snapshot.amplitude_of(3)
+            snapshot.read(3)
         with pytest.raises(IndexError, match="dense"):
-            snapshot.amplitude_of(-1)
+            snapshot.read(-1)
         with pytest.raises(IndexError, match="dense"):
-            snapshot.snr_db_of(17)
+            snapshot.read(17, snr_db=True)
 
     @pytest.mark.parametrize("backend", ["object", "gpu"])
     def test_scenario_rejects_other_backends(self, backend):

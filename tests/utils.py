@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.channel.manager import ChannelSnapshot
+from repro.channel.manager import EagerSnapshot
 from repro.config import SimulationParameters
 from repro.mac.registry import create_protocol
 from repro.traffic.population import TerminalMigrationState, TerminalPopulation
@@ -18,12 +18,12 @@ _NO_EVENT = 1 << 30
 
 
 def make_snapshot(amplitudes: Sequence[float], frame_index: int = 0,
-                  mean_snr_db: float = PARAMS.mean_snr_db) -> ChannelSnapshot:
+                  mean_snr_db: float = PARAMS.mean_snr_db) -> EagerSnapshot:
     """Build a channel snapshot with explicitly chosen per-user amplitudes."""
     amplitude = np.asarray(list(amplitudes), dtype=float)
     with np.errstate(divide="ignore"):
         snr_db = mean_snr_db + 20.0 * np.log10(amplitude)
-    return ChannelSnapshot(amplitude=amplitude, snr_db=snr_db, frame_index=frame_index)
+    return EagerSnapshot(amplitude=amplitude, snr_db=snr_db, frame_index=frame_index)
 
 
 def make_population(
@@ -80,7 +80,7 @@ def build_protocol(name: str, use_request_queue: bool = False,
 
 
 def population_snapshot(population: TerminalPopulation, amplitude: float = 1.0,
-                        frame_index: int = 0) -> ChannelSnapshot:
+                        frame_index: int = 0) -> EagerSnapshot:
     """A snapshot giving every terminal the same channel amplitude."""
     return make_snapshot([amplitude] * len(population), frame_index=frame_index)
 
