@@ -313,11 +313,6 @@ class ChannelManager:
         return self._beam
 
     @property
-    def lazy(self) -> bool:
-        """Whether users advance only when a snapshot read asks for them."""
-        return self._lazy
-
-    @property
     def interference_db(self) -> float:
         """Current co-channel interference penalty in dB (0 = none)."""
         return self._interference_db

@@ -23,10 +23,11 @@ from repro.sim.scenario import Scenario
 
 PARAMS = SimulationParameters()
 DT = PARAMS.frame_duration_s
+#: Pedestrian speed: rho is close to 1, so k-step correlations stay large.
+SLOW = DopplerModel(speed_kmh=5.0)
 
 
-def make(n_users, seed=0, speed_kmh=5.0, **kw):
-    doppler = kw.pop("doppler", DopplerModel(speed_kmh=speed_kmh))
+def make(n_users, seed=0, doppler=SLOW, **kw):
     return ChannelManager(
         n_users, doppler, frame_duration_s=DT,
         rng=np.random.default_rng(seed), lazy=True, **kw,
@@ -65,7 +66,7 @@ class TestEqualInLaw:
         before = gains(manager)
         snapshots[9 + k].gather(everyone)
         after = gains(manager)
-        rho = clarke_correlation(DopplerModel(speed_kmh=5.0).doppler_hz, DT)
+        rho = clarke_correlation(SLOW.doppler_hz, DT)
         assert gain_correlation(before, after) == pytest.approx(rho**k, abs=0.04)
         # The jump keeps the stationary power.
         assert np.mean(np.abs(after) ** 2) == pytest.approx(1.0, abs=0.06)
@@ -81,7 +82,7 @@ class TestEqualInLaw:
         assert np.mean(deviation) == pytest.approx(0.0, abs=0.3)
 
     def test_per_user_doppler_list(self):
-        slow, fast = DopplerModel(speed_kmh=5.0), DopplerModel(speed_kmh=50.0)
+        slow, fast = SLOW, DopplerModel(speed_kmh=50.0)
         n = 8000
         manager = make(n, seed=5, shadow_std_db=0.0, doppler=[slow, fast] * (n // 2))
         k = 3
@@ -102,7 +103,7 @@ class TestEqualInLaw:
     def test_construction_matches_the_eager_manager(self):
         lazy = make(50, seed=6)
         eager = ChannelManager(
-            50, DopplerModel(speed_kmh=5.0), frame_duration_s=DT,
+            50, SLOW, frame_duration_s=DT,
             rng=np.random.default_rng(6),
         )
         assert lazy._rng.bit_generator.state == eager._rng.bit_generator.state
@@ -182,7 +183,7 @@ class TestEngine:
             ),
             params,
         )
-        assert engine.channels.lazy
+        assert isinstance(engine.channels.snapshot(), LazySnapshot)
         channel_rng = engine.channels._rng
         constructed = channel_rng.bit_generator.state
         result = engine.run()
@@ -196,5 +197,4 @@ class TestEngine:
                      warmup_s=0.0),
             PARAMS,
         )
-        assert not engine.channels.lazy
         assert isinstance(engine._next_snapshot(), EagerSnapshot)

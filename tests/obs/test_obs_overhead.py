@@ -63,8 +63,8 @@ RECORD_PATH = REPO_ROOT / "BENCH_engine.json"
 #: The ISSUE budget: disabled observability may cost at most 2 % fps.
 ALLOWED_DROP = 0.02
 #: Drift margin for the absolute comparison against the committed record
-#: (absolute fps moves by tens of percent between sessions on this
-#: machine; 2 % is only resolvable in-session, see module docstring).
+#: (absolute fps drifts by tens of percent between process invocations on
+#: one machine; 2 % is only resolvable side by side, see module docstring).
 DRIFT_ALLOWED_DROP = 0.25
 REPETITIONS = 4
 
