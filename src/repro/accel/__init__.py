@@ -1,10 +1,10 @@
 """Optional compiled-kernel seam (feature-detected numba, numpy fallback).
 
 The macro-stepped frame loop reduces the engine to a handful of large array
-kernels per block plus a few irreducible scalar recursions — per-minislot
-contention resolution is the archetype: each minislot's outcome depends on
-the previous winners, so it cannot be expressed as one array expression.
-``repro.accel`` is the seam those recursions compile through:
+kernels per block plus a few scalar loops — voice-generation schedules over
+a quiet gap, the deadline scans of the expiry sweep, the per-terminal
+accumulation of a block's voice outcomes.  ``repro.accel`` is the seam
+those loops compile through:
 
 * when :mod:`numba` is importable, hot scalar kernels are JIT-compiled once
   per process (:data:`HAS_NUMBA` is ``True``);
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.accel.kernels import (
     HAS_NUMBA,
-    contention_round_scan,
     deadline_scan,
     kernel_provenance,
     next_expiry_bound,
@@ -32,7 +31,6 @@ from repro.accel.kernels import (
 
 __all__ = [
     "HAS_NUMBA",
-    "contention_round_scan",
     "deadline_scan",
     "kernel_provenance",
     "next_expiry_bound",

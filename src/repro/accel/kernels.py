@@ -17,7 +17,6 @@ from repro.lint.contracts import kernel
 
 __all__ = [
     "HAS_NUMBA",
-    "contention_round_scan",
     "deadline_scan",
     "kernel_provenance",
     "next_expiry_bound",
@@ -37,7 +36,7 @@ except ImportError:  # pragma: no cover - the container default
 def kernel_provenance() -> Dict[str, str]:
     """Which implementation each accel kernel resolved to at import time.
 
-    ``{"contention_round_scan": "numba" | "numpy", ...}`` — the CLI stamps
+    ``{"deadline_scan": "numba" | "numpy", ...}`` — the CLI stamps
     this into trace headers so a trace file records which twin produced
     its timings (the selection happens once, at import).
     """
@@ -45,47 +44,12 @@ def kernel_provenance() -> Dict[str, str]:
     return {
         name: source
         for name in (
-            "contention_round_scan",
             "deadline_scan",
             "next_expiry_bound",
             "voice_flush_resolve",
             "voice_generation_offsets",
         )
     }
-
-
-@kernel
-def contention_round_scan(
-    draws: np.ndarray, probabilities: np.ndarray
-) -> Tuple[np.ndarray, int, int]:
-    """Scan one contention round for the first successful minislot.
-
-    Parameters
-    ----------
-    draws:
-        Uniform draws, shape ``(rows, k)`` — row ``r`` holds minislot ``r``'s
-        per-candidate permission draws.
-    probabilities:
-        Per-candidate permission probabilities, shape ``(k,)``.
-
-    Returns
-    -------
-    (counts, first_single_row, winner_column)
-        ``counts[r]`` is the number of transmitters in minislot ``r``;
-        ``first_single_row`` is the first row with exactly one transmitter
-        (``-1`` if none) and ``winner_column`` that transmitter's column
-        (``-1`` if none).  Rows after ``first_single_row`` use stale
-        candidate pools, so callers must only consume ``counts`` up to and
-        including that row; the compiled kernel stops computing there and
-        leaves later entries at zero.
-    """
-    hits = draws < probabilities
-    counts = hits.sum(axis=1, dtype=np.int64)
-    singles = np.nonzero(counts == 1)[0]
-    if singles.shape[0] == 0:
-        return counts, -1, -1
-    row = int(singles[0])
-    return counts, row, int(np.argmax(hits[row]))
 
 
 @kernel
@@ -188,24 +152,6 @@ def next_expiry_bound(heads: np.ndarray, deadline: int, sentinel: int) -> int:
 if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
 
     @numba.njit(cache=True)
-    def _contention_round_scan_jit(
-        draws: np.ndarray, probabilities: np.ndarray
-    ) -> Tuple[np.ndarray, int, int]:
-        rows, k = draws.shape
-        counts = np.zeros(rows, dtype=np.int64)
-        for r in range(rows):
-            n = 0
-            col = -1
-            for c in range(k):
-                if draws[r, c] < probabilities[c]:
-                    n += 1
-                    col = c
-            counts[r] = n
-            if n == 1:
-                return counts, r, col
-        return counts, -1, -1
-
-    @numba.njit(cache=True)
     def _voice_generation_offsets_jit(
         since: np.ndarray, period: int, gap: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -285,14 +231,6 @@ if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
             if head >= 0 and head + deadline < best:
                 best = head + deadline
         return best
-
-    @kernel
-    def contention_round_scan(  # noqa: F811
-        draws: np.ndarray, probabilities: np.ndarray
-    ) -> Tuple[np.ndarray, int, int]:
-        return _contention_round_scan_jit(
-            np.ascontiguousarray(draws), np.ascontiguousarray(probabilities)
-        )
 
     @kernel
     def voice_generation_offsets(  # noqa: F811

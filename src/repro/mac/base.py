@@ -139,18 +139,17 @@ class MACProtocol(abc.ABC):
     #: CSI stream) override it per instance, which is why it is a plain
     #: ``bool`` rather than a ``ClassVar``.
     supports_macro_lookahead: bool = False
-    #: How the macro runner executes a frame with live contenders when the
-    #: protocol has no fixed request subframe (``macro_minislots() is
-    #: None``): ``"auction"`` resolves RAMA's sequential auction with direct
-    #: scalar draws from ``rng`` (nothing poolable — at most ``N_a`` draw
-    #: pairs per frame, in the per-frame call order), ``"slot_loop"`` runs
-    #: DRMA's interleaved serve/convert slot loop with pool-fed minislot
-    #: draws (winners re-enter the same frame's pending pool), and ``None``
-    #: falls back to the per-frame kernel.  ``"csi_schedule"`` (CHARISMA)
-    #: is dispatched before the generic frame body entirely: every frame —
-    #: contended or quiet — draws CSI noise and ranks its pending pool, so
-    #: the runner executes a dedicated inline frame with pooled estimation
-    #: noise instead of the holder-serve path.
+    #: How the macro runner executes a frame when the protocol has no
+    #: fixed request subframe (``macro_minislots() is None``):
+    #: ``"auction"`` keeps the generic holder-serve frame with RAMA's
+    #: ``run_auction`` as its request phase, ``"slot_loop"`` runs DRMA's
+    #: interleaved serve/convert slot loop with pool-fed minislot draws
+    #: (winners re-enter the same frame's pending pool), and ``None`` falls
+    #: back to the per-frame kernel.  ``"csi_schedule"`` (CHARISMA) has its
+    #: own inline frame: every frame draws CSI noise and ranks its pending
+    #: pool, so the runner runs contention, pooled estimation noise, mode
+    #: lookup, priority ranking and the ranked allocation walk instead of
+    #: the holder-serve path.
     macro_contention_style: ClassVar[Optional[str]] = None
 
     def __init__(
@@ -178,7 +177,6 @@ class MACProtocol(abc.ABC):
         self.permission = PermissionPolicy(
             params.voice_permission_probability,
             params.data_permission_probability,
-            rng,
         )
         self.reservations = ReservationTable()
         self.use_request_queue = bool(use_request_queue) and self.supports_request_queue
@@ -230,6 +228,20 @@ class MACProtocol(abc.ABC):
             lowest = self.modem.mode_table[0]
             return 1, lowest.throughput
         return mode.packets_per_slot(self.modem.mode_table.reference_throughput), mode.throughput
+
+    def grant_capacity(
+        self, terminal_id: int, snapshot: ChannelSnapshot
+    ) -> Tuple[int, Optional[float]]:
+        """:meth:`slot_capacity` of one terminal's channel in this frame.
+
+        The channel is read only on the adaptive PHY, where the capacity
+        depends on it; a fixed-rate grant is read once, when it transmits.
+        In fast RNG mode a read advances the terminal's lazy channel, so
+        every frame path then reads the channel in grant order.
+        """
+        if not self.modem.is_adaptive:
+            return 1, None
+        return self.slot_capacity(snapshot.read(terminal_id))
 
     def queue_unserved(self, requests: Sequence[Request]) -> int:
         """Store unserved requests in the base-station queue, if enabled."""
@@ -552,23 +564,13 @@ class MACProtocol(abc.ABC):
     def macro_minislots(self) -> Optional[int]:
         """Request minislots the macro engine may resolve inline per frame.
 
-        ``None`` (default) means contended frames cannot be fast-pathed:
-        the macro engine only handles frames with an *empty* contention
-        candidate set inline and falls back to the per-frame kernel
-        otherwise.  The slotted-ALOHA FCFS protocols return their request
-        subframe size — their whole request phase is permission draws the
-        engine can serve from a pre-drawn pool.
+        The slotted-ALOHA FCFS protocols return their request subframe
+        size: the inline frame resolves it with the same
+        :func:`~repro.mac.contention.run_contention_ids` call as their
+        ``run_frame_batch``.  ``None`` (default) leaves the frame to
+        :attr:`macro_contention_style`.
         """
         return None
-
-    def macro_quiet_idle_slots(self, n_served: int) -> int:
-        """Idle request minislots reported by a zero-candidate frame.
-
-        ``n_served`` is the number of reservation grants the frame made
-        (protocols whose contention opportunities depend on frame occupancy
-        — DRMA — override this).
-        """
-        return self.frame_structure.request_minislots
 
     def macro_data_slot_cap(self) -> Optional[int]:
         """Upper bound on one data grant's slots (``None`` = frame-limited)."""

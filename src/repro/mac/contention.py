@@ -34,23 +34,17 @@ class IndexContentionResult:
     counts request transmissions (each costs the sender energy, successful
     or not); ``collisions`` and ``idle_slots`` count the minislots wasted by
     collisions and those in which nobody transmitted.
-    ``remaining_ids`` / ``remaining_probabilities`` are the still
-    unserved contenders (aligned plain lists) for callers that continue a
-    request phase over multiple calls.  (DRMA manages its own candidate
-    lists instead — it must selectively *re-admit* data winners with deep
-    buffers, which a pure remainder cannot express.)
     """
 
     winner_ids: List[int] = field(default_factory=list)
     attempts: int = 0
     collisions: int = 0
     idle_slots: int = 0
-    remaining_ids: List[int] = field(default_factory=list)
-    remaining_probabilities: List[float] = field(default_factory=list)
 
 
-#: Candidate count below which per-minislot resolution runs on plain Python
-#: scalars (the draw itself stays one batched ``rng.random(n)`` either way).
+#: Pool size up to which per-minislot resolution runs on plain Python
+#: scalars; larger pools stay arrays for the whole request phase (the draw
+#: itself is one batched ``rng.random(n)`` per minislot either way).
 _SCALAR_RESOLUTION_LIMIT = 24
 
 
@@ -140,49 +134,51 @@ def run_contention_ids(
                 result.idle_slots += 1
             else:
                 result.collisions += 1
-        if active is None:
-            result.remaining_ids = ids.tolist()
-            result.remaining_probabilities = probabilities.tolist()
-        else:
-            result.remaining_ids = ids[active].tolist()
-            result.remaining_probabilities = probabilities[active].tolist()
         return result
 
-    id_list = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-    prob_list = (
-        probabilities.tolist()
-        if isinstance(probabilities, np.ndarray)
-        else list(probabilities)
-    )
+    # Small pools resolve on Python scalars; large ones stay arrays for the
+    # whole request phase, and their ids are copied only when a winner pops.
     prob_array: Optional[np.ndarray] = None
+    prob_list: List[float] = []
+    id_seq = ids
+    if n > _SCALAR_RESOLUTION_LIMIT:
+        prob_array = np.asarray(probabilities, dtype=float)
+    else:
+        id_seq = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+        prob_list = (
+            probabilities.tolist()
+            if isinstance(probabilities, np.ndarray)
+            else list(probabilities)
+        )
+    k = n
     for _ in range(n_minislots):
-        k = len(id_list)
         if k == 0:
             result.idle_slots += 1
             continue
         draws = rng.random(size=k)
-        if k <= _SCALAR_RESOLUTION_LIMIT:
+        if prob_array is not None:
+            permitted = draws < prob_array
+            n_transmitters = int(np.count_nonzero(permitted))
+            index = int(np.argmax(permitted)) if n_transmitters == 1 else -1
+        else:
             n_transmitters = 0
             index = -1
             for position, draw in enumerate(draws.tolist()):
                 if draw < prob_list[position]:
                     n_transmitters += 1
                     index = position
-        else:
-            if prob_array is None:
-                prob_array = np.asarray(prob_list, dtype=float)
-            permitted = draws < prob_array
-            n_transmitters = int(np.count_nonzero(permitted))
-            index = int(np.argmax(permitted)) if n_transmitters == 1 else -1
         result.attempts += n_transmitters
         if n_transmitters == 1:
-            result.winner_ids.append(id_list.pop(index))
-            prob_list.pop(index)
-            prob_array = None
+            if id_seq is ids:
+                id_seq = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+            result.winner_ids.append(id_seq.pop(index))
+            if prob_array is not None:
+                prob_array = np.delete(prob_array, index)
+            else:
+                prob_list.pop(index)
+            k -= 1
         elif n_transmitters == 0:
             result.idle_slots += 1
         else:
             result.collisions += 1
-    result.remaining_ids = id_list
-    result.remaining_probabilities = prob_list
     return result

@@ -37,22 +37,13 @@ class DRMAProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
-    #: Quiet frames (no contenders, empty queue) reduce to serving the
-    #: reservation holders and idling the converted minislots of every
-    #: unassigned slot — no draws — so the macro engine runs them inline.
-    #: Contended frames run through the runner's inline slot loop: each
-    #: converted slot's minislot draws come from the contention pool
-    #: (bit-identical per-minislot prefixes with exact roll-back), and
-    #: winners re-enter the same frame's pending pool just like the
-    #: per-frame kernel's cursor loop.
+    #: Every empty-queue frame, quiet or contended, runs through the macro
+    #: runner's inline slot loop: each converted slot's minislot draws come
+    #: from the contention pool (bit-identical per-minislot prefixes with
+    #: exact roll-back), and winners re-enter the same frame's pending pool
+    #: just like the per-frame kernel's cursor loop.
     supports_macro_lookahead = True
     macro_contention_style = "slot_loop"
-
-    def macro_quiet_idle_slots(self, n_served: int) -> int:
-        """Unassigned slots convert to ``N_x`` idle request minislots each."""
-        return (
-            self.frame_structure.info_slots - n_served
-        ) * self.params.drma_minislots_per_info_slot
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:
@@ -128,7 +119,6 @@ class DRMAProtocol(MACProtocol):
         occupancy_list = population.occupancy.tolist()
         voice_list = population.is_voice.tolist()
         n = len(population)
-        adaptive = self.modem.is_adaptive
         minislots = self.params.drma_minislots_per_info_slot
         acknowledgements = outcome.acknowledgements
         append_grant = grants.append
@@ -148,12 +138,7 @@ class DRMAProtocol(MACProtocol):
                     served_id = tid
                     break
             if served_id >= 0:
-                if adaptive:
-                    per_slot, throughput = self.slot_capacity(
-                        snapshot.read(served_id)
-                    )
-                else:
-                    per_slot, throughput = 1, None
+                per_slot, throughput = self.grant_capacity(served_id, snapshot)
                 append_grant(served_id, 1, per_slot, throughput)
                 if voice_list[served_id] and not is_reservation:
                     self.reservations.grant(served_id, frame_index)

@@ -22,12 +22,13 @@ request minislot (``N_a < N_r``).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
+from repro.mac.contention import IndexContentionResult
 from repro.mac.frames import FrameStructure
 from repro.mac.requests import Acknowledgement, FrameOutcome, RequestColumns
 
@@ -42,12 +43,10 @@ class RAMAProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
-    #: Quiet frames (no contenders, empty queue) draw nothing — the auction
-    #: never runs — so the macro engine executes them inline.  Contested
-    #: frames resolve through the runner's inline auction: the sequential
-    #: tie/winner draw pairs are made directly against ``rng`` in the exact
-    #: per-frame call order (they are inherently unpoolable), so contested
-    #: frames stay inside the fused block too.
+    #: Every empty-queue frame runs inline in the macro engine: its request
+    #: phase is :meth:`run_auction`, whose tie/winner draw pairs come
+    #: straight from ``rng`` in the per-frame call order (they are
+    #: inherently unpoolable), and a quiet frame draws nothing.
     supports_macro_lookahead = True
     macro_contention_style = "auction"
 
@@ -73,6 +72,47 @@ class RAMAProtocol(MACProtocol):
         p_same = float(self.params.rama_digit_base) ** (-self.params.rama_id_digits)
         return 1.0 - (1.0 - p_same) ** (n_contenders - 1)
 
+    def run_auction(
+        self,
+        candidate_ids: List[int],
+        n_voice: int,
+        winner_slots: Optional[List[int]] = None,
+    ) -> IndexContentionResult:
+        """The frame's ``N_a`` auction slots over the given contenders.
+
+        Every contender bids in every slot until it wins; voice bids (ids
+        below ``n_voice``, the population's voice block) beat data bids.
+        A contested slot makes two scalar draws from ``rng``, the whole-ID
+        tie check and then the uniform winner pick, in slot order.  The
+        auction is sequential (each slot's pool depends on the earlier
+        winners) and makes at most ``N_a`` draw pairs per frame, so there
+        is nothing worth batching even in fast mode.  The caller's list is
+        not modified.  When ``winner_slots`` is given, the auction slot of
+        each winner is appended to it.
+        """
+        n_slots = self.frame_structure.request_minislots
+        if not candidate_ids:
+            return IndexContentionResult(idle_slots=n_slots)
+        rng = self.rng
+        remaining = list(candidate_ids)
+        result = IndexContentionResult()
+        for auction_slot in range(n_slots):
+            n_remaining = len(remaining)
+            if n_remaining == 0:
+                result.idle_slots += 1
+                continue
+            result.attempts += n_remaining
+            pool = [tid for tid in remaining if tid < n_voice] or remaining
+            if rng.random() < self.whole_id_tie_probability(len(pool)):
+                result.collisions += 1
+                continue
+            winner = pool[int(rng.integers(len(pool)))]
+            remaining.remove(winner)
+            result.winner_ids.append(winner)
+            if winner_slots is not None:
+                winner_slots.append(auction_slot)
+        return result
+
     @traced_batch
     def run_frame_batch(
         self,
@@ -84,11 +124,7 @@ class RAMAProtocol(MACProtocol):
 
         Every contender participates in every auction slot (no
         permission-probability gating — collisions are avoided by the
-        auction itself).  The auction's two scalar draws per contested slot
-        (whole-ID tie, uniform winner) are made in slot order — the auction
-        is inherently sequential (each slot's pool depends on the previous
-        winners) and makes at most ``N_a`` draw pairs per frame, so there is
-        nothing worth batching even in fast mode.
+        auction itself); see :meth:`run_auction`.
         """
         self.reservations.release_ended_population(population)
         self.prune_queue_batch(frame_index, population)
@@ -101,34 +137,19 @@ class RAMAProtocol(MACProtocol):
         )
         slots_left -= served.shape[0]
 
-        # Auction phase over candidate id lists (no permission gating); the
-        # pools are small, so plain-list bookkeeping beats array kernels.
         candidate_array, _ = self.contention_candidate_ids(population)
-        remaining = candidate_array.tolist()
-        voice_flags = population.is_voice[candidate_array].tolist()
-        rng = self.rng
-        winner_ids: List[int] = []
-        acknowledgements = outcome.acknowledgements
-        for auction_slot in range(self.frame_structure.request_minislots):
-            n_remaining = len(remaining)
-            if n_remaining == 0:
-                outcome.idle_request_slots += 1
-                continue
-            outcome.contention_attempts += n_remaining
-            pool = [
-                tid for tid, voice in zip(remaining, voice_flags) if voice
-            ] or remaining
-            if rng.random() < self.whole_id_tie_probability(len(pool)):
-                outcome.contention_collisions += 1
-                continue
-            winner = pool[int(rng.integers(len(pool)))]
-            position = remaining.index(winner)
-            remaining.pop(position)
-            voice_flags.pop(position)
-            winner_ids.append(winner)
-            acknowledgements.append(
-                Acknowledgement(winner, auction_slot, frame_index)
-            )
+        winner_slots: List[int] = []
+        auction = self.run_auction(
+            candidate_array.tolist(), population.n_voice, winner_slots
+        )
+        outcome.contention_attempts = auction.attempts
+        outcome.contention_collisions = auction.collisions
+        outcome.idle_request_slots = auction.idle_slots
+        winner_ids = auction.winner_ids
+        outcome.acknowledgements.extend(
+            Acknowledgement(winner, auction_slot, frame_index)
+            for winner, auction_slot in zip(winner_ids, winner_slots)
+        )
 
         backlog = (
             self.request_queue.pop_all() if self.request_queue is not None else []
@@ -200,7 +221,7 @@ class RAMAProtocol(MACProtocol):
                 if slots_left < 1:
                     unserved.append(tid)
                     continue
-                per_slot, throughput = self.slot_capacity(snapshot.read(tid))
+                per_slot, throughput = self.grant_capacity(tid, snapshot)
                 if want_voice:
                     append(tid, 1, per_slot, throughput)
                     slots_left -= 1

@@ -44,8 +44,7 @@ class RMAVProtocol(MACProtocol):
     supports_request_queue = False
     #: A frame draws randomness only through the single competitive slot's
     #: permission draws, so the macro engine can execute whole blocks inline
-    #: — including RMAV's long winnerless stretches under overload, which
-    #: resolve as one pre-drawn contention matrix per block.
+    #: — including RMAV's long winnerless stretches under overload.
     supports_macro_lookahead = True
 
 
@@ -110,7 +109,7 @@ class RMAVProtocol(MACProtocol):
             )
             occupancy = int(population.occupancy[winner])
             if slots_left >= 1 and occupancy > 0:
-                per_slot, throughput = self.slot_capacity(snapshot.read(winner))
+                per_slot, throughput = self.grant_capacity(winner, snapshot)
                 if population.is_voice[winner]:
                     grants.append(winner, 1, per_slot, throughput)
                     slots_left -= 1

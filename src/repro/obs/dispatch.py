@@ -11,8 +11,8 @@ swaps counting wrappers into every live binding, and
 
 Bindings are discovered by identity: the defining class (for methods) and
 every ``repro*`` module whose globals alias the function — which covers
-``from repro.accel import contention_round_scan``-style imports the macro
-runner relies on.  Scalar per-terminal kernels (``batch=False``) are never
+``from repro.accel import deadline_scan``-style imports the traffic
+kernels rely on.  Scalar per-terminal kernels (``batch=False``) are never
 patched, preserving the macro-vs-per-frame dispatch invariant that
 ``benchmarks/test_bench_hotpath.py`` asserts.
 """

@@ -27,10 +27,11 @@ are transmitted through one batched
 :meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call.  With
 ``Scenario.macro_frames > 1`` blocks of frames run through
 :class:`~repro.sim.macro.MacroRunner` instead, bit-identical to per-frame
-stepping in ``rng_mode="parity"``.  ``rng_mode="fast"`` batches whole-frame
-draws from per-subsystem child streams instead — statistically equivalent,
-not bit-identical (see :class:`~repro.sim.scenario.Scenario`).  The golden
-baselines in ``tests/golden`` pin the exact results of both modes.
+stepping in either RNG mode.  ``rng_mode="fast"`` batches whole-frame
+draws from per-subsystem child streams instead of the parity draw order —
+statistically equivalent to parity, not bit-identical (see
+:class:`~repro.sim.scenario.Scenario`).  The golden baselines in
+``tests/golden`` pin the exact results of both modes.
 
 Terminal ids are dense (``terminal_id == population index``): channel
 snapshot reads and the population arrays are both indexed by id.  In
@@ -159,8 +160,8 @@ class UplinkSimulationEngine:
         )
         self._frame_index = 0
         # Per-phase wall-time accumulators (traffic/channel/MAC/PHY/metrics);
-        # populated only after enable_phase_timing() switches the engine to
-        # the instrumented step, so the normal hot loop pays nothing.
+        # populated only after enable_phase_timing() starts the phase clock,
+        # so the normal hot loop pays only the ``if clock:`` checks.
         self.phase_times: Optional[Dict[str, float]] = None
         #: Per-phase batch-kernel dispatch counts; populated only after
         #: ``enable_phase_timing(count_dispatches=True)``.
@@ -189,13 +190,46 @@ class UplinkSimulationEngine:
         return self._frame_index
 
     def step(self) -> FrameOutcome:
-        """Advance the whole system by one TDMA frame."""
+        """Advance the whole system by one TDMA frame.
+
+        With phase timing or a tracer active, the phase clock brackets the
+        five sections (channel, traffic, MAC, PHY, metrics) and labels them
+        for the optional dispatch counter.
+        """
         if self.phase_times is not None or _obs_trace.TRACER is not None:
             self._ensure_instrumented()
-            return self._step_timed()
-        if self._clock is not None:  # tracer was uninstalled mid-run
+        elif self._clock is not None:  # tracer was uninstalled mid-run
             self._clock = None
-        return self._step_untimed()
+        clock = self._clock
+        frame = self._frame_index
+        population = self.population
+
+        if clock:
+            clock.start("channel")
+        snapshot = self._next_snapshot()
+        if clock:
+            clock.stop()
+            clock.start("traffic")
+        voice_losses_before = population.voice_loss_total
+        population.advance_frame(frame)
+        population.drop_expired(frame)
+        if clock:
+            clock.stop()
+            clock.start("mac")
+        outcome = self.protocol.run_frame_batch(frame, population, snapshot)
+        if clock:
+            clock.stop()
+            clock.start("phy")
+        data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
+        if clock:
+            clock.stop()
+            clock.start("metrics")
+        voice_losses = population.voice_loss_total - voice_losses_before
+        self.collector.record_frame(outcome, data_delivered, voice_losses)
+        if clock:
+            clock.stop()
+        self._frame_index += 1
+        return outcome
 
     def _ensure_instrumented(self) -> None:
         """Keep :attr:`_clock` live and pointed at the current tracer.
@@ -218,7 +252,7 @@ class UplinkSimulationEngine:
     def enable_phase_timing(
         self, count_dispatches: bool = False
     ) -> Dict[str, float]:
-        """Switch to the instrumented step and return the accumulator.
+        """Start the phase clock and return its accumulator.
 
         Subsequent frames add their wall time to the returned dictionary
         under ``traffic`` (source advance + deadline expiry), ``channel``
@@ -257,7 +291,7 @@ class UplinkSimulationEngine:
         return self.phase_times
 
     def disable_phase_timing(self) -> None:
-        """Remove the instrumented step (and unwrap counted kernels)."""
+        """Stop the phase clock (and unwrap counted kernels)."""
         if self._dispatch_counter is not None:
             self._dispatch_counter.uninstall()
             self._dispatch_counter = None
@@ -265,47 +299,12 @@ class UplinkSimulationEngine:
         self.dispatch_counts = None
         self._clock = None
 
-    def _step_timed(self) -> FrameOutcome:
-        """Instrumented twin of :meth:`_step_untimed` (kept in sync with it).
-
-        The clock brackets the same five sections, labelling them for the
-        optional dispatch counter.
-        """
-        clock = self._clock
-        frame = self._frame_index
-        population = self.population
-
-        clock.start("channel")
-        snapshot = self._next_snapshot()
-        clock.stop()
-
-        clock.start("traffic")
-        voice_losses_before = population.voice_loss_total
-        population.advance_frame(frame)
-        population.drop_expired(frame)
-        clock.stop()
-
-        clock.start("mac")
-        outcome = self.protocol.run_frame_batch(frame, population, snapshot)
-        clock.stop()
-
-        clock.start("phy")
-        data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
-        clock.stop()
-
-        clock.start("metrics")
-        voice_losses = population.voice_loss_total - voice_losses_before
-        self.collector.record_frame(outcome, data_delivered, voice_losses)
-        clock.stop()
-        self._frame_index += 1
-        return outcome
-
     def run_frames(self, n_frames: int) -> None:
         """Advance ``n_frames`` frames, macro-stepped when configured.
 
         With ``Scenario.macro_frames > 1`` frames execute in macro blocks
         through :class:`~repro.sim.macro.MacroRunner` — bit-identical to
-        per-frame stepping in parity RNG mode.  Otherwise this is a plain
+        per-frame stepping in either RNG mode.  Otherwise this is a plain
         :meth:`step` loop.
         """
         if n_frames <= 0:
@@ -408,23 +407,6 @@ class UplinkSimulationEngine:
         snapshot = self._snapshot_buffer[self._snapshot_cursor]
         self._snapshot_cursor += 1
         return snapshot
-
-    def _step_untimed(self) -> FrameOutcome:
-        frame = self._frame_index
-        population = self.population
-        snapshot = self._next_snapshot()
-
-        voice_losses_before = population.voice_loss_total
-        population.advance_frame(frame)
-        population.drop_expired(frame)
-
-        outcome = self.protocol.run_frame_batch(frame, population, snapshot)
-        data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
-
-        voice_losses = population.voice_loss_total - voice_losses_before
-        self.collector.record_frame(outcome, data_delivered, voice_losses)
-        self._frame_index += 1
-        return outcome
 
     def _execute_grant_columns(
         self, grants: Optional[GrantColumns], snapshot: ChannelSnapshot, frame: int

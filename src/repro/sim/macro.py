@@ -10,14 +10,9 @@ for the predictable work:
 * **traffic** — :meth:`~repro.traffic.population.TerminalPopulation.plan_frames`
   pre-draws the whole block's source events in per-frame order and each
   frame replays its recorded events with a handful of scalar writes;
-* **contention** — permission draws are served from a :class:`RandomPool`
-  prefetched from the contention stream.  NumPy generators consume their
-  bit stream element by element, so a pool of ``N`` uniforms is exactly the
-  next ``N`` per-minislot draws regardless of how the per-frame path would
-  have partitioned the calls; when a frame's true consumption falls short
-  of the prefetch (a winner shrinks later minislots, a state change ends
-  the block), the pool **rolls the generator back and replays** exactly the
-  consumed prefix, leaving the stream bit-identical to per-frame stepping;
+* **MAC state** — reservation holders and contention candidates are kept
+  as incremental mirrors, updated from the frame's traffic, drop and grant
+  events instead of being re-derived from the population arrays;
 * **reservation PHY** — voice-reservation transmissions pop their packets
   deterministically at their own frame (a transmitted voice packet leaves
   the buffer whether or not it is received), while the Bernoulli outcomes
@@ -26,15 +21,27 @@ for the predictable work:
 * **metrics** — per-frame statistics accumulate in plain lists and cross
   the collector boundary once per block.
 
-A frame the fast path cannot express exactly — non-empty request queue, a
-protocol without lookahead support (CHARISMA draws CSI estimates every
-frame), DRMA/RAMA frames with live contenders — falls back to the
-protocol's own ``run_frame_batch`` after flushing all deferred state, so
-the surrounding frames still enjoy the fused traffic/channel/metrics path.
-In ``rng_mode="parity"`` the whole construction is **bit-identical** to
-``macro_frames=1``; ``tests/sim/test_macro_parity.py`` sweeps
-``macro_frames`` in {1, 4, 16, 64} over all six protocols to prove it, and
-the golden baselines in ``tests/golden`` pin both modes.
+Each frame's request phase is the protocol's own rule:
+:func:`~repro.mac.contention.run_contention_ids` for the slotted protocols
+and CHARISMA, :meth:`~repro.mac.rama.RAMAProtocol.run_auction` for RAMA —
+the calls their ``run_frame_batch`` makes, on the same streams.  Only
+DRMA's converted slots resolve here, on draws served from a
+:class:`RandomPool` prefetched from the contention stream (NumPy generators
+consume their bit stream element by element, so a pool of ``N`` uniforms
+is exactly the next ``N`` per-minislot draws; at a block's end the pool
+rolls the generator back and replays the consumed prefix), and CHARISMA's
+estimation noise comes from a :class:`NormalPool` the same way.
+
+A frame the inline bodies cannot express — a non-empty request queue, or
+a protocol without lookahead support (parity-mode CHARISMA draws CSI
+noise from the shared MAC stream) — falls back to the protocol's own
+``run_frame_batch`` after flushing all deferred state, so the surrounding
+frames still enjoy the fused traffic/channel/metrics path.  In either RNG
+mode the result does not depend on ``macro_frames``:
+``tests/sim/test_macro_parity.py`` sweeps ``macro_frames`` in
+{1, 4, 16, 64} over all six protocols in parity mode, and the golden
+baselines in ``tests/golden`` pin ``macro_frames`` 1 and 64 of every cell
+to one digest in both modes.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.accel import contention_round_scan
 from repro.lint.contracts import kernel
 from repro.mac.contention import run_contention_ids
 from repro.obs import metrics as _metrics
@@ -163,9 +169,11 @@ class MacroRunner:
         )
         self._info_slots = protocol.frame_structure.info_slots
         self._convert_minislots = protocol.frame_structure.minislots_per_info_slot
-        self._auction_slots = protocol.frame_structure.request_minislots
+        self._request_minislots = protocol.frame_structure.request_minislots
         self._reuse_snr = engine._reuse_snapshot_snr
         self._adaptive = protocol.modem.is_adaptive
+        # DRMA's converted-slot draws (the other protocols' request phases
+        # draw from their streams directly).
         self._pool = RandomPool(protocol.contention_rng)
         self._voice_p = protocol.permission.voice_probability
         self._data_p = protocol.permission.data_probability
@@ -300,129 +308,80 @@ class MacroRunner:
             self._sync_mirrors()
         else:
             self._update_mirrors(plan, offset, drops)
-        if self._style == "csi_schedule":
-            # CHARISMA frames always draw CSI and rank their pending pool —
-            # quiet or contended — so they bypass the generic holder-serve
-            # body entirely.
+        # CHARISMA ranks holders and winners together by estimated channel,
+        # and DRMA interleaves service with converted request slots: each
+        # has its own frame body.
+        style = self._style
+        if style == "csi_schedule":
             return self._csi_frame(frame, snapshot, drops, clock)
-        candidates = self._cand_ids
+        if style == "slot_loop":
+            return self._slot_loop_frame(frame, snapshot, drops, clock)
         minislots = self._minislots
-        if candidates and minislots is None:
-            # No fixed request subframe: dispatch on the protocol's inline
-            # contention style.  DRMA's interleaved serve/convert loop is
-            # structurally its own frame body; RAMA's auction slots into
-            # the generic frame as a request-phase variant; anything else
-            # requires the full per-frame kernel.
-            if self._style == "slot_loop":
-                return self._slot_loop_frame(frame, snapshot, drops, clock)
-            if self._style != "auction":
-                return False
+        if minislots is None and style != "auction":
+            return False
 
         if clock:
             clock.start("mac")
-        population = self.population
-        occupancy_array = population.occupancy
-        # Small populations: one bulk tolist beats the dozens of scalar
-        # reads the holder/winner loops make; large ones read just the few
-        # entries they need straight from the array.
-        occ_list = (
-            occupancy_array.tolist()
-            if occupancy_array.shape[0] <= 256
-            else occupancy_array
-        )
-        in_talkspurt = population.in_talkspurt
-
-        # Reservation release + FCFS reserved service, ascending holder id.
-        served: List[int] = []
+        occ_list = self._occupancy_list()
+        served = self._release_holders(occ_list)
         slots_left = self._info_slots
-        to_release = None
-        for tid in self._holders:
-            if occ_list[tid] > 0:
-                if slots_left > 0:
-                    served.append(tid)
-                    slots_left -= 1
-            elif not in_talkspurt[tid]:
-                if to_release is None:
-                    to_release = []
-                to_release.append(tid)
-        if to_release is not None:
-            reservations = protocol.reservations
-            for tid in to_release:
-                reservations.release(tid)
-                self._holders.remove(tid)
-                self._holders_set.discard(tid)
+        if len(served) > slots_left:
+            served = served[:slots_left]
+        slots_left -= len(served)
 
-        # Request phase.
-        if candidates:
-            if minislots is not None:
-                winners, attempts, collisions, idle = self._run_contention(
-                    minislots
-                )
-            else:
-                winners, attempts, collisions, idle = self._run_auction()
+        # Request phase: the protocol's own rule, exactly the call its
+        # ``run_frame_batch`` makes.
+        candidates = self._cand_ids
+        if minislots is not None:
+            request = run_contention_ids(
+                candidates,
+                self._cand_probs_array(),
+                minislots,
+                protocol.contention_rng,
+                fast=protocol.rng_fast,
+            )
         else:
-            winners = ()
-            attempts = collisions = 0
-            idle = protocol.macro_quiet_idle_slots(len(served))
+            request = protocol.run_auction(candidates, self._nv)
 
-        # Allocation phase: per-grant capacities in one channel lookup.
+        # Allocation phase: FCFS, voice winners before data winners.
         voice_winners: List[int] = []
         data_winners: List[int] = []
-        if winners:
+        if request.winner_ids:
             nv = self._nv
-            for tid in winners:
+            for tid in request.winner_ids:
                 (voice_winners if tid < nv else data_winners).append(tid)
-        grant_order = served + voice_winners + data_winners
-        if self._adaptive and grant_order:
+        n_new_voice = min(slots_left, len(voice_winners))
+        voice_served = served + voice_winners[:n_new_voice]
+        unserved = voice_winners[n_new_voice:]
+        slots_left -= n_new_voice
+        # Per-grant capacities in one channel lookup over the grants the
+        # per-frame kernels look up, in their order.
+        if self._adaptive and (voice_served or data_winners):
             per_slot_arr, thr_arr = protocol.grant_capacity_columns(
-                grant_order, snapshot
+                voice_served + data_winners, snapshot
             )
             per_slot_list = per_slot_arr.tolist()
             thr_list = thr_arr.tolist()
         else:
             per_slot_list = thr_list = None
 
-        voice_rows: List = []  # (tid, capacity, throughput)
-        data_rows: List = []
-        allocated = len(served)
-        for position, tid in enumerate(served):
-            if per_slot_list is None:
-                voice_rows.append((tid, 1, None))
-            else:
-                voice_rows.append((tid, per_slot_list[position], thr_list[position]))
-
-        unserved: List[int] = []
-        cap_cursor = len(served)
-        for tid in voice_winners:
-            if slots_left < 1:
-                unserved.append(tid)
-                cap_cursor += 1
-                continue
-            if per_slot_list is None:
-                voice_rows.append((tid, 1, None))
-            else:
-                voice_rows.append(
-                    (tid, per_slot_list[cap_cursor], thr_list[cap_cursor])
-                )
-            cap_cursor += 1
-            slots_left -= 1
-            allocated += 1
-            protocol.reservations.grant(tid, frame)
-            insort(self._holders, tid)
-            self._holders_set.add(tid)
-            self._discard_candidate(tid)
+        if per_slot_list is None:
+            grants = [(tid, 1, None) for tid in voice_served]
+        else:
+            grants = list(zip(voice_served, per_slot_list, thr_list))
+        for tid in voice_winners[:n_new_voice]:
+            self._grant_reservation(tid, frame)
+        allocated = len(voice_served)
         data_cap = self._data_cap
-        for tid in data_winners:
+        for position, tid in enumerate(data_winners, len(voice_served)):
             if slots_left < 1:
                 unserved.append(tid)
-                cap_cursor += 1
                 continue
             if per_slot_list is None:
                 per_slot, throughput = 1, None
             else:
-                per_slot = per_slot_list[cap_cursor]
-                throughput = thr_list[cap_cursor]
-            cap_cursor += 1
+                per_slot = per_slot_list[position]
+                throughput = thr_list[position]
             needed = -(-int(occ_list[tid]) // max(1, per_slot))
             n_slots = needed if needed < slots_left else slots_left
             if n_slots < 1:
@@ -431,178 +390,35 @@ class MacroRunner:
                 n_slots = data_cap
             slots_left -= n_slots
             allocated += n_slots
-            data_rows.append((tid, per_slot * n_slots, throughput))
+            grants.append((tid, per_slot * n_slots, throughput))
 
         # Winners the frame could not serve are queued (with-queue variant)
         # or discarded; queueing changes the candidate rule, so the mirrors
         # resynchronise once the queue drains.
         if unserved and queue is not None:
+            population = self.population
             queue.extend(
                 protocol.make_request_for_id(population, tid, frame)
                 for tid in unserved
             )
             self._mirrors_dirty = True
-        queued = len(queue) if queue is not None else 0
 
-        # Execute the frame's grants: deterministic buffer pops now, one
-        # deferred Bernoulli resolution per flush.  Row order matches the
-        # per-frame grant columns (reserved, voice winners, data winners).
-        record_index = len(self._records)
-        record = [attempts, collisions, idle, allocated, queued, 0, 0]
-        if drops:
-            counted = 0
-            for _tid, _dropped, in_window in drops:
-                counted += in_window
-            record[6] = counted
-        self._records.append(record)
-
-        if voice_rows or data_rows:
-            read = snapshot.read
-            reuse_snr = self._reuse_snr
-            phy_rec = self._phy_rec
-            phy_tids = self._phy_tids
-            phy_counts = self._phy_counts
-            phy_aux = self._phy_aux
-            phy_voice = self._phy_voice
-            phy_frames = self._phy_frames
-            phy_chans = self._phy_chans
-            phy_thrs = self._phy_thrs
-            pop_voice = population.transmit_voice_pop
-            for tid, capacity, throughput in voice_rows:
-                n_transmitted, pre_window = pop_voice(tid, capacity)
-                phy_rec.append(record_index)
-                phy_tids.append(tid)
-                phy_counts.append(n_transmitted)
-                phy_aux.append(pre_window)
-                phy_voice.append(True)
-                phy_frames.append(frame)
-                phy_chans.append(read(tid, reuse_snr))
-                phy_thrs.append(np.nan if throughput is None else throughput)
-            for tid, capacity, throughput in data_rows:
-                occupancy = int(occ_list[tid])
-                phy_rec.append(record_index)
-                phy_tids.append(tid)
-                phy_counts.append(
-                    capacity if capacity < occupancy else occupancy
-                )
-                phy_aux.append(capacity)
-                phy_voice.append(False)
-                phy_frames.append(frame)
-                phy_chans.append(read(tid, reuse_snr))
-                phy_thrs.append(np.nan if throughput is None else throughput)
+        record_index, record = self._open_record(
+            drops, request.attempts, request.collisions, request.idle_slots
+        )
+        record[3] = allocated
+        record[4] = len(queue) if queue is not None else 0
+        any_data = self._emit_grants(
+            record_index, frame, snapshot, grants, occ_list
+        )
         if clock:
             clock.stop()
-
-        if data_rows:
-            # Data outcomes feed back into buffer state (only delivered
-            # packets leave a data buffer), so the next frame's decisions
-            # need them resolved — the flush boundary of the lookahead.
+        if any_data:
             self._flush_phy(clock)
         return True
 
-    @kernel
-    def _run_contention(self, n_minislots: int, ids=None, probs=None):
-        """Pool-fed slotted contention, bit-identical to the live draws.
-
-        Each round covers the remaining minislots against the current
-        contender pool in one prefetched matrix; the first exactly-one-
-        transmitter row ends the round (later rows would have been drawn
-        against a smaller pool, so their prefetched draws are returned to
-        the pool untouched) and the next round restarts after the winner.
-
-        Without explicit ``ids``/``probs`` the mirror's candidate lists are
-        used; callers running contention over a frame-local pool (DRMA's
-        converted slots) pass their own aligned id list and probability
-        array.  Either way the caller's list is never mutated — winners pop
-        from a lazily created copy.
-        """
-        if ids is None:
-            ids = self._cand_ids
-            probs = self._cand_probs_arr
-            if probs is None:
-                probs = self._cand_probs_arr = np.asarray(
-                    self._cand_probs, dtype=float
-                )
-        m = _metrics.METRICS
-        if m.enabled:
-            # Pure accumulation — no clock, no draw — so metrics stay
-            # legal inside kernel bodies (KRN002 only bans *timing*).
-            m.inc("contention.rounds", n_minislots)
-        pool = self._pool
-        k = len(ids)
-        winners: List[int] = []
-        attempts = collisions = idle = 0
-        done = 0
-        active_ids = ids
-        while done < n_minislots:
-            if k == 0:
-                idle += n_minislots - done
-                break
-            rows = n_minislots - done
-            draws = pool.take(rows * k).reshape(rows, k)
-            counts, winner_row, winner_col = contention_round_scan(draws, probs)
-            if winner_row < 0:
-                attempts += int(counts.sum())
-                zeros = int(np.count_nonzero(counts == 0))
-                idle += zeros
-                collisions += rows - zeros
-                break
-            pool.unwind((rows - winner_row - 1) * k)
-            if winner_row:
-                head = counts[:winner_row]
-                attempts += int(head.sum())
-                zeros = int(np.count_nonzero(head == 0))
-                idle += zeros
-                collisions += winner_row - zeros
-            attempts += 1
-            if active_ids is ids:
-                active_ids = list(active_ids)
-            winners.append(active_ids.pop(winner_col))
-            probs = np.delete(probs, winner_col)
-            k -= 1
-            done += winner_row + 1
-        return winners, attempts, collisions, idle
-
-    def _run_auction(self):
-        """RAMA's auction phase inline, draw-for-draw the per-frame kernel.
-
-        At most one tie check plus one winner pick per auction slot, drawn
-        directly from the protocol's shared MAC stream in the exact
-        per-frame call order — the auction is inherently sequential (each
-        slot's pool depends on the previous winners) so there is nothing to
-        pool, and the runner's :class:`RandomPool` is never open during an
-        auction frame (RAMA frames take no pooled draws), so the direct
-        draws cannot interleave with a prefetch.
-        """
-        protocol = self.protocol
-        rng = protocol.rng
-        tie_probability = protocol.whole_id_tie_probability
-        nv = self._nv
-        remaining = list(self._cand_ids)
-        voice_flags = [tid < nv for tid in remaining]
-        winners: List[int] = []
-        attempts = collisions = idle = 0
-        for _ in range(self._auction_slots):
-            n_remaining = len(remaining)
-            if n_remaining == 0:
-                idle += 1
-                continue
-            attempts += n_remaining
-            pool = [
-                tid for tid, voice in zip(remaining, voice_flags) if voice
-            ] or remaining
-            if rng.random() < tie_probability(len(pool)):
-                collisions += 1
-                continue
-            winner = pool[int(rng.integers(len(pool)))]
-            position = remaining.index(winner)
-            remaining.pop(position)
-            voice_flags.pop(position)
-            winners.append(winner)
-        return winners, attempts, collisions, idle
-
     def _slot_loop_frame(self, frame, snapshot, drops, clock) -> bool:
-        """DRMA contended frame inline: cursor service + converted slots.
+        """DRMA frame inline: cursor service + converted slots.
 
         Replicates ``DRMAProtocol.run_frame_batch`` decision for decision:
         reservation holders head a pending pool advanced by a cursor, every
@@ -614,77 +430,43 @@ class MacroRunner:
         discipline, so each later grant sees the buffer state (and the RNG
         draw boundaries) its earlier grants left, exactly like
         ``Engine._execute_grant_columns_segmented``.
+
+        The converted slots resolve here on pooled draws rather than
+        through ``run_contention_ids``: their pools hold a handful of
+        contenders, and a call per converted slot measured DRMA's
+        macro-over-per-frame speed-up at about 1.4 instead of 1.6.
         """
         if clock:
             clock.start("mac")
         protocol = self.protocol
-        population = self.population
         queue = protocol.request_queue
-        reservations = protocol.reservations
-        occupancy_array = population.occupancy
-        occ_list = (
-            occupancy_array.tolist()
-            if occupancy_array.shape[0] <= 256
-            else occupancy_array
-        )
-        in_talkspurt = population.in_talkspurt
+        occ_list = self._occupancy_list()
+        occupancy_array = self.population.occupancy
         nv = self._nv
 
-        # Reservation release + pending pool (holders with packets, in
-        # ascending id order — the reserved_ids order the kernel uses).
-        pending: List[int] = []
-        pending_res: List[bool] = []
-        to_release = None
-        for tid in self._holders:
-            if occ_list[tid] > 0:
-                pending.append(tid)
-                pending_res.append(True)
-            elif not in_talkspurt[tid]:
-                if to_release is None:
-                    to_release = []
-                to_release.append(tid)
-        if to_release is not None:
-            for tid in to_release:
-                reservations.release(tid)
-                self._holders.remove(tid)
-                self._holders_set.discard(tid)
+        # Pending pool: holders with packets, in ascending id order (the
+        # ``reserved_ids`` order the kernel uses).
+        pending = self._release_holders(occ_list)
+        pending_res = [True] * len(pending)
 
         # Frame-local candidate pool.  The mirror's lists are never mutated
         # in place: the drop rule below rebuilds fresh lists, and the
         # per-minislot resolution pops winners from a lazily created copy.
         local_ids = self._cand_ids
         local_probs = self._cand_probs
-        pool_take = self._pool.take
-
+        pool = self._pool
+        pool_take = pool.take
         minislots = self._convert_minislots
-        read = snapshot.read
-        reuse_snr = self._reuse_snr
-        phy_rec = self._phy_rec
-        phy_tids = self._phy_tids
-        phy_counts = self._phy_counts
-        phy_aux = self._phy_aux
-        phy_voice = self._phy_voice
-        phy_frames = self._phy_frames
-        phy_chans = self._phy_chans
-        phy_thrs = self._phy_thrs
-        pop_voice = population.transmit_voice_pop
 
-        # The frame's record is appended up front (zero-filled) because the
+        # The frame's record is appended up front because the
         # duplicate-grant discipline may flush mid-frame, and flushing
         # resolves deferred rows into their records.
-        record = [0, 0, 0, 0, 0, 0, 0]
-        if drops:
-            counted = 0
-            for _tid, _dropped, in_window in drops:
-                counted += in_window
-            record[6] = counted
-        record_index = len(self._records)
-        self._records.append(record)
+        record_index, record = self._open_record(drops)
 
-        attempts = collisions = idle = allocated = 0
+        attempts = collisions = idle = allocated = converted = 0
         cursor = 0
         frame_data_tids = None
-        any_data = False
+        grants: List = []
         for _ in range(self._info_slots):
             # Serve the next pending entry whose terminal still has packets
             # (buffer states are frozen during the frame, exactly like the
@@ -702,82 +484,70 @@ class MacroRunner:
                 allocated += 1
                 if served_id < nv:
                     if not is_reservation:
-                        reservations.grant(served_id, frame)
-                        insort(self._holders, served_id)
-                        self._holders_set.add(served_id)
-                        self._discard_candidate(served_id)
-                    n_transmitted, pre_window = pop_voice(served_id, 1)
-                    phy_rec.append(record_index)
-                    phy_tids.append(served_id)
-                    phy_counts.append(n_transmitted)
-                    phy_aux.append(pre_window)
-                    phy_voice.append(True)
-                    phy_frames.append(frame)
-                    phy_chans.append(read(served_id, reuse_snr))
-                    phy_thrs.append(np.nan)
+                        self._grant_reservation(served_id, frame)
+                elif frame_data_tids is not None and served_id in frame_data_tids:
+                    # Same-frame repeat grant: resolve everything granted
+                    # so far, then re-read the live buffer — the engine
+                    # skips a repeat whose earlier grants drained the
+                    # buffer (the slot stays allocated).
+                    self._emit_grants(
+                        record_index, frame, snapshot, grants, occ_list
+                    )
+                    grants = []
+                    if clock:
+                        clock.stop()
+                    self._flush_phy(clock)
+                    if clock:
+                        clock.start("mac")
+                    if int(occupancy_array[served_id]) <= 0:
+                        continue
+                elif frame_data_tids is None:
+                    frame_data_tids = {served_id}
                 else:
-                    if frame_data_tids is not None and served_id in frame_data_tids:
-                        # Same-frame repeat grant: resolve everything
-                        # deferred so far, then re-read the live buffer —
-                        # the engine skips a repeat whose earlier grants
-                        # drained the buffer (the slot stays allocated).
-                        if clock:
-                            clock.stop()
-                        self._flush_phy(clock)
-                        if clock:
-                            clock.start("mac")
-                        if int(occupancy_array[served_id]) <= 0:
-                            continue
-                    elif frame_data_tids is None:
-                        frame_data_tids = {served_id}
-                    else:
-                        frame_data_tids.add(served_id)
-                    any_data = True
-                    phy_rec.append(record_index)
-                    phy_tids.append(served_id)
-                    phy_counts.append(1)
-                    phy_aux.append(1)
-                    phy_voice.append(False)
-                    phy_frames.append(frame)
-                    phy_chans.append(read(served_id, reuse_snr))
-                    phy_thrs.append(np.nan)
+                    frame_data_tids.add(served_id)
+                grants.append((served_id, 1, None))
                 continue
 
             # Idle information slot: convert it into N_x request minislots.
             # The pools here are tiny (a handful of contenders), so the
             # resolution runs on Python scalars over pooled draws — the
             # same doubles, comparisons and winner choices as the kernel's
-            # per-minislot ``rng.random(size=k)`` calls.
-            if not local_ids:
-                idle += minislots
-                continue
+            # per-minislot ``rng.random(size=k)`` calls.  One take covers
+            # the remaining minislots at the current pool size; a winner
+            # shrinks the pool, so the draws after its minislot go back to
+            # the pool and the rest is taken again at the new size.
+            converted += 1
             ms_ids = local_ids
             ms_probs = local_probs
             won = None
-            for _ in range(minislots):
+            left = minislots
+            while left and ms_ids:
                 k = len(ms_ids)
-                if k == 0:
-                    idle += 1
-                    continue
-                n_transmitters = 0
-                index = -1
-                for position, draw in enumerate(pool_take(k).tolist()):
-                    if draw < ms_probs[position]:
-                        n_transmitters += 1
-                        index = position
-                attempts += n_transmitters
-                if n_transmitters == 1:
-                    if ms_ids is local_ids:
-                        ms_ids = list(ms_ids)
-                        ms_probs = list(ms_probs)
-                    if won is None:
-                        won = []
-                    won.append(ms_ids.pop(index))
-                    ms_probs.pop(index)
-                elif n_transmitters == 0:
-                    idle += 1
-                else:
-                    collisions += 1
+                draws = pool_take(left * k).tolist()
+                for start in range(0, left * k, k):
+                    left -= 1
+                    n_transmitters = 0
+                    index = -1
+                    for position, probability in enumerate(ms_probs):
+                        if draws[start + position] < probability:
+                            n_transmitters += 1
+                            index = position
+                    attempts += n_transmitters
+                    if n_transmitters == 1:
+                        pool.unwind(left * k)
+                        if ms_ids is local_ids:
+                            ms_ids = list(ms_ids)
+                            ms_probs = list(ms_probs)
+                        if won is None:
+                            won = []
+                        won.append(ms_ids.pop(index))
+                        ms_probs.pop(index)
+                        break
+                    if n_transmitters == 0:
+                        idle += 1
+                    else:
+                        collisions += 1
+            idle += left
             if not won:
                 continue
             dropped = None
@@ -803,6 +573,7 @@ class MacroRunner:
 
         # Requests that succeeded too late in the frame to get a slot.
         if queue is not None:
+            population = self.population
             leftovers = [
                 protocol.make_request_for_id(population, pending[index], frame)
                 for index in range(cursor, len(pending))
@@ -811,17 +582,20 @@ class MacroRunner:
             if leftovers:
                 queue.extend(leftovers)
                 self._mirrors_dirty = True
+        m = _metrics.METRICS
+        if m.enabled and converted:
+            # Every converted slot is N_x minislots, as in the per-frame
+            # kernel's ``run_contention_ids`` call per converted slot.
+            m.inc("contention.rounds", converted * minislots)
         record[0] = attempts
         record[1] = collisions
         record[2] = idle
         record[3] = allocated
         record[4] = len(queue) if queue is not None else 0
+        self._emit_grants(record_index, frame, snapshot, grants, occ_list)
         if clock:
             clock.stop()
-
-        if any_data:
-            # Data outcomes feed back into buffer state, so the next
-            # frame's decisions need them resolved.
+        if frame_data_tids is not None:
             self._flush_phy(clock)
         return True
 
@@ -830,7 +604,7 @@ class MacroRunner:
         """CHARISMA frame inline (fast RNG mode): pooled CSI noise.
 
         Replicates ``CharismaProtocol.run_frame_batch`` on an empty-queue
-        frame: the fast matrix contention kernel against the contention
+        frame: the same ``run_contention_ids`` call against the contention
         child stream, one batched CSI estimate over reservation holders +
         winners — standard normals prefetched per block from the dedicated
         estimation stream and scaled by the amplitude-independent noise
@@ -848,71 +622,27 @@ class MacroRunner:
         protocol = self.protocol
         population = self.population
         queue = protocol.request_queue
-        reservations = protocol.reservations
-        occupancy_array = population.occupancy
-        occ_list = (
-            occupancy_array.tolist()
-            if occupancy_array.shape[0] <= 256
-            else occupancy_array
-        )
-        in_talkspurt = population.in_talkspurt
+        occ_list = self._occupancy_list()
         nv = self._nv
 
-        # Reservation release + the holders' auto-generated requests
-        # (ascending id — the ``reserved_ids`` order).
-        reserved: List[int] = []
-        to_release = None
-        for tid in self._holders:
-            if occ_list[tid] > 0:
-                reserved.append(tid)
-            elif not in_talkspurt[tid]:
-                if to_release is None:
-                    to_release = []
-                to_release.append(tid)
-        if to_release is not None:
-            for tid in to_release:
-                reservations.release(tid)
-                self._holders.remove(tid)
-                self._holders_set.discard(tid)
+        # The holders' auto-generated requests, ascending id (the
+        # ``reserved_ids`` order).
+        reserved = self._release_holders(occ_list)
 
-        # Request phase: the fast matrix kernel draws directly from the
-        # contention child stream (the runner's uniform pool never opens
-        # during a CSI-scheduled frame, so nothing can interleave).  A
-        # quiet pool short-circuits to the kernel's own empty-input result
-        # — no draw, every minislot idle — without paying the call.
-        if self._cand_ids:
-            probs = self._cand_probs_arr
-            if probs is None:
-                probs = self._cand_probs_arr = np.asarray(
-                    self._cand_probs, dtype=float
-                )
-            contention = run_contention_ids(
-                self._cand_ids,
-                probs,
-                self._auction_slots,
-                protocol.contention_rng,
-                fast=True,
-            )
-            winner_ids = contention.winner_ids
-            attempts = contention.attempts
-            collisions = contention.collisions
-            idle_slots = contention.idle_slots
-        else:
-            winner_ids = []
-            attempts = collisions = 0
-            idle_slots = self._auction_slots
-            m = _metrics.METRICS
-            if m.enabled:
-                m.inc("contention.rounds", idle_slots)
-
-        record_index = len(self._records)
-        record = [attempts, collisions, idle_slots, 0, 0, 0, 0]
-        if drops:
-            counted = 0
-            for _tid, _dropped, in_window in drops:
-                counted += in_window
-            record[6] = counted
-        self._records.append(record)
+        # Request phase: the runner's uniform pool never opens during a
+        # CSI-scheduled frame, so nothing interleaves with these draws.
+        contention = run_contention_ids(
+            self._cand_ids,
+            self._cand_probs_array(),
+            self._request_minislots,
+            protocol.contention_rng,
+            fast=protocol.rng_fast,
+        )
+        winner_ids = contention.winner_ids
+        record_index, record = self._open_record(
+            drops, contention.attempts, contention.collisions,
+            contention.idle_slots,
+        )
 
         n_reserved = len(reserved)
         all_ids = reserved + winner_ids if winner_ids else reserved
@@ -970,10 +700,8 @@ class MacroRunner:
         margin = self._csi_margin
         per_list = per_slot.tolist()
         thr_list = throughput.tolist()
-        g_tids: List[int] = []
-        g_nslots: List[int] = []
-        g_caps: List[int] = []
-        g_thrs: List[float] = []
+        grants = []
+        allocated = 0
         unserved_rows: List[int] = []
         deferred_rows: List[int] = []
         for row in order.tolist():
@@ -1001,23 +729,18 @@ class MacroRunner:
                 n_slots = needed if needed < slots_left else slots_left
                 if n_slots < 1:
                     n_slots = 1
-            g_tids.append(tid)
-            g_nslots.append(n_slots)
-            g_caps.append(packets * n_slots)
-            g_thrs.append(mode_throughput)
+            grants.append((tid, packets * n_slots, mode_throughput))
+            allocated += n_slots
             slots_left -= n_slots
 
         # Newly served voice winners acquire a reservation; only rows
         # after the reservation-holder prefix can be newly served.
-        if g_tids and n_pending > n_reserved:
-            allocated_ids = set(g_tids)
+        if grants and n_pending > n_reserved:
+            allocated_ids = {tid for tid, _capacity, _throughput in grants}
             for position in range(n_reserved, n_pending):
                 tid = all_ids[position]
                 if tid < nv and tid in allocated_ids:
-                    reservations.grant(tid, frame)
-                    insort(self._holders, tid)
-                    self._holders_set.add(tid)
-                    self._discard_candidate(tid)
+                    self._grant_reservation(tid, frame)
 
         # Unserved / deferred requests go back to the queue (with-queue
         # variant) or are dropped; the request-column pool is materialised
@@ -1036,51 +759,16 @@ class MacroRunner:
                 pending, unserved_rows + deferred_rows
             ):
                 self._mirrors_dirty = True
+        record[3] = allocated
         record[4] = len(queue) if queue is not None else 0
 
-        # Execute the grants: deterministic voice pops now, one deferred
-        # Bernoulli resolution per flush, rows in grant (priority) order —
-        # exactly the engine executor's element order.
-        any_data = False
-        if g_tids:
-            record[3] = sum(g_nslots)
-            read = snapshot.read
-            reuse_snr = self._reuse_snr
-            phy_rec = self._phy_rec
-            phy_tids = self._phy_tids
-            phy_counts = self._phy_counts
-            phy_aux = self._phy_aux
-            phy_voice = self._phy_voice
-            phy_frames = self._phy_frames
-            phy_chans = self._phy_chans
-            phy_thrs = self._phy_thrs
-            pop_voice = population.transmit_voice_pop
-            for position, tid in enumerate(g_tids):
-                capacity = g_caps[position]
-                phy_rec.append(record_index)
-                phy_tids.append(tid)
-                if tid < nv:
-                    n_transmitted, pre_window = pop_voice(tid, capacity)
-                    phy_counts.append(n_transmitted)
-                    phy_aux.append(pre_window)
-                    phy_voice.append(True)
-                else:
-                    any_data = True
-                    occupancy = int(occ_list[tid])
-                    phy_counts.append(
-                        capacity if capacity < occupancy else occupancy
-                    )
-                    phy_aux.append(capacity)
-                    phy_voice.append(False)
-                phy_frames.append(frame)
-                phy_chans.append(read(tid, reuse_snr))
-                phy_thrs.append(g_thrs[position])
+        # Rows in grant (priority) order — the engine executor's order.
+        any_data = self._emit_grants(
+            record_index, frame, snapshot, grants, occ_list
+        )
         if clock:
             clock.stop()
-
         if any_data:
-            # Data outcomes feed back into buffer state, so the next
-            # frame's decisions need them resolved.
             self._flush_phy(clock)
         return True
 
@@ -1198,6 +886,114 @@ class MacroRunner:
         if clock:
             clock.stop()
 
+    # ------------------------------------------------------ frame helpers
+    def _occupancy_list(self):
+        """Buffer occupancies for a frame's scalar reads.
+
+        Small populations: one bulk ``tolist`` beats the dozens of scalar
+        reads the frame bodies make; large ones read just the few entries
+        they need straight from the array.
+        """
+        occupancy = self.population.occupancy
+        return occupancy.tolist() if occupancy.shape[0] <= 256 else occupancy
+
+    @kernel(batch=False)
+    def _release_holders(self, occ_list) -> List[int]:
+        """Release ended reservations; return the holders with packets.
+
+        A holder with an empty buffer whose talkspurt has ended gives its
+        reservation back.  The holders with packets come back in ascending
+        id order, the ``reserved_ids`` order of the per-frame kernels.
+        """
+        in_talkspurt = self.population.in_talkspurt
+        live: List[int] = []
+        to_release = None
+        for tid in self._holders:
+            if occ_list[tid] > 0:
+                live.append(tid)
+            elif not in_talkspurt[tid]:
+                if to_release is None:
+                    to_release = []
+                to_release.append(tid)
+        if to_release is not None:
+            reservations = self.protocol.reservations
+            for tid in to_release:
+                reservations.release(tid)
+                self._holders.remove(tid)
+                self._holders_set.discard(tid)
+        return live
+
+    @kernel(batch=False)
+    def _grant_reservation(self, tid: int, frame: int) -> None:
+        """A newly served voice winner takes a reservation."""
+        self.protocol.reservations.grant(tid, frame)
+        insort(self._holders, tid)
+        self._holders_set.add(tid)
+        self._discard_candidate(tid)
+
+    @kernel(batch=False)
+    def _open_record(self, drops, attempts=0, collisions=0, idle=0):
+        """Append the frame's statistics record; return ``(index, record)``.
+
+        The record is ``[attempts, collisions, idle, allocated, queued,
+        data_delivered, voice_losses]``.  Voice losses start at the frame's
+        in-window deadline drops; the PHY flush adds the errored packets
+        and the delivered data.
+        """
+        record = [attempts, collisions, idle, 0, 0, 0, 0]
+        if drops:
+            counted = 0
+            for _tid, _dropped, in_window in drops:
+                counted += in_window
+            record[6] = counted
+        records = self._records
+        records.append(record)
+        return len(records) - 1, record
+
+    @kernel(batch=False)
+    def _emit_grants(self, record_index, frame, snapshot, grants, occ_list) -> bool:
+        """Defer the transmissions of ``(tid, capacity, throughput)`` grants.
+
+        Rows are queued in grant order, so the flush reads the error stream
+        in the per-frame executor's order.  A voice grant pops its packets
+        now: a sent voice packet leaves the buffer whatever its fate.  A
+        data grant sends ``min(capacity, occupancy)`` packets, and only the
+        flush changes its buffer.  Returns whether a data grant was queued;
+        the caller then flushes at frame end, because the next frame's
+        decisions need that buffer state.
+        """
+        read = snapshot.read
+        reuse_snr = self._reuse_snr
+        nv = self._nv
+        pop_voice = self.population.transmit_voice_pop
+        phy_rec = self._phy_rec
+        phy_tids = self._phy_tids
+        phy_counts = self._phy_counts
+        phy_aux = self._phy_aux
+        phy_voice = self._phy_voice
+        phy_frames = self._phy_frames
+        phy_chans = self._phy_chans
+        phy_thrs = self._phy_thrs
+        any_data = False
+        for tid, capacity, throughput in grants:
+            if tid < nv:
+                n_sent, aux = pop_voice(tid, capacity)
+                phy_voice.append(True)
+            else:
+                occupancy = int(occ_list[tid])
+                n_sent = capacity if capacity < occupancy else occupancy
+                aux = capacity
+                phy_voice.append(False)
+                any_data = True
+            phy_rec.append(record_index)
+            phy_tids.append(tid)
+            phy_counts.append(n_sent)
+            phy_aux.append(aux)
+            phy_frames.append(frame)
+            phy_chans.append(read(tid, reuse_snr))
+            phy_thrs.append(np.nan if throughput is None else throughput)
+        return any_data
+
     # -------------------------------------------------------------- mirrors
     def _sync_mirrors(self) -> None:
         """Rebuild the holder/candidate mirrors from authoritative state."""
@@ -1236,6 +1032,13 @@ class MacroRunner:
             for tid, _dropped, _counted in drops:
                 if occupancy[tid] == 0:
                     self._discard_candidate(tid)
+
+    def _cand_probs_array(self) -> np.ndarray:
+        """The candidate probabilities as an array, cached until they change."""
+        probs = self._cand_probs_arr
+        if probs is None:
+            probs = self._cand_probs_arr = np.asarray(self._cand_probs, dtype=float)
+        return probs
 
     def _add_candidate(self, tid: int, probability: float) -> None:
         ids = self._cand_ids

@@ -54,14 +54,14 @@ class Scenario:
         Macro-stepping block size of the frame loop.  ``1`` (default)
         advances frame by frame; larger values let the engine execute
         blocks of up to this many frames with fused multi-frame kernels —
-        the traffic plan is drawn for the whole block up front, contention
-        draws are served from a pre-drawn pool with exact roll-back/replay
-        at the first state-changing event, and voice-reservation PHY
-        outcomes are resolved in one batched draw per block.  Because every
-        per-subsystem random stream is consumed in exactly the per-frame
-        order, results are **bit-identical** to ``macro_frames=1`` in
-        ``rng_mode="parity"`` (asserted by ``tests/sim/test_macro_parity.py``
-        for ``macro_frames`` in {1, 4, 16, 64}).
+        the traffic plan is drawn for the whole block up front, each
+        frame's request phase is the protocol's own contention or auction
+        call, and voice-reservation PHY outcomes are resolved in one
+        batched draw per block.  Because every per-subsystem random stream
+        is consumed in exactly the per-frame order, results are
+        **bit-identical** to ``macro_frames=1`` in either RNG mode
+        (``tests/sim/test_macro_parity.py`` sweeps ``macro_frames`` in
+        {1, 4, 16, 64}; the golden baselines pin 1 and 64 in both modes).
     """
 
     protocol: str

@@ -13,9 +13,9 @@ set of small simulations.  Each record holds
   SciPy upgrade) can be told apart from a logic change;
 * ``versions`` -- the NumPy and SciPy versions the record was made with.
 
-The scenario is left out of the digest on purpose: in parity RNG mode a
+The scenario is left out of the digest on purpose: in either RNG mode a
 macro-stepped run must equal the per-frame run, so the ``macro_frames`` 1 and
-64 records of a parity cell carry the same digest.
+64 records of a cell carry the same digest.
 
 ``tests/golden/test_golden.py`` checks every record.  Running the tests
 never rewrites the file; after a deliberate change of results, refresh it

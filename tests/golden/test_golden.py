@@ -44,9 +44,14 @@ def test_digest_matches_baseline(case):
     assert digest(content) == record["digest"], _mismatch_report(record, metrics)
 
 
-def test_parity_macro_digests_agree():
-    """Parity-mode macro stepping is bit-identical to per-frame stepping."""
-    for key, record in BASELINES.items():
-        if key.startswith("cell/") and "/macro1/" in key and key.endswith("/parity"):
-            macro = BASELINES[key.replace("/macro1/", "/macro64/")]
-            assert macro["digest"] == record["digest"], key
+def test_macro_digests_agree():
+    """Macro stepping never changes a result, in either RNG mode: every
+    cell's macro-64 record carries its per-frame record's digest."""
+    pairs = [
+        (key, key.replace("/macro1/", "/macro64/"))
+        for key in BASELINES
+        if key.startswith("cell/") and "/macro1/" in key
+    ]
+    assert 2 * len(pairs) == sum(case.key.startswith("cell/") for case in CASES)
+    for per_frame, macro in pairs:
+        assert BASELINES[macro]["digest"] == BASELINES[per_frame]["digest"], macro

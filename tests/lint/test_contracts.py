@@ -24,10 +24,10 @@ def test_is_kernel_false_for_plain_objects():
 
 def test_shipped_kernels_carry_the_marker_at_runtime():
     # The AST scan (lint) and the runtime attribute must agree.
-    from repro.accel.kernels import contention_round_scan
+    from repro.accel.kernels import deadline_scan
     from repro.phy.error_model import PacketErrorModel
 
-    assert is_kernel(contention_round_scan)
+    assert is_kernel(deadline_scan)
     assert is_kernel(PacketErrorModel.success_probabilities)
     assert is_kernel(PacketErrorModel.transmit_batch)
 
@@ -54,8 +54,8 @@ def test_kernel_batch_form_registers_and_classifies():
 
 
 def test_registry_covers_the_shipped_accel_kernels():
-    from repro.accel.kernels import contention_round_scan
+    from repro.accel.kernels import deadline_scan
     from repro.lint.contracts import registered_kernels
 
     funcs = [info.func for info in registered_kernels()]
-    assert contention_round_scan in funcs
+    assert deadline_scan in funcs

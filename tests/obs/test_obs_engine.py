@@ -6,6 +6,7 @@ legitimately differs across ``macro_frames`` configurations.
 
 import pytest
 
+from repro.mac.registry import available_protocols
 from repro.obs import metrics
 from repro.obs.trace import PHASES, ListTraceSink, install_tracer, uninstall_tracer
 from repro.sim.runner import run_simulation
@@ -52,6 +53,28 @@ class TestTracedParity:
             recorded = run_simulation(scenario)
         assert _metrics_of(recorded) == _metrics_of(plain)
         assert registry.counter("contention.rounds") > 0
+
+    @pytest.mark.parametrize("rng_mode", ["parity", "fast"])
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_contention_rounds_do_not_depend_on_macro_frames(
+        self, protocol, rng_mode
+    ):
+        """Every frame path counts the request minislots it resolves.
+
+        The golden cell's load: quiet frames, contended frames and (for
+        DRMA) converted slots without contenders all occur.
+        """
+        rounds = {}
+        for macro_frames in (1, 64):
+            scenario = Scenario(
+                protocol=protocol, n_voice=60, n_data=20, duration_s=0.15,
+                warmup_s=0.1, seed=0, rng_mode=rng_mode,
+                macro_frames=macro_frames,
+            )
+            with metrics.recording() as registry:
+                run_simulation(scenario)
+            rounds[macro_frames] = registry.counter("contention.rounds")
+        assert rounds[64] == rounds[1], rounds
 
     def test_untraced_run_after_uninstall_is_clean(self):
         scenario = _scenario()
@@ -152,7 +175,7 @@ class TestPhaseTimingMigration:
 
     def test_dispatch_counter_installs_and_restores(self):
         from repro.config import SimulationParameters
-        from repro.accel import contention_round_scan as before
+        from repro.accel import deadline_scan as before
         from repro.sim.engine import UplinkSimulationEngine
 
         engine = UplinkSimulationEngine(
@@ -164,7 +187,7 @@ class TestPhaseTimingMigration:
         engine.disable_phase_timing()
         assert sum(counts.values()) > 0
         assert counts.get("traffic", 0) > 0
-        from repro.accel import contention_round_scan as after
+        from repro.accel import deadline_scan as after
 
         assert after is before  # uninstall restored the live binding
 

@@ -77,9 +77,9 @@ class TestStepPaths:
         assert saw_grants
 
     def test_timed_step_mirrors_untimed_step(self):
-        """The instrumented ``_step_timed`` body must stay in sync with the
-        plain step: identical per-frame outcomes and final results, with
-        every phase accumulating time."""
+        """A step bracketed by the phase clock must equal the plain step:
+        identical per-frame outcomes and final results, with every phase
+        accumulating time."""
         charisma = scenario(n_voice=8, n_data=3, queue=True, duration_s=0.4,
                             warmup_s=0.1, seed=6)
         timed = UplinkSimulationEngine(charisma, PARAMS)

@@ -10,7 +10,12 @@ plus the roll-back/replay pool and the compiled-kernel seam themselves.
 import numpy as np
 import pytest
 
-from repro.accel import HAS_NUMBA, contention_round_scan, voice_generation_offsets
+from repro.accel import (
+    HAS_NUMBA,
+    deadline_scan,
+    next_expiry_bound,
+    voice_generation_offsets,
+)
 from repro.config import SimulationParameters
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.macro import RandomPool
@@ -272,27 +277,19 @@ class TestRandomPool:
 
 
 class TestAccelKernels:
-    def test_contention_round_scan_matches_reference(self):
+    def test_deadline_scan_matches_reference(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            rows = int(rng.integers(1, 12))
-            k = int(rng.integers(1, 30))
-            draws = rng.random((rows, k))
-            probs = rng.random(k)
-            counts, row, col = contention_round_scan(draws, probs)
-            hits = draws < probs
-            expected_counts = hits.sum(axis=1)
-            singles = np.nonzero(expected_counts == 1)[0]
-            expected_row = int(singles[0]) if singles.shape[0] else -1
-            if expected_row >= 0:
-                assert row == expected_row
-                assert col == int(np.argmax(hits[expected_row]))
-                assert np.array_equal(
-                    counts[: row + 1], expected_counts[: row + 1]
-                )
-            else:
-                assert (row, col) == (-1, -1)
-                assert np.array_equal(counts, expected_counts)
+            n = int(rng.integers(0, 30))
+            heads = rng.integers(-1, 40, size=n)
+            limit = int(rng.integers(-1, 40))
+            expected = [
+                i for i, head in enumerate(heads.tolist()) if 0 <= head <= limit
+            ]
+            assert deadline_scan(heads, limit).tolist() == expected
+            alive = [head for head in heads.tolist() if head >= 0]
+            bound = min(alive) + 8 if alive else 10**9
+            assert next_expiry_bound(heads, 8, 10**9) == bound
 
     def test_voice_generation_offsets_matches_loop(self):
         rng = np.random.default_rng(1)
