@@ -365,6 +365,7 @@ class MacroRunner:
         else:
             per_slot_list = thr_list = None
 
+        grants: List  # (tid, capacity, throughput) in grant order
         if per_slot_list is None:
             grants = [(tid, 1, None) for tid in voice_served]
         else:
@@ -700,7 +701,7 @@ class MacroRunner:
         margin = self._csi_margin
         per_list = per_slot.tolist()
         thr_list = throughput.tolist()
-        grants = []
+        grants: List = []
         allocated = 0
         unserved_rows: List[int] = []
         deferred_rows: List[int] = []
