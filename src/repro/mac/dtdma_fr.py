@@ -123,5 +123,6 @@ class DTDMAFRProtocol(MACProtocol):
         return outcome
 
     def macro_minislots(self) -> int:
-        """The static request subframe, resolvable from a pre-drawn pool."""
+        """The static request subframe (the macro runner resolves it with
+        the same ``run_contention_ids`` call as :meth:`run_frame_batch`)."""
         return self.frame_structure.request_minislots
