@@ -52,6 +52,47 @@ class TestRunContention:
     def test_zero_minislots(self):
         assert contend(1, 0).winner_ids == []
 
+    @pytest.mark.parametrize("n_candidates", [6, 40])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_matches_per_minislot_reference(self, n_candidates, as_array):
+        """Scalar (small) and array (large) pools make the same draws and
+        decisions as a plain per-minislot loop, and leave the caller's
+        sequences untouched."""
+        ids = list(range(100, 100 + n_candidates))
+        probs = np.random.default_rng(4).uniform(
+            0.2 / n_candidates, 2.0 / n_candidates, n_candidates
+        ).tolist()
+        given_ids = np.asarray(ids) if as_array else list(ids)
+        given_probs = np.asarray(probs) if as_array else list(probs)
+        result = run_contention_ids(
+            given_ids, given_probs, 12, np.random.default_rng(9)
+        )
+
+        rng = np.random.default_rng(9)
+        remaining, remaining_p = list(ids), list(probs)
+        winners, attempts, collisions, idle = [], 0, 0, 0
+        for _ in range(12):
+            if not remaining:
+                idle += 1
+                continue
+            draws = rng.random(len(remaining))
+            sent = [i for i, p in enumerate(remaining_p) if draws[i] < p]
+            attempts += len(sent)
+            if len(sent) == 1:
+                winners.append(remaining.pop(sent[0]))
+                remaining_p.pop(sent[0])
+            elif sent:
+                collisions += 1
+            else:
+                idle += 1
+        assert winners, "the reference must exercise a winner popping"
+        assert result.winner_ids == winners
+        assert all(type(tid) is int for tid in result.winner_ids)
+        assert (result.attempts, result.collisions, result.idle_slots) == (
+            attempts, collisions, idle,
+        )
+        assert list(given_ids) == ids and list(given_probs) == probs
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(min_value=0, max_value=12),
