@@ -251,9 +251,9 @@ def _constellation_scenario():
 def _constellation_fps(n_workers: int) -> float:
     """Aggregate frames/sec of one full constellation run.
 
-    Wall-clock, not CPU time: worker threads are the thing being measured,
-    and summed CPU time would cancel the very parallelism the thread-scaling
-    row records.  Aggregate fps is total frames stepped across all beams
+    Wall-clock, not CPU time: the forked worker processes are the thing
+    being measured, and this process's CPU time would miss their share of
+    the work.  Aggregate fps is total frames stepped across all beams
     over the run's wall seconds.
     """
     from repro.constellation import ConstellationRunner

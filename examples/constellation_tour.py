@@ -16,8 +16,9 @@ machine, covering the four contracts the layer ships with:
    ``beam % reuse_factor`` group) fold each other's busy load into their
    channel as a frequency-reuse SNR penalty.
 3. **Determinism** — handover decisions are drawn serially from one
-   dedicated child stream between blocks, so the worker-thread count is a
-   pure performance knob: threaded and serial runs are identical.
+   dedicated child stream between blocks, so the worker count is a pure
+   performance knob: runs on forked worker processes and in-process runs
+   are identical.
 4. **Scale** — 100 beams × 100 terminals (the ISSUE's 10k-terminal demo)
    in fast RNG mode with macro-stepping, aggregate frames/sec printed.
 
@@ -83,10 +84,10 @@ def coupled_constellation() -> None:
 
     # ------------------------------------------------------ 3. determinism
     serial = run_constellation(scenario, PARAMS, n_workers=1)
-    threaded = run_constellation(scenario, PARAMS, n_workers=4)
-    assert serial.merged == threaded.merged
-    assert serial.handovers == threaded.handovers
-    print("serial and 4-worker runs identical "
+    forked = run_constellation(scenario, PARAMS, n_workers=4)
+    assert serial.merged == forked.merged
+    assert serial.handovers == forked.handovers
+    print(f"serial and {forked.n_workers}-process runs identical "
           f"({serial.handovers} handovers either way)")
 
 

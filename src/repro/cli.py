@@ -92,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--beam-workers", type=int, default=None, dest="beam_workers",
         metavar="W",
-        help="worker threads stepping the beam shards (default: machine "
-             "dependent; also settable via REPRO_CONSTELLATION_WORKERS)")
+        help="worker processes stepping the beam shards (default: the "
+             "usable CPUs, at most 8; also settable via "
+             "REPRO_CONSTELLATION_WORKERS)")
 
     compare_parser = sub.add_parser("compare", help="compare several protocols")
     _add_scenario_arguments(compare_parser, include_protocol=False)

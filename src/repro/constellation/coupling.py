@@ -10,12 +10,13 @@ interaction — so the per-beam hot loops stay untouched:
 * **Handover**: idle voice terminals migrate between beams by swapping
   state with an idle peer slot.  Decisions are drawn serially from one
   dedicated RNG between blocks, so results are independent of how many
-  worker threads step the shards.
+  worker processes step the shards.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -78,43 +79,58 @@ def interference_offsets(
 
 
 def plan_handovers(
-    eligible: Sequence[Sequence[int]],
+    eligible: Sequence[Iterable[int]],
     handover_rate: float,
     rng: np.random.Generator,
 ) -> List[HandoverSwap]:
     """Plan this block's idle-terminal migrations as swap pairs.
 
-    Walks beams and their eligible terminals in deterministic order,
-    drawing one uniform per candidate; a candidate migrating with
-    probability ``handover_rate`` is paired with the lowest eligible slot
-    of a uniformly drawn other beam.  Each slot participates in at most
-    one swap per block.  The draw sequence depends only on the eligibility
-    sets, never on thread scheduling, so threaded and serial constellation
-    runs plan identical handovers.
+    ``eligible[b]`` holds beam ``b``'s eligible local ids; their order and
+    repeats do not matter.  Walks beams and their eligible terminals in
+    ascending order, drawing one uniform per candidate; a candidate
+    migrating with probability ``handover_rate`` is paired with the lowest
+    free eligible slot of a uniformly drawn other beam that still has one.
+    Each slot participates in at most one swap per block.  The draw
+    sequence depends only on the eligibility sets, never on which process
+    steps which beam, so every worker count plans identical handovers.
     """
     n_beams = len(eligible)
     if n_beams < 2 or handover_rate <= 0.0:
         return []
-    pools: List[List[int]] = [sorted(int(i) for i in ids) for ids in eligible]
+    pools: List[List[int]] = [sorted({int(i) for i in ids}) for ids in eligible]
     taken: List[Set[int]] = [set() for _ in range(n_beams)]
+    free = [len(pool) for pool in pools]
+    # Beams with a free slot, ascending, and each beam's lowest free slot
+    # (an index into its pool, which only ever moves up).
+    open_beams = [beam for beam in range(n_beams) if free[beam]]
+    lowest = [0] * n_beams
     swaps: List[HandoverSwap] = []
+
+    def take(beam: int, local: int) -> None:
+        taken[beam].add(local)
+        free[beam] -= 1
+        if not free[beam]:
+            del open_beams[bisect_left(open_beams, beam)]
+
     for beam in range(n_beams):
         for local in pools[beam]:
-            if local in taken[beam]:
+            if local in taken[beam] or rng.random() >= handover_rate:
                 continue
-            if rng.random() >= handover_rate:
+            # ``local`` is free, so ``beam`` is open: the targets are the
+            # other open beams.
+            n_targets = len(open_beams) - 1
+            if n_targets == 0:
                 continue
-            targets = [
-                b
-                for b in range(n_beams)
-                if b != beam
-                and any(peer not in taken[b] for peer in pools[b])
-            ]
-            if not targets:
-                continue
-            target = targets[int(rng.integers(len(targets)))]
-            peer = next(p for p in pools[target] if p not in taken[target])
-            taken[beam].add(local)
-            taken[target].add(peer)
+            pick = int(rng.integers(n_targets))
+            if pick >= bisect_left(open_beams, beam):
+                pick += 1
+            target = open_beams[pick]
+            pool, cursor = pools[target], lowest[target]
+            while pool[cursor] in taken[target]:
+                cursor += 1
+            lowest[target] = cursor
+            peer = pool[cursor]
+            take(beam, local)
+            take(target, peer)
             swaps.append(((beam, local), (target, peer)))
     return swaps

@@ -1,14 +1,29 @@
-"""Step N beam shards in parallel with cross-beam coupling at block barriers.
+"""Step N beam shards with cross-beam coupling at block barriers.
 
 The :class:`ConstellationRunner` owns one :class:`~repro.constellation.shard.
 BeamShard` per beam and advances them through the existing columnar/macro
 kernels.  Between macro blocks — and only there — it applies the cross-beam
-couplings (interference offsets, terminal handover) and records per-beam
-load-imbalance through :mod:`repro.obs.metrics`.  Shards are stepped by a
-thread pool by default: the block kernels spend their time in NumPy (which
-releases the GIL), shards share no mutable state between barriers, and the
-handover RNG is consumed serially by the coordinator, so threaded and
-serial runs produce identical merged results.
+couplings (interference offsets, terminal handover).
+
+With more than one worker, :meth:`ConstellationRunner.run` forks worker
+processes.  Each owns a fixed, contiguous bucket of shards for the whole
+run, and the calling process (the coordinator) steps the first bucket
+itself.  Between barriers a worker steps its shards without talking to
+anyone.  At a barrier it sends its beams' busy loads and handover-eligible
+terminals to the coordinator, which plans both couplings exactly as serial
+stepping does (in beam order, from the one handover stream), and receives
+its interference offsets and the terminals to export, then the states to
+import.  At the end each worker sends its shards back one at a time, so
+``runner.shards`` holds every beam's final engine.  Results are therefore
+bit-identical to serial stepping at any worker count.
+
+Shards step in the calling process, one after another, unless forking is
+both useful and safe: more than one worker, a ``fork`` start method, no
+other live thread (forking a multi-threaded process can deadlock), not
+inside a ``multiprocessing`` child (daemonic fleet workers cannot have
+children, and executor pool workers already use the cores), and no
+installed tracer or enabled metrics registry (both record into this
+process only).
 
 When no coupling is active (one beam, or ``handover_rate == 0`` and
 ``coupling_db == 0``) each shard advances whole warm-up/measured phases in
@@ -21,76 +36,131 @@ Scenario` path in parity RNG mode.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import traceback
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 
 from repro.config import SimulationParameters
-from repro.constellation.coupling import interference_offsets, plan_handovers
+from repro.constellation.coupling import (
+    HandoverSwap,
+    interference_offsets,
+    plan_handovers,
+)
 from repro.constellation.scenario import ConstellationScenario
 from repro.constellation.shard import BeamShard
-from repro.lint.contracts import kernel
 from repro.metrics.collector import MacStats
 from repro.metrics.data import DataMetrics
 from repro.metrics.voice import VoiceMetrics
 from repro.obs import clock as _clock
 from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.sim.results import SimulationResult
 from repro.sim.rng import child_stream
+from repro.traffic.population import TerminalMigrationState
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "ConstellationResult",
     "ConstellationRunner",
-    "lpt_assign",
     "resolve_workers",
     "run_constellation",
     "WORKERS_ENV",
 ]
 
-#: Environment override for the shard-stepping worker-thread count.
+#: Environment override for the shard-stepping worker count.
 WORKERS_ENV = "REPRO_CONSTELLATION_WORKERS"
+
+#: A terminal slot, ``(beam, local_id)``.
+_Slot = Tuple[int, int]
+
+#: One beam's barrier report: its busy load and its handover-eligible
+#: terminals, each ``None`` while that coupling is off.
+_Report = Tuple[Optional[float], Optional[List[int]]]
 
 
 def resolve_workers(
     scenario: ConstellationScenario, n_workers: Optional[int] = None
 ) -> int:
-    """Worker-thread count: explicit arg, else env, else a machine default."""
+    """Worker count: explicit arg, else env, else the usable CPUs (at most 8).
+
+    Never more workers than beams.
+    """
     if n_workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
         if env:
             n_workers = int(env)
     if n_workers is None:
-        n_workers = min(scenario.n_beams, os.cpu_count() or 1, 8)
+        # The CPUs this process may run on, where the OS can say.
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+        n_workers = min(scenario.n_beams, cpus, 8)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     return min(int(n_workers), scenario.n_beams)
 
 
-@kernel
-def lpt_assign(costs: np.ndarray, n_workers: int) -> np.ndarray:
-    """Longest-processing-time-first shard→worker assignment.
+def _can_fork() -> bool:
+    """Whether forking shard workers is safe here (see the module docstring)."""
+    import multiprocessing
 
-    Places each shard, in decreasing cost order, on the currently lightest
-    worker — the classic 4/3-approximate makespan heuristic, which is what
-    keeps the block barrier from waiting on one overloaded thread when
-    beam loads diverge.  Returns the worker index per shard.  The sort is
-    stable, so ties break by beam order and the assignment is
-    deterministic.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    n = costs.shape[0]
-    workers = np.zeros(n, dtype=np.int64)
-    if n_workers <= 1 or n <= 1:
-        return workers
-    order = np.argsort(-costs, kind="stable")
-    totals = np.zeros(int(n_workers), dtype=np.float64)
-    for shard_index in order:
-        lightest = int(np.argmin(totals))
-        workers[shard_index] = lightest
-        totals[lightest] += costs[shard_index]
-    return workers
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+        and multiprocessing.parent_process() is None
+        and _trace.TRACER is None
+        and not _metrics.METRICS.enabled
+    )
+
+
+@dataclass(frozen=True)
+class _WorkerFailure:
+    """What a worker process sends, in place of its next message, on failure."""
+
+    message: str
+    traceback: str
+
+
+class _Worker:
+    """The coordinator's handle on one worker process and its beams."""
+
+    def __init__(self, process: BaseProcess, conn: Connection, beams: range) -> None:
+        self.process = process
+        self.conn = conn
+        self.beams = beams
+
+    def receive(self) -> Any:
+        """The worker's next message; raises if the worker failed or died."""
+        beams = f"beams {self.beams.start}-{self.beams.stop - 1}"
+        try:
+            message = self.conn.recv()
+        except EOFError:
+            raise RuntimeError(
+                f"the constellation worker process for {beams} exited "
+                f"without reporting"
+            ) from None
+        if isinstance(message, _WorkerFailure):
+            raise RuntimeError(
+                f"{message.message} (in the worker process for {beams})\n\n"
+                f"{message.traceback}"
+            )
+        return message
 
 
 @dataclass(frozen=True)
@@ -110,7 +180,8 @@ class ConstellationResult:
     handovers:
         Total terminal migrations executed across the whole run.
     n_workers:
-        Worker threads used to step the shards.
+        Processes that stepped the shards: 1 when they all stepped in the
+        calling process.
     """
 
     scenario: ConstellationScenario
@@ -151,134 +222,230 @@ class ConstellationRunner:
             "constellation.handover",
         )
         self.handovers = 0
-        self._blocks_done = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
+        #: Seconds each beam's shard spent stepping, measured where it steps.
+        self._step_seconds = np.zeros(scenario.n_beams, dtype=np.float64)
 
     # ------------------------------------------------------------------ API
     def run(self) -> ConstellationResult:
         """Run warm-up plus the measured period on every shard."""
-        scenario = self.scenario
-        warmup = scenario.warmup_frames(self.params)
-        measured = scenario.measured_frames(self.params)
-        try:
-            if scenario.has_coupling:
-                self._run_phase(warmup)
-                for shard in self.shards:
-                    shard.begin_measurement()
-                self._run_phase(measured)
-            else:
-                # Uncoupled shards advance whole phases in one call each —
-                # the exact frame chunking of ``engine.run()``, preserving
-                # single-beam bit-identity with the plain Scenario path.
-                self._step_all(warmup)
-                for shard in self.shards:
-                    shard.begin_measurement()
-                self._step_all(measured)
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        if self.n_workers > 1 and _can_fork():
+            n_processes = self._run_forked()
+        else:
+            shards = self.shards
+            self._advance(shards, lambda: self._couple(shards, ()))
+            n_processes = 1
         beams = tuple(shard.result() for shard in self.shards)
         merged = self._merge(beams)
-        self._report_load(final=True)
-        metrics = _metrics.METRICS
-        metrics.gauge("constellation.handovers", float(self.handovers))
+        self._report_load()
+        _metrics.METRICS.gauge("constellation.handovers", float(self.handovers))
         return ConstellationResult(
-            scenario=scenario,
+            scenario=self.scenario,
             merged=merged,
             beams=beams,
             handovers=self.handovers,
-            n_workers=self.n_workers,
+            n_workers=n_processes,
         )
 
-    # ------------------------------------------------------------- phases
-    def _run_phase(self, n_frames: int) -> None:
-        """Advance a phase block by block, coupling at each barrier."""
-        block = self.scenario.macro_frames
-        remaining = n_frames
-        while remaining > 0:
-            if self._blocks_done > 0:
-                self._apply_coupling()
-            step = block if block < remaining else remaining
-            self._step_all(step)
-            remaining -= step
-            self._blocks_done += 1
+    # ------------------------------------------------------------- stepping
+    def _advance(
+        self, shards: Sequence[BeamShard], barrier: Callable[[], None]
+    ) -> None:
+        """Carry ``shards`` through warm-up and measurement.
 
-    def _step_all(self, n_frames: int) -> None:
-        """Advance every shard by ``n_frames``, threaded when configured."""
-        if n_frames <= 0:
-            return
-        shards = self.shards
-        if self.n_workers <= 1 or len(shards) <= 1:
-            for shard in shards:
-                self._step_shard(shard, n_frames)
-            return
-        assignment = lpt_assign(
-            np.array([shard.cost_ema for shard in shards]), self.n_workers
+        A coupled run steps ``macro_frames`` blocks and calls ``barrier``
+        between consecutive blocks, across the warm-up/measured boundary
+        too.  An uncoupled run advances each phase in one call — the exact
+        frame chunking of ``engine.run()``, preserving single-beam
+        bit-identity with the plain Scenario path.
+        """
+        scenario = self.scenario
+        block = scenario.macro_frames if scenario.has_coupling else None
+        phases = (
+            scenario.warmup_frames(self.params),
+            scenario.measured_frames(self.params),
         )
-        buckets: List[List[BeamShard]] = [[] for _ in range(self.n_workers)]
-        for index, worker in enumerate(assignment):
-            buckets[int(worker)].append(shards[index])
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers,
-                thread_name_prefix="constellation",
-            )
-        futures = [
-            self._pool.submit(self._step_bucket, bucket, n_frames)
-            for bucket in buckets
-            if bucket
+        stepped = False
+        for phase, remaining in enumerate(phases):
+            if phase:
+                for shard in shards:
+                    shard.begin_measurement()
+            while remaining > 0:
+                step = remaining if block is None else min(block, remaining)
+                if block is not None and stepped:
+                    barrier()
+                self._step(shards, step)
+                stepped = True
+                remaining -= step
+
+    def _step(self, shards: Sequence[BeamShard], n_frames: int) -> None:
+        """Advance each shard by ``n_frames``, timing it; failures name the beam."""
+        seconds = self._step_seconds
+        for shard in shards:
+            started = _clock.now()
+            try:
+                shard.run_frames(n_frames)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"constellation beam {shard.beam} failed: {exc!r}"
+                ) from exc
+            seconds[shard.beam] += _clock.now() - started
+
+    # -------------------------------------------------------------- workers
+    def _run_forked(self) -> int:
+        """Step the first bucket here and every other one in a forked worker.
+
+        Returns the number of processes that stepped shards.
+        """
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        own, *others = [
+            range(int(bucket[0]), int(bucket[-1]) + 1)
+            for bucket in np.array_split(np.arange(len(self.shards)), self.n_workers)
         ]
-        for future in futures:
-            future.result()
-        self._report_load(final=False)
+        workers: List[_Worker] = []
+        try:
+            for beams in others:
+                conn, child_conn = context.Pipe()
+                coordinator_ends = [worker.conn for worker in workers] + [conn]
+                process = context.Process(
+                    target=self._work,
+                    args=(beams, child_conn, coordinator_ends),
+                    name=f"constellation-beams-{beams.start}-{beams.stop - 1}",
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+                workers.append(_Worker(process, conn, beams))
+            local = self.shards[own.start:own.stop]
+            self._advance(local, lambda: self._couple(local, workers))
+            for worker in workers:
+                for beam in worker.beams:
+                    self.shards[beam], self._step_seconds[beam] = worker.receive()
+        except BaseException:
+            for worker in workers:
+                worker.process.terminate()
+            raise
+        finally:
+            for worker in workers:
+                worker.process.join()
+                worker.conn.close()
+        return 1 + len(workers)
 
-    def _step_bucket(self, bucket: List[BeamShard], n_frames: int) -> None:
-        for shard in bucket:
-            self._step_shard(shard, n_frames)
-
-    @staticmethod
-    def _step_shard(shard: BeamShard, n_frames: int) -> None:
-        started = _clock.now()
-        shard.run_frames(n_frames)
-        shard.observe_cost(_clock.now() - started, n_frames)
+    def _work(
+        self, beams: range, conn: Connection, coordinator_ends: Sequence[Connection]
+    ) -> None:
+        """Worker-process body: step ``beams``, then send their shards back."""
+        # Close the coordinator's pipe ends this fork inherited, so that a
+        # dead coordinator reads as end-of-file here.
+        for end in coordinator_ends:
+            end.close()
+        local = self.shards[beams.start:beams.stop]
+        try:
+            self._advance(local, lambda: self._answer_barrier(local, conn))
+            for shard in local:
+                conn.send((shard, float(self._step_seconds[shard.beam])))
+        except Exception as exc:
+            summary = "".join(traceback.format_exception_only(type(exc), exc))
+            conn.send(_WorkerFailure(summary.strip(), traceback.format_exc()))
 
     # ----------------------------------------------------------- coupling
-    def _apply_coupling(self) -> None:
-        """Exchange cross-beam state at a macro-block barrier."""
+    def _couple(self, local: Sequence[BeamShard], workers: Sequence[_Worker]) -> None:
+        """Exchange cross-beam state at a macro-block barrier.
+
+        ``local`` are the first beams, stepped in this process; every worker
+        steps the next contiguous bucket, so the gathered reports are in
+        beam order and the plan is the serial one.
+        """
         scenario = self.scenario
-        if scenario.coupling_db > 0.0 and scenario.n_beams > 1:
-            loads = np.array(
-                [shard.busy_load() for shard in self.shards], dtype=np.float64
-            )
+        reports = self._report(local)
+        for worker in workers:
+            reports += worker.receive()
+        offsets: Optional[np.ndarray] = None
+        if scenario.coupling_db > 0.0:
+            loads = np.array([load for load, _ in reports], dtype=np.float64)
             offsets = interference_offsets(
                 loads, scenario.reuse_factor, scenario.coupling_db
             )
-            for shard, offset in zip(self.shards, offsets):
-                shard.set_interference_db(float(offset))
-        if scenario.handover_rate > 0.0 and scenario.n_beams > 1:
-            eligible = [shard.eligible_handover_ids() for shard in self.shards]
+        swaps: List[HandoverSwap] = []
+        if scenario.handover_rate > 0.0:
+            eligible = [cast(List[int], ids) for _, ids in reports]
             swaps = plan_handovers(
                 eligible, scenario.handover_rate, self._handover_rng
             )
-            for (beam_a, local_a), (beam_b, local_b) in swaps:
-                state_a = self.shards[beam_a].export_terminal(local_a)
-                state_b = self.shards[beam_b].export_terminal(local_b)
-                self.shards[beam_a].import_terminal(local_a, state_b)
-                self.shards[beam_b].import_terminal(local_b, state_a)
-            self.handovers += len(swaps)
-            if swaps:
-                _metrics.METRICS.inc("constellation.handovers.block", len(swaps))
+        partner: Dict[_Slot, _Slot] = {}
+        for slot_a, slot_b in swaps:
+            partner[slot_a], partner[slot_b] = slot_b, slot_a
+        # Each process's swapped slots, in swap order: index 0 holds this
+        # process's, index i the i-th worker's.
+        starts = [worker.beams.start for worker in workers]
+        slots: List[List[_Slot]] = [[] for _ in range(len(workers) + 1)]
+        for slot in partner:
+            slots[bisect_right(starts, slot[0])].append(slot)
 
-    def _report_load(self, final: bool) -> None:
-        """Gauge per-beam step-cost imbalance (max over mean)."""
-        metrics = _metrics.METRICS
-        if not metrics.enabled and not final:
-            return
-        costs = np.array([shard.cost_ema for shard in self.shards])
-        mean = float(costs.mean()) if costs.size else 0.0
-        imbalance = float(costs.max()) / mean if mean > 0.0 else 1.0
-        metrics.gauge("constellation.load_imbalance", imbalance)
+        for worker, moving in zip(workers, slots[1:]):
+            beams = worker.beams
+            worker.conn.send((
+                None if offsets is None else offsets[beams.start:beams.stop],
+                moving,
+            ))
+        self._apply_offsets(local, None if offsets is None else offsets[:len(local)])
+        states = dict(zip(slots[0], self._export(slots[0])))
+        for worker, moving in zip(workers, slots[1:]):
+            if moving:
+                states.update(zip(moving, worker.receive()))
+        for worker, moving in zip(workers, slots[1:]):
+            if moving:
+                worker.conn.send([states[partner[slot]] for slot in moving])
+        self._import(slots[0], [states[partner[slot]] for slot in slots[0]])
+        self.handovers += len(swaps)
+        if swaps:
+            _metrics.METRICS.inc("constellation.handovers.block", len(swaps))
+
+    def _answer_barrier(self, local: Sequence[BeamShard], conn: Connection) -> None:
+        """A worker's side of :meth:`_couple`."""
+        conn.send(self._report(local))
+        offsets, moving = conn.recv()
+        self._apply_offsets(local, offsets)
+        if moving:
+            conn.send(self._export(moving))
+            self._import(moving, conn.recv())
+
+    def _report(self, shards: Sequence[BeamShard]) -> List[_Report]:
+        """The barrier reports of ``shards``, in their order."""
+        interfere = self.scenario.coupling_db > 0.0
+        handover = self.scenario.handover_rate > 0.0
+        return [
+            (
+                shard.busy_load() if interfere else None,
+                shard.eligible_handover_ids() if handover else None,
+            )
+            for shard in shards
+        ]
+
+    @staticmethod
+    def _apply_offsets(
+        shards: Sequence[BeamShard], offsets: Optional[np.ndarray]
+    ) -> None:
+        if offsets is not None:
+            for shard, offset in zip(shards, offsets):
+                shard.set_interference_db(float(offset))
+
+    def _export(self, slots: Sequence[_Slot]) -> List[TerminalMigrationState]:
+        return [self.shards[beam].export_terminal(lid) for beam, lid in slots]
+
+    def _import(
+        self, slots: Sequence[_Slot], states: Sequence[TerminalMigrationState]
+    ) -> None:
+        for (beam, lid), state in zip(slots, states):
+            self.shards[beam].import_terminal(lid, state)
+
+    def _report_load(self) -> None:
+        """Gauge per-beam stepping-time imbalance (max over mean)."""
+        seconds = self._step_seconds
+        mean = float(seconds.mean()) if seconds.size else 0.0
+        imbalance = float(seconds.max()) / mean if mean > 0.0 else 1.0
+        _metrics.METRICS.gauge("constellation.load_imbalance", imbalance)
 
     # -------------------------------------------------------------- merge
     def _merge(self, beams: Tuple[SimulationResult, ...]) -> SimulationResult:

@@ -4,9 +4,10 @@ A :class:`BeamShard` wraps an :class:`~repro.sim.engine.UplinkSimulationEngine`
 built from the constellation's per-beam :class:`~repro.sim.scenario.Scenario`
 with beam-specific random streams injected.  Between macro-block barriers a
 shard is completely independent of its siblings — no shared mutable state —
-which is what makes threaded stepping deterministic.  Cross-beam state only
-moves through the explicit block-boundary seams exposed here: busy-load
-export, interference injection and idle-terminal state migration.
+which is what lets a worker process step it alone, deterministically.
+Cross-beam state only moves through the explicit block-boundary seams
+exposed here: busy-load export, interference injection and idle-terminal
+state migration.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ class BeamShard:
             # time, under whatever penalty is then in force.
             self.engine.CHANNEL_BLOCK_FRAMES = scenario.macro_frames
         self.population: TerminalPopulation = self.engine.population
-        #: Exponential moving average of the shard's per-frame step cost,
-        #: fed to the LPT shard→worker assignment.  Seeded uniformly.
-        self.cost_ema: float = 1.0
 
     # ------------------------------------------------------------ stepping
     def run_frames(self, n_frames: int) -> None:
@@ -85,13 +83,6 @@ class BeamShard:
     def result(self) -> SimulationResult:
         """The shard's metrics since the last measurement reset."""
         return self.engine.collect_results()
-
-    def observe_cost(self, seconds: float, n_frames: int) -> None:
-        """Fold one block's measured step time into the cost estimate."""
-        if n_frames <= 0 or seconds < 0.0:
-            return
-        per_frame = seconds / float(n_frames)
-        self.cost_ema = 0.5 * self.cost_ema + 0.5 * per_frame
 
     # ---------------------------------------------------- coupling seams
     def busy_load(self) -> float:

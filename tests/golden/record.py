@@ -130,7 +130,9 @@ def run_case(case: Case) -> Tuple[Dict[str, object], Dict[str, float]]:
     """Run a case; return ``(digested content, key metrics)``."""
     scenario = case.scenario
     if isinstance(scenario, ConstellationScenario):
-        runner = ConstellationRunner(scenario, PARAMS, n_workers=1)
+        # The default worker count: where it exceeds one, the digest pins
+        # the forked-worker path, whose shards come back to this process.
+        runner = ConstellationRunner(scenario, PARAMS)
         outcome = runner.run()
         content: Dict[str, object] = {
             "beams": [
