@@ -14,17 +14,18 @@ order and hands out the ``N_i`` information slots of the frame:
   wins and the slot is granted at the most robust mode anyway.
 
 Requests left over (no slots, or deferred) are returned so the protocol can
-queue them (with-queue variant) or drop them (without-queue variant).
+queue them (with-queue variant) or drop them (without-queue variant).  The
+walk runs over plain lists; the frame's priority ranking and mode lookup
+are array math done before it (:meth:`CSIRankedAllocator.mode_columns`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mac.requests import GrantColumns, RequestColumns
+from repro.mac.requests import GrantColumns
 from repro.phy.abicm import AdaptiveModem
 
 __all__ = ["CSIRankedAllocator"]
@@ -59,7 +60,7 @@ class CSIRankedAllocator:
         self._modem = modem
         self._n_slots = int(n_info_slots)
         self._margin = int(defer_deadline_margin)
-        self._column_lut: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._lowest_throughput = modem.mode_table[0].throughput
 
     @property
     def n_info_slots(self) -> int:
@@ -72,110 +73,105 @@ class CSIRankedAllocator:
         return self._margin
 
     # ------------------------------------------------------------------ API
-    def allocate_columns(
+    def mode_columns(
+        self, amplitudes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One frame's mode lookup over the estimated CSIs of its requests.
+
+        Returns ``(packets, throughput, channel)`` aligned with
+        ``amplitudes``: the packets per slot and mode throughput the walk
+        grants at (0 packets marks outage; a missing ``NaN`` estimate falls
+        back to the most robust mode), and the priority metric's channel
+        term ``f(CSI)`` (the throughput, 0 in outage and without an
+        estimate).  One conversion feeds both the ranking and the walk.
+        """
+        table = self._modem.mode_table
+        known = ~np.isnan(amplitudes)
+        if known.all():
+            indices_p1 = self._modem.mode_index(amplitudes) + 1
+            throughput = table.throughput_by_mode_index[indices_p1]
+            return table.packets_by_mode_index[indices_p1], throughput, throughput
+        # Unknown estimates sit on LUT row 1 (the most robust mode); their
+        # channel term is masked to 0.
+        indices_p1 = np.ones(amplitudes.shape[0], dtype=np.int64)
+        if known.any():
+            indices_p1[known] = self._modem.mode_index(amplitudes[known]) + 1
+        throughput = table.throughput_by_mode_index[indices_p1]
+        return (
+            table.packets_by_mode_index[indices_p1],
+            throughput,
+            np.where(known, throughput, 0.0),
+        )
+
+    def allocate(
         self,
-        columns: RequestColumns,
-        order: np.ndarray,
-        population,
+        order: List[int],
+        terminal_ids: List[int],
+        deadline_frames: List[int],
+        packets: List[int],
+        throughputs: List[float],
+        occupancy: Sequence[int],
+        n_voice: int,
+        n_reserved: int,
         frame_index: int,
         grants: GrantColumns,
-        per_slot: Optional[np.ndarray] = None,
-        throughput: Optional[np.ndarray] = None,
-    ) -> Tuple[List[int], List[int]]:
-        """Grant the frame's information slots to the ranked request rows.
+    ) -> Tuple[List[int], List[int], List[int]]:
+        """Walk the ranked request rows and grant the frame's slots.
 
-        ``order`` is the priority ranking (row indices, best first); grants
-        land in ``grants`` and the method returns ``(unserved_rows,
-        deferred_rows)`` so the protocol can queue the leftovers.  The
-        per-row capacities come from one vectorised mode lookup over the
-        estimated CSIs (zero packets marks outage; a missing estimate falls
-        back to the most robust mode), and the sequential slots-left walk
-        runs over plain Python scalars.  Rows whose terminal has no packets
-        left are skipped; an outage row is deferred unless it is a voice
-        request within ``defer_deadline_margin`` frames of its deadline,
-        which is served at the most robust mode.  ``per_slot``/``throughput``
-        optionally supply the capacity columns from a caller that already
-        performed the frame's mode lookup.
+        The one implementation of CHARISMA's allocation walk, run by
+        ``CharismaProtocol.run_frame_batch`` and by the macro runner's
+        inline frame.  ``order`` lists row indices, best first; the other
+        sequences are per-row columns (``deadline_frames`` ``-1`` = none,
+        ``packets``/``throughputs`` from :meth:`mode_columns`), except
+        ``occupancy``, which maps terminal id to buffered packets.  A row
+        is voice when its terminal id is below ``n_voice``; the first
+        ``n_reserved`` rows are the reservation holders' own requests.
+
+        Rows whose terminal has no packets are skipped.  An outage row is
+        deferred unless it is a voice request within
+        ``defer_deadline_margin`` frames of its deadline, which is served
+        at the most robust mode.  A voice row takes one slot; a data row
+        takes enough slots to drain its buffer, bounded by what remains.
+        Grants land in ``grants``.  Returns ``(new_voice, unserved,
+        deferred)``: the terminals of the served voice rows past the
+        holders' (they take a reservation), then the rows left without a
+        slot and the deferred rows, each in ranking order.
         """
-        n = len(columns)
+        new_voice: List[int] = []
         unserved: List[int] = []
         deferred: List[int] = []
-        if n == 0:
-            return unserved, deferred
-        if per_slot is None or throughput is None:
-            packs_lut, thr_lut = self._column_tables()
-            per_slot = np.zeros(n, dtype=np.int64)
-            throughput = np.zeros(n, dtype=float)
-            known = ~np.isnan(columns.csi_amplitudes)
-            unknown = ~known
-            if unknown.any():
-                per_slot[unknown] = packs_lut[1]
-                throughput[unknown] = thr_lut[1]
-            if known.any():
-                # mode_index yields -1 for outage, i for mode i; +1 lands on
-                # the LUT rows (0 = outage, i + 1 = mode i).
-                indices = self._modem.mode_index(columns.csi_amplitudes[known]) + 1
-                per_slot[known] = packs_lut[indices]
-                throughput[known] = thr_lut[indices]
-
-        occupancies = population.occupancy[columns.terminal_ids]
-        tid_list = columns.terminal_ids.tolist()
-        voice_list = columns.is_voice.tolist()
-        occupancy_list = occupancies.tolist()
-        per_list = per_slot.tolist()
-        throughput_list = throughput.tolist()
-        deadline_list = columns.deadline_frames.tolist()
-        lowest_throughput = self._modem.mode_table[0].throughput
-        margin = self._margin
         append = grants.append
+        lowest_throughput = self._lowest_throughput
+        margin = self._margin
         slots_left = self._n_slots
-
-        for row in order.tolist():
-            occupancy = occupancy_list[row]
-            if occupancy == 0:
+        for row in order:
+            tid = terminal_ids[row]
+            occupancy_now = occupancy[tid]
+            if occupancy_now == 0:
                 continue
             if slots_left <= 0:
                 unserved.append(row)
                 continue
-            packets = per_list[row]
-            mode_throughput = throughput_list[row]
-            if packets == 0:
-                deadline = deadline_list[row]
+            row_packets = packets[row]
+            throughput = throughputs[row]
+            if row_packets == 0:
+                deadline = deadline_frames[row]
                 if (
-                    voice_list[row]
+                    tid < n_voice
                     and deadline >= 0
-                    and max(0, deadline - frame_index) <= margin
+                    and deadline - frame_index <= margin
                 ):
-                    packets, mode_throughput = 1, lowest_throughput
+                    row_packets, throughput = 1, lowest_throughput
                 else:
                     deferred.append(row)
                     continue
-            if voice_list[row]:
+            if tid < n_voice:
                 n_slots = 1
+                if row >= n_reserved:
+                    new_voice.append(tid)
             else:
-                needed = math.ceil(occupancy / max(1, packets))
-                n_slots = max(1, min(slots_left, needed))
-            append(tid_list[row], n_slots, packets * n_slots, mode_throughput)
+                needed = -(-int(occupancy_now) // row_packets)
+                n_slots = needed if needed < slots_left else slots_left
+            append(tid, n_slots, row_packets * n_slots, throughput)
             slots_left -= n_slots
-        return unserved, deferred
-
-    # ------------------------------------------------------------ internals
-    def _column_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-mode (packets, throughput) lookup: row 0 outage, row 1+ modes.
-
-        Row 0 encodes outage as zero packets (NaN throughput, never
-        granted); row ``mode_index + 1`` holds the mode's capacity pair,
-        with "no estimate" mapping to row 1 (the most robust mode).
-        """
-        if self._column_lut is None:
-            table = self._modem.mode_table
-            reference = table.reference_throughput
-            packs = [0] + [
-                table[i].packets_per_slot(reference) for i in range(len(table))
-            ]
-            thrs = [np.nan] + [table[i].throughput for i in range(len(table))]
-            self._column_lut = (
-                np.asarray(packs, dtype=np.int64),
-                np.asarray(thrs, dtype=float),
-            )
-        return self._column_lut
+        return new_voice, unserved, deferred

@@ -30,7 +30,7 @@ Frame procedure (uplink, Fig. 4a / Section 4.3)
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -42,7 +42,13 @@ from repro.core.priority import PriorityCalculator
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome, RequestColumns
+from repro.mac.request_queue import QueuedRequests
+from repro.mac.requests import (
+    Acknowledgement,
+    FrameOutcome,
+    GrantColumns,
+    RequestColumns,
+)
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.csi import CSIEstimator
 
@@ -129,15 +135,16 @@ class CharismaProtocol(MACProtocol):
 
         Contention resolves over id arrays, CSI estimation returns amplitude
         columns, the priority metric and the mode lookup evaluate over the
-        pooled :class:`RequestColumns`, and the ranked allocation walk emits
-        grant columns — the only per-request Python objects are the
-        acknowledgements and any leftovers re-entering the request queue.
+        pooled :class:`RequestColumns`, and
+        :meth:`~repro.core.allocator.CSIRankedAllocator.allocate` walks the
+        ranking — the only per-request Python objects are the
+        acknowledgements.
         """
         self.reservations.release_ended_population(population)
-        self.prune_queue_batch(frame_index, population)
+        queue = self.request_queue
+        if queue is not None:
+            queue.prune(frame_index, population.occupancy)
         outcome = FrameOutcome(frame_index)
-        grants = outcome.use_grant_columns()
-        validity = self.csi_estimator.validity_frames
 
         # ----------------------------------------------------- request phase
         ids, probabilities = self.contention_candidate_ids(population)
@@ -175,107 +182,115 @@ class CharismaProtocol(MACProtocol):
                 snapshot.gather(reserved), frame_index
             )
             estimates = np.concatenate([reserved_estimates, winner_estimates])
-        base_columns = self._pending_columns(
+        pending = self._pending_columns(
             population, reserved, winner_ids, estimates, frame_index
         )
-
         # Backlog from previous frames (with-queue variant only).
-        backlog = (
-            self.request_queue.pop_all() if self.request_queue is not None else []
-        )
-        if backlog:
-            backlog_columns = RequestColumns.from_requests(
-                backlog, csi_validity=validity
-            )
-            self._refresh_voice_deadline_columns(
-                backlog_columns, population, frame_index
-            )
-            if self.enable_csi_polling:
-                # The backlog priorities exist only to rank the polling
-                # short list, so they are evaluated lazily: not at all when
-                # no estimate is stale, and skipped for a single stale row
-                # (a one-element sort is order-preserving).  Decision- and
-                # draw-identical to the unconditional evaluation.
-                stale = self.csi_poller.stale_rows(backlog_columns, frame_index)
-                if stale.shape[0]:
-                    backlog_priorities = (
-                        self.priority_calculator.priorities_columns(
-                            backlog_columns, frame_index
-                        )
-                        if stale.shape[0] > 1
-                        else None
-                    )
-                    self.csi_poller.refresh_columns(
-                        backlog_columns,
-                        snapshot,
-                        frame_index,
-                        backlog_priorities,
-                        stale=stale,
-                    )
-            pending = RequestColumns.concatenate(
-                [base_columns, backlog_columns]
-            )
-        else:
-            pending = base_columns
+        if queue is not None and len(queue):
+            pending = RequestColumns.concatenate([
+                pending,
+                self.backlog_columns(
+                    queue.pop_all(), population, snapshot, frame_index
+                ),
+            ])
 
         # -------------------------------------------------- allocation phase
-        # One amplitude-to-mode conversion feeds both the priority metric's
-        # channel term (f(CSI), 0 when unknown) and the allocator's capacity
-        # columns (packets 0 marks outage; unknown falls back to the most
-        # robust mode) — the two phases share the frame's mode lookup.
-        table = self.modem.mode_table
-        amplitudes = pending.csi_amplitudes
-        known = ~np.isnan(amplitudes)
-        all_known = known.all()
-        n_pending = len(pending)
-        if all_known:
-            indices_p1 = self.modem.mode_index(amplitudes) + 1
-        else:
-            # Unknown estimates sit on LUT row 1 (the most robust mode) —
-            # the allocator's fallback; their priority channel term is
-            # masked to 0 below.
-            indices_p1 = np.ones(n_pending, dtype=np.int64)
-            if known.any():
-                indices_p1[known] = self.modem.mode_index(amplitudes[known]) + 1
-        throughput = table.throughput_by_mode_index[indices_p1]
-        per_slot = table.packets_by_mode_index[indices_p1]
-        channel = throughput if all_known else np.where(known, throughput, 0.0)
+        packets, throughput, channel = self.allocator.mode_columns(
+            pending.csi_amplitudes
+        )
         values = self.priority_calculator.priorities_columns(
             pending, frame_index, channel=channel
         )
-        order = np.argsort(-values, kind="stable")
-        unserved_rows, deferred_rows = self.allocator.allocate_columns(
-            pending,
-            order,
-            population,
+        n_reserved = reserved.shape[0]
+        outcome.grants = GrantColumns()
+        new_voice, unserved, deferred = self.allocator.allocate(
+            np.argsort(-values, kind="stable").tolist(),
+            pending.terminal_ids.tolist(),
+            pending.deadline_frames.tolist(),
+            packets.tolist(),
+            throughput.tolist(),
+            population.occupancy,
+            population.n_voice,
+            n_reserved,
             frame_index,
-            grants,
-            per_slot=per_slot,
-            throughput=throughput,
+            outcome.grants,
         )
-
-        # Newly served voice requests acquire a reservation.  Only the rows
-        # after the reservation-holder prefix can be "newly served", so the
-        # scan skips the prefix outright.
-        if grants.terminal_ids and len(pending) > reserved.shape[0]:
-            allocated_ids = set(grants.terminal_ids)
-            n_reserved = reserved.shape[0]
-            self.reservations.grant_many(
-                (
-                    tid
-                    for tid, voice in zip(
-                        pending.terminal_ids[n_reserved:].tolist(),
-                        pending.is_voice[n_reserved:].tolist(),
-                    )
-                    if voice and tid in allocated_ids
-                ),
-                frame_index,
-            )
-
-        # Unserved / deferred requests go back to the queue (or are dropped).
-        self.queue_unserved_rows(pending, unserved_rows + deferred_rows)
+        self.reservations.grant_many(new_voice, frame_index)
+        self.requeue_rows(pending, n_reserved, unserved + deferred)
         outcome.queued_requests = self.queued_count()
         return outcome
+
+    def backlog_columns(
+        self,
+        backlog: QueuedRequests,
+        population,
+        snapshot: ChannelSnapshot,
+        frame_index: int,
+        estimate: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+    ) -> RequestColumns:
+        """The popped request backlog as request columns, ready to rank.
+
+        Queued voice requests take their terminal's current deadline (see
+        :meth:`_refresh_voice_deadline_columns`), and up to ``N_b`` stale
+        CSI estimates are refreshed by polling (Section 4.4), short-listed
+        by priority.  The polls draw their estimation noise through
+        ``estimate`` (the estimator's own call by default) after the
+        frame's holder and winner estimates, and read the channel after
+        them too.
+        """
+        tids = np.asarray(backlog.terminal_ids, dtype=np.int64)
+        columns = RequestColumns(
+            terminal_ids=tids,
+            is_voice=tids < population.n_voice,
+            arrival_frames=np.asarray(backlog.arrival_frames, dtype=np.int64),
+            deadline_frames=np.asarray(backlog.deadline_frames, dtype=np.int64),
+            csi_amplitudes=np.asarray(backlog.csi_amplitudes, dtype=float),
+            csi_frames=np.asarray(backlog.csi_frames, dtype=np.int64),
+            csi_validity=self.csi_estimator.validity_frames,
+        )
+        self._refresh_voice_deadline_columns(columns, population, frame_index)
+        if self.enable_csi_polling:
+            # The backlog priorities exist only to rank the polling short
+            # list, so they are evaluated lazily: not at all when no
+            # estimate is stale, and skipped for a single stale row (a
+            # one-element sort is order-preserving).
+            stale = self.csi_poller.stale_rows(columns, frame_index)
+            if stale.shape[0]:
+                priorities = (
+                    self.priority_calculator.priorities_columns(
+                        columns, frame_index
+                    )
+                    if stale.shape[0] > 1
+                    else None
+                )
+                self.csi_poller.refresh_columns(
+                    columns, snapshot, frame_index, priorities,
+                    stale=stale, estimate=estimate,
+                )
+        return columns
+
+    def requeue_rows(
+        self, pending: RequestColumns, n_reserved: int, rows: List[int]
+    ) -> int:
+        """Queue the given rows of a frame's pool, skipping holder rows.
+
+        A re-queued row keeps its arrival frame, its (refreshed) deadline
+        and its CSI estimate with the estimate's frame stamp.  Returns how
+        many rows the queue accepted; without a queue the rows are dropped.
+        """
+        queue = self.request_queue
+        if queue is None:
+            return 0
+        keep = [row for row in rows if row >= n_reserved]
+        if not keep:
+            return 0
+        return queue.extend(zip(
+            pending.terminal_ids[keep].tolist(),
+            pending.arrival_frames[keep].tolist(),
+            pending.deadline_frames[keep].tolist(),
+            pending.csi_amplitudes[keep].tolist(),
+            pending.csi_frames[keep].tolist(),
+        ))
 
     def _pending_columns(
         self,
@@ -285,12 +300,11 @@ class CharismaProtocol(MACProtocol):
         csi_amplitudes: np.ndarray,
         frame_index: int,
     ) -> RequestColumns:
-        """Fused request columns for the frame's reservations + winners.
+        """Request columns for the frame's reservations + winners.
 
-        One pass over the concatenated id array (reservation holders first,
-        matching the pending pool's priority-phase order) instead of two
-        :meth:`request_columns_for` calls and a concatenate; row-for-row
-        identical to building the parts separately.
+        Reservation holders come first, the pending pool's order; every row
+        arrives this frame with its CSI estimate and, for voice, its
+        head-of-line packet's deadline.
         """
         terminal_ids = np.concatenate([reserved, winner_ids])
         n = terminal_ids.shape[0]
@@ -304,15 +318,11 @@ class CharismaProtocol(MACProtocol):
             ),
             -1,
         )
-        is_reservation = np.zeros(n, dtype=bool)
-        is_reservation[: reserved.shape[0]] = True
         return RequestColumns(
             terminal_ids=terminal_ids,
             is_voice=is_voice,
             arrival_frames=np.full(n, frame_index, dtype=np.int64),
-            desired_packets=np.maximum(1, population.occupancy[terminal_ids]),
             deadline_frames=deadline,
-            is_reservation=is_reservation,
             csi_amplitudes=csi_amplitudes,
             csi_frames=np.full(n, frame_index, dtype=np.int64),
             csi_validity=self.csi_estimator.validity_frames,

@@ -11,7 +11,7 @@ valid for another couple of frames.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class CSIPoller:
         frame_index: int,
         priorities: Optional[np.ndarray] = None,
         stale: Optional[np.ndarray] = None,
+        estimate: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
     ) -> int:
         """Refresh up to ``N_b`` stale rows' CSI estimates in place.
 
@@ -77,7 +78,10 @@ class CSIPoller:
         list from a stable descending sort on ``priorities`` (FIFO when
         omitted), and the refreshed estimates — observed from the polled
         devices' pilot transmissions on the current channel ``snapshot`` —
-        from one batched estimator call, in short-list order.  Returns the
+        from one batched estimator call, in short-list order.  ``estimate``
+        replaces that call (the estimator's
+        :meth:`~repro.phy.csi.CSIEstimator.estimate_amplitudes` by
+        default); the macro runner passes its pooled twin.  Returns the
         number of rows refreshed.
         """
         if stale is None:
@@ -87,7 +91,9 @@ class CSIPoller:
         polled = stale[: self._n_pilot_slots]
         if not polled.shape[0]:
             return 0
-        estimates = self._estimator.estimate_amplitudes(
+        if estimate is None:
+            estimate = self._estimator.estimate_amplitudes
+        estimates = estimate(
             snapshot.gather(columns.terminal_ids[polled]), frame_index
         )
         columns.csi_amplitudes[polled] = estimates

@@ -10,10 +10,11 @@ lives in :mod:`repro.core` but registers through the same
 
 Every protocol implements one frame kernel, ``run_frame_batch``, operating
 directly on :class:`~repro.traffic.population.TerminalPopulation` columns
-(id-array contention via :func:`run_contention_ids`, columnar request pools
-via :class:`~repro.mac.requests.RequestColumns`, grant emission via
-:class:`~repro.mac.requests.GrantColumns`).  The golden baselines in
-``tests/golden`` pin every protocol's exact results.
+(id-array contention via :func:`run_contention_ids`, a columnar request
+queue, grant emission via :class:`~repro.mac.requests.GrantColumns`).  Its
+allocation phase is one list-level function per protocol, which the macro
+runner's inline frames call too.  The golden baselines in ``tests/golden``
+pin every protocol's exact results.
 """
 
 from repro.mac.base import MACProtocol
@@ -35,7 +36,6 @@ from repro.mac.requests import (
     Allocation,
     FrameOutcome,
     GrantColumns,
-    Request,
     RequestColumns,
 )
 from repro.mac.reservation import ReservationTable
@@ -54,7 +54,6 @@ __all__ = [
     "MACProtocol",
     "RAMAProtocol",
     "RMAVProtocol",
-    "Request",
     "RequestColumns",
     "RequestQueue",
     "ReservationTable",

@@ -20,7 +20,8 @@ protocols share:
 * the voice reservation table ("a slot every 20 ms until the talkspurt
   ends"),
 * the optional base-station request queue,
-* columnar request pools and FCFS service over them,
+* FCFS service (:meth:`MACProtocol.serve_fcfs`), the allocation phase of
+  RMAV, both D-TDMA variants and RAMA,
 * translation of a channel state into an information-slot packet capacity
   via the protocol's modem (adaptive or fixed-rate).
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import math
 from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,17 +39,11 @@ from repro.config import SimulationParameters
 from repro.lint.contracts import kernel
 from repro.obs import trace as _obs_trace
 from repro.mac.frames import FrameStructure
-from repro.mac.request_queue import RequestQueue
-from repro.mac.requests import (
-    FrameOutcome,
-    GrantColumns,
-    Request,
-    RequestColumns,
-)
+from repro.mac.request_queue import QueuedRequests, RequestQueue
+from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.mac.reservation import ReservationTable
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.fixed import FixedRateModem
-from repro.traffic.packets import TrafficKind
 from repro.traffic.permission import PermissionPolicy
 
 __all__ = ["MACProtocol", "Modem", "traced_batch"]
@@ -130,10 +124,11 @@ class MACProtocol(abc.ABC):
     #: Whether the optional base-station request queue is meaningful.
     supports_request_queue: ClassVar[bool] = True
     #: Whether the macro-stepped engine may execute this protocol's frames
-    #: inline (reservation lookahead).  Requires that a frame with an empty
-    #: request queue draws randomness only through streams the macro engine
-    #: can pool or replay exactly — contention draws, or (CHARISMA, fast
-    #: mode only) CSI estimation noise from a dedicated child stream.
+    #: inline (reservation lookahead), with or without a request backlog.
+    #: Requires that a frame draws randomness only through streams the
+    #: macro engine can pool or replay exactly — contention draws, or
+    #: (CHARISMA, fast mode only) CSI estimation and polling noise from a
+    #: dedicated child stream.
     #: Usually a class attribute; protocols whose eligibility depends on
     #: construction (CHARISMA needs ``rng_mode="fast"`` plus an injected
     #: CSI stream) override it per instance, which is why it is a plain
@@ -141,7 +136,7 @@ class MACProtocol(abc.ABC):
     supports_macro_lookahead: bool = False
     #: How the macro runner executes a frame when the protocol has no
     #: fixed request subframe (``macro_minislots() is None``):
-    #: ``"auction"`` keeps the generic holder-serve frame with RAMA's
+    #: ``"auction"`` keeps the FCFS frame (:meth:`serve_fcfs`) with RAMA's
     #: ``run_auction`` as its request phase, ``"slot_loop"`` runs DRMA's
     #: interleaved serve/convert slot loop with pool-fed minislot draws
     #: (winners re-enter the same frame's pending pool), and ``None`` falls
@@ -149,7 +144,7 @@ class MACProtocol(abc.ABC):
     #: own inline frame: every frame draws CSI noise and ranks its pending
     #: pool, so the runner runs contention, pooled estimation noise, mode
     #: lookup, priority ranking and the ranked allocation walk instead of
-    #: the holder-serve path.
+    #: FCFS service.
     macro_contention_style: ClassVar[Optional[str]] = None
 
     def __init__(
@@ -243,14 +238,6 @@ class MACProtocol(abc.ABC):
             return 1, None
         return self.slot_capacity(snapshot.read(terminal_id))
 
-    def queue_unserved(self, requests: Sequence[Request]) -> int:
-        """Store unserved requests in the base-station queue, if enabled."""
-        if self.request_queue is None:
-            return 0
-        return self.request_queue.extend(
-            r for r in requests if not r.is_reservation
-        )
-
     def queued_count(self) -> int:
         """Number of requests currently queued at the base station."""
         return len(self.request_queue) if self.request_queue is not None else 0
@@ -294,48 +281,6 @@ class MACProtocol(abc.ABC):
             )
             self._probability_template = template
         return ids, template[ids]
-
-    def request_columns_for(
-        self,
-        population,
-        ids: np.ndarray,
-        frame_index: int,
-        is_reservation: bool = False,
-        csi_amplitudes: Optional[np.ndarray] = None,
-        csi_validity: int = 2,
-    ) -> RequestColumns:
-        """Base-station request records for many terminals at once.
-
-        Row-for-row equivalent to calling :meth:`make_request_for_id` per id
-        in order: the voice deadline is the current head-of-line packet's,
-        the desired packet count is the buffer occupancy (at least one).
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        n = ids.shape[0]
-        is_voice = population.is_voice[ids]
-        head = population.head_created[ids]
-        deadline = np.full(n, -1, dtype=np.int64)
-        has_deadline = is_voice & (head >= 0)
-        if has_deadline.any():
-            remaining = np.maximum(
-                0, head + self.params.voice_deadline_frames - frame_index
-            )
-            deadline[has_deadline] = frame_index + remaining[has_deadline]
-        return RequestColumns(
-            terminal_ids=ids,
-            is_voice=is_voice,
-            arrival_frames=np.full(n, frame_index, dtype=np.int64),
-            desired_packets=np.maximum(1, population.occupancy[ids]),
-            deadline_frames=deadline,
-            is_reservation=np.full(n, bool(is_reservation)),
-            csi_amplitudes=csi_amplitudes,
-            csi_frames=(
-                np.full(n, frame_index, dtype=np.int64)
-                if csi_amplitudes is not None
-                else None
-            ),
-            csi_validity=csi_validity,
-        )
 
     def _capacity_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-mode (packets-per-slot, throughput) lookup, outage at index 0.
@@ -382,183 +327,147 @@ class MACProtocol(abc.ABC):
         packs, thrs = self._capacity_tables()
         return packs[indices], thrs[indices]
 
-    def allocate_reserved_voice_batch(
-        self,
-        population,
-        snapshot: ChannelSnapshot,
-        slots_available: int,
-        grants: GrantColumns,
-    ) -> np.ndarray:
-        """Serve reservation-holding voice terminals first (one slot each).
+    def voice_deadline(self, population, terminal_id: int, frame_index: int) -> int:
+        """Deadline frame of a new request: its head-of-line voice packet's.
 
-        This is the behaviour of every baseline protocol: a reserved voice
-        user owns a slot per voice-packet period, independent of its channel
-        state.  Returns the served ids.
+        ``-1`` (no deadline) for data terminals and for a voice terminal
+        without a buffered packet.
         """
-        reserved = self.reservations.reserved_ids(population)
-        if not reserved.shape[0]:
-            return reserved
-        served = reserved[: max(0, slots_available)]
-        per_slot, throughputs = self.grant_capacity_columns(served, snapshot)
-        append = grants.append
-        if throughputs is None:
-            for tid in served.tolist():
-                append(tid, 1, 1, None)
-        else:
-            for tid, packets, throughput in zip(
-                served.tolist(), per_slot.tolist(), throughputs.tolist()
-            ):
-                append(tid, 1, packets, throughput)
-        return served
-
-    def prune_queue_batch(self, frame_index: int, population) -> None:
-        """Drop queued requests that are no longer actionable.
-
-        Expired voice requests are discarded (their packets have been dropped
-        at the device); requests of terminals whose buffer has emptied (e.g.
-        the talkspurt ended or the burst was already served) are removed.
-        """
-        if self.request_queue is None:
-            return
-        self.request_queue.drop_expired(frame_index)
-        occupancy = population.occupancy
-        n = len(population)
-        for request in list(self.request_queue):
-            tid = request.terminal_id
-            if tid >= n or occupancy[tid] == 0:
-                self.request_queue.remove_terminal(tid)
-
-    def queue_unserved_rows(
-        self, columns: RequestColumns, rows: Sequence[int]
-    ) -> int:
-        """Queue the given (non-reservation) rows of a request-column pool."""
-        if self.request_queue is None or not len(rows):
-            return 0
-        keep = [row for row in rows if not columns.is_reservation[row]]
-        if not keep:
-            return 0
-        return self.request_queue.extend(columns.to_requests(keep))
-
-    def make_request_for_id(
-        self,
-        population,
-        terminal_id: int,
-        frame_index: int,
-        is_reservation: bool = False,
-    ) -> Request:
-        """Build the base-station record of one terminal's request."""
-        terminal_id = int(terminal_id)
-        deadline = None
-        if population.is_voice[terminal_id]:
-            head = int(population.head_created[terminal_id])
-            if head >= 0:
-                deadline = frame_index + max(
-                    0, head + self.params.voice_deadline_frames - frame_index
-                )
-        return Request(
-            terminal_id=terminal_id,
-            kind=(
-                TrafficKind.VOICE
-                if population.is_voice[terminal_id]
-                else TrafficKind.DATA
-            ),
-            arrival_frame=frame_index,
-            desired_packets=max(1, int(population.occupancy[terminal_id])),
-            deadline_frame=deadline,
-            is_reservation=is_reservation,
+        if terminal_id >= population.n_voice:
+            return -1
+        head = int(population.head_created[terminal_id])
+        if head < 0:
+            return -1
+        return frame_index + max(
+            0, head + self.params.voice_deadline_frames - frame_index
         )
 
-    def _serve_voice_rows_batch(
+    def serve_fcfs(
         self,
-        pending: RequestColumns,
-        rows: np.ndarray,
-        population,
+        holders: List[int],
+        backlog_ids: List[int],
+        winner_ids: List[int],
+        occupancy,
         snapshot: ChannelSnapshot,
-        frame_index: int,
-        slots_left: int,
-        grants: GrantColumns,
-        unserved_rows: List[int],
-    ) -> int:
-        """FCFS voice service over column rows (one slot each, reservation).
+        n_voice: int,
+        data_cap: Optional[int] = None,
+    ) -> Tuple[GrantColumns, List[int], List[int]]:
+        """First-come-first-served allocation of one frame's information slots.
 
-        Rows whose terminal has drained its buffer are skipped outright, the
-        first ``slots_left`` remaining rows are granted one slot each
-        (acquiring a reservation), and the rest land in ``unserved_rows``.
+        The allocation phase of RMAV, D-TDMA/FR, D-TDMA/VR and RAMA, run by
+        their ``run_frame_batch`` and by the macro runner's inline frame.
+        The service order is:
+
+        1. the reservation holders with packets (``holders``, ascending
+           id), one slot each while slots remain;
+        2. every voice request, one slot each — queued ones first, in
+           FIFO order, then this frame's winners in request order; each
+           served terminal acquires a reservation;
+        3. every data request, queued first, then new — enough slots to
+           drain the terminal's buffer at its channel's packets-per-slot,
+           at most ``data_cap`` (RMAV's ``P_max``) and at most what remains.
+
+        So a new voice winner beats a queued data request.  Rows index the
+        request pool ``backlog_ids + winner_ids``; a row is voice when its
+        terminal id is below ``n_voice``, and a row whose terminal's buffer
+        is empty is skipped.  ``occupancy`` holds the buffer occupancies by
+        terminal id (a list or an array).  The capacities come from one
+        channel read over the served holders, the served voice rows and
+        then every live data row, in that order — the order fast mode's
+        lazy channels advance in.
+
+        Returns ``(grants, new_voice, unserved)``: the grants in service
+        order, the newly served voice terminals (they take a reservation)
+        and the unserved rows in service order (the caller re-queues them
+        or drops them).
         """
-        if not rows.shape[0]:
-            return slots_left
-        tids = pending.terminal_ids[rows]
-        live = population.occupancy[tids] > 0
-        if not live.all():
-            rows = rows[live]
-            tids = tids[live]
-            if not rows.shape[0]:
-                return slots_left
-        n_served = max(0, min(slots_left, tids.shape[0]))
-        served = tids[:n_served]
-        per_slot, throughputs = self.grant_capacity_columns(served, snapshot)
-        append = grants.append
-        if throughputs is None:
-            for tid in served.tolist():
-                append(tid, 1, 1, None)
-        else:
-            for tid, packets, throughput in zip(
-                served.tolist(), per_slot.tolist(), throughputs.tolist()
-            ):
-                append(tid, 1, packets, throughput)
-        self.reservations.grant_many(served, frame_index)
-        unserved_rows.extend(rows[n_served:].tolist())
-        return slots_left - n_served
-
-    def _serve_data_rows_batch(
-        self,
-        pending: RequestColumns,
-        rows: np.ndarray,
-        population,
-        snapshot: ChannelSnapshot,
-        slots_left: int,
-        grants: GrantColumns,
-        unserved_rows: List[int],
-    ) -> int:
-        """FCFS data service over column rows (buffer-draining grants).
-
-        Each live row gets enough slots to drain its buffer at its channel's
-        packets-per-slot, bounded by what remains; once the frame is full
-        the remaining rows become unserved.
-        """
-        if not rows.shape[0]:
-            return slots_left
-        tids = pending.terminal_ids[rows]
-        occupancy = population.occupancy[tids]
-        live = occupancy > 0
-        if not live.all():
-            rows = rows[live]
-            tids = tids[live]
-            occupancy = occupancy[live]
-            if not rows.shape[0]:
-                return slots_left
-        per_slot, throughputs = self.grant_capacity_columns(tids, snapshot)
-        tid_list = tids.tolist()
-        occ_list = occupancy.tolist()
-        per_list = per_slot.tolist()
-        thr_list = throughputs.tolist() if throughputs is not None else None
-        row_list = rows.tolist()
-        append = grants.append
-        for position, tid in enumerate(tid_list):
-            if slots_left < 1:
-                unserved_rows.append(row_list[position])
+        slots_left = self.frame_structure.info_slots
+        voice_ids = holders[:slots_left]
+        slots_left -= len(voice_ids)
+        new_voice: List[int] = []
+        unserved: List[int] = []
+        data_rows: List[int] = []
+        pool = backlog_ids + winner_ids if backlog_ids else winner_ids
+        for row, tid in enumerate(pool):
+            if occupancy[tid] <= 0:
                 continue
-            packets = per_list[position]
-            needed = math.ceil(occ_list[position] / max(1, packets))
-            n_slots = max(1, min(slots_left, needed))
-            append(
-                tid,
-                n_slots,
-                packets * n_slots,
-                thr_list[position] if thr_list is not None else None,
+            if tid >= n_voice:
+                data_rows.append(row)
+            elif slots_left > 0:
+                new_voice.append(tid)
+                slots_left -= 1
+            else:
+                unserved.append(row)
+        if new_voice:
+            voice_ids += new_voice
+
+        # Voice grants take one slot each and are built column-wise.
+        n = len(voice_ids)
+        if self.modem.is_adaptive and (voice_ids or data_rows):
+            per_slot_arr, throughput_arr = self.grant_capacity_columns(
+                voice_ids + [pool[row] for row in data_rows], snapshot
             )
+            per_slot = per_slot_arr.tolist()
+            throughputs = throughput_arr.tolist()
+            grants = GrantColumns(
+                voice_ids, [1] * n, per_slot[:n], throughputs[:n]
+            )
+        else:
+            per_slot = throughputs = None
+            grants = GrantColumns(voice_ids, [1] * n, [1] * n, [None] * n)
+        # Data grants: enough slots to drain the buffer, bounded.
+        for position, row in enumerate(data_rows, n):
+            if slots_left < 1:
+                unserved.append(row)
+                continue
+            tid = pool[row]
+            if per_slot is None:
+                packets, throughput = 1, None
+            else:
+                packets = per_slot[position]
+                throughput = throughputs[position]
+            needed = -(-int(occupancy[tid]) // max(1, packets))
+            n_slots = needed if needed < slots_left else slots_left
+            if data_cap is not None and n_slots > data_cap:
+                n_slots = data_cap
+            grants.append(tid, n_slots, packets * n_slots, throughput)
             slots_left -= n_slots
-        return slots_left
+        return grants, new_voice, unserved
+
+    def requeue(
+        self,
+        frame_index: int,
+        population,
+        backlog: Optional[QueuedRequests],
+        winner_ids: Sequence[int],
+        rows: Sequence[int],
+    ) -> int:
+        """Push unserved rows of the pool ``backlog + winner_ids`` back.
+
+        Rows are pushed in the given order.  A backlog row keeps its
+        arrival frame, deadline and CSI estimate; a winner's request
+        arrives this frame with its head-of-line voice deadline.  Returns
+        how many rows the queue accepted (a full queue accepts a prefix);
+        without a queue the rows are dropped.
+        """
+        queue = self.request_queue
+        if queue is None or not rows:
+            return 0
+        n_backlog = len(backlog.terminal_ids) if backlog is not None else 0
+        accepted = 0
+        for row in rows:
+            if row < n_backlog:
+                pushed = queue.push(*backlog.row(row))
+            else:
+                tid = winner_ids[row - n_backlog]
+                pushed = queue.push(
+                    tid, frame_index,
+                    self.voice_deadline(population, tid, frame_index),
+                )
+            if not pushed:
+                break
+            accepted += 1
+        return accepted
 
     # ------------------------------------------------- macro-step lookahead
     def macro_minislots(self) -> Optional[int]:
@@ -572,7 +481,7 @@ class MACProtocol(abc.ABC):
         """
         return None
 
-    def macro_data_slot_cap(self) -> Optional[int]:
+    def data_slot_cap(self) -> Optional[int]:
         """Upper bound on one data grant's slots (``None`` = frame-limited)."""
         return None
 

@@ -18,13 +18,13 @@ base-station request queue helps it very little (Section 5.1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Sequence, Tuple
 
 from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
-from repro.mac.contention import run_contention_ids
+from repro.mac.contention import IndexContentionResult, run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome, Request
+from repro.mac.requests import Acknowledgement, FrameOutcome, GrantColumns
 
 __all__ = ["DRMAProtocol"]
 
@@ -37,11 +37,11 @@ class DRMAProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
-    #: Every empty-queue frame, quiet or contended, runs through the macro
-    #: runner's inline slot loop: each converted slot's minislot draws come
-    #: from the contention pool (bit-identical per-minislot prefixes with
-    #: exact roll-back), and winners re-enter the same frame's pending pool
-    #: just like the per-frame kernel's cursor loop.
+    #: Every frame, quiet or contended, backlogged or not, runs inline in
+    #: the macro runner through the same :meth:`serve_slots` loop as
+    #: :meth:`run_frame_batch`: only each converted slot's minislot draws
+    #: differ in source — the runner serves them from its contention pool
+    #: (bit-identical per-minislot prefixes with exact roll-back).
     supports_macro_lookahead = True
     macro_contention_style = "slot_loop"
 
@@ -70,131 +70,163 @@ class DRMAProtocol(MACProtocol):
     ) -> FrameOutcome:
         """Slot-by-slot service; idle slots become request minislots.
 
-        Service order within the frame: reservation holders, then requests
-        queued at the base station (if enabled), then requests that succeed
-        in converted slots later in this same frame.  The pending pool lives
-        in three parallel Python lists advanced by an integer cursor.  Each
-        entry is visited at most once per frame (the cursor never moves
-        backwards), so service stays O(pending) even with hundreds of
-        backlogged data requests, and entries the frame never reaches remain
-        beyond the cursor — they are the leftovers the queue-enabled variant
-        stores.
+        See :meth:`serve_slots`; each converted slot resolves through
+        :func:`~repro.mac.contention.run_contention_ids`.
         """
         self.reservations.release_ended_population(population)
-        self.prune_queue_batch(frame_index, population)
+        queue = self.request_queue
+        if queue is not None:
+            queue.prune(frame_index, population.occupancy)
         outcome = FrameOutcome(frame_index)
-        grants = outcome.use_grant_columns()
 
-        # Pending pool: reservation holders first, then the queued backlog.
-        reserved = self.reservations.reserved_ids(population)
-        pending_ids: List[int] = reserved.tolist()
-        pending_is_reservation: List[bool] = [True] * len(pending_ids)
-        # Backlog rows keep their Request object so re-queueing a leftover
-        # preserves its arrival frame; winner rows synthesise one on demand.
-        pending_requests: List[Optional[Request]] = [None] * len(pending_ids)
-        if self.request_queue is not None:
-            for request in self.request_queue.pop_all():
-                pending_ids.append(request.terminal_id)
-                pending_is_reservation.append(False)
-                pending_requests.append(request)
-
-        candidate_array, probability_array = self.contention_candidate_ids(
+        # Queued terminals are masked out of the candidates here, before
+        # the backlog is popped.
+        candidate_ids, candidate_probabilities = self.contention_candidate_ids(
             population
         )
-        candidate_ids = candidate_array.tolist()
-        candidate_probabilities = probability_array.tolist()
-        if pending_ids:
-            already_served = set(pending_ids)
-            kept = [
-                (tid, probability)
-                for tid, probability in zip(candidate_ids, candidate_probabilities)
-                if tid not in already_served
-            ]
-            candidate_ids = [tid for tid, _ in kept]
-            candidate_probabilities = [probability for _, probability in kept]
+        backlog = queue.pop_all() if queue is not None and len(queue) else None
+        minislots = self.frame_structure.minislots_per_info_slot
+        rng = self.contention_rng
+        fast = self.rng_fast
 
-        # Whole-population scalar state as plain Python lists: the per-slot
-        # loop below reads them one entry at a time, where list indexing
-        # beats NumPy scalar extraction severalfold.
-        occupancy_list = population.occupancy.tolist()
-        voice_list = population.is_voice.tolist()
-        n = len(population)
-        minislots = self.params.drma_minislots_per_info_slot
-        acknowledgements = outcome.acknowledgements
-        append_grant = grants.append
+        def contend(ids, probabilities):
+            result = run_contention_ids(
+                ids, probabilities, minislots, rng, fast=fast
+            )
+            return (
+                result.winner_ids, result.attempts, result.collisions,
+                result.idle_slots,
+            )
+
+        outcome.grants, new_voice, leftovers, requests = self.serve_slots(
+            self.reservations.reserved_ids(population).tolist(),
+            backlog.terminal_ids if backlog is not None else [],
+            candidate_ids.tolist(),
+            candidate_probabilities.tolist(),
+            population.occupancy.tolist(),
+            population.n_voice,
+            snapshot,
+            contend,
+        )
+        outcome.contention_attempts = requests.attempts
+        outcome.contention_collisions = requests.collisions
+        outcome.idle_request_slots = requests.idle_slots
+        outcome.acknowledgements.extend(
+            Acknowledgement(winner, slot, frame_index)
+            for slot, winner in enumerate(requests.winner_ids)
+        )
+        self.reservations.grant_many(new_voice, frame_index)
+        self.requeue(
+            frame_index, population, backlog, requests.winner_ids, leftovers
+        )
+        outcome.queued_requests = self.queued_count()
+        return outcome
+
+    def serve_slots(
+        self,
+        holders: List[int],
+        backlog_ids: List[int],
+        candidate_ids: List[int],
+        candidate_probabilities: List[float],
+        occupancy: Sequence[int],
+        n_voice: int,
+        snapshot: ChannelSnapshot,
+        contend: Callable[
+            [List[int], List[float]], Tuple[List[int], int, int, int]
+        ],
+    ) -> Tuple[GrantColumns, List[int], List[int], IndexContentionResult]:
+        """DRMA's allocation body: one information slot at a time.
+
+        The one implementation of DRMA's frame, run by
+        :meth:`run_frame_batch` and by the macro runner's inline frame.
+        The pending pool is an id list advanced by a cursor: reservation
+        holders first (ascending id), then the queued backlog in FIFO
+        order, then the requests that succeed in converted slots of this
+        frame.  Each information slot serves the next pending entry whose
+        terminal has packets (one slot; a served voice request that is not
+        a holder's takes a reservation).  With nothing left to serve, the
+        slot converts into ``N_x`` request minislots resolved by
+        ``contend(candidate_ids, candidate_probabilities)``, which returns
+        ``(winner_ids, attempts, collisions, idle_slots)`` — per-frame
+        stepping resolves them with
+        :func:`~repro.mac.contention.run_contention_ids`, the macro runner
+        on its pool of the same stream; the winners join the pending pool.  A voice winner stops contending (it is
+        about to hold a reservation), and so does a data winner with at
+        most one packet; a data winner with a deeper buffer keeps
+        contending and may win — and be served — again in this frame.
+
+        Buffer occupancies are frozen for the frame, so the cursor never
+        revisits an entry: service stays O(pending) even with hundreds of
+        backlogged requests.  The entries the frame never reaches are the
+        leftovers; holders among them wait for the next frame.
+
+        Returns ``(grants, new_voice, leftovers, requests)``: the grants in
+        slot order, the newly served voice terminals, the leftover rows as
+        indices into ``backlog_ids + requests.winner_ids``, and the
+        frame's summed contention statistics with every winner in request
+        order.
+        """
+        pending = holders + backlog_ids
+        n_holders = len(holders)
+        served: List[int] = []
+        new_voice: List[int] = []
+        winner_ids: List[int] = []
+        attempts = collisions = idle_slots = 0
         cursor = 0
-        request_slot_counter = 0
-
         for _ in range(self.frame_structure.info_slots):
-            # Serve the next pending entry whose terminal still has packets
-            # (buffer states are frozen during the frame, so a skipped entry
-            # can never become serviceable again — the cursor drops it).
             served_id = -1
-            while cursor < len(pending_ids):
-                tid = pending_ids[cursor]
-                is_reservation = pending_is_reservation[cursor]
+            while cursor < len(pending):
+                tid = pending[cursor]
                 cursor += 1
-                if 0 <= tid < n and occupancy_list[tid] > 0:
+                if occupancy[tid] > 0:
                     served_id = tid
                     break
             if served_id >= 0:
-                per_slot, throughput = self.grant_capacity(served_id, snapshot)
-                append_grant(served_id, 1, per_slot, throughput)
-                if voice_list[served_id] and not is_reservation:
-                    self.reservations.grant(served_id, frame_index)
+                served.append(served_id)
+                if served_id < n_voice and cursor > n_holders:
+                    new_voice.append(served_id)
                 continue
 
             # Idle information slot: convert it into N_x request minislots.
-            contention = run_contention_ids(
-                candidate_ids,
-                candidate_probabilities,
-                minislots,
-                self.contention_rng,
-                fast=self.rng_fast,
+            won, slot_attempts, slot_collisions, slot_idle = contend(
+                candidate_ids, candidate_probabilities
             )
-            outcome.contention_attempts += contention.attempts
-            outcome.contention_collisions += contention.collisions
-            outcome.idle_request_slots += contention.idle_slots
-            if not contention.winner_ids:
+            attempts += slot_attempts
+            collisions += slot_collisions
+            idle_slots += slot_idle
+            if not won:
                 continue
-            dropped: List[int] = []
-            for winner in contention.winner_ids:
-                acknowledgements.append(
-                    Acknowledgement(winner, request_slot_counter, frame_index)
-                )
-                request_slot_counter += 1
-                pending_ids.append(winner)
-                pending_is_reservation.append(False)
-                pending_requests.append(None)
-                # A voice winner is about to obtain a reservation and stops
-                # contending; a data winner only gets a single slot per
-                # request, so if it has more packets than that it keeps
-                # contending in later converted slots of the same frame.
-                if voice_list[winner] or occupancy_list[winner] <= 1:
-                    dropped.append(winner)
-            if dropped:
-                drop = set(dropped)
-                kept = [
-                    (tid, probability)
-                    for tid, probability in zip(
-                        candidate_ids, candidate_probabilities
-                    )
-                    if tid not in drop
-                ]
-                candidate_ids = [tid for tid, _ in kept]
-                candidate_probabilities = [probability for _, probability in kept]
+            dropped = None
+            for winner in won:
+                winner_ids.append(winner)
+                pending.append(winner)
+                if winner < n_voice or occupancy[winner] <= 1:
+                    if dropped is None:
+                        dropped = set()
+                    dropped.add(winner)
+            if dropped is not None:
+                kept_ids = []
+                kept_probabilities = []
+                for tid, probability in zip(candidate_ids, candidate_probabilities):
+                    if tid not in dropped:
+                        kept_ids.append(tid)
+                        kept_probabilities.append(probability)
+                candidate_ids = kept_ids
+                candidate_probabilities = kept_probabilities
 
-        # Requests that succeeded too late in the frame to get a slot.
-        if self.request_queue is not None:
-            leftovers = [
-                pending_requests[index]
-                if pending_requests[index] is not None
-                else self.make_request_for_id(
-                    population, pending_ids[index], frame_index
-                )
-                for index in range(cursor, len(pending_ids))
-                if not pending_is_reservation[index]
-            ]
-            self.queue_unserved(leftovers)
-        outcome.queued_requests = self.queued_count()
-        return outcome
+        first_left = max(cursor, n_holders) - n_holders
+        leftovers = list(range(first_left, len(pending) - n_holders))
+        n = len(served)
+        if self.modem.is_adaptive:
+            capacities = [self.grant_capacity(tid, snapshot) for tid in served]
+            grants = GrantColumns(
+                served, [1] * n,
+                [packets for packets, _ in capacities],
+                [throughput for _, throughput in capacities],
+            )
+        else:
+            grants = GrantColumns(served, [1] * n, [1] * n, [None] * n)
+        requests = IndexContentionResult(
+            winner_ids, attempts, collisions, idle_slots
+        )
+        return grants, new_voice, leftovers, requests

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import IndexContentionResult
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome, RequestColumns
+from repro.mac.requests import Acknowledgement, FrameOutcome
 
 __all__ = ["RAMAProtocol"]
 
@@ -43,10 +41,10 @@ class RAMAProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
-    #: Every empty-queue frame runs inline in the macro engine: its request
-    #: phase is :meth:`run_auction`, whose tie/winner draw pairs come
-    #: straight from ``rng`` in the per-frame call order (they are
-    #: inherently unpoolable), and a quiet frame draws nothing.
+    #: Every frame runs inline in the macro engine, request backlog or not:
+    #: its request phase is :meth:`run_auction`, whose tie/winner draw
+    #: pairs come straight from ``rng`` in the per-frame call order (they
+    #: are inherently unpoolable), and a quiet frame draws nothing.
     supports_macro_lookahead = True
     macro_contention_style = "auction"
 
@@ -124,18 +122,14 @@ class RAMAProtocol(MACProtocol):
 
         Every contender participates in every auction slot (no
         permission-probability gating — collisions are avoided by the
-        auction itself); see :meth:`run_auction`.
+        auction itself); see :meth:`run_auction`.  The service order is
+        :meth:`~repro.mac.base.MACProtocol.serve_fcfs`'s.
         """
         self.reservations.release_ended_population(population)
-        self.prune_queue_batch(frame_index, population)
+        queue = self.request_queue
+        if queue is not None:
+            queue.prune(frame_index, population.occupancy)
         outcome = FrameOutcome(frame_index)
-        grants = outcome.use_grant_columns()
-        slots_left = self.frame_structure.info_slots
-
-        served = self.allocate_reserved_voice_batch(
-            population, snapshot, slots_left, grants
-        )
-        slots_left -= served.shape[0]
 
         candidate_array, _ = self.contention_candidate_ids(population)
         winner_slots: List[int] = []
@@ -151,88 +145,16 @@ class RAMAProtocol(MACProtocol):
             for winner, auction_slot in zip(winner_ids, winner_slots)
         )
 
-        backlog = (
-            self.request_queue.pop_all() if self.request_queue is not None else []
+        backlog = queue.pop_all() if queue is not None and len(queue) else None
+        outcome.grants, new_voice, unserved = self.serve_fcfs(
+            self.reservations.reserved_ids(population).tolist(),
+            backlog.terminal_ids if backlog is not None else [],
+            winner_ids,
+            population.occupancy,
+            snapshot,
+            population.n_voice,
         )
-        if not backlog:
-            if winner_ids:
-                self._serve_winners_scalar(
-                    winner_ids, population, snapshot, frame_index,
-                    slots_left, grants,
-                )
-            outcome.queued_requests = self.queued_count()
-            return outcome
-        new_columns = self.request_columns_for(
-            population, np.asarray(winner_ids, dtype=np.int64), frame_index
-        )
-        if backlog:
-            pending = RequestColumns.concatenate(
-                [RequestColumns.from_requests(backlog), new_columns]
-            )
-        else:
-            pending = new_columns
-        voice_rows = np.nonzero(pending.is_voice)[0]
-        data_rows = np.nonzero(~pending.is_voice)[0]
-
-        unserved_rows: List[int] = []
-        slots_left = self._serve_voice_rows_batch(
-            pending, voice_rows, population, snapshot, frame_index,
-            slots_left, grants, unserved_rows,
-        )
-        slots_left = self._serve_data_rows_batch(
-            pending, data_rows, population, snapshot, slots_left, grants,
-            unserved_rows,
-        )
-
-        self.queue_unserved_rows(pending, unserved_rows)
+        self.reservations.grant_many(new_voice, frame_index)
+        self.requeue(frame_index, population, backlog, winner_ids, unserved)
         outcome.queued_requests = self.queued_count()
         return outcome
-
-    def _serve_winners_scalar(
-        self,
-        winner_ids: List[int],
-        population,
-        snapshot: ChannelSnapshot,
-        frame_index: int,
-        slots_left: int,
-        grants,
-    ) -> None:
-        """FCFS service of a backlog-free frame's auction winners.
-
-        The auction yields at most ``N_a`` winners per frame, so columnising
-        them (nine array allocations, masked row scans) costs more than it
-        saves.  Plain scalar service over the handful of winners is
-        decision-for-decision (and
-        queue-entry-for-queue-entry) identical to the columnar
-        ``_serve_voice_rows_batch`` / ``_serve_data_rows_batch`` pair on the
-        same single-frame pool.
-        """
-        occupancy = population.occupancy
-        is_voice = population.is_voice
-        unserved: List[int] = []
-        append = grants.append
-        for want_voice in (True, False):
-            for tid in winner_ids:
-                if bool(is_voice[tid]) is not want_voice:
-                    continue
-                occ = int(occupancy[tid])
-                if occ == 0:
-                    continue
-                if slots_left < 1:
-                    unserved.append(tid)
-                    continue
-                per_slot, throughput = self.grant_capacity(tid, snapshot)
-                if want_voice:
-                    append(tid, 1, per_slot, throughput)
-                    slots_left -= 1
-                    self.reservations.grant(tid, frame_index)
-                else:
-                    needed = -(-occ // max(1, per_slot))
-                    n_slots = max(1, min(slots_left, needed))
-                    append(tid, n_slots, per_slot * n_slots, throughput)
-                    slots_left -= n_slots
-        if unserved and self.request_queue is not None:
-            self.request_queue.extend(
-                self.make_request_for_id(population, tid, frame_index)
-                for tid in unserved
-            )

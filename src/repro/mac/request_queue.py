@@ -7,21 +7,53 @@ requests are reconsidered in later frames instead of forcing the mobile
 device to contend again.  Queued voice requests whose deadline has already
 expired are discarded (the corresponding packet is dropped at the device).
 
-The queue preserves arrival order (FIFO); CHARISMA re-ranks its contents by
-the CSI/urgency priority metric every frame, the FCFS baselines serve it in
-order.
+The queue keeps its requests as FIFO columns — terminal id, arrival frame,
+deadline and, for CHARISMA, the attached CSI estimate — so no per-request
+object is ever built.  A row is a voice request when its terminal id falls
+in the population's voice block (``id < n_voice``).  Each frame the
+protocol prunes the queue, pops the whole backlog, serves it together with
+the frame's new requests and pushes back what stays unserved: the FCFS
+baselines serve the backlog in order, CHARISMA re-ranks it by the
+CSI/urgency priority metric.  Per-frame stepping and the macro runner's
+inline frames share that code.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.mac.requests import Request
+__all__ = ["QueuedRequests", "RequestQueue"]
 
-__all__ = ["RequestQueue"]
+
+class QueuedRequests(NamedTuple):
+    """The queue's rows as parallel FIFO columns (plain lists).
+
+    ``deadline_frames`` holds ``-1`` for no deadline (data requests);
+    ``csi_amplitudes`` / ``csi_frames`` hold ``NaN`` / ``-1`` when no CSI
+    estimate is attached (every protocol but CHARISMA).
+    """
+
+    terminal_ids: List[int]
+    arrival_frames: List[int]
+    deadline_frames: List[int]
+    csi_amplitudes: List[float]
+    csi_frames: List[int]
+
+    def row(self, index: int) -> Tuple[int, int, int, float, int]:
+        """One row as ``push`` arguments (it keeps its arrival and deadline)."""
+        return (
+            self.terminal_ids[index],
+            self.arrival_frames[index],
+            self.deadline_frames[index],
+            self.csi_amplitudes[index],
+            self.csi_frames[index],
+        )
+
+
+def _no_rows() -> QueuedRequests:
+    return QueuedRequests([], [], [], [], [])
 
 
 class RequestQueue:
@@ -33,23 +65,20 @@ class RequestQueue:
         Maximum number of stored requests; arrivals beyond the capacity are
         rejected (the device will simply contend again later), which bounds
         the base station's state as a real implementation would.
+
+    A terminal may hold several rows (DRMA re-queues a data winner with a
+    deep buffer once per request it won).  The queue pickles with its rows,
+    so forked constellation workers can send their shards back.
     """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._capacity = int(capacity)
-        self._queue: Deque[Request] = deque()
-        # Queued-request count per terminal id, so per-frame membership
-        # checks (every contention candidate is screened against the queue)
-        # are O(1) instead of a deque scan.
+        self._rows = _no_rows()
+        # Queued-row count per terminal id: every contention candidate is
+        # screened against the queue, so membership is a dict lookup.
         self._per_terminal: Dict[int, int] = {}
-
-    def _recount(self) -> None:
-        counts: Dict[int, int] = {}
-        for request in self._queue:
-            counts[request.terminal_id] = counts.get(request.terminal_id, 0) + 1
-        self._per_terminal = counts
 
     # ------------------------------------------------------------------ API
     @property
@@ -57,16 +86,18 @@ class RequestQueue:
         """Maximum number of stored requests."""
         return self._capacity
 
-    def __len__(self) -> int:
-        return len(self._queue)
+    @property
+    def rows(self) -> QueuedRequests:
+        """The queued rows in FIFO order (read-only view of the columns)."""
+        return self._rows
 
-    def __iter__(self):
-        return iter(self._queue)
+    def __len__(self) -> int:
+        return len(self._rows.terminal_ids)
 
     @property
     def is_full(self) -> bool:
         """Whether the queue has reached its capacity."""
-        return len(self._queue) >= self._capacity
+        return len(self._rows.terminal_ids) >= self._capacity
 
     def contains_terminal(self, terminal_id: int) -> bool:
         """Whether a request from the given terminal is already queued."""
@@ -75,62 +106,84 @@ class RequestQueue:
     def terminal_id_array(self) -> np.ndarray:
         """Ids of the terminals with at least one queued request (unsorted).
 
-        Used by the array-native candidate kernels to mask queued terminals
-        out of contention without iterating the deque per frame.
+        Used to mask queued terminals out of contention and out of the
+        constellation's handover candidates.
         """
         return np.fromiter(
             self._per_terminal, dtype=np.int64, count=len(self._per_terminal)
         )
 
-    def push(self, request: Request) -> bool:
-        """Queue a request; returns ``False`` if the queue is full."""
-        if self.is_full:
+    def push(
+        self,
+        terminal_id: int,
+        arrival_frame: int,
+        deadline_frame: int = -1,
+        csi_amplitude: float = float("nan"),
+        csi_frame: int = -1,
+    ) -> bool:
+        """Queue one request; returns ``False`` if the queue is full."""
+        rows = self._rows
+        if len(rows.terminal_ids) >= self._capacity:
             return False
-        self._queue.append(request)
-        self._per_terminal[request.terminal_id] = (
-            self._per_terminal.get(request.terminal_id, 0) + 1
-        )
+        rows.terminal_ids.append(terminal_id)
+        rows.arrival_frames.append(arrival_frame)
+        rows.deadline_frames.append(deadline_frame)
+        rows.csi_amplitudes.append(csi_amplitude)
+        rows.csi_frames.append(csi_frame)
+        counts = self._per_terminal
+        counts[terminal_id] = counts.get(terminal_id, 0) + 1
         return True
 
-    def extend(self, requests: Iterable[Request]) -> int:
-        """Queue several requests; returns how many were accepted."""
+    def extend(self, requests: Iterable[Tuple]) -> int:
+        """Queue rows of ``push`` arguments in order; returns how many fit.
+
+        The queue accepts the longest prefix its capacity allows.
+        """
         accepted = 0
         for request in requests:
-            if not self.push(request):
+            if not self.push(*request):
                 break
             accepted += 1
         return accepted
 
-    def pop_all(self) -> List[Request]:
-        """Remove and return every queued request in FIFO order."""
-        items = list(self._queue)
-        self._queue.clear()
-        self._per_terminal.clear()
-        return items
+    def pop_all(self) -> QueuedRequests:
+        """Remove and return every queued row in FIFO order."""
+        rows = self._rows
+        self._rows = _no_rows()
+        self._per_terminal = {}
+        return rows
 
-    def peek_all(self) -> List[Request]:
-        """Return the queued requests (FIFO order) without removing them."""
-        return list(self._queue)
+    def prune(self, frame_index: int, occupancy: np.ndarray) -> int:
+        """Drop the rows that can no longer be served; return how many.
 
-    def remove_terminal(self, terminal_id: int) -> int:
-        """Remove any queued requests of the given terminal."""
-        if terminal_id not in self._per_terminal:
+        One vectorised pass drops voice requests whose deadline has passed
+        (their packet has been dropped at the device), requests of
+        terminals whose buffer has emptied (the talkspurt ended or the
+        burst was already served) and ids outside the population.
+        """
+        rows = self._rows
+        n = len(rows.terminal_ids)
+        if not n:
             return 0
-        before = len(self._queue)
-        self._queue = deque(r for r in self._queue if r.terminal_id != terminal_id)
-        del self._per_terminal[terminal_id]
-        return before - len(self._queue)
-
-    def drop_expired(self, current_frame: int) -> int:
-        """Discard queued voice requests whose deadline has passed."""
-        before = len(self._queue)
-        self._queue = deque(r for r in self._queue if not r.is_expired(current_frame))
-        dropped = before - len(self._queue)
-        if dropped:
-            self._recount()
-        return dropped
+        tids = np.asarray(rows.terminal_ids, dtype=np.int64)
+        deadlines = np.asarray(rows.deadline_frames, dtype=np.int64)
+        keep = (deadlines < 0) | (deadlines > frame_index)
+        inside = tids < occupancy.shape[0]
+        keep &= inside
+        keep[inside] &= occupancy[tids[inside]] > 0
+        if keep.all():
+            return 0
+        kept = np.flatnonzero(keep).tolist()
+        self._rows = QueuedRequests(
+            *([column[i] for i in kept] for column in rows)
+        )
+        counts: Dict[int, int] = {}
+        for tid in self._rows.terminal_ids:
+            counts[tid] = counts.get(tid, 0) + 1
+        self._per_terminal = counts
+        return n - len(kept)
 
     def clear(self) -> None:
         """Empty the queue."""
-        self._queue.clear()
-        self._per_terminal.clear()
+        self._rows = _no_rows()
+        self._per_terminal = {}

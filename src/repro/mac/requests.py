@@ -7,7 +7,11 @@ which the base station estimates the sender's CSI.  The downlink
 acknowledgement carries the successful request's ID, and the announcement
 carries the slot allocation schedule plus the transmission mode to use.
 
-These records are plain data: all decision making lives in the protocols.
+No request is an object here: the base-station queue
+(:class:`~repro.mac.request_queue.RequestQueue`) keeps its requests as
+columns, CHARISMA pools a frame's requests in :class:`RequestColumns`, and
+the protocols emit their grants as :class:`GrantColumns`.  These records
+are plain data: all decision making lives in the protocols.
 """
 
 from __future__ import annotations
@@ -17,73 +21,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.phy.csi import CSIEstimate
-from repro.traffic.packets import TrafficKind
-
 __all__ = [
-    "Request",
     "Acknowledgement",
     "Allocation",
     "FrameOutcome",
     "GrantColumns",
     "RequestColumns",
 ]
-
-
-@dataclass
-class Request:
-    """A successfully received transmission request held at the base station.
-
-    Attributes
-    ----------
-    terminal_id:
-        The requesting mobile device.
-    kind:
-        Voice or data request.
-    arrival_frame:
-        Frame in which the request was successfully received (or auto-
-        generated, for voice reservations).
-    desired_packets:
-        Number of information packets the device wishes to transmit.
-    csi:
-        The base station's CSI estimate for the device, if any (adaptive
-        protocols only).
-    deadline_frame:
-        Deadline of the head-of-line voice packet; ``None`` for data.
-    is_reservation:
-        ``True`` for the periodic requests the base station auto-generates on
-        behalf of voice users holding a reservation.
-    """
-
-    terminal_id: int
-    kind: TrafficKind
-    arrival_frame: int
-    desired_packets: int = 1
-    csi: Optional[CSIEstimate] = None
-    deadline_frame: Optional[int] = None
-    is_reservation: bool = False
-
-    def __post_init__(self) -> None:
-        if self.terminal_id < 0:
-            raise ValueError("terminal_id must be non-negative")
-        if self.arrival_frame < 0:
-            raise ValueError("arrival_frame must be non-negative")
-        if self.desired_packets < 1:
-            raise ValueError("desired_packets must be at least 1")
-
-    def waiting_frames(self, current_frame: int) -> int:
-        """Frames elapsed since the request was received."""
-        return max(0, current_frame - self.arrival_frame)
-
-    def frames_to_deadline(self, current_frame: int) -> Optional[int]:
-        """Frames remaining before the associated packet deadline."""
-        if self.deadline_frame is None:
-            return None
-        return max(0, self.deadline_frame - current_frame)
-
-    def is_expired(self, current_frame: int) -> bool:
-        """Whether the associated voice deadline has already passed."""
-        return self.deadline_frame is not None and current_frame >= self.deadline_frame
 
 
 @dataclass(frozen=True)
@@ -142,12 +86,23 @@ class GrantColumns:
 
     __slots__ = ("terminal_ids", "n_slots", "packet_capacities", "throughputs")
 
-    def __init__(self) -> None:
-        self.terminal_ids: List[int] = []
-        self.n_slots: List[int] = []
-        self.packet_capacities: List[int] = []
+    def __init__(
+        self,
+        terminal_ids: Optional[List[int]] = None,
+        n_slots: Optional[List[int]] = None,
+        packet_capacities: Optional[List[int]] = None,
+        throughputs: Optional[List[Optional[float]]] = None,
+    ) -> None:
+        """Empty columns, or the given aligned lists (taken over, not copied)."""
+        self.terminal_ids: List[int] = [] if terminal_ids is None else terminal_ids
+        self.n_slots: List[int] = [] if n_slots is None else n_slots
+        self.packet_capacities: List[int] = (
+            [] if packet_capacities is None else packet_capacities
+        )
         #: Announced mode throughput per grant; ``None`` on the fixed PHY.
-        self.throughputs: List[Optional[float]] = []
+        self.throughputs: List[Optional[float]] = (
+            [] if throughputs is None else throughputs
+        )
 
     def append(
         self,
@@ -294,32 +249,26 @@ class FrameOutcome:
 
 
 class RequestColumns:
-    """A frame's pending requests as aligned columns instead of objects.
+    """CHARISMA's pending requests of one frame as aligned NumPy columns.
 
-    The base station's per-frame request pool — contention winners, the
-    auto-generated requests of voice reservation holders, and the queued
-    backlog — lives in parallel NumPy columns: booking a request is an array
-    append, priority ranking is array math over the columns, and service
-    order is an argsort — no per-request object is built in the hot loop.
+    The pool holds the auto-generated requests of the reservation holders,
+    this frame's contention winners and the popped request-queue backlog,
+    in that order.  The priority metric and the polling short list are
+    array math over the columns; the ranked allocation walk reads them as
+    lists.
 
-    Sentinels (column encodings of the object form's ``None``):
+    Sentinels:
 
     * ``deadline_frames`` — ``-1`` means no deadline (data requests);
     * ``csi_amplitudes`` / ``csi_frames`` — ``NaN`` / ``-1`` mean no CSI
       estimate is attached.
-
-    :meth:`to_requests` materialises selected rows back into validated
-    :class:`Request` objects — that is how leftovers re-enter the
-    (object-form) base-station queue, so both representations round-trip.
     """
 
     __slots__ = (
         "terminal_ids",
         "is_voice",
         "arrival_frames",
-        "desired_packets",
         "deadline_frames",
-        "is_reservation",
         "csi_amplitudes",
         "csi_frames",
         "csi_validity",
@@ -330,9 +279,7 @@ class RequestColumns:
         terminal_ids: np.ndarray,
         is_voice: np.ndarray,
         arrival_frames: np.ndarray,
-        desired_packets: np.ndarray,
         deadline_frames: np.ndarray,
-        is_reservation: np.ndarray,
         csi_amplitudes: Optional[np.ndarray] = None,
         csi_frames: Optional[np.ndarray] = None,
         csi_validity: int = 2,
@@ -341,9 +288,7 @@ class RequestColumns:
         self.terminal_ids = terminal_ids
         self.is_voice = is_voice
         self.arrival_frames = arrival_frames
-        self.desired_packets = desired_packets
         self.deadline_frames = deadline_frames
-        self.is_reservation = is_reservation
         self.csi_amplitudes = (
             csi_amplitudes if csi_amplitudes is not None else np.full(n, np.nan)
         )
@@ -362,119 +307,25 @@ class RequestColumns:
             terminal_ids=np.zeros(0, dtype=np.int64),
             is_voice=np.zeros(0, dtype=bool),
             arrival_frames=np.zeros(0, dtype=np.int64),
-            desired_packets=np.zeros(0, dtype=np.int64),
             deadline_frames=np.full(0, -1, dtype=np.int64),
-            is_reservation=np.zeros(0, dtype=bool),
             csi_validity=csi_validity,
         )
-
-    @classmethod
-    def from_requests(
-        cls, requests: Sequence[Request], csi_validity: int = 2
-    ) -> "RequestColumns":
-        """Columnise :class:`Request` objects (the queue backlog interop)."""
-        n = len(requests)
-        columns = cls(
-            terminal_ids=np.fromiter(
-                (r.terminal_id for r in requests), dtype=np.int64, count=n
-            ),
-            is_voice=np.fromiter(
-                (r.kind.is_voice for r in requests), dtype=bool, count=n
-            ),
-            arrival_frames=np.fromiter(
-                (r.arrival_frame for r in requests), dtype=np.int64, count=n
-            ),
-            desired_packets=np.fromiter(
-                (r.desired_packets for r in requests), dtype=np.int64, count=n
-            ),
-            deadline_frames=np.fromiter(
-                (
-                    -1 if r.deadline_frame is None else r.deadline_frame
-                    for r in requests
-                ),
-                dtype=np.int64,
-                count=n,
-            ),
-            is_reservation=np.fromiter(
-                (r.is_reservation for r in requests), dtype=bool, count=n
-            ),
-            csi_amplitudes=np.fromiter(
-                (np.nan if r.csi is None else r.csi.amplitude for r in requests),
-                dtype=float,
-                count=n,
-            ),
-            csi_frames=np.fromiter(
-                (-1 if r.csi is None else r.csi.frame_index for r in requests),
-                dtype=np.int64,
-                count=n,
-            ),
-            csi_validity=csi_validity,
-        )
-        return columns
 
     @staticmethod
     def concatenate(parts: Sequence["RequestColumns"]) -> "RequestColumns":
         """Stack several column sets in order (e.g. reservations + new + backlog)."""
         if not parts:
             return RequestColumns.empty()
-        validity = parts[0].csi_validity
         return RequestColumns(
             terminal_ids=np.concatenate([p.terminal_ids for p in parts]),
             is_voice=np.concatenate([p.is_voice for p in parts]),
             arrival_frames=np.concatenate([p.arrival_frames for p in parts]),
-            desired_packets=np.concatenate([p.desired_packets for p in parts]),
             deadline_frames=np.concatenate([p.deadline_frames for p in parts]),
-            is_reservation=np.concatenate([p.is_reservation for p in parts]),
             csi_amplitudes=np.concatenate([p.csi_amplitudes for p in parts]),
             csi_frames=np.concatenate([p.csi_frames for p in parts]),
-            csi_validity=validity,
+            csi_validity=parts[0].csi_validity,
         )
 
     # ------------------------------------------------------------------ API
     def __len__(self) -> int:
         return int(self.terminal_ids.shape[0])
-
-    def frames_to_deadline(self, row: int, current_frame: int) -> Optional[int]:
-        """Frames remaining before the row's deadline (``None`` if none)."""
-        deadline = int(self.deadline_frames[row])
-        if deadline < 0:
-            return None
-        return max(0, deadline - current_frame)
-
-    def set_csi(self, row: int, amplitude: float, frame_index: int) -> None:
-        """Attach a (fresh) CSI estimate to one row."""
-        self.csi_amplitudes[row] = amplitude
-        self.csi_frames[row] = frame_index
-
-    def to_requests(self, rows: Optional[Sequence[int]] = None) -> List[Request]:
-        """Materialise (selected) rows as :class:`Request` objects."""
-        if rows is None:
-            rows = range(len(self))
-        requests: List[Request] = []
-        for row in rows:
-            csi_frame = int(self.csi_frames[row])
-            amplitude = float(self.csi_amplitudes[row])
-            csi = None
-            if csi_frame >= 0 or not np.isnan(amplitude):
-                csi = CSIEstimate(
-                    amplitude=amplitude,
-                    frame_index=max(0, csi_frame),
-                    validity_frames=self.csi_validity,
-                )
-            deadline = int(self.deadline_frames[row])
-            requests.append(
-                Request(
-                    terminal_id=int(self.terminal_ids[row]),
-                    kind=(
-                        TrafficKind.VOICE
-                        if self.is_voice[row]
-                        else TrafficKind.DATA
-                    ),
-                    arrival_frame=int(self.arrival_frames[row]),
-                    desired_packets=int(self.desired_packets[row]),
-                    csi=csi,
-                    deadline_frame=None if deadline < 0 else deadline,
-                    is_reservation=bool(self.is_reservation[row]),
-                )
-            )
-        return requests

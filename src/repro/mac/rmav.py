@@ -23,8 +23,6 @@ the paper also notes.
 
 from __future__ import annotations
 
-import math
-
 from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import run_contention_ids
@@ -66,7 +64,7 @@ class RMAVProtocol(MACProtocol):
         """One competitive slot per frame (see :meth:`run_frame_batch`)."""
         return 1
 
-    def macro_data_slot_cap(self) -> int:
+    def data_slot_cap(self) -> int:
         """Data winners are capped at ``P_max`` slots per request."""
         return self.params.rmav_pmax
 
@@ -86,14 +84,6 @@ class RMAVProtocol(MACProtocol):
         """
         self.reservations.release_ended_population(population)
         outcome = FrameOutcome(frame_index)
-        grants = outcome.use_grant_columns()
-        slots_left = self.frame_structure.info_slots
-
-        served = self.allocate_reserved_voice_batch(
-            population, snapshot, slots_left, grants
-        )
-        slots_left -= served.shape[0]
-
         ids, probabilities = self.contention_candidate_ids(population)
         contention = run_contention_ids(
             ids, probabilities, 1, self.contention_rng, fast=self.rng_fast
@@ -101,29 +91,19 @@ class RMAVProtocol(MACProtocol):
         outcome.contention_attempts = contention.attempts
         outcome.contention_collisions = contention.collisions
         outcome.idle_request_slots = contention.idle_slots
-
-        if contention.winner_ids:
-            winner = contention.winner_ids[0]
+        for winner in contention.winner_ids:
             outcome.acknowledgements.append(
                 Acknowledgement(winner, 0, frame_index)
             )
-            occupancy = int(population.occupancy[winner])
-            if slots_left >= 1 and occupancy > 0:
-                per_slot, throughput = self.grant_capacity(winner, snapshot)
-                if population.is_voice[winner]:
-                    grants.append(winner, 1, per_slot, throughput)
-                    slots_left -= 1
-                    self.reservations.grant(winner, frame_index)
-                else:
-                    needed = math.ceil(occupancy / max(1, per_slot))
-                    n_slots = min(
-                        self.params.rmav_pmax,
-                        max(1, min(slots_left, needed)),
-                    )
-                    grants.append(
-                        winner, n_slots, per_slot * n_slots, throughput
-                    )
-                    slots_left -= n_slots
 
-        outcome.queued_requests = 0
+        outcome.grants, new_voice, _unserved = self.serve_fcfs(
+            self.reservations.reserved_ids(population).tolist(),
+            [],
+            contention.winner_ids,
+            population.occupancy,
+            snapshot,
+            population.n_voice,
+            self.data_slot_cap(),
+        )
+        self.reservations.grant_many(new_voice, frame_index)
         return outcome

@@ -32,7 +32,7 @@ from repro.phy.ber import (
     snr_db_to_linear,
     snr_linear_to_db,
 )
-from repro.phy.csi import CSIEstimate, CSIEstimator
+from repro.phy.csi import CSIEstimator
 from repro.phy.error_model import PacketErrorModel
 from repro.phy.fixed import FixedRateModem
 from repro.phy.modes import OUTAGE_MODE_INDEX, ModeTable, TransmissionMode
@@ -40,7 +40,6 @@ from repro.phy.thresholds import constant_ber_thresholds_db
 
 __all__ = [
     "AdaptiveModem",
-    "CSIEstimate",
     "CSIEstimator",
     "FixedRateModem",
     "ModeTable",

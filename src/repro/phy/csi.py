@@ -14,51 +14,16 @@ base station learns each requester's CSI:
 
 :class:`CSIEstimator` models pilot-based estimation as the true amplitude
 corrupted by a zero-mean Gaussian error whose standard deviation shrinks with
-the number of pilot symbols and with the receive SNR.  :class:`CSIEstimate`
-carries the value plus the frame stamp needed for staleness decisions.
+the number of pilot symbols and with the receive SNR.  The estimates are
+plain amplitude columns; the request columns carry each estimate's frame
+stamp for the staleness decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["CSIEstimate", "CSIEstimator"]
-
-
-@dataclass(frozen=True)
-class CSIEstimate:
-    """A CSI estimate together with its provenance.
-
-    Attributes
-    ----------
-    amplitude:
-        Estimated composite channel amplitude (non-negative).
-    frame_index:
-        Frame in which the pilot symbols were received.
-    validity_frames:
-        Number of frames (starting at ``frame_index``) during which the
-        estimate is considered trustworthy.
-    """
-
-    amplitude: float
-    frame_index: int
-    validity_frames: int = 2
-
-    def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        if self.validity_frames < 1:
-            raise ValueError("validity_frames must be at least 1")
-
-    def is_stale(self, current_frame: int) -> bool:
-        """Whether the estimate has expired by ``current_frame``."""
-        return current_frame - self.frame_index >= self.validity_frames
-
-    def age(self, current_frame: int) -> int:
-        """Number of frames elapsed since the estimate was taken."""
-        return current_frame - self.frame_index
+__all__ = ["CSIEstimator"]
 
 
 class CSIEstimator:
@@ -142,54 +107,15 @@ class CSIEstimator:
             return 0.0
         return float(np.sqrt(1.0 / (2.0 * self._n_pilots * self._mean_snr_linear)))
 
-    def estimate(self, true_amplitude: float, frame_index: int) -> CSIEstimate:
-        """Produce a CSI estimate of ``true_amplitude`` taken at ``frame_index``."""
-        std = self.estimation_std(true_amplitude)
-        if std == 0.0:
-            value = float(true_amplitude)
-        else:
-            value = float(true_amplitude + self._rng.normal(scale=std))
-        return CSIEstimate(
-            amplitude=max(0.0, value),
-            frame_index=int(frame_index),
-            validity_frames=self._validity,
-        )
-
-    def estimate_many(self, true_amplitudes, frame_index: int) -> list[CSIEstimate]:
+    def estimate_amplitudes(self, true_amplitudes, frame_index: int) -> np.ndarray:
         """Estimate several amplitudes with one batched noise draw.
 
-        Consumes the random stream exactly as the equivalent sequence of
-        :meth:`estimate` calls would (the estimation noise draw is batched;
-        ``Generator.normal`` fills arrays element by element), so scalar and
-        batched estimation stay bit-identical.
-        """
-        amplitudes = np.asarray(true_amplitudes, dtype=float)
-        if amplitudes.size == 0:
-            return []
-        if np.any(amplitudes < 0):
-            raise ValueError("true_amplitude must be non-negative")
-        if self._perfect:
-            values = amplitudes
-        else:
-            std = self.estimation_std(0.0)
-            values = amplitudes + self._rng.normal(scale=std, size=amplitudes.shape[0])
-        return [
-            CSIEstimate(
-                amplitude=max(0.0, float(value)),
-                frame_index=int(frame_index),
-                validity_frames=self._validity,
-            )
-            for value in values
-        ]
-
-    def estimate_amplitudes(self, true_amplitudes, frame_index: int) -> np.ndarray:
-        """Column form of :meth:`estimate_many`: estimated amplitudes only.
-
-        Consumes the random stream exactly like :meth:`estimate_many` (and
-        therefore like the equivalent sequence of scalar :meth:`estimate`
-        calls) but returns the clamped amplitude column directly — the
-        array-native MAC kernels keep the frame stamp in their own request
-        columns instead of materialising a :class:`CSIEstimate` per row.
+        Each estimate is the true amplitude plus zero-mean Gaussian noise of
+        :meth:`estimation_std`, clamped at zero; a perfect estimator returns
+        the true amplitudes.  ``Generator.normal`` fills the noise array
+        element by element, so one call consumes the stream exactly like
+        one scalar draw per amplitude, in order.  The caller stamps the
+        estimates with ``frame_index`` in its own request columns.
         """
         amplitudes = np.asarray(true_amplitudes, dtype=float)
         if amplitudes.size == 0:

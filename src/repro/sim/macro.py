@@ -11,32 +11,40 @@ for the predictable work:
   pre-draws the whole block's source events in per-frame order and each
   frame replays its recorded events with a handful of scalar writes;
 * **MAC state** — reservation holders and contention candidates are kept
-  as incremental mirrors, updated from the frame's traffic, drop and grant
-  events instead of being re-derived from the population arrays;
+  as incremental mirrors, updated from the frame's traffic, drop, grant and
+  request-queue events instead of being re-derived from the population
+  arrays;
 * **reservation PHY** — voice-reservation transmissions pop their packets
   deterministically at their own frame (a transmitted voice packet leaves
   the buffer whether or not it is received), while the Bernoulli outcomes
-  of many frames resolve in one batched binomial draw — again bit-exact,
-  because batched binomials consume the error stream element-wise;
+  of many frames are drawn in one batched binomial call — again
+  bit-exact, because batched binomials consume the error stream
+  element-wise — and fold into the voice counters once per block;
 * **metrics** — per-frame statistics accumulate in plain lists and cross
   the collector boundary once per block.
 
 Each frame's request phase is the protocol's own rule:
 :func:`~repro.mac.contention.run_contention_ids` for the slotted protocols
 and CHARISMA, :meth:`~repro.mac.rama.RAMAProtocol.run_auction` for RAMA —
-the calls their ``run_frame_batch`` makes, on the same streams.  Only
-DRMA's converted slots resolve here, on draws served from a
-:class:`RandomPool` prefetched from the contention stream (NumPy generators
-consume their bit stream element by element, so a pool of ``N`` uniforms
-is exactly the next ``N`` per-minislot draws; at a block's end the pool
-rolls the generator back and replays the consumed prefix), and CHARISMA's
-estimation noise comes from a :class:`NormalPool` the same way.
+the calls their ``run_frame_batch`` makes, on the same streams.  A small
+slotted request phase takes its uniforms from a :class:`RandomPool`
+prefetched from the contention stream (NumPy generators consume their bit
+stream element by element, so a pool of ``N`` uniforms is exactly the next
+``N`` per-minislot draws; at a block's end the pool rolls the generator
+back and replays the consumed prefix).  DRMA's converted slots resolve on
+the same pool, and CHARISMA's estimation noise comes from a
+:class:`NormalPool` the same way.
 
-A frame the inline bodies cannot express — a non-empty request queue, or
-a protocol without lookahead support (parity-mode CHARISMA draws CSI
-noise from the shared MAC stream) — falls back to the protocol's own
-``run_frame_batch`` after flushing all deferred state, so the surrounding
-frames still enjoy the fused traffic/channel/metrics path.  In either RNG
+Each frame's allocation phase is the protocol's own function too —
+:meth:`~repro.mac.base.MACProtocol.serve_fcfs`, DRMA's
+:meth:`~repro.mac.drma.DRMAProtocol.serve_slots` or CHARISMA's
+:meth:`~repro.core.allocator.CSIRankedAllocator.allocate` — so the inline
+frame prunes, serves and re-queues the base-station request backlog
+exactly like ``run_frame_batch``.  Only a protocol without lookahead
+support (parity-mode CHARISMA draws CSI noise from the shared MAC stream)
+falls back to its own ``run_frame_batch``, after flushing all deferred
+state, so the surrounding frames still enjoy the fused
+traffic/channel/metrics path.  In either RNG
 mode the result does not depend on ``macro_frames``:
 ``tests/sim/test_macro_parity.py`` sweeps ``macro_frames`` in
 {1, 4, 16, 64} over all six protocols in parity mode, and the golden
@@ -53,6 +61,7 @@ import numpy as np
 
 from repro.lint.contracts import kernel
 from repro.mac.contention import run_contention_ids
+from repro.mac.requests import GrantColumns, RequestColumns
 from repro.obs import metrics as _metrics
 
 __all__ = ["MacroRunner", "NormalPool", "RandomPool"]
@@ -96,6 +105,19 @@ class RandomPool:
     def unwind(self, n: int) -> None:
         """Give back the most recently taken ``n`` doubles (pointer move)."""
         self._position -= n
+
+    def random(self, size):
+        """``Generator.random(size)`` served from the pool: the same doubles.
+
+        Lets :func:`~repro.mac.contention.run_contention_ids` resolve a
+        request phase on the pool instead of calling the generator once
+        per minislot.  ``size`` is a count or a ``(rows, columns)`` shape,
+        filled in C order as the generator fills it.
+        """
+        if isinstance(size, tuple):
+            rows, columns = size
+            return self.take(rows * columns).reshape(size)
+        return self.take(size)
 
     def close(self) -> int:
         """Roll back and replay: leave the generator exactly where
@@ -146,9 +168,16 @@ class NormalPool(RandomPool):
         super().__init__(rng, chunk)
         self._draw = rng.standard_normal
 
+    #: Its draws are normals, so it cannot stand in for ``Generator.random``.
+    random = None
+
 
 class MacroRunner:
     """Executes the engine's frame loop in macro blocks (see module doc)."""
+
+    #: Largest slotted request phase (minislots x candidates) that draws
+    #: from the block's pool (see :meth:`_request_rng`).
+    POOLED_REQUEST_DRAWS = 512
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -161,19 +190,31 @@ class MacroRunner:
             getattr(protocol, "supports_macro_lookahead", False)
         )
         self._minislots = protocol.macro_minislots() if self._supported else None
-        self._data_cap = protocol.macro_data_slot_cap() if self._supported else None
+        self._data_cap = protocol.data_slot_cap() if self._supported else None
         self._style = (
             getattr(protocol, "macro_contention_style", None)
             if self._supported
             else None
         )
-        self._info_slots = protocol.frame_structure.info_slots
+        # The inline frame body: CHARISMA ranks holders, winners and the
+        # backlog together by estimated channel, DRMA interleaves service
+        # with converted request slots, and the rest serve FCFS.  ``None``
+        # leaves every frame to the per-frame kernel.
+        self._frame_body = None
+        if self._style == "csi_schedule":
+            self._frame_body = self._csi_frame
+        elif self._style == "slot_loop":
+            self._frame_body = self._slot_loop_frame
+        elif self._minislots is not None or self._style == "auction":
+            self._frame_body = self._fcfs_frame
+        self._queue = protocol.request_queue
         self._convert_minislots = protocol.frame_structure.minislots_per_info_slot
         self._request_minislots = protocol.frame_structure.request_minislots
         self._reuse_snr = engine._reuse_snapshot_snr
         self._adaptive = protocol.modem.is_adaptive
-        # DRMA's converted-slot draws (the other protocols' request phases
-        # draw from their streams directly).
+        # The contention stream's draws, prefetched per block: DRMA's
+        # converted slots and the small slotted request phases take them
+        # from here (RAMA's auction draws from its stream directly).
         self._pool = RandomPool(protocol.contention_rng)
         self._voice_p = protocol.permission.voice_probability
         self._data_p = protocol.permission.data_probability
@@ -182,7 +223,7 @@ class MacroRunner:
         # CSI-scheduled (CHARISMA, fast mode only) frame machinery: the
         # estimation-noise pool over the protocol's dedicated CSI child
         # stream plus the constants the fused inline frame folds its
-        # per-frame mode lookup, priority metric and allocation walk over.
+        # per-frame mode lookup and priority metric over.
         self._csi_pool: Optional[NormalPool] = None
         self._csi_std = 0.0
         if self._style == "csi_schedule":
@@ -207,9 +248,6 @@ class MacroRunner:
             )
             self._csi_alpha = (weights.alpha_voice, weights.alpha_data)
             self._csi_voffset = weights.voice_offset
-            self._csi_slots = protocol.allocator.n_info_slots
-            self._csi_margin = protocol.allocator.defer_deadline_margin
-            self._csi_lowest_thr = table[0].throughput
 
         # Mirrors of the MAC state the fast path reads every frame, updated
         # incrementally from traffic/drop/grant events and resynchronised
@@ -232,10 +270,17 @@ class MacroRunner:
         self._phy_tids: List[int] = []
         self._phy_counts: List[int] = []
         self._phy_aux: List[int] = []  # voice: pre-window; data: capacity
-        self._phy_voice: List[bool] = []
         self._phy_frames: List[int] = []
         self._phy_chans: List[float] = []
         self._phy_thrs: List[float] = []
+        # Row indices of the voice and the data rows among the above.
+        self._phy_voice_rows: List[int] = []
+        self._phy_data_rows: List[int] = []
+        # Voice rows already drawn, resolved into the population's voice
+        # counters and the frame records once per block
+        # (:meth:`_resolve_voice`): ``[record, tid, count, pre-window,
+        # delivered]`` columns.
+        self._drawn_voice: List[List[int]] = [[], [], [], [], []]
         self._records: List[List] = []
 
     # ------------------------------------------------------------------ API
@@ -287,6 +332,7 @@ class MacroRunner:
             engine._frame_index = frame + 1
 
         self._flush_phy(clock)
+        self._resolve_voice()
         self._commit_records(clock)
         unused = self._pool.close()
         if self._csi_pool is not None:
@@ -298,331 +344,237 @@ class MacroRunner:
     # ----------------------------------------------------------- fast frame
     def _fast_frame(self, plan, offset, frame, snapshot, drops, clock) -> bool:
         """Execute one frame inline; ``False`` defers to the per-frame kernel."""
-        if not self._supported:
-            return False
-        protocol = self.protocol
-        queue = protocol.request_queue
-        if queue is not None and len(queue):
+        body = self._frame_body
+        if body is None:
             return False
         if self._mirrors_dirty:
             self._sync_mirrors()
         else:
             self._update_mirrors(plan, offset, drops)
-        # CHARISMA ranks holders and winners together by estimated channel,
-        # and DRMA interleaves service with converted request slots: each
-        # has its own frame body.
-        style = self._style
-        if style == "csi_schedule":
-            return self._csi_frame(frame, snapshot, drops, clock)
-        if style == "slot_loop":
-            return self._slot_loop_frame(frame, snapshot, drops, clock)
-        minislots = self._minislots
-        if minislots is None and style != "auction":
-            return False
-
         if clock:
             clock.start("mac")
-        occ_list = self._occupancy_list()
-        served = self._release_holders(occ_list)
-        slots_left = self._info_slots
-        if len(served) > slots_left:
-            served = served[:slots_left]
-        slots_left -= len(served)
+        queue = self._queue
+        if queue is None:
+            body(frame, snapshot, drops, clock, None)
+            return True
+        backlog = self._pop_backlog(frame)
+        body(frame, snapshot, drops, clock, backlog)
+        if backlog is not None or len(queue):
+            # Served backlog rows left the queue and unserved winners
+            # joined it: re-derive those terminals' candidacy.
+            if backlog is not None:
+                for tid in backlog.terminal_ids:
+                    self._refresh_candidate(tid)
+            for tid in queue.rows.terminal_ids:
+                self._discard_candidate(tid)
+        return True
 
-        # Request phase: the protocol's own rule, exactly the call its
-        # ``run_frame_batch`` makes.
-        candidates = self._cand_ids
+    def _request_rng(self, minislots: int):
+        """Where this frame's slotted request phase draws its uniforms.
+
+        A small phase takes them from the block's pool of the contention
+        stream: the same doubles as one generator call per minislot,
+        without the per-call cost.  A phase that may draw more than
+        :attr:`POOLED_REQUEST_DRAWS` doubles (a 10,000-terminal cell)
+        draws from the stream itself, because the pool's replay at block
+        end would generate every pooled double twice.
+        """
+        if minislots * len(self._cand_ids) <= self.POOLED_REQUEST_DRAWS:
+            return self._pool
+        self._pool.close()
+        return self.protocol.contention_rng
+
+    def _pop_backlog(self, frame):
+        """Prune the request queue, then pop its backlog (``None`` if empty).
+
+        A terminal the prune removes may contend again in this very frame,
+        as in the per-frame kernels, so its candidacy is re-derived before
+        the request phase.
+        """
+        queue = self._queue
+        if not len(queue):
+            return None
+        queued = queue.rows.terminal_ids
+        if queue.prune(frame, self.population.occupancy):
+            for tid in queued:
+                self._refresh_candidate(tid)
+        return queue.pop_all() if len(queue) else None
+
+    def _fcfs_frame(self, frame, snapshot, drops, clock, backlog) -> None:
+        """RMAV, D-TDMA and RAMA frame inline: request phase, FCFS service.
+
+        The request phase is the protocol's own rule, exactly the call its
+        ``run_frame_batch`` makes; the allocation phase is the same
+        :meth:`~repro.mac.base.MACProtocol.serve_fcfs` call.
+        """
+        protocol = self.protocol
+        occ_list = self._occupancy_list()
+        holders = self._release_holders(occ_list)
+        minislots = self._minislots
         if minislots is not None:
             request = run_contention_ids(
-                candidates,
+                self._cand_ids,
                 self._cand_probs_array(),
                 minislots,
-                protocol.contention_rng,
+                self._request_rng(minislots),
                 fast=protocol.rng_fast,
             )
         else:
-            request = protocol.run_auction(candidates, self._nv)
-
-        # Allocation phase: FCFS, voice winners before data winners.
-        voice_winners: List[int] = []
-        data_winners: List[int] = []
-        if request.winner_ids:
-            nv = self._nv
-            for tid in request.winner_ids:
-                (voice_winners if tid < nv else data_winners).append(tid)
-        n_new_voice = min(slots_left, len(voice_winners))
-        voice_served = served + voice_winners[:n_new_voice]
-        unserved = voice_winners[n_new_voice:]
-        slots_left -= n_new_voice
-        # Per-grant capacities in one channel lookup over the grants the
-        # per-frame kernels look up, in their order.
-        if self._adaptive and (voice_served or data_winners):
-            per_slot_arr, thr_arr = protocol.grant_capacity_columns(
-                voice_served + data_winners, snapshot
-            )
-            per_slot_list = per_slot_arr.tolist()
-            thr_list = thr_arr.tolist()
-        else:
-            per_slot_list = thr_list = None
-
-        grants: List  # (tid, capacity, throughput) in grant order
-        if per_slot_list is None:
-            grants = [(tid, 1, None) for tid in voice_served]
-        else:
-            grants = list(zip(voice_served, per_slot_list, thr_list))
-        for tid in voice_winners[:n_new_voice]:
-            self._grant_reservation(tid, frame)
-        allocated = len(voice_served)
-        data_cap = self._data_cap
-        for position, tid in enumerate(data_winners, len(voice_served)):
-            if slots_left < 1:
-                unserved.append(tid)
-                continue
-            if per_slot_list is None:
-                per_slot, throughput = 1, None
-            else:
-                per_slot = per_slot_list[position]
-                throughput = thr_list[position]
-            needed = -(-int(occ_list[tid]) // max(1, per_slot))
-            n_slots = needed if needed < slots_left else slots_left
-            if n_slots < 1:
-                n_slots = 1
-            if data_cap is not None and n_slots > data_cap:
-                n_slots = data_cap
-            slots_left -= n_slots
-            allocated += n_slots
-            grants.append((tid, per_slot * n_slots, throughput))
-
-        # Winners the frame could not serve are queued (with-queue variant)
-        # or discarded; queueing changes the candidate rule, so the mirrors
-        # resynchronise once the queue drains.
-        if unserved and queue is not None:
-            population = self.population
-            queue.extend(
-                protocol.make_request_for_id(population, tid, frame)
-                for tid in unserved
-            )
-            self._mirrors_dirty = True
-
-        record_index, record = self._open_record(
-            drops, request.attempts, request.collisions, request.idle_slots
+            request = protocol.run_auction(self._cand_ids, self._nv)
+        winner_ids = request.winner_ids
+        grants, new_voice, unserved = protocol.serve_fcfs(
+            holders,
+            backlog.terminal_ids if backlog is not None else [],
+            winner_ids,
+            occ_list,
+            snapshot,
+            self._nv,
+            self._data_cap,
         )
-        record[3] = allocated
-        record[4] = len(queue) if queue is not None else 0
+        for tid in new_voice:
+            self._grant_reservation(tid, frame)
+        if unserved:
+            protocol.requeue(frame, self.population, backlog, winner_ids, unserved)
+        self._finish_frame(frame, snapshot, drops, clock, request, grants, occ_list)
+
+    def _slot_loop_frame(self, frame, snapshot, drops, clock, backlog) -> None:
+        """DRMA frame inline: the per-frame kernel's slot loop.
+
+        The same :meth:`~repro.mac.drma.DRMAProtocol.serve_slots` call,
+        with each converted slot resolved on the block's pool
+        (:meth:`_contend_converted_slot`).
+
+        A data winner with a deep buffer can win — and be served —
+        several converted slots of one frame.  Emission follows the
+        engine's flush-between-duplicates discipline
+        (``Engine._execute_grant_columns_segmented``): before a repeated
+        terminal's grant, everything granted so far is resolved, and the
+        repeat is skipped if those grants drained the buffer (its slot
+        stays allocated).  The frame's decisions read the frozen occupancy
+        list, so only the emission sees the flush.
+        """
+        protocol = self.protocol
+        occ_list = self._occupancy_list()
+        grants, new_voice, leftovers, requests = protocol.serve_slots(
+            self._release_holders(occ_list),
+            backlog.terminal_ids if backlog is not None else [],
+            self._cand_ids,
+            self._cand_probs,
+            occ_list,
+            self._nv,
+            snapshot,
+            self._contend_converted_slot,
+        )
+        for tid in new_voice:
+            self._grant_reservation(tid, frame)
+        if leftovers:
+            protocol.requeue(
+                frame, self.population, backlog, requests.winner_ids, leftovers
+            )
+        ids = grants.terminal_ids
+        record_index = self._open_record(drops, requests, grants)
+        occupancy = self.population.occupancy
+        capacities = grants.packet_capacities
+        throughputs = grants.throughputs
+        start = 0
+        batched = set()
+        for index, tid in enumerate(ids):
+            if tid in batched:
+                self._emit_grants(
+                    record_index, frame, snapshot, ids[start:index],
+                    capacities[start:index], throughputs[start:index],
+                    occupancy,
+                )
+                if clock:
+                    clock.stop()
+                self._flush_phy(clock)
+                if clock:
+                    clock.start("mac")
+                batched = set()
+                start = index
+                if occupancy[tid] <= 0:
+                    start += 1
+                    continue
+            batched.add(tid)
         any_data = self._emit_grants(
-            record_index, frame, snapshot, grants, occ_list
+            record_index, frame, snapshot, ids[start:], capacities[start:],
+            throughputs[start:], occupancy,
         )
         if clock:
             clock.stop()
         if any_data:
             self._flush_phy(clock)
-        return True
 
-    def _slot_loop_frame(self, frame, snapshot, drops, clock) -> bool:
-        """DRMA frame inline: cursor service + converted slots.
+    def _contend_converted_slot(self, ids, probabilities):
+        """One DRMA converted slot's ``N_x`` minislots on pooled draws.
 
-        Replicates ``DRMAProtocol.run_frame_batch`` decision for decision:
-        reservation holders head a pending pool advanced by a cursor, every
-        unassigned information slot converts into ``N_x`` request minislots
-        (pool-fed, bit-identical prefixes), and winners re-enter the same
-        frame's pending pool.  A data winner with a deep buffer can win —
-        and be served — several converted slots of one frame; those
-        duplicate grants adopt the engine's flush-between-duplicates
-        discipline, so each later grant sees the buffer state (and the RNG
-        draw boundaries) its earlier grants left, exactly like
-        ``Engine._execute_grant_columns_segmented``.
-
-        The converted slots resolve here on pooled draws rather than
-        through ``run_contention_ids``: their pools hold a handful of
-        contenders, and a call per converted slot measured DRMA's
-        macro-over-per-frame speed-up at about 1.4 instead of 1.6.
+        Returns ``(winner_ids, attempts, collisions, idle_slots)``.  The
+        pools here hold a handful of contenders, so the resolution runs on
+        Python scalars — the same doubles, comparisons and winner choices
+        as ``run_contention_ids`` with its per-minislot
+        ``rng.random(size=k)`` calls, at a fraction of a call per
+        minislot.  One take covers the remaining minislots at the current
+        pool size; a winner shrinks the pool, so the draws after its
+        minislot go back to the pool and the rest is taken again at the
+        new size.  The caller's lists are not modified.
         """
-        if clock:
-            clock.start("mac")
-        protocol = self.protocol
-        queue = protocol.request_queue
-        occ_list = self._occupancy_list()
-        occupancy_array = self.population.occupancy
-        nv = self._nv
-
-        # Pending pool: holders with packets, in ascending id order (the
-        # ``reserved_ids`` order the kernel uses).
-        pending = self._release_holders(occ_list)
-        pending_res = [True] * len(pending)
-
-        # Frame-local candidate pool.  The mirror's lists are never mutated
-        # in place: the drop rule below rebuilds fresh lists, and the
-        # per-minislot resolution pops winners from a lazily created copy.
-        local_ids = self._cand_ids
-        local_probs = self._cand_probs
-        pool = self._pool
-        pool_take = pool.take
         minislots = self._convert_minislots
-
-        # The frame's record is appended up front because the
-        # duplicate-grant discipline may flush mid-frame, and flushing
-        # resolves deferred rows into their records.
-        record_index, record = self._open_record(drops)
-
-        attempts = collisions = idle = allocated = converted = 0
-        cursor = 0
-        frame_data_tids = None
-        grants: List = []
-        for _ in range(self._info_slots):
-            # Serve the next pending entry whose terminal still has packets
-            # (buffer states are frozen during the frame, exactly like the
-            # kernel's occupancy_list snapshot).
-            served_id = -1
-            is_reservation = False
-            while cursor < len(pending):
-                tid = pending[cursor]
-                is_reservation = pending_res[cursor]
-                cursor += 1
-                if occ_list[tid] > 0:
-                    served_id = tid
-                    break
-            if served_id >= 0:
-                allocated += 1
-                if served_id < nv:
-                    if not is_reservation:
-                        self._grant_reservation(served_id, frame)
-                elif frame_data_tids is not None and served_id in frame_data_tids:
-                    # Same-frame repeat grant: resolve everything granted
-                    # so far, then re-read the live buffer — the engine
-                    # skips a repeat whose earlier grants drained the
-                    # buffer (the slot stays allocated).
-                    self._emit_grants(
-                        record_index, frame, snapshot, grants, occ_list
-                    )
-                    grants = []
-                    if clock:
-                        clock.stop()
-                    self._flush_phy(clock)
-                    if clock:
-                        clock.start("mac")
-                    if int(occupancy_array[served_id]) <= 0:
-                        continue
-                elif frame_data_tids is None:
-                    frame_data_tids = {served_id}
-                else:
-                    frame_data_tids.add(served_id)
-                grants.append((served_id, 1, None))
-                continue
-
-            # Idle information slot: convert it into N_x request minislots.
-            # The pools here are tiny (a handful of contenders), so the
-            # resolution runs on Python scalars over pooled draws — the
-            # same doubles, comparisons and winner choices as the kernel's
-            # per-minislot ``rng.random(size=k)`` calls.  One take covers
-            # the remaining minislots at the current pool size; a winner
-            # shrinks the pool, so the draws after its minislot go back to
-            # the pool and the rest is taken again at the new size.
-            converted += 1
-            ms_ids = local_ids
-            ms_probs = local_probs
-            won = None
-            left = minislots
-            while left and ms_ids:
-                k = len(ms_ids)
-                draws = pool_take(left * k).tolist()
-                for start in range(0, left * k, k):
-                    left -= 1
-                    n_transmitters = 0
-                    index = -1
-                    for position, probability in enumerate(ms_probs):
-                        if draws[start + position] < probability:
-                            n_transmitters += 1
-                            index = position
-                    attempts += n_transmitters
-                    if n_transmitters == 1:
-                        pool.unwind(left * k)
-                        if ms_ids is local_ids:
-                            ms_ids = list(ms_ids)
-                            ms_probs = list(ms_probs)
-                        if won is None:
-                            won = []
-                        won.append(ms_ids.pop(index))
-                        ms_probs.pop(index)
-                        break
-                    if n_transmitters == 0:
-                        idle += 1
-                    else:
-                        collisions += 1
-            idle += left
-            if not won:
-                continue
-            dropped = None
-            for winner in won:
-                pending.append(winner)
-                pending_res.append(False)
-                # A voice winner is about to obtain a reservation and stops
-                # contending; a data winner keeps contending in later
-                # converted slots while its (frozen) buffer runs deep.
-                if winner < nv or occ_list[winner] <= 1:
-                    if dropped is None:
-                        dropped = set()
-                    dropped.add(winner)
-            if dropped is not None:
-                kept_ids = []
-                kept_probs = []
-                for tid, probability in zip(local_ids, local_probs):
-                    if tid not in dropped:
-                        kept_ids.append(tid)
-                        kept_probs.append(probability)
-                local_ids = kept_ids
-                local_probs = kept_probs
-
-        # Requests that succeeded too late in the frame to get a slot.
-        if queue is not None:
-            population = self.population
-            leftovers = [
-                protocol.make_request_for_id(population, pending[index], frame)
-                for index in range(cursor, len(pending))
-                if not pending_res[index]
-            ]
-            if leftovers:
-                queue.extend(leftovers)
-                self._mirrors_dirty = True
         m = _metrics.METRICS
-        if m.enabled and converted:
-            # Every converted slot is N_x minislots, as in the per-frame
-            # kernel's ``run_contention_ids`` call per converted slot.
-            m.inc("contention.rounds", converted * minislots)
-        record[0] = attempts
-        record[1] = collisions
-        record[2] = idle
-        record[3] = allocated
-        record[4] = len(queue) if queue is not None else 0
-        self._emit_grants(record_index, frame, snapshot, grants, occ_list)
-        if clock:
-            clock.stop()
-        if frame_data_tids is not None:
-            self._flush_phy(clock)
-        return True
+        if m.enabled:
+            m.inc("contention.rounds", minislots)
+        pool = self._pool
+        won: List[int] = []
+        attempts = collisions = idle = 0
+        left = minislots
+        while left and ids:
+            k = len(ids)
+            draws = pool.take(left * k).tolist()
+            for start in range(0, left * k, k):
+                left -= 1
+                n_transmitters = 0
+                index = -1
+                for position, probability in enumerate(probabilities):
+                    if draws[start + position] < probability:
+                        n_transmitters += 1
+                        index = position
+                attempts += n_transmitters
+                if n_transmitters == 1:
+                    pool.unwind(left * k)
+                    if not won:
+                        ids = list(ids)
+                        probabilities = list(probabilities)
+                    won.append(ids.pop(index))
+                    probabilities.pop(index)
+                    break
+                if n_transmitters == 0:
+                    idle += 1
+                else:
+                    collisions += 1
+        return won, attempts, collisions, idle + left
 
     @kernel
-    def _csi_frame(self, frame, snapshot, drops, clock) -> bool:
+    def _csi_frame(self, frame, snapshot, drops, clock, backlog) -> None:
         """CHARISMA frame inline (fast RNG mode): pooled CSI noise.
 
-        Replicates ``CharismaProtocol.run_frame_batch`` on an empty-queue
-        frame: the same ``run_contention_ids`` call against the contention
-        child stream, one batched CSI estimate over reservation holders +
-        winners — standard normals prefetched per block from the dedicated
+        Replicates ``CharismaProtocol.run_frame_batch``: the same
+        ``run_contention_ids`` call against the contention child stream,
+        one batched CSI estimate over reservation holders + winners —
+        standard normals prefetched per block from the dedicated
         estimation stream and scaled by the amplitude-independent noise
         std, exactly the values ``estimate_amplitudes`` would produce —
-        then the frame's shared mode lookup, the stable priority ranking
-        and the ranked allocation walk.  Voice grants defer their PHY
-        outcome to the block flush; frames with data grants flush at frame
-        end because data outcomes feed back into buffer state.  Parity
-        CHARISMA never reaches this path (``supports_macro_lookahead`` is
-        False without the dedicated CSI stream) and keeps its bit-exact
-        per-frame fallback.
+        then the frame's mode lookup and priority ranking, and the same
+        :meth:`~repro.core.allocator.CSIRankedAllocator.allocate` walk.  A
+        backlog is prepared by ``CharismaProtocol.backlog_columns``, whose
+        CSI polls draw from the same pool after the holder and winner
+        estimates.  Voice grants defer their PHY outcome to the block
+        flush; frames with data grants flush at frame end because data
+        outcomes feed back into buffer state.  Parity CHARISMA never
+        reaches this path (``supports_macro_lookahead`` is False without
+        the dedicated CSI stream) and keeps its bit-exact per-frame
+        fallback.
         """
-        if clock:
-            clock.start("mac")
         protocol = self.protocol
         population = self.population
-        queue = protocol.request_queue
         occ_list = self._occupancy_list()
         nv = self._nv
 
@@ -630,38 +582,24 @@ class MacroRunner:
         # ``reserved_ids`` order).
         reserved = self._release_holders(occ_list)
 
-        # Request phase: the runner's uniform pool never opens during a
-        # CSI-scheduled frame, so nothing interleaves with these draws.
-        contention = run_contention_ids(
+        request = run_contention_ids(
             self._cand_ids,
             self._cand_probs_array(),
             self._request_minislots,
-            protocol.contention_rng,
+            self._request_rng(self._request_minislots),
             fast=protocol.rng_fast,
         )
-        winner_ids = contention.winner_ids
-        record_index, record = self._open_record(
-            drops, contention.attempts, contention.collisions,
-            contention.idle_slots,
-        )
-
+        winner_ids = request.winner_ids
         n_reserved = len(reserved)
         all_ids = reserved + winner_ids if winner_ids else reserved
-        n_pending = len(all_ids)
-        if n_pending == 0:
+        if not all_ids and backlog is None:
+            self._open_record(drops, request)
             if clock:
                 clock.stop()
-            return True
+            return
 
         # CSI estimation: one pooled noise draw for holders + winners.
-        tid_arr = np.asarray(all_ids, dtype=np.int64)
-        amplitudes = snapshot.gather(all_ids)
-        std = self._csi_std
-        if std == 0.0:
-            estimates = amplitudes
-        else:
-            estimates = amplitudes + std * self._csi_pool.take(n_pending)
-            np.maximum(estimates, 0.0, out=estimates)
+        estimates = self._pooled_estimate(snapshot.gather(all_ids))
 
         # Mode lookup, inline: ``searchsorted(thresholds) - 1`` is the mode
         # index and the capacity LUTs are addressed at ``index + 1``, so the
@@ -671,17 +609,19 @@ class MacroRunner:
             snr_db = self._csi_mean_snr + 20.0 * np.log10(estimates)
         indices_p1 = np.searchsorted(self._csi_thresholds, snr_db, side="right")
         throughput = self._thr_by_idx[indices_p1]
-        per_slot = self._packs_by_idx[indices_p1]
+        packets = self._packs_by_idx[indices_p1]
 
-        # Priority metric, inline over the same gathers: every pending row
-        # arrived this frame, so the data urgency term is exactly 0 and the
-        # voice horizon is the head-of-line packet's frames-to-deadline —
-        # an integer in [0, deadline], served from the pow() LUT.  The
+        # Priority metric, inline over the same gathers: every row arrived
+        # this frame, so the data urgency term is exactly 0 and the voice
+        # horizon is the head-of-line packet's frames-to-deadline — an
+        # integer in [0, deadline], served from the pow() LUT.  The
         # term-by-term composition (weighted + urgency + offset) matches
         # ``priorities_columns`` float for float.
+        tid_arr = np.asarray(all_ids, dtype=np.int64)
         voice = tid_arr < nv
-        head = population.head_created[tid_arr]
-        horizon = np.maximum(0, head + (self._csi_vdl - frame))
+        horizon = np.maximum(
+            0, population.head_created[tid_arr] + (self._csi_vdl - frame)
+        )
         urgency = np.where(voice, self._csi_urg_lut[horizon], 0.0)
         alpha_voice, alpha_data = self._csi_alpha
         if alpha_voice == alpha_data:
@@ -690,65 +630,50 @@ class MacroRunner:
             weighted = np.where(voice, alpha_voice, alpha_data) * throughput
         offset = np.where(voice, self._csi_voffset, 0.0)
         values = weighted + urgency + offset
-        order = np.argsort(-values, kind="stable")
+        deadlines = np.where(voice, horizon + frame, -1)
 
-        # Ranked allocation walk, inline: decision-for-decision the
-        # allocator's ``allocate_columns`` over the same ranked rows
-        # (voice takes one slot, data packs ceil(occupancy/packets) slots,
-        # zero-packet outage defers unless a near-deadline voice request
-        # escapes at the most robust mode).
-        slots_left = self._csi_slots
-        margin = self._csi_margin
-        per_list = per_slot.tolist()
-        thr_list = throughput.tolist()
-        grants: List = []
-        allocated = 0
-        unserved_rows: List[int] = []
-        deferred_rows: List[int] = []
-        for row in order.tolist():
-            tid = all_ids[row]
-            occupancy = occ_list[tid]
-            if occupancy == 0:
-                continue
-            if slots_left <= 0:
-                unserved_rows.append(row)
-                continue
-            packets = per_list[row]
-            mode_throughput = thr_list[row]
-            if packets == 0:
-                if tid < nv and head[row] >= 0 and horizon[row] <= margin:
-                    packets, mode_throughput = 1, self._csi_lowest_thr
-                else:
-                    deferred_rows.append(row)
-                    continue
-            if tid < nv:
-                n_slots = 1
-            else:
-                needed = -(-int(occupancy) // packets) if packets > 1 else int(
-                    occupancy
-                )
-                n_slots = needed if needed < slots_left else slots_left
-                if n_slots < 1:
-                    n_slots = 1
-            grants.append((tid, packets * n_slots, mode_throughput))
-            allocated += n_slots
-            slots_left -= n_slots
+        queued = None
+        if backlog is not None:
+            # Queued rows have waited, so their data urgency is not 0: they
+            # rank by the full priority metric.
+            queued = protocol.backlog_columns(
+                backlog, population, snapshot, frame,
+                estimate=self._pooled_estimate,
+            )
+            queued_packets, queued_throughput, channel = (
+                protocol.allocator.mode_columns(queued.csi_amplitudes)
+            )
+            values = np.concatenate([
+                values,
+                protocol.priority_calculator.priorities_columns(
+                    queued, frame, channel=channel
+                ),
+            ])
+            all_ids = all_ids + queued.terminal_ids.tolist()
+            deadlines = np.concatenate([deadlines, queued.deadline_frames])
+            packets = np.concatenate([packets, queued_packets])
+            throughput = np.concatenate([throughput, queued_throughput])
 
-        # Newly served voice winners acquire a reservation; only rows
-        # after the reservation-holder prefix can be newly served.
-        if grants and n_pending > n_reserved:
-            allocated_ids = {tid for tid, _capacity, _throughput in grants}
-            for position in range(n_reserved, n_pending):
-                tid = all_ids[position]
-                if tid < nv and tid in allocated_ids:
-                    self._grant_reservation(tid, frame)
+        grants = GrantColumns()
+        new_voice, unserved, deferred = protocol.allocator.allocate(
+            np.argsort(-values, kind="stable").tolist(),
+            all_ids,
+            deadlines.tolist(),
+            packets.tolist(),
+            throughput.tolist(),
+            occ_list,
+            nv,
+            n_reserved,
+            frame,
+            grants,
+        )
+        for tid in new_voice:
+            self._grant_reservation(tid, frame)
 
         # Unserved / deferred requests go back to the queue (with-queue
-        # variant) or are dropped; the request-column pool is materialised
-        # only on this rare path — the common all-served frame never builds
-        # it.  Queueing flips the candidate rule, so the mirrors
-        # resynchronise once the queue drains.
-        if (unserved_rows or deferred_rows) and queue is not None:
+        # variant) or are dropped; the frame's request columns are built
+        # only on this path — the common all-served frame never needs them.
+        if (unserved or deferred) and self._queue is not None:
             pending = protocol._pending_columns(
                 population,
                 np.asarray(reserved, dtype=np.int64),
@@ -756,22 +681,26 @@ class MacroRunner:
                 estimates,
                 frame,
             )
-            if protocol.queue_unserved_rows(
-                pending, unserved_rows + deferred_rows
-            ):
-                self._mirrors_dirty = True
-        record[3] = allocated
-        record[4] = len(queue) if queue is not None else 0
+            if queued is not None:
+                pending = RequestColumns.concatenate([pending, queued])
+            protocol.requeue_rows(pending, n_reserved, unserved + deferred)
 
-        # Rows in grant (priority) order — the engine executor's order.
-        any_data = self._emit_grants(
-            record_index, frame, snapshot, grants, occ_list
-        )
-        if clock:
-            clock.stop()
-        if any_data:
-            self._flush_phy(clock)
-        return True
+        self._finish_frame(frame, snapshot, drops, clock, request, grants, occ_list)
+
+    def _pooled_estimate(self, amplitudes, frame_index: int = 0):
+        """``CSIEstimator.estimate_amplitudes`` on the block's pooled normals.
+
+        The noise std does not depend on the amplitude, so the estimates
+        are ``max(0, amplitude + std * z)`` over the pool's next standard
+        normals — the values and stream consumption of the per-frame
+        call.  A perfect estimator (std 0) draws nothing.
+        """
+        std = self._csi_std
+        if std == 0.0 or not len(amplitudes):
+            return amplitudes
+        estimates = amplitudes + std * self._csi_pool.take(len(amplitudes))
+        np.maximum(estimates, 0.0, out=estimates)
+        return estimates
 
     # ------------------------------------------------------- fallback frame
     def _fallback_frame(self, frame, snapshot, drops, clock) -> None:
@@ -782,6 +711,7 @@ class MacroRunner:
         if self._csi_pool is not None:
             self._csi_pool.close()
         self._flush_phy(clock)
+        self._resolve_voice()
         self._commit_records(clock)
         m = _metrics.METRICS
         if m.enabled:
@@ -814,68 +744,81 @@ class MacroRunner:
     # ------------------------------------------------------------- plumbing
     @kernel
     def _flush_phy(self, clock) -> None:
-        """Resolve all deferred transmissions in one batched PHY draw."""
+        """Draw all deferred transmissions' outcomes in one batched PHY call.
+
+        Data outcomes apply at once (the next frame's decisions read the
+        buffers); the drawn voice rows wait for :meth:`_resolve_voice`.
+        """
         if not self._phy_tids:
             return
         if clock:
             clock.start("phy")
-        counts = np.asarray(self._phy_counts, dtype=np.int64)
         chans = np.asarray(self._phy_chans, dtype=float)
-        throughputs = (
-            np.asarray(self._phy_thrs, dtype=float) if self._adaptive else None
-        )
         delivered = self.error_model.transmit_batch(
             None if self._reuse_snr else chans,
-            counts,
-            throughputs,
+            np.asarray(self._phy_counts, dtype=np.int64),
+            np.asarray(self._phy_thrs, dtype=float) if self._adaptive else None,
             snr_db=chans if self._reuse_snr else None,
-        )
-        population = self.population
-        records = self._records
-        is_voice = np.asarray(self._phy_voice, dtype=bool)
-        n_voice_rows = int(is_voice.sum())
-        if n_voice_rows:
-            # All deferred voice rows resolve through one accel pass —
-            # per-row arithmetic and per-terminal accumulation fused; only
-            # the (rare) errored rows loop back for record attribution.
-            voice_rows = (
-                np.arange(is_voice.shape[0])
-                if n_voice_rows == is_voice.shape[0]
-                else np.nonzero(is_voice)[0]
-            )
-            tids = np.asarray(self._phy_tids, dtype=np.int64)
-            aux = np.asarray(self._phy_aux, dtype=np.int64)
-            errored_rows, errors = population.resolve_voice_outcomes(
-                tids[voice_rows],
-                counts[voice_rows],
-                aux[voice_rows],
-                delivered[voice_rows],
-            )
-            phy_rec = self._phy_rec
-            for k in errored_rows.tolist():
-                records[phy_rec[int(voice_rows[k])]][6] += int(errors[k])
-        if n_voice_rows < is_voice.shape[0]:
+        ).tolist()
+        phy_rec = self._phy_rec
+        phy_tids = self._phy_tids
+        phy_aux = self._phy_aux
+        voice_rows = self._phy_voice_rows
+        data_rows = self._phy_data_rows
+        if voice_rows:
+            columns = (phy_rec, phy_tids, self._phy_counts, phy_aux, delivered)
+            for drawn, column in zip(self._drawn_voice, columns):
+                drawn += (
+                    [column[row] for row in voice_rows] if data_rows else column
+                )
+        if data_rows:
+            population = self.population
+            records = self._records
             occupancy = population.occupancy
             mirrors_ok = not self._mirrors_dirty
             transmit = population.transmit
-            delivered_list = delivered.tolist()
-            for j in np.nonzero(~is_voice)[0].tolist():
-                tid = self._phy_tids[j]
-                n_delivered = delivered_list[j]
-                transmit(tid, self._phy_aux[j], n_delivered, self._phy_frames[j])
-                records[self._phy_rec[j]][5] += n_delivered
+            for j in data_rows:
+                tid = phy_tids[j]
+                n_delivered = delivered[j]
+                transmit(tid, phy_aux[j], n_delivered, self._phy_frames[j])
+                records[phy_rec[j]][5] += n_delivered
                 if mirrors_ok and n_delivered and occupancy[tid] == 0:
                     self._discard_candidate(tid)
-        self._phy_rec.clear()
-        self._phy_tids.clear()
+        phy_rec.clear()
+        phy_tids.clear()
         self._phy_counts.clear()
-        self._phy_aux.clear()
-        self._phy_voice.clear()
+        phy_aux.clear()
         self._phy_frames.clear()
         self._phy_chans.clear()
         self._phy_thrs.clear()
+        voice_rows.clear()
+        data_rows.clear()
         if clock:
             clock.stop()
+
+    def _resolve_voice(self) -> None:
+        """Fold every drawn voice row into the counters and frame records.
+
+        One accel pass fuses the per-row delivered/errored split with the
+        per-terminal accumulation; only the (rare) errored rows loop back
+        for record attribution.  Nothing inside a block reads these
+        counters, so the block's rows resolve together before its records
+        are committed.
+        """
+        rec, tids, counts, pre_window, delivered = self._drawn_voice
+        if not tids:
+            return
+        errored_rows, errors = self.population.resolve_voice_outcomes(
+            np.asarray(tids, dtype=np.int64),
+            np.asarray(counts, dtype=np.int64),
+            np.asarray(pre_window, dtype=np.int64),
+            np.asarray(delivered, dtype=np.int64),
+        )
+        records = self._records
+        for k in errored_rows.tolist():
+            records[rec[k]][6] += int(errors[k])
+        for column in self._drawn_voice:
+            column.clear()
 
     def _commit_records(self, clock) -> None:
         if not self._records:
@@ -933,15 +876,25 @@ class MacroRunner:
         self._discard_candidate(tid)
 
     @kernel(batch=False)
-    def _open_record(self, drops, attempts=0, collisions=0, idle=0):
-        """Append the frame's statistics record; return ``(index, record)``.
+    def _open_record(self, drops, request, grants=None) -> int:
+        """Append the frame's statistics record; return its index.
 
         The record is ``[attempts, collisions, idle, allocated, queued,
-        data_delivered, voice_losses]``.  Voice losses start at the frame's
-        in-window deadline drops; the PHY flush adds the errored packets
-        and the delivered data.
+        data_delivered, voice_losses]``: the request phase's statistics,
+        the granted slots, the queue length after the frame, and voice
+        losses starting at the frame's in-window deadline drops; the PHY
+        flush adds the errored packets and the delivered data.
         """
-        record = [attempts, collisions, idle, 0, 0, 0, 0]
+        queue = self._queue
+        record = [
+            request.attempts,
+            request.collisions,
+            request.idle_slots,
+            grants.total_slots if grants is not None else 0,
+            len(queue) if queue is not None else 0,
+            0,
+            0,
+        ]
         if drops:
             counted = 0
             for _tid, _dropped, in_window in drops:
@@ -949,50 +902,80 @@ class MacroRunner:
             record[6] = counted
         records = self._records
         records.append(record)
-        return len(records) - 1, record
+        return len(records) - 1
+
+    def _finish_frame(
+        self, frame, snapshot, drops, clock, request, grants, occ_list
+    ) -> None:
+        """Record the frame, emit its grants in grant order, stop the clock.
+
+        Data outcomes feed back into buffer state, so a frame with a data
+        grant flushes the PHY at its end; voice outcomes wait for the block
+        flush.
+        """
+        any_data = self._emit_grants(
+            self._open_record(drops, request, grants),
+            frame,
+            snapshot,
+            grants.terminal_ids,
+            grants.packet_capacities,
+            grants.throughputs,
+            occ_list,
+        )
+        if clock:
+            clock.stop()
+        if any_data:
+            self._flush_phy(clock)
 
     @kernel(batch=False)
-    def _emit_grants(self, record_index, frame, snapshot, grants, occ_list) -> bool:
-        """Defer the transmissions of ``(tid, capacity, throughput)`` grants.
+    def _emit_grants(
+        self, record_index, frame, snapshot, tids, capacities, throughputs,
+        occ_list,
+    ) -> bool:
+        """Defer the transmissions of grant columns, in grant order.
 
         Rows are queued in grant order, so the flush reads the error stream
-        in the per-frame executor's order.  A voice grant pops its packets
-        now: a sent voice packet leaves the buffer whatever its fate.  A
-        data grant sends ``min(capacity, occupancy)`` packets, and only the
-        flush changes its buffer.  Returns whether a data grant was queued;
-        the caller then flushes at frame end, because the next frame's
-        decisions need that buffer state.
+        (and fast mode's lazy channels) in the per-frame executor's order.
+        A voice grant pops its packets now: a sent voice packet leaves the
+        buffer whatever its fate.  A data grant sends ``min(capacity,
+        occupancy)`` packets, and only the flush changes its buffer.
+        Returns whether a data grant was queued; the caller then flushes at
+        frame end, because the next frame's decisions need that buffer
+        state.
         """
+        n = len(tids)
+        if not n:
+            return False
+        first = len(self._phy_tids)
         read = snapshot.read
         reuse_snr = self._reuse_snr
+        self._phy_rec += [record_index] * n
+        self._phy_tids += tids
+        self._phy_frames += [frame] * n
+        self._phy_chans += [read(tid, reuse_snr) for tid in tids]
+        self._phy_thrs += [
+            np.nan if throughput is None else throughput
+            for throughput in throughputs
+        ]
         nv = self._nv
         pop_voice = self.population.transmit_voice_pop
-        phy_rec = self._phy_rec
-        phy_tids = self._phy_tids
         phy_counts = self._phy_counts
         phy_aux = self._phy_aux
-        phy_voice = self._phy_voice
-        phy_frames = self._phy_frames
-        phy_chans = self._phy_chans
-        phy_thrs = self._phy_thrs
+        voice_rows = self._phy_voice_rows
+        data_rows = self._phy_data_rows
         any_data = False
-        for tid, capacity, throughput in grants:
+        for row, tid, capacity in zip(range(first, first + n), tids, capacities):
             if tid < nv:
                 n_sent, aux = pop_voice(tid, capacity)
-                phy_voice.append(True)
+                voice_rows.append(row)
             else:
                 occupancy = int(occ_list[tid])
                 n_sent = capacity if capacity < occupancy else occupancy
                 aux = capacity
-                phy_voice.append(False)
+                data_rows.append(row)
                 any_data = True
-            phy_rec.append(record_index)
-            phy_tids.append(tid)
             phy_counts.append(n_sent)
             phy_aux.append(aux)
-            phy_frames.append(frame)
-            phy_chans.append(read(tid, reuse_snr))
-            phy_thrs.append(np.nan if throughput is None else throughput)
         return any_data
 
     # -------------------------------------------------------------- mirrors
@@ -1020,19 +1003,49 @@ class MacroRunner:
                     # Leaving the talkspurt ends voice candidacy; entering
                     # it is handled by the same frame's generation event.
                     self._discard_candidate(tid)
+        # A terminal with a queued request waits for its announcement
+        # instead of contending.
+        queue = self._queue
+        queued = (
+            queue.contains_terminal
+            if queue is not None and len(queue)
+            else None
+        )
         if generated is not None:
             holders_set = self._holders_set
             for tid in generated:
-                if tid not in holders_set:
+                if tid not in holders_set and not (queued and queued(tid)):
                     self._add_candidate(tid, self._voice_p)
         if bursts is not None:
             for tid, _size in bursts:
-                self._add_candidate(tid, self._data_p)
+                if not (queued and queued(tid)):
+                    self._add_candidate(tid, self._data_p)
         if drops:
             occupancy = self.population.occupancy
             for tid, _dropped, _counted in drops:
                 if occupancy[tid] == 0:
                     self._discard_candidate(tid)
+
+    def _refresh_candidate(self, tid: int) -> None:
+        """Re-derive one terminal's candidacy after it left the queue.
+
+        The rule of ``contention_candidate_ids``: packets buffered, data or
+        in a talkspurt, no reservation and no queued request.
+        """
+        population = self.population
+        if tid >= population.occupancy.shape[0]:
+            return
+        if (
+            population.occupancy[tid] > 0
+            and (tid >= self._nv or population.in_talkspurt[tid])
+            and tid not in self._holders_set
+            and not self._queue.contains_terminal(tid)
+        ):
+            self._add_candidate(
+                tid, self._voice_p if tid < self._nv else self._data_p
+            )
+        else:
+            self._discard_candidate(tid)
 
     def _cand_probs_array(self) -> np.ndarray:
         """The candidate probabilities as an array, cached until they change."""

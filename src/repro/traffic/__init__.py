@@ -1,4 +1,4 @@
-"""Traffic substrate: the terminal population, packets and contention gating.
+"""Traffic substrate: the terminal population and contention gating.
 
 The paper's system model (Section 2) has exactly two request types:
 
@@ -21,20 +21,15 @@ Public classes
     buffers and per-terminal statistics — advanced by vectorised kernels.
 :class:`~repro.traffic.population.TerminalMigrationState`
     One terminal's complete state, detached for handover between cells.
-:class:`~repro.traffic.packets.Packet` and :class:`~repro.traffic.packets.TrafficKind`
-    The unit of transmission and its service class.
 :class:`~repro.traffic.permission.PermissionPolicy`
     The ``p_v`` / ``p_d`` gating of request transmissions.
 """
 
-from repro.traffic.packets import Packet, TrafficKind
 from repro.traffic.permission import PermissionPolicy
 from repro.traffic.population import TerminalMigrationState, TerminalPopulation
 
 __all__ = [
-    "Packet",
     "PermissionPolicy",
     "TerminalMigrationState",
     "TerminalPopulation",
-    "TrafficKind",
 ]

@@ -7,9 +7,8 @@ from repro.config import SimulationParameters
 from repro.core.allocator import CSIRankedAllocator
 from repro.core.csi_polling import CSIPoller
 from repro.mac.registry import build_modem
-from repro.mac.requests import GrantColumns, Request, RequestColumns
-from repro.phy.csi import CSIEstimate, CSIEstimator
-from repro.traffic.packets import TrafficKind
+from repro.mac.requests import GrantColumns, RequestColumns
+from repro.phy.csi import CSIEstimator
 from tests.utils import make_population, make_snapshot
 
 PARAMS = SimulationParameters()
@@ -20,26 +19,51 @@ def allocator(n_slots=4, margin=2):
     return CSIRankedAllocator(MODEM, n_slots, defer_deadline_margin=margin)
 
 
-def request_for(population, tid, csi_amplitude, frame=0, deadline=None):
-    return Request(
-        terminal_id=tid,
-        kind=TrafficKind.VOICE if population.is_voice[tid] else TrafficKind.DATA,
-        arrival_frame=frame,
-        desired_packets=max(1, int(population.occupancy[tid])),
-        csi=(
-            None if csi_amplitude is None
-            else CSIEstimate(amplitude=csi_amplitude, frame_index=frame)
+def request_columns(tids, is_voice, csi_amplitudes, frame=0, deadlines=None,
+                    csi_frame=None, validity=2):
+    """Request columns arriving at ``frame``; ``None`` amplitude = no CSI."""
+    n = len(tids)
+    amplitudes = [np.nan if a is None else a for a in csi_amplitudes]
+    stamp = frame if csi_frame is None else csi_frame
+    return RequestColumns(
+        terminal_ids=np.asarray(tids, dtype=np.int64),
+        is_voice=np.asarray(is_voice, dtype=bool),
+        arrival_frames=np.full(n, frame, dtype=np.int64),
+        deadline_frames=np.asarray(
+            [-1] * n if deadlines is None else deadlines, dtype=np.int64
         ),
-        deadline_frame=deadline,
+        csi_amplitudes=np.asarray(amplitudes, dtype=float),
+        csi_frames=np.asarray(
+            [-1 if a is None else stamp for a in csi_amplitudes], dtype=np.int64
+        ),
+        csi_validity=validity,
+    )
+
+
+def request_for(population, tid, csi_amplitude, frame=0, deadline=None):
+    """One terminal's request as a single-row column pool."""
+    return request_columns(
+        [tid], [bool(population.is_voice[tid])], [csi_amplitude], frame,
+        deadlines=[-1 if deadline is None else deadline],
     )
 
 
 def allocate(alloc, requests, population, frame=0):
     """Run the allocator over requests ranked in the given order."""
-    columns = RequestColumns.from_requests(requests)
+    columns = RequestColumns.concatenate(requests)
+    packets, throughput, _ = alloc.mode_columns(columns.csi_amplitudes)
     grants = GrantColumns()
-    unserved, deferred = alloc.allocate_columns(
-        columns, np.arange(len(columns)), population, frame, grants
+    _, unserved, deferred = alloc.allocate(
+        list(range(len(columns))),
+        columns.terminal_ids.tolist(),
+        columns.deadline_frames.tolist(),
+        packets.tolist(),
+        throughput.tolist(),
+        population.occupancy,
+        population.n_voice,
+        0,
+        frame,
+        grants,
     )
     return grants, unserved, deferred
 
@@ -124,16 +148,9 @@ class TestCSIPoller:
         return CSIPoller(estimator, slots)
 
     def _backlog(self, n, stale_frame=0, validity=2):
-        return RequestColumns.from_requests(
-            [
-                Request(
-                    terminal_id=tid, kind=TrafficKind.DATA,
-                    arrival_frame=stale_frame,
-                    csi=CSIEstimate(amplitude=0.5, frame_index=stale_frame),
-                )
-                for tid in range(n)
-            ],
-            csi_validity=validity,
+        return request_columns(
+            list(range(n)), [False] * n, [0.5] * n, frame=stale_frame,
+            validity=validity,
         )
 
     def test_refreshes_stale_estimates(self):
@@ -169,9 +186,7 @@ class TestCSIPoller:
 
     def test_missing_csi_counts_as_stale(self):
         poller = self._poller(slots=1)
-        backlog = RequestColumns.from_requests(
-            [Request(terminal_id=0, kind=TrafficKind.DATA, arrival_frame=0)]
-        )
+        backlog = request_columns([0], [False], [None])
         assert poller.stale_rows(backlog, 0).tolist() == [0]
 
     def test_validation(self):

@@ -53,8 +53,8 @@ class TestRequestAndAllocation:
         protocol = charisma(params=params, use_queue=True)
         population = make_population(data=[3, 3], params=params)  # good 0, faded 1
         # Both requests already survived contention in an earlier frame.
-        protocol.request_queue.push(protocol.make_request_for_id(population, 1, 0))
-        protocol.request_queue.push(protocol.make_request_for_id(population, 0, 0))
+        protocol.request_queue.push(1, 0)
+        protocol.request_queue.push(0, 0)
         snapshot = make_snapshot([2.5, 0.02], frame_index=1)
         outcome = protocol.run_frame_batch(1, population, snapshot)
         allocated = {a.terminal_id for a in outcome.allocations}
@@ -96,7 +96,7 @@ class TestRequestQueueBehaviour:
         protocol = charisma(use_queue=True, params=params)
         # reserved voice 0, data 1 and 2; data 2 already has a queued request
         population = make_population(voice=[1], data=[10, 10], params=params)
-        protocol.request_queue.push(protocol.make_request_for_id(population, 2, 0))
+        protocol.request_queue.push(2, 0)
         protocol.reservations.grant(0, 0)
         snapshot = make_snapshot([1.0, 1.0, 1.0])
         outcome = protocol.run_frame_batch(0, population, snapshot)
@@ -107,7 +107,7 @@ class TestRequestQueueBehaviour:
     def test_queued_terminal_does_not_recontend(self):
         protocol = charisma(use_queue=True)
         population = make_population(data=[10], params=EAGER)
-        protocol.request_queue.push(protocol.make_request_for_id(population, 0, 0))
+        protocol.request_queue.push(0, 0)
         ids, _ = protocol.contention_candidate_ids(population)
         assert ids.tolist() == []
 
@@ -121,7 +121,7 @@ class TestRequestQueueBehaviour:
     def test_queue_pruned_of_empty_terminals(self):
         protocol = charisma(use_queue=True)
         population = make_population(data=[0], params=EAGER)
-        protocol.request_queue.push(protocol.make_request_for_id(population, 0, 0))
+        protocol.request_queue.push(0, 0)
         run_single_frame(protocol, population, frame=1)
         assert not protocol.request_queue.contains_terminal(0)
 
@@ -148,9 +148,8 @@ class TestCSIPollingIntegration:
         params = EAGER.with_overrides(n_info_slots=1)
         protocol = charisma(use_queue=True, params=params)
         population = make_population(data=[10], params=params)
-        stale = protocol.make_request_for_id(population, 0, 0)
-        stale.csi = protocol.csi_estimator.estimate(0.01, 0)  # stale, bad estimate
-        protocol.request_queue.push(stale)
+        # A stale, bad estimate taken at frame 0.
+        protocol.request_queue.push(0, 0, csi_amplitude=0.01, csi_frame=0)
         # several frames later the channel is excellent; polling must notice
         snapshot = make_snapshot([3.0], frame_index=5)
         outcome = protocol.run_frame_batch(5, population, snapshot)

@@ -12,10 +12,14 @@ The same deep-backlog cell is pinned exactly by the golden baselines
 (``tests/golden``, case ``drma_backlog``).
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro.config import SimulationParameters
 from repro.mac.drma import DRMAProtocol
+from repro.obs import metrics
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
 
@@ -77,7 +81,7 @@ class TestDeepDataBacklog:
 
     def test_queue_round_trip_preserves_leftover_requests(self):
         """Leftovers the frame never reached re-enter the queue with their
-        original arrival frames (backlog rows keep their Request object)."""
+        original arrival frames (backlog rows keep their queue columns)."""
         scenario = _deep_backlog_scenario(seed=2)
         engine = UplinkSimulationEngine(scenario, PARAMS)
         saw_queued = False
@@ -87,9 +91,27 @@ class TestDeepDataBacklog:
             assert len(queue) == outcome.queued_requests
             if len(queue):
                 saw_queued = True
+                rows = queue.rows
                 assert all(
-                    not request.is_reservation
-                    and request.arrival_frame <= engine.frame_index
-                    for request in queue
+                    arrival <= engine.frame_index
+                    for arrival in rows.arrival_frames
+                )
+                # Holders' rows never enter the queue.
+                assert not set(rows.terminal_ids) & set(
+                    engine.protocol.reservations.holders()
                 )
         assert saw_queued
+
+    @pytest.mark.parametrize("rng_mode", ("parity", "fast"))
+    def test_macro_blocks_serve_the_backlog_inline(self, rng_mode):
+        """Macro blocks serve the deep backlog inline and match per-frame
+        stepping — including bursts that reach terminals while their
+        requests wait in the queue (they must not contend meanwhile)."""
+        scenario = dataclasses.replace(_deep_backlog_scenario(), rng_mode=rng_mode)
+        reference = UplinkSimulationEngine(scenario, PARAMS).run()
+        with metrics.recording() as registry:
+            macro = UplinkSimulationEngine(
+                dataclasses.replace(scenario, macro_frames=16), PARAMS
+            ).run()
+        assert registry.counter("macro.fallback_frames") == 0
+        assert macro.summary() == reference.summary()

@@ -59,7 +59,7 @@ class TestSharedBaseBehaviour:
     def test_candidates_exclude_queued_terminals(self):
         protocol = build_protocol("dtdma_fr", use_request_queue=True, params=EAGER)
         population = make_population(data=[5], params=EAGER)
-        protocol.request_queue.push(protocol.make_request_for_id(population, 0, 0))
+        protocol.request_queue.push(0, 0)
         ids, _ = protocol.contention_candidate_ids(population)
         assert ids.tolist() == []
 
@@ -243,3 +243,40 @@ class TestDRMA:
             protocol, make_population(data=[50] * 20, params=EAGER)
         )
         assert outcome.n_allocated_slots <= protocol.frame_structure.info_slots
+
+
+class TestFCFSOrder:
+    """The service order of ``MACProtocol.serve_fcfs``: every voice request
+    (queued, then new) before any data request (queued, then new)."""
+
+    ONE_SLOT = EAGER.with_overrides(n_info_slots=1)
+
+    @pytest.mark.parametrize("name", ("dtdma_fr", "rama"))
+    def test_new_voice_winner_beats_queued_data(self, name):
+        protocol = build_protocol(name, use_request_queue=True, params=self.ONE_SLOT)
+        population = make_population(voice=[1], data=[5], params=self.ONE_SLOT)
+        protocol.request_queue.push(1, 0)  # data terminal 1, queued earlier
+        outcome = run_single_frame(protocol, population, frame=2)
+        assert [a.terminal_id for a in outcome.acknowledgements] == [0]
+        assert [a.terminal_id for a in outcome.allocations] == [0]
+        assert protocol.reservations.has(0)
+        # The data request waits on, keeping its arrival frame.
+        assert protocol.request_queue.rows.terminal_ids == [1]
+        assert protocol.request_queue.rows.arrival_frames == [0]
+
+    @pytest.mark.parametrize("name", ("dtdma_fr", "rama"))
+    def test_queued_voice_beats_new_voice_winner(self, name):
+        protocol = build_protocol(name, use_request_queue=True, params=self.ONE_SLOT)
+        population = make_population(voice=[1, 1], params=self.ONE_SLOT)
+        deadline = self.ONE_SLOT.voice_deadline_frames
+        protocol.request_queue.push(0, 0, deadline_frame=deadline)
+        outcome = run_single_frame(protocol, population, frame=2)
+        assert [a.terminal_id for a in outcome.acknowledgements] == [1]
+        assert [a.terminal_id for a in outcome.allocations] == [0]
+        assert protocol.reservations.has(0) and not protocol.reservations.has(1)
+        # The new winner is queued with this frame's arrival and its
+        # head-of-line packet's deadline.
+        rows = protocol.request_queue.rows
+        assert rows.terminal_ids == [1]
+        assert rows.arrival_frames == [2]
+        assert rows.deadline_frames == [deadline]

@@ -3,65 +3,84 @@
 import numpy as np
 import pytest
 
+from repro.core.charisma import CharismaProtocol
+from repro.mac.registry import build_modem
 from repro.mac.requests import (
     Allocation,
     FrameOutcome,
     GrantColumns,
-    Request,
     RequestColumns,
 )
-from repro.phy.csi import CSIEstimate
-from repro.traffic.packets import TrafficKind
+from tests.utils import PARAMS, make_population
 
 
-def _requests():
-    return [
-        Request(terminal_id=3, kind=TrafficKind.VOICE, arrival_frame=10,
-                desired_packets=1, deadline_frame=17,
-                csi=CSIEstimate(amplitude=0.8, frame_index=10,
-                                validity_frames=2)),
-        Request(terminal_id=7, kind=TrafficKind.DATA, arrival_frame=8,
-                desired_packets=42),
-        Request(terminal_id=1, kind=TrafficKind.VOICE, arrival_frame=12,
-                is_reservation=True),
-    ]
+def _columns():
+    """Voice 3 with a deadline and CSI, data 7 without either, voice 1."""
+    return RequestColumns(
+        terminal_ids=np.array([3, 7, 1], dtype=np.int64),
+        is_voice=np.array([True, False, True]),
+        arrival_frames=np.array([10, 8, 12], dtype=np.int64),
+        deadline_frames=np.array([17, -1, 19], dtype=np.int64),
+        csi_amplitudes=np.array([0.8, np.nan, 1.5]),
+        csi_frames=np.array([10, -1, 12], dtype=np.int64),
+    )
+
+
+def _assert_same(a, b):
+    for name in ("terminal_ids", "is_voice", "arrival_frames",
+                 "deadline_frames", "csi_frames"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+    np.testing.assert_array_equal(a.csi_amplitudes, b.csi_amplitudes)
+    assert a.csi_validity == b.csi_validity
 
 
 class TestRequestColumns:
     def test_round_trip_preserves_every_field(self):
-        originals = _requests()
-        columns = RequestColumns.from_requests(originals, csi_validity=2)
-        rebuilt = columns.to_requests()
-        assert rebuilt == originals
+        """CHARISMA's leftovers survive the request queue unchanged: the
+        queue's columns carry arrival frame, deadline and CSI estimate."""
+        protocol = CharismaProtocol(
+            PARAMS, build_modem("charisma", PARAMS), np.random.default_rng(0),
+            use_request_queue=True, enable_csi_polling=False,
+        )
+        # Silent voice terminals: no head-of-line packet to refresh from.
+        population = make_population(voice=[0, 0, 0, 0], data=[0] * 4)
+        originals = _columns()
+        assert protocol.requeue_rows(originals, 0, [0, 1, 2]) == 3
+        backlog = protocol.request_queue.pop_all()
+        rebuilt = protocol.backlog_columns(backlog, population, None, 12)
+        _assert_same(rebuilt, originals)
 
     def test_sentinels_encode_missing_values(self):
-        columns = RequestColumns.from_requests(_requests())
-        assert columns.deadline_frames[1] == -1
-        assert np.isnan(columns.csi_amplitudes[1])
-        assert columns.csi_frames[1] == -1
-        assert columns.frames_to_deadline(1, 100) is None
-        assert columns.frames_to_deadline(0, 12) == 5
-        assert columns.frames_to_deadline(0, 30) == 0
-
-    def test_set_csi_attaches_estimate(self):
-        columns = RequestColumns.from_requests(_requests())
-        columns.set_csi(1, 0.5, 9)
-        rebuilt = columns.to_requests([1])[0]
-        assert rebuilt.csi is not None
-        assert rebuilt.csi.amplitude == 0.5
-        assert rebuilt.csi.frame_index == 9
+        columns = RequestColumns(
+            terminal_ids=np.array([7], dtype=np.int64),
+            is_voice=np.array([False]),
+            arrival_frames=np.array([8], dtype=np.int64),
+            deadline_frames=np.array([-1], dtype=np.int64),
+        )
+        assert columns.deadline_frames[0] == -1
+        assert np.isnan(columns.csi_amplitudes[0])
+        assert columns.csi_frames[0] == -1
 
     def test_concatenate_stacks_in_order(self):
-        first = RequestColumns.from_requests(_requests()[:1])
-        second = RequestColumns.from_requests(_requests()[1:])
+        whole = _columns()
+        first = RequestColumns(
+            whole.terminal_ids[:1], whole.is_voice[:1], whole.arrival_frames[:1],
+            whole.deadline_frames[:1], whole.csi_amplitudes[:1],
+            whole.csi_frames[:1],
+        )
+        second = RequestColumns(
+            whole.terminal_ids[1:], whole.is_voice[1:], whole.arrival_frames[1:],
+            whole.deadline_frames[1:], whole.csi_amplitudes[1:],
+            whole.csi_frames[1:],
+        )
         merged = RequestColumns.concatenate([first, second])
         assert len(merged) == 3
-        assert merged.to_requests() == _requests()
+        _assert_same(merged, whole)
 
     def test_empty(self):
         empty = RequestColumns.empty()
         assert len(empty) == 0
-        assert empty.to_requests() == []
+        assert len(RequestColumns.concatenate([])) == 0
 
 
 class TestGrantColumns:

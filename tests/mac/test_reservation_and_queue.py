@@ -1,12 +1,15 @@
-"""Tests for the reservation table, request queue, requests and frame structures."""
+"""Tests for the reservation table, request queue, grant records and frame structures."""
 
+import math
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import RequestQueue
-from repro.mac.requests import Allocation, FrameOutcome, Request
+from repro.mac.requests import Allocation, FrameOutcome
 from repro.mac.reservation import ReservationTable
-from repro.traffic.packets import TrafficKind
 from tests.utils import make_population
 
 
@@ -62,42 +65,73 @@ class TestReservationTable:
 
 
 class TestRequestQueue:
-    def _request(self, tid, frame=0, kind=TrafficKind.DATA, deadline=None):
-        return Request(terminal_id=tid, kind=kind, arrival_frame=frame,
-                       deadline_frame=deadline)
-
     def test_fifo_order(self):
         queue = RequestQueue(capacity=8)
         for tid in (3, 1, 2):
-            queue.push(self._request(tid))
-        assert [r.terminal_id for r in queue.pop_all()] == [3, 1, 2]
+            queue.push(tid, 0)
+        assert queue.pop_all().terminal_ids == [3, 1, 2]
         assert len(queue) == 0
 
     def test_capacity_enforced(self):
         queue = RequestQueue(capacity=2)
-        assert queue.push(self._request(0))
-        assert queue.push(self._request(1))
-        assert not queue.push(self._request(2))
+        assert queue.push(0, 0)
+        assert queue.push(1, 0)
+        assert not queue.push(2, 0)
         assert queue.is_full
 
     def test_extend_partial(self):
         queue = RequestQueue(capacity=2)
-        accepted = queue.extend(self._request(i) for i in range(5))
+        accepted = queue.extend((i, 0) for i in range(5))
         assert accepted == 2
+        assert queue.rows.terminal_ids == [0, 1]
 
     def test_contains_and_remove_terminal(self):
+        """A terminal whose buffer emptied loses every queued row."""
         queue = RequestQueue()
-        queue.push(self._request(7))
+        queue.push(7, 0)
+        queue.push(2, 0)
+        queue.push(7, 1)
         assert queue.contains_terminal(7)
-        assert queue.remove_terminal(7) == 1
+        occupancy = np.array([0, 0, 4, 0, 0, 0, 0, 0])
+        assert queue.prune(2, occupancy) == 2
         assert not queue.contains_terminal(7)
+        assert queue.terminal_id_array().tolist() == [2]
 
     def test_drop_expired_voice(self):
         queue = RequestQueue()
-        queue.push(self._request(0, kind=TrafficKind.VOICE, deadline=10))
-        queue.push(self._request(1))
-        assert queue.drop_expired(current_frame=12) == 1
-        assert [r.terminal_id for r in queue.peek_all()] == [1]
+        queue.push(0, 0, deadline_frame=10)
+        queue.push(1, 0)
+        queue.push(2, 0, deadline_frame=13)
+        occupancy = np.ones(3, dtype=np.int64)
+        assert queue.prune(12, occupancy) == 1
+        assert queue.rows.terminal_ids == [1, 2]
+        assert queue.prune(13, occupancy) == 1
+        assert queue.rows.terminal_ids == [1]
+
+    def test_prune_drops_ids_outside_population(self):
+        queue = RequestQueue()
+        queue.push(1, 0)
+        queue.push(9, 0)
+        assert queue.prune(0, np.ones(4, dtype=np.int64)) == 1
+        assert queue.rows.terminal_ids == [1]
+
+    def test_rows_keep_their_columns(self):
+        queue = RequestQueue()
+        queue.push(4, 3, deadline_frame=9, csi_amplitude=0.7, csi_frame=3)
+        queue.push(5, 6)
+        rows = queue.pop_all()
+        assert rows.row(0) == (4, 3, 9, 0.7, 3)
+        tid, arrival, deadline, amplitude, csi_frame = rows.row(1)
+        assert (tid, arrival, deadline, csi_frame) == (5, 6, -1, -1)
+        assert math.isnan(amplitude)
+
+    def test_pickles_with_its_rows(self):
+        queue = RequestQueue(capacity=4)
+        queue.push(2, 1, deadline_frame=8)
+        clone = pickle.loads(pickle.dumps(queue))
+        assert clone.capacity == 4
+        assert clone.contains_terminal(2)
+        assert clone.pop_all().row(0)[:3] == (2, 1, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,21 +139,6 @@ class TestRequestQueue:
 
 
 class TestRequestRecords:
-    def test_request_timing_helpers(self):
-        request = Request(terminal_id=0, kind=TrafficKind.VOICE, arrival_frame=5,
-                          deadline_frame=13)
-        assert request.waiting_frames(9) == 4
-        assert request.frames_to_deadline(9) == 4
-        assert not request.is_expired(12)
-        assert request.is_expired(13)
-
-    def test_request_validation(self):
-        with pytest.raises(ValueError):
-            Request(terminal_id=-1, kind=TrafficKind.DATA, arrival_frame=0)
-        with pytest.raises(ValueError):
-            Request(terminal_id=0, kind=TrafficKind.DATA, arrival_frame=0,
-                    desired_packets=0)
-
     def test_allocation_validation(self):
         with pytest.raises(ValueError):
             Allocation(terminal_id=0, n_slots=0, packet_capacity=1)

@@ -4,37 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.phy.csi import CSIEstimate, CSIEstimator
-
-
-class TestCSIEstimate:
-    def test_fresh_then_stale(self):
-        est = CSIEstimate(amplitude=1.2, frame_index=10, validity_frames=2)
-        assert not est.is_stale(10)
-        assert not est.is_stale(11)
-        assert est.is_stale(12)
-
-    def test_age(self):
-        est = CSIEstimate(amplitude=0.5, frame_index=4)
-        assert est.age(9) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CSIEstimate(amplitude=-0.1, frame_index=0)
-        with pytest.raises(ValueError):
-            CSIEstimate(amplitude=1.0, frame_index=0, validity_frames=0)
+from repro.core.csi_polling import CSIPoller
+from repro.mac.requests import RequestColumns
+from repro.phy.csi import CSIEstimator
 
 
 class TestCSIEstimator:
     def test_perfect_estimator_returns_truth(self):
         est = CSIEstimator(perfect=True, rng=np.random.default_rng(0))
-        for amp in (0.1, 1.0, 2.5):
-            assert est.estimate(amp, 3).amplitude == pytest.approx(amp)
+        truth = np.array([0.1, 1.0, 2.5])
+        estimates = est.estimate_amplitudes(truth, 3)
+        assert estimates.tolist() == truth.tolist()
+        assert estimates is not truth
 
     def test_noisy_estimate_close_to_truth(self):
         est = CSIEstimator(n_pilot_symbols=16, mean_snr_db=18.0,
                            rng=np.random.default_rng(1))
-        errors = [est.estimate(1.0, 0).amplitude - 1.0 for _ in range(2000)]
+        errors = est.estimate_amplitudes(np.ones(2000), 0) - 1.0
         assert abs(np.mean(errors)) < 0.01
         assert np.std(errors) == pytest.approx(est.estimation_std(1.0), rel=0.1)
 
@@ -51,22 +37,36 @@ class TestCSIEstimator:
     def test_estimates_never_negative(self):
         est = CSIEstimator(n_pilot_symbols=1, mean_snr_db=0.0,
                            rng=np.random.default_rng(4))
-        for _ in range(500):
-            assert est.estimate(0.01, 0).amplitude >= 0.0
+        estimates = est.estimate_amplitudes(np.full(500, 0.01), 0)
+        assert (estimates >= 0.0).all()
+        assert (estimates == 0.0).any()  # the noise did push some below zero
 
     def test_frame_stamp_and_validity_propagated(self):
+        """Estimates stamped at frame 42 stay fresh for the estimator's
+        validity window, then the poller treats them as stale."""
         est = CSIEstimator(validity_frames=3, rng=np.random.default_rng(5))
-        record = est.estimate(1.0, 42)
-        assert record.frame_index == 42
-        assert record.validity_frames == 3
-        assert not record.is_stale(44)
-        assert record.is_stale(45)
+        columns = RequestColumns(
+            terminal_ids=np.array([0], dtype=np.int64),
+            is_voice=np.array([False]),
+            arrival_frames=np.array([42], dtype=np.int64),
+            deadline_frames=np.array([-1], dtype=np.int64),
+            csi_amplitudes=est.estimate_amplitudes([1.0], 42),
+            csi_frames=np.array([42], dtype=np.int64),
+            csi_validity=est.validity_frames,
+        )
+        poller = CSIPoller(est, 1)
+        assert poller.stale_rows(columns, 44).tolist() == []
+        assert poller.stale_rows(columns, 45).tolist() == [0]
 
     def test_estimate_many(self):
-        est = CSIEstimator(rng=np.random.default_rng(6))
-        records = est.estimate_many(np.array([0.5, 1.0, 1.5]), 7)
-        assert len(records) == 3
-        assert all(r.frame_index == 7 for r in records)
+        """One batched call consumes the stream like one draw per amplitude."""
+        truth = np.array([0.5, 1.0, 1.5])
+        batched = CSIEstimator(rng=np.random.default_rng(6))
+        single = CSIEstimator(rng=np.random.default_rng(6))
+        estimates = batched.estimate_amplitudes(truth, 7)
+        one_by_one = [single.estimate_amplitudes([a], 7)[0] for a in truth]
+        assert estimates.tolist() == one_by_one
+        assert batched.estimate_amplitudes([], 7).shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,11 +75,13 @@ class TestCSIEstimator:
             CSIEstimator(validity_frames=0)
         with pytest.raises(ValueError):
             CSIEstimator().estimation_std(-1.0)
+        with pytest.raises(ValueError):
+            CSIEstimator().estimate_amplitudes([1.0, -0.1], 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=5.0), st.integers(min_value=0, max_value=1000))
     def test_estimate_nonnegative_property(self, amp, frame):
         est = CSIEstimator(rng=np.random.default_rng(7))
-        record = est.estimate(amp, frame)
-        assert record.amplitude >= 0.0
-        assert record.frame_index == frame
+        estimates = est.estimate_amplitudes([amp], frame)
+        assert estimates.shape == (1,)
+        assert estimates[0] >= 0.0

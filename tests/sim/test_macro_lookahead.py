@@ -17,12 +17,21 @@ from repro.accel import (
     voice_generation_offsets,
 )
 from repro.config import SimulationParameters
+from repro.obs import metrics
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.macro import RandomPool
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
 
 PARAMS = SimulationParameters()
+
+#: Every (protocol, RNG mode) pair whose frames the macro runner executes
+#: inline; parity CHARISMA always falls back.
+QUEUE_CELLS = [
+    (protocol, rng_mode)
+    for protocol in ("dtdma_fr", "dtdma_vr", "rama", "drma")
+    for rng_mode in ("parity", "fast")
+] + [("charisma", "fast")]
 
 
 def _pair(macro_frames, **kwargs):
@@ -102,14 +111,18 @@ class TestLookaheadTruncation:
             scenario.warmup_frames(PARAMS) + scenario.measured_frames(PARAMS)
         )
 
-    def test_queue_pressure_toggles_fallback(self):
-        """With the request queue enabled, queue-backed frames fall back
-        and drained-queue frames resume the fast path — exactly."""
-        base = dict(protocol="dtdma_fr", n_voice=40, n_data=10,
-                    use_request_queue=True, duration_s=0.4, warmup_s=0.1,
-                    seed=13)
-        reference, macro = _pair(16, **base)
-        assert reference.mac.mean_queue_length > 0  # queue actually used
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("protocol, rng_mode", QUEUE_CELLS)
+    def test_queue_backed_frames_run_inline(self, protocol, rng_mode, seed):
+        """The golden grid's macro-64 queue cells: every frame runs inline,
+        backlog or not, and each summary equals its per-frame twin."""
+        base = dict(protocol=protocol, n_voice=60, n_data=20,
+                    use_request_queue=True, duration_s=0.15, warmup_s=0.1,
+                    seed=seed, rng_mode=rng_mode)
+        with metrics.recording() as registry:
+            macro = run_simulation(Scenario(**base, macro_frames=64), PARAMS)
+        assert registry.counter("macro.fallback_frames") == 0
+        reference = run_simulation(Scenario(**base), PARAMS)
         assert reference.summary() == macro.summary()
 
     def test_large_talking_population_uses_batched_schedule(self):
@@ -163,6 +176,26 @@ class TestLookaheadTruncation:
         for _ in range(240):
             pure.step()
         assert mixed.collect_results().summary() == pure.collect_results().summary()
+
+    @pytest.mark.parametrize("protocol, rng_mode", QUEUE_CELLS)
+    def test_candidate_mirror_tracks_the_queue(self, protocol, rng_mode):
+        """Queued terminals leave the runner's incremental candidate mirror
+        and return once served or pruned: after every block it equals the
+        authoritative ``contention_candidate_ids``."""
+        engine = UplinkSimulationEngine(
+            Scenario(protocol=protocol, n_voice=90, n_data=20,
+                     use_request_queue=True, duration_s=0.5, warmup_s=0.0,
+                     seed=1, rng_mode=rng_mode, macro_frames=8),
+            PARAMS,
+        )
+        for _ in range(25):
+            engine.run_frames(8)
+            runner = engine._macro
+            assert not runner._mirrors_dirty
+            ids, _ = engine.protocol.contention_candidate_ids(engine.population)
+            assert runner._cand_ids == ids.tolist()
+        # The queue was in use.
+        assert engine.collect_results().mac.mean_queue_length > 0
 
     def test_large_population_path_stays_json_safe(self):
         """Above the bulk-tolist threshold (>256 terminals) the fast path
