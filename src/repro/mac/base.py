@@ -198,10 +198,10 @@ class MACProtocol(abc.ABC):
         """Run the request and allocation phases of one frame.
 
         Reads the :class:`~repro.traffic.population.TerminalPopulation`
-        arrays and emits the grants through
-        :meth:`FrameOutcome.use_grant_columns`, never materialising a
-        per-terminal object in the hot loop.  Implementations are wrapped
-        in :func:`traced_batch`.
+        arrays and assigns the frame's grants to
+        :attr:`FrameOutcome.grants` as :class:`GrantColumns`, never
+        materialising a per-terminal object in the hot loop.
+        Implementations are wrapped in :func:`traced_batch`.
         """
 
     # ------------------------------------------------------------- helpers

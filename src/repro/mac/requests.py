@@ -204,17 +204,6 @@ class FrameOutcome:
             )
         return self._allocations
 
-    def use_grant_columns(self) -> GrantColumns:
-        """Switch this outcome to the columnar grant representation."""
-        if self._allocations is not None:
-            raise RuntimeError(
-                "cannot mix Allocation-object and GrantColumns emission in "
-                "one FrameOutcome"
-            )
-        if self.grants is None:
-            self.grants = GrantColumns()
-        return self.grants
-
     @property
     def n_allocated_slots(self) -> int:
         """Total information slots granted in this frame."""

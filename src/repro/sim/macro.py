@@ -26,14 +26,13 @@ for the predictable work:
 Each frame's request phase is the protocol's own rule:
 :func:`~repro.mac.contention.run_contention_ids` for the slotted protocols
 and CHARISMA, :meth:`~repro.mac.rama.RAMAProtocol.run_auction` for RAMA —
-the calls their ``run_frame_batch`` makes, on the same streams.  A small
-slotted request phase takes its uniforms from a :class:`RandomPool`
-prefetched from the contention stream (NumPy generators consume their bit
-stream element by element, so a pool of ``N`` uniforms is exactly the next
-``N`` per-minislot draws; at a block's end the pool rolls the generator
-back and replays the consumed prefix).  DRMA's converted slots resolve on
-the same pool, and CHARISMA's estimation noise comes from a
-:class:`NormalPool` the same way.
+the calls their ``run_frame_batch`` makes, on the same streams.  Only
+DRMA's converted slots resolve here, on draws served from a
+:class:`RandomPool` prefetched from the contention stream (NumPy generators
+consume their bit stream element by element, so a pool of ``N`` uniforms
+is exactly the next ``N`` per-minislot draws; at a block's end the pool
+rolls the generator back and replays the consumed prefix), and CHARISMA's
+estimation noise comes from a :class:`NormalPool` the same way.
 
 Each frame's allocation phase is the protocol's own function too —
 :meth:`~repro.mac.base.MACProtocol.serve_fcfs`, DRMA's
@@ -106,19 +105,6 @@ class RandomPool:
         """Give back the most recently taken ``n`` doubles (pointer move)."""
         self._position -= n
 
-    def random(self, size):
-        """``Generator.random(size)`` served from the pool: the same doubles.
-
-        Lets :func:`~repro.mac.contention.run_contention_ids` resolve a
-        request phase on the pool instead of calling the generator once
-        per minislot.  ``size`` is a count or a ``(rows, columns)`` shape,
-        filled in C order as the generator fills it.
-        """
-        if isinstance(size, tuple):
-            rows, columns = size
-            return self.take(rows * columns).reshape(size)
-        return self.take(size)
-
     def close(self) -> int:
         """Roll back and replay: leave the generator exactly where
         per-frame draws of the consumed prefix would have left it.
@@ -168,16 +154,9 @@ class NormalPool(RandomPool):
         super().__init__(rng, chunk)
         self._draw = rng.standard_normal
 
-    #: Its draws are normals, so it cannot stand in for ``Generator.random``.
-    random = None
-
 
 class MacroRunner:
     """Executes the engine's frame loop in macro blocks (see module doc)."""
-
-    #: Largest slotted request phase (minislots x candidates) that draws
-    #: from the block's pool (see :meth:`_request_rng`).
-    POOLED_REQUEST_DRAWS = 512
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -212,9 +191,8 @@ class MacroRunner:
         self._request_minislots = protocol.frame_structure.request_minislots
         self._reuse_snr = engine._reuse_snapshot_snr
         self._adaptive = protocol.modem.is_adaptive
-        # The contention stream's draws, prefetched per block: DRMA's
-        # converted slots and the small slotted request phases take them
-        # from here (RAMA's auction draws from its stream directly).
+        # DRMA's converted-slot draws (the other protocols' request phases
+        # draw from their streams directly).
         self._pool = RandomPool(protocol.contention_rng)
         self._voice_p = protocol.permission.voice_probability
         self._data_p = protocol.permission.data_probability
@@ -369,21 +347,6 @@ class MacroRunner:
                 self._discard_candidate(tid)
         return True
 
-    def _request_rng(self, minislots: int):
-        """Where this frame's slotted request phase draws its uniforms.
-
-        A small phase takes them from the block's pool of the contention
-        stream: the same doubles as one generator call per minislot,
-        without the per-call cost.  A phase that may draw more than
-        :attr:`POOLED_REQUEST_DRAWS` doubles (a 10,000-terminal cell)
-        draws from the stream itself, because the pool's replay at block
-        end would generate every pooled double twice.
-        """
-        if minislots * len(self._cand_ids) <= self.POOLED_REQUEST_DRAWS:
-            return self._pool
-        self._pool.close()
-        return self.protocol.contention_rng
-
     def _pop_backlog(self, frame):
         """Prune the request queue, then pop its backlog (``None`` if empty).
 
@@ -416,7 +379,7 @@ class MacroRunner:
                 self._cand_ids,
                 self._cand_probs_array(),
                 minislots,
-                self._request_rng(minislots),
+                protocol.contention_rng,
                 fast=protocol.rng_fast,
             )
         else:
@@ -586,7 +549,7 @@ class MacroRunner:
             self._cand_ids,
             self._cand_probs_array(),
             self._request_minislots,
-            self._request_rng(self._request_minislots),
+            protocol.contention_rng,
             fast=protocol.rng_fast,
         )
         winner_ids = request.winner_ids

@@ -1,7 +1,6 @@
 """Unit tests for the columnar request/grant containers."""
 
 import numpy as np
-import pytest
 
 from repro.core.charisma import CharismaProtocol
 from repro.mac.registry import build_modem
@@ -99,7 +98,7 @@ class TestGrantColumns:
 class TestFrameOutcome:
     def test_grant_columns_back_lazy_allocations(self):
         outcome = FrameOutcome(4)
-        grants = outcome.use_grant_columns()
+        grants = outcome.grants = GrantColumns()
         grants.append(1, 2, 2, None)
         assert outcome.n_allocated_slots == 2
         assert outcome.allocations[0].terminal_id == 1
@@ -108,20 +107,13 @@ class TestFrameOutcome:
 
     def test_object_and_columnar_outcomes_compare_equal(self):
         columnar = FrameOutcome(0)
-        columnar.use_grant_columns().append(3, 1, 1, None)
+        columnar.grants = GrantColumns()
+        columnar.grants.append(3, 1, 1, None)
         object_form = FrameOutcome(0)
         object_form.allocations.append(
             Allocation(terminal_id=3, n_slots=1, packet_capacity=1)
         )
         assert columnar == object_form
-
-    def test_mixing_representations_is_rejected(self):
-        outcome = FrameOutcome(0)
-        outcome.allocations.append(
-            Allocation(terminal_id=0, n_slots=1, packet_capacity=1)
-        )
-        with pytest.raises(RuntimeError):
-            outcome.use_grant_columns()
 
     def test_counters_default_and_compare(self):
         a, b = FrameOutcome(1), FrameOutcome(1)
