@@ -329,22 +329,16 @@ def _constellation_from_args(args: argparse.Namespace):
 def _trace_context(args: argparse.Namespace, command: str):
     """Context manager installing the process tracer when ``--trace`` is set.
 
-    The trace header records which accel kernel implementations were active
-    (numba vs numpy fallback), so timings in the file are interpretable
-    after the fact.
+    The trace header records the command that wrote the file.
     """
     from contextlib import nullcontext
 
     path = getattr(args, "trace", None)
     if path is None:
         return nullcontext()
-    from repro.accel import kernel_provenance
     from repro.obs import tracing
 
-    return tracing(path, meta={
-        "command": command,
-        "accel": kernel_provenance(),
-    })
+    return tracing(path, meta={"command": command})
 
 
 def _fault_kwargs(args: argparse.Namespace) -> dict:

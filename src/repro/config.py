@@ -118,7 +118,7 @@ class SimulationParameters:
     """Number of pilot-symbol slots ``N_b`` (CSI polling capacity) per frame."""
 
     ack_timeout_minislots: int = 5
-    """Acknowledgement time-out, in minislots, before a request is retried."""
+    """Time-out, in minislots, before an unacknowledged request is retried."""
 
     # --- voice traffic ------------------------------------------------------
     voice_bit_rate_bps: float = 8_000.0

@@ -25,6 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.lint.contracts import kernel
 from repro.mac.requests import GrantColumns
 from repro.phy.abicm import AdaptiveModem
 
@@ -103,6 +104,7 @@ class CSIRankedAllocator:
             np.where(known, throughput, 0.0),
         )
 
+    @kernel(batch=False)
     def allocate(
         self,
         order: List[int],

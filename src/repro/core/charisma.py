@@ -18,7 +18,7 @@ Frame procedure (uplink, Fig. 4a / Section 4.3)
    the base station estimates the sender's CSI.
 2. *CSI polling*: up to ``N_b`` backlogged requests with stale estimates are
    polled and their CSI refreshed (Section 4.4).
-3. *Allocation phase*: all pending requests are ranked by the priority
+3. *Slot allocation*: all pending requests are ranked by the priority
    metric (equation (2)) and the ``N_i`` information slots are granted by the
    CSI-ranked allocator.  Voice requests that get served acquire a
    reservation — the base station auto-generates their subsequent per-period
@@ -43,12 +43,7 @@ from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import QueuedRequests
-from repro.mac.requests import (
-    Acknowledgement,
-    FrameOutcome,
-    GrantColumns,
-    RequestColumns,
-)
+from repro.mac.requests import FrameOutcome, GrantColumns, RequestColumns
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.csi import CSIEstimator
 
@@ -137,8 +132,7 @@ class CharismaProtocol(MACProtocol):
         columns, the priority metric and the mode lookup evaluate over the
         pooled :class:`RequestColumns`, and
         :meth:`~repro.core.allocator.CSIRankedAllocator.allocate` walks the
-        ranking — the only per-request Python objects are the
-        acknowledgements.
+        ranking; no Python object is built per request.
         """
         self.reservations.release_ended_population(population)
         queue = self.request_queue
@@ -159,10 +153,8 @@ class CharismaProtocol(MACProtocol):
         outcome.contention_collisions = contention.collisions
         outcome.idle_request_slots = contention.idle_slots
 
+        outcome.winner_ids = contention.winner_ids
         winner_ids = np.asarray(contention.winner_ids, dtype=np.int64)
-        acknowledgements = outcome.acknowledgements
-        for slot, winner in enumerate(contention.winner_ids):
-            acknowledgements.append(Acknowledgement(winner, slot, frame_index))
 
         # CSI estimation: the winners' pilot symbols plus the auto-polled
         # reservation holders (their ongoing per-period transmissions double

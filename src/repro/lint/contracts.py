@@ -33,7 +33,8 @@ Besides the marker attribute, every decoration is recorded in
   helpers per *grant*, so counting them would invert the invariant.
 
 This module must stay import-light (stdlib only): it is imported by every
-kernel-bearing module in ``mac``/``traffic``/``sim``/``phy``/``accel``.
+kernel-bearing module in ``mac``/``core``/``traffic``/``sim``/``phy``/
+``accel``/``constellation``.
 """
 
 from __future__ import annotations
@@ -69,10 +70,7 @@ class KernelInfo(NamedTuple):
     batch: bool
 
 
-#: Every decoration in import order.  Numba twin registrations (the accel
-#: seam redefines a kernel under the same name when numba is present)
-#: appear as separate entries; consumers that patch by identity naturally
-#: skip the shadowed twin because no live binding points at it.
+#: Every decoration in import order.
 KERNEL_REGISTRY: List[KernelInfo] = []
 
 

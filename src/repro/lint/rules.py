@@ -465,172 +465,6 @@ class KernelClockRule(Rule):
                     )
 
 
-# -------------------------------------------------------------------- ACC001
-
-_FN_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _function_params(node: ast.AST) -> List[str]:
-    """Positional parameter names of a function def, in declaration order."""
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = node.args
-    return [a.arg for a in (*args.posonlyargs, *args.args)]
-
-
-def _unwrap_passthrough(node: ast.expr) -> ast.expr:
-    """Strip layout/cast wrappers (``np.ascontiguousarray(x)``, ``int(x)``,
-    ...) down to the innermost first argument — the value actually routed."""
-    while isinstance(node, ast.Call) and node.args and not node.keywords:
-        node = node.args[0]
-    return node
-
-
-@register
-class AccelTwinDriftRule(Rule):
-    """Numba twins must mirror their NumPy fallbacks exactly.
-
-    ``repro.accel`` defines every kernel twice: the always-available NumPy
-    fallback first, then — inside the ``if HAS_NUMBA:`` block — a
-    same-named ``@kernel`` wrapper delegating to an ``@numba.njit``
-    implementation (conventionally ``_<name>_jit``).  The parity contract
-    ("identical results whether or not numba is installed") silently breaks
-    when the two twins drift: a parameter renamed or reordered on one side
-    only, or a wrapper passing its arguments to the jit implementation in a
-    different order than it received them.  Nothing at runtime catches this
-    on a machine without numba — the fallback masks the broken twin — so
-    the drift is a source contract, checked here.
-
-    Flags, in any module with a ``HAS_NUMBA``-gated block:
-
-    * a gated ``@kernel`` twin with no same-named fallback defined before
-      the gate (a twin nothing vouches parity for);
-    * twin/fallback positional-parameter name or order mismatch;
-    * a ``_<name>_jit`` implementation whose positional parameters do not
-      mirror the fallback's;
-    * a twin wrapper whose single ``*_jit`` delegation call passes a
-      wrong number of arguments or routes a parameter out of position
-      (layout/cast wrappers like ``np.ascontiguousarray`` are unwrapped
-      before comparing).
-    """
-
-    id = "ACC001"
-    severity = "error"
-    summary = "accel numba twin drifted from its NumPy fallback"
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        for module in project.iter_parsed():
-            assert module.tree is not None
-            gated = [
-                node
-                for node in module.tree.body
-                if isinstance(node, ast.If)
-                and self._is_has_numba_test(node.test)
-            ]
-            if not gated:
-                continue
-            gated_lines = {
-                line
-                for node in gated
-                for line in range(
-                    node.lineno, (node.end_lineno or node.lineno) + 1
-                )
-            }
-            fallbacks = {
-                k.qualname.rsplit(".", 1)[-1]: k
-                for k in module.kernels
-                if k.line not in gated_lines
-            }
-            twins = [k for k in module.kernels if k.line in gated_lines]
-            jit_impls = {
-                node.name: node
-                for gate in gated
-                for node in gate.body
-                if isinstance(node, _FN_NODES) and node.name.endswith("_jit")
-            }
-            for twin in twins:
-                yield from self._check_twin(module, twin, fallbacks)
-            for name, impl in sorted(jit_impls.items()):
-                fallback = fallbacks.get(name[1:-4] if
-                                         name.startswith("_") else name[:-4])
-                if fallback is None:
-                    continue  # private helper with no 1:1 fallback
-                impl_params = _function_params(impl)
-                fb_params = _function_params(fallback.node)
-                if impl_params != fb_params:
-                    yield module.finding(
-                        impl, self.id, self.severity,
-                        f"jit implementation `{name}` takes "
-                        f"({', '.join(impl_params)}) but the NumPy fallback "
-                        f"`{fallback.qualname}` takes "
-                        f"({', '.join(fb_params)}): the twins must mirror "
-                        "each other parameter-for-parameter",
-                    )
-
-    def _check_twin(
-        self,
-        module: SourceModule,
-        twin: KernelFunction,
-        fallbacks: Dict[str, KernelFunction],
-    ) -> Iterator[Finding]:
-        name = twin.qualname.rsplit(".", 1)[-1]
-        fallback = fallbacks.get(name)
-        if fallback is None:
-            yield module.finding(
-                twin.node, self.id, self.severity,
-                f"gated kernel `{twin.qualname}` has no NumPy fallback "
-                "defined before the HAS_NUMBA block: without the fallback "
-                "twin, machines lacking numba lose the kernel entirely",
-            )
-            return
-        params = _function_params(twin.node)
-        fb_params = _function_params(fallback.node)
-        if params != fb_params:
-            yield module.finding(
-                twin.node, self.id, self.severity,
-                f"numba twin `{twin.qualname}` takes ({', '.join(params)}) "
-                f"but its NumPy fallback (line {fallback.line}) takes "
-                f"({', '.join(fb_params)}): signatures must match exactly",
-            )
-            return
-        jit_calls = [
-            node
-            for node in ast.walk(twin.node)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id.endswith("_jit")
-        ]
-        if len(jit_calls) != 1:
-            return  # no single delegation call to vouch for statically
-        call = jit_calls[0]
-        routed = [_unwrap_passthrough(arg) for arg in call.args]
-        if len(routed) != len(params) or call.keywords:
-            yield module.finding(
-                call, self.id, self.severity,
-                f"numba twin `{twin.qualname}` passes {len(routed)} "
-                f"positional argument(s) to `{call.func.id}` but declares "
-                f"{len(params)} parameter(s): every parameter must be "
-                "routed through, positionally and in order",
-            )
-            return
-        for position, (routed_arg, param) in enumerate(zip(routed, params)):
-            if isinstance(routed_arg, ast.Name) and routed_arg.id != param:
-                yield module.finding(
-                    routed_arg, self.id, self.severity,
-                    f"numba twin `{twin.qualname}` routes `{routed_arg.id}` "
-                    f"into `{call.func.id}` at position {position}, where "
-                    f"the fallback expects `{param}`: argument order "
-                    "drifted between the twins",
-                )
-
-    @staticmethod
-    def _is_has_numba_test(test: ast.expr) -> bool:
-        if isinstance(test, ast.Name):
-            return test.id == "HAS_NUMBA"
-        if isinstance(test, ast.Attribute):
-            return test.attr == "HAS_NUMBA"
-        return False
-
-
 # -------------------------------------------------------------------- FLT001
 
 #: Path fragments whose modules form the fault-tolerance perimeter: the

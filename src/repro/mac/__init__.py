@@ -2,7 +2,7 @@
 
 The subpackage provides the shared machinery every protocol builds on —
 slotted contention, voice reservations, the optional base-station request
-queue, frame-structure descriptors, the request/allocation records — and the
+queue, frame-structure descriptors, the request and grant columns — and the
 five state-of-the-art protocols the paper compares CHARISMA against
 (Section 3): RAMA, RMAV, DRMA, D-TDMA/FR and D-TDMA/VR.  CHARISMA itself
 lives in :mod:`repro.core` but registers through the same
@@ -31,19 +31,11 @@ from repro.mac.registry import (
     protocol_class,
 )
 from repro.mac.request_queue import RequestQueue
-from repro.mac.requests import (
-    Acknowledgement,
-    Allocation,
-    FrameOutcome,
-    GrantColumns,
-    RequestColumns,
-)
+from repro.mac.requests import FrameOutcome, GrantColumns, RequestColumns
 from repro.mac.reservation import ReservationTable
 from repro.mac.rmav import RMAVProtocol
 
 __all__ = [
-    "Acknowledgement",
-    "Allocation",
     "DRMAProtocol",
     "DTDMAFRProtocol",
     "DTDMAVRProtocol",

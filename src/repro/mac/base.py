@@ -342,6 +342,7 @@ class MACProtocol(abc.ABC):
             0, head + self.params.voice_deadline_frames - frame_index
         )
 
+    @kernel(batch=False)
     def serve_fcfs(
         self,
         holders: List[int],

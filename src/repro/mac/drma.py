@@ -21,10 +21,11 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from repro.channel.manager import ChannelSnapshot
+from repro.lint.contracts import kernel
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import IndexContentionResult, run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome, GrantColumns
+from repro.mac.requests import FrameOutcome, GrantColumns
 
 __all__ = ["DRMAProtocol"]
 
@@ -111,10 +112,7 @@ class DRMAProtocol(MACProtocol):
         outcome.contention_attempts = requests.attempts
         outcome.contention_collisions = requests.collisions
         outcome.idle_request_slots = requests.idle_slots
-        outcome.acknowledgements.extend(
-            Acknowledgement(winner, slot, frame_index)
-            for slot, winner in enumerate(requests.winner_ids)
-        )
+        outcome.winner_ids = requests.winner_ids
         self.reservations.grant_many(new_voice, frame_index)
         self.requeue(
             frame_index, population, backlog, requests.winner_ids, leftovers
@@ -122,6 +120,7 @@ class DRMAProtocol(MACProtocol):
         outcome.queued_requests = self.queued_count()
         return outcome
 
+    @kernel(batch=False)
     def serve_slots(
         self,
         holders: List[int],

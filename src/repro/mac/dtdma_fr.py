@@ -17,7 +17,7 @@ from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome
+from repro.mac.requests import FrameOutcome
 
 __all__ = ["DTDMAFRProtocol"]
 
@@ -76,10 +76,7 @@ class DTDMAFRProtocol(MACProtocol):
         outcome.contention_attempts = contention.attempts
         outcome.contention_collisions = contention.collisions
         outcome.idle_request_slots = contention.idle_slots
-        winner_ids = contention.winner_ids
-        acknowledgements = outcome.acknowledgements
-        for slot, winner in enumerate(winner_ids):
-            acknowledgements.append(Acknowledgement(winner, slot, frame_index))
+        outcome.winner_ids = winner_ids = contention.winner_ids
 
         backlog = queue.pop_all() if queue is not None and len(queue) else None
         outcome.grants, new_voice, unserved = self.serve_fcfs(

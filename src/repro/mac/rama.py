@@ -22,13 +22,14 @@ request minislot (``N_a < N_r``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.channel.manager import ChannelSnapshot
+from repro.lint.contracts import kernel
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import IndexContentionResult
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome
+from repro.mac.requests import FrameOutcome
 
 __all__ = ["RAMAProtocol"]
 
@@ -70,11 +71,9 @@ class RAMAProtocol(MACProtocol):
         p_same = float(self.params.rama_digit_base) ** (-self.params.rama_id_digits)
         return 1.0 - (1.0 - p_same) ** (n_contenders - 1)
 
+    @kernel(batch=False)
     def run_auction(
-        self,
-        candidate_ids: List[int],
-        n_voice: int,
-        winner_slots: Optional[List[int]] = None,
+        self, candidate_ids: List[int], n_voice: int
     ) -> IndexContentionResult:
         """The frame's ``N_a`` auction slots over the given contenders.
 
@@ -85,8 +84,7 @@ class RAMAProtocol(MACProtocol):
         auction is sequential (each slot's pool depends on the earlier
         winners) and makes at most ``N_a`` draw pairs per frame, so there
         is nothing worth batching even in fast mode.  The caller's list is
-        not modified.  When ``winner_slots`` is given, the auction slot of
-        each winner is appended to it.
+        not modified.
         """
         n_slots = self.frame_structure.request_minislots
         if not candidate_ids:
@@ -94,21 +92,23 @@ class RAMAProtocol(MACProtocol):
         rng = self.rng
         remaining = list(candidate_ids)
         result = IndexContentionResult()
-        for auction_slot in range(n_slots):
+        for _ in range(n_slots):
             n_remaining = len(remaining)
             if n_remaining == 0:
                 result.idle_slots += 1
                 continue
             result.attempts += n_remaining
             pool = [tid for tid in remaining if tid < n_voice] or remaining
+            # A contested slot draws the tie check, and the winner pick
+            # only when there is no tie: the count follows the data, but
+            # every frame path makes this same call on this stream.
+            # lint: allow[KRN001]
             if rng.random() < self.whole_id_tie_probability(len(pool)):
                 result.collisions += 1
                 continue
             winner = pool[int(rng.integers(len(pool)))]
             remaining.remove(winner)
             result.winner_ids.append(winner)
-            if winner_slots is not None:
-                winner_slots.append(auction_slot)
         return result
 
     @traced_batch
@@ -132,18 +132,13 @@ class RAMAProtocol(MACProtocol):
         outcome = FrameOutcome(frame_index)
 
         candidate_array, _ = self.contention_candidate_ids(population)
-        winner_slots: List[int] = []
         auction = self.run_auction(
-            candidate_array.tolist(), population.n_voice, winner_slots
+            candidate_array.tolist(), population.n_voice
         )
         outcome.contention_attempts = auction.attempts
         outcome.contention_collisions = auction.collisions
         outcome.idle_request_slots = auction.idle_slots
-        winner_ids = auction.winner_ids
-        outcome.acknowledgements.extend(
-            Acknowledgement(winner, auction_slot, frame_index)
-            for winner, auction_slot in zip(winner_ids, winner_slots)
-        )
+        outcome.winner_ids = winner_ids = auction.winner_ids
 
         backlog = queue.pop_all() if queue is not None and len(queue) else None
         outcome.grants, new_voice, unserved = self.serve_fcfs(

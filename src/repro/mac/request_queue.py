@@ -24,6 +24,8 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
+from repro.lint.contracts import kernel
+
 __all__ = ["QueuedRequests", "RequestQueue"]
 
 
@@ -153,6 +155,7 @@ class RequestQueue:
         self._per_terminal = {}
         return rows
 
+    @kernel(batch=False)
     def prune(self, frame_index: int, occupancy: np.ndarray) -> int:
         """Drop the rows that can no longer be served; return how many.
 

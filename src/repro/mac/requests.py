@@ -7,81 +7,35 @@ which the base station estimates the sender's CSI.  The downlink
 acknowledgement carries the successful request's ID, and the announcement
 carries the slot allocation schedule plus the transmission mode to use.
 
-No request is an object here: the base-station queue
+Nothing here is one object per request or grant: the base-station queue
 (:class:`~repro.mac.request_queue.RequestQueue`) keeps its requests as
-columns, CHARISMA pools a frame's requests in :class:`RequestColumns`, and
-the protocols emit their grants as :class:`GrantColumns`.  These records
-are plain data: all decision making lives in the protocols.
+columns, CHARISMA pools a frame's requests in :class:`RequestColumns`, the
+protocols announce their grants as :class:`GrantColumns`, and a frame's
+acknowledgements are the winner ids of its :class:`FrameOutcome`.  These
+records are plain data: all decision making lives in the protocols.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Acknowledgement",
-    "Allocation",
     "FrameOutcome",
     "GrantColumns",
     "RequestColumns",
 ]
 
 
-@dataclass(frozen=True)
-class Acknowledgement:
-    """Downlink acknowledgement of a successfully received request."""
-
-    terminal_id: int
-    request_slot: int
-    frame_index: int
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """One entry of the downlink announcement: a slot grant to a terminal.
-
-    Attributes
-    ----------
-    terminal_id:
-        The granted mobile device.
-    n_slots:
-        Number of information slots granted in this frame.
-    packet_capacity:
-        Total number of packets those slots can carry at the announced mode.
-    throughput:
-        Normalised throughput of the announced transmission mode, or ``None``
-        when the protocol runs on the fixed-rate PHY.
-    """
-
-    terminal_id: int
-    n_slots: int
-    packet_capacity: int
-    throughput: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.terminal_id < 0:
-            raise ValueError("terminal_id must be non-negative")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be at least 1")
-        if self.packet_capacity < 1:
-            raise ValueError("packet_capacity must be at least 1")
-        if self.throughput is not None and self.throughput <= 0:
-            raise ValueError("throughput must be positive when given")
-
-
 class GrantColumns:
-    """One frame's slot grants as parallel columns instead of objects.
+    """One frame's slot grants (the downlink announcement) as columns.
 
     The MAC kernels emit their grants by appending plain Python scalars to
     these four parallel lists; the engine's batched executor consumes the
-    columns directly (index arrays into the population), so the hot loop
-    never materialises an :class:`Allocation` per grant.  The object form
-    is available on demand via :meth:`to_allocations` — that is what
-    :attr:`FrameOutcome.allocations` lazily returns for tests and
-    debugging.
+    columns directly (index arrays into the population).  Every grant has
+    ``n_slots >= 1`` and ``packet_capacity >= 1``, and a throughput that is
+    ``None`` on the fixed-rate PHY or positive on the adaptive one.
     """
 
     __slots__ = ("terminal_ids", "n_slots", "packet_capacities", "throughputs")
@@ -120,50 +74,38 @@ class GrantColumns:
     def __len__(self) -> int:
         return len(self.terminal_ids)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GrantColumns):
+            return NotImplemented
+        return (
+            self.terminal_ids == other.terminal_ids
+            and self.n_slots == other.n_slots
+            and self.packet_capacities == other.packet_capacities
+            and self.throughputs == other.throughputs
+        )
+
     @property
     def total_slots(self) -> int:
         """Total information slots granted."""
         return sum(self.n_slots)
 
-    def to_allocations(self) -> List[Allocation]:
-        """Materialise the columns as validated :class:`Allocation` objects."""
-        return [
-            Allocation(
-                terminal_id=int(tid),
-                n_slots=int(slots),
-                packet_capacity=int(capacity),
-                throughput=None if throughput is None else float(throughput),
-            )
-            for tid, slots, capacity, throughput in zip(
-                self.terminal_ids,
-                self.n_slots,
-                self.packet_capacities,
-                self.throughputs,
-            )
-        ]
-
 
 class FrameOutcome:
     """Everything a protocol decided in one frame, consumed by the engine.
 
-    The protocols' ``run_frame_batch`` kernels fill :attr:`grants`
-    (:class:`GrantColumns`) and never build per-grant objects; the engine
-    transmits the columns.  Reading :attr:`allocations` materialises the
-    objects on first access (and caches them) for tests, debugging and
-    equality comparison.  An outcome built by hand may instead append
-    :class:`Allocation` objects to :attr:`allocations` (the collector counts
-    their slots), but the engine only transmits grant columns.
+    The protocols' ``run_frame_batch`` kernels fill :attr:`grants` and
+    :attr:`winner_ids`; the engine transmits the grant columns.
 
     Attributes
     ----------
     frame_index:
         The frame this outcome belongs to.
-    allocations:
-        Slot grants to be transmitted in this frame's information subframe.
     grants:
-        The same grants in columnar form, when produced by a batch kernel.
-    acknowledgements:
-        Requests successfully received in the request phase.
+        Slot grants to be transmitted in this frame's information
+        subframe (``None`` until the protocol's allocation phase runs).
+    winner_ids:
+        Terminals whose requests the request phase received (and the base
+        station acknowledged), in order.
     contention_attempts:
         Number of request transmissions attempted by mobile devices.
     contention_collisions:
@@ -176,9 +118,8 @@ class FrameOutcome:
 
     __slots__ = (
         "frame_index",
-        "_allocations",
         "grants",
-        "acknowledgements",
+        "winner_ids",
         "contention_attempts",
         "contention_collisions",
         "idle_request_slots",
@@ -187,42 +128,26 @@ class FrameOutcome:
 
     def __init__(self, frame_index: int) -> None:
         self.frame_index = frame_index
-        self._allocations: Optional[List[Allocation]] = None
         self.grants: Optional[GrantColumns] = None
-        self.acknowledgements: List[Acknowledgement] = []
+        self.winner_ids: List[int] = []
         self.contention_attempts = 0
         self.contention_collisions = 0
         self.idle_request_slots = 0
         self.queued_requests = 0
 
     @property
-    def allocations(self) -> List[Allocation]:
-        """The frame's grants as objects (materialised from columns lazily)."""
-        if self._allocations is None:
-            self._allocations = (
-                self.grants.to_allocations() if self.grants is not None else []
-            )
-        return self._allocations
-
-    @property
     def n_allocated_slots(self) -> int:
         """Total information slots granted in this frame."""
-        if self._allocations is None and self.grants is not None:
-            return self.grants.total_slots
-        return sum(a.n_slots for a in self.allocations)
-
-    @property
-    def n_successful_requests(self) -> int:
-        """Number of requests acknowledged in this frame."""
-        return len(self.acknowledgements)
+        return self.grants.total_slots if self.grants is not None else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameOutcome):
             return NotImplemented
         return (
             self.frame_index == other.frame_index
-            and self.allocations == other.allocations
-            and self.acknowledgements == other.acknowledgements
+            and (self.grants or GrantColumns())
+            == (other.grants or GrantColumns())
+            and self.winner_ids == other.winner_ids
             and self.contention_attempts == other.contention_attempts
             and self.contention_collisions == other.contention_collisions
             and self.idle_request_slots == other.idle_request_slots
@@ -232,8 +157,8 @@ class FrameOutcome:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FrameOutcome(frame={self.frame_index}, "
-            f"allocations={len(self.allocations)}, "
-            f"acks={len(self.acknowledgements)})"
+            f"grants={len(self.grants or ())}, "
+            f"winners={len(self.winner_ids)})"
         )
 
 

@@ -27,7 +27,7 @@ from repro.channel.manager import ChannelSnapshot
 from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import run_contention_ids
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import Acknowledgement, FrameOutcome
+from repro.mac.requests import FrameOutcome
 
 __all__ = ["RMAVProtocol"]
 
@@ -91,10 +91,7 @@ class RMAVProtocol(MACProtocol):
         outcome.contention_attempts = contention.attempts
         outcome.contention_collisions = contention.collisions
         outcome.idle_request_slots = contention.idle_slots
-        for winner in contention.winner_ids:
-            outcome.acknowledgements.append(
-                Acknowledgement(winner, 0, frame_index)
-            )
+        outcome.winner_ids = contention.winner_ids
 
         outcome.grants, new_voice, _unserved = self.serve_fcfs(
             self.reservations.reserved_ids(population).tolist(),

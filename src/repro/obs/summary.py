@@ -162,10 +162,6 @@ def format_summary(summary: TraceSummary, top: int = 12) -> str:
         f"trace schema v{header.get('schema_version')} · "
         f"{summary.n_spans} spans · {summary.n_events} events"
     )
-    accel = header.get("accel")
-    if accel:
-        pairs = ", ".join(f"{k}={v}" for k, v in sorted(accel.items()))
-        lines.append(f"accel: {pairs}")
     lines.append("")
     lines.append(
         f"{'span':<28} {'count':>8} {'total_s':>10} {'mean_ms':>9} {'max_ms':>9}"

@@ -250,7 +250,7 @@ class MacroRunner:
         self._phy_aux: List[int] = []  # voice: pre-window; data: capacity
         self._phy_frames: List[int] = []
         self._phy_chans: List[float] = []
-        self._phy_thrs: List[float] = []
+        self._phy_thrs: List[float] = []  # read by the adaptive PHY only
         # Row indices of the voice and the data rows among the above.
         self._phy_voice_rows: List[int] = []
         self._phy_data_rows: List[int] = []
@@ -468,6 +468,7 @@ class MacroRunner:
         if any_data:
             self._flush_phy(clock)
 
+    @kernel(batch=False)
     def _contend_converted_slot(self, ids, probabilities):
         """One DRMA converted slot's ``N_x`` minislots on pooled draws.
 
@@ -916,10 +917,11 @@ class MacroRunner:
         self._phy_tids += tids
         self._phy_frames += [frame] * n
         self._phy_chans += [read(tid, reuse_snr) for tid in tids]
-        self._phy_thrs += [
-            np.nan if throughput is None else throughput
-            for throughput in throughputs
-        ]
+        if self._adaptive:
+            self._phy_thrs += [
+                np.nan if throughput is None else throughput
+                for throughput in throughputs
+            ]
         nv = self._nv
         pop_voice = self.population.transmit_voice_pop
         phy_counts = self._phy_counts

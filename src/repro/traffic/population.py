@@ -447,8 +447,8 @@ class TerminalPopulation:
             if gap > 0:
                 take = gap if gap < n_frames - f else n_frames - f
                 if len(talking) >= 64:
-                    # Large talking sets: one (compiled or vectorised)
-                    # schedule evaluation instead of a per-terminal loop.
+                    # Large talking sets: one vectorised schedule
+                    # evaluation instead of a per-terminal loop.
                     talk_ids = np.fromiter(
                         talking, dtype=np.int64, count=len(talking)
                     )
@@ -672,9 +672,9 @@ class TerminalPopulation:
         removes ``min(max_packets, occupancy)`` packets from the FIFO (a
         transmitted voice packet leaves the buffer whether or not it is
         received) and returns ``(n_transmitted, n_pre_window)`` so
-        :meth:`record_voice_outcome` can attribute delivered/errored counts
-        once the batched PHY draw resolves — the macro engine's mechanism
-        for fusing many frames' voice transmissions into one draw.
+        :meth:`resolve_voice_outcomes` can attribute delivered/errored
+        counts once the batched PHY draw resolves — the macro engine's
+        mechanism for fusing many frames' voice transmissions into one draw.
         """
         occupancy = int(self.occupancy[index])
         n_transmitted = min(max_packets, occupancy)
@@ -691,27 +691,6 @@ class TerminalPopulation:
         self.head_created[index] = segments[0][0] if segments else -1
         return n_transmitted, pre
 
-    @kernel(batch=False)
-    def record_voice_outcome(
-        self, index: int, n_transmitted: int, n_pre_window: int, n_delivered: int
-    ) -> int:
-        """Resolve a deferred voice transmission's counters; return errors.
-
-        Accounting-identical to the voice branch of :meth:`transmit` on the
-        same popped packets: the first ``n_delivered`` positions were
-        received, the rest errored, and positions before the measurement
-        window (always a FIFO prefix) count towards neither.
-        """
-        floor = n_delivered if n_delivered > n_pre_window else n_pre_window
-        delivered = n_delivered - n_pre_window if n_delivered > n_pre_window else 0
-        errored = n_transmitted - floor
-        if delivered:
-            self.voice_delivered[index] += delivered
-        if errored:
-            self.voice_errored[index] += errored
-            self._voice_loss_total += errored
-        return errored
-
     @kernel
     def resolve_voice_outcomes(
         self,
@@ -720,15 +699,16 @@ class TerminalPopulation:
         pre_window: np.ndarray,
         delivered: np.ndarray,
     ):
-        """Batched :meth:`record_voice_outcome` over a flush's voice rows.
+        """Resolve a flush's deferred voice rows into the outcome counters.
 
-        One compiled (or NumPy-twin) pass resolves every deferred voice
-        row's delivered/errored split and scatter-accumulates the
-        per-terminal counters — count-identical to calling
-        :meth:`record_voice_outcome` row by row, in any order (every update
-        is an independent add).  Returns ``(rows, errors)``: the positions
-        within the batch that errored, and the per-row errored counts, so
-        the caller can attribute losses to its per-frame records.
+        One :func:`~repro.accel.voice_flush_resolve` pass resolves every
+        deferred voice row's delivered/errored split and scatter-accumulates
+        the per-terminal counters — count-identical to the voice branch of
+        :meth:`transmit` on the same popped packets, row by row, in any
+        order (every update is an independent add).  Returns
+        ``(rows, errors)``: the positions within the batch that errored,
+        and the per-row errored counts, so the caller can attribute losses
+        to its per-frame records.
         """
         delivered_totals, errored_totals, rows, errors = voice_flush_resolve(
             terminal_ids, counts, pre_window, delivered,

@@ -42,8 +42,8 @@ class TestRequestAndAllocation:
     def test_single_voice_request_served_and_reserved(self):
         protocol = charisma()
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert outcome.n_successful_requests == 1
-        assert len(outcome.allocations) == 1
+        assert len(outcome.winner_ids) == 1
+        assert len(outcome.grants) == 1
         assert protocol.reservations.has(0)
 
     def test_good_channel_user_preferred_over_deep_fade_user(self):
@@ -57,8 +57,7 @@ class TestRequestAndAllocation:
         protocol.request_queue.push(0, 0)
         snapshot = make_snapshot([2.5, 0.02], frame_index=1)
         outcome = protocol.run_frame_batch(1, population, snapshot)
-        allocated = {a.terminal_id for a in outcome.allocations}
-        assert allocated == {0}
+        assert outcome.grants.terminal_ids == [0]
 
     def test_deep_fade_voice_deferred_not_transmitted(self):
         """A reserved voice user in outage with frames to spare is deferred."""
@@ -66,7 +65,7 @@ class TestRequestAndAllocation:
         population = make_population(voice=[1], params=EAGER)
         protocol.reservations.grant(0, 0)
         outcome = protocol.run_frame_batch(0, population, make_snapshot([1e-4]))
-        assert outcome.allocations == []
+        assert len(outcome.grants) == 0
 
     def test_deep_fade_voice_served_near_deadline(self):
         protocol = charisma()
@@ -75,7 +74,7 @@ class TestRequestAndAllocation:
         protocol.reservations.grant(0, 0)
         snapshot = make_snapshot([1e-4], frame_index=frame)
         outcome = protocol.run_frame_batch(frame, population, snapshot)
-        assert len(outcome.allocations) == 1
+        assert len(outcome.grants) == 1
 
     def test_slot_budget_never_exceeded(self):
         protocol = charisma()
@@ -87,7 +86,7 @@ class TestRequestAndAllocation:
         protocol = charisma()
         population = make_population(data=[50], params=EAGER)
         outcome = run_single_frame(protocol, population, amplitude=3.0)
-        assert outcome.allocations[0].packet_capacity > outcome.allocations[0].n_slots
+        assert outcome.grants.packet_capacities[0] > outcome.grants.n_slots[0]
 
 
 class TestRequestQueueBehaviour:
@@ -139,7 +138,7 @@ class TestReservationLifecycle:
         population = make_population(voice=[1], params=EAGER)
         protocol.reservations.grant(0, 0)
         outcome = run_single_frame(protocol, population, amplitude=1.5)
-        assert len(outcome.allocations) == 1
+        assert len(outcome.grants) == 1
         assert outcome.contention_attempts == 0
 
 
@@ -153,8 +152,8 @@ class TestCSIPollingIntegration:
         # several frames later the channel is excellent; polling must notice
         snapshot = make_snapshot([3.0], frame_index=5)
         outcome = protocol.run_frame_batch(5, population, snapshot)
-        assert len(outcome.allocations) == 1
-        assert outcome.allocations[0].packet_capacity >= 5
+        assert len(outcome.grants) == 1
+        assert outcome.grants.packet_capacities[0] >= 5
 
     def test_polling_can_be_disabled(self):
         protocol = charisma(use_queue=True, enable_csi_polling=False)

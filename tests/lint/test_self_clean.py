@@ -19,11 +19,11 @@ def test_shipped_tree_is_clean():
 
 
 def test_kernel_coverage_floor():
-    # Raised from 10 as the accel seam and the macro frame kernels grew
-    # (PR 8 added the voice-flush/deadline/expiry kernels and the inline
-    # CHARISMA CSI frame; PR 10 added the constellation coupling/LPT and
-    # terminal-migration kernels); shrinking coverage below this means
-    # hot-path code lost its purity contract, not that the floor is wrong.
+    # Each marked function is a distinct live hot-path body: the traffic,
+    # PHY and constellation kernels, the macro runner's inline frame
+    # helpers and every protocol's request and allocation bodies.
+    # Shrinking coverage below this means hot-path code lost its purity
+    # contract, not that the floor is wrong.
     report = lint_tree()
     assert report.n_kernels >= 30, (
         "the kernel purity rules are only as good as their coverage: "
@@ -33,7 +33,7 @@ def test_kernel_coverage_floor():
 
 def test_all_contract_rules_registered():
     for rule_id in (
-        "LNT000", "RNG001", "RNG002", "KRN001", "KRN002", "SCH001", "ACC001",
+        "LNT000", "RNG001", "RNG002", "KRN001", "KRN002", "SCH001",
     ):
         assert rule_id in RULE_REGISTRY
 

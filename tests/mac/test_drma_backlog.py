@@ -67,7 +67,7 @@ class TestDeepDataBacklog:
                 + PARAMS.request_queue_capacity
                 + info_slots * PARAMS.drma_minislots_per_info_slot
             )
-            observed.append((len(outcome.allocations), bound))
+            observed.append((len(outcome.grants), bound))
             return outcome
 
         monkeypatch.setattr(DRMAProtocol, "run_frame_batch", counting)

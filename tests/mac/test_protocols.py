@@ -74,27 +74,29 @@ class TestSharedBaseBehaviour:
         assert per_slot == 1 and throughput == 0.5
 
     def test_frames_emit_grant_columns(self):
-        """Every protocol emits its grants as columns, consistent with the
-        materialised allocations."""
+        """Every protocol emits its grants as aligned, valid columns."""
         for name in available_protocols():
             protocol = build_protocol(name, params=EAGER)
             population = make_population(voice=[1], data=[20], params=EAGER)
             protocol.reservations.grant(0, 0)
             outcome = run_single_frame(protocol, population)
-            assert outcome.grants is not None and len(outcome.grants), name
-            allocations = outcome.allocations
-            assert [a.terminal_id for a in allocations] == list(
-                outcome.grants.terminal_ids
-            )
-            assert sum(a.n_slots for a in allocations) == outcome.grants.total_slots
+            grants = outcome.grants
+            assert grants is not None and len(grants), name
+            assert len(grants.n_slots) == len(grants), name
+            assert len(grants.packet_capacities) == len(grants), name
+            assert len(grants.throughputs) == len(grants), name
+            assert all(n >= 1 for n in grants.n_slots), name
+            assert all(c >= 1 for c in grants.packet_capacities), name
+            assert all(t is None or t > 0 for t in grants.throughputs), name
+            assert outcome.n_allocated_slots == sum(grants.n_slots), name
 
 
 class TestDTDMAFR:
     def test_voice_request_served_and_reserved(self):
         protocol = build_protocol("dtdma_fr", params=EAGER)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert outcome.n_successful_requests == 1
-        assert len(outcome.allocations) == 1
+        assert len(outcome.winner_ids) == 1
+        assert len(outcome.grants) == 1
         assert protocol.reservations.has(0)
 
     def test_reserved_voice_served_without_contention(self):
@@ -102,15 +104,15 @@ class TestDTDMAFR:
         protocol.reservations.grant(0, 0)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
         assert outcome.contention_attempts == 0
-        assert len(outcome.allocations) == 1
+        assert len(outcome.grants) == 1
 
     def test_voice_served_before_data(self):
         protocol = build_protocol("dtdma_fr", params=EAGER)
         # more contenders than info slots: every info slot should go to voice
         population = make_population(voice=[1] * 10, data=[50] * 3, params=EAGER)
         outcome = run_single_frame(protocol, population)
-        allocated_voice = sum(a.terminal_id < 10 for a in outcome.allocations)
-        allocated_data = len(outcome.allocations) - allocated_voice
+        allocated_voice = sum(tid < 10 for tid in outcome.grants.terminal_ids)
+        allocated_data = len(outcome.grants) - allocated_voice
         assert allocated_voice >= allocated_data
 
     def test_never_allocates_more_than_info_slots(self):
@@ -136,8 +138,7 @@ class TestDTDMAFR:
         protocol = build_protocol("dtdma_fr", params=EAGER)
         population = make_population(data=[100], params=EAGER)
         outcome = run_single_frame(protocol, population, amplitude=3.0)
-        for allocation in outcome.allocations:
-            assert allocation.packet_capacity == allocation.n_slots
+        assert outcome.grants.packet_capacities == outcome.grants.n_slots
 
 
 class TestDTDMAVR:
@@ -145,15 +146,15 @@ class TestDTDMAVR:
         protocol = build_protocol("dtdma_vr", params=EAGER)
         population = make_population(data=[100], params=EAGER)
         outcome = run_single_frame(protocol, population, amplitude=3.0)
-        assert outcome.allocations
-        assert outcome.allocations[0].packet_capacity > outcome.allocations[0].n_slots
+        assert outcome.grants
+        assert outcome.grants.packet_capacities[0] > outcome.grants.n_slots[0]
 
     def test_allocates_regardless_of_deep_fade(self):
         """The VR baseline is channel-blind: a user in outage still gets slots."""
         protocol = build_protocol("dtdma_vr", params=EAGER)
         population = make_population(voice=[1], params=EAGER)
         outcome = run_single_frame(protocol, population, amplitude=1e-3)
-        assert len(outcome.allocations) == 1
+        assert len(outcome.grants) == 1
 
 
 class TestRAMA:
@@ -162,7 +163,7 @@ class TestRAMA:
         outcome = run_single_frame(
             protocol, make_population(data=[10] * 20, params=EAGER)
         )
-        assert outcome.n_successful_requests <= protocol.params.rama_auction_slots
+        assert len(outcome.winner_ids) <= protocol.params.rama_auction_slots
 
     def test_no_thrashing_with_many_contenders(self):
         """Unlike slotted contention, the auction keeps making progress."""
@@ -170,13 +171,13 @@ class TestRAMA:
         outcome = run_single_frame(
             protocol, make_population(voice=[1] * 40, params=EAGER)
         )
-        assert outcome.n_successful_requests >= 1
+        assert len(outcome.winner_ids) >= 1
 
     def test_voice_wins_over_data(self):
         protocol = build_protocol("rama", params=EAGER)
         population = make_population(voice=[1], data=[10] * 5, params=EAGER)
         outcome = run_single_frame(protocol, population)
-        assert outcome.acknowledgements[0].terminal_id == 0
+        assert outcome.winner_ids[0] == 0
 
     def test_tie_probability_properties(self):
         protocol = build_protocol("rama", params=EAGER)
@@ -193,21 +194,21 @@ class TestRMAV:
     def test_at_most_one_winner_per_frame(self):
         protocol = build_protocol("rmav", params=EAGER)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert outcome.n_successful_requests == 1
+        assert len(outcome.winner_ids) == 1
 
     def test_two_contenders_collide(self):
         protocol = build_protocol("rmav", params=EAGER)
         outcome = run_single_frame(
             protocol, make_population(voice=[1, 1], params=EAGER)
         )
-        assert outcome.n_successful_requests == 0
+        assert len(outcome.winner_ids) == 0
         assert outcome.contention_collisions == 1
 
     def test_data_grant_bounded_by_pmax(self):
         protocol = build_protocol("rmav", params=EAGER)
         outcome = run_single_frame(protocol, make_population(data=[500], params=EAGER))
-        assert outcome.allocations
-        assert outcome.allocations[0].n_slots <= protocol.params.rmav_pmax
+        assert outcome.grants
+        assert outcome.grants.n_slots[0] <= protocol.params.rmav_pmax
 
 
 class TestDRMA:
@@ -216,8 +217,8 @@ class TestDRMA:
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
         # the first slot was idle, got converted, the request succeeded and a
         # later slot carried the packet
-        assert outcome.n_successful_requests == 1
-        assert len(outcome.allocations) == 1
+        assert len(outcome.winner_ids) == 1
+        assert len(outcome.grants) == 1
         assert protocol.reservations.has(0)
 
     def test_full_frame_offers_no_contention(self):
@@ -230,12 +231,12 @@ class TestDRMA:
         population = make_population(voice=[1] * (n_slots + 1), params=EAGER)
         outcome = run_single_frame(protocol, population)
         assert outcome.contention_attempts == 0
-        assert outcome.n_successful_requests == 0
+        assert len(outcome.winner_ids) == 0
 
     def test_data_user_can_win_multiple_slots_by_recontending(self):
         protocol = build_protocol("drma", params=EAGER)
         outcome = run_single_frame(protocol, make_population(data=[500], params=EAGER))
-        assert len(outcome.allocations) >= 2
+        assert len(outcome.grants) >= 2
 
     def test_slot_budget_respected(self):
         protocol = build_protocol("drma", params=EAGER)
@@ -257,8 +258,8 @@ class TestFCFSOrder:
         population = make_population(voice=[1], data=[5], params=self.ONE_SLOT)
         protocol.request_queue.push(1, 0)  # data terminal 1, queued earlier
         outcome = run_single_frame(protocol, population, frame=2)
-        assert [a.terminal_id for a in outcome.acknowledgements] == [0]
-        assert [a.terminal_id for a in outcome.allocations] == [0]
+        assert outcome.winner_ids == [0]
+        assert outcome.grants.terminal_ids == [0]
         assert protocol.reservations.has(0)
         # The data request waits on, keeping its arrival frame.
         assert protocol.request_queue.rows.terminal_ids == [1]
@@ -271,8 +272,8 @@ class TestFCFSOrder:
         deadline = self.ONE_SLOT.voice_deadline_frames
         protocol.request_queue.push(0, 0, deadline_frame=deadline)
         outcome = run_single_frame(protocol, population, frame=2)
-        assert [a.terminal_id for a in outcome.acknowledgements] == [1]
-        assert [a.terminal_id for a in outcome.allocations] == [0]
+        assert outcome.winner_ids == [1]
+        assert outcome.grants.terminal_ids == [0]
         assert protocol.reservations.has(0) and not protocol.reservations.has(1)
         # The new winner is queued with this frame's arrival and its
         # head-of-line packet's deadline.

@@ -4,12 +4,7 @@ import numpy as np
 
 from repro.core.charisma import CharismaProtocol
 from repro.mac.registry import build_modem
-from repro.mac.requests import (
-    Allocation,
-    FrameOutcome,
-    GrantColumns,
-    RequestColumns,
-)
+from repro.mac.requests import FrameOutcome, GrantColumns, RequestColumns
 from tests.utils import PARAMS, make_population
 
 
@@ -83,37 +78,37 @@ class TestRequestColumns:
 
 
 class TestGrantColumns:
-    def test_materialises_validated_allocations(self):
+    def test_append_fills_aligned_columns(self):
         grants = GrantColumns()
         grants.append(2, 1, 4, 3.0)
         grants.append(5, 3, 3, None)
         assert len(grants) == 2
         assert grants.total_slots == 4
-        assert grants.to_allocations() == [
-            Allocation(terminal_id=2, n_slots=1, packet_capacity=4, throughput=3.0),
-            Allocation(terminal_id=5, n_slots=3, packet_capacity=3, throughput=None),
-        ]
+        assert grants == GrantColumns([2, 5], [1, 3], [4, 3], [3.0, None])
+        assert grants != GrantColumns([2, 5], [1, 3], [4, 3], [3.0, 1.0])
 
 
 class TestFrameOutcome:
-    def test_grant_columns_back_lazy_allocations(self):
+    def test_allocated_slots_read_the_grant_columns(self):
         outcome = FrameOutcome(4)
+        assert outcome.n_allocated_slots == 0
         grants = outcome.grants = GrantColumns()
         grants.append(1, 2, 2, None)
         assert outcome.n_allocated_slots == 2
-        assert outcome.allocations[0].terminal_id == 1
-        # materialisation is cached
-        assert outcome.allocations is outcome.allocations
 
-    def test_object_and_columnar_outcomes_compare_equal(self):
-        columnar = FrameOutcome(0)
-        columnar.grants = GrantColumns()
-        columnar.grants.append(3, 1, 1, None)
-        object_form = FrameOutcome(0)
-        object_form.allocations.append(
-            Allocation(terminal_id=3, n_slots=1, packet_capacity=1)
-        )
-        assert columnar == object_form
+    def test_outcomes_compare_grants_and_winners(self):
+        a, b = FrameOutcome(0), FrameOutcome(0)
+        a.grants = GrantColumns()
+        assert a == b  # no grants yet equals empty grant columns
+        for outcome in (a, b):
+            outcome.grants = GrantColumns([3], [1], [1], [None])
+            outcome.winner_ids = [3]
+        assert a == b
+        b.grants.append(4, 1, 1, None)
+        assert a != b
+        b.grants = GrantColumns([3], [1], [1], [None])
+        b.winner_ids = [4]
+        assert a != b
 
     def test_counters_default_and_compare(self):
         a, b = FrameOutcome(1), FrameOutcome(1)

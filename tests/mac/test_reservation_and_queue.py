@@ -8,7 +8,7 @@ import pytest
 
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import RequestQueue
-from repro.mac.requests import Allocation, FrameOutcome
+from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.mac.reservation import ReservationTable
 from tests.utils import make_population
 
@@ -139,20 +139,14 @@ class TestRequestQueue:
 
 
 class TestRequestRecords:
-    def test_allocation_validation(self):
-        with pytest.raises(ValueError):
-            Allocation(terminal_id=0, n_slots=0, packet_capacity=1)
-        with pytest.raises(ValueError):
-            Allocation(terminal_id=0, n_slots=1, packet_capacity=0)
-        with pytest.raises(ValueError):
-            Allocation(terminal_id=0, n_slots=1, packet_capacity=1, throughput=0.0)
-
     def test_frame_outcome_aggregates(self):
         outcome = FrameOutcome(frame_index=0)
-        outcome.allocations.append(Allocation(terminal_id=0, n_slots=2, packet_capacity=4))
-        outcome.allocations.append(Allocation(terminal_id=1, n_slots=1, packet_capacity=1))
+        assert outcome.n_allocated_slots == 0
+        outcome.grants = GrantColumns()
+        outcome.grants.append(0, 2, 4)
+        outcome.grants.append(1, 1, 1)
         assert outcome.n_allocated_slots == 3
-        assert outcome.n_successful_requests == 0
+        assert outcome.winner_ids == []
 
 
 class TestFrameStructure:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulationParameters
-from repro.mac.requests import Allocation, FrameOutcome
+from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.data import DataMetrics
 from repro.metrics.stats import RunningStatistics, batch_means_confidence_interval
@@ -136,9 +136,7 @@ class TestBatchMeans:
 class TestMetricsCollector:
     def _outcome(self, slots=2, queued=1):
         outcome = FrameOutcome(frame_index=0)
-        outcome.allocations.append(
-            Allocation(terminal_id=0, n_slots=slots, packet_capacity=slots)
-        )
+        outcome.grants = GrantColumns([0], [slots], [slots], [None])
         outcome.contention_attempts = 3
         outcome.contention_collisions = 1
         outcome.idle_request_slots = 2

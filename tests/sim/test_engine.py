@@ -55,7 +55,7 @@ class TestEngineBasics:
 
 class TestStepPaths:
     def test_frames_emit_grant_columns(self):
-        """The engine's frames carry grant columns, not allocation objects."""
+        """The engine's frames carry aligned, valid grant columns."""
         engine = UplinkSimulationEngine(
             scenario(protocol="dtdma_vr", n_voice=12, n_data=4,
                      duration_s=0.5, warmup_s=0.1, seed=2),
@@ -64,16 +64,16 @@ class TestStepPaths:
         saw_grants = False
         for _ in range(120):
             outcome = engine.step()
-            if outcome.grants is not None and len(outcome.grants):
+            grants = outcome.grants
+            if grants is not None and len(grants):
                 saw_grants = True
-                # Materialisation is consistent with the columns.
-                allocations = outcome.allocations
-                assert [a.terminal_id for a in allocations] == list(
-                    outcome.grants.terminal_ids
-                )
-                assert sum(a.n_slots for a in allocations) == (
-                    outcome.grants.total_slots
-                )
+                assert len(grants.n_slots) == len(grants)
+                assert len(grants.packet_capacities) == len(grants)
+                assert len(grants.throughputs) == len(grants)
+                assert all(n >= 1 for n in grants.n_slots)
+                assert all(c >= 1 for c in grants.packet_capacities)
+                assert all(t is None or t > 0 for t in grants.throughputs)
+                assert outcome.n_allocated_slots == grants.total_slots
         assert saw_grants
 
     def test_timed_step_mirrors_untimed_step(self):

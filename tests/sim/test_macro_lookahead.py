@@ -4,16 +4,16 @@ The parity suite (``test_macro_parity.py``) asserts whole-run
 bit-identity across block sizes; this module pins the specific events that
 truncate or re-align a lookahead block — a contention success mid-block, a
 reservation expiring at a block boundary, CHARISMA's per-frame CSI draws —
-plus the roll-back/replay pool and the compiled-kernel seam themselves.
+plus the roll-back/replay pool and the accel kernels themselves.
 """
 
 import numpy as np
 import pytest
 
 from repro.accel import (
-    HAS_NUMBA,
     deadline_scan,
     next_expiry_bound,
+    voice_flush_resolve,
     voice_generation_offsets,
 )
 from repro.config import SimulationParameters
@@ -341,12 +341,50 @@ class TestAccelKernels:
             got = sorted(zip(offsets.tolist(), rows.tolist()), key=lambda t: (t[1], t[0]))
             assert got == sorted(expected, key=lambda t: (t[1], t[0]))
 
-    def test_numba_is_optional(self):
-        # The container ships without numba; the fallback must be active
-        # and the flag accurate either way.
-        import repro.accel.kernels as kernels
+    def test_voice_flush_resolve_matches_row_loop(self):
+        # Reference: one row at a time, the first `delivered` of a row's
+        # popped packets were received, the rest errored, and the
+        # `pre_window` FIFO prefix counts towards neither.
+        rng = np.random.default_rng(2)
+        cases = set()
+        for _ in range(60):
+            n = int(rng.integers(0, 25))
+            n_ids = int(rng.integers(1, 8))
+            size = n_ids + int(rng.integers(0, 3))
+            terminal_ids = rng.integers(0, n_ids, size=n)
+            counts = rng.integers(0, 5, size=n)
+            pre_window = rng.integers(0, counts + 1)
+            delivered = rng.integers(0, counts + 1)
 
-        assert kernels.HAS_NUMBA == (kernels.numba is not None)
+            delivered_totals = [0] * size
+            errored_totals = [0] * size
+            errored = []
+            for tid, count, pre, got in zip(
+                terminal_ids.tolist(), counts.tolist(),
+                pre_window.tolist(), delivered.tolist(),
+            ):
+                floor = got if got > pre else pre
+                delivered_totals[tid] += got - pre if got > pre else 0
+                errored_totals[tid] += count - floor
+                errored.append(count - floor)
+                cases.add((int(np.sign(got - pre)), count == floor))
+
+            got_delivered, got_errored, got_rows, got_errors = (
+                voice_flush_resolve(
+                    terminal_ids, counts, pre_window, delivered, size
+                )
+            )
+            assert got_delivered.tolist() == delivered_totals
+            assert got_errored.tolist() == errored_totals
+            assert got_rows.tolist() == [
+                row for row, err in enumerate(errored) if err
+            ]
+            assert got_errors.tolist() == errored
+        # delivered below, at and above pre_window, each with and without
+        # an errored packet.
+        assert cases == {
+            (sign, clean) for sign in (-1, 0, 1) for clean in (False, True)
+        }
 
 
 class TestDispatchCounter:
