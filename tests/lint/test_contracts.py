@@ -59,3 +59,26 @@ def test_registry_covers_the_shipped_accel_kernels():
 
     funcs = [info.func for info in registered_kernels()]
     assert deadline_scan in funcs
+
+
+def test_shared_frame_bodies_are_per_frame_kernels():
+    # Every frame path calls these bodies once per frame (or per slot), so
+    # they are marked scalar: the dispatch counter must not count them.
+    from repro.core.allocator import CSIRankedAllocator
+    from repro.lint.contracts import is_batch_kernel
+    from repro.mac.base import MACProtocol
+    from repro.mac.drma import DRMAProtocol
+    from repro.mac.rama import RAMAProtocol
+    from repro.mac.request_queue import RequestQueue
+    from repro.sim.macro import MacroRunner
+
+    for body in (
+        MACProtocol.serve_fcfs,
+        DRMAProtocol.serve_slots,
+        CSIRankedAllocator.allocate,
+        RAMAProtocol.run_auction,
+        RequestQueue.prune,
+        MacroRunner._contend_converted_slot,
+    ):
+        assert is_kernel(body), body.__qualname__
+        assert not is_batch_kernel(body), body.__qualname__

@@ -73,6 +73,32 @@ class TestSharedBaseBehaviour:
         per_slot, throughput = adaptive.slot_capacity(1e-4)
         assert per_slot == 1 and throughput == 0.5
 
+    def test_winners_are_eligible_contenders(self):
+        """Only backlogged, unreserved talkers and backlogged data
+        terminals can win the request phase."""
+        # Everyone transmitting in every minislot would always collide.
+        params = PARAMS.with_overrides(
+            voice_permission_probability=0.3, data_permission_probability=0.3
+        )
+        for name in available_protocols():
+            won = set()
+            for seed in range(8):
+                protocol = build_protocol(name, params=params, seed=seed)
+                # talkers 0 and 1, silent voice 2, reserved talker 3; data
+                # 4 and 6 backlogged, data 5 empty
+                population = make_population(
+                    voice=[1, 1, 0, 2], data=[5, 0, 3],
+                    talking=[True, True, False, True], params=params,
+                    seed=seed,
+                )
+                protocol.reservations.grant(3, 0)
+                outcome = run_single_frame(protocol, population)
+                winners = outcome.winner_ids
+                assert set(winners) <= {0, 1, 4, 6}, name
+                assert len(winners) <= outcome.contention_attempts, name
+                won.update(winners)
+            assert won, name
+
     def test_frames_emit_grant_columns(self):
         """Every protocol emits its grants as aligned, valid columns."""
         for name in available_protocols():
@@ -178,6 +204,25 @@ class TestRAMA:
         population = make_population(voice=[1], data=[10] * 5, params=EAGER)
         outcome = run_single_frame(protocol, population)
         assert outcome.winner_ids[0] == 0
+
+    def test_run_auction_accounts_every_slot(self):
+        protocol = build_protocol("rama", params=EAGER)
+        n_slots = protocol.params.rama_auction_slots
+        candidates = [0, 1, 2, 5, 6, 7, 8, 9]  # ids below 3 are voice
+        result = protocol.run_auction(candidates, 3)
+        assert candidates == [0, 1, 2, 5, 6, 7, 8, 9]
+        winners = result.winner_ids
+        assert len(set(winners)) == len(winners)
+        assert set(winners) <= set(candidates)
+        assert len(winners) + result.collisions + result.idle_slots == n_slots
+        # Voice bids beat data bids until every voice contender has won.
+        is_voice = [tid < 3 for tid in winners]
+        assert is_voice == sorted(is_voice, reverse=True)
+        # No contenders: every slot is idle and the stream is not drawn.
+        state = protocol.rng.bit_generator.state
+        idle = protocol.run_auction([], 3)
+        assert idle.winner_ids == [] and idle.idle_slots == n_slots
+        assert protocol.rng.bit_generator.state == state
 
     def test_tie_probability_properties(self):
         protocol = build_protocol("rama", params=EAGER)

@@ -81,6 +81,25 @@ class TestJsonLinesRoundTrip:
         assert summary.by_name("outer").count == 1
         assert "phase.mac" in format_summary(summary)
 
+    def test_header_extra_fields_load_and_do_not_render(self, tmp_path):
+        # Older traces carried an ``accel`` provenance field; the loader
+        # checks only the record type and the schema version.
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join(json.dumps(record) for record in (
+            {"record": "header", "schema_version": TRACE_SCHEMA_VERSION,
+             "command": "run", "accel": {"deadline_scan": "numpy"}},
+            {"record": "span", "name": "phase.mac", "id": 1,
+             "parent": None, "duration_s": 0.5},
+        )) + "\n", encoding="utf-8")
+        header, records = load_trace(path)
+        assert header["accel"] == {"deadline_scan": "numpy"}
+        assert [r["name"] for r in records] == ["phase.mac"]
+        summary = summarize_trace(path)
+        assert summary.phase_seconds() == {"mac": 0.5}
+        text = format_summary(summary)
+        assert "phase.mac" in text
+        assert "accel" not in text and "deadline_scan" not in text
+
     def test_write_after_close_raises(self, tmp_path):
         sink = JsonLinesTraceSink(tmp_path / "t.jsonl")
         sink.write({"record": "header"})

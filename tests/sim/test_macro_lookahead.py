@@ -386,6 +386,35 @@ class TestAccelKernels:
             (sign, clean) for sign in (-1, 0, 1) for clean in (False, True)
         }
 
+    def test_resolve_voice_outcomes_adds_to_population_counters(self):
+        from tests.utils import make_population
+
+        population = make_population(voice=[0] * 6, data=[0, 0])
+        population.voice_delivered[:] = [3, 0, 1, 0, 2, 0, 0, 0]
+        population.voice_errored[:] = [0, 1, 0, 0, 0, 2, 0, 0]
+        delivered_before = population.voice_delivered.tolist()
+        errored_before = population.voice_errored.tolist()
+        loss_before = population.voice_loss_total
+        # Terminal 1 transmits in three frames; terminal 4 never does.
+        terminal_ids = np.array([1, 0, 1, 5, 2, 1], dtype=np.int64)
+        counts = np.array([3, 2, 1, 4, 2, 2], dtype=np.int64)
+        pre_window = np.array([1, 0, 0, 2, 2, 0], dtype=np.int64)
+        delivered = np.array([2, 2, 0, 1, 2, 1], dtype=np.int64)
+
+        rows, errors = population.resolve_voice_outcomes(
+            terminal_ids, counts, pre_window, delivered
+        )
+
+        assert rows.tolist() == [0, 2, 3, 5]
+        assert errors.tolist() == [1, 0, 1, 2, 0, 1]
+        assert (population.voice_delivered - delivered_before).tolist() == [
+            2, 2, 0, 0, 0, 0, 0, 0,
+        ]
+        assert (population.voice_errored - errored_before).tolist() == [
+            0, 3, 0, 0, 0, 2, 0, 0,
+        ]
+        assert population.voice_loss_total == loss_before + 5
+
 
 class TestDispatchCounter:
     def test_counts_per_phase_and_floor_drops_under_macro(self):

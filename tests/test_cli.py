@@ -95,6 +95,37 @@ class TestCommands:
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "removed 1" in capsys.readouterr().out
 
+    def test_run_with_trace_records_the_command(self, capsys, tmp_path):
+        from repro.obs.summary import load_trace
+
+        path = tmp_path / "run.jsonl"
+        assert main(["run", "--n-voice", "2", "--n-data", "1",
+                     "--duration", "0.4", "--warmup", "0.2",
+                     "--trace", str(path)]) == 0
+        assert f"trace written to {path}" in capsys.readouterr().out
+        header, records = load_trace(path)
+        assert header["command"] == "run"
+        assert "accel" not in header
+        assert any(r.get("name") == "point.run" for r in records)
+
+    def test_obs_summarize_digests_a_run_trace(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "run.jsonl"
+        assert main(["run", "--n-voice", "2", "--n-data", "1",
+                     "--duration", "0.4", "--warmup", "0.2",
+                     "--trace", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "point.run" in out and "accel:" not in out
+        assert main(["obs", "summarize", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["header"]["command"] == "run"
+        assert payload["n_spans"] > 0
+        assert main(["obs", "summarize", str(tmp_path / "missing.jsonl")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_cache_requires_dir(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "stats"])
