@@ -257,10 +257,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser,
                              "paper-scale sweeps)")
     parser.add_argument("--macro-frames", type=int, default=1,
                         dest="macro_frames", metavar="K",
-                        help="macro-step the columnar frame loop in blocks "
-                             "of K frames (fused multi-frame kernels with "
-                             "reservation lookahead; bit-identical to K=1 "
-                             "in parity mode; try 16 or 64)")
+                        help="step the frame loop in blocks of K frames "
+                             "(the predictable work fused per block; "
+                             "bit-identical to K=1 in either RNG mode; "
+                             "try 16 or 64)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="serve finished runs from (and persist new runs "
                              "to) the result store in DIR")

@@ -120,10 +120,10 @@ class CSIRankedAllocator:
     ) -> Tuple[List[int], List[int], List[int]]:
         """Walk the ranked request rows and grant the frame's slots.
 
-        The one implementation of CHARISMA's allocation walk, run by
-        ``CharismaProtocol.run_frame_batch`` and by the macro runner's
-        inline frame.  ``order`` lists row indices, best first; the other
-        sequences are per-row columns (``deadline_frames`` ``-1`` = none,
+        CHARISMA's allocation walk, run by
+        :meth:`~repro.core.charisma.CharismaProtocol.run_frame`.
+        ``order`` lists row indices, best first; the other sequences are
+        per-row columns (``deadline_frames`` ``-1`` = none,
         ``packets``/``throughputs`` from :meth:`mode_columns`), except
         ``occupancy``, which maps terminal id to buffered packets.  A row
         is voice when its terminal id is below ``n_voice``; the first

@@ -30,7 +30,7 @@ Frame procedure (uplink, Fig. 4a / Section 4.3)
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,11 +39,12 @@ from repro.config import SimulationParameters
 from repro.core.allocator import CSIRankedAllocator
 from repro.core.csi_polling import CSIPoller
 from repro.core.priority import PriorityCalculator
-from repro.mac.base import MACProtocol, traced_batch
-from repro.mac.contention import run_contention_ids
+from repro.lint.contracts import kernel
+from repro.mac.base import MACProtocol
+from repro.mac.contention import IndexContentionResult
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import QueuedRequests
-from repro.mac.requests import FrameOutcome, GrantColumns, RequestColumns
+from repro.mac.requests import GrantColumns, RequestColumns
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.csi import CSIEstimator
 
@@ -58,12 +59,6 @@ class CharismaProtocol(MACProtocol):
     uses_adaptive_phy = True
     uses_csi_scheduling = True
     supports_request_queue = True
-    #: Every CHARISMA frame draws CSI noise and ranks its pending pool, so
-    #: the macro runner cannot use the generic holder-serve frame; when the
-    #: instance supports lookahead (fast mode + dedicated CSI stream, see
-    #: ``__init__``) it dispatches to the runner's inline CSI-scheduled
-    #: frame with block-pooled estimation noise instead.
-    macro_contention_style = "csi_schedule"
 
     def __init__(
         self,
@@ -88,11 +83,9 @@ class CharismaProtocol(MACProtocol):
             contention_rng=contention_rng,
         )
         # Fast mode draws estimation noise from a dedicated child stream
-        # (``csi_rng``) so the macro engine can prefetch a whole block of
-        # standard normals and roll unconsumed draws back without touching
-        # the shared MAC stream.  Parity mode keeps the shared ``rng`` —
-        # the parity draw order — and therefore falls back to the per-frame
-        # kernel inside macro blocks (bit-identity).
+        # (``csi_rng``), which the macro runner pools a block of standard
+        # normals from.  Parity mode keeps the shared ``rng`` and its
+        # per-frame draw order (winners, then holders, then polls).
         use_csi_stream = self.rng_fast and csi_rng is not None
         self.csi_estimator = csi_estimator or CSIEstimator(
             n_pilot_symbols=params.pilot_symbols_per_request,
@@ -100,13 +93,28 @@ class CharismaProtocol(MACProtocol):
             validity_frames=params.csi_validity_frames,
             rng=csi_rng if use_csi_stream else rng,
         )
-        self.supports_macro_lookahead = bool(
-            csi_estimator is None and use_csi_stream
-        )
         self.priority_calculator = PriorityCalculator(params.priority, modem)
         self.allocator = CSIRankedAllocator(modem, params.n_info_slots)
         self.enable_csi_polling = bool(enable_csi_polling)
         self.csi_poller = CSIPoller(self.csi_estimator, params.n_pilot_slots)
+        # Constants the frame's inline mode lookup and priority metric fold
+        # over (see :meth:`run_frame`).
+        table = modem.mode_table
+        self._thresholds_db = table.thresholds_db
+        self._throughput_by_row = table.throughput_by_mode_index
+        self._packets_by_row = table.packets_by_mode_index
+        weights = self.priority_calculator.weights
+        self._deadline_frames = int(params.voice_deadline_frames)
+        # pow(beta, h) over the reachable integer horizons, premultiplied
+        # by the urgency weight — element-for-element the floats
+        # ``priorities_columns`` computes, looked up instead of
+        # re-exponentiated every frame.
+        self._urgency_lut = weights.urgency_weight_voice * np.power(
+            weights.beta_voice,
+            np.arange(self._deadline_frames + 1, dtype=float),
+        )
+        self._alpha = (weights.alpha_voice, weights.alpha_data)
+        self._voice_offset = weights.voice_offset
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:
@@ -119,98 +127,134 @@ class CharismaProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    @traced_batch
-    def run_frame_batch(
+    @kernel
+    def run_frame(
         self,
         frame_index: int,
         population,
         snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
+        holders: List[int],
+        candidate_ids: List[int],
+        candidate_probabilities: List[float],
+        backlog: Optional[QueuedRequests],
+        occupancy,
+        draws,
+    ) -> Tuple[IndexContentionResult, GrantColumns, List[int]]:
         """Gather every request of the frame, then rank and allocate.
 
-        Contention resolves over id arrays, CSI estimation returns amplitude
-        columns, the priority metric and the mode lookup evaluate over the
-        pooled :class:`RequestColumns`, and
+        The request phase is slotted contention over the ``N_r`` request
+        minislots (:meth:`~repro.mac.base.MACProtocol.request_phase`).  The
+        winners' requests and the holders' auto-generated ones carry CSI
+        estimates from ``draws.estimate``: in fast RNG mode one draw over
+        holders then winners, on normals the block pools from the
+        estimator's stream; in parity mode the estimator's own calls,
+        winners then holders.  Polling refreshes the backlog's stale
+        estimates after them (:meth:`backlog_columns`).  The mode lookup
+        and the priority metric then rank the pool and
         :meth:`~repro.core.allocator.CSIRankedAllocator.allocate` walks the
-        ranking; no Python object is built per request.
+        ranking; unserved and deferred requests go back to the queue.  The
+        arguments and the returned triple are
+        :meth:`~repro.mac.base.MACProtocol.run_frame`'s.
         """
-        self.reservations.release_ended_population(population)
-        queue = self.request_queue
-        if queue is not None:
-            queue.prune(frame_index, population.occupancy)
-        outcome = FrameOutcome(frame_index)
-
-        # ----------------------------------------------------- request phase
-        ids, probabilities = self.contention_candidate_ids(population)
-        contention = run_contention_ids(
-            ids,
-            probabilities,
-            self.frame_structure.request_minislots,
-            self.contention_rng,
-            fast=self.rng_fast,
+        request = self.request_phase(
+            candidate_ids, candidate_probabilities, population.n_voice
         )
-        outcome.contention_attempts = contention.attempts
-        outcome.contention_collisions = contention.collisions
-        outcome.idle_request_slots = contention.idle_slots
+        winner_ids = request.winner_ids
+        grants = GrantColumns()
+        n_reserved = len(holders)
+        all_ids = holders + winner_ids if winner_ids else holders
+        if not all_ids and backlog is None:
+            return request, grants, []
 
-        outcome.winner_ids = contention.winner_ids
-        winner_ids = np.asarray(contention.winner_ids, dtype=np.int64)
-
-        # CSI estimation: the winners' pilot symbols plus the auto-polled
-        # reservation holders (their ongoing per-period transmissions double
-        # as pilots).  Parity mode draws for the winners, then for the
-        # holders; fast mode folds both groups into one batched draw.
-        reserved = self.reservations.reserved_ids(population)
+        estimate = draws.estimate
         if self.rng_fast:
-            estimates = self.csi_estimator.estimate_amplitudes(
-                snapshot.gather(np.concatenate([reserved, winner_ids])),
-                frame_index,
-            )
+            estimates = estimate(snapshot.gather(all_ids), frame_index)
         else:
-            winner_estimates = self.csi_estimator.estimate_amplitudes(
-                snapshot.gather(winner_ids), frame_index
-            )
-            reserved_estimates = self.csi_estimator.estimate_amplitudes(
-                snapshot.gather(reserved), frame_index
-            )
-            estimates = np.concatenate([reserved_estimates, winner_estimates])
-        pending = self._pending_columns(
-            population, reserved, winner_ids, estimates, frame_index
-        )
-        # Backlog from previous frames (with-queue variant only).
-        if queue is not None and len(queue):
-            pending = RequestColumns.concatenate([
-                pending,
-                self.backlog_columns(
-                    queue.pop_all(), population, snapshot, frame_index
-                ),
+            winner_estimates = estimate(snapshot.gather(winner_ids), frame_index)
+            estimates = np.concatenate([
+                estimate(snapshot.gather(holders), frame_index),
+                winner_estimates,
             ])
 
-        # -------------------------------------------------- allocation phase
-        packets, throughput, channel = self.allocator.mode_columns(
-            pending.csi_amplitudes
+        # Mode lookup, inline: ``searchsorted(thresholds) - 1`` is the mode
+        # index and the capacity LUTs are addressed at ``index + 1``, so the
+        # raw searchsorted count is itself the LUT row.  Estimates of 0.0
+        # (clamped noise) log to -inf and land on the outage row.
+        with np.errstate(divide="ignore"):
+            snr_db = self.modem.mean_snr_db + 20.0 * np.log10(estimates)
+        rows = np.searchsorted(self._thresholds_db, snr_db, side="right")
+        throughput = self._throughput_by_row[rows]
+        packets = self._packets_by_row[rows]
+
+        # Priority metric, inline over the same gathers: every row arrived
+        # this frame, so the data urgency term is exactly 0 and the voice
+        # horizon is the head-of-line packet's frames-to-deadline — an
+        # integer in [0, deadline], served from the pow() LUT.  The
+        # term-by-term composition (weighted + urgency + offset) matches
+        # ``priorities_columns`` float for float.
+        tid_arr = np.asarray(all_ids, dtype=np.int64)
+        voice = tid_arr < population.n_voice
+        horizon = np.maximum(
+            0,
+            population.head_created[tid_arr]
+            + (self._deadline_frames - frame_index),
         )
-        values = self.priority_calculator.priorities_columns(
-            pending, frame_index, channel=channel
-        )
-        n_reserved = reserved.shape[0]
-        outcome.grants = GrantColumns()
+        urgency = np.where(voice, self._urgency_lut[horizon], 0.0)
+        alpha_voice, alpha_data = self._alpha
+        if alpha_voice == alpha_data:
+            weighted = alpha_voice * throughput
+        else:
+            weighted = np.where(voice, alpha_voice, alpha_data) * throughput
+        values = weighted + urgency + np.where(voice, self._voice_offset, 0.0)
+        deadlines = np.where(voice, horizon + frame_index, -1)
+
+        queued = None
+        if backlog is not None:
+            # Queued rows have waited, so their data urgency is not 0: they
+            # rank by the full priority metric.
+            queued = self.backlog_columns(
+                backlog, population, snapshot, frame_index, estimate=estimate
+            )
+            queued_packets, queued_throughput, channel = (
+                self.allocator.mode_columns(queued.csi_amplitudes)
+            )
+            values = np.concatenate([
+                values,
+                self.priority_calculator.priorities_columns(
+                    queued, frame_index, channel=channel
+                ),
+            ])
+            all_ids = all_ids + queued.terminal_ids.tolist()
+            deadlines = np.concatenate([deadlines, queued.deadline_frames])
+            packets = np.concatenate([packets, queued_packets])
+            throughput = np.concatenate([throughput, queued_throughput])
+
         new_voice, unserved, deferred = self.allocator.allocate(
             np.argsort(-values, kind="stable").tolist(),
-            pending.terminal_ids.tolist(),
-            pending.deadline_frames.tolist(),
+            all_ids,
+            deadlines.tolist(),
             packets.tolist(),
             throughput.tolist(),
-            population.occupancy,
+            occupancy,
             population.n_voice,
             n_reserved,
             frame_index,
-            outcome.grants,
+            grants,
         )
-        self.reservations.grant_many(new_voice, frame_index)
-        self.requeue_rows(pending, n_reserved, unserved + deferred)
-        outcome.queued_requests = self.queued_count()
-        return outcome
+        # The frame's request columns are built only to re-queue: the
+        # common all-served frame never needs them.
+        if (unserved or deferred) and self.request_queue is not None:
+            pending = self._pending_columns(
+                population,
+                np.asarray(holders, dtype=np.int64),
+                np.asarray(winner_ids, dtype=np.int64),
+                estimates,
+                frame_index,
+            )
+            if queued is not None:
+                pending = RequestColumns.concatenate([pending, queued])
+            self.requeue_rows(pending, n_reserved, unserved + deferred)
+        return request, grants, new_voice
 
     def backlog_columns(
         self,

@@ -81,7 +81,8 @@ class CSIPoller:
         from one batched estimator call, in short-list order.  ``estimate``
         replaces that call (the estimator's
         :meth:`~repro.phy.csi.CSIEstimator.estimate_amplitudes` by
-        default); the macro runner passes its pooled twin.  Returns the
+        default); in fast RNG mode the frame passes the macro runner's
+        pooled twin.  Returns the
         number of rows refreshed.
         """
         if stale is None:

@@ -8,13 +8,15 @@ five state-of-the-art protocols the paper compares CHARISMA against
 lives in :mod:`repro.core` but registers through the same
 :mod:`repro.mac.registry`.
 
-Every protocol implements one frame kernel, ``run_frame_batch``, operating
-directly on :class:`~repro.traffic.population.TerminalPopulation` columns
-(id-array contention via :func:`run_contention_ids`, a columnar request
-queue, grant emission via :class:`~repro.mac.requests.GrantColumns`).  Its
-allocation phase is one list-level function per protocol, which the macro
-runner's inline frames call too.  The golden baselines in ``tests/golden``
-pin every protocol's exact results.
+Every protocol owns one frame method,
+:meth:`~repro.mac.base.MACProtocol.run_frame`, which the engine's one frame
+loop (:class:`~repro.sim.macro.MacroRunner`) calls once per frame with the
+frame's reservation holders, contention candidates and request backlog.  It
+runs the request phase (id-array contention via :func:`run_contention_ids`,
+or RAMA's auction) and the allocation phase (one list-level function per
+protocol), and returns its grants as
+:class:`~repro.mac.requests.GrantColumns`.  The golden baselines in
+``tests/golden`` pin every protocol's exact results.
 """
 
 from repro.mac.base import MACProtocol
@@ -31,7 +33,7 @@ from repro.mac.registry import (
     protocol_class,
 )
 from repro.mac.request_queue import RequestQueue
-from repro.mac.requests import FrameOutcome, GrantColumns, RequestColumns
+from repro.mac.requests import GrantColumns, RequestColumns
 from repro.mac.reservation import ReservationTable
 from repro.mac.rmav import RMAVProtocol
 
@@ -39,7 +41,6 @@ __all__ = [
     "DRMAProtocol",
     "DTDMAFRProtocol",
     "DTDMAVRProtocol",
-    "FrameOutcome",
     "FrameStructure",
     "GrantColumns",
     "IndexContentionResult",

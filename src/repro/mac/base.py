@@ -1,27 +1,32 @@
 """Abstract base class and shared machinery for uplink MAC protocols.
 
 Every protocol in the study — the five baselines and CHARISMA — is a
-:class:`MACProtocol`.  The simulation engine drives it with one call per
-2.5 ms TDMA frame::
+:class:`MACProtocol`.  The macro runner (:class:`~repro.sim.macro.MacroRunner`,
+the engine's one frame loop) drives it with one call per 2.5 ms TDMA
+frame::
 
-    outcome = protocol.run_frame_batch(frame_index, population, channel_snapshot)
+    request, grants, new_voice = protocol.run_frame(
+        frame_index, population, snapshot, holders,
+        candidate_ids, candidate_probabilities, backlog, occupancy, draws,
+    )
 
-where ``population`` is the cell's
-:class:`~repro.traffic.population.TerminalPopulation`.  The protocol reads
-the population arrays, reads the channel of only the terminals it serves
-through the snapshot's ``read``/``gather`` methods, and emits the frame's
-grants as
-:class:`~repro.mac.requests.GrantColumns` on the returned
-:class:`~repro.mac.requests.FrameOutcome`; the engine then transmits them
-through the PHY error model.  The base class provides the machinery all
-protocols share:
+The runner hands over the frame's live reservation holders, its contention
+candidates (kept as an incremental mirror) and the popped request backlog;
+the protocol runs its request and allocation phases, reads the channel of only
+the terminals it serves through the snapshot's ``read``/``gather`` methods,
+re-queues what it leaves unserved, and returns the request statistics, the
+grants as :class:`~repro.mac.requests.GrantColumns` and the newly served
+voice terminals.  The runner then takes the reservations, transmits the
+grants through the PHY error model and records the frame.  The base class
+provides the machinery all protocols share:
 
 * permission-probability gated contention candidates (as id arrays),
 * the voice reservation table ("a slot every 20 ms until the talkspurt
   ends"),
 * the optional base-station request queue,
-* FCFS service (:meth:`MACProtocol.serve_fcfs`), the allocation phase of
-  RMAV, both D-TDMA variants and RAMA,
+* the frame method of RMAV, both D-TDMA variants and RAMA: a request phase
+  (:meth:`MACProtocol.request_phase`) followed by FCFS service
+  (:meth:`MACProtocol.serve_fcfs`),
 * translation of a channel state into an information-slot packet capacity
   via the protocol's modem (adaptive or fixed-rate).
 """
@@ -29,7 +34,6 @@ protocols share:
 from __future__ import annotations
 
 import abc
-import functools
 from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,38 +41,18 @@ import numpy as np
 from repro.channel.manager import ChannelSnapshot
 from repro.config import SimulationParameters
 from repro.lint.contracts import kernel
-from repro.obs import trace as _obs_trace
+from repro.mac.contention import IndexContentionResult, run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import QueuedRequests, RequestQueue
-from repro.mac.requests import FrameOutcome, GrantColumns
+from repro.mac.requests import GrantColumns
 from repro.mac.reservation import ReservationTable
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.fixed import FixedRateModem
 from repro.traffic.permission import PermissionPolicy
 
-__all__ = ["MACProtocol", "Modem", "traced_batch"]
+__all__ = ["MACProtocol", "Modem"]
 
 Modem = Union[AdaptiveModem, FixedRateModem]
-
-
-def traced_batch(run_frame_batch):
-    """Wrap a ``run_frame_batch`` entry in a ``mac.<name>.batch`` span.
-
-    Applied to every shipped protocol's kernel, so a trace attributes each
-    frame's MAC phase to the protocol that ran it (nested under the
-    engine's ``phase.mac`` span).  Costs one module attribute check per
-    frame when no tracer is installed.
-    """
-
-    @functools.wraps(run_frame_batch)
-    def traced(self, frame_index, population, snapshot):
-        tracer = _obs_trace.TRACER
-        if tracer is None:
-            return run_frame_batch(self, frame_index, population, snapshot)
-        with tracer.span(f"mac.{self.name}.batch", frame=frame_index):
-            return run_frame_batch(self, frame_index, population, snapshot)
-
-    return traced
 
 
 def snapshot_snr_compatible(modem, params: SimulationParameters) -> bool:
@@ -123,29 +107,6 @@ class MACProtocol(abc.ABC):
     uses_csi_scheduling: ClassVar[bool] = False
     #: Whether the optional base-station request queue is meaningful.
     supports_request_queue: ClassVar[bool] = True
-    #: Whether the macro-stepped engine may execute this protocol's frames
-    #: inline (reservation lookahead), with or without a request backlog.
-    #: Requires that a frame draws randomness only through streams the
-    #: macro engine can pool or replay exactly — contention draws, or
-    #: (CHARISMA, fast mode only) CSI estimation and polling noise from a
-    #: dedicated child stream.
-    #: Usually a class attribute; protocols whose eligibility depends on
-    #: construction (CHARISMA needs ``rng_mode="fast"`` plus an injected
-    #: CSI stream) override it per instance, which is why it is a plain
-    #: ``bool`` rather than a ``ClassVar``.
-    supports_macro_lookahead: bool = False
-    #: How the macro runner executes a frame when the protocol has no
-    #: fixed request subframe (``macro_minislots() is None``):
-    #: ``"auction"`` keeps the FCFS frame (:meth:`serve_fcfs`) with RAMA's
-    #: ``run_auction`` as its request phase, ``"slot_loop"`` runs DRMA's
-    #: interleaved serve/convert slot loop with pool-fed minislot draws
-    #: (winners re-enter the same frame's pending pool), and ``None`` falls
-    #: back to the per-frame kernel.  ``"csi_schedule"`` (CHARISMA) has its
-    #: own inline frame: every frame draws CSI noise and ranks its pending
-    #: pool, so the runner runs contention, pooled estimation noise, mode
-    #: lookup, priority ranking and the ranked allocation walk instead of
-    #: FCFS service.
-    macro_contention_style: ClassVar[Optional[str]] = None
 
     def __init__(
         self,
@@ -188,21 +149,70 @@ class MACProtocol(abc.ABC):
     def _build_frame_structure(self) -> FrameStructure:
         """Return the protocol's uplink frame layout."""
 
-    @abc.abstractmethod
-    def run_frame_batch(
+    @kernel(batch=False)
+    def run_frame(
         self,
         frame_index: int,
         population,
         snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
+        holders: List[int],
+        candidate_ids: List[int],
+        candidate_probabilities: List[float],
+        backlog: Optional[QueuedRequests],
+        occupancy,
+        draws,
+    ) -> Tuple[IndexContentionResult, GrantColumns, List[int]]:
         """Run the request and allocation phases of one frame.
 
-        Reads the :class:`~repro.traffic.population.TerminalPopulation`
-        arrays and assigns the frame's grants to
-        :attr:`FrameOutcome.grants` as :class:`GrantColumns`, never
-        materialising a per-terminal object in the hot loop.
-        Implementations are wrapped in :func:`traced_batch`.
+        ``holders`` are the reservation holders with packets (ascending
+        id); ``candidate_ids`` and ``candidate_probabilities`` the
+        contention candidates (ascending id) and their permission
+        probabilities; ``backlog`` the rows popped from the pruned request
+        queue (``None`` when it was empty); ``occupancy`` the buffer
+        occupancies by terminal id (a list or an array); ``draws`` the
+        block's pooled draws (:class:`~repro.sim.macro.BlockDraws`).
+        Unserved requests go back to the queue here.
+
+        This is the frame of RMAV, both D-TDMA variants and RAMA:
+        :meth:`request_phase`, then :meth:`serve_fcfs`.  Returns
+        ``(request, grants, new_voice)``: the request phase's statistics
+        with its winners in order, the frame's grants, and the newly served
+        voice terminals, which the caller grants a reservation.
         """
+        request = self.request_phase(
+            candidate_ids, candidate_probabilities, population.n_voice
+        )
+        winner_ids = request.winner_ids
+        grants, new_voice, unserved = self.serve_fcfs(
+            holders,
+            backlog.terminal_ids if backlog is not None else [],
+            winner_ids,
+            occupancy,
+            snapshot,
+            population.n_voice,
+        )
+        if unserved:
+            self.requeue(frame_index, population, backlog, winner_ids, unserved)
+        return request, grants, new_voice
+
+    def request_phase(
+        self,
+        candidate_ids: List[int],
+        candidate_probabilities: List[float],
+        n_voice: int,
+    ) -> IndexContentionResult:
+        """Slotted contention over the frame's request minislots.
+
+        :func:`~repro.mac.contention.run_contention_ids` on the contention
+        stream; RAMA overrides it with its auction.
+        """
+        return run_contention_ids(
+            candidate_ids,
+            candidate_probabilities,
+            self.frame_structure.request_minislots,
+            self.contention_rng,
+            fast=self.rng_fast,
+        )
 
     # ------------------------------------------------------------- helpers
     def slot_capacity(self, amplitude: float) -> Tuple[int, Optional[float]]:
@@ -237,10 +247,6 @@ class MACProtocol(abc.ABC):
         if not self.modem.is_adaptive:
             return 1, None
         return self.slot_capacity(snapshot.read(terminal_id))
-
-    def queued_count(self) -> int:
-        """Number of requests currently queued at the base station."""
-        return len(self.request_queue) if self.request_queue is not None else 0
 
     # ------------------------------------------------- array-native kernels
     def contention_candidate_ids(
@@ -355,9 +361,8 @@ class MACProtocol(abc.ABC):
     ) -> Tuple[GrantColumns, List[int], List[int]]:
         """First-come-first-served allocation of one frame's information slots.
 
-        The allocation phase of RMAV, D-TDMA/FR, D-TDMA/VR and RAMA, run by
-        their ``run_frame_batch`` and by the macro runner's inline frame.
-        The service order is:
+        The allocation phase of :meth:`run_frame` (RMAV, D-TDMA/FR,
+        D-TDMA/VR and RAMA).  The service order is:
 
         1. the reservation holders with packets (``holders``, ascending
            id), one slot each while slots remain;
@@ -469,22 +474,6 @@ class MACProtocol(abc.ABC):
                 break
             accepted += 1
         return accepted
-
-    # ------------------------------------------------- macro-step lookahead
-    def macro_minislots(self) -> Optional[int]:
-        """Request minislots the macro engine may resolve inline per frame.
-
-        The slotted-ALOHA FCFS protocols return their request subframe
-        size: the inline frame resolves it with the same
-        :func:`~repro.mac.contention.run_contention_ids` call as their
-        ``run_frame_batch``.  ``None`` (default) leaves the frame to
-        :attr:`macro_contention_style`.
-        """
-        return None
-
-    def data_slot_cap(self) -> Optional[int]:
-        """Upper bound on one data grant's slots (``None`` = frame-limited)."""
-        return None
 
     # ------------------------------------------------------------ metadata
     def describe(self) -> dict:

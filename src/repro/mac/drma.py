@@ -22,10 +22,10 @@ from typing import Callable, List, Sequence, Tuple
 
 from repro.channel.manager import ChannelSnapshot
 from repro.lint.contracts import kernel
-from repro.mac.base import MACProtocol, traced_batch
-from repro.mac.contention import IndexContentionResult, run_contention_ids
+from repro.mac.base import MACProtocol
+from repro.mac.contention import IndexContentionResult
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import FrameOutcome, GrantColumns
+from repro.mac.requests import GrantColumns
 
 __all__ = ["DRMAProtocol"]
 
@@ -38,13 +38,6 @@ class DRMAProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
-    #: Every frame, quiet or contended, backlogged or not, runs inline in
-    #: the macro runner through the same :meth:`serve_slots` loop as
-    #: :meth:`run_frame_batch`: only each converted slot's minislot draws
-    #: differ in source — the runner serves them from its contention pool
-    #: (bit-identical per-minislot prefixes with exact roll-back).
-    supports_macro_lookahead = True
-    macro_contention_style = "slot_loop"
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:
@@ -62,63 +55,39 @@ class DRMAProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    @traced_batch
-    def run_frame_batch(
+    def run_frame(
         self,
         frame_index: int,
         population,
         snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
+        holders: List[int],
+        candidate_ids: List[int],
+        candidate_probabilities: List[float],
+        backlog,
+        occupancy,
+        draws,
+    ) -> Tuple[IndexContentionResult, GrantColumns, List[int]]:
         """Slot-by-slot service; idle slots become request minislots.
 
-        See :meth:`serve_slots`; each converted slot resolves through
-        :func:`~repro.mac.contention.run_contention_ids`.
+        See :meth:`serve_slots`; each converted slot resolves on the block's
+        pooled contention draws (``draws.converted_slot``).  The arguments
+        and the returned triple are :meth:`MACProtocol.run_frame`'s.
         """
-        self.reservations.release_ended_population(population)
-        queue = self.request_queue
-        if queue is not None:
-            queue.prune(frame_index, population.occupancy)
-        outcome = FrameOutcome(frame_index)
-
-        # Queued terminals are masked out of the candidates here, before
-        # the backlog is popped.
-        candidate_ids, candidate_probabilities = self.contention_candidate_ids(
-            population
-        )
-        backlog = queue.pop_all() if queue is not None and len(queue) else None
-        minislots = self.frame_structure.minislots_per_info_slot
-        rng = self.contention_rng
-        fast = self.rng_fast
-
-        def contend(ids, probabilities):
-            result = run_contention_ids(
-                ids, probabilities, minislots, rng, fast=fast
-            )
-            return (
-                result.winner_ids, result.attempts, result.collisions,
-                result.idle_slots,
-            )
-
-        outcome.grants, new_voice, leftovers, requests = self.serve_slots(
-            self.reservations.reserved_ids(population).tolist(),
+        grants, new_voice, leftovers, requests = self.serve_slots(
+            holders,
             backlog.terminal_ids if backlog is not None else [],
-            candidate_ids.tolist(),
-            candidate_probabilities.tolist(),
-            population.occupancy.tolist(),
+            candidate_ids,
+            candidate_probabilities,
+            occupancy,
             population.n_voice,
             snapshot,
-            contend,
+            draws.converted_slot,
         )
-        outcome.contention_attempts = requests.attempts
-        outcome.contention_collisions = requests.collisions
-        outcome.idle_request_slots = requests.idle_slots
-        outcome.winner_ids = requests.winner_ids
-        self.reservations.grant_many(new_voice, frame_index)
-        self.requeue(
-            frame_index, population, backlog, requests.winner_ids, leftovers
-        )
-        outcome.queued_requests = self.queued_count()
-        return outcome
+        if leftovers:
+            self.requeue(
+                frame_index, population, backlog, requests.winner_ids, leftovers
+            )
+        return requests, grants, new_voice
 
     @kernel(batch=False)
     def serve_slots(
@@ -134,10 +103,8 @@ class DRMAProtocol(MACProtocol):
             [List[int], List[float]], Tuple[List[int], int, int, int]
         ],
     ) -> Tuple[GrantColumns, List[int], List[int], IndexContentionResult]:
-        """DRMA's allocation body: one information slot at a time.
+        """DRMA's allocation body (see :meth:`run_frame`): one slot at a time.
 
-        The one implementation of DRMA's frame, run by
-        :meth:`run_frame_batch` and by the macro runner's inline frame.
         The pending pool is an id list advanced by a cursor: reservation
         holders first (ascending id), then the queued backlog in FIFO
         order, then the requests that succeed in converted slots of this
@@ -146,10 +113,8 @@ class DRMAProtocol(MACProtocol):
         a holder's takes a reservation).  With nothing left to serve, the
         slot converts into ``N_x`` request minislots resolved by
         ``contend(candidate_ids, candidate_probabilities)``, which returns
-        ``(winner_ids, attempts, collisions, idle_slots)`` — per-frame
-        stepping resolves them with
-        :func:`~repro.mac.contention.run_contention_ids`, the macro runner
-        on its pool of the same stream; the winners join the pending pool.  A voice winner stops contending (it is
+        ``(winner_ids, attempts, collisions, idle_slots)``; the winners
+        join the pending pool.  A voice winner stops contending (it is
         about to hold a reservation), and so does a data winner with at
         most one packet; a data winner with a deeper buffer keeps
         contending and may win — and be served — again in this frame.

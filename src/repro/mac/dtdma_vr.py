@@ -22,15 +22,11 @@ __all__ = ["DTDMAVRProtocol"]
 class DTDMAVRProtocol(DTDMAFRProtocol):
     """D-TDMA/FR's MAC on top of the adaptive physical layer.
 
-    Inherits D-TDMA/FR's array-native ``run_frame_batch`` unchanged: the
-    shared kernels resolve per-grant capacities through the protocol's own
-    modem, so the adaptive PHY's variable packets-per-slot flows through
-    the same columnar capacity lookup
-    (:meth:`~repro.mac.base.MACProtocol.grant_capacity_columns`).  The
-    inherited entry is wrapped by :func:`~repro.mac.base.traced_batch`,
-    and because the span name reads ``self.name`` at call time, traces
-    label this protocol's frames ``mac.dtdma_vr.batch`` — no override
-    needed here.
+    Inherits D-TDMA/FR's frame unchanged: the shared FCFS service resolves
+    per-grant capacities through the protocol's own modem, so the adaptive
+    PHY's variable packets-per-slot flows through the same columnar
+    capacity lookup
+    (:meth:`~repro.mac.base.MACProtocol.grant_capacity_columns`).
     """
 
     name = "dtdma_vr"

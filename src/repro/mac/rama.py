@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.channel.manager import ChannelSnapshot
 from repro.lint.contracts import kernel
-from repro.mac.base import MACProtocol, traced_batch
+from repro.mac.base import MACProtocol
 from repro.mac.contention import IndexContentionResult
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import FrameOutcome
 
 __all__ = ["RAMAProtocol"]
 
@@ -42,12 +40,6 @@ class RAMAProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
-    #: Every frame runs inline in the macro engine, request backlog or not:
-    #: its request phase is :meth:`run_auction`, whose tie/winner draw
-    #: pairs come straight from ``rng`` in the per-frame call order (they
-    #: are inherently unpoolable), and a quiet frame draws nothing.
-    supports_macro_lookahead = True
-    macro_contention_style = "auction"
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:
@@ -70,6 +62,17 @@ class RAMAProtocol(MACProtocol):
             return 0.0
         p_same = float(self.params.rama_digit_base) ** (-self.params.rama_id_digits)
         return 1.0 - (1.0 - p_same) ** (n_contenders - 1)
+
+    def request_phase(
+        self,
+        candidate_ids: List[int],
+        candidate_probabilities: List[float],
+        n_voice: int,
+    ) -> IndexContentionResult:
+        """The auction replaces slotted contention: every contender bids in
+        every auction slot, without permission-probability gating (see
+        :meth:`run_auction`)."""
+        return self.run_auction(candidate_ids, n_voice)
 
     @kernel(batch=False)
     def run_auction(
@@ -110,46 +113,3 @@ class RAMAProtocol(MACProtocol):
             remaining.remove(winner)
             result.winner_ids.append(winner)
         return result
-
-    @traced_batch
-    def run_frame_batch(
-        self,
-        frame_index: int,
-        population,
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        """Auction phase, then FCFS service (voice before data).
-
-        Every contender participates in every auction slot (no
-        permission-probability gating — collisions are avoided by the
-        auction itself); see :meth:`run_auction`.  The service order is
-        :meth:`~repro.mac.base.MACProtocol.serve_fcfs`'s.
-        """
-        self.reservations.release_ended_population(population)
-        queue = self.request_queue
-        if queue is not None:
-            queue.prune(frame_index, population.occupancy)
-        outcome = FrameOutcome(frame_index)
-
-        candidate_array, _ = self.contention_candidate_ids(population)
-        auction = self.run_auction(
-            candidate_array.tolist(), population.n_voice
-        )
-        outcome.contention_attempts = auction.attempts
-        outcome.contention_collisions = auction.collisions
-        outcome.idle_request_slots = auction.idle_slots
-        outcome.winner_ids = winner_ids = auction.winner_ids
-
-        backlog = queue.pop_all() if queue is not None and len(queue) else None
-        outcome.grants, new_voice, unserved = self.serve_fcfs(
-            self.reservations.reserved_ids(population).tolist(),
-            backlog.terminal_ids if backlog is not None else [],
-            winner_ids,
-            population.occupancy,
-            snapshot,
-            population.n_voice,
-        )
-        self.reservations.grant_many(new_voice, frame_index)
-        self.requeue(frame_index, population, backlog, winner_ids, unserved)
-        outcome.queued_requests = self.queued_count()
-        return outcome

@@ -10,12 +10,11 @@ expired are discarded (the corresponding packet is dropped at the device).
 The queue keeps its requests as FIFO columns — terminal id, arrival frame,
 deadline and, for CHARISMA, the attached CSI estimate — so no per-request
 object is ever built.  A row is a voice request when its terminal id falls
-in the population's voice block (``id < n_voice``).  Each frame the
-protocol prunes the queue, pops the whole backlog, serves it together with
-the frame's new requests and pushes back what stays unserved: the FCFS
-baselines serve the backlog in order, CHARISMA re-ranks it by the
-CSI/urgency priority metric.  Per-frame stepping and the macro runner's
-inline frames share that code.
+in the population's voice block (``id < n_voice``).  Each frame the frame
+loop prunes the queue and pops the whole backlog, and the protocol's frame
+method serves it together with the frame's new requests and pushes back
+what stays unserved: the FCFS baselines serve the backlog in order,
+CHARISMA re-ranks it by the CSI/urgency priority metric.
 """
 
 from __future__ import annotations

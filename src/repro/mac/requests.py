@@ -11,8 +11,9 @@ Nothing here is one object per request or grant: the base-station queue
 (:class:`~repro.mac.request_queue.RequestQueue`) keeps its requests as
 columns, CHARISMA pools a frame's requests in :class:`RequestColumns`, the
 protocols announce their grants as :class:`GrantColumns`, and a frame's
-acknowledgements are the winner ids of its :class:`FrameOutcome`.  These
-records are plain data: all decision making lives in the protocols.
+acknowledgements are the winner ids of its request phase
+(:class:`~repro.mac.contention.IndexContentionResult`).  These records are
+plain data: all decision making lives in the protocols.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "FrameOutcome",
     "GrantColumns",
     "RequestColumns",
 ]
@@ -32,8 +32,7 @@ class GrantColumns:
     """One frame's slot grants (the downlink announcement) as columns.
 
     The MAC kernels emit their grants by appending plain Python scalars to
-    these four parallel lists; the engine's batched executor consumes the
-    columns directly (index arrays into the population).  Every grant has
+    these four parallel lists; the frame loop transmits them in order.  Every grant has
     ``n_slots >= 1`` and ``packet_capacity >= 1``, and a throughput that is
     ``None`` on the fixed-rate PHY or positive on the adaptive one.
     """
@@ -88,78 +87,6 @@ class GrantColumns:
     def total_slots(self) -> int:
         """Total information slots granted."""
         return sum(self.n_slots)
-
-
-class FrameOutcome:
-    """Everything a protocol decided in one frame, consumed by the engine.
-
-    The protocols' ``run_frame_batch`` kernels fill :attr:`grants` and
-    :attr:`winner_ids`; the engine transmits the grant columns.
-
-    Attributes
-    ----------
-    frame_index:
-        The frame this outcome belongs to.
-    grants:
-        Slot grants to be transmitted in this frame's information
-        subframe (``None`` until the protocol's allocation phase runs).
-    winner_ids:
-        Terminals whose requests the request phase received (and the base
-        station acknowledged), in order.
-    contention_attempts:
-        Number of request transmissions attempted by mobile devices.
-    contention_collisions:
-        Number of request minislots wasted by collisions.
-    idle_request_slots:
-        Number of request minislots in which nobody transmitted.
-    queued_requests:
-        Number of requests sitting in the base-station queue after this frame.
-    """
-
-    __slots__ = (
-        "frame_index",
-        "grants",
-        "winner_ids",
-        "contention_attempts",
-        "contention_collisions",
-        "idle_request_slots",
-        "queued_requests",
-    )
-
-    def __init__(self, frame_index: int) -> None:
-        self.frame_index = frame_index
-        self.grants: Optional[GrantColumns] = None
-        self.winner_ids: List[int] = []
-        self.contention_attempts = 0
-        self.contention_collisions = 0
-        self.idle_request_slots = 0
-        self.queued_requests = 0
-
-    @property
-    def n_allocated_slots(self) -> int:
-        """Total information slots granted in this frame."""
-        return self.grants.total_slots if self.grants is not None else 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FrameOutcome):
-            return NotImplemented
-        return (
-            self.frame_index == other.frame_index
-            and (self.grants or GrantColumns())
-            == (other.grants or GrantColumns())
-            and self.winner_ids == other.winner_ids
-            and self.contention_attempts == other.contention_attempts
-            and self.contention_collisions == other.contention_collisions
-            and self.idle_request_slots == other.idle_request_slots
-            and self.queued_requests == other.queued_requests
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FrameOutcome(frame={self.frame_index}, "
-            f"grants={len(self.grants or ())}, "
-            f"winners={len(self.winner_ids)})"
-        )
 
 
 class RequestColumns:

@@ -23,11 +23,8 @@ the paper also notes.
 
 from __future__ import annotations
 
-from repro.channel.manager import ChannelSnapshot
-from repro.mac.base import MACProtocol, traced_batch
-from repro.mac.contention import run_contention_ids
+from repro.mac.base import MACProtocol
 from repro.mac.frames import FrameStructure
-from repro.mac.requests import FrameOutcome
 
 __all__ = ["RMAVProtocol"]
 
@@ -40,11 +37,6 @@ class RMAVProtocol(MACProtocol):
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = False
-    #: A frame draws randomness only through the single competitive slot's
-    #: permission draws, so the macro engine can execute whole blocks inline
-    #: — including RMAV's long winnerless stretches under overload.
-    supports_macro_lookahead = True
-
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:
@@ -60,47 +52,19 @@ class RMAVProtocol(MACProtocol):
             minislots_per_info_slot=self.params.drma_minislots_per_info_slot,
         )
 
-    def macro_minislots(self) -> int:
-        """One competitive slot per frame (see :meth:`run_frame_batch`)."""
-        return 1
+    def serve_fcfs(
+        self, holders, backlog_ids, winner_ids, occupancy, snapshot, n_voice,
+        data_cap=None,
+    ):
+        """FCFS service with every data grant capped at ``P_max`` slots.
 
-    def data_slot_cap(self) -> int:
-        """Data winners are capped at ``P_max`` slots per request."""
-        return self.params.rmav_pmax
-
-    @traced_batch
-    def run_frame_batch(
-        self,
-        frame_index: int,
-        population,
-        snapshot: ChannelSnapshot,
-    ) -> FrameOutcome:
-        """Reservation holders, then the single competitive slot.
-
-        At most one winner per frame, however many users are waiting — the
+        The frame's single competitive slot (``request_minislots=1``) yields
+        at most one winner per frame, however many users are waiting — the
         bottleneck that makes RMAV thrash as soon as a moderate number of
         users contend simultaneously (the instability the paper's Fig. 11
         shows).
         """
-        self.reservations.release_ended_population(population)
-        outcome = FrameOutcome(frame_index)
-        ids, probabilities = self.contention_candidate_ids(population)
-        contention = run_contention_ids(
-            ids, probabilities, 1, self.contention_rng, fast=self.rng_fast
+        return super().serve_fcfs(
+            holders, backlog_ids, winner_ids, occupancy, snapshot, n_voice,
+            self.params.rmav_pmax,
         )
-        outcome.contention_attempts = contention.attempts
-        outcome.contention_collisions = contention.collisions
-        outcome.idle_request_slots = contention.idle_slots
-        outcome.winner_ids = contention.winner_ids
-
-        outcome.grants, new_voice, _unserved = self.serve_fcfs(
-            self.reservations.reserved_ids(population).tolist(),
-            [],
-            contention.winner_ids,
-            population.occupancy,
-            snapshot,
-            population.n_voice,
-            self.data_slot_cap(),
-        )
-        self.reservations.grant_many(new_voice, frame_index)
-        return outcome

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.config import SimulationParameters
-from repro.mac.requests import FrameOutcome
 from repro.metrics.data import DataMetrics
 from repro.metrics.voice import VoiceMetrics
 from repro.traffic.population import TerminalPopulation
@@ -133,33 +132,18 @@ class MetricsCollector:
         """Per-frame voice losses, dropping plus errors (for statistics)."""
         return list(self._voice_loss_events_per_frame)
 
-    def record_frame(
-        self,
-        outcome: FrameOutcome,
-        data_delivered: int,
-        voice_losses: int,
-    ) -> None:
-        """Record one measured frame."""
-        if data_delivered < 0 or voice_losses < 0:
-            raise ValueError("per-frame counters must be non-negative")
-        self._n_frames += 1
-        self._attempts += outcome.contention_attempts
-        self._collisions += outcome.contention_collisions
-        self._idle_slots += outcome.idle_request_slots
-        self._allocated_slots += outcome.n_allocated_slots
-        self._queue_length_total += outcome.queued_requests
-        self._data_delivered_per_frame.append(int(data_delivered))
-        self._voice_loss_events_per_frame.append(int(voice_losses))
+    def record_frame(self, record) -> None:
+        """Record one measured frame (see :meth:`record_block`)."""
+        self.record_block((record,))
 
     def record_block(self, frame_records) -> None:
-        """Record many frames in one call (macro-stepped engine).
+        """Record many frames in one call.
 
         ``frame_records`` is a sequence of 7-item records, one per frame in
         order: ``[contention_attempts, contention_collisions,
         idle_request_slots, allocated_slots, queued_requests,
-        data_delivered, voice_losses]``.  Equivalent to calling
-        :meth:`record_frame` per frame with a matching outcome; consolidated
-        so the macro engine crosses the collector boundary once per block.
+        data_delivered, voice_losses]``.  The frame loop commits a block's
+        records in one call.
         """
         data_per_frame = self._data_delivered_per_frame
         loss_per_frame = self._voice_loss_events_per_frame

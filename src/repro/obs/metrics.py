@@ -15,7 +15,7 @@ call sites; the ``enabled`` check is the *entire* disabled-mode cost — one
 attribute load and a branch, no dict touch, no allocation.  That budget is
 enforced by the opt-in overhead benchmark in ``tests/obs``.
 
-Metric names are dotted strings (``macro.fallback_frames``,
+Metric names are dotted strings (``contention.rounds``,
 ``scheduler.steals``, ...); the registry is intentionally schema-free —
 whatever name a subsystem increments simply appears in :meth:`snapshot`.
 """

@@ -7,8 +7,8 @@ a completed span or a point event::
     {"record": "header", "schema_version": 1, "clock": "perf_counter", ...}
     {"record": "span", "id": 3, "parent": 2, "name": "phase.mac",
      "start_s": 0.0123, "duration_s": 0.0004}
-    {"record": "event", "id": 7, "parent": 2, "name": "macro.fallback",
-     "at_s": 0.0181, "attrs": {"frame": 41}}
+    {"record": "event", "id": 7, "parent": 2, "name": "macro.rollback",
+     "at_s": 0.0181, "attrs": {"unused_draws": 41}}
 
 Spans are written when they *end*, so file order is completion order (a
 child always precedes its parent); readers reconstruct nesting from the

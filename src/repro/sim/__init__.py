@@ -5,6 +5,7 @@ it wires the channel models, the physical layers, the traffic sources and the
 MAC protocols together and produces the metrics the evaluation reports.
 
 * :mod:`repro.sim.engine` — the frame-synchronous TDMA engine;
+* :mod:`repro.sim.macro` — its one frame loop, which steps blocks of frames;
 * :mod:`repro.sim.scenario` / :mod:`repro.sim.results` — run descriptions and
   result containers;
 * :mod:`repro.sim.runner` — the single-run entry point (grids and sweeps

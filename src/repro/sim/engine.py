@@ -2,17 +2,17 @@
 
 :class:`UplinkSimulationEngine` is the common simulation platform all six
 protocols are evaluated on (the paper implements its protocols "on a common
-simulation platform" too).  Each call to :meth:`step` advances exactly one
-2.5 ms TDMA frame:
+simulation platform" too).  Each frame advances one 2.5 ms TDMA frame:
 
-1. every user's composite fading channel advances (vectorised);
+1. every user's composite fading channel advances;
 2. every terminal generates traffic at the frame boundary and drops voice
    packets whose 20 ms deadline has expired;
-3. the protocol under test runs its request and allocation phases and
-   returns a :class:`~repro.mac.requests.FrameOutcome`;
-4. the engine executes the granted transmissions through the packet error
-   model — using the *current* channel state, so a transmission mode chosen
-   from a stale CSI estimate pays the corresponding error penalty;
+3. the protocol under test runs its request and allocation phases
+   (:meth:`~repro.mac.base.MACProtocol.run_frame`) and returns the frame's
+   grants as :class:`~repro.mac.requests.GrantColumns`;
+4. the granted transmissions go through the packet error model — using the
+   *current* channel state, so a transmission mode chosen from a stale CSI
+   estimate pays the corresponding error penalty;
 5. the metrics collector records the frame.
 
 A warm-up period can be discarded so that measurements reflect steady state.
@@ -21,14 +21,10 @@ Simulation core
 ---------------
 Traffic state lives in a struct-of-arrays
 :class:`~repro.traffic.population.TerminalPopulation` advanced by vectorised
-kernels; the protocol's array-native ``run_frame_batch`` kernel emits the
-frame's grants as :class:`~repro.mac.requests.GrantColumns`; and the grants
-are transmitted through one batched
-:meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call.  With
-``Scenario.macro_frames > 1`` blocks of frames run through
-:class:`~repro.sim.macro.MacroRunner` instead, bit-identical to per-frame
-stepping in either RNG mode.  ``rng_mode="fast"`` batches whole-frame
-draws from per-subsystem child streams instead of the parity draw order —
+kernels.  The one frame loop is :class:`~repro.sim.macro.MacroRunner`: it
+steps blocks of ``Scenario.macro_frames`` frames, and :meth:`step` is a
+one-frame block.  ``rng_mode="fast"`` batches whole-frame draws from
+per-subsystem child streams instead of the parity draw order —
 statistically equivalent to parity, not bit-identical (see
 :class:`~repro.sim.scenario.Scenario`).  The golden baselines in
 ``tests/golden`` pin the exact results of both modes.
@@ -44,18 +40,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.channel.doppler import DopplerModel
 from repro.channel.manager import ChannelManager, ChannelSnapshot
 from repro.config import SimulationParameters
 from repro.mac.base import MACProtocol, snapshot_snr_compatible
 from repro.mac.registry import create_protocol
-from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.metrics.collector import MetricsCollector
 from repro.obs import trace as _obs_trace
 from repro.obs.trace import PHASES, PhaseRecorder
 from repro.phy.error_model import PacketErrorModel
+from repro.sim.macro import MacroRunner
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RandomStreams
 from repro.sim.scenario import Scenario
@@ -171,7 +165,6 @@ class UplinkSimulationEngine:
         # process-global tracer is active, and ``None`` otherwise.
         self._clock: Optional[PhaseRecorder] = None
         self._dispatch_counter = None
-        self._macro = None
         # Channel snapshots are produced in blocks (in parity mode one
         # batched draw + one linear-filter evaluation per block, bit
         # identical to per-frame advancing; in fast mode just the frames'
@@ -179,6 +172,7 @@ class UplinkSimulationEngine:
         # produced ahead of the simulation.
         self._snapshot_buffer: List[ChannelSnapshot] = []
         self._snapshot_cursor = 0
+        self._macro = MacroRunner(self)
 
     #: Frames advanced per batched channel evaluation.
     CHANNEL_BLOCK_FRAMES = 64
@@ -189,47 +183,9 @@ class UplinkSimulationEngine:
         """Number of frames simulated so far (including warm-up)."""
         return self._frame_index
 
-    def step(self) -> FrameOutcome:
-        """Advance the whole system by one TDMA frame.
-
-        With phase timing or a tracer active, the phase clock brackets the
-        five sections (channel, traffic, MAC, PHY, metrics) and labels them
-        for the optional dispatch counter.
-        """
-        if self.phase_times is not None or _obs_trace.TRACER is not None:
-            self._ensure_instrumented()
-        elif self._clock is not None:  # tracer was uninstalled mid-run
-            self._clock = None
-        clock = self._clock
-        frame = self._frame_index
-        population = self.population
-
-        if clock:
-            clock.start("channel")
-        snapshot = self._next_snapshot()
-        if clock:
-            clock.stop()
-            clock.start("traffic")
-        voice_losses_before = population.voice_loss_total
-        population.advance_frame(frame)
-        population.drop_expired(frame)
-        if clock:
-            clock.stop()
-            clock.start("mac")
-        outcome = self.protocol.run_frame_batch(frame, population, snapshot)
-        if clock:
-            clock.stop()
-            clock.start("phy")
-        data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
-        if clock:
-            clock.stop()
-            clock.start("metrics")
-        voice_losses = population.voice_loss_total - voice_losses_before
-        self.collector.record_frame(outcome, data_delivered, voice_losses)
-        if clock:
-            clock.stop()
-        self._frame_index += 1
-        return outcome
+    def step(self) -> None:
+        """Advance the whole system by one TDMA frame (a one-frame block)."""
+        self.run_frames(1)
 
     def _ensure_instrumented(self) -> None:
         """Keep :attr:`_clock` live and pointed at the current tracer.
@@ -300,43 +256,26 @@ class UplinkSimulationEngine:
         self._clock = None
 
     def run_frames(self, n_frames: int) -> None:
-        """Advance ``n_frames`` frames, macro-stepped when configured.
+        """Advance ``n_frames`` frames in blocks of ``Scenario.macro_frames``.
 
-        With ``Scenario.macro_frames > 1`` frames execute in macro blocks
-        through :class:`~repro.sim.macro.MacroRunner` — bit-identical to
-        per-frame stepping in either RNG mode.  Otherwise this is a plain
-        :meth:`step` loop.
+        The last block is clamped to the frames that remain; every block
+        runs through :class:`~repro.sim.macro.MacroRunner`.
         """
         if n_frames <= 0:
             return
-        # The macro runner reads ``self._clock`` directly (it brackets its
-        # own block-level sections), so refresh instrumentation up front —
-        # including dropping a recorder whose tracer has been uninstalled.
+        # The runner reads ``self._clock`` directly (it brackets its own
+        # sections), so refresh instrumentation up front — including
+        # dropping a recorder whose tracer has been uninstalled.
         if self.phase_times is not None or _obs_trace.TRACER is not None:
             self._ensure_instrumented()
         elif self._clock is not None:
             self._clock = None
-        runner = self._macro_runner()
-        if runner is None:
-            for _ in range(n_frames):
-                self.step()
-            return
         block_size = self.scenario.macro_frames
         remaining = n_frames
         while remaining > 0:
             block = block_size if block_size < remaining else remaining
-            runner.run_block(block)
+            self._macro.run_block(block, self)
             remaining -= block
-
-    def _macro_runner(self):
-        """The lazily built macro runner, or ``None`` when not applicable."""
-        if self.scenario.macro_frames <= 1:
-            return None
-        if self._macro is None:
-            from repro.sim.macro import MacroRunner
-
-            self._macro = MacroRunner(self)
-        return self._macro
 
     def run(self) -> SimulationResult:
         """Run warm-up plus the measured period and return the results.
@@ -381,12 +320,11 @@ class UplinkSimulationEngine:
         """Block-boundary hook: population state changed outside the engine.
 
         A constellation handover swaps terminal state between shards at a
-        macro-block boundary.  The macro runner keeps incremental mirrors of
-        the MAC-visible state; this invalidates them so the next block
+        block boundary.  The macro runner keeps an incremental mirror of the
+        contention candidates; this invalidates it so the next block
         resynchronises from the authoritative arrays.
         """
-        if self._macro is not None:
-            self._macro.invalidate_mirrors()
+        self._macro.invalidate_mirrors()
 
     def collect_results(self) -> SimulationResult:
         """Aggregate the metrics collected since the last statistics reset."""
@@ -407,126 +345,6 @@ class UplinkSimulationEngine:
         snapshot = self._snapshot_buffer[self._snapshot_cursor]
         self._snapshot_cursor += 1
         return snapshot
-
-    def _execute_grant_columns(
-        self, grants: Optional[GrantColumns], snapshot: ChannelSnapshot, frame: int
-    ) -> int:
-        """Transmit a frame's grant columns; return delivered data packets.
-
-        The common case — every granted terminal distinct, as emitted by all
-        protocols except DRMA's multi-win frames — is one snapshot gather
-        over the live grants, one :meth:`transmit_batch` call and one
-        :meth:`apply_grants` pass.  Duplicate-terminal frames flush the
-        batch before each repeat instead (see
-        :meth:`_execute_grant_columns_segmented`).  An outcome without grant
-        columns granted nothing.
-        """
-        if grants is None or not grants.terminal_ids:
-            return 0
-        ids = grants.terminal_ids
-        if len(set(ids)) != len(ids):
-            return self._execute_grant_columns_segmented(grants, snapshot, frame)
-        population = self.population
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        occupancy = population.occupancy[ids_arr]
-        caps = np.asarray(grants.packet_capacities, dtype=np.int64)
-        live = occupancy > 0
-        if not live.all():
-            ids_arr = ids_arr[live]
-            if not ids_arr.shape[0]:
-                return 0
-            occupancy = occupancy[live]
-            caps = caps[live]
-            throughputs = [
-                t for t, keep in zip(grants.throughputs, live) if keep
-            ]
-        else:
-            throughputs = grants.throughputs
-        counts = np.minimum(caps, occupancy)
-        reuse_snr = self._reuse_snapshot_snr
-        channel = snapshot.gather(ids_arr, snr_db=reuse_snr)
-        if any(t is not None for t in throughputs):
-            throughput_arr = np.asarray(
-                [np.nan if t is None else t for t in throughputs], dtype=float
-            )
-        else:
-            throughput_arr = None
-        delivered = self.error_model.transmit_batch(
-            None if reuse_snr else channel,
-            counts,
-            throughput_arr,
-            snr_db=channel if reuse_snr else None,
-        )
-        return population.apply_grants(
-            ids_arr.tolist(), caps.tolist(), delivered, frame
-        )
-
-    def _execute_grant_columns_segmented(
-        self, grants, snapshot: ChannelSnapshot, frame: int
-    ) -> int:
-        """Duplicate-terminal grant columns: flush before each repeat.
-
-        A terminal's later grant in the same frame must see the buffer state
-        its earlier grants left, so the pending batch is transmitted and
-        applied before a terminal appears in it a second time.  The error
-        stream is consumed in grant order either way.
-        """
-        population = self.population
-        occupancy = population.occupancy
-        read = snapshot.read
-        reuse_snr = self._reuse_snapshot_snr
-        n = len(population)
-
-        data_delivered = 0
-        batch_ids: List[int] = []
-        batch_caps: List[int] = []
-        batch_n: List[int] = []
-        batch_chan: List[float] = []
-        batch_thr: List[float] = []
-        any_throughput = False
-        batched = set()
-
-        def flush() -> None:
-            nonlocal data_delivered, any_throughput
-            if not batch_ids:
-                return
-            channel = np.asarray(batch_chan, dtype=float)
-            delivered = self.error_model.transmit_batch(
-                None if reuse_snr else channel,
-                np.asarray(batch_n, dtype=np.int64),
-                np.asarray(batch_thr, dtype=float) if any_throughput else None,
-                snr_db=channel if reuse_snr else None,
-            )
-            data_delivered += population.apply_grants(
-                batch_ids, batch_caps, delivered, frame
-            )
-            batch_ids.clear()
-            batch_caps.clear()
-            batch_n.clear()
-            batch_chan.clear()
-            batch_thr.clear()
-            any_throughput = False
-            batched.clear()
-
-        for tid, capacity, throughput in zip(
-            grants.terminal_ids, grants.packet_capacities, grants.throughputs
-        ):
-            if tid in batched:
-                flush()
-            if tid >= n or occupancy[tid] == 0:
-                continue
-            batched.add(tid)
-            batch_ids.append(tid)
-            batch_caps.append(capacity)
-            batch_n.append(min(capacity, int(occupancy[tid])))
-            batch_chan.append(read(tid, reuse_snr))
-            if throughput is None:
-                batch_thr.append(np.nan)
-            else:
-                batch_thr.append(throughput)
-                any_throughput = True
-        flush()
-        return data_delivered
 
     # ------------------------------------------------------------ internals
     def _reset_statistics(self) -> None:

@@ -51,14 +51,13 @@ class Scenario:
         ``tests/sim/test_rng_fast_mode.py``) but not bit-identical, which is
         the right trade for paper-scale sweeps.
     macro_frames:
-        Macro-stepping block size of the frame loop.  ``1`` (default)
-        advances frame by frame; larger values let the engine execute
-        blocks of up to this many frames with fused multi-frame kernels —
-        the traffic plan is drawn for the whole block up front, each
-        frame's request phase is the protocol's own contention or auction
-        call, and voice-reservation PHY outcomes are resolved in one
-        batched draw per block.  Because every per-subsystem random stream
-        is consumed in exactly the per-frame order, results are
+        Block size of the frame loop (:class:`~repro.sim.macro.MacroRunner`).
+        ``1`` (default) steps one-frame blocks; larger values do the
+        predictable work once per block — the traffic plan is drawn for
+        the whole block up front and voice PHY outcomes are resolved in
+        one batched draw per block — while every frame still runs the
+        protocol's own frame method.  Because every per-subsystem random
+        stream is consumed in its frame-by-frame order, results are
         **bit-identical** to ``macro_frames=1`` in either RNG mode
         (``tests/sim/test_macro_parity.py`` sweeps ``macro_frames`` in
         {1, 4, 16, 64}; the golden baselines pin 1 and 64 in both modes).

@@ -2,11 +2,11 @@
 
 :class:`TerminalPopulation` keeps every terminal's traffic state in NumPy
 arrays — buffer occupancy, head-of-line created frames, talkspurt and burst
-countdowns, per-kind outcome counters — and advances it with a handful of
-vectorised operations per frame, looping in Python only over the rare
-*events* of a frame (talkspurt toggles, burst arrivals, deadline expiries,
-grants).  The MAC protocols' ``run_frame_batch`` kernels read the arrays
-directly.
+countdowns, per-kind outcome counters — and advances it a block of frames at a
+time: :meth:`plan_frames` pre-draws the block's source events and
+:meth:`apply_planned_frame` replays each frame's, looping in Python only
+over the rare *events* of a frame (talkspurt toggles, burst arrivals,
+deadline expiries, grants).  The MAC protocols read the arrays directly.
 
 RNG draw order
 --------------
@@ -15,13 +15,13 @@ in a fixed scalar order:
 
 * construction draws one exponential per voice terminal (initial silence)
   followed by one per data terminal (initial inter-arrival);
-* :meth:`advance_frame` draws scalar exponentials only for the terminals
-  whose state toggles this frame, in ascending terminal-id order (voice ids
-  always precede data ids).
+* frame by frame, :meth:`plan_frames` draws scalar exponentials only for
+  the terminals whose state toggles in that frame, in ascending
+  terminal-id order (voice ids always precede data ids).
 
-:meth:`plan_frames` replays exactly that order for a whole macro block, so
-macro-stepped runs are bit-identical to per-frame runs.  The golden
-baselines in ``tests/golden`` pin the resulting realisations.
+So the realisation does not depend on how the frames are cut into blocks;
+:meth:`advance_frame` is the one-frame block.  The golden baselines in
+``tests/golden`` pin the resulting realisations.
 """
 
 from __future__ import annotations
@@ -83,18 +83,19 @@ class TerminalMigrationState:
 
 
 class TrafficBlockPlan:
-    """Pre-drawn traffic evolution for a block of frames (macro stepping).
+    """Pre-drawn traffic evolution for a block of frames.
 
     :meth:`TerminalPopulation.plan_frames` consumes the traffic stream for a
-    whole block up front — in exactly the per-frame draw order, so the
-    realisation is bit-identical — and records each frame's *events* here:
+    whole block up front — in the frame-by-frame draw order, so the
+    realisation does not depend on the block size — and records each
+    frame's *events* here:
 
     * ``toggles[offset]`` — ``(index, now_talking)`` talkspurt transitions;
     * ``bursts[offset]`` — ``(index, size)`` data-burst arrivals;
     * ``voice_gen[offset]`` — indices generating a voice packet.
 
     Entries are ``None`` when a frame has no event of that kind (the common
-    case), so the macro engine's per-frame application is a few list checks.
+    case), so replaying a frame is a few list checks.
     Buffer state (occupancy, segments, counters) is only touched when
     :meth:`TerminalPopulation.apply_planned_frame` replays the frame —
     keeping the arrays the MAC layer reads exact at every frame boundary.
@@ -237,179 +238,18 @@ class TerminalPopulation:
         return self._measure_from
 
     # -------------------------------------------------------------- traffic
-    @kernel
     def advance_frame(self, frame_index: int) -> None:
-        """Generate traffic for one frame across the whole population.
+        """Generate one frame's traffic: a one-frame :meth:`plan_frames`
+        block, replayed by :meth:`apply_planned_frame`."""
+        self.apply_planned_frame(self.plan_frames(frame_index, 1), frame_index)
 
-        Vectorised counters, with scalar RNG draws only for the terminals
-        whose on/off state toggles or whose burst arrives this frame — in
-        ascending id order (the parity draw order).
-        """
-        if frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
-        nv = self.n_voice
-        params = self.params
-        rng = self._rng
-
-        countdown = self.countdown
-        events = countdown == 0
-        # Terminals firing an event get a fresh duration below, so the
-        # global decrement may briefly take them negative.
-        countdown -= 1
-        if events.any():
-            if self._rng_fast:
-                self._fire_events_fast(events, frame_index)
-            else:
-                # Ascending index order fixes the scalar draw order (voice
-                # ids precede data).
-                for i in events.nonzero()[0]:
-                    if i < nv:
-                        if self.in_talkspurt[i]:
-                            self.in_talkspurt[i] = False
-                            # Per-terminal draw in the parity order
-                            # (ascending index, voice before data).
-                            # lint: allow[KRN001]
-                            duration = rng.exponential(params.mean_silence_s)
-                        else:
-                            self.in_talkspurt[i] = True
-                            self.frames_since_packet[i] = 0
-                            # Same parity-ordered gate as the silence
-                            # branch above.
-                            # lint: allow[KRN001]
-                            duration = rng.exponential(params.mean_talkspurt_s)
-                        countdown[i] = self._duration_frames(duration)
-                    else:
-                        size = max(
-                            1,
-                            # lint: allow[KRN001] -- parity-ordered draw
-                            int(round(rng.exponential(params.mean_data_burst_packets))),
-                        )
-                        countdown[i] = self._duration_frames(
-                            # lint: allow[KRN001] -- parity-ordered draw
-                            rng.exponential(params.mean_data_interarrival_s)
-                        )
-                        self.data_generated[i] += size
-                        self.occupancy[i] += size
-                        self._segments[i].append([frame_index, size])
-                        if self.head_created[i] < 0:
-                            self.head_created[i] = frame_index
-
-        if nv:
-            talking = self.in_talkspurt[:nv]
-            since = self.frames_since_packet[:nv]
-            generating = talking & (since % self._period == 0)
-            since += talking
-            if generating.any():
-                self.voice_generated[:nv] += generating
-                self.occupancy[:nv] += generating
-                for i in generating.nonzero()[0]:
-                    self._segments[i].append([frame_index, 1])
-                    if self.head_created[i] < 0:
-                        self.head_created[i] = frame_index
-                        if frame_index + self._deadline < self._next_drop_frame:
-                            self._next_drop_frame = frame_index + self._deadline
-
-    def _fire_events_fast(self, events: np.ndarray, frame_index: int) -> None:
-        """Batched source-event draws (fast RNG mode).
-
-        Identical state transitions to the parity loop, but the frame's
-        draws collapse into one batched call per draw site — talkspurt and
-        silence durations from the ``toggle`` child stream, burst sizes and
-        inter-arrivals from the ``burst`` child stream — so the per-frame
-        RNG cost no longer scales with the number of firing terminals.
-        """
-        params = self.params
-        dt = self._dt
-        countdown = self.countdown
-        indices = events.nonzero()[0]
-        nv = self.n_voice
-
-        # One or two firing terminals (the common case: toggles and bursts
-        # are second-scale events against 2.5 ms frames) are cheaper as
-        # scalar draws from the same child streams — identically
-        # distributed, just without the array fixed costs.
-        if indices.shape[0] <= 2:
-            for i in indices.tolist():
-                if i < nv:
-                    if self.in_talkspurt[i]:
-                        self.in_talkspurt[i] = False
-                        mean = params.mean_silence_s
-                    else:
-                        self.in_talkspurt[i] = True
-                        self.frames_since_packet[i] = 0
-                        mean = params.mean_talkspurt_s
-                    countdown[i] = self._duration_frames(
-                        self._toggle_rng.exponential(mean)
-                    )
-                else:
-                    size = max(
-                        1,
-                        int(round(
-                            self._burst_rng.exponential(
-                                params.mean_data_burst_packets
-                            )
-                        )),
-                    )
-                    countdown[i] = self._duration_frames(
-                        self._burst_rng.exponential(
-                            params.mean_data_interarrival_s
-                        )
-                    )
-                    self.data_generated[i] += size
-                    self.occupancy[i] += size
-                    self._segments[i].append([frame_index, size])
-                    if self.head_created[i] < 0:
-                        self.head_created[i] = frame_index
-            return
-
-        voice_idx = indices[indices < nv]
-        data_idx = indices[indices >= nv]
-
-        if voice_idx.shape[0]:
-            talking = self.in_talkspurt[voice_idx]
-            means = np.where(
-                talking, params.mean_silence_s, params.mean_talkspurt_s
-            )
-            durations = (
-                self._toggle_rng.standard_exponential(voice_idx.shape[0]) * means
-            )
-            countdown[voice_idx] = np.maximum(
-                1, np.round(durations / dt).astype(np.int64)
-            )
-            self.in_talkspurt[voice_idx] = ~talking
-            self.frames_since_packet[voice_idx[~talking]] = 0
-
-        if data_idx.shape[0]:
-            k = data_idx.shape[0]
-            sizes = np.maximum(
-                1,
-                np.round(
-                    self._burst_rng.exponential(
-                        params.mean_data_burst_packets, size=k
-                    )
-                ).astype(np.int64),
-            )
-            gaps = self._burst_rng.exponential(
-                params.mean_data_interarrival_s, size=k
-            )
-            countdown[data_idx] = np.maximum(1, np.round(gaps / dt).astype(np.int64))
-            self.data_generated[data_idx] += sizes
-            self.occupancy[data_idx] += sizes
-            head_created = self.head_created
-            segments = self._segments
-            for i, size in zip(data_idx.tolist(), sizes.tolist()):
-                segments[i].append([frame_index, size])
-                if head_created[i] < 0:
-                    head_created[i] = frame_index
-
-    # ------------------------------------------------------- macro stepping
     def plan_frames(self, start_frame: int, n_frames: int) -> TrafficBlockPlan:
-        """Pre-draw a whole block's traffic evolution (macro stepping).
+        """Pre-draw a whole block's traffic evolution.
 
-        Consumes the traffic stream for ``n_frames`` frames in **exactly**
-        the order :meth:`advance_frame` would (event draws in ascending
-        terminal-id order, frame by frame), so the planned realisation is
-        bit-identical to per-frame advancing.  The talkspurt/burst counters
+        Consumes the traffic stream for ``n_frames`` frames in the order of
+        the module docstring (event draws in ascending terminal-id order,
+        frame by frame), so the realisation does not depend on the block
+        size.  The talkspurt/burst counters
         (``countdown``, ``frames_since_packet``) are advanced to their
         end-of-block state here — nothing reads them mid-block — while
         everything the MAC layer observes per frame (``in_talkspurt``,
@@ -483,8 +323,8 @@ class TerminalPopulation:
                 f += take
                 continue
 
-            # Event frame: fire the due sources (draw order identical to
-            # advance_frame), then generate for the updated talking set.
+            # Event frame: fire the due sources (in the parity draw order),
+            # then generate for the updated talking set.
             fired = np.nonzero(countdown == 0)[0]
             countdown -= 1
             frame_toggles: List = []
@@ -538,9 +378,13 @@ class TerminalPopulation:
     ) -> None:
         """Fast-RNG-mode event firing for :meth:`plan_frames`.
 
-        Identical draw calls (streams, sizes, order) to
-        :meth:`_fire_events_fast` on the same firing set, so a macro-stepped
-        fast-mode run realises the same traffic as the per-frame fast path.
+        The frame's draws collapse into one batched call per draw site —
+        talkspurt and silence durations from the ``toggle`` child stream,
+        burst sizes and inter-arrivals from the ``burst`` child stream — so
+        the RNG cost does not scale with the number of firing terminals.
+        One or two firing terminals (the common case: toggles and bursts
+        are second-scale events against 2.5 ms frames) are cheaper as
+        scalar draws from the same child streams, identically distributed.
         """
         params = self.params
         dt = self._dt
@@ -627,8 +471,7 @@ class TerminalPopulation:
 
         Together with the counter advances done at plan time this leaves
         every array a MAC kernel reads (``in_talkspurt``, ``occupancy``,
-        segment FIFOs, outcome counters) in exactly the state
-        :meth:`advance_frame` would have produced at this frame.
+        segment FIFOs, outcome counters) in this frame's state.
         """
         offset = frame_index - plan.start
         toggles = plan.toggles[offset]
@@ -735,7 +578,7 @@ class TerminalPopulation:
 
     @kernel
     def drop_expired_events(self, current_frame: int):
-        """Deadline expiry with per-terminal outcomes (macro-engine form).
+        """Deadline expiry with per-terminal outcomes (the frame loop's form).
 
         Returns a sequence of ``(index, dropped, counted)`` tuples — the
         terminals whose head-of-line packets expired this frame, how many
@@ -795,29 +638,16 @@ class TerminalPopulation:
             raise ValueError("n_delivered must lie in [0, n_transmitted]")
         if n_transmitted == 0:
             return 0
-        segments = self._segments[index]
-        window = self._measure_from
-
         if self.is_voice[index]:
-            delivered = 0
-            errored = 0
-            for position in range(n_transmitted):
-                created, count = segments.popleft()
-                if created < window:
-                    continue
-                if position < n_delivered:
-                    delivered += count
-                else:
-                    errored += count
-            self.occupancy[index] -= n_transmitted
-            self.head_created[index] = segments[0][0] if segments else -1
-            if delivered:
-                self.voice_delivered[index] += delivered
-            if errored:
-                self.voice_errored[index] += errored
-                self._voice_loss_total += errored
+            _, pre_window = self.transmit_voice_pop(index, n_transmitted)
+            self.resolve_voice_outcomes(
+                np.array([index]), np.array([n_transmitted]),
+                np.array([pre_window]), np.array([n_delivered]),
+            )
             return n_transmitted
 
+        segments = self._segments[index]
+        window = self._measure_from
         remaining = n_delivered
         delays = self._data_delays[index]
         while remaining:
@@ -838,16 +668,11 @@ class TerminalPopulation:
         self.data_retransmissions[index] += n_transmitted - n_delivered
         return n_delivered
 
-    @kernel
     def apply_grants(
         self, indices, capacities, delivered_counts, current_frame: int
     ) -> int:
-        """Apply one executed batch of grants; return delivered data packets.
-
-        Equivalent to calling :meth:`transmit` per grant (same order, same
-        accounting); consolidated so the engine's hot loop crosses the
-        population boundary once per batch instead of once per grant.
-        """
+        """Apply executed grants through :meth:`transmit`, in order;
+        return the delivered data packets."""
         data_delivered = 0
         voice = self.is_voice
         for index, capacity, n_delivered in zip(indices, capacities, delivered_counts):

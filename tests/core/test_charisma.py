@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.charisma import CharismaProtocol
+from repro.mac.contention import run_contention_ids
 from repro.mac.registry import build_modem, create_protocol
 from repro.phy.csi import CSIEstimator
 from repro.phy.fixed import FixedRateModem
-from tests.utils import PARAMS, make_population, make_snapshot, run_single_frame
+from repro.sim.macro import BlockDraws
+from tests.utils import (
+    PARAMS, make_population, make_snapshot, run_protocol_frame, run_single_frame,
+)
 
 EAGER = PARAMS.with_overrides(
     voice_permission_probability=1.0, data_permission_probability=1.0
@@ -42,7 +46,7 @@ class TestRequestAndAllocation:
     def test_single_voice_request_served_and_reserved(self):
         protocol = charisma()
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert len(outcome.winner_ids) == 1
+        assert len(outcome.request.winner_ids) == 1
         assert len(outcome.grants) == 1
         assert protocol.reservations.has(0)
 
@@ -56,7 +60,7 @@ class TestRequestAndAllocation:
         protocol.request_queue.push(1, 0)
         protocol.request_queue.push(0, 0)
         snapshot = make_snapshot([2.5, 0.02], frame_index=1)
-        outcome = protocol.run_frame_batch(1, population, snapshot)
+        outcome = run_protocol_frame(protocol, population, snapshot, 1)
         assert outcome.grants.terminal_ids == [0]
 
     def test_deep_fade_voice_deferred_not_transmitted(self):
@@ -64,7 +68,7 @@ class TestRequestAndAllocation:
         protocol = charisma()
         population = make_population(voice=[1], params=EAGER)
         protocol.reservations.grant(0, 0)
-        outcome = protocol.run_frame_batch(0, population, make_snapshot([1e-4]))
+        outcome = run_protocol_frame(protocol, population, make_snapshot([1e-4]), 0)
         assert len(outcome.grants) == 0
 
     def test_deep_fade_voice_served_near_deadline(self):
@@ -73,14 +77,14 @@ class TestRequestAndAllocation:
         population = make_population(voice=[1], frame=0, params=EAGER)
         protocol.reservations.grant(0, 0)
         snapshot = make_snapshot([1e-4], frame_index=frame)
-        outcome = protocol.run_frame_batch(frame, population, snapshot)
+        outcome = run_protocol_frame(protocol, population, snapshot, frame)
         assert len(outcome.grants) == 1
 
     def test_slot_budget_never_exceeded(self):
         protocol = charisma()
         population = make_population(data=[50] * 12, params=EAGER)
         outcome = run_single_frame(protocol, population, amplitude=1.5)
-        assert outcome.n_allocated_slots <= protocol.frame_structure.info_slots
+        assert outcome.grants.total_slots <= protocol.frame_structure.info_slots
 
     def test_adaptive_capacity_announced(self):
         protocol = charisma()
@@ -98,10 +102,10 @@ class TestRequestQueueBehaviour:
         protocol.request_queue.push(2, 0)
         protocol.reservations.grant(0, 0)
         snapshot = make_snapshot([1.0, 1.0, 1.0])
-        outcome = protocol.run_frame_batch(0, population, snapshot)
+        outcome = run_protocol_frame(protocol, population, snapshot, 0)
         # the single slot goes to the (higher priority) voice reservation; the
         # queued data request stays queued
-        assert outcome.queued_requests >= 1
+        assert outcome.queued >= 1
 
     def test_queued_terminal_does_not_recontend(self):
         protocol = charisma(use_queue=True)
@@ -115,7 +119,7 @@ class TestRequestQueueBehaviour:
         protocol = charisma(use_queue=False, params=params)
         assert protocol.request_queue is None
         outcome = run_single_frame(protocol, make_population(data=[10], params=params))
-        assert outcome.queued_requests == 0
+        assert outcome.queued == 0
 
     def test_queue_pruned_of_empty_terminals(self):
         protocol = charisma(use_queue=True)
@@ -139,7 +143,7 @@ class TestReservationLifecycle:
         protocol.reservations.grant(0, 0)
         outcome = run_single_frame(protocol, population, amplitude=1.5)
         assert len(outcome.grants) == 1
-        assert outcome.contention_attempts == 0
+        assert outcome.request.attempts == 0
 
 
 class TestCSIPollingIntegration:
@@ -151,10 +155,64 @@ class TestCSIPollingIntegration:
         protocol.request_queue.push(0, 0, csi_amplitude=0.01, csi_frame=0)
         # several frames later the channel is excellent; polling must notice
         snapshot = make_snapshot([3.0], frame_index=5)
-        outcome = protocol.run_frame_batch(5, population, snapshot)
+        outcome = run_protocol_frame(protocol, population, snapshot, 5)
         assert len(outcome.grants) == 1
         assert outcome.grants.packet_capacities[0] >= 5
 
     def test_polling_can_be_disabled(self):
         protocol = charisma(use_queue=True, enable_csi_polling=False)
         assert protocol.enable_csi_polling is False
+
+
+class TestParityCSINoiseOrder:
+    def test_winners_then_holders_then_polls_on_the_mac_stream(self):
+        """Parity CHARISMA draws its estimation noise straight from the
+        estimator on the shared MAC stream, after the request phase: the
+        winners' estimates, then the holders', then the stale backlog's
+        polls — the same values explicit estimator calls in that order
+        draw from a twin generator."""
+        seed = 5
+        protocol = CharismaProtocol(
+            EAGER, build_modem("charisma", EAGER), np.random.default_rng(seed),
+            use_request_queue=True,
+        )
+        # Reserved talkers 0 and 1; data 2 waits in the queue with a stale
+        # estimate; data 3 is the only contender (and wins).
+        population = make_population(voice=[1, 1], data=[5, 5], params=EAGER)
+        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(1, 0)
+        protocol.request_queue.push(2, 0, csi_amplitude=0.5, csi_frame=0)
+        frame = 6
+        snapshot = make_snapshot([1.1, 1.2, 1.3, 1.4], frame_index=frame)
+
+        draws = BlockDraws(protocol)
+        estimator_call = protocol.csi_estimator.estimate_amplitudes
+        assert draws.estimate == estimator_call  # parity pools nothing
+        calls = []
+
+        def recording(amplitudes, frame_index):
+            estimates = estimator_call(amplitudes, frame_index)
+            calls.append((np.asarray(amplitudes).tolist(), estimates.tolist()))
+            return estimates
+
+        draws.estimate = recording
+        outcome = run_protocol_frame(protocol, population, snapshot, frame,
+                                     draws=draws)
+        assert outcome.request.winner_ids == [3]
+
+        twin = np.random.default_rng(seed)
+        run_contention_ids([3], [1.0], EAGER.n_request_slots, twin)
+        twin_estimator = CSIEstimator(
+            n_pilot_symbols=EAGER.pilot_symbols_per_request,
+            mean_snr_db=EAGER.mean_snr_db,
+            validity_frames=EAGER.csi_validity_frames,
+            rng=twin,
+        )
+        order = ([1.4], [1.1, 1.2], [1.3])  # winners, holders, polls
+        assert [amplitudes for amplitudes, _ in calls] == list(order)
+        assert [estimates for _, estimates in calls] == [
+            twin_estimator.estimate_amplitudes(amplitudes, frame).tolist()
+            for amplitudes in order
+        ]
+        # Nothing else touched the shared stream.
+        assert protocol.rng.bit_generator.state == twin.bit_generator.state

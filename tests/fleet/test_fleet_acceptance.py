@@ -147,8 +147,12 @@ class TestSigkillSurvival:
         service.set_meta("params", params_to_payload(spec.params))
         service.enqueue(points)
 
+        # The victim hangs in every point attempt, after its claim and
+        # before execution, so it is killed mid-hang and can never store
+        # its leased point before the SIGKILL lands.
         victim = spawn_worker(db_path, store_path, worker_id="victim",
-                              lease_ttl_s=lease_ttl_s)
+                              lease_ttl_s=lease_ttl_s,
+                              fault_spec="hang_every=1,hang_s=60")
         survivor = spawn_worker(db_path, store_path, worker_id="survivor",
                                 lease_ttl_s=lease_ttl_s)
         try:

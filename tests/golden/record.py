@@ -13,9 +13,10 @@ set of small simulations.  Each record holds
   SciPy upgrade) can be told apart from a logic change;
 * ``versions`` -- the NumPy and SciPy versions the record was made with.
 
-The scenario is left out of the digest on purpose: in either RNG mode a
-macro-stepped run must equal the per-frame run, so the ``macro_frames`` 1 and
-64 records of a cell carry the same digest.
+The scenario is left out of the digest on purpose: every frame runs through
+the one frame loop, and in either RNG mode the result does not depend on
+its block size, so the ``macro_frames`` 1 (one-frame blocks) and 64 records
+of a cell carry the same digest.
 
 ``tests/golden/test_golden.py`` checks every record.  Running the tests
 never rewrites the file; after a deliberate change of results, refresh it

@@ -70,15 +70,19 @@ def test_shared_frame_bodies_are_per_frame_kernels():
     from repro.mac.drma import DRMAProtocol
     from repro.mac.rama import RAMAProtocol
     from repro.mac.request_queue import RequestQueue
-    from repro.sim.macro import MacroRunner
+    from repro.mac.reservation import ReservationTable
+    from repro.sim.macro import BlockDraws, MacroRunner
 
     for body in (
+        MACProtocol.run_frame,
         MACProtocol.serve_fcfs,
         DRMAProtocol.serve_slots,
         CSIRankedAllocator.allocate,
         RAMAProtocol.run_auction,
         RequestQueue.prune,
-        MacroRunner._contend_converted_slot,
+        ReservationTable.live_holders,
+        BlockDraws.converted_slot,
+        MacroRunner._emit_frame,
     ):
         assert is_kernel(body), body.__qualname__
         assert not is_batch_kernel(body), body.__qualname__

@@ -1,6 +1,6 @@
 """DRMA service-scan regression: deep data backlogs stay cheap and correct.
 
-DRMA's kernel walks its pending pool with an index cursor over parallel id
+DRMA's frame walks its pending pool with an index cursor over parallel id
 columns.  The guarantee worth a regression test: with *hundreds* of
 backlogged data packets (every terminal mid-burst, queue full), the cursor
 
@@ -19,7 +19,6 @@ import pytest
 
 from repro.config import SimulationParameters
 from repro.mac.drma import DRMAProtocol
-from repro.obs import metrics
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
 
@@ -54,11 +53,11 @@ class TestDeepDataBacklog:
         protocol = engine.protocol
         assert isinstance(protocol, DRMAProtocol)
 
-        original = DRMAProtocol.run_frame_batch
+        original = DRMAProtocol.run_frame
         observed = []
 
-        def counting(self, frame_index, population, snapshot):
-            outcome = original(self, frame_index, population, snapshot)
+        def counting(self, *args):
+            request, grants, new_voice = original(self, *args)
             # Upper bound on pending entries this frame: reservations +
             # queue capacity + one winner per converted minislot.
             info_slots = self.frame_structure.info_slots
@@ -67,14 +66,15 @@ class TestDeepDataBacklog:
                 + PARAMS.request_queue_capacity
                 + info_slots * PARAMS.drma_minislots_per_info_slot
             )
-            observed.append((len(outcome.grants), bound))
-            return outcome
+            observed.append((len(grants), bound))
+            return request, grants, new_voice
 
-        monkeypatch.setattr(DRMAProtocol, "run_frame_batch", counting)
+        monkeypatch.setattr(DRMAProtocol, "run_frame", counting)
         for _ in range(200):
             engine.step()
         # Service volume per frame is bounded by the info-slot budget —
         # the cursor can never serve (or re-scan into) more than that.
+        assert len(observed) == 200
         assert all(
             served <= PARAMS.n_info_slots for served, _ in observed
         )
@@ -84,11 +84,18 @@ class TestDeepDataBacklog:
         original arrival frames (backlog rows keep their queue columns)."""
         scenario = _deep_backlog_scenario(seed=2)
         engine = UplinkSimulationEngine(scenario, PARAMS)
+
+        def queued_total():
+            stats = engine.collector.mac_stats()
+            return round(stats.mean_queue_length * stats.n_frames)
+
         saw_queued = False
         for _ in range(240):
-            outcome = engine.step()
+            before = queued_total()
+            engine.step()
             queue = engine.protocol.request_queue
-            assert len(queue) == outcome.queued_requests
+            # The frame's record holds the queue length after the frame.
+            assert len(queue) == queued_total() - before
             if len(queue):
                 saw_queued = True
                 rows = queue.rows
@@ -104,14 +111,12 @@ class TestDeepDataBacklog:
 
     @pytest.mark.parametrize("rng_mode", ("parity", "fast"))
     def test_macro_blocks_serve_the_backlog_inline(self, rng_mode):
-        """Macro blocks serve the deep backlog inline and match per-frame
-        stepping — including bursts that reach terminals while their
+        """Blocks of 16 frames serve the deep backlog and match one-frame
+        blocks — including bursts that reach terminals while their
         requests wait in the queue (they must not contend meanwhile)."""
         scenario = dataclasses.replace(_deep_backlog_scenario(), rng_mode=rng_mode)
         reference = UplinkSimulationEngine(scenario, PARAMS).run()
-        with metrics.recording() as registry:
-            macro = UplinkSimulationEngine(
-                dataclasses.replace(scenario, macro_frames=16), PARAMS
-            ).run()
-        assert registry.counter("macro.fallback_frames") == 0
+        macro = UplinkSimulationEngine(
+            dataclasses.replace(scenario, macro_frames=16), PARAMS
+        ).run()
         assert macro.summary() == reference.summary()

@@ -93,9 +93,9 @@ class TestSharedBaseBehaviour:
                 )
                 protocol.reservations.grant(3, 0)
                 outcome = run_single_frame(protocol, population)
-                winners = outcome.winner_ids
+                winners = outcome.request.winner_ids
                 assert set(winners) <= {0, 1, 4, 6}, name
-                assert len(winners) <= outcome.contention_attempts, name
+                assert len(winners) <= outcome.request.attempts, name
                 won.update(winners)
             assert won, name
 
@@ -114,14 +114,14 @@ class TestSharedBaseBehaviour:
             assert all(n >= 1 for n in grants.n_slots), name
             assert all(c >= 1 for c in grants.packet_capacities), name
             assert all(t is None or t > 0 for t in grants.throughputs), name
-            assert outcome.n_allocated_slots == sum(grants.n_slots), name
+            assert outcome.grants.total_slots == sum(grants.n_slots), name
 
 
 class TestDTDMAFR:
     def test_voice_request_served_and_reserved(self):
         protocol = build_protocol("dtdma_fr", params=EAGER)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert len(outcome.winner_ids) == 1
+        assert len(outcome.request.winner_ids) == 1
         assert len(outcome.grants) == 1
         assert protocol.reservations.has(0)
 
@@ -129,7 +129,7 @@ class TestDTDMAFR:
         protocol = build_protocol("dtdma_fr", params=EAGER)
         protocol.reservations.grant(0, 0)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert outcome.contention_attempts == 0
+        assert outcome.request.attempts == 0
         assert len(outcome.grants) == 1
 
     def test_voice_served_before_data(self):
@@ -146,7 +146,7 @@ class TestDTDMAFR:
         outcome = run_single_frame(
             protocol, make_population(voice=[1] * 30, params=EAGER)
         )
-        assert outcome.n_allocated_slots <= protocol.frame_structure.info_slots
+        assert outcome.grants.total_slots <= protocol.frame_structure.info_slots
 
     def test_unserved_requests_queued_when_enabled(self):
         # One information slot, already taken by a reserved voice user; the
@@ -157,7 +157,7 @@ class TestDTDMAFR:
         protocol.reservations.grant(0, 0)
         population = make_population(voice=[1], data=[200], params=eager_small)
         outcome = run_single_frame(protocol, population)
-        assert outcome.queued_requests == 1
+        assert outcome.queued == 1
         assert protocol.request_queue.contains_terminal(1)
 
     def test_fixed_rate_one_packet_per_slot(self):
@@ -189,7 +189,7 @@ class TestRAMA:
         outcome = run_single_frame(
             protocol, make_population(data=[10] * 20, params=EAGER)
         )
-        assert len(outcome.winner_ids) <= protocol.params.rama_auction_slots
+        assert len(outcome.request.winner_ids) <= protocol.params.rama_auction_slots
 
     def test_no_thrashing_with_many_contenders(self):
         """Unlike slotted contention, the auction keeps making progress."""
@@ -197,13 +197,13 @@ class TestRAMA:
         outcome = run_single_frame(
             protocol, make_population(voice=[1] * 40, params=EAGER)
         )
-        assert len(outcome.winner_ids) >= 1
+        assert len(outcome.request.winner_ids) >= 1
 
     def test_voice_wins_over_data(self):
         protocol = build_protocol("rama", params=EAGER)
         population = make_population(voice=[1], data=[10] * 5, params=EAGER)
         outcome = run_single_frame(protocol, population)
-        assert outcome.winner_ids[0] == 0
+        assert outcome.request.winner_ids[0] == 0
 
     def test_run_auction_accounts_every_slot(self):
         protocol = build_protocol("rama", params=EAGER)
@@ -239,15 +239,15 @@ class TestRMAV:
     def test_at_most_one_winner_per_frame(self):
         protocol = build_protocol("rmav", params=EAGER)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
-        assert len(outcome.winner_ids) == 1
+        assert len(outcome.request.winner_ids) == 1
 
     def test_two_contenders_collide(self):
         protocol = build_protocol("rmav", params=EAGER)
         outcome = run_single_frame(
             protocol, make_population(voice=[1, 1], params=EAGER)
         )
-        assert len(outcome.winner_ids) == 0
-        assert outcome.contention_collisions == 1
+        assert len(outcome.request.winner_ids) == 0
+        assert outcome.request.collisions == 1
 
     def test_data_grant_bounded_by_pmax(self):
         protocol = build_protocol("rmav", params=EAGER)
@@ -262,7 +262,7 @@ class TestDRMA:
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
         # the first slot was idle, got converted, the request succeeded and a
         # later slot carried the packet
-        assert len(outcome.winner_ids) == 1
+        assert len(outcome.request.winner_ids) == 1
         assert len(outcome.grants) == 1
         assert protocol.reservations.has(0)
 
@@ -275,8 +275,8 @@ class TestDRMA:
         # n_slots reserved talkers plus one newcomer
         population = make_population(voice=[1] * (n_slots + 1), params=EAGER)
         outcome = run_single_frame(protocol, population)
-        assert outcome.contention_attempts == 0
-        assert len(outcome.winner_ids) == 0
+        assert outcome.request.attempts == 0
+        assert len(outcome.request.winner_ids) == 0
 
     def test_data_user_can_win_multiple_slots_by_recontending(self):
         protocol = build_protocol("drma", params=EAGER)
@@ -288,7 +288,7 @@ class TestDRMA:
         outcome = run_single_frame(
             protocol, make_population(data=[50] * 20, params=EAGER)
         )
-        assert outcome.n_allocated_slots <= protocol.frame_structure.info_slots
+        assert outcome.grants.total_slots <= protocol.frame_structure.info_slots
 
 
 class TestFCFSOrder:
@@ -303,7 +303,7 @@ class TestFCFSOrder:
         population = make_population(voice=[1], data=[5], params=self.ONE_SLOT)
         protocol.request_queue.push(1, 0)  # data terminal 1, queued earlier
         outcome = run_single_frame(protocol, population, frame=2)
-        assert outcome.winner_ids == [0]
+        assert outcome.request.winner_ids == [0]
         assert outcome.grants.terminal_ids == [0]
         assert protocol.reservations.has(0)
         # The data request waits on, keeping its arrival frame.
@@ -317,7 +317,7 @@ class TestFCFSOrder:
         deadline = self.ONE_SLOT.voice_deadline_frames
         protocol.request_queue.push(0, 0, deadline_frame=deadline)
         outcome = run_single_frame(protocol, population, frame=2)
-        assert outcome.winner_ids == [1]
+        assert outcome.request.winner_ids == [1]
         assert outcome.grants.terminal_ids == [0]
         assert protocol.reservations.has(0) and not protocol.reservations.has(1)
         # The new winner is queued with this frame's arrival and its

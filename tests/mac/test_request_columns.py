@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core.charisma import CharismaProtocol
 from repro.mac.registry import build_modem
-from repro.mac.requests import FrameOutcome, GrantColumns, RequestColumns
+from repro.mac.requests import GrantColumns, RequestColumns
 from tests.utils import PARAMS, make_population
 
 
@@ -86,32 +86,3 @@ class TestGrantColumns:
         assert grants.total_slots == 4
         assert grants == GrantColumns([2, 5], [1, 3], [4, 3], [3.0, None])
         assert grants != GrantColumns([2, 5], [1, 3], [4, 3], [3.0, 1.0])
-
-
-class TestFrameOutcome:
-    def test_allocated_slots_read_the_grant_columns(self):
-        outcome = FrameOutcome(4)
-        assert outcome.n_allocated_slots == 0
-        grants = outcome.grants = GrantColumns()
-        grants.append(1, 2, 2, None)
-        assert outcome.n_allocated_slots == 2
-
-    def test_outcomes_compare_grants_and_winners(self):
-        a, b = FrameOutcome(0), FrameOutcome(0)
-        a.grants = GrantColumns()
-        assert a == b  # no grants yet equals empty grant columns
-        for outcome in (a, b):
-            outcome.grants = GrantColumns([3], [1], [1], [None])
-            outcome.winner_ids = [3]
-        assert a == b
-        b.grants.append(4, 1, 1, None)
-        assert a != b
-        b.grants = GrantColumns([3], [1], [1], [None])
-        b.winner_ids = [4]
-        assert a != b
-
-    def test_counters_default_and_compare(self):
-        a, b = FrameOutcome(1), FrameOutcome(1)
-        assert a == b
-        b.contention_attempts = 2
-        assert a != b

@@ -1,4 +1,4 @@
-"""Tests for the reservation table, request queue, grant records and frame structures."""
+"""Tests for the reservation table, request queue and frame structures."""
 
 import math
 import pickle
@@ -8,7 +8,6 @@ import pytest
 
 from repro.mac.frames import FrameStructure
 from repro.mac.request_queue import RequestQueue
-from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.mac.reservation import ReservationTable
 from tests.utils import make_population
 
@@ -35,23 +34,33 @@ class TestReservationTable:
         assert not table.has(1)
         table.release(1)  # no-op
 
-    def test_release_ended_talkspurts(self):
+    def test_live_holders_release_ended_talkspurts(self):
         table = ReservationTable()
-        # talker 0 keeps its reservation; 1 left its talkspurt with an empty buffer
-        population = make_population(voice=[1, 0], talking=[True, False])
-        table.grant(0, 0)
-        table.grant(1, 0)
-        released = table.release_ended_population(population)
-        assert released == 1
-        assert table.has(0) and not table.has(1)
+        # talker 0 keeps its reservation; 1 left its talkspurt with an empty
+        # buffer; talker 2 keeps it through an empty buffer
+        population = make_population(
+            voice=[1, 0, 0], talking=[True, False, True]
+        )
+        for tid in (2, 0, 1):
+            table.grant(tid, 0)
+        live = table.live_holders(
+            population.occupancy, population.in_talkspurt
+        )
+        assert live == [0]
+        assert table.holders() == [0, 2]
+        assert table.holder_array().tolist() == [0, 2]
 
-    def test_reserved_ids_require_pending_packets(self):
+    def test_live_holders_require_pending_packets(self):
         table = ReservationTable()
         population = make_population(voice=[1])
         table.grant(0, 0)
-        assert table.reserved_ids(population).tolist() == [0]
+        occupancy = population.occupancy.tolist()
+        assert table.live_holders(occupancy, population.in_talkspurt) == [0]
         population.transmit(0, max_packets=1, n_delivered=1, current_frame=0)
-        assert table.reserved_ids(population).tolist() == []
+        assert table.live_holders(
+            population.occupancy, population.in_talkspurt
+        ) == []
+        assert table.has(0)  # still talking: the reservation stays
 
     def test_validation_and_clear(self):
         table = ReservationTable()
@@ -136,17 +145,6 @@ class TestRequestQueue:
     def test_validation(self):
         with pytest.raises(ValueError):
             RequestQueue(capacity=0)
-
-
-class TestRequestRecords:
-    def test_frame_outcome_aggregates(self):
-        outcome = FrameOutcome(frame_index=0)
-        assert outcome.n_allocated_slots == 0
-        outcome.grants = GrantColumns()
-        outcome.grants.append(0, 2, 4)
-        outcome.grants.append(1, 1, 1)
-        assert outcome.n_allocated_slots == 3
-        assert outcome.winner_ids == []
 
 
 class TestFrameStructure:

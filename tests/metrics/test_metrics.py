@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulationParameters
-from repro.mac.requests import FrameOutcome, GrantColumns
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.data import DataMetrics
 from repro.metrics.stats import RunningStatistics, batch_means_confidence_interval
@@ -134,19 +133,14 @@ class TestBatchMeans:
 
 
 class TestMetricsCollector:
-    def _outcome(self, slots=2, queued=1):
-        outcome = FrameOutcome(frame_index=0)
-        outcome.grants = GrantColumns([0], [slots], [slots], [None])
-        outcome.contention_attempts = 3
-        outcome.contention_collisions = 1
-        outcome.idle_request_slots = 2
-        outcome.queued_requests = queued
-        return outcome
+    def _record(self, data_delivered=0, voice_losses=0, slots=2, queued=1):
+        """[attempts, collisions, idle, allocated, queued, data, voice]."""
+        return [3, 1, 2, slots, queued, data_delivered, voice_losses]
 
     def test_accumulates_frames(self):
         collector = MetricsCollector(PARAMS, info_slots_per_frame=8)
         for _ in range(4):
-            collector.record_frame(self._outcome(), data_delivered=3, voice_losses=1)
+            collector.record_frame(self._record(data_delivered=3, voice_losses=1))
         stats = collector.mac_stats()
         assert stats.n_frames == 4
         assert stats.allocated_slots == 8
@@ -158,7 +152,7 @@ class TestMetricsCollector:
 
     def test_reset_clears(self):
         collector = MetricsCollector(PARAMS, info_slots_per_frame=8)
-        collector.record_frame(self._outcome(), 1, 0)
+        collector.record_frame(self._record(1, 0))
         collector.reset()
         assert collector.n_frames == 0
         assert collector.mac_stats().allocated_slots == 0
@@ -166,11 +160,11 @@ class TestMetricsCollector:
     def test_negative_counters_rejected(self):
         collector = MetricsCollector(PARAMS, info_slots_per_frame=8)
         with pytest.raises(ValueError):
-            collector.record_frame(self._outcome(), data_delivered=-1, voice_losses=0)
+            collector.record_frame(self._record(data_delivered=-1))
 
     def test_population_aggregation(self):
         collector = MetricsCollector(PARAMS, info_slots_per_frame=8)
-        collector.record_frame(self._outcome(), 0, 0)
+        collector.record_frame(self._record())
         population = make_population(voice=[1], data=[2])
         assert collector.voice_metrics(population).generated == 1
         assert collector.data_metrics(population).generated == 2

@@ -118,15 +118,6 @@ class TestSpanStructure:
         first_cycle = [name[len("phase."):] for _, name in phase_starts[:3]]
         assert first_cycle == list(PHASES)[:3]
 
-    def test_mac_batch_spans_nest_inside_phase_mac(self, sink):
-        run_simulation(_scenario(protocol="drma", macro_frames=1))
-        spans = {r["id"]: r for r in sink.records if r.get("record") == "span"}
-        batches = [r for r in spans.values()
-                   if r["name"] == "mac.drma.batch"]
-        assert batches, "per-frame MAC batches must be traced"
-        for record in batches:
-            assert spans[record["parent"]]["name"] == "phase.mac"
-
     def test_macro_events_present_when_macro_stepping(self, sink):
         run_simulation(_scenario(protocol="charisma", macro_frames=16))
         events = {r["name"] for r in sink.records if r.get("record") == "event"}

@@ -55,17 +55,29 @@ class TestEngineBasics:
 
 class TestStepPaths:
     def test_frames_emit_grant_columns(self):
-        """The engine's frames carry aligned, valid grant columns."""
+        """The engine's frames carry aligned, valid grant columns, and the
+        collector counts exactly the slots they grant."""
         engine = UplinkSimulationEngine(
             scenario(protocol="dtdma_vr", n_voice=12, n_data=4,
                      duration_s=0.5, warmup_s=0.1, seed=2),
             PARAMS,
         )
-        saw_grants = False
+        protocol = engine.protocol
+        frame_method = protocol.run_frame
+        emitted = []
+
+        def capture(*args):
+            result = frame_method(*args)
+            emitted.append(result[1])
+            return result
+
+        protocol.run_frame = capture
         for _ in range(120):
-            outcome = engine.step()
-            grants = outcome.grants
-            if grants is not None and len(grants):
+            engine.step()
+        assert len(emitted) == 120
+        saw_grants = False
+        for grants in emitted:
+            if len(grants):
                 saw_grants = True
                 assert len(grants.n_slots) == len(grants)
                 assert len(grants.packet_capacities) == len(grants)
@@ -73,12 +85,14 @@ class TestStepPaths:
                 assert all(n >= 1 for n in grants.n_slots)
                 assert all(c >= 1 for c in grants.packet_capacities)
                 assert all(t is None or t > 0 for t in grants.throughputs)
-                assert outcome.n_allocated_slots == grants.total_slots
         assert saw_grants
+        assert engine.collector.mac_stats().allocated_slots == sum(
+            grants.total_slots for grants in emitted
+        )
 
     def test_timed_step_mirrors_untimed_step(self):
         """A step bracketed by the phase clock must equal the plain step:
-        identical per-frame outcomes and final results, with every phase
+        identical per-frame records and final results, with every phase
         accumulating time."""
         charisma = scenario(n_voice=8, n_data=3, queue=True, duration_s=0.4,
                             warmup_s=0.1, seed=6)
@@ -86,7 +100,13 @@ class TestStepPaths:
         plain = UplinkSimulationEngine(charisma, PARAMS)
         phases = timed.enable_phase_timing()
         for _ in range(150):
-            assert timed.step() == plain.step()
+            timed.step()
+            plain.step()
+            assert timed.collector.mac_stats() == plain.collector.mac_stats()
+        for series in ("data_delivered_per_frame", "voice_loss_events_per_frame"):
+            assert getattr(timed.collector, series) == getattr(
+                plain.collector, series
+            )
         assert (
             timed.collect_results().summary() == plain.collect_results().summary()
         )

@@ -2,7 +2,7 @@
 
 The parity suite (``test_macro_parity.py``) asserts whole-run
 bit-identity across block sizes; this module pins the specific events that
-truncate or re-align a lookahead block — a contention success mid-block, a
+truncate or re-align a block — a contention success mid-block, a
 reservation expiring at a block boundary, CHARISMA's per-frame CSI draws —
 plus the roll-back/replay pool and the accel kernels themselves.
 """
@@ -17,21 +17,22 @@ from repro.accel import (
     voice_generation_offsets,
 )
 from repro.config import SimulationParameters
-from repro.obs import metrics
+from repro.mac.contention import run_contention_ids
+from repro.mac.registry import create_protocol
+from repro.phy.csi import CSIEstimator
 from repro.sim.engine import UplinkSimulationEngine
-from repro.sim.macro import RandomPool
+from repro.sim.macro import BlockDraws, RandomPool
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
 
 PARAMS = SimulationParameters()
 
-#: Every (protocol, RNG mode) pair whose frames the macro runner executes
-#: inline; parity CHARISMA always falls back.
+#: Every (protocol, RNG mode) pair with a request queue.
 QUEUE_CELLS = [
     (protocol, rng_mode)
-    for protocol in ("dtdma_fr", "dtdma_vr", "rama", "drma")
+    for protocol in ("charisma", "dtdma_fr", "dtdma_vr", "rama", "drma")
     for rng_mode in ("parity", "fast")
-] + [("charisma", "fast")]
+]
 
 
 def _pair(macro_frames, **kwargs):
@@ -81,18 +82,14 @@ class TestLookaheadTruncation:
         reference, macro = _pair(macro_frames, **base)
         assert reference.summary() == macro.summary()
 
-    def test_charisma_csi_frames_fall_back(self):
-        """CHARISMA draws CSI estimates every frame, so macro blocks must
-        route every frame through its own kernel — and still be exact."""
+    def test_charisma_parity_csi_frames_match(self):
+        """Parity CHARISMA draws its CSI estimates from the shared MAC
+        stream every frame, between the request phases; blocks of 16 must
+        still equal one-frame blocks exactly."""
         base = dict(protocol="charisma", n_voice=10, n_data=3,
                     use_request_queue=True, duration_s=0.5, warmup_s=0.1,
                     seed=9)
-        engine = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=16), PARAMS
-        )
-        macro = engine.run()
-        assert engine._macro is not None
-        assert not engine._macro._supported  # every frame fell back
+        macro = run_simulation(Scenario(**base, macro_frames=16), PARAMS)
         reference = run_simulation(Scenario(**base), PARAMS)
         assert reference.summary() == macro.summary()
 
@@ -114,14 +111,12 @@ class TestLookaheadTruncation:
     @pytest.mark.parametrize("seed", (0, 1))
     @pytest.mark.parametrize("protocol, rng_mode", QUEUE_CELLS)
     def test_queue_backed_frames_run_inline(self, protocol, rng_mode, seed):
-        """The golden grid's macro-64 queue cells: every frame runs inline,
-        backlog or not, and each summary equals its per-frame twin."""
+        """The golden grid's macro-64 queue cells: blocks of 64 serve the
+        backlog and each summary equals its one-frame-block twin."""
         base = dict(protocol=protocol, n_voice=60, n_data=20,
                     use_request_queue=True, duration_s=0.15, warmup_s=0.1,
                     seed=seed, rng_mode=rng_mode)
-        with metrics.recording() as registry:
-            macro = run_simulation(Scenario(**base, macro_frames=64), PARAMS)
-        assert registry.counter("macro.fallback_frames") == 0
+        macro = run_simulation(Scenario(**base, macro_frames=64), PARAMS)
         reference = run_simulation(Scenario(**base), PARAMS)
         assert reference.summary() == macro.summary()
 
@@ -161,8 +156,8 @@ class TestLookaheadTruncation:
 
     def test_interleaved_step_calls_resync_mirrors(self):
         """Frames advanced through engine.step() between run_frames calls
-        invalidate the runner's incremental mirrors — the mixed schedule
-        must still be bit-identical to pure per-frame stepping."""
+        are one-frame blocks of the same loop — the mixed schedule must
+        still be bit-identical to pure one-frame stepping."""
         base = dict(protocol="dtdma_fr", n_voice=16, n_data=4,
                     duration_s=0.6, warmup_s=0.0, seed=8)
         mixed = UplinkSimulationEngine(
@@ -247,17 +242,15 @@ class TestMidBlockTruncationProperty:
             Scenario(**base, macro_frames=macro_frames), PARAMS
         )
         macro = macro_engine.run()
-        # The workload must actually exercise winner re-entry: the macro
-        # path engaged, contention resolved winners and voice flowed.
-        assert macro_engine._macro is not None
-        assert macro_engine._macro._supported
+        # The workload must actually exercise winner re-entry: contention
+        # resolved winners and voice flowed.
         assert reference.mac.contention_attempts > 0
         assert reference.voice.delivered > 0
         assert reference.summary() == macro.summary()
         # The property itself: after the run, the pooled generator sits at
-        # exactly the position the live per-frame draws leave it — the
-        # block's unconsumed suffix was returned, the consumed prefix
-        # replayed, nothing more.
+        # exactly the position one-frame blocks leave it — the block's
+        # unconsumed suffix was returned, the consumed prefix replayed,
+        # nothing more.
         assert (
             reference_engine.protocol.contention_rng.bit_generator.state
             == macro_engine.protocol.contention_rng.bit_generator.state
@@ -307,6 +300,58 @@ class TestRandomPool:
         state = rng.bit_generator.state
         RandomPool(rng).close()
         assert rng.bit_generator.state == state
+
+
+class TestBlockDraws:
+    def test_converted_slot_matches_per_minislot_contention(self):
+        """A DRMA converted slot on pooled draws resolves exactly like
+        ``run_contention_ids`` with its per-minislot draws on a twin
+        generator, slot after slot, and leaves the stream where those
+        draws leave it once the block closes."""
+        ids = [0, 2, 3, 5, 8]
+        probabilities = [0.3, 0.3, 0.5, 0.5, 0.9]
+        outcomes = set()
+        for seed in range(12):
+            protocol = create_protocol("drma", PARAMS, np.random.default_rng(seed))
+            twin = np.random.default_rng(seed)
+            minislots = protocol.frame_structure.minislots_per_info_slot
+            draws = BlockDraws(protocol)
+            for _ in range(4):
+                got = draws.converted_slot(ids, probabilities)
+                want = run_contention_ids(ids, probabilities, minislots, twin)
+                assert got == (want.winner_ids, want.attempts,
+                               want.collisions, want.idle_slots)
+                outcomes.add(len(got[0]))
+            assert ids == [0, 2, 3, 5, 8]
+            assert probabilities == [0.3, 0.3, 0.5, 0.5, 0.9]
+            draws.close()
+            assert (protocol.contention_rng.bit_generator.state
+                    == twin.bit_generator.state)
+        assert {0, 1} <= outcomes  # winnerless and winning slots both occur
+
+    def test_fast_mode_estimate_pools_the_estimator_stream(self):
+        """In fast mode the frames' CSI estimates come from pooled normals:
+        the values explicit ``estimate_amplitudes`` calls draw on a twin
+        generator, with the stream left where those calls leave it."""
+        protocol = create_protocol(
+            "charisma", PARAMS, np.random.default_rng(0), rng_mode="fast",
+            csi_rng=np.random.default_rng(3),
+        )
+        draws = BlockDraws(protocol)
+        assert draws.estimate == draws._pooled_estimate
+        twin = CSIEstimator(
+            n_pilot_symbols=PARAMS.pilot_symbols_per_request,
+            mean_snr_db=PARAMS.mean_snr_db,
+            validity_frames=PARAMS.csi_validity_frames,
+            rng=np.random.default_rng(3),
+        )
+        for amplitudes in ([1.0, 0.0, 3.0], [], [0.5, 0.02]):
+            got = draws.estimate(np.array(amplitudes), 7)
+            want = twin.estimate_amplitudes(np.array(amplitudes), 7)
+            assert got.tolist() == want.tolist()
+        draws.close()
+        assert (protocol.csi_estimator.noise_rng.bit_generator.state
+                == twin.noise_rng.bit_generator.state)
 
 
 class TestAccelKernels:

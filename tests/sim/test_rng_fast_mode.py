@@ -159,10 +159,10 @@ class TestStatisticalEquivalence:
     def test_charisma_macro_fast_batched_csi_engages_and_is_deterministic(self):
         """The batched-CSI lookahead actually runs, reproducibly.
 
-        In fast mode CHARISMA advertises ``supports_macro_lookahead`` (its
-        estimation noise comes from a dedicated child stream the macro
-        runner can prefetch), so macro blocks must take the inline CSI
-        path — and two identically-seeded runs must agree bit-for-bit.
+        In fast mode CHARISMA's estimation noise comes from a dedicated
+        child stream the macro runner prefetches a block of normals from,
+        so macro blocks must take the pooled CSI path — and two
+        identically-seeded runs must agree bit-for-bit.
         Bit-identity *across* stepping modes is deliberately not asserted:
         the contract is statistical equivalence (see above), because the
         block pool may re-partition the noise draws.
@@ -181,9 +181,10 @@ class TestStatisticalEquivalence:
 
         first = build()
         first_result = first.run()
-        assert first._macro is not None
-        assert first._macro._supported  # the lookahead engaged in fast mode
-        assert first._macro._style == "csi_schedule"
+        # The pooled estimation noise engaged in fast mode.
+        draws = first._macro._draws
+        assert draws._csi_pool is not None
+        assert draws.estimate == draws._pooled_estimate
         assert first_result.voice.delivered > 0
         second = build()
         assert first_result.summary() == second.run().summary()

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.channel.manager import EagerSnapshot
 from repro.config import SimulationParameters
+from repro.mac.contention import IndexContentionResult
 from repro.mac.registry import create_protocol
+from repro.mac.requests import GrantColumns
+from repro.sim.macro import BlockDraws
 from repro.traffic.population import TerminalMigrationState, TerminalPopulation
 
 PARAMS = SimulationParameters()
@@ -85,8 +88,45 @@ def population_snapshot(population: TerminalPopulation, amplitude: float = 1.0,
     return make_snapshot([amplitude] * len(population), frame_index=frame_index)
 
 
+class Frame(NamedTuple):
+    """One MAC frame's outcome (see :func:`run_protocol_frame`)."""
+
+    request: IndexContentionResult
+    grants: GrantColumns
+    #: Requests queued at the base station after the frame.
+    queued: int
+
+
+def run_protocol_frame(protocol, population: TerminalPopulation,
+                       snapshot, frame: int = 0,
+                       draws: Optional[BlockDraws] = None) -> Frame:
+    """One MAC frame through ``protocol.run_frame``, fed as the frame loop
+    feeds it: the live reservation holders (ended ones released), the
+    contention candidates, the pruned queue's backlog and a one-frame
+    block's :class:`~repro.sim.macro.BlockDraws` (``draws``, or fresh ones);
+    the newly served voice terminals then take their reservations."""
+    queue = protocol.request_queue
+    if queue is not None:
+        queue.prune(frame, population.occupancy)
+    candidate_ids, probabilities = protocol.contention_candidate_ids(population)
+    backlog = queue.pop_all() if queue is not None and len(queue) else None
+    holders = protocol.reservations.live_holders(
+        population.occupancy, population.in_talkspurt
+    )
+    if draws is None:
+        draws = BlockDraws(protocol)
+    request, grants, new_voice = protocol.run_frame(
+        frame, population, snapshot, holders, candidate_ids.tolist(),
+        probabilities.tolist(), backlog, population.occupancy.tolist(), draws,
+    )
+    draws.close()
+    for tid in new_voice:
+        protocol.reservations.grant(tid, frame)
+    return Frame(request, grants, len(queue) if queue is not None else 0)
+
+
 def run_single_frame(protocol, population: TerminalPopulation,
-                     amplitude: float = 1.0, frame: int = 0):
+                     amplitude: float = 1.0, frame: int = 0) -> Frame:
     """One MAC frame over a uniform channel."""
     snapshot = population_snapshot(population, amplitude, frame_index=frame)
-    return protocol.run_frame_batch(frame, population, snapshot)
+    return run_protocol_frame(protocol, population, snapshot, frame)
