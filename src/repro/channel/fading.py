@@ -21,7 +21,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import j0
 
 __all__ = ["RayleighFading", "JakesFading", "clarke_correlation"]
@@ -191,8 +190,12 @@ class RayleighFading:
 
         Split out so :meth:`repro.channel.composite.CompositeChannel.trace`
         can interleave its own draws with the shadowing process while
-        reusing the same vectorised recursion.
+        reusing the same vectorised recursion.  A 1-D trace has no user axis
+        to vectorise over, so it runs as a linear filter; ``scipy.signal``
+        is imported here so that only these offline tools load it.
         """
+        from scipy.signal import lfilter
+
         innovations = noise_real + 1j * noise_imag
         gains, _ = lfilter(
             [1.0],

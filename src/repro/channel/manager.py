@@ -8,9 +8,9 @@ which a consumer reads only the users it grants or polls.  It evaluates the
 channel in one of two ways:
 
 * **eager** (the default, and the engine's ``rng_mode="parity"``) -- every
-  user advances every frame, a block of frames at a time through one batched
-  noise draw plus one linear-filter evaluation per fading process (see the
-  HPC guidance on vectorising inner loops);
+  user advances every frame, a block of frames at a time: one batched noise
+  draw, then a loop over the block's frames whose every step updates the
+  whole population at once;
 * **lazy** (the engine's ``rng_mode="fast"``) -- a user advances only when a
   consumer reads it, jumping all the frames since its previous read in one
   step through the exact ``k``-step AR(1) marginal.  A frame nobody reads
@@ -28,7 +28,6 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.channel.doppler import DopplerModel
 from repro.channel.fading import clarke_correlation
@@ -125,8 +124,14 @@ class EagerSnapshot(ChannelSnapshot):
         return float((self.snr_db if snr_db else self.amplitude)[user_id])
 
     def gather(self, user_ids, snr_db: bool = False) -> np.ndarray:
-        # Plain NumPy indexing: ids past the population raise IndexError.
-        return (self.snr_db if snr_db else self.amplitude)[user_ids]
+        # NumPy indexing raises past the population but wraps negative ids,
+        # so one comparison against the smallest id closes that gap.
+        if len(user_ids) and min(user_ids) < 0:
+            raise self._id_error(min(user_ids))
+        try:
+            return (self.snr_db if snr_db else self.amplitude)[user_ids]
+        except IndexError:
+            raise self._id_error(max(user_ids)) from None
 
 
 class LazySnapshot(ChannelSnapshot):
@@ -248,20 +253,25 @@ class ChannelManager:
         self._shadow_tau = float(shadow_decorrelation_s)
         self._frame_index = 0
 
+        # Per-user fast-fading lag-one correlation, computed once per distinct
+        # mobility model, and the shadowing correlation.
         if isinstance(doppler, DopplerModel):
             dopplers = [doppler] * self._n
+            self._rho_fast = np.full(
+                self._n, clarke_correlation(doppler.doppler_hz, self._dt)
+            )
         else:
             dopplers = list(doppler)
             if len(dopplers) != self._n:
                 raise ValueError(
                     f"expected {self._n} Doppler models, got {len(dopplers)}"
                 )
+            rho_of = {
+                model: clarke_correlation(model.doppler_hz, self._dt)
+                for model in set(dopplers)
+            }
+            self._rho_fast = np.array([rho_of[d] for d in dopplers], dtype=float)
         self._dopplers = dopplers
-
-        # Per-user fast-fading lag-one correlation and shadowing correlation.
-        self._rho_fast = np.array(
-            [clarke_correlation(d.doppler_hz, self._dt) for d in dopplers], dtype=float
-        )
         self._a_shadow = math.exp(-self._dt / self._shadow_tau)
         # Innovation scales are constants of the run; precomputing them keeps
         # the per-frame update to the draws plus one multiply-add per process.
@@ -269,12 +279,6 @@ class ChannelManager:
         self._innovation_scale = sigma * np.sqrt(1.0 - self._rho_fast**2)
         self._shadow_shock_std = self._shadow_std_db * math.sqrt(
             1.0 - self._a_shadow * self._a_shadow
-        )
-
-        # Whether every user shares one fast-fading correlation (the usual
-        # single-Doppler configuration); block advancing exploits it.
-        self._uniform_rho = bool(
-            self._n == 0 or np.all(self._rho_fast == self._rho_fast[0])
         )
 
         if self._lazy:
@@ -367,27 +371,24 @@ class ChannelManager:
         """Advance ``n_frames`` frames at once and return their snapshots.
 
         A lazy manager only hands out the frames' read handles.  An eager
-        one makes one batched noise draw plus one linear-filter evaluation
-        per fading process instead of ``n_frames`` per-frame updates.  The
+        one makes one batched noise draw, then steps the AR(1) recursions
+        through the block's frames, each step over every user at once.  The
         returned snapshots — and the generator state left behind — are
         **bit identical** to calling :meth:`advance_frame` ``n_frames``
         times:
 
         * the noise block consumes the ``channel`` stream in exactly the
           per-frame order (real, imaginary, shadow slices per frame);
-        * the AR(1) recursions are evaluated by ``scipy.signal.lfilter``,
-          whose update ``y[k] = x[k] + rho * y[k-1]`` is the same float
-          expression as the per-frame code (addition commutes exactly).
-
-        Eager block evaluation requires a population-wide uniform Doppler
-        (the standard engine configuration); mixed-speed populations fall
-        back to per-frame stepping automatically.
+        * each step is the per-frame update's float expression
+          (``innovation + rho * gain``, ``shock + a * dev``; addition
+          commutes exactly), with every user's own ``rho``, so mixed-speed
+          populations take the same path.
         """
         if n_frames < 0:
             raise ValueError("n_frames must be non-negative")
         if n_frames == 0:
             return []
-        if self._lazy or self._n == 0 or not self._uniform_rho:
+        if self._lazy or self._n == 0:
             return [self.advance_frame() for _ in range(n_frames)]
 
         n = self._n
@@ -396,22 +397,25 @@ class ChannelManager:
         noise = self._rng.standard_normal(lanes * n_frames * n).reshape(
             n_frames, lanes, n
         )
-        innovation = self._innovation_scale * (
-            noise[:, 0, :] + 1j * noise[:, 1, :]
-        )
-        rho = float(self._rho_fast[0])
-        gains, _ = lfilter(
-            [1.0], [1.0, -rho], innovation, axis=0, zi=(rho * self._gain)[None, :]
-        )
-        self._gain = gains[-1]
+        # Each row starts as its frame's innovation and becomes its gain.
+        # ``rho`` is cast to complex once here, not in every step's product
+        # (the per-frame update's implicit cast gives the same values).
+        gains = self._innovation_scale * (noise[:, 0, :] + 1j * noise[:, 1, :])
+        rho = self._rho_fast.astype(complex)
+        gain = self._gain
+        for row in gains:
+            row += rho * gain
+            gain = row
+        self._gain = gain
 
         if with_shadow:
-            shocks = self._shadow_shock_std * noise[:, 2, :]
+            deviations = self._shadow_shock_std * noise[:, 2, :]
             a = self._a_shadow
-            deviations, _ = lfilter(
-                [1.0], [1.0, -a], shocks, axis=0, zi=(a * self._shadow_dev)[None, :]
-            )
-            self._shadow_dev = deviations[-1]
+            dev = self._shadow_dev
+            for row in deviations:
+                row += a * dev
+                dev = row
+            self._shadow_dev = dev
             shadow_db = self._shadow_mean_db + deviations
         else:
             shadow_db = np.broadcast_to(
@@ -514,9 +518,9 @@ class ChannelManager:
         else:
             # The shadowing state is stored as the dB *deviation* from the
             # mean, so the per-frame update is the pure AR(1) recursion
-            # ``dev' = a * dev + shock`` — the same float expression a
-            # linear-filter block evaluation produces, which keeps
-            # frame-by-frame and block advancing bit-identical.
+            # ``dev' = a * dev + shock`` — the float expression each step of
+            # a block evaluates too, which keeps frame-by-frame and block
+            # advancing bit-identical.
             self._gain = gain
             self._shadow_dev = shadow_dev
 

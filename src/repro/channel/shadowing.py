@@ -18,7 +18,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = ["LogNormalShadowing"]
 
@@ -144,7 +143,13 @@ class LogNormalShadowing:
         return math.exp(-dt / self._tau)
 
     def _trace_db_from_shocks(self, shocks: np.ndarray, a: float) -> np.ndarray:
-        """Run the dB-deviation AR(1) recursion over pre-drawn shocks."""
+        """Run the dB-deviation AR(1) recursion over pre-drawn shocks.
+
+        It runs as a linear filter; ``scipy.signal`` is imported here so
+        that only the offline trace tools load it.
+        """
+        from scipy.signal import lfilter
+
         deviation = self._state_db - self._mean_db
         deviations, _ = lfilter(
             [1.0], [1.0, -a], shocks, zi=np.array([a * deviation], dtype=float)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["RunningStatistics", "batch_means_confidence_interval"]
 
@@ -117,5 +116,9 @@ def batch_means_confidence_interval(
     if n_batches < 2:
         return grand_mean, 0.0
     sem = float(batch_means.std(ddof=1) / math.sqrt(n_batches))
+    # Imported here, as in ``repro.api.resultset``, so that ``import repro``
+    # does not load scipy.stats.
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
     return grand_mean, t_value * sem

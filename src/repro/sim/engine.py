@@ -166,10 +166,10 @@ class UplinkSimulationEngine:
         self._clock: Optional[PhaseRecorder] = None
         self._dispatch_counter = None
         # Channel snapshots are produced in blocks (in parity mode one
-        # batched draw + one linear-filter evaluation per block, bit
-        # identical to per-frame advancing; in fast mode just the frames'
-        # lazy read handles); the buffer holds the frames the channel has
-        # produced ahead of the simulation.
+        # batched draw per block, then a loop over its frames that steps
+        # every user at once, bit identical to per-frame advancing; in fast
+        # mode just the frames' lazy read handles); the buffer holds the
+        # frames the channel has produced ahead of the simulation.
         self._snapshot_buffer: List[ChannelSnapshot] = []
         self._snapshot_cursor = 0
         self._macro = MacroRunner(self)

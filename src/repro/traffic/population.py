@@ -210,13 +210,14 @@ class TerminalPopulation:
 
         # Initial state draws (voice rows, then data rows): every voice
         # terminal starts in a silence period of random exponential length,
-        # every data terminal draws its first burst inter-arrival.
-        mean_silence = params.mean_silence_s
-        for i in range(self.n_voice):
-            self.countdown[i] = self._duration_frames(rng.exponential(mean_silence))
-        mean_arrival = params.mean_data_interarrival_s
-        for j in range(self.n_voice, n):
-            self.countdown[j] = self._duration_frames(rng.exponential(mean_arrival))
+        # every data terminal draws its first burst inter-arrival.  One
+        # batched draw per class yields the scalar draws' values in order,
+        # and ``rint`` rounds half to even like :meth:`_duration_frames`.
+        first_events = np.concatenate([
+            rng.exponential(params.mean_silence_s, size=self.n_voice),
+            rng.exponential(params.mean_data_interarrival_s, size=self.n_data),
+        ])
+        self.countdown[:] = np.maximum(1, np.rint(first_events / self._dt))
 
     # ------------------------------------------------------------------ API
     def __len__(self) -> int:

@@ -163,6 +163,22 @@ class TestReadContract:
         with pytest.raises(IndexError, match=r"user_id 4"):
             make(4).snapshot().read(4, snr_db=True)
 
+    def test_eager_gather_raises_the_lazy_id_errors(self):
+        # NumPy indexing would wrap -1 around to user 3.
+        eager = ChannelManager(
+            4, SLOW, frame_duration_s=DT, rng=np.random.default_rng(0), beam=2
+        ).advance_frame()
+        lazy = make(4, beam=2).advance_frame()
+        assert isinstance(eager, EagerSnapshot)
+        for ids, bad in (([0, -1], -1), ([3, 4], 4), (np.array([-2, 9]), -2)):
+            for snapshot in (eager, lazy):
+                with pytest.raises(IndexError, match=rf"beam 2, local_id {bad}\)"):
+                    snapshot.gather(ids, snr_db=True)
+        np.testing.assert_array_equal(
+            eager.gather([3, 0, 3]), eager.amplitude[[3, 0, 3]]
+        )
+        assert eager.gather([]).shape == (0,)
+
     def test_zero_amplitude_reads_minus_infinity_db(self):
         manager = make(1, shadow_std_db=0.0)
         manager._re[0] = manager._im[0] = 0.0

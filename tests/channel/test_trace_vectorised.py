@@ -131,7 +131,7 @@ class TestManagerBlockAdvance:
             manager.advance_block(-1)
         assert manager.advance_block(0) == []
 
-    def test_mixed_speed_population_falls_back(self):
+    def test_mixed_speed_population_takes_the_block_path(self, monkeypatch):
         dopplers = [DopplerModel(speed_kmh=30.0), DopplerModel(speed_kmh=80.0)]
         blocked = ChannelManager(2, dopplers, rng=np.random.default_rng(4))
         per_frame = ChannelManager(2, dopplers, rng=np.random.default_rng(4))
@@ -139,3 +139,29 @@ class TestManagerBlockAdvance:
         singles = [per_frame.advance_frame() for _ in range(10)]
         for single, block in zip(singles, blocks):
             assert np.array_equal(single.amplitude, block.amplitude)
+
+        # Five speeds over 40 users, each user with its own rho: the blocks
+        # step every user at once and never fall back to single frames.
+        speeds = [3.0, 15.0, 30.0, 50.0, 70.0]
+        dopplers = [DopplerModel(speed_kmh=speeds[i % 5]) for i in range(40)]
+        blocked = ChannelManager(40, dopplers, rng=np.random.default_rng(9))
+        per_frame = ChannelManager(40, dopplers, rng=np.random.default_rng(9))
+        assert len(np.unique(blocked._rho_fast)) == 5
+
+        def no_single_frames():
+            raise AssertionError("advance_block stepped frame by frame")
+
+        monkeypatch.setattr(blocked, "advance_frame", no_single_frames)
+        blocks = (
+            blocked.advance_block(64)
+            + blocked.advance_block(64)
+            + blocked.advance_block(2)
+        )
+        singles = [per_frame.advance_frame() for _ in range(130)]
+        for single, block in zip(singles, blocks):
+            assert single.frame_index == block.frame_index
+            assert np.array_equal(single.amplitude, block.amplitude)
+            assert np.array_equal(single.snr_db, block.snr_db)
+        assert (
+            blocked._rng.bit_generator.state == per_frame._rng.bit_generator.state
+        )

@@ -1,10 +1,17 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestLazyTopLevelApi:
@@ -78,3 +85,42 @@ class TestSubpackageImports:
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name} missing"
+
+
+class TestColdImports:
+    def test_runs_load_neither_scipy_signal_nor_scipy_stats(self):
+        # scipy.signal and scipy.stats take longer to import than the rest
+        # of the program, and only the offline trace tools and confidence
+        # intervals need them, so those import them where they use them.
+        # A fresh interpreter: this one has imported both for other tests.
+        script = textwrap.dedent("""
+            import sys
+
+            import repro, repro.api, repro.cli, repro.sim.engine, repro.store
+            import repro.constellation.runner
+            from repro.constellation import ConstellationScenario, run_constellation
+
+            for protocol in ("charisma", "drma"):
+                for rng_mode in ("parity", "fast"):
+                    repro.run_simulation(repro.Scenario(
+                        protocol=protocol, n_voice=4, n_data=2, duration_s=0.2,
+                        warmup_s=0.05, seed=3, rng_mode=rng_mode,
+                        macro_frames=8,
+                    ))
+            run_constellation(ConstellationScenario(
+                protocol="charisma", n_beams=2, n_voice=4, n_data=1,
+                duration_s=0.2, warmup_s=0.05, seed=3, macro_frames=8,
+                handover_rate=0.2, coupling_db=2.0, reuse_factor=1,
+            ), n_workers=1)
+            loaded = sorted(
+                name for name in ("scipy.signal", "scipy.stats")
+                if name in sys.modules
+            )
+            print("loaded:", ",".join(loaded))
+        """)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip().splitlines()[-1] == "loaded:"
