@@ -23,8 +23,8 @@ splits that into:
    point is persisted under its content hash as it completes, so re-running
    an identical spec simulates nothing and a killed sweep resumes where it
    stopped.  ``python -m repro cache stats --cache-dir DIR`` inspects the
-   store; :class:`~repro.api.AsyncExecutor` adds work-stealing per-point
-   dispatch for heterogeneous grids.
+   store.  A point that fails costs only itself: the rest of the grid
+   still finishes and reaches the store.
 
 Run with::
 
@@ -35,7 +35,6 @@ import tempfile
 
 from repro.analysis.tables import format_comparison_table
 from repro.api import (
-    AsyncExecutor,
     CachingExecutor,
     ExperimentSpec,
     ParallelExecutor,
@@ -45,6 +44,7 @@ from repro.api import (
     run,
 )
 from repro.config import SimulationParameters
+from repro.faults import FaultPlan, InjectedFault
 from repro.sim.scenario import Scenario
 
 
@@ -136,13 +136,22 @@ def main() -> None:
         print(f"  store: {stats.n_results} results in {stats.n_shards} "
               f"shards, {stats.total_bytes} bytes")
 
-    # Heterogeneous grids (point costs spanning orders of magnitude) load-
-    # balance better with per-point work-stealing dispatch than with static
-    # chunks; results are identical either way.
-    stealing = run(spec, executor=AsyncExecutor(n_workers=2))
-    assert stealing.to_records() == results.to_records()
-    print("work-stealing execution agrees with serial on all "
-          f"{len(stealing)} runs")
+    # ParallelExecutor hands out one point per task, most expensive first,
+    # so the big points of a heterogeneous grid start early.  A point that
+    # fails costs only itself: the others finish and reach the store, and
+    # the error re-raises once the grid has wound down.
+    with tempfile.TemporaryDirectory(prefix="repro-tour-") as cache_dir:
+        crash = FaultPlan(crash_points=(points[0].run_hash(),),
+                          crash_point_attempts=99)
+        try:
+            run(spec, executor=ParallelExecutor(n_workers=2),
+                cache_dir=cache_dir, faults=crash)
+        except InjectedFault:
+            pass
+        resumed = CachingExecutor(ResultStore(cache_dir), SerialExecutor())
+        assert run(spec, executor=resumed).to_records() == results.to_records()
+        print(f"\none injected crash on the process pool: {resumed.hits} runs "
+              f"kept in the store, {resumed.misses} simulated again")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ Experiment grids (protocol × axes × seeds) go through :mod:`repro.api`:
 Subpackages
 -----------
 ``repro.api``       Unified experiment API: specs, executors, result sets.
-``repro.store``     Content-addressed run cache, resumable store, work-stealing executor.
+``repro.store``     Content-addressed run cache and resumable experiment store.
 ``repro.channel``   Rayleigh fast fading × log-normal shadowing channel models.
 ``repro.phy``       Adaptive (ABICM-style) and fixed-rate physical layers, CSI estimation.
 ``repro.traffic``   Terminal population (voice / data sources), permission-probability gating.
@@ -71,7 +71,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         # run cache / resumable store
         "ResultStore": ("repro.store", "ResultStore"),
         "CachingExecutor": ("repro.store", "CachingExecutor"),
-        "AsyncExecutor": ("repro.store", "AsyncExecutor"),
     }
     if name in lazy:
         module_name, attr = lazy[name]

@@ -20,12 +20,19 @@ seeds), decide *how* to run it with an :class:`Executor` (or let
 >>> len(rows)
 4
 
+Two executors ship: :class:`SerialExecutor` runs in the calling process and
+:class:`ParallelExecutor` submits one point per task to a process pool, most
+expensive first.  Both report progress per point, record a failing point in
+``last_errors`` while the rest of the grid runs, and stop dispatching on
+``cancel()``, raising :class:`ExecutionCancelled` with the partial results.
+
 Passing ``cache_dir=`` (or ``store=``) to :func:`run` adds the
 content-addressed result cache of :mod:`repro.store`: finished points are
 served from disk and interrupted sweeps resume where they stopped.
 """
 
 from repro.api.executors import (
+    ExecutionCancelled,
     Executor,
     ParallelExecutor,
     ProgressCallback,
@@ -45,8 +52,8 @@ from repro.api.spec import (
 
 __all__ = [
     "AggregateRow",
-    "AsyncExecutor",
     "CachingExecutor",
+    "ExecutionCancelled",
     "Executor",
     "ExperimentSpec",
     "ParallelExecutor",
@@ -58,7 +65,6 @@ __all__ = [
     "RunRecord",
     "SerialExecutor",
     "SweepAxis",
-    "WorkStealingScheduler",
     "parameter_sweepable_fields",
     "run",
     "run_points",
@@ -70,12 +76,7 @@ __all__ = [
 #: Names re-exported lazily from :mod:`repro.store` (which itself imports
 #: this package's executor substrate — a module-level import here would be
 #: circular).
-_STORE_EXPORTS = {
-    "AsyncExecutor",
-    "CachingExecutor",
-    "ResultStore",
-    "WorkStealingScheduler",
-}
+_STORE_EXPORTS = {"CachingExecutor", "ResultStore"}
 
 
 def __getattr__(name: str) -> object:

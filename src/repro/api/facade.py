@@ -89,10 +89,9 @@ def run(
         the duration of this call (and shipped to worker processes).
 
     The returned set's records are in the spec's deterministic expansion
-    order regardless of the executor, so serial, parallel, work-stealing
-    and cached runs of the same spec are interchangeable.
+    order regardless of the executor, so serial, parallel and cached runs
+    of the same spec are interchangeable.
     """
-    from repro.api.executors import accepts_retry, accepts_telemetry
     from repro.store import CachingExecutor
 
     points = spec.expand()
@@ -127,25 +126,13 @@ def run(
     )
 
     report: Optional[RunReport] = None
-    execute_with_sink = getattr(executor, "execute_with_sink", None)
-    kwargs: dict = {}
-    if retry is not None:
-        if execute_with_sink is None or not accepts_retry(execute_with_sink):
-            raise ValueError(
-                f"executor {executor!r} does not accept a retry policy"
-            )
-        kwargs["retry"] = retry
     with injection:
-        if (
-            collector is not None
-            and execute_with_sink is not None
-            and accepts_telemetry(execute_with_sink)
-        ):
+        if collector is not None:
             collector.start()
-            results = execute_with_sink(
-                points, spec.params, progress, None, telemetry=collector,
-                **kwargs,
-            )
+        results = executor.execute_with_sink(
+            points, spec.params, progress, None, collector, retry
+        )
+        if collector is not None:
             report = collector.report(
                 spec_name=spec.name,
                 spec_hash=spec.spec_hash(),
@@ -155,12 +142,6 @@ def run(
                 executor.store.put_artifact(
                     f"telemetry-{spec.spec_hash()}", report.to_payload()
                 )
-        elif execute_with_sink is not None and kwargs:
-            results = execute_with_sink(
-                points, spec.params, progress, None, **kwargs
-            )
-        else:
-            results = executor.execute(points, spec.params, progress=progress)
     if len(results) != len(points):
         raise RuntimeError(
             f"executor returned {len(results)} results for {len(points)} runs"
@@ -187,7 +168,7 @@ def run_points(
             executor = select_executor(points, n_workers=n_workers)
         else:
             executor = SerialExecutor()
-    return executor.execute(points, params, progress=progress)
+    return executor.execute_with_sink(points, params, progress)
 
 
 def sweep_spec(

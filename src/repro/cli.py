@@ -773,7 +773,7 @@ def _selftest_obs() -> bool:
 
 def _command_selftest(_: argparse.Namespace) -> int:
     """Run one tiny grid through each executor and verify they agree."""
-    from repro.store import AsyncExecutor, CachingExecutor, ResultStore
+    from repro.store import CachingExecutor, ResultStore
 
     spec = ExperimentSpec(
         protocols=("charisma", "dtdma_fr"),
@@ -788,8 +788,7 @@ def _command_selftest(_: argparse.Namespace) -> int:
     results = None
     for label, executor in (
         ("SerialExecutor", SerialExecutor()),
-        ("ParallelExecutor", ParallelExecutor(n_workers=2, chunk_size=2)),
-        ("AsyncExecutor", AsyncExecutor(n_workers=2)),
+        ("ParallelExecutor", ParallelExecutor(n_workers=2)),
     ):
         results = run(spec, executor=executor)
         records = results.to_records()

@@ -81,6 +81,7 @@ __all__ = [
     "ConstellationRunner",
     "resolve_workers",
     "run_constellation",
+    "usable_cpus",
     "WORKERS_ENV",
 ]
 
@@ -95,6 +96,15 @@ _Slot = Tuple[int, int]
 _Report = Tuple[Optional[float], Optional[List[int]]]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS can
+    say, else the machine's CPU count.  Every default worker count uses it,
+    so a pinned process never starts more workers than it may run on.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
 def resolve_workers(
     scenario: ConstellationScenario, n_workers: Optional[int] = None
 ) -> int:
@@ -107,10 +117,7 @@ def resolve_workers(
         if env:
             n_workers = int(env)
     if n_workers is None:
-        # The CPUs this process may run on, where the OS can say.
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-        n_workers = min(scenario.n_beams, cpus, 8)
+        n_workers = min(scenario.n_beams, usable_cpus(), 8)
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     return min(int(n_workers), scenario.n_beams)

@@ -472,7 +472,6 @@ class KernelClockRule(Rule):
 #: subsystems, where a swallowed exception silently loses a point.
 _FLT_PATHS = (
     "api/executors.py",
-    "store/scheduler.py",
     "store/caching.py",
     "fleet/",
     "faults/",

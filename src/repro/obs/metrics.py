@@ -16,8 +16,9 @@ attribute load and a branch, no dict touch, no allocation.  That budget is
 enforced by the opt-in overhead benchmark in ``tests/obs``.
 
 Metric names are dotted strings (``contention.rounds``,
-``scheduler.steals``, ...); the registry is intentionally schema-free —
-whatever name a subsystem increments simply appears in :meth:`snapshot`.
+``executor.worker_busy_seconds``, ...); the registry is intentionally
+schema-free — whatever name a subsystem increments simply appears in
+:meth:`snapshot`.
 """
 
 from __future__ import annotations

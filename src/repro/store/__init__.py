@@ -1,7 +1,6 @@
-"""Run cache, resumable experiment store and work-stealing execution.
+"""Run cache and resumable experiment store.
 
-This subpackage is the persistence and dynamic-scheduling layer of the
-experiment API:
+This subpackage is the persistence layer of the experiment API:
 
 * :class:`~repro.store.store.ResultStore` — a content-addressed,
   schema-versioned on-disk cache mapping
@@ -12,23 +11,17 @@ experiment API:
   :class:`~repro.api.executors.Executor` so identical points are served
   from disk and freshly computed points are persisted as they complete,
   making ``repro.api.run(..., cache_dir=...)`` resumable after a kill.
-* :class:`~repro.store.scheduler.AsyncExecutor` /
-  :class:`~repro.store.scheduler.WorkStealingScheduler` — per-point dynamic
-  dispatch in cost-estimate (LPT) order with deque stealing, progress
-  callbacks and cooperative cancellation, for heterogeneous grids that
-  static chunking load-balances poorly.
+
+:class:`~repro.api.executors.ExecutionCancelled`, which a cancelled
+executor raises with the partial results, is re-exported here.
 
 >>> from repro.api import ExperimentSpec, run
 >>> results = run(spec, cache_dir="~/.cache/repro")      # doctest: +SKIP
 >>> results = run(spec, cache_dir="~/.cache/repro")      # 100% hits  # doctest: +SKIP
 """
 
+from repro.api.executors import ExecutionCancelled
 from repro.store.caching import CachingExecutor
-from repro.store.scheduler import (
-    AsyncExecutor,
-    ExecutionCancelled,
-    WorkStealingScheduler,
-)
 from repro.store.serialization import (
     SCHEMA_VERSION,
     SerializationError,
@@ -38,7 +31,6 @@ from repro.store.serialization import (
 from repro.store.store import GcStats, ResultStore, StoreStats
 
 __all__ = [
-    "AsyncExecutor",
     "CachingExecutor",
     "ExecutionCancelled",
     "GcStats",
@@ -46,7 +38,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SerializationError",
     "StoreStats",
-    "WorkStealingScheduler",
     "payload_to_result",
     "result_to_payload",
 ]

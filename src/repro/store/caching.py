@@ -5,24 +5,22 @@
 :class:`~repro.store.store.ResultStore`: points whose
 :meth:`~repro.api.spec.RunPoint.run_hash` is already stored are served from
 disk without simulating, and every freshly computed result is persisted *as
-it completes* (through the inner executor's ``execute_with_sink`` extension
-when available), which makes ``run()`` resumable — kill a sweep half-way and
-the next identical invocation only executes the missing points.
+it completes* (through the inner executor's result sink), which makes
+``run()`` resumable — kill a sweep half-way and the next identical
+invocation only executes the missing points.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.api.executors import (
     Executor,
     ProgressCallback,
     ResultSink,
     SerialExecutor,
-    accepts_retry,
-    accepts_telemetry,
 )
 from repro.api.spec import RunPoint, config_digest
 from repro.config import SimulationParameters
@@ -47,9 +45,10 @@ class CachingExecutor:
     inner:
         Executor for the cache misses; defaults to :class:`SerialExecutor`.
 
-    After each :meth:`execute` call, :attr:`hits` and :attr:`misses` report
-    how many points were served from the store versus simulated — the
-    accounting the selftest and the acceptance tests assert on.
+    After each :meth:`execute_with_sink` call, :attr:`hits` and
+    :attr:`misses` report how many points were served from the store versus
+    simulated — the accounting the selftest and the acceptance tests assert
+    on.
     """
 
     def __init__(
@@ -59,7 +58,7 @@ class CachingExecutor:
     ) -> None:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.inner: Executor = inner if inner is not None else SerialExecutor()
-        #: Cache hits / misses of the most recent execute() call.
+        #: Cache hits / misses of the most recent execute_with_sink() call.
         self.hits = 0
         self.misses = 0
 
@@ -79,14 +78,6 @@ class CachingExecutor:
         return point.run_hash()
 
     # ------------------------------------------------------------------- API
-    def execute(
-        self,
-        points: Sequence[RunPoint],
-        params: SimulationParameters,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[SimulationResult]:
-        return self.execute_with_sink(points, params, progress)
-
     def execute_with_sink(
         self,
         points: Sequence[RunPoint],
@@ -166,39 +157,10 @@ class CachingExecutor:
             inner_telemetry = (
                 telemetry.child() if telemetry is not None else None
             )
-            execute_with_sink = getattr(self.inner, "execute_with_sink", None)
-            if execute_with_sink is not None:
-                kwargs: Dict[str, Any] = {}
-                if inner_telemetry is not None and accepts_telemetry(
-                    execute_with_sink
-                ):
-                    kwargs["telemetry"] = inner_telemetry
-                else:
-                    inner_telemetry = None
-                if retry is not None:
-                    if not accepts_retry(execute_with_sink):
-                        raise ValueError(
-                            f"inner executor {self.inner!r} does not accept "
-                            "a retry policy"
-                        )
-                    kwargs["retry"] = retry
-                execute_with_sink(
-                    sub_points, params, inner_progress, inner_sink, **kwargs
-                )
-            else:
-                # Plain Executor protocol: results only arrive at the end,
-                # so persistence is batched rather than incremental.
-                if retry is not None:
-                    raise ValueError(
-                        f"inner executor {self.inner!r} does not accept "
-                        "a retry policy"
-                    )
-                inner_telemetry = None
-                sub_results = self.inner.execute(
-                    sub_points, params, inner_progress
-                )
-                for sub_position, result in enumerate(sub_results):
-                    inner_sink(sub_position, sub_points[sub_position], result)
+            self.inner.execute_with_sink(
+                sub_points, params, inner_progress, inner_sink,
+                inner_telemetry, retry,
+            )
             if telemetry is not None and inner_telemetry is not None:
                 # Remap the child's sub-positions onto grid positions and
                 # re-label every computed point as a miss.

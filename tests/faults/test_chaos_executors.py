@@ -1,9 +1,9 @@
 """Chaos suite: every executor must survive injected faults bit-identically.
 
-The tentpole acceptance: a grid executed under a fault plan that crashes
-every Kth point attempt — with a retry policy absorbing the crashes — must
-produce byte-for-byte the same records as the fault-free run, on the
-serial, process-pool and async executors alike.
+A grid executed under a fault plan that crashes every Kth point attempt —
+with a retry policy absorbing the crashes — must produce byte-for-byte the
+same records as the fault-free run, on the serial and process-pool
+executors alike.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.api import (
 from repro.config import SimulationParameters
 from repro.faults import FaultPlan, RetryPolicy, injecting, uninstall
 from repro.sim.scenario import Scenario
-from repro.store import AsyncExecutor, CachingExecutor, ResultStore
+from repro.store import CachingExecutor, ResultStore
 
 PARAMS = SimulationParameters()
 BASE = Scenario(protocol="charisma", n_voice=0, n_data=1,
@@ -59,14 +59,8 @@ class TestBitIdenticalUnderInjectedCrashes:
         assert results.to_records() == reference
 
     def test_parallel(self, reference):
-        executor = ParallelExecutor(n_workers=2, chunk_size=2)
+        executor = ParallelExecutor(n_workers=2)
         results = run(small_spec(), executor=executor,
-                      retry=RECOVERING, faults="crash_every=2,seed=3")
-        assert not results.errors()
-        assert results.to_records() == reference
-
-    def test_async(self, reference):
-        results = run(small_spec(), executor=AsyncExecutor(n_workers=2),
                       retry=RECOVERING, faults="crash_every=2,seed=3")
         assert not results.errors()
         assert results.to_records() == reference

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.api import ExperimentSpec, SerialExecutor, SweepAxis, run
+from repro.api import (
+    ExperimentSpec,
+    ParallelExecutor,
+    SerialExecutor,
+    SweepAxis,
+    run,
+)
 from repro.config import SimulationParameters
 from repro.obs.report import (
     RUN_REPORT_SCHEMA_VERSION,
@@ -98,15 +104,14 @@ class TestExecutorThreading:
         assert all(p.worker and p.worker.startswith("pid:")
                    for p in report.points)
 
-    def test_async_executor_records_busy_metrics(self):
+    def test_parallel_executor_records_busy_metrics(self):
         from repro.obs import metrics
-        from repro.store import AsyncExecutor
 
         spec = _spec()
         telemetry = RunTelemetry()
         telemetry.start()
         with metrics.recording() as registry:
-            AsyncExecutor(n_workers=2).execute_with_sink(
+            ParallelExecutor(n_workers=2).execute_with_sink(
                 spec.expand(), spec.params, telemetry=telemetry,
             )
         report = telemetry.report(spec_name=spec.name,

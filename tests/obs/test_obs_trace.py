@@ -100,6 +100,29 @@ class TestJsonLinesRoundTrip:
         assert "phase.mac" in text
         assert "accel" not in text and "deadline_scan" not in text
 
+    def test_pool_workers_leave_the_trace_to_the_parent(self, tmp_path):
+        # Forked pool workers inherit the tracer and its unflushed file
+        # buffer; they must run untraced and never write the parent's file.
+        from repro.api import ExperimentSpec, ParallelExecutor, SweepAxis, run
+        from repro.cli import main
+        from repro.sim.scenario import Scenario
+
+        spec = ExperimentSpec(
+            protocols=("charisma", "dtdma_fr"),
+            base_scenario=Scenario(protocol="charisma", n_voice=0, n_data=1,
+                                   duration_s=0.4, warmup_s=0.2),
+            axes=(SweepAxis("n_voice", (2, 4)),),
+            seeds=(0, 1),
+        )
+        path = tmp_path / "pool.jsonl"
+        with tracing(path, meta={"command": "pool"}):
+            run(spec, executor=ParallelExecutor(n_workers=2))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["record"] for r in records].count("header") == 1
+        assert not any(r.get("name") == "engine.run" for r in records)
+        assert main(["obs", "summarize", str(path)]) == 0
+
     def test_write_after_close_raises(self, tmp_path):
         sink = JsonLinesTraceSink(tmp_path / "t.jsonl")
         sink.write({"record": "header"})

@@ -10,8 +10,9 @@ from repro.api import (
     run,
 )
 from repro.config import SimulationParameters
+from repro.faults import FaultPlan, InjectedFault
 from repro.sim.scenario import Scenario
-from repro.store import AsyncExecutor, CachingExecutor, ResultStore
+from repro.store import CachingExecutor, ResultStore
 
 PARAMS = SimulationParameters()
 BASE = Scenario(protocol="charisma", n_voice=0, n_data=1,
@@ -37,13 +38,13 @@ class CountingExecutor:
         self.points_executed = 0
         self._inner = SerialExecutor()
 
-    def execute(self, points, params, progress=None):
-        return self.execute_with_sink(points, params, progress)
-
-    def execute_with_sink(self, points, params, progress=None, sink=None):
+    def execute_with_sink(self, points, params, progress=None, sink=None,
+                          telemetry=None, retry=None):
         self.calls += 1
         self.points_executed += len(points)
-        return self._inner.execute_with_sink(points, params, progress, sink)
+        return self._inner.execute_with_sink(
+            points, params, progress, sink, telemetry, retry
+        )
 
 
 class InterruptedError_(RuntimeError):
@@ -57,7 +58,8 @@ class DyingExecutor(CountingExecutor):
         super().__init__()
         self.die_after = die_after
 
-    def execute_with_sink(self, points, params, progress=None, sink=None):
+    def execute_with_sink(self, points, params, progress=None, sink=None,
+                          telemetry=None, retry=None):
         self.calls += 1
         completed = 0
 
@@ -70,7 +72,7 @@ class DyingExecutor(CountingExecutor):
                 raise InterruptedError_("killed mid-sweep")
 
         return self._inner.execute_with_sink(
-            points, params, progress, counting_sink
+            points, params, progress, counting_sink, telemetry, retry
         )
 
 
@@ -94,27 +96,25 @@ class TestCacheHitMissParity:
         assert (warm.hits, warm.misses) == (spec.n_runs, 0)
         assert warm_results.to_records() == cold_results.to_records()
 
-    def test_serial_cached_and_work_stealing_agree(self, tmp_path):
+    def test_serial_cached_and_parallel_agree(self, tmp_path):
         spec = _spec()
         serial = run(spec, executor=SerialExecutor())
         cached = run(spec, cache_dir=str(tmp_path / "c1"))
-        stealing = run(spec, executor=AsyncExecutor(n_workers=2))
-        cached_stealing = run(
+        parallel = run(spec, executor=ParallelExecutor(n_workers=2))
+        cached_parallel = run(
             spec,
             executor=CachingExecutor(ResultStore(tmp_path / "c2"),
-                                     AsyncExecutor(n_workers=2)),
+                                     ParallelExecutor(n_workers=2)),
         )
         reference = serial.to_records()
         assert cached.to_records() == reference
-        assert stealing.to_records() == reference
-        assert cached_stealing.to_records() == reference
+        assert parallel.to_records() == reference
+        assert cached_parallel.to_records() == reference
 
     def test_parallel_inner_persists_incrementally(self, tmp_path):
         spec = _spec()
         store = ResultStore(tmp_path / "cache")
-        caching = CachingExecutor(
-            store, ParallelExecutor(n_workers=2, chunk_size=2)
-        )
+        caching = CachingExecutor(store, ParallelExecutor(n_workers=2))
         results = run(spec, executor=caching)
         assert caching.misses == spec.n_runs
         assert len(store) == spec.n_runs
@@ -193,6 +193,31 @@ class TestResume:
         assert resumed.misses == spec.n_runs - die_after
         assert resume_inner.points_executed == spec.n_runs - die_after
         assert resumed_results.to_records() == cold_reference
+
+    def test_pool_crash_loses_only_the_crashed_point(self, tmp_path):
+        """A point that crashes without a retry policy costs only itself:
+        the pool still delivers every other point to the store, so an
+        identical re-run executes exactly one point."""
+        spec = _spec()
+        victim = spec.expand()[0].run_hash()
+        store = ResultStore(tmp_path / "cache")
+        calls = []
+        with pytest.raises(InjectedFault):
+            run(spec,
+                executor=CachingExecutor(store, ParallelExecutor(n_workers=2)),
+                progress=lambda done, total: calls.append((done, total)),
+                faults=FaultPlan(crash_points=(victim,),
+                                 crash_point_attempts=99))
+        assert calls[-1] == (spec.n_runs - 1, spec.n_runs)
+        assert len(store) == spec.n_runs - 1
+        assert victim not in store
+
+        resume_inner = CountingExecutor()
+        resumed = CachingExecutor(store, resume_inner)
+        results = run(spec, executor=resumed)
+        assert resume_inner.points_executed == 1
+        assert results.to_records() == \
+            run(spec, executor=SerialExecutor()).to_records()
 
     def test_resume_through_facade_cache_dir(self, tmp_path):
         spec = _spec()

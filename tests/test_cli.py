@@ -181,7 +181,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SerialExecutor" in out
         assert "ParallelExecutor" in out
-        assert "AsyncExecutor" in out
         assert "ResultStore" in out
         assert "selftest passed" in out
 

@@ -38,7 +38,6 @@ class TestLazyTopLevelApi:
     def test_store_api_exposed_lazily(self):
         assert repro.ResultStore is not None
         assert repro.CachingExecutor is not None
-        assert repro.AsyncExecutor is not None
 
     def test_legacy_sweep_shims_removed(self):
         with pytest.raises(AttributeError):
@@ -92,7 +91,8 @@ class TestColdImports:
         # scipy.signal and scipy.stats take longer to import than the rest
         # of the program, and only the offline trace tools and confidence
         # intervals need them, so those import them where they use them.
-        # A fresh interpreter: this one has imported both for other tests.
+        # No executor needs asyncio.  A fresh interpreter, so that imports
+        # made by other tests do not count.
         script = textwrap.dedent("""
             import sys
 
@@ -113,7 +113,7 @@ class TestColdImports:
                 handover_rate=0.2, coupling_db=2.0, reuse_factor=1,
             ), n_workers=1)
             loaded = sorted(
-                name for name in ("scipy.signal", "scipy.stats")
+                name for name in ("scipy.signal", "scipy.stats", "asyncio")
                 if name in sys.modules
             )
             print("loaded:", ",".join(loaded))
