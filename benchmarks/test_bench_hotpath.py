@@ -17,9 +17,8 @@ all measured in the same session so machine drift cancels out:
   MAC / PHY / metrics fractions per protocol, parity mode); the MAC phase
   must stay under three quarters of the frame.
 
-The tests print their tables and write no file.  ``BENCH_engine.json`` at
-the repository root is a frozen historical record of earlier runs;
-``perfbench/`` (see its README) is the benchmark of record.
+The tests print their tables and write no file; ``perfbench/`` (see its
+README) is the benchmark of record.
 """
 
 from __future__ import annotations

@@ -22,9 +22,13 @@ seeds), decide *how* to run it with an :class:`Executor` (or let
 
 Two executors ship: :class:`SerialExecutor` runs in the calling process and
 :class:`ParallelExecutor` submits one point per task to a process pool, most
-expensive first.  Both report progress per point, record a failing point in
-``last_errors`` while the rest of the grid runs, and stop dispatching on
-``cancel()``, raising :class:`ExecutionCancelled` with the partial results.
+expensive first.  Both run each point through one function,
+:func:`~repro.api.executors.run_point`, and hand the result sink every
+result with its :class:`~repro.obs.report.PointReport`, which :func:`run`
+records as the returned set's telemetry.  Both report progress per point,
+record a failing point in ``last_errors`` while the rest of the grid runs,
+and stop dispatching on ``cancel()``, raising :class:`ExecutionCancelled`
+with the partial results.
 
 Passing ``cache_dir=`` (or ``store=``) to :func:`run` adds the
 content-addressed result cache of :mod:`repro.store`: finished points are
@@ -40,7 +44,7 @@ from repro.api.executors import (
     SerialExecutor,
     select_executor,
 )
-from repro.api.facade import run, run_points, sweep_spec
+from repro.api.facade import run, sweep_spec
 from repro.api.resultset import AggregateRow, ResultSet, RunRecord
 from repro.api.spec import (
     ExperimentSpec,
@@ -67,7 +71,6 @@ __all__ = [
     "SweepAxis",
     "parameter_sweepable_fields",
     "run",
-    "run_points",
     "scenario_sweepable_fields",
     "select_executor",
     "sweep_spec",

@@ -16,12 +16,16 @@ an ordered run list into the equally-ordered list of
   fixed in-flight bound, so whichever worker frees first takes the next
   most expensive point: longest-processing-time (LPT) list scheduling.
 
-Both keep one contract: ``progress(done, total)`` is called after every
-completed point and ``sink(position, point, result)`` as each result
-arrives; a failing point is recorded in ``last_errors`` while the rest of
-the grid still runs, and its error re-raises once the grid has wound down;
+Both run each point through :func:`run_point` and keep one contract:
+``progress(done, total)`` is called after every completed point and
+``sink(position, point, result, report)`` as each result arrives, with the
+point's :class:`~repro.obs.report.PointReport`; a failing point is
+recorded in ``last_errors`` while the rest of the grid still runs, and its
+error re-raises once the grid has wound down;
 :meth:`SerialExecutor.cancel` stops dispatch and raises
-:class:`ExecutionCancelled` with the partial results.
+:class:`ExecutionCancelled` with the partial results.  While the caller's
+metrics registry records, each pool worker records into its own and the
+caller merges the snapshot that comes back with each point's outcome.
 :func:`select_executor` picks between the backends from the grid's
 estimated cost.
 """
@@ -31,8 +35,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.config import SimulationParameters
 from repro.constellation.runner import usable_cpus
@@ -47,10 +50,9 @@ from repro.faults.retry import (
 from repro.obs import clock as _obs_clock
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs_trace
-from repro.obs.report import RunTelemetry
-from repro.sim.engine import UplinkSimulationEngine
+from repro.obs.report import PointReport
 from repro.sim.results import SimulationResult
-from repro.sim.scenario import Scenario
+from repro.sim.runner import run_simulation
 from repro.api.spec import RunPoint
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "ResultSink",
     "SerialExecutor",
     "ParallelExecutor",
+    "run_point",
     "select_executor",
     "estimated_grid_cost",
     "estimated_point_cost",
@@ -68,15 +71,22 @@ __all__ = [
 #: ``progress(done, total)`` — invoked after every completed run.
 ProgressCallback = Callable[[int, int], None]
 
-#: ``sink(position, point, result)`` — invoked in the submitting process as
-#: each result becomes available (computed, or served from a cache), where
-#: ``position`` indexes the run list passed to the executor.  The caching
-#: layer uses it to persist results incrementally so an interrupted grid
-#: keeps everything finished so far.  Under a
-#: ``RetryPolicy(on_error="record")`` the third argument may be a
-#: :class:`~repro.faults.retry.FailedPoint` instead of a result — sinks that
-#: persist must branch on the type.
-ResultSink = Callable[[int, RunPoint, SimulationResult], None]
+#: ``sink(position, point, result, report)`` — invoked in the submitting
+#: process as each result becomes available (computed, or served from a
+#: cache), where ``position`` indexes the run list passed to the executor
+#: and ``report`` is the point's :class:`~repro.obs.report.PointReport`.
+#: The caching layer uses it to persist results incrementally so an
+#: interrupted grid keeps everything finished so far; :func:`repro.api.run`
+#: records the reports.  Under a ``RetryPolicy(on_error="record")`` the
+#: third argument may be a :class:`~repro.faults.retry.FailedPoint` instead
+#: of a result, and its report is ``None`` — sinks that persist must branch
+#: on the type.
+ResultSink = Callable[
+    [int, RunPoint, SimulationResult, Optional[PointReport]], None
+]
+
+#: What :func:`run_point` returns: the point's outcome and its report.
+PointRun = Tuple[PointOutcome, PointReport]
 
 
 class ExecutionCancelled(RuntimeError):
@@ -103,115 +113,49 @@ class ExecutionCancelled(RuntimeError):
         self.results = list(results)
 
 
-def _simulate(scenario: Scenario, params: SimulationParameters) -> SimulationResult:
-    """Run one scenario (the single-run primitive the executors share).
-
-    A :class:`~repro.constellation.scenario.ConstellationScenario` routes
-    through the constellation runner and yields the merged aggregate
-    result, so grids can mix single-cell and multi-beam points freely.
-    """
-    if not isinstance(scenario, Scenario):
-        from repro.constellation.runner import run_constellation
-
-        return run_constellation(scenario, params).merged
-    return UplinkSimulationEngine(scenario, params).run()
-
-
-def _simulate_measured(
-    scenario: Scenario,
-    params: SimulationParameters,
-    phase_split: bool = False,
-) -> Tuple[SimulationResult, Dict[str, object]]:
-    """:func:`_simulate` plus the telemetry dict executors record.
-
-    The dict matches :meth:`repro.obs.report.RunTelemetry.record_point`
-    keyword arguments (``wall_s``/``frames``/``phase_seconds``/``worker``);
-    with ``phase_split`` the engine runs instrumented so the per-phase
-    second split rides along.  Constellation points report aggregate
-    frames across all beams and no phase split (the per-phase clock is a
-    single-engine facility).
-    """
-    if not isinstance(scenario, Scenario):
-        from repro.constellation.runner import ConstellationRunner
-
-        runner = ConstellationRunner(scenario, params)
-        t0 = _obs_clock.now()
-        outcome = runner.run()
-        wall_s = _obs_clock.now() - t0
-        frames = sum(shard.engine.frame_index for shard in runner.shards)
-        return outcome.merged, {
-            "wall_s": wall_s,
-            "frames": frames,
-            "phase_seconds": None,
-            "worker": f"pid:{os.getpid()}",
-        }
-    engine = UplinkSimulationEngine(scenario, params)
-    phases = engine.enable_phase_timing() if phase_split else None
-    t0 = _obs_clock.now()
-    result = engine.run()
-    wall_s = _obs_clock.now() - t0
-    return result, {
-        "wall_s": wall_s,
-        "frames": engine.frame_index,
-        "phase_seconds": dict(phases) if phases is not None else None,
-        "worker": f"pid:{os.getpid()}",
-    }
-
-
-def _run_point(
+def run_point(
     position: int,
     point: RunPoint,
     params: SimulationParameters,
-    telemetry: Optional[RunTelemetry],
     retry: Optional[RetryPolicy] = None,
-) -> PointOutcome:
-    """One point in the driving process, traced/telemetered when active.
+) -> PointRun:
+    """Run one point under the retry policy; return its outcome and report.
 
-    The shared in-process primitive of :class:`SerialExecutor` and the
-    fleet workers, so a ``--trace`` run gets one ``point.run`` span per
-    point and a telemetry collector gets one record per point.  Each
-    attempt passes through the fault injector's ``point_attempt`` gate;
-    with a retry policy in ``on_error="record"`` mode a terminally failed
-    point comes back as a :class:`~repro.faults.retry.FailedPoint`
-    (telemetry is only recorded for attempts that produced a result).
+    The one point primitive of :class:`SerialExecutor`, the pool workers
+    and the fleet workers.  Each attempt passes through the fault
+    injector's ``point_attempt`` gate and, when a tracer is installed, runs
+    in a ``point.run`` span; with a retry policy in ``on_error="record"``
+    mode a terminally failed point comes back as a
+    :class:`~repro.faults.retry.FailedPoint`.  The report's ``wall_s`` is
+    the time spent on the point, retries included.
     """
     resolved = point.resolved_params(params)
     run_hash = point.run_hash()
+    scenario = point.scenario
 
     def attempt(attempt_number: int) -> SimulationResult:
         injector = _faults.INJECTOR
         if injector is not None:
             injector.point_attempt(run_hash, attempt_number)
         tracer = _obs_trace.TRACER
-        if telemetry is None and tracer is None:
-            return _simulate(point.scenario, resolved)
-        span = (
-            tracer.span(
-                "point.run",
-                index=point.index,
-                protocol=point.scenario.protocol,
-                seed=point.scenario.seed,
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
-            result, info = _simulate_measured(
-                point.scenario,
-                resolved,
-                telemetry.phase_split if telemetry is not None else False,
-            )
-        if telemetry is not None:
-            telemetry.record_point(
-                position,
-                run_hash=run_hash,
-                protocol=point.scenario.protocol,
-                coords=point.coords_dict(),
-                **info,
-            )
-        return result
+        if tracer is None:
+            return run_simulation(scenario, resolved)
+        with tracer.span("point.run", index=point.index,
+                         protocol=scenario.protocol, seed=scenario.seed):
+            return run_simulation(scenario, resolved)
 
-    return run_point_attempts(retry, run_hash, attempt)
+    t0 = _obs_clock.now()
+    outcome = run_point_attempts(retry, run_hash, attempt)
+    frames = scenario.warmup_frames(resolved) + scenario.measured_frames(resolved)
+    return outcome, PointReport(
+        position=position,
+        run_hash=run_hash,
+        protocol=scenario.protocol,
+        coords=point.coords_dict(),
+        wall_s=_obs_clock.now() - t0,
+        worker=f"pid:{os.getpid()}",
+        frames=frames * getattr(scenario, "n_beams", 1),
+    )
 
 
 class Executor(Protocol):
@@ -228,15 +172,80 @@ class Executor(Protocol):
         params: SimulationParameters,
         progress: Optional[ProgressCallback] = None,
         sink: Optional[ResultSink] = None,
-        telemetry: Optional[RunTelemetry] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> List[SimulationResult]:
         """Evaluate every point and return results in the same order.
 
-        ``sink`` sees each result as it arrives, ``telemetry`` collects one
-        record per computed point, and ``retry`` governs failed attempts.
+        ``sink`` sees each result with its report as it arrives, and
+        ``retry`` governs failed attempts.
         """
         ...
+
+
+class _Delivery:
+    """One grid's results, handed to the caller as each point finishes.
+
+    The delivery step the serial and the pool loop share: a point's error
+    lands in the executor's ``last_errors``; a result fills its slot,
+    reaches the sink with its report and the progress callback, and its
+    seconds count as ``executor.worker_busy_seconds``.
+    """
+
+    def __init__(
+        self,
+        executor: "SerialExecutor",
+        points: Sequence[RunPoint],
+        progress: Optional[ProgressCallback],
+        sink: Optional[ResultSink],
+    ) -> None:
+        executor.last_errors = []
+        self.executor = executor
+        self.points = points
+        self.progress = progress
+        self.sink = sink
+        self.results: List[Optional[SimulationResult]] = [None] * len(points)
+        self.done = 0
+
+    def error(self, position: int, error: Exception) -> None:
+        self.executor.last_errors.append((position, error))
+        m = _metrics.METRICS
+        if m.enabled:
+            m.inc("executor.worker_errors")
+
+    def result(self, position: int, ran: PointRun) -> None:
+        outcome, report = ran
+        m = _metrics.METRICS
+        if m.enabled:
+            m.inc("executor.worker_busy_seconds", report.wall_s or 0.0)
+        self.results[position] = outcome
+        self.done += 1
+        if self.sink is not None:
+            failed = isinstance(outcome, FailedPoint)
+            self.sink(position, self.points[position], outcome,
+                      None if failed else report)
+        if self.progress is not None:
+            self.progress(self.done, len(self.points))
+
+    def finish(self) -> List[SimulationResult]:
+        """The results, or the cancellation or first error of an unfinished grid.
+
+        Before :class:`ExecutionCancelled` or the first point error (with
+        its own type) propagates, ``progress`` hears the definitive
+        ``(done, total)`` — even when no point ran — and the installed
+        tracer is flushed, so a progress bar and a ``--trace`` file both
+        end in a consistent state.
+        """
+        done, total = self.done, len(self.points)
+        if done == total:
+            return self.results  # type: ignore[return-value]
+        if self.progress is not None:
+            self.progress(done, total)
+        tracer = _obs_trace.TRACER
+        if tracer is not None:
+            tracer.flush()
+        if self.executor.cancelled:
+            raise ExecutionCancelled(done, total, self.results)
+        raise self.executor.last_errors[0][1]
 
 
 class SerialExecutor:
@@ -274,60 +283,19 @@ class SerialExecutor:
         params: SimulationParameters,
         progress: Optional[ProgressCallback] = None,
         sink: Optional[ResultSink] = None,
-        telemetry: Optional[RunTelemetry] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> List[SimulationResult]:
-        total = len(points)
-        self.last_errors = []
-        results: List[Optional[SimulationResult]] = [None] * total
-        done = 0
+        deliver = _Delivery(self, points, progress, sink)
         for position, point in enumerate(points):
             if self.cancelled:
                 break
             try:
-                outcome = _run_point(position, point, params, telemetry, retry)
+                ran = run_point(position, point, params, retry)
             except Exception as error:
-                self._record_error(position, error)
+                deliver.error(position, error)
                 continue
-            results[position] = outcome
-            done += 1
-            if sink is not None:
-                sink(position, point, outcome)
-            if progress is not None:
-                progress(done, total)
-        return self._finish(progress, done, total, results)
-
-    def _record_error(self, position: int, error: Exception) -> None:
-        self.last_errors.append((position, error))
-        m = _metrics.METRICS
-        if m.enabled:
-            m.inc("executor.worker_errors")
-
-    def _finish(
-        self,
-        progress: Optional[ProgressCallback],
-        done: int,
-        total: int,
-        results: List[Optional[SimulationResult]],
-    ) -> List[SimulationResult]:
-        """The results, or the cancellation or first error of an unfinished grid.
-
-        Before :class:`ExecutionCancelled` or the first point error (with
-        its own type) propagates, ``progress`` hears the definitive
-        ``(done, total)`` — even when no point ran — and the installed
-        tracer is flushed, so a progress bar and a ``--trace`` file both
-        end in a consistent state.
-        """
-        if done == total:
-            return results  # type: ignore[return-value]
-        if progress is not None:
-            progress(done, total)
-        tracer = _obs_trace.TRACER
-        if tracer is not None:
-            tracer.flush()
-        if self.cancelled:
-            raise ExecutionCancelled(done, total, results)
-        raise self.last_errors[0][1]
+            deliver.result(position, ran)
+        return deliver.finish()
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -338,28 +306,22 @@ class SerialExecutor:
 #: (large, immutable) SimulationParameters object is pickled once per worker
 #: instead of once per job.
 _WORKER_PARAMS: Optional[SimulationParameters] = None
-#: Whether workers should measure each job (set alongside _WORKER_PARAMS).
-_WORKER_TELEMETRY = False
-_WORKER_PHASE_SPLIT = False
 #: Retry policy applied in-worker (set alongside _WORKER_PARAMS).
 _WORKER_RETRY: Optional[RetryPolicy] = None
 
-#: What a worker sends back per point: ``(outcome, info, busy_s)``.
-WorkerOutcome = Tuple[PointOutcome, Optional[Dict[str, Any]], float]
+#: What a worker sends back per point: the run, and the point's metrics
+#: snapshot when the caller records.
+WorkerOutcome = Tuple[PointRun, Optional[Dict[str, Dict[str, object]]]]
 
 
 def _worker_init(
     params: SimulationParameters,
-    telemetry: bool = False,
-    phase_split: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_spec: Optional[str] = None,
+    retry: Optional[RetryPolicy],
+    fault_spec: Optional[str],
+    record_metrics: bool,
 ) -> None:
-    global _WORKER_PARAMS, _WORKER_TELEMETRY, _WORKER_PHASE_SPLIT
-    global _WORKER_RETRY
+    global _WORKER_PARAMS, _WORKER_RETRY
     _WORKER_PARAMS = params
-    _WORKER_TELEMETRY = telemetry
-    _WORKER_PHASE_SPLIT = phase_split
     _WORKER_RETRY = retry
     # A forked worker inherits the parent's injector *object* (counts
     # included), which would skew periodic triggers; always reset to a
@@ -368,45 +330,34 @@ def _worker_init(
         _faults.install(FaultPlan.from_spec(fault_spec))
     else:
         _faults.uninstall()
+    # Likewise its registry, holding the caller's counts so far: record
+    # into a fresh one of its own, whose snapshots the caller merges.
+    if record_metrics:
+        _metrics.install()
+    else:
+        _metrics.uninstall()
     # It also inherits the parent's tracer with its unflushed file buffer.
     # Dropped without a flush or close: a worker that wrote or flushed it
     # would repeat the header and interleave spans in the parent's trace.
     _obs_trace.TRACER = None
 
 
-def _worker_run_point(point: RunPoint) -> WorkerOutcome:
-    """Evaluate one point in a pool worker: ``(outcome, info, busy_s)``.
+def _worker_run_point(point: RunPoint, position: int) -> WorkerOutcome:
+    """Evaluate one point in a pool worker through :func:`run_point`.
 
-    ``info`` is the telemetry dict of :func:`_simulate_measured` when the
-    pool was initialised with telemetry on, else ``None``; ``busy_s`` is
-    the worker's time on the point, retries included.  Retry jitter and
-    targeted fault injection key on the point's run hash, never on the
-    scheduling order.  Under a recording retry policy the outcome of a
-    terminally failed point is its :class:`~repro.faults.retry.FailedPoint`
-    (``info`` is ``None``); in ``on_error="raise"`` mode the error
-    propagates and the parent's future re-raises it.
+    Retry jitter and targeted fault injection key on the point's run hash,
+    never on the scheduling order.  An error the point raises (in
+    ``on_error="raise"`` mode) propagates, and the caller's future
+    re-raises it; the counts of its attempts stay in the worker.
     """
     params = _WORKER_PARAMS
     if params is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker pool initializer did not run")
-    resolved = point.resolved_params(params)
-    run_hash = point.run_hash()
-
-    def attempt(attempt_number: int) -> Tuple[SimulationResult, Optional[Dict[str, object]]]:
-        injector = _faults.INJECTOR
-        if injector is not None:
-            injector.point_attempt(run_hash, attempt_number)
-        if _WORKER_TELEMETRY:
-            return _simulate_measured(point.scenario, resolved, _WORKER_PHASE_SPLIT)
-        return _simulate(point.scenario, resolved), None
-
-    t0 = _obs_clock.now()
-    outcome = run_point_attempts(_WORKER_RETRY, run_hash, attempt)
-    busy_s = _obs_clock.now() - t0
-    if isinstance(outcome, FailedPoint):
-        return outcome, None, busy_s
-    result, info = outcome
-    return result, info, busy_s
+    registry = _metrics.METRICS
+    if registry.enabled:
+        registry.reset()
+    ran = run_point(position, point, params, _WORKER_RETRY)
+    return ran, registry.snapshot() if registry.enabled else None
 
 
 #: Points submitted to the pool but not yet finished, per worker.  With two,
@@ -452,19 +403,13 @@ class ParallelExecutor(SerialExecutor):
         params: SimulationParameters,
         progress: Optional[ProgressCallback] = None,
         sink: Optional[ResultSink] = None,
-        telemetry: Optional[RunTelemetry] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> List[SimulationResult]:
         total = len(points)
         n_workers = min(self.n_workers, total)
         if n_workers <= 1:
-            return super().execute_with_sink(
-                points, params, progress, sink, telemetry, retry
-            )
-        self.last_errors = []
-        results: List[Optional[SimulationResult]] = [None] * total
-        done = 0
-        busy_s = 0.0
+            return super().execute_with_sink(points, params, progress, sink, retry)
+        deliver = _Delivery(self, points, progress, sink)
         # The sort is stable, so points of equal cost keep run-list order.
         queue = iter(sorted(
             range(total), key=lambda position: -estimated_point_cost(points[position])
@@ -477,10 +422,9 @@ class ParallelExecutor(SerialExecutor):
             initializer=_worker_init,
             initargs=(
                 params,
-                telemetry is not None,
-                telemetry.phase_split if telemetry is not None else False,
                 retry,
                 plan.to_spec() if plan is not None else None,
+                _metrics.METRICS.enabled,
             ),
         )
         in_flight: Dict[Future[WorkerOutcome], int] = {}
@@ -491,7 +435,9 @@ class ParallelExecutor(SerialExecutor):
                     position = next(queue, None)
                     if position is None:
                         break
-                    future = pool.submit(_worker_run_point, points[position])
+                    future = pool.submit(
+                        _worker_run_point, points[position], position=position
+                    )
                     in_flight[future] = position
                 if not in_flight:
                     break
@@ -499,33 +445,17 @@ class ParallelExecutor(SerialExecutor):
                 for future in finished:
                     position = in_flight.pop(future)
                     try:
-                        outcome, info, point_busy_s = future.result()
+                        ran, snapshot = future.result()
                     except Exception as error:
-                        self._record_error(position, error)
+                        deliver.error(position, error)
                         continue
-                    busy_s += point_busy_s
-                    point = points[position]
-                    results[position] = outcome
-                    done += 1
-                    if telemetry is not None and info is not None:
-                        telemetry.record_point(
-                            position,
-                            run_hash=point.run_hash(),
-                            protocol=point.scenario.protocol,
-                            coords=point.coords_dict(),
-                            **info,
-                        )
-                    if sink is not None:
-                        sink(position, point, outcome)
-                    if progress is not None:
-                        progress(done, total)
+                    if snapshot is not None:
+                        _metrics.METRICS.merge(snapshot)
+                    deliver.result(position, ran)
         finally:
             # Only an exception leaves queued points behind; they never start.
             pool.shutdown(cancel_futures=True)
-        m = _metrics.METRICS
-        if m.enabled:
-            m.inc("executor.worker_busy_seconds", busy_s)
-        return self._finish(progress, done, total, results)
+        return deliver.finish()
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(n_workers={self.n_workers})"

@@ -12,23 +12,19 @@ caching (``cache_dir=`` / ``store=``) live in exactly one place.
 from __future__ import annotations
 
 from contextlib import nullcontext as _nullcontext
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from repro.api.executors import (
-    Executor,
-    ProgressCallback,
-    SerialExecutor,
-    select_executor,
-)
+from repro.api.executors import Executor, ProgressCallback, select_executor
 from repro.api.resultset import ResultSet, RunRecord
-from repro.api.spec import ExperimentSpec, SweepAxis
+from repro.api.spec import ExperimentSpec, RunPoint, SweepAxis
 from repro.config import SimulationParameters
 from repro.faults import FailedPoint, FaultPlan, RetryPolicy
 from repro.faults import injector as _faults_injector
-from repro.obs.report import RunReport, RunTelemetry
+from repro.obs.report import PointReport, RunReport, RunTelemetry
+from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
 
-__all__ = ["run", "run_points", "sweep_spec"]
+__all__ = ["run", "sweep_spec"]
 
 
 def run(
@@ -72,9 +68,10 @@ def run(
         :class:`~repro.obs.report.RunReport` is also persisted as the store
         artifact ``telemetry-<spec_hash>``.  ``True`` forces collection,
         ``False`` disables it, and a :class:`~repro.obs.report.RunTelemetry`
-        instance is used as-is (caller keeps ownership and configuration,
-        e.g. ``phase_split=True``).  The report is attached to the returned
-        set as :attr:`~repro.api.resultset.ResultSet.telemetry`.
+        instance is used as-is (the caller keeps ownership).  Collection
+        records the :class:`~repro.obs.report.PointReport` the executor's
+        result sink delivers with each point.  The report is attached to
+        the returned set as :attr:`~repro.api.resultset.ResultSet.telemetry`.
     retry:
         Optional :class:`~repro.faults.RetryPolicy`: transient point
         failures are retried with backoff, and with ``on_error="record"``
@@ -125,12 +122,18 @@ def run(
         else _nullcontext()
     )
 
+    def record(position: int, point: RunPoint, result: SimulationResult,
+               point_report: Optional[PointReport]) -> None:
+        if collector is not None and point_report is not None:
+            collector.record(point_report)
+
     report: Optional[RunReport] = None
     with injection:
         if collector is not None:
             collector.start()
         results = executor.execute_with_sink(
-            points, spec.params, progress, None, collector, retry
+            points, spec.params, progress,
+            record if collector is not None else None, retry,
         )
         if collector is not None:
             report = collector.report(
@@ -152,23 +155,6 @@ def run(
         for p, r in zip(points, results)
     ]
     return ResultSet(records, name=spec.name, telemetry=report)
-
-
-def run_points(
-    points: Sequence,
-    params: Optional[SimulationParameters] = None,
-    executor: Optional[Executor] = None,
-    n_workers: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List:
-    """Execute pre-expanded run points (low-level plumbing)."""
-    params = params if params is not None else SimulationParameters()
-    if executor is None:
-        if n_workers is not None:
-            executor = select_executor(points, n_workers=n_workers)
-        else:
-            executor = SerialExecutor()
-    return executor.execute_with_sink(points, params, progress)
 
 
 def sweep_spec(

@@ -773,6 +773,7 @@ def _selftest_obs() -> bool:
 
 def _command_selftest(_: argparse.Namespace) -> int:
     """Run one tiny grid through each executor and verify they agree."""
+    from repro.obs import metrics as _metrics
     from repro.store import CachingExecutor, ResultStore
 
     spec = ExperimentSpec(
@@ -785,18 +786,28 @@ def _command_selftest(_: argparse.Namespace) -> int:
     )
     print(f"selftest grid: {spec.n_runs} runs (hash {spec.spec_hash()})")
     reference = None
+    reference_rounds = None
     results = None
     for label, executor in (
         ("SerialExecutor", SerialExecutor()),
         ("ParallelExecutor", ParallelExecutor(n_workers=2)),
     ):
-        results = run(spec, executor=executor)
+        # Pool workers record into registries of their own; the counts
+        # must still all reach this one.
+        with _metrics.recording() as registry:
+            results = run(spec, executor=executor)
+        rounds = registry.counter("contention.rounds")
         records = results.to_records()
-        print(f"  {label:<18} {len(results)} runs ok")
+        print(f"  {label:<18} {len(results)} runs ok, "
+              f"{rounds:.0f} contention rounds")
         if reference is None:
-            reference = records
+            reference, reference_rounds = records, rounds
         elif records != reference:
             print(f"  MISMATCH: {label} disagrees with SerialExecutor")
+            return 1
+        elif rounds != reference_rounds or not rounds:
+            print(f"  MISMATCH: {label} counted {rounds:.0f} contention "
+                  f"rounds, SerialExecutor {reference_rounds:.0f}")
             return 1
     rows = results.aggregate(["voice_loss_rate"], by=("protocol", "n_voice"))
     print(f"  aggregate          {len(rows)} (protocol, n_voice) groups ok")

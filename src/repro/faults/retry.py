@@ -122,6 +122,11 @@ class PointFailed(RuntimeError):
         )
         self.failed = failed
 
+    def __reduce__(self) -> "tuple[type, tuple[FailedPoint]]":
+        # Rebuild from the record, not from the formatted message in
+        # ``args``, so the error survives the trip back from a pool worker.
+        return (type(self), (self.failed,))
+
 
 #: What one guarded point execution produces.
 PointOutcome = Union[Any, FailedPoint]

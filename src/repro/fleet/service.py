@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api.spec import RunPoint
 from repro.config import PriorityWeights, SimulationParameters
 from repro.obs import metrics as _metrics
-from repro.sim.scenario import Scenario
+from repro.store.serialization import payload_to_scenario
 
 __all__ = [
     "WorkService",
@@ -69,7 +69,7 @@ def payload_to_point(payload: Dict[str, Any]) -> RunPoint:
     """Rebuild the exact :class:`RunPoint` a payload was dumped from."""
     return RunPoint(
         index=int(payload["index"]),
-        scenario=Scenario(**payload["scenario"]),
+        scenario=payload_to_scenario(payload["scenario"]),
         param_overrides=tuple(
             (str(k), v) for k, v in payload["param_overrides"]
         ),

@@ -23,7 +23,7 @@ import threading
 import time
 from typing import Any, Dict, Optional, Union
 
-from repro.api.executors import _run_point
+from repro.api.executors import run_point
 from repro.api.spec import RunPoint
 from repro.faults import injector as _faults
 from repro.faults.plan import FaultPlan
@@ -152,8 +152,8 @@ class FleetWorker:
         params = payload_to_params(self.service.get_meta("params") or {})
         stop = self._start_heartbeat(item.position, point)
         try:
-            outcome = _run_point(
-                item.position, point, params, None, self.retry
+            outcome, _report = run_point(
+                item.position, point, params, self.retry
             )
         except PointFailed as error:
             self.service.fail(self.worker_id, run_hash, str(error))

@@ -20,7 +20,8 @@ One observability substrate for the whole stack:
     replacement for the old ``sys.setprofile`` hook.
 ``repro.obs.report``
     :class:`RunReport` / :class:`RunTelemetry`: structured per-point run
-    telemetry threaded through the executors and persisted as a
+    telemetry that reaches :func:`repro.api.run` through the executors'
+    result sink and is persisted as a
     :class:`~repro.store.store.ResultStore` artifact.
 ``repro.obs.summary``
     Trace-file aggregation behind ``python -m repro obs summarize``.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "Histogram",
@@ -85,10 +85,9 @@ class Histogram:
 class MetricsRegistry:
     """Counters, gauges and histograms keyed by dotted metric names.
 
-    Thread-safe for concurrent increments (the async executor's worker
-    coroutines and inner-executor callbacks may interleave); the lock is
-    only ever taken when a registry is actually recording, so the disabled
-    default costs nothing.
+    Thread-safe for concurrent increments from several threads; the lock
+    is only ever taken when a registry is actually recording, so the
+    disabled default costs nothing.
     """
 
     #: Hot paths gate on this before touching any other attribute.
@@ -118,6 +117,33 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = Histogram()
             histogram.observe(value)
+
+    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add, histograms combine their count, sum, min and max, and
+        gauges take the snapshot's value.  Pool workers ship each point's
+        snapshot back to the coordinator this way.
+        """
+        with self._lock:
+            for name, value in snapshot.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0.0) + float(value)
+            self._gauges.update(
+                (name, float(value))
+                for name, value in snapshot.get("gauges", {}).items()
+            )
+            for name, summary in snapshot.get("histograms", {}).items():
+                count = int(summary["count"])
+                if not count:
+                    continue
+                histogram = self._histograms.setdefault(name, Histogram())
+                low, high = float(summary["min"]), float(summary["max"])
+                if histogram.count == 0 or low < histogram.min:
+                    histogram.min = low
+                if histogram.count == 0 or high > histogram.max:
+                    histogram.max = high
+                histogram.count += count
+                histogram.total += float(summary["sum"])
 
     # ----------------------------------------------------------------- read
     def counter(self, name: str) -> float:
@@ -169,6 +195,9 @@ class _NullMetricsRegistry(MetricsRegistry):
         pass
 
     def observe(self, name: str, value: Number) -> None:
+        pass
+
+    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
         pass
 
 

@@ -1,22 +1,22 @@
 """Structured run telemetry: per-point cost, cache status, worker id.
 
-:class:`RunTelemetry` is the mutable collector the executors thread point
-records into while a grid runs; :meth:`RunTelemetry.report` freezes it into
-a :class:`RunReport`, the JSON-ready payload :func:`repro.api.run` persists
-as a :class:`~repro.store.store.ResultStore` artifact.  The ROADMAP's fleet
-executor reuses :class:`RunReport` as its worker heartbeat payload, so the
-shape is versioned just like the trace schema.
+Every executor hands its result sink a :class:`PointReport` with each
+point's outcome; :func:`repro.api.run` records what its sink delivers into
+a :class:`RunTelemetry`, and :meth:`RunTelemetry.report` freezes that into
+a :class:`RunReport`, the JSON-ready payload persisted as a
+:class:`~repro.store.store.ResultStore` artifact.  The fleet worker reuses
+:class:`RunReport` as its heartbeat payload, so the shape is versioned just
+like the trace schema.
 
-The collector is deliberately decoupled from :class:`~repro.api.spec`:
-executors pass plain values (``run_hash``, ``protocol``, ``coords``), so
-this module stays stdlib-only and inside the mypy --strict perimeter.
+The reports are deliberately decoupled from :class:`~repro.api.spec`:
+they hold plain values (``run_hash``, ``protocol``, ``coords``), so this
+module stays stdlib-only and inside the mypy --strict perimeter.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.obs import clock as _clock
 from repro.obs import metrics as _metrics
@@ -48,13 +48,11 @@ class PointReport:
     wall_s: Optional[float] = None
     #: "computed" (no cache in play), "hit" or "miss".
     cache: str = "computed"
-    #: Opaque worker label (``"pid:1234"``, ``"async:2"``) or ``None``
-    #: when the point ran in the driving process.
+    #: Opaque worker label (``"pid:1234"``) of the process that ran the
+    #: point; ``None`` for cache hits.
     worker: Optional[str] = None
-    #: Frames simulated (warmup + measured), when known.
+    #: Frames simulated (warmup + measured, summed over beams), when known.
     frames: Optional[int] = None
-    #: Per-phase second split, present when phase_split was requested.
-    phase_seconds: Optional[Dict[str, float]] = None
 
     def to_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -70,8 +68,6 @@ class PointReport:
             payload["worker"] = self.worker
         if self.frames is not None:
             payload["frames"] = self.frames
-        if self.phase_seconds is not None:
-            payload["phase_seconds"] = dict(self.phase_seconds)
         return payload
 
     @classmethod
@@ -85,7 +81,6 @@ class PointReport:
             cache=str(payload.get("cache", "computed")),
             worker=payload.get("worker"),
             frames=payload.get("frames"),
-            phase_seconds=payload.get("phase_seconds"),
         )
 
 
@@ -111,15 +106,6 @@ class RunReport:
         timed = [p for p in self.points if p.wall_s is not None]
         timed.sort(key=lambda p: -(p.wall_s or 0.0))
         return timed[:n]
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Per-phase seconds summed over every point that carried a split."""
-        totals: Dict[str, float] = {}
-        for point in self.points:
-            if point.phase_seconds:
-                for phase, seconds in point.phase_seconds.items():
-                    totals[phase] = totals.get(phase, 0.0) + seconds
-        return totals
 
     def cache_counts(self) -> Dict[str, int]:
         """How many points were hits / misses / plain computes."""
@@ -163,19 +149,13 @@ class RunReport:
 
 
 class RunTelemetry:
-    """Mutable per-run collector the executors record points into.
+    """Mutable collector of one grid's :class:`PointReport` records.
 
-    Thread-safe (async workers and sink callbacks interleave).  Layered
-    executors use :meth:`child` + :meth:`absorb`: the caching executor
-    hands its inner executor a child collector over the *miss* sub-list,
-    then remaps the child's sub-positions back onto grid positions.
+    :func:`repro.api.run` records every report its result sink delivers;
+    a later report for the same position replaces the earlier one.
     """
 
-    def __init__(self, phase_split: bool = False) -> None:
-        #: Ask executors to run points under ``enable_phase_timing`` and
-        #: attach the per-phase split to each record.
-        self.phase_split = phase_split
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
         self._points: Dict[int, PointReport] = {}
         self._t0: Optional[float] = None
 
@@ -183,57 +163,10 @@ class RunTelemetry:
         """Mark the beginning of the execute call (for run wall time)."""
         self._t0 = _clock.now()
 
-    def record_point(
-        self,
-        position: int,
-        *,
-        run_hash: str,
-        protocol: str,
-        coords: Dict[str, Any],
-        wall_s: Optional[float] = None,
-        cache: str = "computed",
-        worker: Optional[str] = None,
-        frames: Optional[int] = None,
-        phase_seconds: Optional[Dict[str, float]] = None,
-    ) -> None:
-        report = PointReport(
-            position=position,
-            run_hash=run_hash,
-            protocol=protocol,
-            coords=coords,
-            wall_s=wall_s,
-            cache=cache,
-            worker=worker,
-            frames=frames,
-            phase_seconds=phase_seconds,
-        )
-        with self._lock:
-            self._points[position] = report
+    def record(self, report: PointReport) -> None:
+        """Keep ``report`` as the record of its grid position."""
+        self._points[report.position] = report
 
-    # ------------------------------------------------------------- layering
-    def child(self) -> "RunTelemetry":
-        """A fresh collector for an inner executor over a sub-list."""
-        return RunTelemetry(phase_split=self.phase_split)
-
-    def absorb(
-        self,
-        child: "RunTelemetry",
-        positions: Sequence[int],
-        cache: Optional[str] = None,
-    ) -> None:
-        """Fold a child's records in, remapping sub-position ``i`` to
-        ``positions[i]`` and optionally re-labelling the cache status."""
-        with child._lock:
-            records = list(child._points.values())
-        with self._lock:
-            for record in records:
-                position = positions[record.position]
-                record = replace(record, position=position)
-                if cache is not None:
-                    record = replace(record, cache=cache)
-                self._points[position] = record
-
-    # -------------------------------------------------------------- freeze
     def report(
         self, spec_name: str, spec_hash: str, n_points: int
     ) -> RunReport:
@@ -241,20 +174,14 @@ class RunTelemetry:
         wall_s = _clock.now() - self._t0 if self._t0 is not None else None
         registry = _metrics.METRICS
         metrics = registry.snapshot() if registry.enabled else {}
-        with self._lock:
-            points = [self._points[key] for key in sorted(self._points)]
         return RunReport(
             spec_name=spec_name,
             spec_hash=spec_hash,
             n_points=n_points,
             wall_s=wall_s,
-            points=points,
+            points=[self._points[key] for key in sorted(self._points)],
             metrics=metrics,
         )
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"RunTelemetry(points={len(self._points)}, "
-                f"phase_split={self.phase_split})"
-            )
+        return f"RunTelemetry(points={len(self._points)})"

@@ -10,18 +10,21 @@ cached execution — goes through :func:`repro.api.run` with an
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.config import SimulationParameters
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
 
+if TYPE_CHECKING:
+    from repro.constellation.scenario import ConstellationScenario
+
 __all__ = ["run_simulation"]
 
 
 def run_simulation(
-    scenario: Scenario,
+    scenario: Union[Scenario, "ConstellationScenario"],
     params: Optional[SimulationParameters] = None,
 ) -> SimulationResult:
     """Simulate one scenario and return its metrics.

@@ -28,7 +28,7 @@ from repro.faults import injector as _faults
 from repro.faults.retry import RetryPolicy
 from repro.obs import clock as _obs_clock
 from repro.obs import metrics as _metrics
-from repro.obs.report import RunTelemetry
+from repro.obs.report import PointReport
 from repro.sim.results import SimulationResult
 from repro.store.store import ResultStore
 
@@ -48,7 +48,9 @@ class CachingExecutor:
     After each :meth:`execute_with_sink` call, :attr:`hits` and
     :attr:`misses` report how many points were served from the store versus
     simulated — the accounting the selftest and the acceptance tests assert
-    on.
+    on.  The sink sees a hit's report labelled ``hit`` (its wall time is
+    the store lookup) and the inner executor's reports relabelled ``miss``
+    at their grid positions.
     """
 
     def __init__(
@@ -84,7 +86,6 @@ class CachingExecutor:
         params: SimulationParameters,
         progress: Optional[ProgressCallback] = None,
         sink: Optional[ResultSink] = None,
-        telemetry: Optional[RunTelemetry] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> List[SimulationResult]:
         total = len(points)
@@ -95,7 +96,7 @@ class CachingExecutor:
 
         missing: List[int] = []
         for position, point in enumerate(points):
-            t0 = _obs_clock.now() if telemetry is not None else 0.0
+            t0 = _obs_clock.now()
             cached = self.store.get(keys[position])
             if cached is not None and cached.scenario != point.scenario:
                 # Defensive: a digest collision (or a poisoned entry) must
@@ -103,25 +104,21 @@ class CachingExecutor:
                 cached = None
             if cached is None:
                 missing.append(position)
-            else:
-                results[position] = cached
-                self.hits += 1
-                if telemetry is not None:
-                    # A hit's wall time is the store lookup itself.
-                    telemetry.record_point(
-                        position,
-                        run_hash=keys[position],
-                        protocol=point.scenario.protocol,
-                        coords=point.coords_dict(),
-                        wall_s=_obs_clock.now() - t0,
-                        cache="hit",
-                    )
-                # The sink contract is "called once per available result",
-                # not "once per simulation" — layered consumers (e.g. a
-                # caching executor wrapping this one) rely on seeing hits
-                # too.
-                if sink is not None:
-                    sink(position, point, cached)
+                continue
+            results[position] = cached
+            self.hits += 1
+            # The sink contract is "called once per available result", not
+            # "once per simulation" — layered consumers (e.g. a caching
+            # executor wrapping this one) rely on seeing hits too.
+            if sink is not None:
+                sink(position, point, cached, PointReport(
+                    position=position,
+                    run_hash=keys[position],
+                    protocol=point.scenario.protocol,
+                    coords=point.coords_dict(),
+                    wall_s=_obs_clock.now() - t0,
+                    cache="hit",
+                ))
         if progress is not None and self.hits:
             progress(self.hits, total)
 
@@ -136,7 +133,8 @@ class CachingExecutor:
             sub_points = [points[position] for position in missing]
 
             def inner_sink(sub_position: int, point: RunPoint,
-                           result: SimulationResult) -> None:
+                           result: SimulationResult,
+                           report: Optional[PointReport]) -> None:
                 position = missing[sub_position]
                 results[position] = result
                 if isinstance(result, SimulationResult):
@@ -148,25 +146,19 @@ class CachingExecutor:
                 # A FailedPoint outcome is never persisted: the point stays
                 # a cache miss, so the next identical invocation retries it.
                 if sink is not None:
-                    sink(position, point, result)
+                    if report is not None:
+                        report = dataclasses.replace(
+                            report, position=position, cache="miss"
+                        )
+                    sink(position, point, result, report)
 
             def inner_progress(sub_done: int, _sub_total: int) -> None:
                 if progress is not None:
                     progress(self.hits + sub_done, total)
 
-            inner_telemetry = (
-                telemetry.child() if telemetry is not None else None
-            )
             self.inner.execute_with_sink(
-                sub_points, params, inner_progress, inner_sink,
-                inner_telemetry, retry,
+                sub_points, params, inner_progress, inner_sink, retry
             )
-            if telemetry is not None and inner_telemetry is not None:
-                # Remap the child's sub-positions onto grid positions and
-                # re-label every computed point as a miss.
-                telemetry.absorb(
-                    inner_telemetry, positions=missing, cache="miss"
-                )
 
         if any(r is None for r in results):
             raise RuntimeError(

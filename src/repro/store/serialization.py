@@ -17,7 +17,7 @@ as stale and never returns them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, TypeVar, cast
+from typing import Any, Callable, Dict, TypeVar, Union, cast
 
 from repro.constellation.scenario import ConstellationScenario
 from repro.metrics.collector import MacStats
@@ -31,6 +31,7 @@ __all__ = [
     "SerializationError",
     "result_to_payload",
     "payload_to_result",
+    "payload_to_scenario",
 ]
 
 #: Version of the serialised result format.  Bump on any change to the
@@ -71,6 +72,20 @@ def _rebuild(cls: Callable[..., _T], payload: object, what: str) -> _T:
         raise SerializationError(f"invalid {what} payload: {error}") from error
 
 
+def payload_to_scenario(
+    payload: object,
+) -> Union[Scenario, ConstellationScenario]:
+    """Rebuild a single-cell or constellation scenario from its fields.
+
+    A :class:`ConstellationScenario` carries ``n_beams``, which tells the
+    two shapes apart on the wire (the exact field-set match of the rebuild
+    still rejects hybrids).
+    """
+    if isinstance(payload, dict) and "n_beams" in payload:
+        return _rebuild(ConstellationScenario, payload, "scenario")
+    return _rebuild(Scenario, payload, "scenario")
+
+
 def payload_to_result(payload: Dict[str, object]) -> SimulationResult:
     """Rebuild the exact :class:`SimulationResult` a payload was dumped from."""
     if not isinstance(payload, dict):
@@ -80,17 +95,8 @@ def payload_to_result(payload: Dict[str, object]) -> SimulationResult:
         raise SerializationError(
             f"result payload is missing sections: {sorted(missing)}"
         )
-    # A merged constellation result carries a ConstellationScenario; its
-    # ``n_beams`` field distinguishes the two scenario shapes on the wire
-    # (the exact field-set match in _rebuild still rejects hybrids).
-    scenario_payload = payload["scenario"]
-    scenario_cls: Callable[..., Any] = (
-        ConstellationScenario
-        if isinstance(scenario_payload, dict) and "n_beams" in scenario_payload
-        else Scenario
-    )
     return SimulationResult(
-        scenario=_rebuild(scenario_cls, scenario_payload, "scenario"),
+        scenario=payload_to_scenario(payload["scenario"]),
         voice=_rebuild(VoiceMetrics, payload["voice"], "voice"),
         data=_rebuild(DataMetrics, payload["data"], "data"),
         mac=_rebuild(MacStats, payload["mac"], "mac"),

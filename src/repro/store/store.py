@@ -149,7 +149,10 @@ class ResultStore:
 
     @staticmethod
     def _write_atomic(path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
+        # One temporary name per process: fleet workers that open a fresh
+        # store together each write a manifest, and a shared name would
+        # let one rename the other's file away mid-write.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
 

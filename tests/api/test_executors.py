@@ -12,7 +12,6 @@ from repro.api import (
     SerialExecutor,
     SweepAxis,
     run,
-    run_points,
     select_executor,
 )
 from repro.api.executors import estimated_grid_cost, estimated_point_cost
@@ -140,7 +139,7 @@ class TestPerPointDispatch:
         executor = ParallelExecutor(n_workers=1)
         seen = []
 
-        def sink(position, point, result):
+        def sink(position, point, result, report):
             seen.append(position)
             if len(seen) == 3:
                 executor.cancel()
@@ -207,7 +206,7 @@ class TestCancellationFinalization:
         executor = ParallelExecutor(n_workers=1)
         calls = []
 
-        def sink(position, point, result):
+        def sink(position, point, result, report):
             if len(calls) == 2:
                 executor.cancel()
 
@@ -237,7 +236,7 @@ class TestCancellationFinalization:
                 executor.execute_with_sink(
                     spec.expand(), spec.params,
                     progress=lambda done, total: calls.append((done, total)),
-                    sink=lambda p, pt, r: delivered.append(p),
+                    sink=lambda p, pt, r, rep: delivered.append(p),
                 )
         n_failed = len(executor.last_errors)
         assert n_failed == spec.n_runs // 3
@@ -260,7 +259,7 @@ class TestCancellationFinalization:
             with pytest.raises(InjectedFault):
                 executor.execute_with_sink(
                     spec.expand(), spec.params,
-                    sink=lambda p, pt, r: delivered.append(p),
+                    sink=lambda p, pt, r, rep: delivered.append(p),
                 )
         assert [p for p, _ in executor.last_errors] == [0]
         assert len(delivered) == spec.n_runs - 1
@@ -298,7 +297,7 @@ class TestCancellationFinalization:
             executor.execute_with_sink(
                 spec.expand(), spec.params,
                 progress=lambda done, total: calls.append((done, total)),
-                sink=lambda position, point, result: executor.cancel(),
+                sink=lambda position, point, result, report: executor.cancel(),
             )
         completed = excinfo.value.completed
         # Only the points already submitted finish after the cancel.
@@ -335,7 +334,7 @@ class TestCancellationFinalization:
         sink = ListTraceSink()
         install_tracer(sink)
         try:
-            def cancel_after_one(position, point, result):
+            def cancel_after_one(position, point, result, report):
                 executor.cancel()
 
             with pytest.raises(ExecutionCancelled):
@@ -350,6 +349,90 @@ class TestCancellationFinalization:
             uninstall_tracer()
 
 
+class TestPoolWorkerMetrics:
+    """Counters a pool worker increments reach the caller's registry."""
+
+    COUNTERS = ("faults.injected", "retry.attempts", "contention.rounds")
+
+    @staticmethod
+    def _run(executor, plan, retry):
+        from repro.faults import injecting
+        from repro.obs import metrics as _metrics
+
+        with _metrics.recording() as registry:
+            with injecting(plan):
+                results = run(_small_spec(), executor=executor, retry=retry)
+        return results, registry.snapshot()["counters"]
+
+    def test_targeted_crashes_count_alike_on_serial_and_pool(self):
+        from repro.faults import FaultPlan, RetryPolicy
+
+        points = _small_spec().expand()
+        plan = FaultPlan(crash_points=(
+            points[0].run_hash(), points[5].run_hash(),
+        ), crash_point_attempts=2)
+        retry = RetryPolicy(max_attempts=4)
+        serial, serial_counts = self._run(SerialExecutor(), plan, retry)
+        pooled, pool_counts = self._run(
+            ParallelExecutor(n_workers=2), plan, retry)
+        assert pooled.to_records() == serial.to_records()
+        assert serial_counts["faults.injected"] == 4
+        for name in self.COUNTERS:
+            assert pool_counts[name] == serial_counts[name] > 0, name
+
+    def test_periodic_crashes_reach_the_caller(self):
+        # Periodic triggers count per process, so the pool's total need not
+        # match the serial one; every injected crash is still one retry.
+        from repro.faults import FaultPlan, RetryPolicy
+
+        plan = FaultPlan(crash_every=2, seed=3)
+        _, counts = self._run(ParallelExecutor(n_workers=2), plan,
+                              RetryPolicy(max_attempts=4))
+        assert counts["faults.injected"] == counts["retry.attempts"] > 0
+        assert counts["contention.rounds"] > 0
+
+    def test_a_recorded_failure_ships_its_counters(self):
+        from repro.faults import FaultPlan, RetryPolicy
+
+        victim = _small_spec().expand()[2].run_hash()
+        plan = FaultPlan(crash_points=(victim,), crash_point_attempts=99)
+        retry = RetryPolicy(max_attempts=3, on_error="record")
+        serial, serial_counts = self._run(SerialExecutor(), plan, retry)
+        pooled, pool_counts = self._run(
+            ParallelExecutor(n_workers=2), plan, retry)
+        assert [e.run_hash for e in pooled.errors()] == [victim]
+        # The injected fault's message names its per-process occurrence.
+        pooled_records, serial_records = pooled.to_records(), serial.to_records()
+        for records in (pooled_records, serial_records):
+            del records[2]["error_message"]
+        assert pooled_records == serial_records
+        assert serial_counts["faults.injected"] == 3
+        for name in ("faults.injected", "retry.attempts",
+                     "executor.failed_points", "contention.rounds"):
+            assert pool_counts[name] == serial_counts[name] > 0, name
+
+    def test_an_exhausted_point_fails_alone_on_the_pool(self):
+        # In on_error="raise" mode the pool records the point's PointFailed
+        # like a serial run and keeps every other result.
+        from repro.faults import FaultPlan, PointFailed, RetryPolicy, injecting
+
+        spec = _small_spec()
+        victim = spec.expand()[2].run_hash()
+        plan = FaultPlan(crash_points=(victim,), crash_point_attempts=99)
+        for executor in (SerialExecutor(), ParallelExecutor(n_workers=2)):
+            delivered = []
+            with injecting(plan), pytest.raises(PointFailed) as excinfo:
+                executor.execute_with_sink(
+                    spec.expand(), spec.params,
+                    sink=lambda p, pt, r, rep: delivered.append(p),
+                    retry=RetryPolicy(max_attempts=3),
+                )
+            assert excinfo.value.failed.run_hash == victim
+            assert excinfo.value.failed.attempts == 3
+            assert [p for p, _ in executor.last_errors] == [2]
+            assert sorted(delivered) == [0, 1, 3, 4, 5, 6, 7]
+
+
 class TestRunPoints:
     def test_parallel_and_serial_identical_for_identical_seeds(self):
         # Regression: the shared SimulationParameters object travels to the
@@ -359,8 +442,10 @@ class TestRunPoints:
             RunPoint(index=i, scenario=BASE.with_overrides(n_voice=n, seed=s))
             for i, (n, s) in enumerate((n, s) for n in (2, 4) for s in (0, 1))
         ]
-        serial = run_points(points, PARAMS, n_workers=1)
-        parallel = run_points(points, PARAMS, n_workers=2)
+        serial = select_executor(points, n_workers=1).execute_with_sink(
+            points, PARAMS)
+        parallel = select_executor(points, n_workers=2).execute_with_sink(
+            points, PARAMS)
         assert [r.summary() for r in serial] == [r.summary() for r in parallel]
         assert [r.scenario for r in serial] == [p.scenario for p in points]
 
@@ -372,10 +457,14 @@ class TestRunPoints:
         seen = []
         results = SerialExecutor().execute_with_sink(
             points, PARAMS,
-            sink=lambda pos, point, result: seen.append((pos, point, result)),
+            sink=lambda pos, point, result, report: seen.append(
+                (pos, point, result, report)),
         )
-        assert [pos for pos, _, _ in seen] == [0, 1, 2]
-        assert [r for _, _, r in seen] == results
+        assert [pos for pos, _, _, _ in seen] == [0, 1, 2]
+        assert [r for _, _, r, _ in seen] == results
+        assert [report.position for _, _, _, report in seen] == [0, 1, 2]
+        assert [report.run_hash for _, _, _, report in seen] == \
+            [point.run_hash() for point in points]
 
 
 class TestSelection:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import ExperimentSpec, SerialExecutor, SweepAxis, run
 from repro.config import SimulationParameters
+from repro.constellation.scenario import ConstellationScenario
 from repro.fleet import FleetError, FleetWorker, WorkService, run_fleet, spawn_worker
 from repro.fleet.service import params_to_payload
 from repro.sim.scenario import Scenario
@@ -81,6 +82,27 @@ class TestRunFleet:
         assert [e.run_hash for e in errors] == [victim]
         assert errors[0].error_type == "InjectedFault"
         assert len(results.completed()) == spec.n_runs - 1
+
+    def test_constellation_grid_completes_like_serial(self, tmp_path):
+        # Work items rebuild each point's scenario from its payload; a
+        # constellation must come back as a ConstellationScenario.
+        spec = ExperimentSpec(
+            protocols=("rama",),
+            base_scenario=ConstellationScenario(
+                protocol="rama", n_beams=2, n_voice=3, n_data=1,
+                duration_s=0.3, warmup_s=0.1, macro_frames=8,
+                handover_rate=0.05,
+            ),
+            axes=(SweepAxis("n_voice", (3, 5)),),
+            params=PARAMS,
+            name="fleet-constellation",
+        )
+        results = run_fleet(spec, tmp_path / "store", n_workers=1,
+                            lease_ttl_s=5.0, deadline_s=120.0)
+        assert not results.errors()
+        assert [r.result.scenario for r in results.records] == \
+            [p.scenario for p in spec.expand()]
+        assert results.to_records() == serial_reference(spec)
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -42,6 +42,36 @@ class TestRegistry:
         snap["counters"]["a"] = 999
         assert reg.counter("a") == 1
 
+    def test_merge_folds_another_registrys_snapshot(self):
+        # What a pool worker ships back: counters add, histograms fold,
+        # gauges take the incoming value.
+        caller, worker = metrics.MetricsRegistry(), metrics.MetricsRegistry()
+        caller.inc("a", 2)
+        caller.gauge("g", 1.0)
+        caller.observe("h", 5.0)
+        worker.inc("a", 3)
+        worker.inc("b")
+        worker.gauge("g", 4.0)
+        for value in (2.0, 9.0):
+            worker.observe("h", value)
+            worker.observe("fresh", value)
+        worker.observe("empty", 1.0)
+        shipped = worker.snapshot()
+        shipped["histograms"]["empty"] = {
+            "count": 0.0, "sum": 0.0, "min": 0.0, "max": 0.0}
+        caller.merge(shipped)
+        snap = caller.snapshot()
+        assert snap["counters"] == {"a": 5.0, "b": 1.0}
+        assert snap["gauges"] == {"g": 4.0}
+        assert snap["histograms"]["h"] == {
+            "count": 3.0, "sum": 16.0, "min": 2.0, "max": 9.0}
+        assert snap["histograms"]["fresh"] == {
+            "count": 2.0, "sum": 11.0, "min": 2.0, "max": 9.0}
+        assert "empty" not in snap["histograms"]
+        metrics.NULL.merge(shipped)
+        assert metrics.NULL.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}}
+
     def test_thread_safety_of_inc(self):
         reg = metrics.MetricsRegistry()
 

@@ -2,8 +2,8 @@
 
 The metrics/tracing call sites compiled into the engine's per-frame loop
 cost one module-attribute load and a branch when nothing is recording.
-This guard enforces the 2 % fps budget for that disabled state, plus an
-absolute tripwire against the committed ``BENCH_engine.json`` record.
+This guard enforces the 2 % fps budget for that disabled state, plus a
+same-session tripwire against a parent checkout.
 
 Methodology — why the 2 % budget is enforced *in-session*
 ---------------------------------------------------------
@@ -14,7 +14,7 @@ compared to a committed number at 2 % resolution.  Instead the budget test
 measures, side by side in one session:
 
 * the engine's per-frame cost on the reference rmav workload (everything
-  disabled — the state the committed record was taken in), and
+  disabled), and
 * the cost of one disabled hot site (the exact ``TRACER is None`` /
   ``METRICS.enabled`` patterns the instrumented code runs), times the
   number of hot-site executions a frame actually performs (counted by
@@ -31,18 +31,26 @@ pre-obs tree (no call sites at all) and this tree were timed interleaved
 across 12 process pairs; the obs tree's mean fps was *higher* (within
 noise), i.e. the disabled overhead is below measurement resolution.
 
-The absolute test allows a 25 % drift margin against the committed
-record, the tripwire for gross regressions that survive machine drift.
+The tripwire for gross regressions runs the same workload in fresh
+interpreters, alternating between this tree and the checkout of a parent
+commit named by ``REPRO_BENCH_PARENT``, and fails when this tree's median
+fps falls more than 25 % below the parent's.  Both sides are measured in
+one session, so machine drift cancels out.
 
 Opt-in (wall-clock assertions are machine dependent):
 
     REPRO_BENCH_GUARD=1 python -m pytest tests/obs/test_obs_overhead.py -m bench
+    REPRO_BENCH_PARENT=/path/to/parent/checkout \
+        python -m pytest tests/obs/test_obs_overhead.py -m bench
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,15 +66,19 @@ from repro.sim.scenario import Scenario
 pytestmark = [pytest.mark.slow, pytest.mark.bench]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-RECORD_PATH = REPO_ROOT / "BENCH_engine.json"
 
-#: The ISSUE budget: disabled observability may cost at most 2 % fps.
+#: The reference rmav workload: 100 terminals, 1 s measured after 0.25 s
+#: of warm-up.
+WORKLOAD = {"n_voice": 80, "n_data": 20, "seed": 1,
+            "measured_s": 1.0, "warmup_s": 0.25}
+
+#: Disabled observability may cost at most 2 % fps.
 ALLOWED_DROP = 0.02
-#: Drift margin for the absolute comparison against the committed record
-#: (absolute fps drifts by tens of percent between process invocations on
-#: one machine; 2 % is only resolvable side by side, see module docstring).
-DRIFT_ALLOWED_DROP = 0.25
+#: The most this tree's median fps may fall below the parent's.
+PARENT_ALLOWED_DROP = 0.25
 REPETITIONS = 4
+#: Alternating (parent, this tree) subprocess pairs of the tripwire.
+PARENT_PAIRS = 5
 
 #: Disabled metric checks a frame may run beyond the span/event sites the
 #: trace pass counts (``run_contention_ids`` and friends run roughly one
@@ -83,33 +95,21 @@ def _guard_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_GUARD", "") == "1"
 
 
-def _workload() -> dict:
-    if not RECORD_PATH.exists():
-        pytest.skip("no committed BENCH_engine.json to guard against")
-    latest = json.loads(RECORD_PATH.read_text()).get("latest", {})
-    workload = latest.get("workload", {})
-    row = latest.get("protocols", {}).get("rmav")
-    if not row or not workload:
-        pytest.skip("committed BENCH_engine.json has no rmav record")
-    return {**workload, "committed_fps": row["columnar_fps"]}
-
-
-def _build_engine(workload: dict) -> UplinkSimulationEngine:
+def _build_engine() -> UplinkSimulationEngine:
     scenario = Scenario(
         protocol="rmav",
-        n_voice=workload["n_voice"],
-        n_data=workload["n_data"],
-        duration_s=workload["measured_s"],
-        warmup_s=workload["warmup_s"],
-        seed=workload["seed"],
-        engine_backend="columnar",
+        n_voice=WORKLOAD["n_voice"],
+        n_data=WORKLOAD["n_data"],
+        duration_s=WORKLOAD["measured_s"],
+        warmup_s=WORKLOAD["warmup_s"],
+        seed=WORKLOAD["seed"],
     )
     return UplinkSimulationEngine(scenario, PARAMS)
 
 
-def _rmav_run(workload: dict) -> tuple:
+def _rmav_run() -> tuple:
     """Run the reference workload once; return (frames, cpu_seconds)."""
-    engine = _build_engine(workload)
+    engine = _build_engine()
     start = _obs_clock.cpu_now()
     engine.run()
     return engine.frame_index, _obs_clock.cpu_now() - start
@@ -133,14 +133,14 @@ def _disabled_site_seconds() -> float:
     return elapsed / (2 * n)
 
 
-def _sites_per_frame(workload: dict) -> float:
+def _sites_per_frame() -> float:
     """Hot-site executions per frame, counted with everything enabled.
 
     Every span and event a traced run emits corresponds to one disabled
     check on the untraced path; metric-only sites (no span) are covered by
     the constant bound added on top.
     """
-    engine = _build_engine(workload)
+    engine = _build_engine()
     sink = ListTraceSink()
     install_tracer(sink)
     try:
@@ -156,24 +156,21 @@ def _sites_per_frame(workload: dict) -> float:
 
 @pytest.mark.skipif(
     not _guard_enabled(),
-    reason="overhead guard is opt-in: set REPRO_BENCH_GUARD=1 on the "
-           "machine that produced BENCH_engine.json",
+    reason="overhead guard is opt-in: set REPRO_BENCH_GUARD=1",
 )
 def test_disabled_observability_costs_under_two_percent():
-    workload = _workload()
-
-    # Everything disabled — the state the committed record was taken in.
+    # Everything disabled.
     assert not _metrics.METRICS.enabled
     assert _obs_trace.TRACER is None
 
     best_frame_seconds = float("inf")
     site_seconds = float("inf")
     for _ in range(REPETITIONS):
-        frames, elapsed = _rmav_run(workload)
+        frames, elapsed = _rmav_run()
         best_frame_seconds = min(best_frame_seconds, elapsed / frames)
         site_seconds = min(site_seconds, _disabled_site_seconds())
 
-    overhead = _sites_per_frame(workload) * site_seconds
+    overhead = _sites_per_frame() * site_seconds
     fraction = overhead / best_frame_seconds
     assert fraction < ALLOWED_DROP, (
         f"disabled observability overhead: {overhead * 1e9:.0f} ns/frame "
@@ -183,25 +180,50 @@ def test_disabled_observability_costs_under_two_percent():
     )
 
 
+#: Runs the reference workload in a fresh interpreter and prints its fps
+#: (frames per CPU second of ``engine.run()``); argv[1] is the workload.
+_FPS_SCRIPT = """
+import json, sys, time
+from repro.config import SimulationParameters
+from repro.sim.engine import UplinkSimulationEngine
+from repro.sim.scenario import Scenario
+w = json.loads(sys.argv[1])
+engine = UplinkSimulationEngine(Scenario(
+    protocol="rmav", n_voice=w["n_voice"], n_data=w["n_data"],
+    duration_s=w["measured_s"], warmup_s=w["warmup_s"], seed=w["seed"],
+), SimulationParameters())
+start = time.process_time()
+engine.run()
+print(engine.frame_index / (time.process_time() - start))
+"""
+
+
+def _subprocess_fps(checkout: Path) -> float:
+    """The reference workload's fps in a fresh interpreter on ``checkout``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    completed = subprocess.run(
+        [sys.executable, "-c", _FPS_SCRIPT, json.dumps(WORKLOAD)],
+        env=env, capture_output=True, text=True, check=True, cwd=checkout,
+    )
+    return float(completed.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.skipif(
-    not _guard_enabled(),
-    reason="overhead guard is opt-in: set REPRO_BENCH_GUARD=1 on the "
-           "machine that produced BENCH_engine.json",
+    not os.environ.get("REPRO_BENCH_PARENT"),
+    reason="set REPRO_BENCH_PARENT to the checkout of a parent commit",
 )
-def test_rmav_fps_not_regressed_vs_committed_record():
-    workload = _workload()
-
-    assert not _metrics.METRICS.enabled
-    assert _obs_trace.TRACER is None
-
-    best = 0.0
-    for _ in range(REPETITIONS):
-        frames, elapsed = _rmav_run(workload)
-        best = max(best, frames / elapsed)
-
-    floor = workload["committed_fps"] * (1.0 - DRIFT_ALLOWED_DROP)
-    assert best >= floor, (
-        f"rmav columnar fps regressed: measured {best:.1f}, committed "
-        f"{workload['committed_fps']:.1f}, floor {floor:.1f} "
-        f"(> {DRIFT_ALLOWED_DROP:.0%} drop)"
+def test_rmav_fps_not_regressed_vs_parent():
+    parent = Path(os.environ["REPRO_BENCH_PARENT"]).resolve()
+    assert (parent / "src" / "repro").is_dir(), f"no repro checkout at {parent}"
+    parent_fps, fps = [], []
+    for _ in range(PARENT_PAIRS):
+        parent_fps.append(_subprocess_fps(parent))
+        fps.append(_subprocess_fps(REPO_ROOT))
+    parent_median = statistics.median(parent_fps)
+    median = statistics.median(fps)
+    floor = parent_median * (1.0 - PARENT_ALLOWED_DROP)
+    assert median >= floor, (
+        f"rmav fps regressed: median {median:.1f} against the parent's "
+        f"{parent_median:.1f} at {parent}, floor {floor:.1f} "
+        f"(> {PARENT_ALLOWED_DROP:.0%} drop); runs {fps} vs {parent_fps}"
     )

@@ -1,4 +1,4 @@
-"""Run telemetry: report round-trip and threading through the executors."""
+"""Run telemetry: report round-trip and delivery through the result sink."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.obs.report import (
     RUN_REPORT_SCHEMA_VERSION,
     PointReport,
     RunReport,
-    RunTelemetry,
 )
 from repro.sim.scenario import Scenario
 
@@ -38,8 +37,7 @@ class TestReportRoundTrip:
     def test_point_and_run_report_payloads(self):
         point = PointReport(position=3, run_hash="abc123", protocol="rmav",
                             coords={"n_voice": 8}, wall_s=0.5, cache="miss",
-                            worker="pid:42", frames=100,
-                            phase_seconds={"mac": 0.2})
+                            worker="pid:42", frames=100)
         report = RunReport(spec_name="s", spec_hash="deadbeef", n_points=4,
                            wall_s=1.0, points=[point],
                            metrics={"counters": {}})
@@ -47,6 +45,22 @@ class TestReportRoundTrip:
         back = RunReport.from_payload(payload)
         assert back == report
         assert payload["schema_version"] == RUN_REPORT_SCHEMA_VERSION
+
+    def test_reports_with_a_phase_split_still_load(self):
+        # Artifacts written while points could carry a per-phase split.
+        payload = RunReport(spec_name="s", spec_hash="d", n_points=1,
+                            wall_s=1.0, points=[], metrics={}).to_payload()
+        payload["points"] = [{
+            "position": 0, "run_hash": "abc123", "protocol": "rmav",
+            "coords": {"n_voice": 8}, "cache": "miss", "wall_s": 0.5,
+            "worker": "pid:42", "frames": 100,
+            "phase_seconds": {"mac": 0.2, "phy": 0.1},
+        }]
+        (point,) = RunReport.from_payload(payload).points
+        assert point == PointReport(position=0, run_hash="abc123",
+                                    protocol="rmav", coords={"n_voice": 8},
+                                    wall_s=0.5, cache="miss",
+                                    worker="pid:42", frames=100)
 
     def test_newer_schema_version_rejected(self):
         report = RunReport(spec_name="s", spec_hash="d", n_points=0,
@@ -60,78 +74,64 @@ class TestReportRoundTrip:
         points = [
             PointReport(position=i, run_hash=f"h{i}", protocol="rmav",
                         coords={}, wall_s=float(i + 1),
-                        cache="hit" if i % 2 else "miss",
-                        phase_seconds={"mac": 0.1 * (i + 1)})
+                        cache="hit" if i % 2 else "miss")
             for i in range(4)
         ]
         report = RunReport(spec_name="s", spec_hash="d", n_points=4,
                            wall_s=10.0, points=points, metrics={})
         assert [p.position for p in report.slowest(2)] == [3, 2]
         assert report.cache_counts() == {"hit": 2, "miss": 2}
-        assert report.phase_totals()["mac"] == pytest.approx(1.0)
 
 
-class TestRunTelemetry:
-    def test_child_absorb_remaps_positions_and_cache(self):
-        parent = RunTelemetry()
-        parent.start()
-        parent.record_point(0, run_hash="a", protocol="p", coords={},
-                            cache="hit")
-        child = parent.child()
-        child.record_point(0, run_hash="b", protocol="p", coords={})
-        child.record_point(1, run_hash="c", protocol="p", coords={})
-        parent.absorb(child, positions=[2, 5], cache="miss")
-        report = parent.report(spec_name="s", spec_hash="d", n_points=3)
-        assert [p.position for p in report.points] == [0, 2, 5]
-        assert [p.cache for p in report.points] == ["hit", "miss", "miss"]
-        assert report.wall_s >= 0.0
+def _sink_reports(executor, spec):
+    """Run ``spec``'s points on ``executor``; return the reports its sink saw."""
+    reports = []
+    executor.execute_with_sink(
+        spec.expand(), spec.params,
+        sink=lambda position, point, result, report: reports.append(report),
+    )
+    return sorted(reports, key=lambda report: report.position)
 
 
 class TestExecutorThreading:
     def test_serial_executor_records_every_point(self):
         spec = _spec()
-        telemetry = RunTelemetry()
-        telemetry.start()
         points = spec.expand()
-        SerialExecutor().execute_with_sink(points, spec.params,
-                                           telemetry=telemetry)
-        report = telemetry.report(spec_name=spec.name,
-                                  spec_hash=spec.spec_hash(),
-                                  n_points=len(points))
-        assert len(report.points) == len(points)
-        assert all(p.wall_s > 0 for p in report.points)
-        assert all(p.cache == "computed" for p in report.points)
+        reports = _sink_reports(SerialExecutor(), spec)
+        assert [p.position for p in reports] == list(range(len(points)))
+        assert all(p.wall_s > 0 for p in reports)
+        assert all(p.cache == "computed" for p in reports)
         assert all(p.worker and p.worker.startswith("pid:")
-                   for p in report.points)
+                   for p in reports)
 
     def test_parallel_executor_records_busy_metrics(self):
         from repro.obs import metrics
 
         spec = _spec()
-        telemetry = RunTelemetry()
-        telemetry.start()
         with metrics.recording() as registry:
-            ParallelExecutor(n_workers=2).execute_with_sink(
-                spec.expand(), spec.params, telemetry=telemetry,
-            )
-        report = telemetry.report(spec_name=spec.name,
-                                  spec_hash=spec.spec_hash(),
-                                  n_points=spec.n_runs)
-        assert len(report.points) == spec.n_runs
+            reports = _sink_reports(ParallelExecutor(n_workers=2), spec)
+        assert len(reports) == spec.n_runs
+        assert all(p.cache == "computed" for p in reports)
+        assert all(p.worker and p.worker.startswith("pid:")
+                   for p in reports)
         assert registry.counter("executor.worker_busy_seconds") > 0.0
 
-    def test_phase_split_rides_along(self):
+    def test_reports_count_every_simulated_frame(self):
         spec = _spec()
-        telemetry = RunTelemetry(phase_split=True)
-        telemetry.start()
-        points = spec.expand()
-        SerialExecutor().execute_with_sink(points, spec.params,
-                                           telemetry=telemetry)
-        report = telemetry.report(spec_name=spec.name,
-                                  spec_hash=spec.spec_hash(),
-                                  n_points=len(points))
-        assert all(p.phase_seconds for p in report.points)
-        assert report.phase_totals()["mac"] >= 0.0
+        frames = (BASE.warmup_frames(PARAMS) + BASE.measured_frames(PARAMS))
+        reports = _sink_reports(SerialExecutor(), spec)
+        assert [p.frames for p in reports] == [frames] * spec.n_runs
+
+    def test_constellation_reports_count_every_beam(self):
+        from repro.constellation.scenario import ConstellationScenario
+
+        base = ConstellationScenario(protocol="rama", n_beams=3, n_voice=2,
+                                     n_data=1, duration_s=0.2, warmup_s=0.1)
+        spec = ExperimentSpec(protocols=("rama",), base_scenario=base,
+                              params=PARAMS, seeds=(0,))
+        (report,) = _sink_reports(SerialExecutor(), spec)
+        frames = base.warmup_frames(PARAMS) + base.measured_frames(PARAMS)
+        assert report.frames == 3 * frames
 
 
 class TestFacadeIntegration:
@@ -163,6 +163,32 @@ class TestFacadeIntegration:
         persisted = RunReport.from_payload(artifact)
         # Last run wins: the warm (all-hit) report is the persisted one.
         assert persisted.cache_counts() == {"hit": spec.n_runs}
+
+    def test_half_cached_grid_reports_every_grid_position(self, tmp_path):
+        # The cached points are hits; the inner executor's sub-list comes
+        # back relabelled as misses at their own grid positions.
+        from repro.store import ResultStore
+
+        spec = _spec()
+        warm_half = ExperimentSpec(
+            protocols=("charisma", "dtdma_fr"), base_scenario=BASE,
+            axes=(SweepAxis("n_voice", (4,)),), params=PARAMS,
+            seeds=(0,), name="half",
+        )
+        run(warm_half, cache_dir=str(tmp_path))
+        results = run(spec, cache_dir=str(tmp_path))
+        report = results.telemetry
+        points = spec.expand()
+        assert [p.position for p in report.points] == \
+            list(range(spec.n_runs))
+        assert [p.run_hash for p in report.points] == \
+            [point.run_hash() for point in points]
+        assert [p.cache for p in report.points] == ["miss", "hit"] * 2
+        assert [point.scenario.n_voice for point in points] == [2, 4] * 2
+        assert report.cache_counts() == {"hit": 2, "miss": 2}
+        assert results.to_records() == \
+            run(spec, executor=SerialExecutor()).to_records()
+        assert len(ResultStore(str(tmp_path))) == spec.n_runs
 
     def test_metric_snapshot_lands_in_report_when_recording(self, tmp_path):
         from repro.obs import metrics

@@ -39,11 +39,11 @@ class CountingExecutor:
         self._inner = SerialExecutor()
 
     def execute_with_sink(self, points, params, progress=None, sink=None,
-                          telemetry=None, retry=None):
+                          retry=None):
         self.calls += 1
         self.points_executed += len(points)
         return self._inner.execute_with_sink(
-            points, params, progress, sink, telemetry, retry
+            points, params, progress, sink, retry
         )
 
 
@@ -59,20 +59,20 @@ class DyingExecutor(CountingExecutor):
         self.die_after = die_after
 
     def execute_with_sink(self, points, params, progress=None, sink=None,
-                          telemetry=None, retry=None):
+                          retry=None):
         self.calls += 1
         completed = 0
 
-        def counting_sink(position, point, result):
+        def counting_sink(position, point, result, report):
             nonlocal completed
             if sink is not None:
-                sink(position, point, result)
+                sink(position, point, result, report)
             completed += 1
             if completed >= self.die_after:
                 raise InterruptedError_("killed mid-sweep")
 
         return self._inner.execute_with_sink(
-            points, params, progress, counting_sink, telemetry, retry
+            points, params, progress, counting_sink, retry
         )
 
 
@@ -134,7 +134,7 @@ class TestCacheHitMissParity:
         warm = CachingExecutor(store, SerialExecutor())
         warm.execute_with_sink(
             spec.expand(), spec.params,
-            sink=lambda pos, point, result: seen.append(pos),
+            sink=lambda pos, point, result, report: seen.append(pos),
         )
         assert sorted(seen) == list(range(spec.n_runs))
 

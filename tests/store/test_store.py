@@ -177,6 +177,31 @@ class TestCrashSafety:
         store.put(HASH_A, result)
         assert ResultStore(store.path).get(HASH_A) == result
 
+    def test_two_processes_creating_one_store_do_not_collide(
+        self, tmp_path, monkeypatch
+    ):
+        # Fleet workers open a fresh store together: here another process
+        # writes and renames its manifest between this one's temporary
+        # write and its rename.
+        import os
+
+        path = tmp_path / "cache"
+        real_replace = os.replace
+
+        def racing_replace(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            with monkeypatch.context() as other_process:
+                other_process.setattr(os, "getpid", lambda: 1)
+                ResultStore(path)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        store = ResultStore(path)
+        assert os.replace is real_replace
+        store.put(HASH_A, make_result())
+        assert ResultStore(path).get(HASH_A) == make_result()
+        assert not list(path.glob("*.tmp"))
+
     def test_injected_torn_append_is_salvaged_not_quarantined(self, tmp_path):
         from repro.faults import FaultPlan, injecting
 

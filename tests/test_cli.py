@@ -181,6 +181,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SerialExecutor" in out
         assert "ParallelExecutor" in out
+        # Both executors counted the same contention rounds.
+        rounds = {line.split()[0]: line.split(",")[-1].strip()
+                  for line in out.splitlines() if "contention rounds" in line}
+        assert rounds["SerialExecutor"] == rounds["ParallelExecutor"]
+        assert rounds["SerialExecutor"] != "0 contention rounds"
         assert "ResultStore" in out
         assert "selftest passed" in out
 
