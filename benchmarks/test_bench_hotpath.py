@@ -4,8 +4,8 @@ Times the 100-terminal reference workload (80 voice + 20 data terminals)
 for every protocol and asserts the qualitative contracts of the frame loop,
 all measured in the same session so machine drift cancels out:
 
-* ``macro_over_columnar`` — blocks of 64 frames
-  (``Scenario.macro_frames=64``) against one-frame blocks, in the RNG mode
+* ``macro_over_columnar`` — blocks of 64 frames against one-frame blocks
+  (chosen through the engine by ``tests.utils.run_in_blocks``), in the RNG mode
   recorded as ``macro_rng_mode``: parity for most, **fast** for CHARISMA,
   whose pooled CSI noise only exists in fast mode.  Every current protocol
   must beat one-frame blocks by more than 1.5x, decided by a sequential
@@ -34,6 +34,7 @@ from repro.config import SimulationParameters
 from repro.mac.registry import available_protocols
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 pytestmark = pytest.mark.slow
 
@@ -60,8 +61,9 @@ MACRO_FLOOR = 1.5
 REFERENCE_PROTOCOL = "rmav"
 
 
-#: Macro block size the ``macro`` legs measure (the CLI's recommended
-#: "large block" setting; bit-identical to one-frame blocks).
+#: Block size the ``macro`` legs measure: the engine's own
+#: ``BLOCK_FRAMES``, which default runs step (bit-identical to one-frame
+#: blocks).
 MACRO_FRAMES = 64
 
 #: Protocols whose macro stepping is a hard performance contract: each
@@ -72,8 +74,7 @@ LOOKAHEAD_PROTOCOLS = (
 )
 
 
-def _build_engine(protocol: str, rng_mode: str, seed: int = SEED,
-                  macro_frames: int = 1):
+def _build_engine(protocol: str, rng_mode: str, seed: int = SEED):
     scenario = Scenario(
         protocol=protocol,
         n_voice=N_VOICE,
@@ -82,17 +83,16 @@ def _build_engine(protocol: str, rng_mode: str, seed: int = SEED,
         warmup_s=WARMUP_S,
         seed=seed,
         rng_mode=rng_mode,
-        macro_frames=macro_frames,
     )
     return UplinkSimulationEngine(scenario, PARAMS)
 
 
 def _frames_per_second(protocol: str, rng_mode: str = "parity",
-                       macro_frames: int = 1) -> float:
-    """Run once; return frames per CPU second."""
-    engine = _build_engine(protocol, rng_mode, macro_frames=macro_frames)
+                       block_frames: int = 1) -> float:
+    """Run once in blocks of ``block_frames``; return frames per CPU second."""
+    engine = _build_engine(protocol, rng_mode)
     start = time.process_time()
-    engine.run()
+    run_in_blocks(engine, block_frames)
     return engine.frame_index / (time.process_time() - start)
 
 
@@ -143,9 +143,9 @@ def measure_pairs(protocol: str, mode: str) -> dict:
     interval = None
     while len(ratios) < MAX_PAIRS:
         sides = [(per_frame, 1), (macro, MACRO_FRAMES)]
-        for runs, macro_frames in sides[::-1] if len(ratios) % 2 else sides:
+        for runs, block_frames in sides[::-1] if len(ratios) % 2 else sides:
             runs.append(
-                _frames_per_second(protocol, mode, macro_frames=macro_frames))
+                _frames_per_second(protocol, mode, block_frames=block_frames))
         ratios.append(macro[-1] / per_frame[-1])
         if len(ratios) >= MIN_PAIRS:
             interval = median_interval(ratios)
@@ -192,11 +192,12 @@ def measure_dispatches() -> dict:
     dispatches = {}
     for protocol in available_protocols():
         row = {}
-        for label, macro_frames in (("columnar", 1), ("macro", MACRO_FRAMES)):
-            engine = _build_engine(protocol, "parity", macro_frames=macro_frames)
+        for label, block_frames in (("columnar", 1), ("macro", MACRO_FRAMES)):
+            engine = _build_engine(protocol, "parity")
             engine.enable_phase_timing(count_dispatches=True)
             try:
-                engine.run_frames(512)
+                for _ in range(512 // block_frames):
+                    engine.run_frames(block_frames)
                 counts = dict(engine.dispatch_counts)
             finally:
                 engine.disable_phase_timing()

@@ -25,7 +25,8 @@ error re-raises once the grid has wound down;
 :meth:`SerialExecutor.cancel` stops dispatch and raises
 :class:`ExecutionCancelled` with the partial results.  While the caller's
 metrics registry records, each pool worker records into its own and the
-caller merges the snapshot that comes back with each point's outcome.
+caller merges the snapshot that comes back with each point's outcome or
+error.
 :func:`select_executor` picks between the backends from the grid's
 estimated cost.
 """
@@ -347,8 +348,9 @@ def _worker_run_point(point: RunPoint, position: int) -> WorkerOutcome:
 
     Retry jitter and targeted fault injection key on the point's run hash,
     never on the scheduling order.  An error the point raises (in
-    ``on_error="raise"`` mode) propagates, and the caller's future
-    re-raises it; the counts of its attempts stay in the worker.
+    ``on_error="raise"`` mode) propagates with the point's metrics snapshot
+    as its ``metrics_snapshot`` attribute, and the caller's future
+    re-raises it.
     """
     params = _WORKER_PARAMS
     if params is None:  # pragma: no cover - initializer always runs first
@@ -356,7 +358,12 @@ def _worker_run_point(point: RunPoint, position: int) -> WorkerOutcome:
     registry = _metrics.METRICS
     if registry.enabled:
         registry.reset()
-    ran = run_point(position, point, params, _WORKER_RETRY)
+    try:
+        ran = run_point(position, point, params, _WORKER_RETRY)
+    except Exception as error:
+        if registry.enabled:
+            error.metrics_snapshot = registry.snapshot()  # type: ignore[attr-defined]
+        raise
     return ran, registry.snapshot() if registry.enabled else None
 
 
@@ -447,6 +454,9 @@ class ParallelExecutor(SerialExecutor):
                     try:
                         ran, snapshot = future.result()
                     except Exception as error:
+                        snapshot = getattr(error, "metrics_snapshot", None)
+                        if snapshot is not None:
+                            _metrics.METRICS.merge(snapshot)
                         deliver.error(position, error)
                         continue
                     if snapshot is not None:

@@ -27,7 +27,7 @@ Python:
   ``--update-baseline`` for the committed baseline/fingerprint files;
 * ``selftest`` (also reachable as ``python -m repro --selftest``) — smoke-run
   one tiny experiment through every executor, check they agree, verify that
-  macro-stepped runs equal per-frame runs, and round-trip the result store
+  blocks of 16 frames equal one-frame blocks, and round-trip the result store
   in a temporary directory.
 
 All simulation commands funnel through :mod:`repro.api`; ``--cache DIR``
@@ -80,6 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="per-block probability that an idle voice terminal hands over "
              "to another beam (constellation runs only)")
+    run_parser.add_argument(
+        "--macro-frames", type=int, default=None, dest="macro_frames",
+        metavar="K",
+        help="coupling period: beams exchange interference and handovers "
+             "every K frames (default 1; constellation runs only: a single "
+             "cell steps the engine's 64-frame blocks and rejects this flag)")
     run_parser.add_argument(
         "--coupling-db", type=float, default=0.0, dest="coupling_db",
         metavar="DB",
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "selftest",
         help="run one tiny experiment through each executor, compare them, "
-             "check that macro-stepped runs equal per-frame runs, cross-check "
+             "check that 16-frame blocks equal one-frame blocks, cross-check "
              "the fast RNG mode, round-trip an observability trace, and "
              "round-trip the result store",
     )
@@ -250,17 +256,11 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--rng-mode", choices=("parity", "fast"),
                         default="parity", dest="rng_mode",
                         help="random-draw batching: parity (default) draws "
-                             "in a fixed scalar order, so macro-stepped runs "
-                             "equal per-frame runs bit for bit; fast batches "
+                             "in a fixed scalar order, so runs in blocks of "
+                             "any size agree bit for bit; fast batches "
                              "whole-frame draws from per-subsystem child "
                              "streams (statistically equivalent, fastest for "
                              "paper-scale sweeps)")
-    parser.add_argument("--macro-frames", type=int, default=1,
-                        dest="macro_frames", metavar="K",
-                        help="step the frame loop in blocks of K frames "
-                             "(the predictable work fused per block; "
-                             "bit-identical to K=1 in either RNG mode; "
-                             "try 16 or 64)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="serve finished runs from (and persist new runs "
                              "to) the result store in DIR")
@@ -290,7 +290,6 @@ def _scenario_from_args(args: argparse.Namespace, protocol: Optional[str] = None
         seed=args.seed,
         mobile_speed_kmh=args.speed,
         rng_mode=getattr(args, "rng_mode", "parity"),
-        macro_frames=getattr(args, "macro_frames", 1),
     )
 
 
@@ -319,7 +318,7 @@ def _constellation_from_args(args: argparse.Namespace):
         seed=args.seed,
         mobile_speed_kmh=args.speed,
         rng_mode=getattr(args, "rng_mode", "parity"),
-        macro_frames=getattr(args, "macro_frames", 1),
+        macro_frames=1 if args.macro_frames is None else args.macro_frames,
         handover_rate=getattr(args, "handover_rate", 0.0),
         coupling_db=getattr(args, "coupling_db", 0.0),
         reuse_factor=getattr(args, "reuse_factor", 1),
@@ -595,7 +594,7 @@ def _command_profile(args: argparse.Namespace) -> int:
             "voice_loss_rate": result.voice.loss_rate,
             "data_throughput_packets_per_frame":
                 result.data.throughput_packets_per_frame,
-            "macro_frames": scenario.macro_frames,
+            "block_frames": engine.BLOCK_FRAMES,
             "phase_seconds": {k: round(v, 6) for k, v in phases.items()},
             "phase_fraction": {
                 k: round(v / total_phase, 4) for k, v in phases.items()
@@ -667,19 +666,23 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _selftest_macro_parity() -> bool:
-    """Macro-stepped runs must equal per-frame runs exactly (parity mode)."""
-    from repro.sim.runner import run_simulation
+    """Blocks of 16 frames must equal one-frame blocks exactly (parity mode)."""
+    from repro.sim.engine import UplinkSimulationEngine
+
+    def run_in_blocks(scenario: Scenario, block_frames: int):
+        # The engine's block size, set as a coupled constellation shard sets it.
+        engine = UplinkSimulationEngine(scenario)
+        engine.BLOCK_FRAMES = block_frames
+        return engine.run()
 
     for protocol in ("charisma", "dtdma_vr", "rama"):
         base = Scenario(protocol=protocol, n_voice=6, n_data=2,
                         use_request_queue=True, duration_s=0.4, warmup_s=0.2,
                         seed=11)
-        per_frame = run_simulation(base)
-        macro = run_simulation(base.with_overrides(macro_frames=16))
-        if macro.summary() != per_frame.summary():
-            print(f"  MISMATCH: macro-stepped engine disagrees for {protocol}")
+        if run_in_blocks(base, 16).summary() != run_in_blocks(base, 1).summary():
+            print(f"  MISMATCH: 16-frame blocks disagree for {protocol}")
             return False
-    print("  macro stepping     per-frame == macro-16 for 3 protocols")
+    print("  macro stepping     1-frame == 16-frame blocks for 3 protocols")
     return True
 
 
@@ -733,7 +736,7 @@ def _selftest_obs() -> bool:
 
     scenario = Scenario(protocol="charisma", n_voice=6, n_data=2,
                         use_request_queue=True, duration_s=0.4, warmup_s=0.2,
-                        seed=11, macro_frames=16)
+                        seed=11)
     plain = run_simulation(scenario)
 
     keep = os.environ.get("REPRO_SELFTEST_TRACE")
@@ -847,7 +850,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv)
     if argv and argv[0] == "--selftest":
         argv[0] = "selftest"
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (getattr(args, "macro_frames", None) is not None
+            and args.constellation is None):
+        parser.error("--macro-frames is the coupling period of "
+                     "--constellation runs; a single cell steps the engine's "
+                     "64-frame blocks")
     handlers = {
         "run": _command_run,
         "compare": _command_compare,

@@ -63,12 +63,13 @@ class BeamShard:
             beam_scenario, params, streams=streams, beam=self.beam
         )
         if scenario.coupling_db > 0.0:
-            # Align the channel's block-batched snapshot production with the
-            # coupling barrier so an interference update takes effect on the
-            # very next macro block instead of up to 64 frames late.  Only
-            # parity mode needs it: a fast-mode channel is evaluated at read
-            # time, under whatever penalty is then in force.
-            self.engine.CHANNEL_BLOCK_FRAMES = scenario.macro_frames
+            # Align the engine's blocks, and with them the channel's
+            # block-batched snapshot production, with the coupling barrier
+            # so an interference update takes effect on the very next block
+            # instead of up to 64 frames late.  Only parity mode needs it: a
+            # fast-mode channel is evaluated at read time, under whatever
+            # penalty is then in force.
+            self.engine.BLOCK_FRAMES = scenario.macro_frames
         self.population: TerminalPopulation = self.engine.population
 
     # ------------------------------------------------------------ stepping

@@ -11,6 +11,8 @@ the :class:`~repro.faults.retry.RetryPolicy` retries it.
 
 from __future__ import annotations
 
+from typing import Any
+
 __all__ = [
     "TransientPointError",
     "FatalPointError",
@@ -59,9 +61,10 @@ class InjectedFault(TransientPointError):
         self.site = site
         self.count = count
 
-    def __reduce__(self) -> "tuple[type, tuple[str, int]]":
+    def __reduce__(self) -> "tuple[type, tuple[str, int], dict[str, Any]]":
         # BaseException pickles by replaying ``args`` (the formatted
         # message), which does not match this two-parameter signature;
         # rebuild from (site, count) so the fault survives the trip back
-        # from a process-pool worker.
-        return (type(self), (self.site, self.count))
+        # from a process-pool worker, attributes (a pool worker's metrics
+        # snapshot) included.
+        return (type(self), (self.site, self.count), self.__dict__)

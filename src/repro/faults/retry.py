@@ -122,10 +122,11 @@ class PointFailed(RuntimeError):
         )
         self.failed = failed
 
-    def __reduce__(self) -> "tuple[type, tuple[FailedPoint]]":
+    def __reduce__(self) -> "tuple[type, tuple[FailedPoint], dict[str, Any]]":
         # Rebuild from the record, not from the formatted message in
-        # ``args``, so the error survives the trip back from a pool worker.
-        return (type(self), (self.failed,))
+        # ``args``, so the error survives the trip back from a pool worker;
+        # the attributes ride along (a pool worker's metrics snapshot).
+        return (type(self), (self.failed,), self.__dict__)
 
 
 #: What one guarded point execution produces.

@@ -22,8 +22,10 @@ Simulation core
 Traffic state lives in a struct-of-arrays
 :class:`~repro.traffic.population.TerminalPopulation` advanced by vectorised
 kernels.  The one frame loop is :class:`~repro.sim.macro.MacroRunner`: it
-steps blocks of ``Scenario.macro_frames`` frames, and :meth:`step` is a
-one-frame block.  ``rng_mode="fast"`` batches whole-frame draws from
+steps blocks of :attr:`UplinkSimulationEngine.BLOCK_FRAMES` (64) frames,
+clamped at the warm-up boundary and at the end of the run, and :meth:`step`
+is a one-frame block; the block size changes no result.
+``rng_mode="fast"`` batches whole-frame draws from
 per-subsystem child streams instead of the parity draw order —
 statistically equivalent to parity, not bit-identical (see
 :class:`~repro.sim.scenario.Scenario`).  The golden baselines in
@@ -65,7 +67,7 @@ class UplinkSimulationEngine:
     ----------
     scenario:
         The run description (protocol, traffic mix, queueing, seed, speed,
-        RNG mode, macro-step block size).
+        RNG mode).
     params:
         The shared simulation parameters (Table 1).
     protocol:
@@ -174,8 +176,10 @@ class UplinkSimulationEngine:
         self._snapshot_cursor = 0
         self._macro = MacroRunner(self)
 
-    #: Frames advanced per batched channel evaluation.
-    CHANNEL_BLOCK_FRAMES = 64
+    #: Frames per block of the frame loop and per batched channel
+    #: evaluation.  A coupled constellation shard sets it to the coupling
+    #: period on its engine; the block size changes no result.
+    BLOCK_FRAMES = 64
 
     # ------------------------------------------------------------------ API
     @property
@@ -256,7 +260,7 @@ class UplinkSimulationEngine:
         self._clock = None
 
     def run_frames(self, n_frames: int) -> None:
-        """Advance ``n_frames`` frames in blocks of ``Scenario.macro_frames``.
+        """Advance ``n_frames`` frames in blocks of :attr:`BLOCK_FRAMES`.
 
         The last block is clamped to the frames that remain; every block
         runs through :class:`~repro.sim.macro.MacroRunner`.
@@ -270,7 +274,7 @@ class UplinkSimulationEngine:
             self._ensure_instrumented()
         elif self._clock is not None:
             self._clock = None
-        block_size = self.scenario.macro_frames
+        block_size = self.BLOCK_FRAMES
         remaining = n_frames
         while remaining > 0:
             block = block_size if block_size < remaining else remaining
@@ -282,8 +286,9 @@ class UplinkSimulationEngine:
 
         When a :mod:`repro.obs.trace` tracer is installed the whole run is
         wrapped in an ``engine.run`` root span carrying the scenario's
-        identifying attributes, so every ``phase.*`` span in a trace file
-        chains up to the run that produced it.
+        identifying attributes and the engine's ``block_frames``, so every
+        ``phase.*`` span in a trace file chains up to the run that produced
+        it.
         """
         tracer = _obs_trace.TRACER
         if tracer is None:
@@ -294,7 +299,7 @@ class UplinkSimulationEngine:
             n_voice=self.scenario.n_voice,
             n_data=self.scenario.n_data,
             seed=self.scenario.seed,
-            macro_frames=self.scenario.macro_frames,
+            block_frames=self.BLOCK_FRAMES,
         ):
             return self._run_measured()
 
@@ -339,7 +344,7 @@ class UplinkSimulationEngine:
     def _next_snapshot(self) -> ChannelSnapshot:
         if self._snapshot_cursor >= len(self._snapshot_buffer):
             self._snapshot_buffer = self.channels.advance_block(
-                self.CHANNEL_BLOCK_FRAMES
+                self.BLOCK_FRAMES
             )
             self._snapshot_cursor = 0
         snapshot = self._snapshot_buffer[self._snapshot_cursor]

@@ -1,7 +1,9 @@
 """The engine's frame loop: blocks of frames with deferred, batched work.
 
 :class:`MacroRunner` advances the simulation in blocks of
-``Scenario.macro_frames`` frames; a one-frame block is the smallest step
+:attr:`~repro.sim.engine.UplinkSimulationEngine.BLOCK_FRAMES` (64) frames,
+fewer at the warm-up boundary and at the end of the run; a one-frame block
+is the smallest step
 (:meth:`~repro.sim.engine.UplinkSimulationEngine.step`).  Every frame runs
 the paper's frame procedure (Section 4.3): the channel snapshot, the
 traffic, the protocol's request and allocation phases
@@ -33,10 +35,10 @@ instead of once per frame:
   the collector boundary once per block.
 
 No frame takes another path, so in either RNG mode the result does not
-depend on ``macro_frames``: the golden baselines in ``tests/golden`` pin
-``macro_frames`` 1 and 64 of every cell to one digest, and
-``tests/sim/test_macro_parity.py`` sweeps {4, 16, 64} against one-frame
-blocks for all six protocols in parity mode.
+depend on the block size: the golden baselines in ``tests/golden`` pin
+blocks of 1 and of 64 frames of every cell to one digest, and
+``tests/sim/test_macro_parity.py`` sweeps blocks of {4, 16, 64} against
+one-frame blocks for all six protocols in parity mode.
 """
 
 from __future__ import annotations

@@ -51,16 +51,13 @@ class Scenario:
         ``tests/sim/test_rng_fast_mode.py``) but not bit-identical, which is
         the right trade for paper-scale sweeps.
     macro_frames:
-        Block size of the frame loop (:class:`~repro.sim.macro.MacroRunner`).
-        ``1`` (default) steps one-frame blocks; larger values do the
-        predictable work once per block — the traffic plan is drawn for
-        the whole block up front and voice PHY outcomes are resolved in
-        one batched draw per block — while every frame still runs the
-        protocol's own frame method.  Because every per-subsystem random
-        stream is consumed in its frame-by-frame order, results are
-        **bit-identical** to ``macro_frames=1`` in either RNG mode
-        (``tests/sim/test_macro_parity.py`` sweeps ``macro_frames`` in
-        {1, 4, 16, 64}; the golden baselines pin 1 and 64 in both modes).
+        Recorded but not read: the engine steps blocks of its own
+        :attr:`~repro.sim.engine.UplinkSimulationEngine.BLOCK_FRAMES` (64)
+        frames, and the block size changes no result in either RNG mode
+        (the golden baselines pin blocks of 1 and 64 to one digest).  Like
+        ``engine_backend``, the field is kept because result payloads, run
+        hashes and the store schema fingerprint include it; it must be at
+        least 1.
     """
 
     protocol: str

@@ -413,15 +413,18 @@ class TestPoolWorkerMetrics:
 
     def test_an_exhausted_point_fails_alone_on_the_pool(self):
         # In on_error="raise" mode the pool records the point's PointFailed
-        # like a serial run and keeps every other result.
+        # like a serial run and keeps every other result; the counts of the
+        # failed point's attempts reach the caller with its error.
         from repro.faults import FaultPlan, PointFailed, RetryPolicy, injecting
+        from repro.obs import metrics as _metrics
 
         spec = _small_spec()
         victim = spec.expand()[2].run_hash()
         plan = FaultPlan(crash_points=(victim,), crash_point_attempts=99)
         for executor in (SerialExecutor(), ParallelExecutor(n_workers=2)):
             delivered = []
-            with injecting(plan), pytest.raises(PointFailed) as excinfo:
+            with _metrics.recording() as registry, injecting(plan), \
+                    pytest.raises(PointFailed) as excinfo:
                 executor.execute_with_sink(
                     spec.expand(), spec.params,
                     sink=lambda p, pt, r, rep: delivered.append(p),
@@ -431,6 +434,9 @@ class TestPoolWorkerMetrics:
             assert excinfo.value.failed.attempts == 3
             assert [p for p, _ in executor.last_errors] == [2]
             assert sorted(delivered) == [0, 1, 3, 4, 5, 6, 7]
+            assert registry.counter("faults.injected") == 3, executor
+            assert registry.counter("retry.attempts") == 2, executor
+            assert registry.counter("executor.failed_points") == 1, executor
 
 
 class TestRunPoints:

@@ -20,6 +20,7 @@ from repro.channel.manager import ChannelManager, EagerSnapshot, LazySnapshot
 from repro.config import SimulationParameters
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
 DT = PARAMS.frame_duration_s
@@ -186,8 +187,8 @@ class TestReadContract:
 
 
 class TestEngine:
-    @pytest.mark.parametrize("macro_frames", [1, 16])
-    def test_run_that_grants_nothing_draws_no_channel_noise(self, macro_frames):
+    @pytest.mark.parametrize("block_frames", [1, 16])
+    def test_run_that_grants_nothing_draws_no_channel_noise(self, block_frames):
         # Data terminals whose first burst is far beyond the run: nothing
         # contends, nothing is granted, nothing reads the channel.
         params = SimulationParameters(mean_data_interarrival_s=1e9)
@@ -195,14 +196,13 @@ class TestEngine:
             Scenario(
                 protocol="charisma", n_voice=0, n_data=6, duration_s=0.2,
                 warmup_s=0.05, seed=2, rng_mode="fast",
-                macro_frames=macro_frames,
             ),
             params,
         )
         assert isinstance(engine.channels.snapshot(), LazySnapshot)
         channel_rng = engine.channels._rng
         constructed = channel_rng.bit_generator.state
-        result = engine.run()
+        result = run_in_blocks(engine, block_frames)
         assert result.mac.allocated_slots == 0
         assert engine.frame_index > 0
         assert channel_rng.bit_generator.state == constructed

@@ -15,8 +15,9 @@ set of small simulations.  Each record holds
 
 The scenario is left out of the digest on purpose: every frame runs through
 the one frame loop, and in either RNG mode the result does not depend on
-its block size, so the ``macro_frames`` 1 (one-frame blocks) and 64 records
-of a cell carry the same digest.
+its block size, so a cell's ``macro1`` record (one-frame blocks) and its
+``macro64`` record (blocks of 64) carry the same digest.  A cell case picks
+its block size through the engine (:func:`tests.utils.run_in_blocks`).
 
 ``tests/golden/test_golden.py`` checks every record.  Running the tests
 never rewrites the file; after a deliberate change of results, refresh it
@@ -31,7 +32,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -41,6 +42,7 @@ from repro.constellation import ConstellationRunner, ConstellationScenario
 from repro.mac.registry import available_protocols
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 BASELINES_PATH = Path(__file__).with_name("baselines.json")
 
@@ -62,6 +64,8 @@ class Case(NamedTuple):
 
     key: str
     scenario: object
+    #: A cell's block size; ``None`` runs ``engine.run()`` as it stands.
+    block_frames: Optional[int] = None
 
 
 def _cell_cases() -> List[Case]:
@@ -70,19 +74,18 @@ def _cell_cases() -> List[Case]:
     cases = []
     for protocol in available_protocols():
         for queue in (False, True):
-            for macro_frames in (1, 64):
+            for block_frames in (1, 64):
                 for seed in (0, 1):
                     for rng_mode in ("parity", "fast"):
                         key = (
                             f"cell/{protocol}/{'queue' if queue else 'noqueue'}"
-                            f"/macro{macro_frames}/seed{seed}/{rng_mode}"
+                            f"/macro{block_frames}/seed{seed}/{rng_mode}"
                         )
                         cases.append(Case(key, Scenario(
                             protocol=protocol, n_voice=60, n_data=20,
                             use_request_queue=queue, duration_s=0.15,
                             warmup_s=0.1, seed=seed, rng_mode=rng_mode,
-                            macro_frames=macro_frames,
-                        )))
+                        ), block_frames))
     return cases
 
 
@@ -145,7 +148,10 @@ def run_case(case: Case) -> Tuple[Dict[str, object], Dict[str, float]]:
         result = outcome.merged
     else:
         engine = UplinkSimulationEngine(scenario, PARAMS)
-        result = engine.run()
+        if case.block_frames is None:
+            result = engine.run()
+        else:
+            result = run_in_blocks(engine, case.block_frames)
         content = _sections(result, engine.collector)
     summary = result.summary()
     return content, {name: float(summary[name]) for name in KEY_METRICS}

@@ -21,6 +21,7 @@ from repro.config import SimulationParameters
 from repro.mac.drma import DRMAProtocol
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
 
@@ -115,8 +116,6 @@ class TestDeepDataBacklog:
         blocks — including bursts that reach terminals while their
         requests wait in the queue (they must not contend meanwhile)."""
         scenario = dataclasses.replace(_deep_backlog_scenario(), rng_mode=rng_mode)
-        reference = UplinkSimulationEngine(scenario, PARAMS).run()
-        macro = UplinkSimulationEngine(
-            dataclasses.replace(scenario, macro_frames=16), PARAMS
-        ).run()
+        reference = run_in_blocks(UplinkSimulationEngine(scenario, PARAMS), 1)
+        macro = run_in_blocks(UplinkSimulationEngine(scenario, PARAMS), 16)
         assert macro.summary() == reference.summary()

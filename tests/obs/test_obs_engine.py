@@ -1,7 +1,9 @@
 """Engine instrumentation: parity, span structure, phase-split equivalence.
 
-Parity assertions compare ``(voice, data, mac)`` — the embedded ``scenario``
-legitimately differs across ``macro_frames`` configurations.
+Parity assertions compare ``(voice, data, mac)``.  A test that names a block
+size picks it through the engine: :func:`tests.utils.run_in_blocks`, or, for
+a run that must open its ``engine.run`` span, an engine whose
+``BLOCK_FRAMES`` is set as a coupled constellation shard sets it.
 """
 
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from repro.mac.registry import available_protocols
 from repro.obs import metrics
 from repro.obs.trace import PHASES, ListTraceSink, install_tracer, uninstall_tracer
+from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 
 def _scenario(**overrides):
@@ -18,6 +22,10 @@ def _scenario(**overrides):
                 duration_s=0.4, warmup_s=0.2, seed=13)
     base.update(overrides)
     return Scenario(**base)
+
+
+def _engine(**overrides):
+    return UplinkSimulationEngine(_scenario(**overrides))
 
 
 def _metrics_of(result):
@@ -33,24 +41,22 @@ def sink():
 
 
 class TestTracedParity:
-    @pytest.mark.parametrize("macro_frames", [1, 16])
-    def test_tracing_is_bit_identical(self, macro_frames):
-        scenario = _scenario(macro_frames=macro_frames)
-        plain = run_simulation(scenario)
+    @pytest.mark.parametrize("block_frames", [1, 16])
+    def test_tracing_is_bit_identical(self, block_frames):
+        plain = run_in_blocks(_engine(), block_frames)
         sink = ListTraceSink()
         install_tracer(sink)
         try:
-            traced = run_simulation(scenario)
+            traced = run_in_blocks(_engine(), block_frames)
         finally:
             uninstall_tracer()
         assert _metrics_of(traced) == _metrics_of(plain)
-        assert any(r.get("name") == "engine.run" for r in sink.records)
+        assert any(r.get("name") == "phase.mac" for r in sink.records)
 
     def test_metrics_recording_is_bit_identical(self):
-        scenario = _scenario(protocol="charisma", macro_frames=16)
-        plain = run_simulation(scenario)
+        plain = run_in_blocks(_engine(protocol="charisma"), 16)
         with metrics.recording() as registry:
-            recorded = run_simulation(scenario)
+            recorded = run_in_blocks(_engine(protocol="charisma"), 16)
         assert _metrics_of(recorded) == _metrics_of(plain)
         assert registry.counter("contention.rounds") > 0
 
@@ -65,15 +71,14 @@ class TestTracedParity:
         DRMA) converted slots without contenders all occur.
         """
         rounds = {}
-        for macro_frames in (1, 64):
-            scenario = Scenario(
+        for block_frames in (1, 64):
+            engine = UplinkSimulationEngine(Scenario(
                 protocol=protocol, n_voice=60, n_data=20, duration_s=0.15,
                 warmup_s=0.1, seed=0, rng_mode=rng_mode,
-                macro_frames=macro_frames,
-            )
+            ))
             with metrics.recording() as registry:
-                run_simulation(scenario)
-            rounds[macro_frames] = registry.counter("contention.rounds")
+                run_in_blocks(engine, block_frames)
+            rounds[block_frames] = registry.counter("contention.rounds")
         assert rounds[64] == rounds[1], rounds
 
     def test_untraced_run_after_uninstall_is_clean(self):
@@ -91,14 +96,18 @@ class TestTracedParity:
 
 
 class TestSpanStructure:
-    @pytest.mark.parametrize("macro_frames", [1, 16])
-    def test_phase_spans_nest_under_engine_run(self, sink, macro_frames):
-        run_simulation(_scenario(macro_frames=macro_frames))
+    @pytest.mark.parametrize("block_frames", [1, 16, None])
+    def test_phase_spans_nest_under_engine_run(self, sink, block_frames):
+        engine = _engine()
+        if block_frames is not None:
+            engine.BLOCK_FRAMES = block_frames
+        engine.run()
         spans = [r for r in sink.records if r.get("record") == "span"]
         by_name = {}
         for record in spans:
             by_name.setdefault(record["name"], []).append(record)
         (engine_run,) = by_name["engine.run"]
+        assert engine_run["attrs"]["block_frames"] == (block_frames or 64)
         phase_names = {
             name for name in by_name if name.startswith("phase.")
         }
@@ -108,7 +117,7 @@ class TestSpanStructure:
                 assert record["parent"] == engine_run["id"]
 
     def test_phase_spans_follow_engine_phase_order(self, sink):
-        run_simulation(_scenario(macro_frames=1))
+        run_in_blocks(_engine(), 1)
         # Reconstruct start order (file order is completion order).
         phase_starts = sorted(
             (r["start_s"], r["name"])
@@ -119,7 +128,7 @@ class TestSpanStructure:
         assert first_cycle == list(PHASES)[:3]
 
     def test_macro_events_present_when_macro_stepping(self, sink):
-        run_simulation(_scenario(protocol="charisma", macro_frames=16))
+        run_in_blocks(_engine(protocol="charisma"), 16)
         events = {r["name"] for r in sink.records if r.get("record") == "event"}
         assert "macro.plan" in events
 

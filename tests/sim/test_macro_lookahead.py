@@ -4,7 +4,8 @@ The parity suite (``test_macro_parity.py``) asserts whole-run
 bit-identity across block sizes; this module pins the specific events that
 truncate or re-align a block — a contention success mid-block, a
 reservation expiring at a block boundary, CHARISMA's per-frame CSI draws —
-plus the roll-back/replay pool and the accel kernels themselves.
+plus the roll-back/replay pool and the accel kernels themselves.  The tests
+pick the block size through the engine (:func:`tests.utils.run_in_blocks`).
 """
 
 import numpy as np
@@ -22,8 +23,8 @@ from repro.mac.registry import create_protocol
 from repro.phy.csi import CSIEstimator
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.macro import BlockDraws, RandomPool
-from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
 
@@ -35,12 +36,12 @@ QUEUE_CELLS = [
 ]
 
 
-def _pair(macro_frames, **kwargs):
-    reference = run_simulation(Scenario(**kwargs), PARAMS)
-    macro = run_simulation(
-        Scenario(**kwargs, macro_frames=macro_frames), PARAMS
+def _pair(block_frames, **kwargs):
+    """The cell's results in one-frame blocks and in blocks of ``block_frames``."""
+    return tuple(
+        run_in_blocks(UplinkSimulationEngine(Scenario(**kwargs), PARAMS), k)
+        for k in (1, block_frames)
     )
-    return reference, macro
 
 
 class TestLookaheadTruncation:
@@ -54,12 +55,10 @@ class TestLookaheadTruncation:
         base = dict(protocol="dtdma_fr", n_voice=20, n_data=6,
                     duration_s=0.6, warmup_s=0.1, seed=5)
         engines = {}
-        for macro_frames in (1, 16):
-            engine = UplinkSimulationEngine(
-                Scenario(**base, macro_frames=macro_frames), PARAMS
-            )
-            result = engine.run()
-            engines[macro_frames] = (engine, result)
+        for block_frames in (1, 16):
+            engine = UplinkSimulationEngine(Scenario(**base), PARAMS)
+            result = run_in_blocks(engine, block_frames)
+            engines[block_frames] = (engine, result)
         reference = engines[1][1]
         macro = engines[16][1]
         # The workload must actually exercise the truncation path:
@@ -72,14 +71,14 @@ class TestLookaheadTruncation:
             == engines[16][0].collector.voice_loss_events_per_frame
         )
 
-    @pytest.mark.parametrize("macro_frames", (2, 3, 5, 7, 8, 9, 16))
-    def test_reservation_boundaries_across_block_phases(self, macro_frames):
+    @pytest.mark.parametrize("block_frames", (2, 3, 5, 7, 8, 9, 16))
+    def test_reservation_boundaries_across_block_phases(self, block_frames):
         """Talkspurt ends / reservation releases land on every possible
         position relative to block boundaries as the block size varies;
         each must re-align the holder set without drift."""
         base = dict(protocol="rmav", n_voice=14, n_data=0,
                     duration_s=0.5, warmup_s=0.1, seed=2)
-        reference, macro = _pair(macro_frames, **base)
+        reference, macro = _pair(block_frames, **base)
         assert reference.summary() == macro.summary()
 
     def test_charisma_parity_csi_frames_match(self):
@@ -89,8 +88,7 @@ class TestLookaheadTruncation:
         base = dict(protocol="charisma", n_voice=10, n_data=3,
                     use_request_queue=True, duration_s=0.5, warmup_s=0.1,
                     seed=9)
-        macro = run_simulation(Scenario(**base, macro_frames=16), PARAMS)
-        reference = run_simulation(Scenario(**base), PARAMS)
+        reference, macro = _pair(16, **base)
         assert reference.summary() == macro.summary()
 
     def test_macro_frames_exceeding_measured_frames(self):
@@ -99,11 +97,10 @@ class TestLookaheadTruncation:
                     duration_s=0.1, warmup_s=0.025, seed=4)
         reference, macro = _pair(64, **base)
         assert reference.summary() == macro.summary()
-        engine = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=64), PARAMS
-        )
-        engine.run()
+        # The default run's blocks of 64 are longer than either phase.
         scenario = Scenario(**base)
+        engine = UplinkSimulationEngine(scenario, PARAMS)
+        assert engine.run().summary() == reference.summary()
         assert engine.frame_index == (
             scenario.warmup_frames(PARAMS) + scenario.measured_frames(PARAMS)
         )
@@ -116,8 +113,7 @@ class TestLookaheadTruncation:
         base = dict(protocol=protocol, n_voice=60, n_data=20,
                     use_request_queue=True, duration_s=0.15, warmup_s=0.1,
                     seed=seed, rng_mode=rng_mode)
-        macro = run_simulation(Scenario(**base, macro_frames=64), PARAMS)
-        reference = run_simulation(Scenario(**base), PARAMS)
+        reference, macro = _pair(64, **base)
         assert reference.summary() == macro.summary()
 
     def test_large_talking_population_uses_batched_schedule(self):
@@ -156,13 +152,12 @@ class TestLookaheadTruncation:
 
     def test_interleaved_step_calls_resync_mirrors(self):
         """Frames advanced through engine.step() between run_frames calls
-        are one-frame blocks of the same loop — the mixed schedule must
-        still be bit-identical to pure one-frame stepping."""
+        are one-frame blocks of the same loop — the mixed schedule (blocks
+        of 64, 32, 1 × 40, 64 and 40) must still be bit-identical to pure
+        one-frame stepping."""
         base = dict(protocol="dtdma_fr", n_voice=16, n_data=4,
                     duration_s=0.6, warmup_s=0.0, seed=8)
-        mixed = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=16), PARAMS
-        )
+        mixed = UplinkSimulationEngine(Scenario(**base), PARAMS)
         mixed.run_frames(96)
         for _ in range(40):
             mixed.step()
@@ -180,7 +175,7 @@ class TestLookaheadTruncation:
         engine = UplinkSimulationEngine(
             Scenario(protocol=protocol, n_voice=90, n_data=20,
                      use_request_queue=True, duration_s=0.5, warmup_s=0.0,
-                     seed=1, rng_mode=rng_mode, macro_frames=8),
+                     seed=1, rng_mode=rng_mode),
             PARAMS,
         )
         for _ in range(25):
@@ -229,19 +224,17 @@ class TestMidBlockTruncationProperty:
     *generator states themselves* must converge for every block size.
     """
 
-    @pytest.mark.parametrize("macro_frames", (4, 16, 64))
+    @pytest.mark.parametrize("block_frames", (4, 16, 64))
     @pytest.mark.parametrize("protocol", ("drma", "rama"))
     def test_winner_reentry_reconsumes_exactly_the_used_prefix(
-        self, protocol, macro_frames
+        self, protocol, block_frames
     ):
         base = dict(protocol=protocol, n_voice=24, n_data=6,
                     duration_s=0.5, warmup_s=0.1, seed=11)
         reference_engine = UplinkSimulationEngine(Scenario(**base), PARAMS)
-        reference = reference_engine.run()
-        macro_engine = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=macro_frames), PARAMS
-        )
-        macro = macro_engine.run()
+        reference = run_in_blocks(reference_engine, 1)
+        macro_engine = UplinkSimulationEngine(Scenario(**base), PARAMS)
+        macro = run_in_blocks(macro_engine, block_frames)
         # The workload must actually exercise winner re-entry: contention
         # resolved winners and voice flowed.
         assert reference.mac.contention_attempts > 0
@@ -464,15 +457,14 @@ class TestAccelKernels:
 class TestDispatchCounter:
     def test_counts_per_phase_and_floor_drops_under_macro(self):
         counts = {}
-        for macro_frames in (1, 16):
+        for block_frames in (1, 16):
             scenario = Scenario(protocol="rmav", n_voice=16, n_data=4,
-                                duration_s=0.25, warmup_s=0.0, seed=1,
-                                macro_frames=macro_frames)
+                                duration_s=0.25, warmup_s=0.0, seed=1)
             engine = UplinkSimulationEngine(scenario, PARAMS)
             engine.enable_phase_timing(count_dispatches=True)
             try:
-                engine.run_frames(100)
-                counts[macro_frames] = dict(engine.dispatch_counts)
+                run_in_blocks(engine, block_frames)  # 100 measured frames
+                counts[block_frames] = dict(engine.dispatch_counts)
             finally:
                 engine.disable_phase_timing()
         assert counts[1]["traffic"] > 0

@@ -1,8 +1,10 @@
-"""Macro-stepped runs, the measurement window and dense terminal ids.
+"""Blocks of frames, the measurement window and dense terminal ids.
 
-Macro stepping re-partitions every random stream's draws without re-ordering
-any stream, so in parity RNG mode a macro-stepped run must equal the
-per-frame run exactly — aggregates and per-frame collector series alike.
+Stepping in blocks re-partitions every random stream's draws without
+re-ordering any stream, so in parity RNG mode a run in blocks of any size
+must equal the run in one-frame blocks exactly — aggregates and per-frame
+collector series alike.  The tests pick the block size through the engine
+(:func:`tests.utils.run_in_blocks`).
 """
 
 import pytest
@@ -10,19 +12,21 @@ import pytest
 from repro.config import SimulationParameters
 from repro.mac.registry import available_protocols
 from repro.sim.engine import UplinkSimulationEngine
+from repro.sim.macro import MacroRunner
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
 
 
 class TestMacroStepParity:
-    """Macro-stepped blocks must be bit-identical to per-frame stepping.
+    """Blocks of any size must be bit-identical to one-frame blocks.
 
-    The macro engine re-partitions every random stream's draws (traffic
-    plans, contention pools, deferred PHY batches) without re-ordering any
-    stream, so in parity mode the results must match exactly for every
-    block size.
+    The frame loop re-partitions every random stream's draws per block
+    (traffic plans, contention pools, deferred PHY batches) without
+    re-ordering any stream, so in parity mode the results must match
+    exactly for every block size.
     """
 
     @pytest.mark.parametrize("protocol", available_protocols())
@@ -32,14 +36,17 @@ class TestMacroStepParity:
             use_request_queue=(protocol != "rmav"),
             duration_s=0.6, warmup_s=0.2, seed=7,
         )
-        reference = run_simulation(Scenario(**base), PARAMS)
-        for macro_frames in (4, 16, 64):
-            result = run_simulation(
-                Scenario(**base, macro_frames=macro_frames), PARAMS
+        scenario = Scenario(**base)
+        reference = run_in_blocks(UplinkSimulationEngine(scenario, PARAMS), 1)
+        for block_frames in (4, 16, 64):
+            result = run_in_blocks(
+                UplinkSimulationEngine(scenario, PARAMS), block_frames
             )
             assert result.summary() == reference.summary(), (
-                protocol, macro_frames,
+                protocol, block_frames,
             )
+        # The default run, in the engine's own blocks, is one more sample.
+        assert run_simulation(scenario, PARAMS).summary() == reference.summary()
 
     def test_macro_per_frame_collector_streams_match(self):
         """Not just the aggregates: the per-frame metric streams align,
@@ -47,12 +54,10 @@ class TestMacroStepParity:
         base = dict(protocol="dtdma_vr", n_voice=16, n_data=4,
                     duration_s=0.6, warmup_s=0.1, seed=11)
         engines = {}
-        for macro_frames in (1, 16):
-            engine = UplinkSimulationEngine(
-                Scenario(**base, macro_frames=macro_frames), PARAMS
-            )
-            engine.run()
-            engines[macro_frames] = engine.collector
+        for block_frames in (1, 16):
+            engine = UplinkSimulationEngine(Scenario(**base), PARAMS)
+            run_in_blocks(engine, block_frames)
+            engines[block_frames] = engine.collector
         assert (
             engines[1].data_delivered_per_frame
             == engines[16].data_delivered_per_frame
@@ -61,6 +66,43 @@ class TestMacroStepParity:
             engines[1].voice_loss_events_per_frame
             == engines[16].voice_loss_events_per_frame
         )
+
+
+class TestEngineBlocks:
+    """Default runs step the engine's 64-frame blocks, not one-frame ones."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The ``n_frames`` of every ``MacroRunner.run_block`` call."""
+        seen = []
+        run_block = MacroRunner.run_block
+
+        def counting(runner, n_frames, engine):
+            seen.append(n_frames)
+            return run_block(runner, n_frames, engine)
+
+        monkeypatch.setattr(MacroRunner, "run_block", counting)
+        return seen
+
+    def test_default_run_steps_64_frame_blocks(self, blocks):
+        # The paper workload's timing: 600 warm-up and 500 measured frames.
+        scenario = Scenario(protocol="charisma", n_voice=6, n_data=2,
+                            use_request_queue=True, duration_s=1.25,
+                            warmup_s=1.5, seed=3)
+        engine = UplinkSimulationEngine(scenario, PARAMS)
+        assert engine.BLOCK_FRAMES == 64
+        engine.run()
+        # Clamped at the warm-up boundary and at the end of the run.
+        assert blocks == [64] * 9 + [24] + [64] * 7 + [52]
+        assert sum(blocks) == engine.frame_index == 1100
+
+    def test_step_is_a_one_frame_block(self, blocks):
+        engine = UplinkSimulationEngine(
+            Scenario(protocol="rmav", n_voice=2, n_data=1), PARAMS
+        )
+        engine.step()
+        assert blocks == [1]
+        assert engine.frame_index == 1
 
 
 class TestMeasurementWindow:

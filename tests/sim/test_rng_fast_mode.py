@@ -25,7 +25,9 @@ from repro.mac.contention import run_contention_ids
 from repro.mac.registry import available_protocols
 from repro.sim.rng import RandomStreams, child_stream
 from repro.sim.runner import run_simulation
+from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
+from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
 
@@ -118,15 +120,16 @@ class TestStatisticalEquivalence:
         """
 
         def run_macro_fast(seed):
-            return run_simulation(
+            engine = UplinkSimulationEngine(
                 Scenario(
                     protocol=protocol, n_voice=10, n_data=3,
                     use_request_queue=(protocol != "rmav"),
                     duration_s=0.5, warmup_s=0.15, seed=seed,
-                    rng_mode="fast", macro_frames=16,
+                    rng_mode="fast",
                 ),
                 PARAMS,
             )
+            return run_in_blocks(engine, 16)
 
         parity = [_metrics(_run(protocol, seed, "parity")) for seed in SEEDS]
         fast = [_metrics(run_macro_fast(seed)) for seed in SEEDS]
@@ -142,15 +145,16 @@ class TestStatisticalEquivalence:
 
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_macro_fast_mode_conservation(self, protocol):
-        result = run_simulation(
+        engine = UplinkSimulationEngine(
             Scenario(
                 protocol=protocol, n_voice=10, n_data=3,
                 use_request_queue=(protocol != "rmav"),
                 duration_s=0.4, warmup_s=0.15, seed=1,
-                rng_mode="fast", macro_frames=16,
+                rng_mode="fast",
             ),
             PARAMS,
         )
+        result = run_in_blocks(engine, 16)
         voice, data = result.voice, result.data
         assert voice.delivered + voice.errored + voice.dropped <= voice.generated
         assert data.delivered <= data.generated
@@ -167,34 +171,30 @@ class TestStatisticalEquivalence:
         the contract is statistical equivalence (see above), because the
         block pool may re-partition the noise draws.
         """
-        from repro.sim.engine import UplinkSimulationEngine
-
         def build():
             return UplinkSimulationEngine(
                 Scenario(
                     protocol="charisma", n_voice=10, n_data=3,
                     use_request_queue=True, duration_s=0.4, warmup_s=0.1,
-                    seed=9, rng_mode="fast", macro_frames=16,
+                    seed=9, rng_mode="fast",
                 ),
                 PARAMS,
             )
 
         first = build()
-        first_result = first.run()
+        first_result = run_in_blocks(first, 16)
         # The pooled estimation noise engaged in fast mode.
         draws = first._macro._draws
         assert draws._csi_pool is not None
         assert draws.estimate == draws._pooled_estimate
         assert first_result.voice.delivered > 0
         second = build()
-        assert first_result.summary() == second.run().summary()
+        assert first_result.summary() == run_in_blocks(second, 16).summary()
 
     def test_fast_and_parity_differ_but_share_initial_state(self):
         """Same seed, different draw partitioning: the realisations diverge
         (they are different samples), while construction-time state —
         drawn from the shared stream in both modes — is identical."""
-        from repro.sim.engine import UplinkSimulationEngine
-
         engines = {
             mode: UplinkSimulationEngine(
                 Scenario(protocol="dtdma_fr", n_voice=8, n_data=2,

@@ -24,6 +24,29 @@ class TestParser:
         args = build_parser().parse_args(["compare", "--protocols", "charisma", "rama"])
         assert args.protocols == ["charisma", "rama"]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--macro-frames", "16"],
+        ["compare", "--macro-frames", "16"],
+        ["profile", "--macro-frames", "64"],
+    ])
+    def test_macro_frames_is_a_usage_error_for_a_single_cell(self, argv, capsys):
+        # A single cell steps the engine's own blocks; the flag would be
+        # ignored, so it is refused.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--macro-frames" in capsys.readouterr().err
+
+    def test_macro_frames_sets_the_coupling_period_of_a_constellation(self):
+        from repro.cli import _constellation_from_args
+
+        parser = build_parser()
+        args = parser.parse_args(["run", "--constellation", "2",
+                                  "--macro-frames", "8"])
+        assert _constellation_from_args(args).macro_frames == 8
+        args = parser.parse_args(["run", "--constellation", "2"])
+        assert _constellation_from_args(args).macro_frames == 1
+
 
 class TestCommands:
     def test_experiments_lists_registry(self, capsys):
@@ -176,6 +199,25 @@ class TestCommands:
         assert snapshot["counts"]["done"] == 1
         assert snapshot["points"][0]["state"] == "done"
 
+    def test_profile_json_reports_the_run(self, capsys):
+        import json
+
+        code = main([
+            "profile", "--json", "--protocol", "rmav", "--n-voice", "3",
+            "--n-data", "1", "--duration", "0.2", "--warmup", "0.1",
+            "--top", "5",
+        ])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["frames"] == 40 + 80  # warm-up + measured
+        # Five fractions, each rounded to 4 decimals.
+        assert sum(report["phase_fraction"].values()) == pytest.approx(
+            1.0, abs=5 * 5e-5)
+        assert report["dispatches_per_frame"]
+        assert len(report["top_functions"]) == 5
+        assert report["block_frames"] == 64
+        assert "macro_frames" not in report
+
     def test_selftest_runs_every_executor(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -186,6 +228,7 @@ class TestCommands:
                   for line in out.splitlines() if "contention rounds" in line}
         assert rounds["SerialExecutor"] == rounds["ParallelExecutor"]
         assert rounds["SerialExecutor"] != "0 contention rounds"
+        assert "1-frame == 16-frame blocks for 3 protocols" in out
         assert "ResultStore" in out
         assert "selftest passed" in out
 

@@ -105,7 +105,6 @@ class TestColdImports:
                     repro.run_simulation(repro.Scenario(
                         protocol=protocol, n_voice=4, n_data=2, duration_s=0.2,
                         warmup_s=0.05, seed=3, rng_mode=rng_mode,
-                        macro_frames=8,
                     ))
             run_constellation(ConstellationScenario(
                 protocol="charisma", n_beams=2, n_voice=4, n_data=1,

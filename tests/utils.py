@@ -1,4 +1,5 @@
-"""Shared helpers for the test-suite: forced-state populations, snapshots, protocols."""
+"""Shared helpers for the test-suite: forced-state populations, snapshots,
+protocols, and engine runs in blocks of a chosen size."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.mac.contention import IndexContentionResult
 from repro.mac.registry import create_protocol
 from repro.mac.requests import GrantColumns
 from repro.sim.macro import BlockDraws
+from repro.sim.results import SimulationResult
 from repro.traffic.population import TerminalMigrationState, TerminalPopulation
 
 PARAMS = SimulationParameters()
@@ -130,3 +132,28 @@ def run_single_frame(protocol, population: TerminalPopulation,
     """One MAC frame over a uniform channel."""
     snapshot = population_snapshot(population, amplitude, frame_index=frame)
     return run_protocol_frame(protocol, population, snapshot, frame)
+
+
+def run_in_blocks(engine, block_frames: int) -> SimulationResult:
+    """Run ``engine`` as ``engine.run()`` does, in blocks of ``block_frames``.
+
+    The warm-up and the measured frames are stepped in
+    ``run_frames(block_frames)`` calls (the last of each clamped to the
+    frames left) around ``begin_measurement()``, then the results are
+    collected.  A call of at most the engine's ``BLOCK_FRAMES`` frames is
+    one block of the frame loop, so this is how a test picks the block
+    size.
+    """
+    if not 1 <= block_frames <= engine.BLOCK_FRAMES:
+        raise ValueError(
+            f"block_frames must lie in 1..{engine.BLOCK_FRAMES}, "
+            f"got {block_frames}"
+        )
+    scenario, params = engine.scenario, engine.params
+    phases = (scenario.warmup_frames(params), scenario.measured_frames(params))
+    for phase, frames in enumerate(phases):
+        if phase:
+            engine.begin_measurement()
+        for start in range(0, frames, block_frames):
+            engine.run_frames(min(block_frames, frames - start))
+    return engine.collect_results()
