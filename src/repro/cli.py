@@ -670,10 +670,16 @@ def _selftest_macro_parity() -> bool:
     from repro.sim.engine import UplinkSimulationEngine
 
     def run_in_blocks(scenario: Scenario, block_frames: int):
-        # The engine's block size, set as a coupled constellation shard sets it.
+        # A run_frames call of at most BLOCK_FRAMES frames is one block.
         engine = UplinkSimulationEngine(scenario)
-        engine.BLOCK_FRAMES = block_frames
-        return engine.run()
+        params = engine.params
+        phases = (scenario.warmup_frames(params), scenario.measured_frames(params))
+        for phase, frames in enumerate(phases):
+            if phase:
+                engine.begin_measurement()
+            for start in range(0, frames, block_frames):
+                engine.run_frames(min(block_frames, frames - start))
+        return engine.collect_results()
 
     for protocol in ("charisma", "dtdma_vr", "rama"):
         base = Scenario(protocol=protocol, n_voice=6, n_data=2,

@@ -235,12 +235,9 @@ class ConstellationRunner:
     # ------------------------------------------------------------------ API
     def run(self) -> ConstellationResult:
         """Run warm-up plus the measured period on every shard."""
-        if self.n_workers > 1 and _can_fork():
-            n_processes = self._run_forked()
-        else:
-            shards = self.shards
-            self._advance(shards, lambda: self._couple(shards, ()))
-            n_processes = 1
+        n_processes = self._run_forked(
+            self.n_workers if self.n_workers > 1 and _can_fork() else 1
+        )
         beams = tuple(shard.result() for shard in self.shards)
         merged = self._merge(beams)
         self._report_load()
@@ -298,32 +295,34 @@ class ConstellationRunner:
             seconds[shard.beam] += _clock.now() - started
 
     # -------------------------------------------------------------- workers
-    def _run_forked(self) -> int:
-        """Step the first bucket here and every other one in a forked worker.
+    def _run_forked(self, n_buckets: int) -> int:
+        """Step the first of ``n_buckets`` contiguous shard buckets here
+        and every other one in a forked worker (one bucket forks nothing).
 
         Returns the number of processes that stepped shards.
         """
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
         own, *others = [
             range(int(bucket[0]), int(bucket[-1]) + 1)
-            for bucket in np.array_split(np.arange(len(self.shards)), self.n_workers)
+            for bucket in np.array_split(np.arange(len(self.shards)), n_buckets)
         ]
         workers: List[_Worker] = []
         try:
-            for beams in others:
-                conn, child_conn = context.Pipe()
-                coordinator_ends = [worker.conn for worker in workers] + [conn]
-                process = context.Process(
-                    target=self._work,
-                    args=(beams, child_conn, coordinator_ends),
-                    name=f"constellation-beams-{beams.start}-{beams.stop - 1}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                workers.append(_Worker(process, conn, beams))
+            if others:
+                import multiprocessing
+
+                context = multiprocessing.get_context("fork")
+                for beams in others:
+                    conn, child_conn = context.Pipe()
+                    coordinator_ends = [worker.conn for worker in workers] + [conn]
+                    process = context.Process(
+                        target=self._work,
+                        args=(beams, child_conn, coordinator_ends),
+                        name=f"constellation-beams-{beams.start}-{beams.stop - 1}",
+                        daemon=True,
+                    )
+                    process.start()
+                    child_conn.close()
+                    workers.append(_Worker(process, conn, beams))
             local = self.shards[own.start:own.stop]
             self._advance(local, lambda: self._couple(local, workers))
             for worker in workers:

@@ -15,13 +15,19 @@ matching the classic derivation exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Optional
 
 from repro.config import SimulationParameters
 from repro.sim.scenario import Scenario
 
 __all__ = ["ConstellationScenario"]
+
+#: The :class:`Scenario` fields a constellation shares with each beam: all
+#: of them but ``engine_backend``, which a constellation does not carry.
+_SHARED_FIELDS = tuple(
+    field.name for field in fields(Scenario) if field.name != "engine_backend"
+)
 
 
 @dataclass(frozen=True)
@@ -74,26 +80,9 @@ class ConstellationScenario:
     reuse_factor: int = 1
 
     def __post_init__(self) -> None:
-        if not self.protocol:
-            raise ValueError("protocol name must not be empty")
+        self._cell()  # validates the fields shared with Scenario
         if self.n_beams < 1:
             raise ValueError("n_beams must be at least 1")
-        if self.n_voice < 0 or self.n_data < 0:
-            raise ValueError("population sizes must be non-negative")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.warmup_s < 0:
-            raise ValueError("warmup_s must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.mobile_speed_kmh is not None and self.mobile_speed_kmh < 0:
-            raise ValueError("mobile_speed_kmh must be non-negative")
-        if self.rng_mode not in ("parity", "fast"):
-            raise ValueError(
-                f"rng_mode must be 'parity' or 'fast', got {self.rng_mode!r}"
-            )
-        if self.macro_frames < 1:
-            raise ValueError("macro_frames must be at least 1")
         if not 0.0 <= self.handover_rate <= 1.0:
             raise ValueError("handover_rate must be within [0, 1]")
         if self.handover_rate > 0.0 and self.n_voice < 1:
@@ -126,11 +115,11 @@ class ConstellationScenario:
     # ------------------------------------------------------------- timing
     def measured_frames(self, params: SimulationParameters) -> int:
         """Number of measured frames implied by ``duration_s``."""
-        return max(1, int(round(self.duration_s / params.frame_duration_s)))
+        return self._cell().measured_frames(params)
 
     def warmup_frames(self, params: SimulationParameters) -> int:
         """Number of warm-up frames implied by ``warmup_s``."""
-        return int(round(self.warmup_s / params.frame_duration_s))
+        return self._cell().warmup_frames(params)
 
     # ------------------------------------------------------------- copies
     def with_overrides(self, **overrides: Any) -> "ConstellationScenario":
@@ -149,18 +138,11 @@ class ConstellationScenario:
             raise ValueError(
                 f"beam {beam} outside the constellation's 0..{self.n_beams - 1} range"
             )
-        return Scenario(
-            protocol=self.protocol,
-            n_voice=self.n_voice,
-            n_data=self.n_data,
-            use_request_queue=self.use_request_queue,
-            duration_s=self.duration_s,
-            warmup_s=self.warmup_s,
-            seed=self.seed,
-            mobile_speed_kmh=self.mobile_speed_kmh,
-            rng_mode=self.rng_mode,
-            macro_frames=self.macro_frames,
-        )
+        return self._cell()
+
+    def _cell(self) -> Scenario:
+        """The single-cell scenario of the fields shared with every beam."""
+        return Scenario(**{name: getattr(self, name) for name in _SHARED_FIELDS})
 
     def label(self) -> str:
         """Compact human-readable identifier used in tables and logs."""

@@ -45,7 +45,8 @@ def beam_spawn_key(beam: int) -> Tuple[int, ...]:
 
 
 class BeamShard:
-    """One beam's engine plus the block-boundary coupling seams."""
+    """One beam's engine plus the block-boundary coupling seams; an
+    interference penalty set at a barrier applies from the next frame on."""
 
     def __init__(
         self,
@@ -62,14 +63,6 @@ class BeamShard:
         self.engine = UplinkSimulationEngine(
             beam_scenario, params, streams=streams, beam=self.beam
         )
-        if scenario.coupling_db > 0.0:
-            # Align the engine's blocks, and with them the channel's
-            # block-batched snapshot production, with the coupling barrier
-            # so an interference update takes effect on the very next block
-            # instead of up to 64 frames late.  Only parity mode needs it: a
-            # fast-mode channel is evaluated at read time, under whatever
-            # penalty is then in force.
-            self.engine.BLOCK_FRAMES = scenario.macro_frames
         self.population: TerminalPopulation = self.engine.population
 
     # ------------------------------------------------------------ stepping

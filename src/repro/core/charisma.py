@@ -68,7 +68,6 @@ class CharismaProtocol(MACProtocol):
         use_request_queue: bool = False,
         csi_estimator: Optional[CSIEstimator] = None,
         enable_csi_polling: bool = True,
-        rng_mode: str = "parity",
         contention_rng: Optional[np.random.Generator] = None,
         csi_rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -79,19 +78,17 @@ class CharismaProtocol(MACProtocol):
             modem,
             rng,
             use_request_queue=use_request_queue,
-            rng_mode=rng_mode,
             contention_rng=contention_rng,
         )
         # Fast mode draws estimation noise from a dedicated child stream
         # (``csi_rng``), which the macro runner pools a block of standard
-        # normals from.  Parity mode keeps the shared ``rng`` and its
+        # normals from.  Without one the estimator shares ``rng`` and its
         # per-frame draw order (winners, then holders, then polls).
-        use_csi_stream = self.rng_fast and csi_rng is not None
         self.csi_estimator = csi_estimator or CSIEstimator(
             n_pilot_symbols=params.pilot_symbols_per_request,
             mean_snr_db=params.mean_snr_db,
             validity_frames=params.csi_validity_frames,
-            rng=csi_rng if use_csi_stream else rng,
+            rng=rng if csi_rng is None else csi_rng,
         )
         self.priority_calculator = PriorityCalculator(params.priority, modem)
         self.allocator = CSIRankedAllocator(modem, params.n_info_slots)

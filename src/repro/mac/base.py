@@ -85,16 +85,13 @@ class MACProtocol(abc.ABC):
     use_request_queue:
         Whether the base station keeps the optional request queue of
         Section 4.5.  Ignored for protocols that do not support one (RMAV).
-    rng_mode:
-        ``"parity"`` (default) draws every stochastic decision in a fixed
-        scalar order (the order the golden baselines in ``tests/golden``
-        pin).  ``"fast"`` lets the kernels batch a frame's draws into single
-        calls against a dedicated contention child stream — statistically
-        equivalent, not bit-identical.
     contention_rng:
-        The independent child stream fast mode draws contention from
-        (see :meth:`repro.sim.rng.RandomStreams.child`); derived from
-        ``rng`` when omitted.  Unused in parity mode.
+        Fast RNG mode's contention child stream (see
+        :meth:`repro.sim.rng.RandomStreams.child`): given one, the protocol
+        batches a frame's contention draws into single calls on it —
+        statistically equivalent to parity, not bit-identical.  ``None``
+        (the default) keeps every draw in the fixed scalar order on ``rng``
+        that the golden baselines in ``tests/golden`` pin.
     """
 
     #: Short machine-readable identifier (registry key).
@@ -114,22 +111,17 @@ class MACProtocol(abc.ABC):
         modem: Modem,
         rng: np.random.Generator,
         use_request_queue: bool = False,
-        rng_mode: str = "parity",
         contention_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if rng_mode not in ("parity", "fast"):
-            raise ValueError(f"rng_mode must be 'parity' or 'fast', got {rng_mode!r}")
         self.params = params
         self.modem = modem
         self.rng = rng
-        self.rng_mode = rng_mode
-        self.rng_fast = rng_mode == "fast"
-        if self.rng_fast and contention_rng is None:
-            contention_rng = rng.spawn(1)[0]
+        #: Whether the protocol batches draws on fast mode's child streams.
+        self.rng_fast = contention_rng is not None
         #: Stream contention draws come from: the shared MAC stream in
         #: parity mode (scalar call order preserved), a dedicated child in
         #: fast mode (whole-frame batched draws).
-        self.contention_rng = contention_rng if self.rng_fast else rng
+        self.contention_rng = rng if contention_rng is None else contention_rng
         self.permission = PermissionPolicy(
             params.voice_permission_probability,
             params.data_permission_probability,

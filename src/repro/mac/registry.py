@@ -103,23 +103,20 @@ def create_protocol(
     rng: np.random.Generator,
     use_request_queue: bool = False,
     modem: Optional[Modem] = None,
-    rng_mode: str = "parity",
     contention_rng: Optional[np.random.Generator] = None,
     csi_rng: Optional[np.random.Generator] = None,
 ) -> MACProtocol:
     """Instantiate a protocol (and, unless provided, its physical layer).
 
-    ``rng_mode`` / ``contention_rng`` select the protocol's random-draw
-    batching contract (see :class:`~repro.sim.scenario.Scenario.rng_mode`);
-    ``csi_rng`` is the dedicated estimation-noise child stream fast mode
-    hands to CSI-scheduling protocols (ignored by the others).
+    ``contention_rng`` and ``csi_rng`` are fast RNG mode's child streams for
+    contention and (CSI-scheduling protocols only) estimation noise; a
+    protocol given neither keeps the parity draw order on ``rng``.
     """
     cls = protocol_class(name)
     if modem is None:
         modem = build_modem(name, params)
     kwargs: dict = {
         "use_request_queue": use_request_queue,
-        "rng_mode": rng_mode,
         "contention_rng": contention_rng,
     }
     if cls.uses_csi_scheduling:

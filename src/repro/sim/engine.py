@@ -24,26 +24,26 @@ Traffic state lives in a struct-of-arrays
 kernels.  The one frame loop is :class:`~repro.sim.macro.MacroRunner`: it
 steps blocks of :attr:`UplinkSimulationEngine.BLOCK_FRAMES` (64) frames,
 clamped at the warm-up boundary and at the end of the run, and :meth:`step`
-is a one-frame block; the block size changes no result.
-``rng_mode="fast"`` batches whole-frame draws from
-per-subsystem child streams instead of the parity draw order —
-statistically equivalent to parity, not bit-identical (see
-:class:`~repro.sim.scenario.Scenario`).  The golden baselines in
-``tests/golden`` pin the exact results of both modes.
+is a one-frame block; the block size changes no result.  Only the engine
+reads ``Scenario.rng_mode``: ``"fast"`` hands each layer child streams to
+batch whole-frame draws on — statistically equivalent to parity, not
+bit-identical — and a layer given none keeps the parity draw order.  The
+golden baselines in ``tests/golden`` pin the exact results of both modes.
 
 Terminal ids are dense (``terminal_id == population index``): channel
 snapshot reads and the population arrays are both indexed by id.  In
-``rng_mode="parity"`` the channel advances every terminal in blocks of
-frames; in ``rng_mode="fast"`` it advances a terminal only when a grant or
-a CSI poll reads it (see :class:`~repro.channel.manager.ChannelManager`).
+parity mode the channel advances every terminal at the start of each
+block, for exactly its frames; in fast mode it advances a terminal only
+when a grant or a CSI poll reads it (see
+:class:`~repro.channel.manager.ChannelManager`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.channel.doppler import DopplerModel
-from repro.channel.manager import ChannelManager, ChannelSnapshot
+from repro.channel.manager import ChannelManager
 from repro.config import SimulationParameters
 from repro.mac.base import MACProtocol, snapshot_snr_compatible
 from repro.mac.registry import create_protocol
@@ -95,8 +95,7 @@ class UplinkSimulationEngine:
         self.params = params if params is not None else SimulationParameters()
         self.streams = streams if streams is not None else RandomStreams(scenario.seed)
         self.beam = None if beam is None else int(beam)
-        self.rng_mode = scenario.rng_mode
-        rng_fast = self.rng_mode == "fast"
+        fast = scenario.rng_mode == "fast"
 
         speed = (
             scenario.mobile_speed_kmh
@@ -114,7 +113,7 @@ class UplinkSimulationEngine:
             shadow_decorrelation_s=self.params.shadow_decorrelation_s,
             mean_snr_db=self.params.mean_snr_db,
             beam=self.beam,
-            lazy=rng_fast,
+            lazy=fast,
         )
 
         self.population = TerminalPopulation(
@@ -122,13 +121,10 @@ class UplinkSimulationEngine:
             scenario.n_voice,
             scenario.n_data,
             self.streams["traffic"],
-            rng_mode=self.rng_mode,
-            toggle_rng=(
-                self.streams.child("traffic", "toggle") if rng_fast else None
-            ),
-            burst_rng=(
-                self.streams.child("traffic", "burst") if rng_fast else None
-            ),
+            event_rngs=(
+                self.streams.child("traffic", "toggle"),
+                self.streams.child("traffic", "burst"),
+            ) if fast else None,
             beam=self.beam,
         )
 
@@ -138,12 +134,11 @@ class UplinkSimulationEngine:
                 self.params,
                 self.streams["mac"],
                 use_request_queue=scenario.use_request_queue,
-                rng_mode=self.rng_mode,
                 contention_rng=(
-                    self.streams.child("mac", "contention") if rng_fast else None
+                    self.streams.child("mac", "contention") if fast else None
                 ),
                 csi_rng=(
-                    self.streams.child("csi", "estimation") if rng_fast else None
+                    self.streams.child("csi", "estimation") if fast else None
                 ),
             )
         self.protocol = protocol
@@ -167,18 +162,9 @@ class UplinkSimulationEngine:
         # process-global tracer is active, and ``None`` otherwise.
         self._clock: Optional[PhaseRecorder] = None
         self._dispatch_counter = None
-        # Channel snapshots are produced in blocks (in parity mode one
-        # batched draw per block, then a loop over its frames that steps
-        # every user at once, bit identical to per-frame advancing; in fast
-        # mode just the frames' lazy read handles); the buffer holds the
-        # frames the channel has produced ahead of the simulation.
-        self._snapshot_buffer: List[ChannelSnapshot] = []
-        self._snapshot_cursor = 0
         self._macro = MacroRunner(self)
 
-    #: Frames per block of the frame loop and per batched channel
-    #: evaluation.  A coupled constellation shard sets it to the coupling
-    #: period on its engine; the block size changes no result.
+    #: Frames per block of the frame loop; the block size changes no result.
     BLOCK_FRAMES = 64
 
     # ------------------------------------------------------------------ API
@@ -339,17 +325,6 @@ class UplinkSimulationEngine:
             data=self.collector.data_metrics(self.population),
             mac=self.collector.mac_stats(),
         )
-
-    # ------------------------------------------------------------ frame loop
-    def _next_snapshot(self) -> ChannelSnapshot:
-        if self._snapshot_cursor >= len(self._snapshot_buffer):
-            self._snapshot_buffer = self.channels.advance_block(
-                self.BLOCK_FRAMES
-            )
-            self._snapshot_cursor = 0
-        snapshot = self._snapshot_buffer[self._snapshot_cursor]
-        self._snapshot_cursor += 1
-        return snapshot
 
     # ------------------------------------------------------------ internals
     def _reset_statistics(self) -> None:

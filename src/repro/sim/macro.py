@@ -11,6 +11,9 @@ traffic, the protocol's request and allocation phases
 transmissions through the PHY.  What is predictable is done once per block
 instead of once per frame:
 
+* **channel** — the block's start evaluates the channel for exactly its
+  frames (:meth:`~repro.channel.manager.ChannelManager.advance_block`), so
+  no frame runs on an interference penalty that a barrier has replaced;
 * **traffic** — :meth:`~repro.traffic.population.TerminalPopulation.plan_frames`
   pre-draws the whole block's source events in per-frame order and each
   frame replays its recorded events with a handful of scalar writes;
@@ -314,18 +317,20 @@ class MacroRunner:
         if tracer is not None:
             tracer.event("macro.plan", frames=n_frames, start_frame=start)
 
-        plan = None
+        snapshots = plan = None
         for offset in range(n_frames):
             frame = start + offset
             if clock:
                 clock.start("channel")
-            snapshot = engine._next_snapshot()
+            if snapshots is None:
+                # The first frame's channel and traffic phases evaluate the
+                # whole block's channel and traffic.
+                snapshots = engine.channels.advance_block(n_frames)
+            snapshot = snapshots[offset]
             if clock:
                 clock.stop()
                 clock.start("traffic")
             if plan is None:
-                # The block's traffic is planned inside its first frame's
-                # traffic phase, so every frame starts with the channel.
                 plan = population.plan_frames(start, n_frames)
             population.apply_planned_frame(plan, frame)
             drops = population.drop_expired_events(frame)

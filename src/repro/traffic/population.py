@@ -10,8 +10,8 @@ deadline expiries, grants).  The MAC protocols read the arrays directly.
 
 RNG draw order
 --------------
-In parity RNG mode the population draws from the run's ``traffic`` stream
-in a fixed scalar order:
+Given no ``event_rngs`` (parity RNG mode) the population draws from the
+run's ``traffic`` stream in a fixed scalar order:
 
 * construction draws one exponential per voice terminal (initial silence)
   followed by one per data terminal (initial inter-arrival);
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,6 +127,11 @@ class TerminalPopulation:
     rng:
         The run's ``traffic`` random stream (see the module docstring for
         the parity-mode draw order).
+    event_rngs:
+        Fast RNG mode's ``(toggle, burst)`` child streams for the source
+        events' draws, batched when more than two sources fire in a frame;
+        ``None`` keeps the parity draw order on ``rng``.  Construction
+        draws always come from ``rng``.
     """
 
     def __init__(
@@ -135,29 +140,16 @@ class TerminalPopulation:
         n_voice: int,
         n_data: int,
         rng: np.random.Generator,
-        rng_mode: str = "parity",
-        toggle_rng: Optional[np.random.Generator] = None,
-        burst_rng: Optional[np.random.Generator] = None,
+        event_rngs: Optional[Tuple[np.random.Generator, np.random.Generator]] = None,
         beam: Optional[int] = None,
     ) -> None:
         if n_voice < 0 or n_data < 0:
             raise ValueError("population sizes must be non-negative")
-        if rng_mode not in ("parity", "fast"):
-            raise ValueError(f"rng_mode must be 'parity' or 'fast', got {rng_mode!r}")
         self.params = params
-        self._rng = rng
-        # Fast RNG mode batches each frame's event draws (talkspurt/silence
-        # toggles, burst arrivals) into single calls against dedicated child
-        # streams; parity mode keeps the scalar draw order of the module
-        # docstring on the shared traffic stream.  Construction draws always
-        # come from the shared stream, so the initial population state is
-        # identical in both modes.
-        self._rng_fast = rng_mode == "fast"
-        if self._rng_fast:
-            self._toggle_rng = toggle_rng if toggle_rng is not None else rng.spawn(1)[0]
-            self._burst_rng = burst_rng if burst_rng is not None else rng.spawn(1)[0]
-        else:
-            self._toggle_rng = self._burst_rng = None
+        self._batch_events = event_rngs is not None
+        self._toggle_rng, self._burst_rng = (
+            event_rngs if event_rngs is not None else (rng, rng)
+        )
         #: Beam index when this population is one shard of a multi-beam
         #: constellation (``None`` for plain single-cell runs); indices are
         #: then *beam-local*, and error messages carry ``(beam, local_id)``.
@@ -273,8 +265,8 @@ class TerminalPopulation:
         nv = self.n_voice
         period = self._period
         params = self.params
-        rng = self._rng
-        fast = self._rng_fast
+        toggle_rng = self._toggle_rng
+        burst_rng = self._burst_rng
         countdown = self.countdown
         talking = set(np.nonzero(self.in_talkspurt[:nv])[0].tolist())
         since = self.frames_since_packet[:nv].tolist()
@@ -330,8 +322,8 @@ class TerminalPopulation:
             countdown -= 1
             frame_toggles: List = []
             frame_bursts: List = []
-            if fast:
-                self._plan_events_fast(
+            if self._batch_events and fired.shape[0] > 2:
+                self._plan_events_batched(
                     fired, frame_toggles, frame_bursts, talking, since
                 )
             else:
@@ -340,20 +332,24 @@ class TerminalPopulation:
                         if i in talking:
                             talking.discard(i)
                             frame_toggles.append((i, False))
-                            duration = rng.exponential(params.mean_silence_s)
+                            mean = params.mean_silence_s
                         else:
                             talking.add(i)
                             since[i] = 0
                             frame_toggles.append((i, True))
-                            duration = rng.exponential(params.mean_talkspurt_s)
-                        countdown[i] = self._duration_frames(duration)
+                            mean = params.mean_talkspurt_s
+                        countdown[i] = self._duration_frames(
+                            toggle_rng.exponential(mean)
+                        )
                     else:
                         size = max(
                             1,
-                            int(round(rng.exponential(params.mean_data_burst_packets))),
+                            int(round(
+                                burst_rng.exponential(params.mean_data_burst_packets)
+                            )),
                         )
                         countdown[i] = self._duration_frames(
-                            rng.exponential(params.mean_data_interarrival_s)
+                            burst_rng.exponential(params.mean_data_interarrival_s)
                         )
                         frame_bursts.append((i, size))
             if frame_toggles:
@@ -374,55 +370,23 @@ class TerminalPopulation:
             self.frames_since_packet[:nv] = since
         return plan
 
-    def _plan_events_fast(
+    def _plan_events_batched(
         self, fired: np.ndarray, frame_toggles, frame_bursts, talking, since
     ) -> None:
-        """Fast-RNG-mode event firing for :meth:`plan_frames`.
+        """Fire more than two due sources in one frame on batched draws.
 
-        The frame's draws collapse into one batched call per draw site —
-        talkspurt and silence durations from the ``toggle`` child stream,
-        burst sizes and inter-arrivals from the ``burst`` child stream — so
-        the RNG cost does not scale with the number of firing terminals.
-        One or two firing terminals (the common case: toggles and bursts
-        are second-scale events against 2.5 ms frames) are cheaper as
-        scalar draws from the same child streams, identically distributed.
+        Fast RNG mode only: the frame's draws collapse into one call per
+        draw site — talkspurt and silence durations from the ``toggle``
+        child stream, burst sizes and inter-arrivals from the ``burst``
+        child stream — so the RNG cost does not scale with the number of
+        firing terminals.  One or two firing terminals (the common case:
+        toggles and bursts are second-scale events against 2.5 ms frames)
+        take :meth:`plan_frames`'s scalar loop on the same child streams.
         """
         params = self.params
         dt = self._dt
         countdown = self.countdown
         nv = self.n_voice
-
-        if fired.shape[0] <= 2:
-            for i in fired.tolist():
-                if i < nv:
-                    if i in talking:
-                        talking.discard(i)
-                        frame_toggles.append((i, False))
-                        mean = params.mean_silence_s
-                    else:
-                        talking.add(i)
-                        since[i] = 0
-                        frame_toggles.append((i, True))
-                        mean = params.mean_talkspurt_s
-                    countdown[i] = self._duration_frames(
-                        self._toggle_rng.exponential(mean)
-                    )
-                else:
-                    size = max(
-                        1,
-                        int(round(
-                            self._burst_rng.exponential(
-                                params.mean_data_burst_packets
-                            )
-                        )),
-                    )
-                    countdown[i] = self._duration_frames(
-                        self._burst_rng.exponential(
-                            params.mean_data_interarrival_s
-                        )
-                    )
-                    frame_bursts.append((i, size))
-            return
 
         voice_idx = fired[fired < nv]
         data_idx = fired[fired >= nv]

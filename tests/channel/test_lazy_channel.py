@@ -213,4 +213,4 @@ class TestEngine:
                      warmup_s=0.0),
             PARAMS,
         )
-        assert isinstance(engine._next_snapshot(), EagerSnapshot)
+        assert isinstance(engine.channels.snapshot(), EagerSnapshot)

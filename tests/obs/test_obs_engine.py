@@ -3,7 +3,7 @@
 Parity assertions compare ``(voice, data, mac)``.  A test that names a block
 size picks it through the engine: :func:`tests.utils.run_in_blocks`, or, for
 a run that must open its ``engine.run`` span, an engine whose
-``BLOCK_FRAMES`` is set as a coupled constellation shard sets it.
+``BLOCK_FRAMES`` is overridden on the instance.
 """
 
 import pytest

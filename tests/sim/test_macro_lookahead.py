@@ -327,7 +327,8 @@ class TestBlockDraws:
         the values explicit ``estimate_amplitudes`` calls draw on a twin
         generator, with the stream left where those calls leave it."""
         protocol = create_protocol(
-            "charisma", PARAMS, np.random.default_rng(0), rng_mode="fast",
+            "charisma", PARAMS, np.random.default_rng(0),
+            contention_rng=np.random.default_rng(1),
             csi_rng=np.random.default_rng(3),
         )
         draws = BlockDraws(protocol)
