@@ -3,48 +3,75 @@
 Each kernel replaces a per-terminal Python loop of
 :class:`~repro.traffic.population.TerminalPopulation` with a few whole-array
 operations, and returns exactly what the loop would: the macro engine's
-golden digests pin their outputs.
+golden digests pin their outputs.  The per-event kernels
+(:func:`voice_arrivals`, :func:`voice_drops`) take the frame's event ids,
+which are distinct, so each fancy-indexed update touches a row once.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.lint.contracts import kernel
 
+#: Largest ``int64``: an unsigned view's values above it are ``-1`` stamps.
+_INT64_MAX = np.iinfo(np.int64).max
+
 __all__ = [
     "deadline_scan",
     "next_expiry_bound",
+    "voice_arrivals",
+    "voice_drops",
     "voice_flush_resolve",
-    "voice_generation_offsets",
 ]
 
 
 @kernel
-def voice_generation_offsets(
-    since: np.ndarray, period: int, gap: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Frame offsets at which talking terminals generate during a quiet gap.
+def voice_arrivals(
+    ids: np.ndarray,
+    frame: int,
+    occupancy: np.ndarray,
+    generated: np.ndarray,
+    head_created: np.ndarray,
+) -> bool:
+    """Count one frame's voice packet arrivals into the buffer arrays.
 
-    A terminal whose talkspurt counter reads ``since`` frames generates a
-    voice packet at every offset ``o`` in ``[0, gap)`` with
-    ``(since + o) % period == 0``.  Returns ``(offsets, rows)`` — parallel
-    arrays naming, in offset-major order per row, each generation event of
-    the gap (``rows`` indexes into ``since``).
+    Each terminal in ``ids`` (distinct) gains one buffered and one
+    generated packet, and an empty buffer's head-of-line stamp becomes
+    ``frame``.  Returns whether any buffer was empty, that is whether a
+    fresh head can tighten the next-expiry bound.
     """
-    firsts = (-since) % period
-    counts = np.maximum(0, (gap - firsts + period - 1) // period)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(np.arange(since.shape[0], dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    intra = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    offsets = np.repeat(firsts, counts) + period * intra
-    return offsets, rows
+    occupancy[ids] += 1
+    generated[ids] += 1
+    fresh = ids[head_created[ids] < 0]
+    head_created[fresh] = frame
+    return fresh.shape[0] > 0
+
+
+@kernel
+def voice_drops(
+    ids: np.ndarray,
+    dropped: Sequence[int],
+    counted: Sequence[int],
+    heads: Sequence[int],
+    occupancy: np.ndarray,
+    head_created: np.ndarray,
+    voice_dropped: np.ndarray,
+) -> int:
+    """Commit one frame's deadline drops to the buffer and outcome arrays.
+
+    Parallel rows: the terminals (distinct), the packets each lost, how
+    many of those fell inside the measurement window, and each buffer's
+    head-of-line stamp after the drop (``-1`` when it emptied).  Returns
+    the frame's in-window drops.
+    """
+    occupancy[ids] -= dropped
+    head_created[ids] = heads
+    in_window = np.asarray(counted, dtype=np.int64)
+    voice_dropped[ids] += in_window
+    return int(in_window.sum())
 
 
 @kernel
@@ -100,12 +127,16 @@ def voice_flush_resolve(
 def deadline_scan(heads: np.ndarray, limit: int) -> np.ndarray:
     """Rows whose head-of-line frame stamp is alive and at most ``limit``.
 
-    The deadline fast-skip of the expiry sweep: ``heads`` holds each voice
-    terminal's oldest buffered packet's creation frame (``-1`` when empty),
-    and a head at or before ``limit`` has outlived its deadline.  Returns
-    the expired row indices (ascending).
+    The deadline fast-skip of the expiry sweep: ``heads`` (``int64``) holds
+    each voice terminal's oldest buffered packet's creation frame (``-1``
+    when empty), and a head at or before ``limit`` has outlived its
+    deadline.  Returns the expired row indices (ascending).
     """
-    return np.nonzero((heads >= 0) & (heads <= limit))[0]
+    if limit < 0:
+        return np.zeros(0, dtype=np.intp)
+    # Read as unsigned, an empty buffer's -1 is the largest value, so one
+    # compare both skips it and tests the deadline.
+    return np.nonzero(heads.view(np.uint64) <= limit)[0]
 
 
 @kernel
@@ -114,9 +145,13 @@ def next_expiry_bound(heads: np.ndarray, deadline: int, sentinel: int) -> int:
 
     ``min(alive heads) + deadline``, or ``sentinel`` when every buffer is
     empty — the conservative lower bound the expiry sweep consults to skip
-    frames without touching any per-terminal state.
+    frames without touching any per-terminal state.  ``heads`` is
+    ``int64``; read as unsigned, its ``-1`` entries sort above every alive
+    head.
     """
-    alive = heads >= 0
-    if not alive.any():
+    if not heads.shape[0]:
         return sentinel
-    return int(heads[alive].min()) + deadline
+    earliest = int(heads.view(np.uint64).min())
+    if earliest > _INT64_MAX:
+        return sentinel
+    return earliest + deadline

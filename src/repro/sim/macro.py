@@ -15,8 +15,9 @@ instead of once per frame:
   frames (:meth:`~repro.channel.manager.ChannelManager.advance_block`), so
   no frame runs on an interference penalty that a barrier has replaced;
 * **traffic** — :meth:`~repro.traffic.population.TerminalPopulation.plan_frames`
-  pre-draws the whole block's source events in per-frame order and each
-  frame replays its recorded events with a handful of scalar writes;
+  pre-draws the whole block's source events in per-frame order, with the
+  talkers in voice-phase buckets, and each frame replays its recorded
+  events: scalar writes for a few, array operations for many;
 * **MAC state** — the contention candidates are kept as an incremental
   mirror, updated from the frame's traffic, drop, grant and request-queue
   events instead of being re-derived from the population arrays;
@@ -47,7 +48,7 @@ one-frame blocks for all six protocols in parity mode.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -269,12 +270,14 @@ class MacroRunner:
         self._nv = self.population.n_voice
 
         # The contention-candidate mirror (ascending ids and their
-        # permission probabilities), updated incrementally from the frames'
-        # traffic, drop, grant and queue events and rebuilt from the
-        # authoritative state when marked dirty.
+        # permission probabilities, plus the ids as a set for membership
+        # tests), updated incrementally from the frames' traffic, drop,
+        # grant and queue events and rebuilt from the authoritative state
+        # when marked dirty.
         self._mirrors_dirty = True
         self._cand_ids: List[int] = []
         self._cand_probs: List[float] = []
+        self._cand_set: Set[int] = set()
 
         # Deferred PHY rows (parallel lists) and buffered per-frame
         # statistic records ([attempts, collisions, idle, allocated,
@@ -637,6 +640,7 @@ class MacroRunner:
         ids, probs = self.protocol.contention_candidate_ids(self.population)
         self._cand_ids = ids.tolist()
         self._cand_probs = probs.tolist()
+        self._cand_set = set(self._cand_ids)
         self._mirrors_dirty = False
 
     def _update_mirrors(self, plan, offset, drops) -> None:
@@ -661,18 +665,24 @@ class MacroRunner:
             else None
         )
         if generated is not None:
+            # Most talkers generate onto a backlog and are mirrored already.
+            mirrored = self._cand_set
             granted = self._granted
             for tid in generated:
-                if tid not in granted and not (queued and queued(tid)):
+                if (
+                    tid not in mirrored
+                    and tid not in granted
+                    and not (queued and queued(tid))
+                ):
                     self._add_candidate(tid, self._voice_p)
         if bursts is not None:
             for tid, _size in bursts:
                 if not (queued and queued(tid)):
                     self._add_candidate(tid, self._data_p)
         if drops:
-            occupancy = self.population.occupancy
-            for tid, _dropped, _counted in drops:
-                if occupancy[tid] == 0:
+            ids = [tid for tid, _dropped, _counted in drops]
+            for tid, left in zip(ids, self.population.occupancy[ids].tolist()):
+                if not left:
                     self._discard_candidate(tid)
 
     def _refresh_candidate(self, tid: int) -> None:
@@ -697,16 +707,17 @@ class MacroRunner:
             self._discard_candidate(tid)
 
     def _add_candidate(self, tid: int, probability: float) -> None:
-        ids = self._cand_ids
-        index = bisect_left(ids, tid)
-        if index < len(ids) and ids[index] == tid:
+        if tid in self._cand_set:
             return
-        ids.insert(index, tid)
+        self._cand_set.add(tid)
+        index = bisect_left(self._cand_ids, tid)
+        self._cand_ids.insert(index, tid)
         self._cand_probs.insert(index, probability)
 
     def _discard_candidate(self, tid: int) -> None:
-        ids = self._cand_ids
-        index = bisect_left(ids, tid)
-        if index < len(ids) and ids[index] == tid:
-            del ids[index]
-            del self._cand_probs[index]
+        if tid not in self._cand_set:
+            return
+        self._cand_set.discard(tid)
+        index = bisect_left(self._cand_ids, tid)
+        del self._cand_ids[index]
+        del self._cand_probs[index]

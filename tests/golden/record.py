@@ -112,7 +112,23 @@ def _special_cases() -> List[Case]:
     return cases
 
 
-CASES: Tuple[Case, ...] = tuple(_cell_cases() + _special_cases())
+def _wide_cases() -> List[Case]:
+    # 5,000 terminals: about 67 voice generations and 58 deadline drops per
+    # measured frame, so the traffic layer's array bookkeeping runs where
+    # the 80-terminal cells' few events a frame take the scalar loops.
+    return [
+        Case(f"wide/{protocol}/{rng_mode}", Scenario(
+            protocol=protocol, n_voice=4000, n_data=1000,
+            duration_s=0.2, warmup_s=0.1, seed=0, rng_mode=rng_mode,
+        ))
+        for protocol in ("rmav", "charisma")
+        for rng_mode in ("parity", "fast")
+    ]
+
+
+CASES: Tuple[Case, ...] = tuple(
+    _cell_cases() + _special_cases() + _wide_cases()
+)
 
 
 def versions() -> Dict[str, str]:

@@ -14,8 +14,9 @@ import pytest
 from repro.accel import (
     deadline_scan,
     next_expiry_bound,
+    voice_arrivals,
+    voice_drops,
     voice_flush_resolve,
-    voice_generation_offsets,
 )
 from repro.config import SimulationParameters
 from repro.mac.contention import run_contention_ids
@@ -24,6 +25,7 @@ from repro.phy.csi import CSIEstimator
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.macro import BlockDraws, RandomPool
 from repro.sim.scenario import Scenario
+from repro.traffic.population import ARRAY_EVENTS, TerminalPopulation
 from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
@@ -116,39 +118,103 @@ class TestLookaheadTruncation:
         reference, macro = _pair(64, **base)
         assert reference.summary() == macro.summary()
 
-    def test_large_talking_population_uses_batched_schedule(self):
-        """Populations with >=64 simultaneous talkspurts route gap
-        generation through the accel kernel — still bit-identical to
-        sequential advancing."""
-        from repro.traffic.population import TerminalPopulation
+    @pytest.mark.parametrize("fast", (False, True), ids=("parity", "fast"))
+    @pytest.mark.parametrize("n_voice", (40, 400))
+    def test_phase_buckets_match_one_frame_blocks(self, n_voice, fast):
+        """One 64-frame block replays exactly what 64 one-frame blocks do,
+        below the array gate (40 talkers' few events a frame) and above it
+        (400 talkers' dozens), on either RNG mode's event draws, with
+        talkspurts toggling inside the block and a measurement window
+        opening mid-block: the same arrays, FIFOs and drop tuples.  The
+        generations and ``frames_since_packet`` also match a model built
+        from the talkspurt history alone."""
 
         def build():
-            population = TerminalPopulation(
-                PARAMS, 120, 0, np.random.default_rng(17)
+            event_rngs = (
+                (np.random.default_rng(5), np.random.default_rng(6))
+                if fast else None
             )
-            # Force a large talking set with staggered phases and spread
-            # the next source events out so gap processing engages.
+            population = TerminalPopulation(
+                PARAMS, n_voice, n_voice // 4, np.random.default_rng(17),
+                event_rngs=event_rngs,
+            )
+            # Talkers with staggered phases, and source events spread over
+            # the block so talkspurts start and end inside it.
             rng = np.random.default_rng(99)
-            population.in_talkspurt[:100] = True
-            population.frames_since_packet[:100] = rng.integers(0, 40, 100)
-            population.countdown[:] = rng.integers(3, 60, 120)
+            population.in_talkspurt[:n_voice] = rng.random(n_voice) < 0.6
+            population.frames_since_packet[:n_voice] = rng.integers(
+                0, 40, n_voice
+            )
+            population.countdown[:] = rng.integers(1, 60, len(population))
             return population
 
-        sequential = build()
-        planned = build()
-        n_frames = 48
-        for frame in range(n_frames):
-            sequential.advance_frame(frame)
-        plan = planned.plan_frames(0, n_frames)
-        for frame in range(n_frames):
-            planned.apply_planned_frame(plan, frame)
-        assert sequential.voice_generated.sum() > 200  # schedule was busy
-        for name in ("occupancy", "voice_generated", "in_talkspurt",
-                     "countdown", "frames_since_packet", "head_created"):
-            assert np.array_equal(
-                getattr(sequential, name), getattr(planned, name)
-            ), name
-        assert sequential._segments == planned._segments
+        def replay(population, blocks):
+            generated, drops, talking = [], [], []
+            for start, n_frames in blocks:
+                plan = population.plan_frames(start, n_frames)
+                for frame in range(start, start + n_frames):
+                    if frame == 24:
+                        population.begin_measurement(frame)
+                    before = int(population.voice_generated.sum())
+                    population.apply_planned_frame(plan, frame)
+                    generated.append(
+                        int(population.voice_generated.sum()) - before
+                    )
+                    drops.append(list(population.drop_expired_events(frame)))
+                    talking.append(population.in_talkspurt[:n_voice].copy())
+            return generated, drops, talking
+
+        n_frames = 64
+        stepped = build()
+        step_generated, step_drops, history = replay(
+            stepped, [(frame, 1) for frame in range(n_frames)]
+        )
+        block = build()
+        block_generated, block_drops, _ = replay(block, [(0, n_frames)])
+
+        # The model: a talker generates every period frames from its
+        # talkspurt's first frame; frames_since_packet ends as the frames
+        # since that first frame, or as the length of a talkspurt that
+        # ended, or untouched.
+        initial = build()
+        was = initial.in_talkspurt[:n_voice]
+        since = initial.frames_since_packet[:n_voice].copy()
+        first = -since
+        model_generated = []
+        for frame, now in enumerate(history):
+            first = np.where(now & ~was, frame, first)
+            ended = was & ~now
+            since[ended] = frame - first[ended]
+            model_generated.append(
+                int((now & ((frame - first) % PARAMS.frames_per_voice_period == 0)).sum())
+            )
+            was = now
+        since[was] = n_frames - first[was]
+        assert step_generated == model_generated
+        assert stepped.frames_since_packet[:n_voice].tolist() == since.tolist()
+
+        assert block_generated == step_generated
+        assert block_drops == step_drops
+        for name in (
+            "occupancy", "head_created", "in_talkspurt", "countdown",
+            "frames_since_packet", "voice_generated", "voice_dropped",
+            "data_generated",
+        ):
+            assert np.array_equal(getattr(stepped, name), getattr(block, name)), name
+        assert stepped._segments == block._segments
+        assert stepped.voice_loss_total == block.voice_loss_total
+        # Talkspurts toggled inside the block, window-crossing packets were
+        # dropped, and the frames sit on the intended side of the gate.
+        assert not np.array_equal(stepped.in_talkspurt, build().in_talkspurt)
+        assert any(
+            dropped > counted for frame in step_drops for _, dropped, counted in frame
+        )
+        largest = max(max(step_generated), max(len(d) for d in step_drops))
+        if n_voice < 100:
+            assert 0 < largest < ARRAY_EVENTS
+        else:
+            assert min(step_generated[8:]) >= ARRAY_EVENTS
+            assert min(len(d) for d in step_drops[8:]) >= ARRAY_EVENTS
 
     def test_interleaved_step_calls_resync_mirrors(self):
         """Frames advanced through engine.step() between run_frames calls
@@ -186,6 +252,29 @@ class TestLookaheadTruncation:
             assert runner._cand_ids == ids.tolist()
         # The queue was in use.
         assert engine.collect_results().mac.mean_queue_length > 0
+
+    @pytest.mark.parametrize("rng_mode", ("parity", "fast"))
+    def test_candidate_mirror_tracks_a_wide_cell(self, rng_mode):
+        """2,000 terminals generate and drop dozens of voice packets a
+        frame, so the mirror takes its membership skip and its one-gather
+        drop check: after every block it still equals the authoritative
+        ``contention_candidate_ids``."""
+        engine = UplinkSimulationEngine(
+            Scenario(protocol="charisma", n_voice=1600, n_data=400,
+                     use_request_queue=True, duration_s=0.5, warmup_s=0.0,
+                     seed=1, rng_mode=rng_mode),
+            PARAMS,
+        )
+        for _ in range(25):
+            engine.run_frames(8)
+            runner = engine._macro
+            assert not runner._mirrors_dirty
+            ids, _ = engine.protocol.contention_candidate_ids(engine.population)
+            assert runner._cand_ids == ids.tolist()
+            assert runner._cand_set == set(runner._cand_ids)
+        result = engine.collect_results()
+        assert result.voice.generated >= ARRAY_EVENTS * 200
+        assert result.voice.dropped >= ARRAY_EVENTS * 100
 
     def test_large_population_path_stays_json_safe(self):
         """Above the bulk-tolist threshold (>256 terminals) the fast path
@@ -363,22 +452,49 @@ class TestAccelKernels:
             bound = min(alive) + 8 if alive else 10**9
             assert next_expiry_bound(heads, 8, 10**9) == bound
 
-    def test_voice_generation_offsets_matches_loop(self):
+    def test_voice_arrivals_and_drops_match_scalar_updates(self):
         rng = np.random.default_rng(1)
+        outcomes = set()
         for _ in range(30):
-            n = int(rng.integers(0, 20))
-            period = int(rng.integers(1, 10))
-            gap = int(rng.integers(1, 40))
-            since = rng.integers(0, 100, size=n)
-            offsets, rows = voice_generation_offsets(since, period, gap)
-            expected = []
-            for i in range(n):
-                o = (-int(since[i])) % period
-                while o < gap:
-                    expected.append((o, i))
-                    o += period
-            got = sorted(zip(offsets.tolist(), rows.tolist()), key=lambda t: (t[1], t[0]))
-            assert got == sorted(expected, key=lambda t: (t[1], t[0]))
+            n = int(rng.integers(1, 40))
+            occupancy = rng.integers(0, 3, size=n)
+            head_created = np.where(occupancy > 0, rng.integers(0, 9, size=n), -1)
+            generated = rng.integers(0, 5, size=n)
+            voice_dropped = rng.integers(0, 5, size=n)
+            ids = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+
+            want = [a.copy() for a in (occupancy, generated, head_created)]
+            fresh = False
+            for i in ids.tolist():
+                want[0][i] += 1
+                want[1][i] += 1
+                if want[2][i] < 0:
+                    want[2][i] = 12
+                    fresh = True
+            got = voice_arrivals(ids, 12, occupancy, generated, head_created)
+            assert got == fresh
+            for array, expected in zip((occupancy, generated, head_created), want):
+                assert array.tolist() == expected.tolist()
+            outcomes.add(fresh)
+
+            dropped = [int(rng.integers(1, occupancy[i] + 1)) for i in ids.tolist()]
+            counted = [int(rng.integers(0, d + 1)) for d in dropped]
+            heads = [-1 if d == occupancy[i] else 13 for i, d in zip(ids.tolist(), dropped)]
+            want = [a.copy() for a in (occupancy, head_created, voice_dropped)]
+            for i, d, c, h in zip(ids.tolist(), dropped, counted, heads):
+                want[0][i] -= d
+                want[1][i] = h
+                want[2][i] += c
+            total = voice_drops(
+                ids, dropped, counted, heads, occupancy, head_created,
+                voice_dropped,
+            )
+            assert total == sum(counted)
+            for array, expected in zip(
+                (occupancy, head_created, voice_dropped), want
+            ):
+                assert array.tolist() == expected.tolist()
+        assert outcomes == {False, True}
 
     def test_voice_flush_resolve_matches_row_loop(self):
         # Reference: one row at a time, the first `delivered` of a row's
