@@ -132,7 +132,6 @@ class CharismaProtocol(MACProtocol):
         snapshot: ChannelSnapshot,
         holders: List[int],
         candidate_ids: List[int],
-        candidate_probabilities: List[float],
         backlog: Optional[QueuedRequests],
         occupancy,
         draws,
@@ -153,9 +152,7 @@ class CharismaProtocol(MACProtocol):
         arguments and the returned triple are
         :meth:`~repro.mac.base.MACProtocol.run_frame`'s.
         """
-        request = self.request_phase(
-            candidate_ids, candidate_probabilities, population.n_voice
-        )
+        request = self.request_phase(candidate_ids, population.n_voice)
         winner_ids = request.winner_ids
         grants = GrantColumns()
         n_reserved = len(holders)

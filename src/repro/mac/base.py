@@ -7,20 +7,22 @@ frame::
 
     request, grants, new_voice = protocol.run_frame(
         frame_index, population, snapshot, holders,
-        candidate_ids, candidate_probabilities, backlog, occupancy, draws,
+        candidate_ids, backlog, occupancy, draws,
     )
 
 The runner hands over the frame's live reservation holders, its contention
-candidates (kept as an incremental mirror) and the popped request backlog;
-the protocol runs its request and allocation phases, reads the channel of only
-the terminals it serves through the snapshot's ``read``/``gather`` methods,
-re-queues what it leaves unserved, and returns the request statistics, the
-grants as :class:`~repro.mac.requests.GrantColumns` and the newly served
-voice terminals.  The runner then takes the reservations, transmits the
-grants through the PHY error model and records the frame.  The base class
-provides the machinery all protocols share:
+candidates (ascending terminal ids, kept as an incremental mirror) and the
+popped request backlog; the protocol runs its request and allocation phases,
+reads the channel of only the terminals it serves through the snapshot's
+``read``/``gather`` methods, re-queues what it leaves unserved, and returns
+the request statistics, the grants as
+:class:`~repro.mac.requests.GrantColumns` and the newly served voice
+terminals.  The runner then takes the reservations, transmits the grants
+through the PHY error model and records the frame.  The base class provides
+the machinery all protocols share:
 
-* permission-probability gated contention candidates (as id arrays),
+* the contention candidates as ascending id arrays (a candidate's
+  permission probability follows from its id: voice below ``n_voice``),
 * the voice reservation table ("a slot every 20 ms until the talkspurt
   ends"),
 * the optional base-station request queue,
@@ -134,7 +136,6 @@ class MACProtocol(abc.ABC):
         self.frame_structure = self._build_frame_structure()
         self._snapshot_snr_usable = snapshot_snr_compatible(modem, params)
         self._capacity_lut: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._probability_template: Optional[np.ndarray] = None
 
     # ----------------------------------------------------------- interface
     @abc.abstractmethod
@@ -149,7 +150,6 @@ class MACProtocol(abc.ABC):
         snapshot: ChannelSnapshot,
         holders: List[int],
         candidate_ids: List[int],
-        candidate_probabilities: List[float],
         backlog: Optional[QueuedRequests],
         occupancy,
         draws,
@@ -157,9 +157,9 @@ class MACProtocol(abc.ABC):
         """Run the request and allocation phases of one frame.
 
         ``holders`` are the reservation holders with packets (ascending
-        id); ``candidate_ids`` and ``candidate_probabilities`` the
-        contention candidates (ascending id) and their permission
-        probabilities; ``backlog`` the rows popped from the pruned request
+        id); ``candidate_ids`` the contention candidates (ascending id,
+        which :func:`~repro.mac.contention.run_contention_ids` requires);
+        ``backlog`` the rows popped from the pruned request
         queue (``None`` when it was empty); ``occupancy`` the buffer
         occupancies by terminal id (a list or an array); ``draws`` the
         block's pooled draws (:class:`~repro.sim.macro.BlockDraws`).
@@ -171,9 +171,7 @@ class MACProtocol(abc.ABC):
         with its winners in order, the frame's grants, and the newly served
         voice terminals, which the caller grants a reservation.
         """
-        request = self.request_phase(
-            candidate_ids, candidate_probabilities, population.n_voice
-        )
+        request = self.request_phase(candidate_ids, population.n_voice)
         winner_ids = request.winner_ids
         grants, new_voice, unserved = self.serve_fcfs(
             holders,
@@ -188,62 +186,25 @@ class MACProtocol(abc.ABC):
         return request, grants, new_voice
 
     def request_phase(
-        self,
-        candidate_ids: List[int],
-        candidate_probabilities: List[float],
-        n_voice: int,
+        self, candidate_ids: List[int], n_voice: int
     ) -> IndexContentionResult:
         """Slotted contention over the frame's request minislots.
 
         :func:`~repro.mac.contention.run_contention_ids` on the contention
-        stream; RAMA overrides it with its auction.
+        stream, gated by :attr:`permission`; RAMA overrides it with its
+        auction.
         """
         return run_contention_ids(
             candidate_ids,
-            candidate_probabilities,
+            n_voice,
+            self.permission,
             self.frame_structure.request_minislots,
             self.contention_rng,
             fast=self.rng_fast,
         )
 
-    # ------------------------------------------------------------- helpers
-    def slot_capacity(self, amplitude: float) -> Tuple[int, Optional[float]]:
-        """Packets one information slot carries at the given channel state.
-
-        Returns ``(packets, throughput)`` where ``throughput`` is the
-        announced transmission mode (``None`` on the fixed-rate PHY).  On the
-        adaptive PHY an outage channel still yields a capacity of one packet
-        at the most robust mode — transmitting is allowed, it is just likely
-        to fail — because the non-CSI-aware protocols (D-TDMA/VR) do exactly
-        that.  CSI-aware allocation (CHARISMA) avoids granting such slots in
-        the first place.
-        """
-        if not self.modem.is_adaptive:
-            return 1, None
-        mode = self.modem.select_mode(float(amplitude))
-        if mode is None:
-            lowest = self.modem.mode_table[0]
-            return 1, lowest.throughput
-        return mode.packets_per_slot(self.modem.mode_table.reference_throughput), mode.throughput
-
-    def grant_capacity(
-        self, terminal_id: int, snapshot: ChannelSnapshot
-    ) -> Tuple[int, Optional[float]]:
-        """:meth:`slot_capacity` of one terminal's channel in this frame.
-
-        The channel is read only on the adaptive PHY, where the capacity
-        depends on it; a fixed-rate grant is read once, when it transmits.
-        In fast RNG mode a read advances the terminal's lazy channel, so
-        every frame path then reads the channel in grant order.
-        """
-        if not self.modem.is_adaptive:
-            return 1, None
-        return self.slot_capacity(snapshot.read(terminal_id))
-
     # ------------------------------------------------- array-native kernels
-    def contention_candidate_ids(
-        self, population
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def contention_candidate_ids(self, population) -> np.ndarray:
         """Terminals that would transmit a request this frame.
 
         * a voice terminal contends while it is in a talkspurt, has packets
@@ -252,9 +213,8 @@ class MACProtocol(abc.ABC):
         * terminals whose earlier request is still queued at the base station
           do not contend again (they are waiting for the announcement).
 
-        Returns ``(ids, probabilities)``: the candidate terminal ids in
-        ascending order aligned with each candidate's permission
-        probability — ready for :func:`~repro.mac.contention.run_contention_ids`.
+        Returns the candidate terminal ids in ascending order, ready for
+        :func:`~repro.mac.contention.run_contention_ids`.
         """
         mask = population.occupancy > 0
         mask &= population.is_data_mask | population.in_talkspurt
@@ -266,19 +226,7 @@ class MACProtocol(abc.ABC):
             queued = self.request_queue.terminal_id_array()
             queued = queued[queued < mask.shape[0]]
             mask[queued] = False
-        ids = mask.nonzero()[0]
-        # Per-terminal permission probabilities are static (the service
-        # class never changes), so the full-population template is built
-        # once and gathered per frame.
-        template = self._probability_template
-        if template is None or template.shape[0] != len(population):
-            template = np.where(
-                population.is_voice,
-                self.permission.voice_probability,
-                self.permission.data_probability,
-            )
-            self._probability_template = template
-        return ids, template[ids]
+        return mask.nonzero()[0]
 
     def _capacity_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-mode (packets-per-slot, throughput) lookup, outage at index 0.
@@ -311,9 +259,11 @@ class MACProtocol(abc.ABC):
 
         Returns ``(packets_per_slot, throughputs)`` aligned with ``ids``;
         ``throughputs`` is ``None`` on the fixed-rate PHY (every grant
-        carries one packet per slot at the nominal mode).  Element-for-
-        element identical to :meth:`slot_capacity` on the same channel
-        states, including the outage fallback.
+        carries one packet per slot at the nominal mode).  On the adaptive
+        PHY an outage channel still yields one packet at the most robust
+        mode — transmitting is allowed, it is just likely to fail — because
+        the non-CSI-aware protocols (D-TDMA/VR) do exactly that; CSI-aware
+        allocation (CHARISMA) avoids granting such slots in the first place.
         """
         if not self.modem.is_adaptive:
             return np.ones(len(ids), dtype=np.int64), None

@@ -11,6 +11,7 @@ the paper.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from repro.lint.contracts import kernel
 from repro.obs import metrics as _metrics
+from repro.traffic.permission import PermissionPolicy
 
 __all__ = [
     "IndexContentionResult",
@@ -48,25 +50,41 @@ class IndexContentionResult:
 _SCALAR_RESOLUTION_LIMIT = 24
 
 
+def _threshold_row(
+    n: int, n_voice_prefix: int, p_voice: float, p_data: float
+) -> np.ndarray:
+    """Permission probabilities of ``n`` candidates, voice prefix first."""
+    row = np.full(n, p_data)
+    row[:n_voice_prefix] = p_voice
+    return row
+
+
 @kernel
 def run_contention_ids(
     ids,
-    probabilities,
+    n_voice: int,
+    permission: PermissionPolicy,
     n_minislots: int,
-    rng: np.random.Generator,
+    rng,
     fast: bool = False,
 ) -> IndexContentionResult:
     """Run slotted contention over ``n_minislots`` request minislots.
 
-    Candidates are a dense id sequence (array or list) plus an aligned
-    per-candidate permission-probability sequence; winners come back as
-    plain ids.  A terminal stops contending for the rest of the frame as
-    soon as its request succeeds (it then waits for the allocation
-    announcement).  With ``fast=False`` the draws are one
-    ``rng.random(n_remaining)`` per non-empty minislot in minislot order —
-    the parity draw order.  Small pools resolve the comparison on Python
-    scalars (cheaper than three array kernels per minislot), large ones
-    vectorise; the decisions are identical either way.
+    ``ids`` are the candidate terminal ids, an array or a list, in
+    ascending order: that order is the input contract, relied on and not
+    checked.  Terminals below ``n_voice`` are voice (the population's
+    voice-then-data layout), so the voice candidates are a prefix; they
+    transmit with ``permission``'s ``p_v`` and the rest with its ``p_d``.
+    Winners come back as plain ids; the caller's ``ids`` are not modified.
+    A terminal stops contending for the rest of the frame as soon as its
+    request succeeds (it then waits for the allocation announcement).
+    With ``fast=False`` the draws are one ``rng.random(size=n_remaining)``
+    per non-empty minislot in minislot order — the parity draw order —
+    and ``rng`` may be anything that answers ``random(size)``, such as the
+    frame loop's :class:`~repro.sim.macro.RandomPool`.  Small pools
+    resolve the comparison on Python scalars (cheaper than three array
+    kernels per minislot), large ones vectorise; the decisions are
+    identical either way.
 
     With ``fast=True`` the whole request phase costs a single
     ``rng.random((n_minislots, n_candidates))`` draw up front; already
@@ -78,23 +96,28 @@ def run_contention_ids(
     """
     if n_minislots < 0:
         raise ValueError("n_minislots must be non-negative")
-    result = IndexContentionResult()
     n = len(ids)
     m = _metrics.METRICS
     if m.enabled:
         # Pure accumulation (no clock, no draw) — legal inside kernels.
         m.inc("contention.rounds", n_minislots)
     if n == 0:
-        result.idle_slots = n_minislots
-        return result
+        return IndexContentionResult(idle_slots=n_minislots)
+    n_voice_prefix = (
+        int(np.searchsorted(ids, n_voice))
+        if isinstance(ids, np.ndarray)
+        else bisect_left(ids, n_voice)
+    )
+    p_voice = permission.voice_probability
+    p_data = permission.data_probability
+    winner_ids: List[int] = []
+    attempts = collisions = idle = 0
 
     # The matrix draw only pays for itself when the request phase is large
     # enough to amortise its fixed array cost; below that, fast mode keeps
     # the scalar per-minislot resolution (drawing from its child stream —
     # the processes are identically distributed either way).
     if fast and n_minislots >= 6:
-        ids = np.asarray(ids, dtype=np.int64)
-        probabilities = np.asarray(probabilities, dtype=float)
         # One draw and one comparison for the whole request phase; the
         # per-minislot work is plain-int bookkeeping, with array fix-ups
         # only on the rare minislots that produce a winner (whose later
@@ -103,17 +126,19 @@ def run_contention_ids(
         # path owns its child stream, so no parity draw order is promised
         # here.
         # lint: allow[KRN001]
-        transmitting = rng.random((n_minislots, n)) < probabilities
+        transmitting = rng.random((n_minislots, n)) < _threshold_row(
+            n, n_voice_prefix, p_voice, p_data
+        )
         counts = transmitting.sum(axis=1, dtype=np.int64)
         counts_list = counts.tolist()
         active: Optional[np.ndarray] = None
         n_active = n
         for slot in range(n_minislots):
             if n_active == 0:
-                result.idle_slots += n_minislots - slot
+                idle += n_minislots - slot
                 break
             n_transmitters = counts_list[slot]
-            result.attempts += n_transmitters
+            attempts += n_transmitters
             if n_transmitters == 1:
                 row = transmitting[slot]
                 if active is None:
@@ -121,7 +146,7 @@ def run_contention_ids(
                     active = np.ones(n, dtype=bool)
                 else:
                     index = int(np.argmax(row & active))
-                result.winner_ids.append(int(ids[index]))
+                winner_ids.append(int(ids[index]))
                 active[index] = False
                 n_active -= 1
                 if slot + 1 < n_minislots:
@@ -131,54 +156,56 @@ def run_contention_ids(
                         counts[slot + 1 :] = corrected
                         counts_list[slot + 1 :] = corrected.tolist()
             elif n_transmitters == 0:
-                result.idle_slots += 1
+                idle += 1
             else:
-                result.collisions += 1
-        return result
+                collisions += 1
+        return IndexContentionResult(winner_ids, attempts, collisions, idle)
 
     # Small pools resolve on Python scalars; large ones stay arrays for the
-    # whole request phase, and their ids are copied only when a winner pops.
-    prob_array: Optional[np.ndarray] = None
-    prob_list: List[float] = []
-    id_seq = ids
+    # whole request phase.  Either way the ids are copied only when a
+    # winner pops.
+    threshold_row: Optional[np.ndarray] = None
+    thresholds: List[float] = []
     if n > _SCALAR_RESOLUTION_LIMIT:
-        prob_array = np.asarray(probabilities, dtype=float)
+        threshold_row = _threshold_row(n, n_voice_prefix, p_voice, p_data)
     else:
-        id_seq = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-        prob_list = (
-            probabilities.tolist()
-            if isinstance(probabilities, np.ndarray)
-            else list(probabilities)
-        )
+        thresholds = [p_voice] * n_voice_prefix
+        thresholds += [p_data] * (n - n_voice_prefix)
+    id_seq = ids
     k = n
-    for _ in range(n_minislots):
+    for slot in range(n_minislots):
         if k == 0:
-            result.idle_slots += 1
-            continue
+            idle += n_minislots - slot
+            break
         draws = rng.random(size=k)
-        if prob_array is not None:
-            permitted = draws < prob_array
+        if threshold_row is not None:
+            permitted = draws < threshold_row
             n_transmitters = int(np.count_nonzero(permitted))
             index = int(np.argmax(permitted)) if n_transmitters == 1 else -1
         else:
             n_transmitters = 0
             index = -1
             for position, draw in enumerate(draws.tolist()):
-                if draw < prob_list[position]:
+                if draw < thresholds[position]:
                     n_transmitters += 1
                     index = position
-        result.attempts += n_transmitters
+        attempts += n_transmitters
         if n_transmitters == 1:
             if id_seq is ids:
                 id_seq = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-            result.winner_ids.append(id_seq.pop(index))
-            if prob_array is not None:
-                prob_array = np.delete(prob_array, index)
+            winner_ids.append(id_seq.pop(index))
+            if threshold_row is None:
+                thresholds.pop(index)
+            elif index < n_voice_prefix:
+                # A class's thresholds are all equal: dropping the winner's
+                # is dropping the first voice or the last data threshold.
+                n_voice_prefix -= 1
+                threshold_row = threshold_row[1:]
             else:
-                prob_list.pop(index)
+                threshold_row = threshold_row[:-1]
             k -= 1
         elif n_transmitters == 0:
-            result.idle_slots += 1
+            idle += 1
         else:
-            result.collisions += 1
-    return result
+            collisions += 1
+    return IndexContentionResult(winner_ids, attempts, collisions, idle)

@@ -18,26 +18,36 @@ base-station request queue helps it very little (Section 5.1).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.channel.manager import ChannelSnapshot
 from repro.lint.contracts import kernel
 from repro.mac.base import MACProtocol
-from repro.mac.contention import IndexContentionResult
+from repro.mac.contention import IndexContentionResult, run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.requests import GrantColumns
+from repro.phy.fixed import FixedRateModem
 
 __all__ = ["DRMAProtocol"]
 
 
 class DRMAProtocol(MACProtocol):
-    """Dynamic frame: idle information slots become request minislots."""
+    """Dynamic frame: idle information slots become request minislots.
+
+    DRMA runs on the fixed-rate PHY (every grant carries one packet); the
+    constructor rejects an adaptive modem.
+    """
 
     name = "drma"
     display_name = "DRMA"
     uses_adaptive_phy = False
     uses_csi_scheduling = False
     supports_request_queue = True
+
+    def __init__(self, params, modem: FixedRateModem, *args, **kwargs) -> None:
+        if modem.is_adaptive:
+            raise ValueError("DRMA requires the fixed-rate physical layer")
+        super().__init__(params, modem, *args, **kwargs)
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:
@@ -62,26 +72,24 @@ class DRMAProtocol(MACProtocol):
         snapshot: ChannelSnapshot,
         holders: List[int],
         candidate_ids: List[int],
-        candidate_probabilities: List[float],
         backlog,
         occupancy,
         draws,
     ) -> Tuple[IndexContentionResult, GrantColumns, List[int]]:
         """Slot-by-slot service; idle slots become request minislots.
 
-        See :meth:`serve_slots`; each converted slot resolves on the block's
-        pooled contention draws (``draws.converted_slot``).  The arguments
-        and the returned triple are :meth:`MACProtocol.run_frame`'s.
+        See :meth:`serve_slots`; the converted slots contend on the block's
+        pool of contention-stream uniforms (``draws.pool``).  A fixed-rate
+        grant needs no channel read, so ``snapshot`` is not read here.  The
+        arguments and the returned triple are :meth:`MACProtocol.run_frame`'s.
         """
         grants, new_voice, leftovers, requests = self.serve_slots(
             holders,
             backlog.terminal_ids if backlog is not None else [],
             candidate_ids,
-            candidate_probabilities,
             occupancy,
             population.n_voice,
-            snapshot,
-            draws.converted_slot,
+            draws.pool,
         )
         if leftovers:
             self.requeue(
@@ -95,13 +103,9 @@ class DRMAProtocol(MACProtocol):
         holders: List[int],
         backlog_ids: List[int],
         candidate_ids: List[int],
-        candidate_probabilities: List[float],
         occupancy: Sequence[int],
         n_voice: int,
-        snapshot: ChannelSnapshot,
-        contend: Callable[
-            [List[int], List[float]], Tuple[List[int], int, int, int]
-        ],
+        pool,
     ) -> Tuple[GrantColumns, List[int], List[int], IndexContentionResult]:
         """DRMA's allocation body (see :meth:`run_frame`): one slot at a time.
 
@@ -111,13 +115,14 @@ class DRMAProtocol(MACProtocol):
         frame.  Each information slot serves the next pending entry whose
         terminal has packets (one slot; a served voice request that is not
         a holder's takes a reservation).  With nothing left to serve, the
-        slot converts into ``N_x`` request minislots resolved by
-        ``contend(candidate_ids, candidate_probabilities)``, which returns
-        ``(winner_ids, attempts, collisions, idle_slots)``; the winners
-        join the pending pool.  A voice winner stops contending (it is
-        about to hold a reservation), and so does a data winner with at
-        most one packet; a data winner with a deeper buffer keeps
-        contending and may win — and be served — again in this frame.
+        slot converts into ``N_x`` request minislots:
+        :func:`~repro.mac.contention.run_contention_ids` over the
+        candidates (ascending id) with its per-minislot draws on ``pool``,
+        anything that answers ``random(size)``; the winners join the
+        pending pool.  A voice winner stops contending (it is about to hold
+        a reservation), and so does a data winner with at most one packet;
+        a data winner with a deeper buffer keeps contending and may win —
+        and be served — again in this frame.
 
         Buffer occupancies are frozen for the frame, so the cursor never
         revisits an entry: service stays O(pending) even with hundreds of
@@ -132,6 +137,7 @@ class DRMAProtocol(MACProtocol):
         """
         pending = holders + backlog_ids
         n_holders = len(holders)
+        minislots = self.frame_structure.minislots_per_info_slot
         served: List[int] = []
         new_voice: List[int] = []
         winner_ids: List[int] = []
@@ -152,16 +158,16 @@ class DRMAProtocol(MACProtocol):
                 continue
 
             # Idle information slot: convert it into N_x request minislots.
-            won, slot_attempts, slot_collisions, slot_idle = contend(
-                candidate_ids, candidate_probabilities
+            slot = run_contention_ids(
+                candidate_ids, n_voice, self.permission, minislots, pool
             )
-            attempts += slot_attempts
-            collisions += slot_collisions
-            idle_slots += slot_idle
-            if not won:
+            attempts += slot.attempts
+            collisions += slot.collisions
+            idle_slots += slot.idle_slots
+            if not slot.winner_ids:
                 continue
             dropped = None
-            for winner in won:
+            for winner in slot.winner_ids:
                 winner_ids.append(winner)
                 pending.append(winner)
                 if winner < n_voice or occupancy[winner] <= 1:
@@ -169,27 +175,14 @@ class DRMAProtocol(MACProtocol):
                         dropped = set()
                     dropped.add(winner)
             if dropped is not None:
-                kept_ids = []
-                kept_probabilities = []
-                for tid, probability in zip(candidate_ids, candidate_probabilities):
-                    if tid not in dropped:
-                        kept_ids.append(tid)
-                        kept_probabilities.append(probability)
-                candidate_ids = kept_ids
-                candidate_probabilities = kept_probabilities
+                candidate_ids = [
+                    tid for tid in candidate_ids if tid not in dropped
+                ]
 
         first_left = max(cursor, n_holders) - n_holders
         leftovers = list(range(first_left, len(pending) - n_holders))
         n = len(served)
-        if self.modem.is_adaptive:
-            capacities = [self.grant_capacity(tid, snapshot) for tid in served]
-            grants = GrantColumns(
-                served, [1] * n,
-                [packets for packets, _ in capacities],
-                [throughput for _, throughput in capacities],
-            )
-        else:
-            grants = GrantColumns(served, [1] * n, [1] * n, [None] * n)
+        grants = GrantColumns(served, [1] * n, [1] * n, [None] * n)
         requests = IndexContentionResult(
             winner_ids, attempts, collisions, idle_slots
         )

@@ -64,10 +64,7 @@ class RAMAProtocol(MACProtocol):
         return 1.0 - (1.0 - p_same) ** (n_contenders - 1)
 
     def request_phase(
-        self,
-        candidate_ids: List[int],
-        candidate_probabilities: List[float],
-        n_voice: int,
+        self, candidate_ids: List[int], n_voice: int
     ) -> IndexContentionResult:
         """The auction replaces slotted contention: every contender bids in
         every auction slot, without permission-probability gating (see

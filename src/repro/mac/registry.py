@@ -102,23 +102,20 @@ def create_protocol(
     params: SimulationParameters,
     rng: np.random.Generator,
     use_request_queue: bool = False,
-    modem: Optional[Modem] = None,
     contention_rng: Optional[np.random.Generator] = None,
     csi_rng: Optional[np.random.Generator] = None,
 ) -> MACProtocol:
-    """Instantiate a protocol (and, unless provided, its physical layer).
+    """Instantiate a protocol and the physical layer it runs on.
 
     ``contention_rng`` and ``csi_rng`` are fast RNG mode's child streams for
     contention and (CSI-scheduling protocols only) estimation noise; a
     protocol given neither keeps the parity draw order on ``rng``.
     """
     cls = protocol_class(name)
-    if modem is None:
-        modem = build_modem(name, params)
     kwargs: dict = {
         "use_request_queue": use_request_queue,
         "contention_rng": contention_rng,
     }
     if cls.uses_csi_scheduling:
         kwargs["csi_rng"] = csi_rng
-    return cls(params, modem, rng, **kwargs)
+    return cls(params, build_modem(name, params), rng, **kwargs)

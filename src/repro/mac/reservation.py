@@ -15,7 +15,7 @@ the current frame.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -28,9 +28,9 @@ class ReservationTable:
     """Tracks which voice terminals currently hold an uplink reservation."""
 
     def __init__(self) -> None:
-        #: Holder id -> frame its reservation was granted (read-only
-        #: outside this class; the frame loop tests membership here).
-        self.granted: Dict[int, int] = {}
+        #: The holder ids (read-only outside this class; the frame loop
+        #: tests membership here).
+        self.granted: Set[int] = set()
         # The holders in ascending id order, kept sorted as they change.
         self._sorted: List[int] = []
         self._holder_array: Optional[np.ndarray] = None
@@ -52,30 +52,21 @@ class ReservationTable:
         """Terminal ids currently holding a reservation (ascending)."""
         return list(self._sorted)
 
-    def has(self, terminal_id: int) -> bool:
-        """Whether the given terminal holds a reservation."""
-        return terminal_id in self.granted
-
-    def grant(self, terminal_id: int, frame_index: int) -> None:
+    def grant(self, terminal_id: int) -> None:
         """Grant a reservation to a voice terminal (idempotent)."""
         if terminal_id < 0:
             raise ValueError("terminal_id must be non-negative")
-        if frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
         if terminal_id not in self.granted:
-            self.granted[terminal_id] = frame_index
+            self.granted.add(terminal_id)
             insort(self._sorted, terminal_id)
             self._holder_array = None
 
     def release(self, terminal_id: int) -> None:
         """Release a reservation (no-op if not held)."""
-        if self.granted.pop(terminal_id, None) is not None:
+        if terminal_id in self.granted:
+            self.granted.remove(terminal_id)
             self._sorted.remove(terminal_id)
             self._holder_array = None
-
-    def granted_at(self, terminal_id: int) -> int:
-        """Frame at which the reservation was granted."""
-        return self.granted[terminal_id]
 
     @kernel(batch=False)
     def live_holders(self, occupancy, in_talkspurt) -> List[int]:

@@ -28,10 +28,11 @@ instead of once per frame:
   error stream element-wise — and fold into the voice counters once per
   block; a frame with a data grant flushes at its end, because data
   outcomes feed back into the buffers the next frame reads;
-* **draws** — DRMA's converted request slots take uniforms from a
-  :class:`RandomPool` prefetched from the contention stream, and
-  CHARISMA's estimation noise in fast RNG mode takes standard normals from
-  a :class:`NormalPool` over its estimator's stream (:class:`BlockDraws`).
+* **draws** — DRMA's converted request slots contend through
+  :func:`~repro.mac.contention.run_contention_ids` on a :class:`RandomPool`
+  of uniforms prefetched from the contention stream, and CHARISMA's
+  estimation noise in fast RNG mode takes standard normals from a
+  :class:`NormalPool` over its estimator's stream (:class:`BlockDraws`).
   NumPy generators consume their bit stream element by element, so a pool
   of ``N`` draws is exactly the next ``N`` per-call draws; at a block's
   end the pool rolls the generator back and replays the consumed prefix;
@@ -61,12 +62,14 @@ __all__ = ["BlockDraws", "MacroRunner", "NormalPool", "RandomPool"]
 class RandomPool:
     """Prefetched uniform draws with exact roll-back/replay.
 
-    ``take(n)`` hands out the next ``n`` doubles of the generator's stream
-    from a prefetched buffer; ``unwind(n)`` returns the most recent ``n``
-    (a pure pointer move — nothing re-enters the generator); ``close()``
-    restores the generator to the pre-prefetch state and re-consumes
-    exactly the handed-out prefix, so after closing, the generator state is
-    indistinguishable from having made the per-frame draws directly.
+    ``take(size)`` hands out the next ``size`` doubles of the generator's
+    stream from a prefetched buffer, and ``random(size)`` is the same call,
+    so the pool stands in for the generator in
+    :func:`~repro.mac.contention.run_contention_ids`' per-minislot draws;
+    ``close()`` restores the generator to the pre-prefetch state and
+    re-consumes exactly the handed-out prefix, so after closing, the
+    generator state is indistinguishable from having made the per-frame
+    draws directly.
     """
 
     __slots__ = ("_rng", "_chunk", "_state", "_buffer", "_position", "_draw")
@@ -83,19 +86,17 @@ class RandomPool:
         # the restore-and-redraw replay stays exact for either).
         self._draw = rng.random
 
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` stream doubles (a view into the prefetch buffer)."""
+    def take(self, size: int) -> np.ndarray:
+        """The next ``size`` stream doubles (a view of the prefetch buffer)."""
         buffer = self._buffer
-        if buffer is None or self._position + n > buffer.shape[0]:
-            self._refill(n)
+        if buffer is None or self._position + size > buffer.shape[0]:
+            self._refill(size)
             buffer = self._buffer
         start = self._position
-        self._position = start + n
+        self._position = start + size
         return buffer[start : self._position]
 
-    def unwind(self, n: int) -> None:
-        """Give back the most recently taken ``n`` doubles (pointer move)."""
-        self._position -= n
+    random = take
 
     def close(self) -> int:
         """Roll back and replay: leave the generator exactly where
@@ -131,7 +132,7 @@ class RandomPool:
 class NormalPool(RandomPool):
     """:class:`RandomPool` over standard normals (CSI estimation noise).
 
-    Same prefetch / ``unwind`` / restore-and-replay contract, drawn with
+    Same prefetch / restore-and-replay contract, drawn with
     ``Generator.standard_normal`` instead of ``Generator.random``.  Because
     ``Generator.normal(loc, scale, size=n)`` consumes the bit stream
     exactly like ``standard_normal(n)`` (one ziggurat draw per element),
@@ -150,18 +151,18 @@ class NormalPool(RandomPool):
 class BlockDraws:
     """The pooled draws a block's frames hand to the protocol.
 
-    :meth:`converted_slot` resolves one of DRMA's converted request slots on
-    uniforms pooled from the contention stream.  :meth:`estimate` is
+    :attr:`pool` holds uniforms prefetched from the contention stream, on
+    which DRMA's converted request slots contend.  :meth:`estimate` is
     CHARISMA's CSI estimation: on standard normals pooled from the
     estimator's stream in fast RNG mode, where no other draw of the frame
     shares that stream, and the estimator's own call in parity mode, where
-    the noise shares the MAC stream with the request phase.  :meth:`close` ends the block and leaves every stream exactly
-    where unpooled draws would have.
+    the noise shares the MAC stream with the request phase.  :meth:`close`
+    ends the block and leaves every stream exactly where unpooled draws
+    would have.
     """
 
     def __init__(self, protocol) -> None:
-        self._pool = RandomPool(protocol.contention_rng)
-        self._minislots = protocol.frame_structure.minislots_per_info_slot
+        self.pool = RandomPool(protocol.contention_rng)
         self._csi_pool: Optional[NormalPool] = None
         self._csi_std = 0.0
         estimator = getattr(protocol, "csi_estimator", None)
@@ -175,58 +176,10 @@ class BlockDraws:
 
     def close(self) -> int:
         """End the block; return the prefetched draws rolled back unused."""
-        unused = self._pool.close()
+        unused = self.pool.close()
         if self._csi_pool is not None:
             unused += self._csi_pool.close()
         return unused
-
-    @kernel(batch=False)
-    def converted_slot(self, ids, probabilities):
-        """One DRMA converted slot's ``N_x`` minislots on pooled draws.
-
-        Returns ``(winner_ids, attempts, collisions, idle_slots)``.  The
-        pools here hold a handful of contenders, so the resolution runs on
-        Python scalars — the same doubles, comparisons and winner choices
-        as ``run_contention_ids`` with its per-minislot
-        ``rng.random(size=k)`` calls, at a fraction of a call per
-        minislot.  One take covers the remaining minislots at the current
-        pool size; a winner shrinks the pool, so the draws after its
-        minislot go back to the pool and the rest is taken again at the
-        new size.  The caller's lists are not modified.
-        """
-        minislots = self._minislots
-        m = _metrics.METRICS
-        if m.enabled:
-            m.inc("contention.rounds", minislots)
-        pool = self._pool
-        won: List[int] = []
-        attempts = collisions = idle = 0
-        left = minislots
-        while left and ids:
-            k = len(ids)
-            draws = pool.take(left * k).tolist()
-            for start in range(0, left * k, k):
-                left -= 1
-                n_transmitters = 0
-                index = -1
-                for position, probability in enumerate(probabilities):
-                    if draws[start + position] < probability:
-                        n_transmitters += 1
-                        index = position
-                attempts += n_transmitters
-                if n_transmitters == 1:
-                    pool.unwind(left * k)
-                    if not won:
-                        ids = list(ids)
-                        probabilities = list(probabilities)
-                    won.append(ids.pop(index))
-                    probabilities.pop(index)
-                    break
-                if n_transmitters == 0:
-                    idle += 1
-                else:
-                    collisions += 1
-        return won, attempts, collisions, idle + left
 
     def _pooled_estimate(self, amplitudes, frame_index: int = 0):
         """``CSIEstimator.estimate_amplitudes`` on the block's pooled normals.
@@ -265,18 +218,14 @@ class MacroRunner:
         self._reuse_snr = engine._reuse_snapshot_snr
         self._adaptive = protocol.modem.is_adaptive
         self._draws = BlockDraws(protocol)
-        self._voice_p = protocol.permission.voice_probability
-        self._data_p = protocol.permission.data_probability
         self._nv = self.population.n_voice
 
-        # The contention-candidate mirror (ascending ids and their
-        # permission probabilities, plus the ids as a set for membership
-        # tests), updated incrementally from the frames' traffic, drop,
-        # grant and queue events and rebuilt from the authoritative state
-        # when marked dirty.
+        # The contention-candidate mirror (ascending ids, plus the same ids
+        # as a set for membership tests), updated incrementally from the
+        # frames' traffic, drop, grant and queue events and rebuilt from
+        # the authoritative state when marked dirty.
         self._mirrors_dirty = True
         self._cand_ids: List[int] = []
-        self._cand_probs: List[float] = []
         self._cand_set: Set[int] = set()
 
         # Deferred PHY rows (parallel lists) and buffered per-frame
@@ -371,13 +320,12 @@ class MacroRunner:
             snapshot,
             reservations.live_holders(occupancy, population.in_talkspurt),
             self._cand_ids,
-            self._cand_probs,
             backlog,
             occupancy,
             self._draws,
         )
         for tid in new_voice:
-            reservations.grant(tid, frame)
+            reservations.grant(tid)
             self._discard_candidate(tid)
         self._emit_frame(frame, snapshot, drops, clock, request, grants, occupancy)
         if queue is not None and (backlog is not None or len(queue)):
@@ -637,9 +585,9 @@ class MacroRunner:
     # -------------------------------------------------------------- mirrors
     def _sync_mirrors(self) -> None:
         """Rebuild the candidate mirror from authoritative state."""
-        ids, probs = self.protocol.contention_candidate_ids(self.population)
-        self._cand_ids = ids.tolist()
-        self._cand_probs = probs.tolist()
+        self._cand_ids = self.protocol.contention_candidate_ids(
+            self.population
+        ).tolist()
         self._cand_set = set(self._cand_ids)
         self._mirrors_dirty = False
 
@@ -674,11 +622,11 @@ class MacroRunner:
                     and tid not in granted
                     and not (queued and queued(tid))
                 ):
-                    self._add_candidate(tid, self._voice_p)
+                    self._add_candidate(tid)
         if bursts is not None:
             for tid, _size in bursts:
                 if not (queued and queued(tid)):
-                    self._add_candidate(tid, self._data_p)
+                    self._add_candidate(tid)
         if drops:
             ids = [tid for tid, _dropped, _counted in drops]
             for tid, left in zip(ids, self.population.occupancy[ids].tolist()):
@@ -700,24 +648,18 @@ class MacroRunner:
             and tid not in self._granted
             and not self._queue.contains_terminal(tid)
         ):
-            self._add_candidate(
-                tid, self._voice_p if tid < self._nv else self._data_p
-            )
+            self._add_candidate(tid)
         else:
             self._discard_candidate(tid)
 
-    def _add_candidate(self, tid: int, probability: float) -> None:
+    def _add_candidate(self, tid: int) -> None:
         if tid in self._cand_set:
             return
         self._cand_set.add(tid)
-        index = bisect_left(self._cand_ids, tid)
-        self._cand_ids.insert(index, tid)
-        self._cand_probs.insert(index, probability)
+        self._cand_ids.insert(bisect_left(self._cand_ids, tid), tid)
 
     def _discard_candidate(self, tid: int) -> None:
         if tid not in self._cand_set:
             return
         self._cand_set.discard(tid)
-        index = bisect_left(self._cand_ids, tid)
-        del self._cand_ids[index]
-        del self._cand_probs[index]
+        del self._cand_ids[bisect_left(self._cand_ids, tid)]

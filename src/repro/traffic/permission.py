@@ -14,9 +14,13 @@ __all__ = ["PermissionPolicy"]
 class PermissionPolicy:
     """Per-class permission probabilities of contention attempts.
 
-    The Bernoulli draws themselves happen in
-    :func:`~repro.mac.contention.run_contention_ids`, which takes each
-    candidate's probability from here.
+    The one owner of the class-to-probability rule: a voice candidate
+    transmits with ``p_v``, a data candidate with ``p_d``.  The Bernoulli
+    draws themselves happen in
+    :func:`~repro.mac.contention.run_contention_ids`, which reads both
+    probabilities from here and applies ``p_v`` to the candidates below
+    ``n_voice`` (the voice prefix of its ascending ids) and ``p_d`` to the
+    rest.
 
     Parameters
     ----------

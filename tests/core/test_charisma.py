@@ -48,7 +48,7 @@ class TestRequestAndAllocation:
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
         assert len(outcome.request.winner_ids) == 1
         assert len(outcome.grants) == 1
-        assert protocol.reservations.has(0)
+        assert 0 in protocol.reservations
 
     def test_good_channel_user_preferred_over_deep_fade_user(self):
         """The CSI-dependent scheduling: with one slot and two pending data
@@ -67,7 +67,7 @@ class TestRequestAndAllocation:
         """A reserved voice user in outage with frames to spare is deferred."""
         protocol = charisma()
         population = make_population(voice=[1], params=EAGER)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         outcome = run_protocol_frame(protocol, population, make_snapshot([1e-4]), 0)
         assert len(outcome.grants) == 0
 
@@ -75,7 +75,7 @@ class TestRequestAndAllocation:
         protocol = charisma()
         frame = 6  # packet created at frame 0 expires at frame 8
         population = make_population(voice=[1], frame=0, params=EAGER)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         snapshot = make_snapshot([1e-4], frame_index=frame)
         outcome = run_protocol_frame(protocol, population, snapshot, frame)
         assert len(outcome.grants) == 1
@@ -100,7 +100,7 @@ class TestRequestQueueBehaviour:
         # reserved voice 0, data 1 and 2; data 2 already has a queued request
         population = make_population(voice=[1], data=[10, 10], params=params)
         protocol.request_queue.push(2, 0)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         snapshot = make_snapshot([1.0, 1.0, 1.0])
         outcome = run_protocol_frame(protocol, population, snapshot, 0)
         # the single slot goes to the (higher priority) voice reservation; the
@@ -111,7 +111,7 @@ class TestRequestQueueBehaviour:
         protocol = charisma(use_queue=True)
         population = make_population(data=[10], params=EAGER)
         protocol.request_queue.push(0, 0)
-        ids, _ = protocol.contention_candidate_ids(population)
+        ids = protocol.contention_candidate_ids(population)
         assert ids.tolist() == []
 
     def test_without_queue_leftovers_are_dropped(self):
@@ -133,14 +133,14 @@ class TestReservationLifecycle:
     def test_reservation_released_after_talkspurt(self):
         protocol = charisma()
         population = make_population(voice=[0], talking=[False], params=EAGER)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         run_single_frame(protocol, population, frame=1)
-        assert not protocol.reservations.has(0)
+        assert 0 not in protocol.reservations
 
     def test_reserved_voice_served_every_frame_it_has_packets(self):
         protocol = charisma()
         population = make_population(voice=[1], params=EAGER)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         outcome = run_single_frame(protocol, population, amplitude=1.5)
         assert len(outcome.grants) == 1
         assert outcome.request.attempts == 0
@@ -179,8 +179,8 @@ class TestParityCSINoiseOrder:
         # Reserved talkers 0 and 1; data 2 waits in the queue with a stale
         # estimate; data 3 is the only contender (and wins).
         population = make_population(voice=[1, 1], data=[5, 5], params=EAGER)
-        protocol.reservations.grant(0, 0)
-        protocol.reservations.grant(1, 0)
+        protocol.reservations.grant(0)
+        protocol.reservations.grant(1)
         protocol.request_queue.push(2, 0, csi_amplitude=0.5, csi_frame=0)
         frame = 6
         snapshot = make_snapshot([1.1, 1.2, 1.3, 1.4], frame_index=frame)
@@ -201,7 +201,10 @@ class TestParityCSINoiseOrder:
         assert outcome.request.winner_ids == [3]
 
         twin = np.random.default_rng(seed)
-        run_contention_ids([3], [1.0], EAGER.n_request_slots, twin)
+        run_contention_ids(
+            [3], population.n_voice, protocol.permission,
+            EAGER.n_request_slots, twin,
+        )
         twin_estimator = CSIEstimator(
             n_pilot_symbols=EAGER.pilot_symbols_per_request,
             mean_snr_db=EAGER.mean_snr_db,

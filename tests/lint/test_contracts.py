@@ -71,7 +71,7 @@ def test_shared_frame_bodies_are_per_frame_kernels():
     from repro.mac.rama import RAMAProtocol
     from repro.mac.request_queue import RequestQueue
     from repro.mac.reservation import ReservationTable
-    from repro.sim.macro import BlockDraws, MacroRunner
+    from repro.sim.macro import MacroRunner
 
     for body in (
         MACProtocol.run_frame,
@@ -81,7 +81,6 @@ def test_shared_frame_bodies_are_per_frame_kernels():
         RAMAProtocol.run_auction,
         RequestQueue.prune,
         ReservationTable.live_holders,
-        BlockDraws.converted_slot,
         MacroRunner._emit_frame,
     ):
         assert is_kernel(body), body.__qualname__

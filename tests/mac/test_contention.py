@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mac.contention import IndexContentionResult, run_contention_ids
+from repro.mac.contention import (
+    _SCALAR_RESOLUTION_LIMIT,
+    IndexContentionResult,
+    run_contention_ids,
+)
 from repro.traffic.permission import PermissionPolicy
 
 
 def contend(n_candidates, n_minislots, p=1.0, seed=0):
+    """Candidates ``0..n-1``, half voice, both classes at probability ``p``."""
     return run_contention_ids(
-        list(range(n_candidates)), [p] * n_candidates, n_minislots,
-        np.random.default_rng(seed),
+        list(range(n_candidates)), n_candidates // 2, PermissionPolicy(p, p),
+        n_minislots, np.random.default_rng(seed),
     )
 
 
@@ -56,31 +61,35 @@ class TestRunContention:
     @pytest.mark.parametrize("as_array", [False, True])
     def test_matches_per_minislot_reference(self, n_candidates, as_array):
         """Scalar (small) and array (large) pools make the same draws and
-        decisions as a plain per-minislot loop, and leave the caller's
-        sequences untouched."""
-        ids = list(range(100, 100 + n_candidates))
-        probs = np.random.default_rng(4).uniform(
-            0.2 / n_candidates, 2.0 / n_candidates, n_candidates
-        ).tolist()
+        decisions as a plain per-minislot loop in which each candidate
+        transmits with its class's probability — voice below ``n_voice``,
+        data from it on — and leave the caller's ids untouched."""
+        assert 6 <= _SCALAR_RESOLUTION_LIMIT < 40
+        # Ascending ids with gaps; the voice/data boundary falls inside.
+        ids = list(range(100, 100 + 3 * n_candidates, 3))
+        n_voice = ids[n_candidates // 3] + 1
+        p_voice, p_data = 1.2 / n_candidates, 0.4 / n_candidates
         given_ids = np.asarray(ids) if as_array else list(ids)
-        given_probs = np.asarray(probs) if as_array else list(probs)
         result = run_contention_ids(
-            given_ids, given_probs, 12, np.random.default_rng(9)
+            given_ids, n_voice, PermissionPolicy(p_voice, p_data), 12,
+            np.random.default_rng(9),
         )
 
         rng = np.random.default_rng(9)
-        remaining, remaining_p = list(ids), list(probs)
+        remaining = list(ids)
         winners, attempts, collisions, idle = [], 0, 0, 0
         for _ in range(12):
             if not remaining:
                 idle += 1
                 continue
             draws = rng.random(len(remaining))
-            sent = [i for i, p in enumerate(remaining_p) if draws[i] < p]
+            sent = [
+                i for i, tid in enumerate(remaining)
+                if draws[i] < (p_voice if tid < n_voice else p_data)
+            ]
             attempts += len(sent)
             if len(sent) == 1:
                 winners.append(remaining.pop(sent[0]))
-                remaining_p.pop(sent[0])
             elif sent:
                 collisions += 1
             else:
@@ -91,7 +100,32 @@ class TestRunContention:
         assert (result.attempts, result.collisions, result.idle_slots) == (
             attempts, collisions, idle,
         )
-        assert list(given_ids) == ids and list(given_probs) == probs
+        assert list(given_ids) == ids
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("path", ["scalar", "array", "fast"])
+    def test_voice_prefix_ends_below_n_voice(self, path, as_array):
+        """The class split sits exactly at ``n_voice``: with p_v = 1 and a
+        vanishing p_d, the last voice id ``n_voice - 1`` transmits in every
+        minislot and the first data id ``n_voice`` practically never, so
+        the voice candidate wins the first minislot alone.  Counting
+        ``n_voice`` as voice would make the two collide instead."""
+        n_voice = 10
+        ids = [n_voice - 1, n_voice]
+        if path == "array":
+            # Further data ids push the pool past the scalar limit.
+            ids += list(range(n_voice + 1, n_voice + _SCALAR_RESOLUTION_LIMIT))
+            assert len(ids) > _SCALAR_RESOLUTION_LIMIT
+        n_minislots = 6  # the fast matrix draw's minimum
+        result = run_contention_ids(
+            np.asarray(ids) if as_array else ids, n_voice,
+            PermissionPolicy(1.0, 1e-9), n_minislots,
+            np.random.default_rng(5), fast=path == "fast",
+        )
+        assert result.winner_ids == [n_voice - 1]
+        assert (result.attempts, result.collisions, result.idle_slots) == (
+            1, 0, n_minislots - 1,
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationParameters
+from repro.mac.drma import DRMAProtocol
 from repro.mac.registry import available_protocols, build_modem, create_protocol, protocol_class
-from tests.utils import PARAMS, build_protocol, make_population, run_single_frame
+from tests.utils import (
+    PARAMS, build_protocol, make_population, population_snapshot, run_single_frame,
+)
 
 # A permissive parameter set that makes contention deterministic enough for
 # frame-level unit assertions (single contenders always transmit).
@@ -51,27 +54,30 @@ class TestSharedBaseBehaviour:
         population = make_population(
             voice=[1, 1, 0], data=[5], talking=[True, True, False], params=EAGER
         )
-        protocol.reservations.grant(1, 0)
-        ids, probabilities = protocol.contention_candidate_ids(population)
+        protocol.reservations.grant(1)
+        ids = protocol.contention_candidate_ids(population)
         assert ids.tolist() == [0, 3]
-        assert probabilities.tolist() == [1.0, 1.0]
 
     def test_candidates_exclude_queued_terminals(self):
         protocol = build_protocol("dtdma_fr", use_request_queue=True, params=EAGER)
         population = make_population(data=[5], params=EAGER)
         protocol.request_queue.push(0, 0)
-        ids, _ = protocol.contention_candidate_ids(population)
+        ids = protocol.contention_candidate_ids(population)
         assert ids.tolist() == []
 
-    def test_slot_capacity_fixed_vs_adaptive(self):
+    def test_grant_capacity_fixed_vs_adaptive(self):
         fixed = build_protocol("dtdma_fr", params=EAGER)
         adaptive = build_protocol("dtdma_vr", params=EAGER)
-        assert fixed.slot_capacity(3.0) == (1, None)
-        per_slot, throughput = adaptive.slot_capacity(3.0)
-        assert per_slot == 5 and throughput == 5.0
+        population = make_population(data=[1, 1], params=EAGER)
+        good = population_snapshot(population, 3.0)
+        per_slot, throughputs = fixed.grant_capacity_columns([0, 1], good)
+        assert per_slot.tolist() == [1, 1] and throughputs is None
+        per_slot, throughputs = adaptive.grant_capacity_columns([0, 1], good)
+        assert per_slot.tolist() == [5, 5] and throughputs.tolist() == [5.0, 5.0]
         # outage on the adaptive PHY still transmits at the most robust mode
-        per_slot, throughput = adaptive.slot_capacity(1e-4)
-        assert per_slot == 1 and throughput == 0.5
+        outage = population_snapshot(population, 1e-4)
+        per_slot, throughputs = adaptive.grant_capacity_columns([1], outage)
+        assert per_slot.tolist() == [1] and throughputs.tolist() == [0.5]
 
     def test_winners_are_eligible_contenders(self):
         """Only backlogged, unreserved talkers and backlogged data
@@ -91,7 +97,7 @@ class TestSharedBaseBehaviour:
                     talking=[True, True, False, True], params=params,
                     seed=seed,
                 )
-                protocol.reservations.grant(3, 0)
+                protocol.reservations.grant(3)
                 outcome = run_single_frame(protocol, population)
                 winners = outcome.request.winner_ids
                 assert set(winners) <= {0, 1, 4, 6}, name
@@ -104,7 +110,7 @@ class TestSharedBaseBehaviour:
         for name in available_protocols():
             protocol = build_protocol(name, params=EAGER)
             population = make_population(voice=[1], data=[20], params=EAGER)
-            protocol.reservations.grant(0, 0)
+            protocol.reservations.grant(0)
             outcome = run_single_frame(protocol, population)
             grants = outcome.grants
             assert grants is not None and len(grants), name
@@ -123,11 +129,11 @@ class TestDTDMAFR:
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
         assert len(outcome.request.winner_ids) == 1
         assert len(outcome.grants) == 1
-        assert protocol.reservations.has(0)
+        assert 0 in protocol.reservations
 
     def test_reserved_voice_served_without_contention(self):
         protocol = build_protocol("dtdma_fr", params=EAGER)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
         assert outcome.request.attempts == 0
         assert len(outcome.grants) == 1
@@ -154,7 +160,7 @@ class TestDTDMAFR:
         # request must end up in the base-station queue.
         eager_small = EAGER.with_overrides(n_info_slots=1)
         protocol = build_protocol("dtdma_fr", use_request_queue=True, params=eager_small)
-        protocol.reservations.grant(0, 0)
+        protocol.reservations.grant(0)
         population = make_population(voice=[1], data=[200], params=eager_small)
         outcome = run_single_frame(protocol, population)
         assert outcome.queued == 1
@@ -257,6 +263,12 @@ class TestRMAV:
 
 
 class TestDRMA:
+    def test_adaptive_phy_rejected(self):
+        with pytest.raises(ValueError, match="fixed-rate"):
+            DRMAProtocol(
+                EAGER, build_modem("dtdma_vr", EAGER), np.random.default_rng(0)
+            )
+
     def test_idle_slots_convert_to_request_opportunities(self):
         protocol = build_protocol("drma", params=EAGER)
         outcome = run_single_frame(protocol, make_population(voice=[1], params=EAGER))
@@ -264,14 +276,14 @@ class TestDRMA:
         # later slot carried the packet
         assert len(outcome.request.winner_ids) == 1
         assert len(outcome.grants) == 1
-        assert protocol.reservations.has(0)
+        assert 0 in protocol.reservations
 
     def test_full_frame_offers_no_contention(self):
         """When every slot is already assigned, nobody can even request."""
         protocol = build_protocol("drma", params=EAGER)
         n_slots = protocol.frame_structure.info_slots
         for i in range(n_slots):
-            protocol.reservations.grant(i, 0)
+            protocol.reservations.grant(i)
         # n_slots reserved talkers plus one newcomer
         population = make_population(voice=[1] * (n_slots + 1), params=EAGER)
         outcome = run_single_frame(protocol, population)
@@ -305,7 +317,7 @@ class TestFCFSOrder:
         outcome = run_single_frame(protocol, population, frame=2)
         assert outcome.request.winner_ids == [0]
         assert outcome.grants.terminal_ids == [0]
-        assert protocol.reservations.has(0)
+        assert 0 in protocol.reservations
         # The data request waits on, keeping its arrival frame.
         assert protocol.request_queue.rows.terminal_ids == [1]
         assert protocol.request_queue.rows.arrival_frames == [0]
@@ -319,7 +331,7 @@ class TestFCFSOrder:
         outcome = run_single_frame(protocol, population, frame=2)
         assert outcome.request.winner_ids == [1]
         assert outcome.grants.terminal_ids == [0]
-        assert protocol.reservations.has(0) and not protocol.reservations.has(1)
+        assert 0 in protocol.reservations and 1 not in protocol.reservations
         # The new winner is queued with this frame's arrival and its
         # head-of-line packet's deadline.
         rows = protocol.request_queue.rows

@@ -15,23 +15,27 @@ from tests.utils import make_population
 class TestReservationTable:
     def test_grant_and_query(self):
         table = ReservationTable()
-        table.grant(3, frame_index=10)
-        assert table.has(3)
+        table.grant(3)
         assert 3 in table
-        assert table.granted_at(3) == 10
+        assert 4 not in table
+        assert table.granted == {3}
         assert table.holders() == [3]
 
     def test_grant_idempotent(self):
         table = ReservationTable()
-        table.grant(3, 10)
-        table.grant(3, 20)
-        assert table.granted_at(3) == 10
+        table.grant(3)
+        table.grant(1)
+        table.grant(3)
+        assert len(table) == 2
+        assert table.holders() == [1, 3]
+        assert table.holder_array().tolist() == [1, 3]
 
     def test_release(self):
         table = ReservationTable()
-        table.grant(1, 0)
+        table.grant(1)
         table.release(1)
-        assert not table.has(1)
+        assert 1 not in table
+        assert table.holders() == []
         table.release(1)  # no-op
 
     def test_live_holders_release_ended_talkspurts(self):
@@ -42,7 +46,7 @@ class TestReservationTable:
             voice=[1, 0, 0], talking=[True, False, True]
         )
         for tid in (2, 0, 1):
-            table.grant(tid, 0)
+            table.grant(tid)
         live = table.live_holders(
             population.occupancy, population.in_talkspurt
         )
@@ -53,22 +57,20 @@ class TestReservationTable:
     def test_live_holders_require_pending_packets(self):
         table = ReservationTable()
         population = make_population(voice=[1])
-        table.grant(0, 0)
+        table.grant(0)
         occupancy = population.occupancy.tolist()
         assert table.live_holders(occupancy, population.in_talkspurt) == [0]
         population.transmit(0, max_packets=1, n_delivered=1, current_frame=0)
         assert table.live_holders(
             population.occupancy, population.in_talkspurt
         ) == []
-        assert table.has(0)  # still talking: the reservation stays
+        assert 0 in table  # still talking: the reservation stays
 
     def test_validation_and_clear(self):
         table = ReservationTable()
         with pytest.raises(ValueError):
-            table.grant(-1, 0)
-        with pytest.raises(ValueError):
-            table.grant(0, -1)
-        table.grant(5, 1)
+            table.grant(-1)
+        table.grant(5)
         table.clear()
         assert len(table) == 0
 

@@ -248,7 +248,7 @@ class TestLookaheadTruncation:
             engine.run_frames(8)
             runner = engine._macro
             assert not runner._mirrors_dirty
-            ids, _ = engine.protocol.contention_candidate_ids(engine.population)
+            ids = engine.protocol.contention_candidate_ids(engine.population)
             assert runner._cand_ids == ids.tolist()
         # The queue was in use.
         assert engine.collect_results().mac.mean_queue_length > 0
@@ -269,7 +269,7 @@ class TestLookaheadTruncation:
             engine.run_frames(8)
             runner = engine._macro
             assert not runner._mirrors_dirty
-            ids, _ = engine.protocol.contention_candidate_ids(engine.population)
+            ids = engine.protocol.contention_candidate_ids(engine.population)
             assert runner._cand_ids == ids.tolist()
             assert runner._cand_set == set(runner._cand_ids)
         result = engine.collect_results()
@@ -349,7 +349,9 @@ class TestRandomPool:
         pool_rng = np.random.default_rng(42)
         direct_rng = np.random.default_rng(42)
         pool = RandomPool(pool_rng, chunk=16)
-        taken = np.concatenate([pool.take(5), pool.take(30), pool.take(7)])
+        taken = np.concatenate(
+            [pool.take(5), pool.random(size=30), pool.take(7)]
+        )
         assert np.array_equal(taken, direct_rng.random(42))
 
     def test_close_replays_exactly_the_consumed_prefix(self):
@@ -362,21 +364,6 @@ class TestRandomPool:
         # After closing, both generators must continue identically.
         assert np.array_equal(pool_rng.random(20), direct_rng.random(20))
 
-    def test_unwind_returns_draws_to_the_stream(self):
-        pool_rng = np.random.default_rng(3)
-        direct_rng = np.random.default_rng(3)
-        pool = RandomPool(pool_rng, chunk=64)
-        first = pool.take(12)
-        pool.unwind(4)  # last 4 were never really consumed
-        expected_first = direct_rng.random(12)
-        assert np.array_equal(first, expected_first)
-        pool.close()
-        # Only 8 draws were consumed; the direct stream re-aligns by
-        # rewinding its own position equivalently.
-        aligned = np.random.default_rng(3)
-        aligned.random(8)
-        assert np.array_equal(pool_rng.random(5), aligned.random(5))
-
     def test_close_without_use_is_a_noop(self):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
@@ -385,27 +372,40 @@ class TestRandomPool:
 
 
 class TestBlockDraws:
-    def test_converted_slot_matches_per_minislot_contention(self):
-        """A DRMA converted slot on pooled draws resolves exactly like
-        ``run_contention_ids`` with its per-minislot draws on a twin
-        generator, slot after slot, and leaves the stream where those
-        draws leave it once the block closes."""
-        ids = [0, 2, 3, 5, 8]
-        probabilities = [0.3, 0.3, 0.5, 0.5, 0.9]
+    @pytest.mark.parametrize("n_candidates, p_voice, p_data", [
+        (5, 0.3, 0.5),  # the scalar path
+        (40, 0.05, 0.02),  # the array path
+    ])
+    def test_converted_slot_contends_on_the_pool_like_a_twin_generator(
+        self, n_candidates, p_voice, p_data
+    ):
+        """A DRMA converted slot — the ``run_contention_ids`` call that
+        ``DRMAProtocol.serve_slots`` makes, on the block's pool — resolves
+        exactly like the kernel's per-minislot draws on a twin generator,
+        slot after slot, and leaves the stream where the twin's draws
+        leave it once the block closes."""
+        ids = list(range(0, 2 * n_candidates, 2))
+        n_voice = n_candidates  # the first half of the ids are voice
+        params = PARAMS.with_overrides(
+            voice_permission_probability=p_voice,
+            data_permission_probability=p_data,
+        )
         outcomes = set()
         for seed in range(12):
-            protocol = create_protocol("drma", PARAMS, np.random.default_rng(seed))
+            protocol = create_protocol("drma", params, np.random.default_rng(seed))
             twin = np.random.default_rng(seed)
             minislots = protocol.frame_structure.minislots_per_info_slot
             draws = BlockDraws(protocol)
             for _ in range(4):
-                got = draws.converted_slot(ids, probabilities)
-                want = run_contention_ids(ids, probabilities, minislots, twin)
-                assert got == (want.winner_ids, want.attempts,
-                               want.collisions, want.idle_slots)
-                outcomes.add(len(got[0]))
-            assert ids == [0, 2, 3, 5, 8]
-            assert probabilities == [0.3, 0.3, 0.5, 0.5, 0.9]
+                got = run_contention_ids(
+                    ids, n_voice, protocol.permission, minislots, draws.pool
+                )
+                want = run_contention_ids(
+                    ids, n_voice, protocol.permission, minislots, twin
+                )
+                assert got == want
+                outcomes.add(len(got.winner_ids))
+            assert ids == list(range(0, 2 * n_candidates, 2))
             draws.close()
             assert (protocol.contention_rng.bit_generator.state
                     == twin.bit_generator.state)

@@ -28,6 +28,7 @@ from repro.sim.rng import RandomStreams, child_stream
 from repro.sim.runner import run_simulation
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
+from repro.traffic.permission import PermissionPolicy
 from tests.utils import run_in_blocks
 
 PARAMS = SimulationParameters()
@@ -247,9 +248,9 @@ class TestFastContention:
                 return self._rng.random(size)
 
         rng = CountingRNG()
-        ids = np.arange(12)
-        probabilities = np.full(12, 0.3)
-        run_contention_ids(ids, probabilities, 10, rng, fast=True)
+        run_contention_ids(
+            np.arange(12), 6, PermissionPolicy(0.3, 0.2), 10, rng, fast=True
+        )
         assert rng.calls == 1
 
     def test_fast_statistics_match_parity_distribution(self):
@@ -259,14 +260,16 @@ class TestFastContention:
         mean winner and collision counts must lie close together.
         """
         ids = np.arange(10)
-        probabilities = np.full(10, 0.25)
+        permission = PermissionPolicy(0.3, 0.2)  # ids 0-4 voice, 5-9 data
         totals = {"parity": [0, 0], "fast": [0, 0]}
         rng_parity = np.random.default_rng(100)
         rng_fast = np.random.default_rng(200)
         trials = 400
         for _ in range(trials):
-            parity = run_contention_ids(ids, probabilities, 5, rng_parity)
-            fast = run_contention_ids(ids, probabilities, 5, rng_fast, fast=True)
+            parity = run_contention_ids(ids, 5, permission, 6, rng_parity)
+            fast = run_contention_ids(
+                ids, 5, permission, 6, rng_fast, fast=True
+            )
             totals["parity"][0] += len(parity.winner_ids)
             totals["parity"][1] += parity.collisions
             totals["fast"][0] += len(fast.winner_ids)
@@ -278,12 +281,12 @@ class TestFastContention:
 
     def test_fast_winner_drops_out_of_later_minislots(self):
         """After a minislot win the winner must stop transmitting: with one
-        certain transmitter (p=1) and the rest silent, every later minislot
-        is idle — never a second win by the same candidate."""
-        ids = np.array([4, 9])
-        probabilities = np.array([1.0, 0.0])
+        certain transmitter (voice at p_v = 1) and the rest practically
+        silent (data at p_d = 1e-9), every later minislot is idle — never a
+        second win by the same candidate."""
         result = run_contention_ids(
-            ids, probabilities, 6, np.random.default_rng(1), fast=True
+            np.array([4, 9]), 5, PermissionPolicy(1.0, 1e-9), 6,
+            np.random.default_rng(1), fast=True,
         )
         assert result.winner_ids == [4]
         assert result.idle_slots == 5
@@ -291,7 +294,7 @@ class TestFastContention:
     def test_empty_candidates_all_idle(self):
         for fast in (False, True):
             result = run_contention_ids(
-                np.zeros(0, dtype=np.int64), np.zeros(0), 4,
+                np.zeros(0, dtype=np.int64), 0, PermissionPolicy(0.5, 0.5), 4,
                 np.random.default_rng(0), fast=fast,
             )
             assert result.idle_slots == 4

@@ -110,7 +110,7 @@ def run_protocol_frame(protocol, population: TerminalPopulation,
     queue = protocol.request_queue
     if queue is not None:
         queue.prune(frame, population.occupancy)
-    candidate_ids, probabilities = protocol.contention_candidate_ids(population)
+    candidate_ids = protocol.contention_candidate_ids(population)
     backlog = queue.pop_all() if queue is not None and len(queue) else None
     holders = protocol.reservations.live_holders(
         population.occupancy, population.in_talkspurt
@@ -119,11 +119,11 @@ def run_protocol_frame(protocol, population: TerminalPopulation,
         draws = BlockDraws(protocol)
     request, grants, new_voice = protocol.run_frame(
         frame, population, snapshot, holders, candidate_ids.tolist(),
-        probabilities.tolist(), backlog, population.occupancy.tolist(), draws,
+        backlog, population.occupancy.tolist(), draws,
     )
     draws.close()
     for tid in new_voice:
-        protocol.reservations.grant(tid, frame)
+        protocol.reservations.grant(tid)
     return Frame(request, grants, len(queue) if queue is not None else 0)
 
 
