@@ -1,9 +1,9 @@
 """Whole-array kernels of the macro-stepped traffic loop.
 
 The macro-stepped frame loop reduces the engine to a handful of large array
-kernels per block plus a few scalar loops — the buffer and counter updates
-of a frame's many voice arrivals and deadline drops, the deadline scans of
-the expiry sweep, the per-terminal accumulation of a block's voice
+kernels per block plus a few scalar loops — the voice buffer windows'
+updates for a frame's many voice arrivals and deadline drops, the deadline
+scans of the expiry sweep, the per-terminal accumulation of a block's voice
 outcomes.  ``repro.accel`` holds the NumPy kernels that replace those
 loops in :class:`~repro.traffic.population.TerminalPopulation`; each is
 marked ``@kernel`` and so bound by the purity contract that ``python -m
@@ -13,17 +13,19 @@ repro lint`` checks.
 from __future__ import annotations
 
 from repro.accel.kernels import (
+    WINDOW_BITS,
     deadline_scan,
     next_expiry_bound,
-    voice_arrivals,
-    voice_drops,
     voice_flush_resolve,
+    window_arrivals,
+    window_drops,
 )
 
 __all__ = [
+    "WINDOW_BITS",
     "deadline_scan",
     "next_expiry_bound",
-    "voice_arrivals",
-    "voice_drops",
     "voice_flush_resolve",
+    "window_arrivals",
+    "window_drops",
 ]

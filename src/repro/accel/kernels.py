@@ -3,14 +3,22 @@
 Each kernel replaces a per-terminal Python loop of
 :class:`~repro.traffic.population.TerminalPopulation` with a few whole-array
 operations, and returns exactly what the loop would: the macro engine's
-golden digests pin their outputs.  The per-event kernels
-(:func:`voice_arrivals`, :func:`voice_drops`) take the frame's event ids,
+golden digests pin their outputs.  The buffer-window kernels
+(:func:`window_arrivals`, :func:`window_drops`) take the frame's event ids,
 which are distinct, so each fancy-indexed update touches a row once.
+
+A voice terminal's buffer is one ``uint64`` *window* relative to its
+head-of-line frame: bit ``k`` of ``window[i]`` is set while a packet created
+at frame ``head_created[i] + k`` waits, so bit 0 is the head itself, and
+the bits mean nothing while ``head_created[i]`` is ``-1`` (empty).  A voice
+packet lives at most ``voice_deadline_frames`` frames, so
+:data:`WINDOW_BITS` bits hold every buffered packet.  NumPy shifts a
+``uint64`` by :data:`WINDOW_BITS` or more to 0, which the kernels rely on.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -19,59 +27,94 @@ from repro.lint.contracts import kernel
 #: Largest ``int64``: an unsigned view's values above it are ``-1`` stamps.
 _INT64_MAX = np.iinfo(np.int64).max
 
+#: Width of a voice terminal's buffer window (one ``uint64``).
+WINDOW_BITS = 64
+
+_ONE = np.uint64(1)
+
 __all__ = [
+    "WINDOW_BITS",
     "deadline_scan",
     "next_expiry_bound",
-    "voice_arrivals",
-    "voice_drops",
     "voice_flush_resolve",
+    "window_arrivals",
+    "window_drops",
 ]
 
 
 @kernel
-def voice_arrivals(
+def window_arrivals(
     ids: np.ndarray,
     frame: int,
+    window: np.ndarray,
     occupancy: np.ndarray,
     generated: np.ndarray,
     head_created: np.ndarray,
 ) -> bool:
-    """Count one frame's voice packet arrivals into the buffer arrays.
+    """Add one frame's voice packets to the buffer windows and counters.
 
     Each terminal in ``ids`` (distinct) gains one buffered and one
-    generated packet, and an empty buffer's head-of-line stamp becomes
-    ``frame``.  Returns whether any buffer was empty, that is whether a
-    fresh head can tighten the next-expiry bound.
+    generated packet at bit ``frame - head_created`` of its window, and an
+    empty buffer restarts at ``frame`` with bit 0.  Raises ``ValueError``,
+    before writing anything, when a head lies :data:`WINDOW_BITS` or more
+    frames back, which happens only if the deadline drops stopped.
+    Returns whether any buffer was empty, that is whether a fresh head can
+    tighten the next-expiry bound.
     """
+    heads = head_created[ids]
+    fresh = heads < 0
+    offsets = np.where(fresh, 0, frame - heads)
+    widest = int(offsets.max())
+    if widest >= WINDOW_BITS:
+        raise ValueError(
+            f"a voice buffer's head lies {widest} frames before frame "
+            f"{frame}, beyond its {WINDOW_BITS}-frame window: expired "
+            f"packets must be dropped every frame"
+        )
+    bits = _ONE << offsets.astype(np.uint64)
+    window[ids] = np.where(fresh, bits, window[ids] | bits)
     occupancy[ids] += 1
     generated[ids] += 1
-    fresh = ids[head_created[ids] < 0]
-    head_created[fresh] = frame
-    return fresh.shape[0] > 0
+    head_created[ids] = np.where(fresh, frame, heads)
+    return bool(fresh.any())
 
 
 @kernel
-def voice_drops(
+def window_drops(
     ids: np.ndarray,
-    dropped: Sequence[int],
-    counted: Sequence[int],
-    heads: Sequence[int],
+    limit: int,
+    measure_from: int,
+    window: np.ndarray,
     occupancy: np.ndarray,
     head_created: np.ndarray,
     voice_dropped: np.ndarray,
-) -> int:
-    """Commit one frame's deadline drops to the buffer and outcome arrays.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Drop the packets created at or before ``limit`` from the windows.
 
-    Parallel rows: the terminals (distinct), the packets each lost, how
-    many of those fell inside the measurement window, and each buffer's
-    head-of-line stamp after the drop (``-1`` when it emptied).  Returns
-    the frame's in-window drops.
+    ``ids`` (distinct) are buffers whose head is at or before ``limit``.
+    Each loses its bits ``0 .. limit - head``; its new head is its lowest
+    remaining bit, and the window shifts down to it.  Returns the
+    ``(lost, counted)`` columns: the packets each terminal lost, and how
+    many of those were created at or after ``measure_from`` (the ones
+    charged to ``voice_dropped``).
     """
-    occupancy[ids] -= dropped
-    head_created[ids] = heads
-    in_window = np.asarray(counted, dtype=np.int64)
-    voice_dropped[ids] += in_window
-    return int(in_window.sum())
+    heads = head_created[ids]
+    bits = window[ids]
+    span = (limit + 1 - heads).astype(np.uint64)
+    rest = bits >> span
+    expired = bits ^ (rest << span)
+    lost = np.bitwise_count(expired).astype(np.int64)
+    # Bits below measure_from - head hold packets created before it.
+    skip = np.maximum(measure_from - heads, 0).astype(np.uint64)
+    counted = np.bitwise_count(expired >> skip).astype(np.int64)
+    # rest ^ (rest - 1) sets the bits up to rest's lowest set bit (all 64
+    # when rest is 0, whose head becomes -1).
+    low = np.bitwise_count(rest ^ (rest - _ONE)).astype(np.int64) - 1
+    window[ids] = rest >> low.astype(np.uint64)
+    head_created[ids] = np.where(rest != 0, limit + 1 + low, -1)
+    occupancy[ids] -= lost
+    voice_dropped[ids] += counted
+    return lost, counted
 
 
 @kernel

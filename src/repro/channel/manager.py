@@ -277,6 +277,10 @@ class ChannelManager:
         # the per-frame update to the draws plus one multiply-add per process.
         sigma = math.sqrt(0.5)
         self._innovation_scale = sigma * np.sqrt(1.0 - self._rho_fast**2)
+        # ``advance_block`` steps the complex gains by ``rho`` cast to
+        # complex once here (the per-frame update's implicit cast gives the
+        # same values).
+        self._rho_complex = self._rho_fast.astype(complex)
         self._shadow_shock_std = self._shadow_std_db * math.sqrt(
             1.0 - self._a_shadow * self._a_shadow
         )
@@ -398,10 +402,8 @@ class ChannelManager:
             n_frames, lanes, n
         )
         # Each row starts as its frame's innovation and becomes its gain.
-        # ``rho`` is cast to complex once here, not in every step's product
-        # (the per-frame update's implicit cast gives the same values).
         gains = self._innovation_scale * (noise[:, 0, :] + 1j * noise[:, 1, :])
-        rho = self._rho_fast.astype(complex)
+        rho = self._rho_complex
         gain = self._gain
         for row in gains:
             row += rho * gain

@@ -17,7 +17,10 @@ instead of once per frame:
 * **traffic** — :meth:`~repro.traffic.population.TerminalPopulation.plan_frames`
   pre-draws the whole block's source events in per-frame order, with the
   talkers in voice-phase buckets, and each frame replays its recorded
-  events: scalar writes for a few, array operations for many;
+  events onto the voice buffers' bit windows and the data bursts' FIFOs:
+  scalar writes for a few, array operations for many; the frame's
+  deadline drops come back as ``(ids, lost, counted)`` columns that the
+  frame's record and the candidate mirror read;
 * **MAC state** — the contention candidates are kept as an incremental
   mirror, updated from the frame's traffic, drop, grant and request-queue
   events instead of being re-derived from the population arrays;
@@ -520,13 +523,8 @@ class MacroRunner:
             grants.total_slots,
             len(queue) if queue is not None else 0,
             0,
-            0,
+            sum(drops[2]),
         ]
-        if drops:
-            counted = 0
-            for _tid, _dropped, in_window in drops:
-                counted += in_window
-            record[6] = counted
         records = self._records
         records.append(record)
         return len(records) - 1
@@ -596,7 +594,8 @@ class MacroRunner:
         toggles = plan.toggles[offset]
         bursts = plan.bursts[offset]
         generated = plan.voice_gen[offset]
-        if toggles is None and bursts is None and generated is None and not drops:
+        dropped = drops[0]
+        if toggles is None and bursts is None and generated is None and not dropped:
             return
         if toggles is not None:
             for tid, now_talking in toggles:
@@ -627,9 +626,10 @@ class MacroRunner:
             for tid, _size in bursts:
                 if not (queued and queued(tid)):
                     self._add_candidate(tid)
-        if drops:
-            ids = [tid for tid, _dropped, _counted in drops]
-            for tid, left in zip(ids, self.population.occupancy[ids].tolist()):
+        if dropped:
+            for tid, left in zip(
+                dropped, self.population.occupancy[dropped].tolist()
+            ):
                 if not left:
                     self._discard_candidate(tid)
 

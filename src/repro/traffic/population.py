@@ -9,17 +9,23 @@ arrays directly.
 
 A frame's traffic costs its *events* (talkspurt toggles, burst arrivals,
 voice packets, deadline expiries, grants), not a Python loop over the
-talkers:
+talkers or an object per packet:
 
 * talking voice terminals sit in ``frames_per_voice_period`` phase buckets
   (a talker generates exactly at the frames congruent to its talkspurt's
   first frame), so a frame's voice packets are one bucket, and an event
   frame touches only the sources that fire in it;
-* from :data:`ARRAY_EVENTS` events a frame on, the voice packets' and the
-  deadline drops' buffer and counter updates are one array operation per
-  array (:func:`~repro.accel.voice_arrivals`,
-  :func:`~repro.accel.voice_drops`) instead of scalar writes per event;
-  only the FIFO deque operations stay per event.
+* a voice terminal's FIFO is one ``uint64`` bit window relative to its
+  head-of-line frame (see :mod:`repro.accel.kernels`): a voice packet
+  expires ``voice_deadline_frames`` frames after its creation, so every
+  buffered one fits.  Generation sets one bit, a voice grant clears its
+  oldest bits, and a deadline drop masks the expired bits and counts them
+  with a popcount.  Data terminals keep their FIFO as a deque of
+  ``[created_frame, count]`` burst segments;
+* below :data:`ARRAY_EVENTS` events a frame (voice packets generated, or
+  terminals whose voice packets expire) the window updates run on Python
+  ints; from there on, as one array operation per array
+  (:func:`~repro.accel.window_arrivals`, :func:`~repro.accel.window_drops`).
 
 RNG draw order
 --------------
@@ -46,11 +52,12 @@ from typing import Deque, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.accel import (
+    WINDOW_BITS,
     deadline_scan,
     next_expiry_bound,
-    voice_arrivals,
-    voice_drops,
     voice_flush_resolve,
+    window_arrivals,
+    window_drops,
 )
 from repro.config import SimulationParameters
 from repro.lint.contracts import kernel
@@ -65,11 +72,15 @@ __all__ = [
 #: Sentinel for "no buffered voice packet can expire" (see ``drop_expired``).
 _NO_DROP = 1 << 62
 
+#: ``drop_expired_events``' columns when nothing expired.
+_NO_DROPS = ((), (), ())
+
 #: Events in one frame (voice packets generated, or terminals whose voice
-#: packets expire) from which the buffer and counter updates run as array
-#: operations over the event ids.  Below it, per-event scalar writes are
-#: cheaper: on a 2-vCPU x86_64 box both cost about 5 us at 8-12 events, and
-#: at 180 events the arrays take 10-25 us against 80-95 us.
+#: packets expire) from which the window and counter updates run as array
+#: operations over the event ids.  Below it, per-event updates on Python
+#: ints are cheaper: on a 2-vCPU x86_64 box a frame that generates and
+#: drops k packets costs 35-70 us either way at k = 12-16, and at k = 180
+#: the arrays take about 75 us against 380-570 us.
 ARRAY_EVENTS = 12
 
 
@@ -85,6 +96,13 @@ class TerminalMigrationState:
     statistic across the shard boundary.  Export followed by import is
     conservation-exact: no packet, delay sample or outcome counter is lost or
     duplicated (asserted by ``tests/constellation/test_handover.py``).
+
+    ``segments`` lists the buffered packets oldest first as ``[created_frame,
+    count]``.  A data terminal's are its burst segments.  A voice
+    terminal's are derived from its buffer window, one ``[frame, 1]`` per
+    packet, and import rebuilds the window from them, so they must hold at
+    most one packet a frame, in creation order, within the window's
+    :data:`~repro.accel.WINDOW_BITS` frames.
     """
 
     is_voice: bool
@@ -120,7 +138,7 @@ class TrafficBlockPlan:
 
     Entries are ``None`` when a frame has no event of that kind (the common
     case), so replaying a frame is a few list checks.
-    Buffer state (occupancy, segments, counters) is only touched when
+    Buffer state (occupancy, FIFOs, counters) is only touched when
     :meth:`TerminalPopulation.apply_planned_frame` replays the frame —
     keeping the arrays the MAC layer reads exact at every frame boundary.
     """
@@ -185,6 +203,14 @@ class TerminalPopulation:
         self._dt = params.frame_duration_s
         self._period = params.frames_per_voice_period
         self._deadline = params.voice_deadline_frames
+        if self._deadline >= WINDOW_BITS:
+            # Before a frame's drops, a buffer may hold packets from its
+            # head, deadline frames back, through the frame itself.
+            raise ValueError(
+                f"voice_deadline_frames {self._deadline} does not fit the "
+                f"{WINDOW_BITS}-frame voice buffer window: a voice packet "
+                f"must expire within {WINDOW_BITS - 1} frames"
+            )
 
         self.is_voice = np.zeros(n, dtype=bool)
         self.is_voice[: self.n_voice] = True
@@ -200,12 +226,17 @@ class TerminalPopulation:
         self.frames_since_packet = np.zeros(n, dtype=np.int64)
 
         # Transmit buffers: occupancy + head-of-line created frame per
-        # terminal, with the full FIFO content as (created_frame, count)
-        # segments — one segment per voice packet, one per data burst — so
-        # the per-frame cost is O(events), not O(packets).
+        # terminal.  A voice terminal's FIFO is its bit window (bit k: a
+        # packet created at head_created + k waits), a data terminal's a
+        # deque of [created_frame, count] burst segments at row
+        # ``index - n_voice``, so the per-frame cost is O(events), not
+        # O(packets).
         self.occupancy = np.zeros(n, dtype=np.int64)
         self.head_created = np.full(n, -1, dtype=np.int64)
-        self._segments: List[Deque[List[int]]] = [deque() for _ in range(n)]
+        self._window = np.zeros(self.n_voice, dtype=np.uint64)
+        self._bursts: List[Deque[List[int]]] = [
+            deque() for _ in range(self.n_data)
+        ]
 
         # Per-terminal outcome counters.
         self.voice_generated = np.zeros(n, dtype=np.int64)
@@ -442,7 +473,7 @@ class TerminalPopulation:
 
         Together with the counter advances done at plan time this leaves
         every array a MAC kernel reads (``in_talkspurt``, ``occupancy``,
-        segment FIFOs, outcome counters) in this frame's state.
+        buffer FIFOs, outcome counters) in this frame's state.
         """
         offset = frame_index - plan.start
         toggles = plan.toggles[offset]
@@ -455,22 +486,32 @@ class TerminalPopulation:
             occupancy = self.occupancy
             generated = self.voice_generated
             head_created = self.head_created
-            segments = self._segments
+            window = self._window
             if len(gen) < ARRAY_EVENTS:
                 fresh = False
                 for i in gen:
+                    head = int(head_created[i])
+                    if head < 0:
+                        head_created[i] = frame_index
+                        window[i] = 1
+                        fresh = True
+                    else:
+                        shift = frame_index - head
+                        if shift >= WINDOW_BITS:
+                            raise ValueError(
+                                f"{self.describe_index(i)}'s voice buffer "
+                                f"head lies {shift} frames before frame "
+                                f"{frame_index}, beyond its {WINDOW_BITS}-"
+                                f"frame window: expired packets must be "
+                                f"dropped every frame"
+                            )
+                        window[i] = int(window[i]) | 1 << shift
                     generated[i] += 1
                     occupancy[i] += 1
-                    segments[i].append([frame_index, 1])
-                    if head_created[i] < 0:
-                        head_created[i] = frame_index
-                        fresh = True
             else:
-                for i in gen:
-                    segments[i].append([frame_index, 1])
-                fresh = voice_arrivals(
+                fresh = window_arrivals(
                     np.array(gen, dtype=np.int64), frame_index,
-                    occupancy, generated, head_created,
+                    window, occupancy, generated, head_created,
                 )
             expiry = frame_index + self._deadline
             if fresh and expiry < self._next_drop_frame:
@@ -480,11 +521,12 @@ class TerminalPopulation:
             occupancy = self.occupancy
             generated = self.data_generated
             head_created = self.head_created
-            segments = self._segments
+            fifos = self._bursts
+            nv = self.n_voice
             for i, size in bursts:
                 generated[i] += size
                 occupancy[i] += size
-                segments[i].append([frame_index, size])
+                fifos[i - nv].append([frame_index, size])
                 if head_created[i] < 0:
                     head_created[i] = frame_index
 
@@ -493,26 +535,41 @@ class TerminalPopulation:
         """Pop a voice grant's packets now, deferring the outcome counters.
 
         The deterministic half of :meth:`transmit` for a voice terminal:
-        removes ``min(max_packets, occupancy)`` packets from the FIFO (a
-        transmitted voice packet leaves the buffer whether or not it is
-        received) and returns ``(n_transmitted, n_pre_window)`` so
-        :meth:`resolve_voice_outcomes` can attribute delivered/errored
-        counts once the batched PHY draw resolves — the macro engine's
-        mechanism for fusing many frames' voice transmissions into one draw.
+        removes ``min(max_packets, occupancy)`` packets, the oldest bits of
+        its window, from the FIFO (a transmitted voice packet leaves the
+        buffer whether or not it is received) and returns
+        ``(n_transmitted, n_pre_window)`` so :meth:`resolve_voice_outcomes`
+        can attribute delivered/errored counts once the batched PHY draw
+        resolves — the macro engine's mechanism for fusing many frames'
+        voice transmissions into one draw.
         """
         occupancy = int(self.occupancy[index])
-        n_transmitted = min(max_packets, occupancy)
-        if n_transmitted == 0:
+        n_transmitted = max_packets if max_packets < occupancy else occupancy
+        if n_transmitted <= 0:
             return 0, 0
-        segments = self._segments[index]
-        window = self._measure_from
-        pre = 0
-        for _ in range(n_transmitted):
-            created, _count = segments.popleft()
-            if created < window:
-                pre += 1
         self.occupancy[index] = occupancy - n_transmitted
-        self.head_created[index] = segments[0][0] if segments else -1
+        head_created = self.head_created
+        head = int(head_created[index])
+        # Bits below ``before`` hold packets created before the window.
+        before = self._measure_from - head
+        if n_transmitted == occupancy and before <= 0:
+            head_created[index] = -1
+            return n_transmitted, 0
+        window = self._window
+        bits = int(window[index])
+        rest = bits
+        for _ in range(n_transmitted):
+            rest &= rest - 1
+        pre = 0
+        if before > 0:
+            sent = bits ^ rest
+            pre = (sent & ((1 << min(before, WINDOW_BITS)) - 1)).bit_count()
+        if rest:
+            low = (rest & -rest).bit_length() - 1
+            head_created[index] = head + low
+            window[index] = rest >> low
+        else:
+            head_created[index] = -1
         return n_transmitted, pre
 
     @kernel
@@ -552,76 +609,84 @@ class TerminalPopulation:
         packet can yet have expired (tracked via a conservative
         next-expiry lower bound) return without touching any array.
         """
-        total = 0
-        for _, dropped, _ in self.drop_expired_events(current_frame):
-            total += dropped
-        return total
+        return sum(self.drop_expired_events(current_frame)[1])
 
     @kernel
     def drop_expired_events(self, current_frame: int):
         """Deadline expiry with per-terminal outcomes (the frame loop's form).
 
-        Returns a sequence of ``(index, dropped, counted)`` tuples — the
-        terminals whose head-of-line packets expired this frame, how many
-        packets each lost, and how many of those fell inside the current
-        measurement window (the ones charged to ``voice_dropped``).  State
-        mutations are identical to :meth:`drop_expired`.
+        Returns parallel ``(ids, lost, counted)`` columns of ints, empty
+        when nothing expired: the terminals whose head-of-line packets
+        expired this frame in ascending order, how many packets each lost,
+        and how many of those fell inside the current measurement window
+        (the ones charged to ``voice_dropped``).  State mutations are
+        identical to :meth:`drop_expired`.
         """
         nv = self.n_voice
         if not nv or current_frame < self._next_drop_frame:
-            return ()
+            return _NO_DROPS
         limit = current_frame - self._deadline
+        head_created = self.head_created
         # head_created is -1 exactly when the buffer is empty, so a single
         # range test finds the expired heads.
-        expired_ids = deadline_scan(self.head_created[:nv], limit)
-        expired = expired_ids.tolist()
-        events = []
-        if expired:
-            window = self._measure_from
-            segments = self._segments
-            dropped: List[int] = []
-            counted: List[int] = []
-            heads: List[int] = []
-            for i in expired:
-                # The scan found this head expired; later packets rarely are.
-                fifo = segments[i]
-                created, lost = fifo.popleft()
-                in_window = lost if created >= window else 0
-                while fifo and fifo[0][0] <= limit:
-                    created, count = fifo.popleft()
-                    lost += count
-                    if created >= window:
-                        in_window += count
-                dropped.append(lost)
-                counted.append(in_window)
-                heads.append(fifo[0][0] if fifo else -1)
+        expired_ids = deadline_scan(head_created[:nv], limit)
+        drops = _NO_DROPS
+        if expired_ids.shape[0]:
+            window = self._window
             occupancy = self.occupancy
-            head_created = self.head_created
             voice_dropped = self.voice_dropped
-            if len(expired) < ARRAY_EVENTS:
+            window_start = self._measure_from
+            if expired_ids.shape[0] < ARRAY_EVENTS:
+                ids = expired_ids.tolist()
+                lost: List[int] = []
+                counted: List[int] = []
                 total = 0
-                for i, lost, in_window, head in zip(
-                    expired, dropped, counted, heads
-                ):
-                    occupancy[i] -= lost
-                    head_created[i] = head
-                    if in_window:
-                        voice_dropped[i] += in_window
-                        total += in_window
+                for i in ids:
+                    # Bits 0 .. limit - head expire; the lowest bit left
+                    # is the new head.
+                    head = int(head_created[i])
+                    bits = int(window[i])
+                    span = limit + 1 - head
+                    rest = bits >> span
+                    expired = bits ^ (rest << span)
+                    n_lost = expired.bit_count()
+                    n_counted = (
+                        (expired >> (window_start - head)).bit_count()
+                        if head < window_start
+                        else n_lost
+                    )
+                    if rest:
+                        low = (rest & -rest).bit_length() - 1
+                        head_created[i] = limit + 1 + low
+                        window[i] = rest >> low
+                    else:
+                        head_created[i] = -1
+                    occupancy[i] -= n_lost
+                    if n_counted:
+                        voice_dropped[i] += n_counted
+                        total += n_counted
+                    lost.append(n_lost)
+                    counted.append(n_counted)
+                drops = (ids, lost, counted)
             else:
-                total = voice_drops(
-                    expired_ids, dropped, counted, heads,
-                    occupancy, head_created, voice_dropped,
+                lost_column, counted_column = window_drops(
+                    expired_ids, limit, window_start,
+                    window, occupancy, head_created, voice_dropped,
+                )
+                total = int(counted_column.sum())
+                drops = (
+                    expired_ids.tolist(),
+                    lost_column.tolist(),
+                    counted_column.tolist(),
                 )
             self._voice_loss_total += total
-            events = list(zip(expired, dropped, counted))
         # Re-derive the next-expiry lower bound.  Transmissions only move
         # heads later (FIFO), so a bound computed here can never skip a
         # real expiry; fresh heads tighten it at their append sites.
         self._next_drop_frame = next_expiry_bound(
-            self.head_created[:nv], self._deadline, _NO_DROP
+            head_created[:nv], self._deadline, _NO_DROP
         )
-        return events
+        return drops
 
     # --------------------------------------------------------- transmission
     @kernel(batch=False)
@@ -651,7 +716,7 @@ class TerminalPopulation:
             )
             return n_transmitted
 
-        segments = self._segments[index]
+        segments = self._bursts[index - self.n_voice]
         window = self._measure_from
         remaining = n_delivered
         delays = self._data_delays[index]
@@ -749,14 +814,24 @@ class TerminalPopulation:
         at their fixed sizes and dense-id layouts).
         """
         index = self._check_index(index)
+        head = int(self.head_created[index])
+        if index >= self.n_voice:
+            segments = [list(s) for s in self._bursts[index - self.n_voice]]
+        elif head < 0:
+            segments = []
+        else:
+            bits = int(self._window[index])
+            segments = [
+                [head + k, 1] for k in range(bits.bit_length()) if bits >> k & 1
+            ]
         return TerminalMigrationState(
             is_voice=bool(self.is_voice[index]),
             in_talkspurt=bool(self.in_talkspurt[index]),
             countdown=int(self.countdown[index]),
             frames_since_packet=int(self.frames_since_packet[index]),
             occupancy=int(self.occupancy[index]),
-            head_created=int(self.head_created[index]),
-            segments=[list(segment) for segment in self._segments[index]],
+            head_created=head,
+            segments=segments,
             voice_generated=int(self.voice_generated[index]),
             voice_delivered=int(self.voice_delivered[index]),
             voice_errored=int(self.voice_errored[index]),
@@ -788,13 +863,18 @@ class TerminalPopulation:
                 f"into {self.describe_index(index)}: the slot's service "
                 f"class is fixed by the dense voice-then-data layout"
             )
+        if state.is_voice:
+            self._window[index] = self._voice_window(index, state)
+        else:
+            self._bursts[index - self.n_voice] = deque(
+                list(s) for s in state.segments
+            )
         outgoing_losses = int(self.voice_errored[index] + self.voice_dropped[index])
         self.in_talkspurt[index] = state.in_talkspurt
         self.countdown[index] = state.countdown
         self.frames_since_packet[index] = state.frames_since_packet
         self.occupancy[index] = state.occupancy
         self.head_created[index] = state.head_created
-        self._segments[index] = deque(list(s) for s in state.segments)
         self.voice_generated[index] = state.voice_generated
         self.voice_delivered[index] = state.voice_delivered
         self.voice_errored[index] = state.voice_errored
@@ -810,6 +890,40 @@ class TerminalPopulation:
             bound = state.head_created + self._deadline
             if bound < self._next_drop_frame:
                 self._next_drop_frame = bound
+
+    def _voice_window(self, index: int, state: TerminalMigrationState) -> int:
+        """The buffer window of an imported voice state's segments.
+
+        Raises ``ValueError`` for segments the window cannot hold: more
+        than one packet a frame, out of creation order, wider than
+        :data:`~repro.accel.WINDOW_BITS` frames, or disagreeing with the
+        state's occupancy and head.
+        """
+        segments = state.segments
+        head = segments[0][0] if segments else -1
+        where = f"cannot import the voice state into {self.describe_index(index)}"
+        bits = 0
+        previous = -1
+        for created, count in segments:
+            if count != 1 or created <= previous:
+                raise ValueError(
+                    f"{where}: a voice buffer holds one packet a frame, in "
+                    f"creation order from frame 0 on, not the segments "
+                    f"{segments}"
+                )
+            if created - head >= WINDOW_BITS:
+                raise ValueError(
+                    f"{where}: its packets span frames {head}..{created}, "
+                    f"wider than the {WINDOW_BITS}-frame voice buffer window"
+                )
+            bits |= 1 << (created - head)
+            previous = created
+        if state.occupancy != len(segments) or state.head_created != head:
+            raise ValueError(
+                f"{where}: occupancy {state.occupancy} and head "
+                f"{state.head_created} disagree with the segments {segments}"
+            )
+        return bits
 
     # ------------------------------------------------------------- plumbing
     def data_delays(self, index: int) -> List[int]:

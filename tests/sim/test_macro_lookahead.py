@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.accel import (
+    WINDOW_BITS,
     deadline_scan,
     next_expiry_bound,
-    voice_arrivals,
-    voice_drops,
     voice_flush_resolve,
+    window_arrivals,
+    window_drops,
 )
 from repro.config import SimulationParameters
 from repro.mac.contention import run_contention_ids
@@ -125,7 +126,8 @@ class TestLookaheadTruncation:
         below the array gate (40 talkers' few events a frame) and above it
         (400 talkers' dozens), on either RNG mode's event draws, with
         talkspurts toggling inside the block and a measurement window
-        opening mid-block: the same arrays, FIFOs and drop tuples.  The
+        opening mid-block: the same arrays, exported FIFO segments and
+        drop columns.  The
         generations and ``frames_since_packet`` also match a model built
         from the talkspurt history alone."""
 
@@ -160,7 +162,10 @@ class TestLookaheadTruncation:
                     generated.append(
                         int(population.voice_generated.sum()) - before
                     )
-                    drops.append(list(population.drop_expired_events(frame)))
+                    drops.append(tuple(
+                        list(column)
+                        for column in population.drop_expired_events(frame)
+                    ))
                     talking.append(population.in_talkspurt[:n_voice].copy())
             return generated, drops, talking
 
@@ -201,20 +206,24 @@ class TestLookaheadTruncation:
             "data_generated",
         ):
             assert np.array_equal(getattr(stepped, name), getattr(block, name)), name
-        assert stepped._segments == block._segments
+        assert [
+            stepped.export_terminal_state(i).segments for i in range(len(stepped))
+        ] == [block.export_terminal_state(i).segments for i in range(len(block))]
         assert stepped.voice_loss_total == block.voice_loss_total
         # Talkspurts toggled inside the block, window-crossing packets were
         # dropped, and the frames sit on the intended side of the gate.
         assert not np.array_equal(stepped.in_talkspurt, build().in_talkspurt)
         assert any(
-            dropped > counted for frame in step_drops for _, dropped, counted in frame
+            dropped > counted
+            for _, lost, counted_ in step_drops
+            for dropped, counted in zip(lost, counted_)
         )
-        largest = max(max(step_generated), max(len(d) for d in step_drops))
+        largest = max(max(step_generated), max(len(ids) for ids, _, _ in step_drops))
         if n_voice < 100:
             assert 0 < largest < ARRAY_EVENTS
         else:
             assert min(step_generated[8:]) >= ARRAY_EVENTS
-            assert min(len(d) for d in step_drops[8:]) >= ARRAY_EVENTS
+            assert min(len(ids) for ids, _, _ in step_drops[8:]) >= ARRAY_EVENTS
 
     def test_interleaved_step_calls_resync_mirrors(self):
         """Frames advanced through engine.step() between run_frames calls
@@ -452,49 +461,93 @@ class TestAccelKernels:
             bound = min(alive) + 8 if alive else 10**9
             assert next_expiry_bound(heads, 8, 10**9) == bound
 
-    def test_voice_arrivals_and_drops_match_scalar_updates(self):
+    def test_window_arrivals_and_drops_match_a_packet_list(self):
+        """The window kernels against each terminal's list of buffered
+        packets' creation frames: arrivals append the frame, drops remove
+        the frames at or before the limit and count those from the
+        measurement window's start on."""
         rng = np.random.default_rng(1)
         outcomes = set()
-        for _ in range(30):
+        for _ in range(40):
             n = int(rng.integers(1, 40))
-            occupancy = rng.integers(0, 3, size=n)
-            head_created = np.where(occupancy > 0, rng.integers(0, 9, size=n), -1)
-            generated = rng.integers(0, 5, size=n)
-            voice_dropped = rng.integers(0, 5, size=n)
-            ids = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            frame = int(rng.integers(0, 90))
+            # Each buffer: distinct frames within the window's reach.
+            packets = [
+                sorted(rng.choice(
+                    np.arange(max(0, frame - 60), frame), replace=False,
+                    size=int(rng.integers(0, min(3, frame) + 1)),
+                ).tolist())
+                for _ in range(n)
+            ]
 
-            want = [a.copy() for a in (occupancy, generated, head_created)]
-            fresh = False
+            def arrays():
+                head = np.array([p[0] if p else -1 for p in packets], dtype=np.int64)
+                window = np.array(
+                    [sum(1 << (c - p[0]) for c in p) if p else 0 for p in packets],
+                    dtype=np.uint64,
+                )
+                occupancy = np.array([len(p) for p in packets], dtype=np.int64)
+                return window, occupancy, head
+
+            window, occupancy, head_created = arrays()
+            generated = rng.integers(0, 5, size=n)
+            want_generated = generated.copy()
+            ids = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            fresh = any(not packets[i] for i in ids.tolist())
             for i in ids.tolist():
-                want[0][i] += 1
-                want[1][i] += 1
-                if want[2][i] < 0:
-                    want[2][i] = 12
-                    fresh = True
-            got = voice_arrivals(ids, 12, occupancy, generated, head_created)
+                packets[i].append(frame)
+                want_generated[i] += 1
+            got = window_arrivals(ids, frame, window, occupancy, generated, head_created)
             assert got == fresh
-            for array, expected in zip((occupancy, generated, head_created), want):
-                assert array.tolist() == expected.tolist()
+            assert generated.tolist() == want_generated.tolist()
+            for got_array, want_array in zip(
+                (window, occupancy, head_created), arrays()
+            ):
+                assert got_array.tolist() == want_array.tolist()
             outcomes.add(fresh)
 
-            dropped = [int(rng.integers(1, occupancy[i] + 1)) for i in ids.tolist()]
-            counted = [int(rng.integers(0, d + 1)) for d in dropped]
-            heads = [-1 if d == occupancy[i] else 13 for i, d in zip(ids.tolist(), dropped)]
-            want = [a.copy() for a in (occupancy, head_created, voice_dropped)]
-            for i, d, c, h in zip(ids.tolist(), dropped, counted, heads):
-                want[0][i] -= d
-                want[1][i] = h
-                want[2][i] += c
-            total = voice_drops(
-                ids, dropped, counted, heads, occupancy, head_created,
+            limit = int(rng.integers(-1, frame + 1))
+            measure_from = int(rng.integers(0, frame + 2))
+            ids = deadline_scan(head_created, limit)
+            voice_dropped = rng.integers(0, 5, size=n)
+            want_dropped = voice_dropped.copy()
+            want_lost, want_counted = [], []
+            for i in ids.tolist():
+                expired = [c for c in packets[i] if c <= limit]
+                packets[i] = [c for c in packets[i] if c > limit]
+                counted = sum(c >= measure_from for c in expired)
+                want_lost.append(len(expired))
+                want_counted.append(counted)
+                want_dropped[i] += counted
+            lost, counted = window_drops(
+                ids, limit, measure_from, window, occupancy, head_created,
                 voice_dropped,
             )
-            assert total == sum(counted)
-            for array, expected in zip(
-                (occupancy, head_created, voice_dropped), want
-            ):
-                assert array.tolist() == expected.tolist()
+            assert lost.tolist() == want_lost
+            assert counted.tolist() == want_counted
+            assert voice_dropped.tolist() == want_dropped.tolist()
+            want_window, want_occupancy, want_head = arrays()
+            assert occupancy.tolist() == want_occupancy.tolist()
+            assert head_created.tolist() == want_head.tolist()
+            alive = want_head >= 0
+            assert window[alive].tolist() == want_window[alive].tolist()
         assert outcomes == {False, True}
+
+    def test_window_drops_of_a_stale_head_empty_the_window(self):
+        """Drops that resume after a head fell WINDOW_BITS or more frames
+        behind the limit still remove every packet at or before it."""
+        window = np.array([0b101, 1 | 1 << 63], dtype=np.uint64)
+        occupancy = np.array([2, 2], dtype=np.int64)
+        head_created = np.array([0, 0], dtype=np.int64)
+        voice_dropped = np.zeros(2, dtype=np.int64)
+        ids = np.array([0, 1])
+        lost, counted = window_drops(
+            ids, WINDOW_BITS + 5, 1, window, occupancy, head_created,
+            voice_dropped,
+        )
+        assert lost.tolist() == [2, 2] and counted.tolist() == [1, 1]
+        assert occupancy.tolist() == [0, 0]
+        assert head_created.tolist() == [-1, -1]
 
     def test_voice_flush_resolve_matches_row_loop(self):
         # Reference: one row at a time, the first `delivered` of a row's

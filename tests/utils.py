@@ -41,8 +41,10 @@ def make_population(
 ) -> TerminalPopulation:
     """A population in a forced state: voice terminals first, then data.
 
-    ``voice`` and ``data`` give each terminal's buffered packets, all created
-    at ``frame`` and counted as generated.  ``talking`` says which voice
+    ``voice`` and ``data`` give each terminal's buffered packets, counted as
+    generated.  A data terminal's were all created at ``frame``; a voice
+    buffer holds one packet a frame, so a voice terminal's were created at
+    consecutive frames from ``frame`` on.  ``talking`` says which voice
     terminals are in a talkspurt (all of them by default).  No source event
     fires for a very long time, so advancing the population adds nothing
     but the talkers' periodic voice packets.
@@ -60,7 +62,7 @@ def make_population(
             frames_since_packet=1,
             occupancy=n_packets,
             head_created=frame if n_packets else -1,
-            segments=[[frame, 1] for _ in range(n_packets)],
+            segments=[[frame + k, 1] for k in range(n_packets)],
             voice_generated=n_packets,
         ))
     for index, n_packets in enumerate(data, start=len(voice)):
