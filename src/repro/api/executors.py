@@ -15,6 +15,12 @@ an ordered run list into the equally-ordered list of
   submitted most expensive first (:func:`estimated_point_cost`) under a
   fixed in-flight bound, so whichever worker frees first takes the next
   most expensive point: longest-processing-time (LPT) list scheduling.
+  A worker that dies (a crash, the OOM killer, a ``SIGKILL``) breaks the
+  pool and fails every point in flight with ``BrokenProcessPool``.  The
+  executor then builds a fresh pool and reruns those points first, one at
+  a time: a death while a point runs alone is that point's own, and a
+  point whose worker dies under it ``max_attempts`` times (once with no
+  retry policy) fails like any other.
 
 Both run each point through :func:`run_point` and keep one contract:
 ``progress(done, total)`` is called after every completed point and
@@ -35,7 +41,9 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.config import SimulationParameters
@@ -44,8 +52,10 @@ from repro.faults import injector as _faults
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import (
     FailedPoint,
+    PointFailed,
     PointOutcome,
     RetryPolicy,
+    give_up,
     run_point_attempts,
 )
 from repro.obs import clock as _obs_clock
@@ -122,8 +132,8 @@ def run_point(
 ) -> PointRun:
     """Run one point under the retry policy; return its outcome and report.
 
-    The one point primitive of :class:`SerialExecutor`, the pool workers
-    and the fleet workers.  Each attempt passes through the fault
+    The one point primitive of :class:`SerialExecutor` and the pool
+    workers.  Each attempt passes through the fault
     injector's ``point_attempt`` gate and, when a tracer is installed, runs
     in a ``point.run`` span; with a retry policy in ``on_error="record"``
     mode a terminally failed point comes back as a
@@ -213,10 +223,10 @@ class _Delivery:
         if m.enabled:
             m.inc("executor.worker_errors")
 
-    def result(self, position: int, ran: PointRun) -> None:
-        outcome, report = ran
+    def result(self, position: int, outcome: PointOutcome,
+               report: Optional[PointReport]) -> None:
         m = _metrics.METRICS
-        if m.enabled:
+        if m.enabled and report is not None:
             m.inc("executor.worker_busy_seconds", report.wall_s or 0.0)
         self.results[position] = outcome
         self.done += 1
@@ -226,6 +236,25 @@ class _Delivery:
                       None if failed else report)
         if self.progress is not None:
             self.progress(self.done, len(self.points))
+
+    def worker_deaths(self, position: int, error: BrokenProcessPool,
+                      deaths: int, retry: Optional[RetryPolicy]) -> None:
+        """Fail a point whose worker died under it ``deaths`` times.
+
+        As any failed point: a :class:`~repro.faults.retry.FailedPoint`
+        result in ``"record"`` mode, a :class:`PointFailed` error in
+        ``"raise"`` mode, and the bare error with no policy.
+        """
+        if retry is None:
+            self.error(position, error)
+            return
+        try:
+            failed = give_up(retry, self.points[position].run_hash(), error,
+                             deaths, transient=True)
+        except PointFailed as failure:
+            self.error(position, failure)
+            return
+        self.result(position, failed, None)
 
     def finish(self) -> List[SimulationResult]:
         """The results, or the cancellation or first error of an unfinished grid.
@@ -291,11 +320,11 @@ class SerialExecutor:
             if self.cancelled:
                 break
             try:
-                ran = run_point(position, point, params, retry)
+                outcome, report = run_point(position, point, params, retry)
             except Exception as error:
                 deliver.error(position, error)
                 continue
-            deliver.result(position, ran)
+            deliver.result(position, outcome, report)
         return deliver.finish()
 
     def __repr__(self) -> str:
@@ -371,7 +400,8 @@ def _worker_run_point(point: RunPoint, position: int) -> WorkerOutcome:
 #: a worker that finishes finds its next point already queued instead of
 #: idling through the round trip to the coordinator: on 2 workers, 256
 #: points of about 1.3 ms took 0.32 s against 0.40 s with one in flight.
-#: A small bound keeps a cancellation prompt.
+#: A small bound keeps a cancellation prompt and caps what one dead worker
+#: takes down with it.
 _IN_FLIGHT_PER_WORKER = 2
 
 
@@ -418,50 +448,80 @@ class ParallelExecutor(SerialExecutor):
             return super().execute_with_sink(points, params, progress, sink, retry)
         deliver = _Delivery(self, points, progress, sink)
         # The sort is stable, so points of equal cost keep run-list order.
-        queue = iter(sorted(
+        queue = deque(sorted(
             range(total), key=lambda position: -estimated_point_cost(points[position])
         ))
         # The active fault plan travels to workers as its spec string; each
         # worker installs a fresh injector (counts restart per process).
         plan = _faults.active_plan()
-        pool = ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_worker_init,
-            initargs=(
-                params,
-                retry,
-                plan.to_spec() if plan is not None else None,
-                _metrics.METRICS.enabled,
-            ),
+        initargs = (
+            params,
+            retry,
+            plan.to_spec() if plan is not None else None,
+            _metrics.METRICS.enabled,
         )
+        pool = ProcessPoolExecutor(max_workers=n_workers,
+                                   initializer=_worker_init, initargs=initargs)
         in_flight: Dict[Future[WorkerOutcome], int] = {}
+
+        def submit(position: int) -> None:
+            in_flight[pool.submit(
+                _worker_run_point, points[position], position=position
+            )] = position
+
+        # Points a broken pool took down, in rerun order, each with its own
+        # deaths so far.  They rerun first, one at a time, so a death then
+        # is the running point's own; ``limit`` of them fail it.
+        lost: Dict[int, int] = {}
+        limit = retry.max_attempts if retry is not None else 1
         try:
             while True:
-                while (len(in_flight) < n_workers * _IN_FLIGHT_PER_WORKER
-                       and not self.cancelled):
-                    position = next(queue, None)
-                    if position is None:
+                try:
+                    if not lost:
+                        while (len(in_flight) < n_workers * _IN_FLIGHT_PER_WORKER
+                               and queue and not self.cancelled):
+                            submit(queue[0])
+                            queue.popleft()
+                    elif not in_flight and not self.cancelled:
+                        submit(next(iter(lost)))
+                        m = _metrics.METRICS
+                        if m.enabled:
+                            m.inc("retry.attempts")
+                    if not in_flight:
                         break
-                    future = pool.submit(
-                        _worker_run_point, points[position], position=position
-                    )
-                    in_flight[future] = position
-                if not in_flight:
-                    break
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    position = in_flight.pop(future)
-                    try:
-                        ran, snapshot = future.result()
-                    except Exception as error:
-                        snapshot = getattr(error, "metrics_snapshot", None)
+                    finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        broken = future.exception()
+                        if isinstance(broken, BrokenProcessPool):
+                            raise broken
+                        position = in_flight.pop(future)
+                        lost.pop(position, None)
+                        try:
+                            ran, snapshot = future.result()
+                        except Exception as error:
+                            snapshot = getattr(error, "metrics_snapshot", None)
+                            if snapshot is not None:
+                                _metrics.METRICS.merge(snapshot)
+                            deliver.error(position, error)
+                            continue
                         if snapshot is not None:
                             _metrics.METRICS.merge(snapshot)
-                        deliver.error(position, error)
-                        continue
-                    if snapshot is not None:
-                        _metrics.METRICS.merge(snapshot)
-                    deliver.result(position, ran)
+                        deliver.result(position, *ran)
+                except BrokenProcessPool as error:
+                    # A worker died, and with it every point in flight.
+                    pool.shutdown()
+                    pool = ProcessPoolExecutor(max_workers=n_workers,
+                                               initializer=_worker_init,
+                                               initargs=initargs)
+                    if lost:
+                        position = next(iter(lost))
+                        lost[position] += 1
+                        if lost[position] == limit:
+                            deliver.worker_deaths(position, error,
+                                                  lost.pop(position), retry)
+                    else:
+                        lost = dict.fromkeys(in_flight.values(), 0)
+                    in_flight.clear()
         finally:
             # Only an exception leaves queued points behind; they never start.
             pool.shutdown(cancel_futures=True)

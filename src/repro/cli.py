@@ -12,10 +12,6 @@ Python:
   regenerates each;
 * ``cache`` — inspect (``stats``), compact (``gc``) or empty (``clear``) an
   on-disk result store (see ``--cache`` on ``run``/``compare``);
-* ``fleet`` — crash-tolerant multi-process execution: ``fleet run`` drives a
-  protocol sweep through the lease-based :mod:`repro.fleet` work queue
-  (killed workers forfeit, never lose, their points) and ``fleet status``
-  inspects a lease database;
 * ``profile`` — cProfile the engine's frame loop on a chosen scenario and
   print the top-N functions (hot-path work belongs here first);
 * ``obs`` — observability utilities: ``obs summarize trace.jsonl`` renders
@@ -31,8 +27,10 @@ Python:
   in a temporary directory.
 
 All simulation commands funnel through :mod:`repro.api`; ``--cache DIR``
-makes them resumable (finished points are served from the store in DIR).
-Invoke as ``python -m repro <command> ...``.
+makes them resumable (finished points are served from the store in DIR),
+and a grid costly enough to fan out over a process pool survives a killed
+worker (:class:`~repro.api.ParallelExecutor`).  Invoke as
+``python -m repro <command> ...``.
 """
 
 from __future__ import annotations
@@ -174,49 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the summary as JSON instead of tables",
-    )
-
-    fleet_parser = sub.add_parser(
-        "fleet",
-        help="lease-based multi-process fleet execution "
-             "(crash-tolerant, resumable grids)",
-    )
-    fleet_sub = fleet_parser.add_subparsers(dest="fleet_command",
-                                            required=True)
-    fleet_run = fleet_sub.add_parser(
-        "run",
-        help="execute a protocol sweep on N worker processes coordinating "
-             "through a lease queue; killed workers forfeit, never lose, "
-             "their points",
-    )
-    _add_scenario_arguments(fleet_run, include_protocol=False)
-    fleet_run.add_argument(
-        "--protocols", nargs="+", default=list(available_protocols()),
-        choices=available_protocols(), help="protocols to sweep",
-    )
-    fleet_run.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="shared result store directory (doubles as the home of the "
-             "lease database, <DIR>/fleet.db)",
-    )
-    fleet_run.add_argument("--workers", type=int, default=2,
-                           help="worker processes to spawn")
-    fleet_run.add_argument("--ttl", type=float, default=10.0, metavar="S",
-                           help="lease TTL in seconds; heartbeats run at a "
-                                "quarter of it")
-    fleet_run.add_argument("--deadline", type=float, default=600.0,
-                           metavar="S",
-                           help="driver-side wall-clock safety net")
-    fleet_status = fleet_sub.add_parser(
-        "status", help="inspect a fleet lease database",
-    )
-    fleet_status.add_argument(
-        "--db", required=True, metavar="PATH",
-        help="lease database (typically <store>/fleet.db)",
-    )
-    fleet_status.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full queue snapshot as JSON",
     )
 
     lint_parser = sub.add_parser(
@@ -417,64 +372,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         print(f"trace written to {args.trace} "
               f"(digest: python -m repro obs summarize {args.trace})")
     return 0
-
-
-def _command_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import WorkService, run_fleet
-
-    if args.fleet_command == "status":
-        service = WorkService(args.db)
-        counts = service.counts()
-        try:
-            if args.as_json:
-                import json
-
-                print(json.dumps(
-                    {"counts": counts, "points": service.snapshot()},
-                    indent=2,
-                ))
-                return 0
-            print(format_kv_table(counts, title=f"Fleet queue at {args.db}"))
-            leased = [row for row in service.snapshot()
-                      if row["state"] == "leased"]
-            for row in leased:
-                remaining = row["lease_remaining_s"]
-                print(f"  leased {row['run_hash']} -> {row['owner']} "
-                      f"({remaining:.1f}s of lease left)")
-        finally:
-            service.close()
-        return 0
-
-    params = SimulationParameters()
-    base = _scenario_from_args(args, protocol=args.protocols[0])
-    spec = ExperimentSpec(
-        protocols=tuple(args.protocols),
-        base_scenario=base,
-        params=params,
-        seeds=(base.seed,),
-        name="cli-fleet",
-    )
-    kwargs = _fault_kwargs(args)
-    results = run_fleet(
-        spec,
-        args.store,
-        n_workers=args.workers,
-        lease_ttl_s=args.ttl,
-        deadline_s=args.deadline,
-        retry=kwargs.get("retry"),
-        faults=kwargs.get("faults"),
-    )
-    completed = results.completed()
-    print(f"fleet run: {len(completed)}/{len(results)} points completed "
-          f"on {args.workers} worker(s); results in {args.store}")
-    for row in completed.aggregate(
-        ["voice_loss_rate", "data_throughput_per_frame", "data_delay_s"],
-        by=("protocol",),
-    ):
-        coords = ", ".join(f"{k}={v}" for k, v in row.group)
-        print(f"  {coords:<24} {row.metric:<28} {row.mean:.6g}")
-    _report_failures(results)
-    return 0 if len(completed) == len(results) else 1
 
 
 def _command_capacity(args: argparse.Namespace) -> int:
@@ -869,7 +766,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "capacity": _command_capacity,
         "experiments": _command_experiments,
         "cache": _command_cache,
-        "fleet": _command_fleet,
         "profile": _command_profile,
         "obs": _command_obs,
         "lint": _command_lint,

@@ -20,10 +20,9 @@ bit-identical to serial stepping at any worker count.
 Shards step in the calling process, one after another, unless forking is
 both useful and safe: more than one worker, a ``fork`` start method, no
 other live thread (forking a multi-threaded process can deadlock), not
-inside a ``multiprocessing`` child (daemonic fleet workers cannot have
-children, and executor pool workers already use the cores), and no
-installed tracer or enabled metrics registry (both record into this
-process only).
+inside a ``multiprocessing`` child (executor pool workers already use the
+cores, and a daemonic process cannot have children), and no installed
+tracer or enabled metrics registry (both record into this process only).
 
 When no coupling is active (one beam, or ``handover_rate == 0`` and
 ``coupling_db == 0``) each shard advances whole warm-up/measured phases in

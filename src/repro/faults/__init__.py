@@ -4,10 +4,10 @@ The robustness layer of the executor stack, in two halves:
 
 * **Injection** (:mod:`~repro.faults.plan`, :mod:`~repro.faults.injector`):
   a seed-driven :class:`FaultPlan` describes which failures to inject
-  (point crashes, hangs, sink-write failures, torn store appends, dropped
-  lease heartbeats) and the process-global :class:`FaultInjector` executes
-  it at instrumented sites.  Configure per call (``run(faults=...)``) or
-  fleet-wide via the ``REPRO_FAULTS`` environment variable.
+  (point crashes, hangs, sink-write failures, torn store appends) and the
+  process-global :class:`FaultInjector` executes it at instrumented sites.
+  Configure per call (``run(faults=...)``) or process-wide via the
+  ``REPRO_FAULTS`` environment variable.
 
 * **Recovery** (:mod:`~repro.faults.retry`): a :class:`RetryPolicy`
   retries transient failures with exponential backoff and deterministic

@@ -38,10 +38,10 @@ class PointTimeout(TransientPointError):
     """A point exceeded the retry policy's per-point time budget.
 
     Timeouts are *cooperative*: the executors measure each attempt's wall
-    time and classify an over-budget attempt as failed after the fact (a
-    Python process cannot safely pre-empt a compute-bound simulation).
-    A worker that hangs forever is instead handled one layer up, by the
-    fleet's lease expiry.
+    time and classify an over-budget attempt as failed only after it
+    returns (a Python process cannot safely pre-empt a compute-bound
+    simulation).  Nothing pre-empts a hung point: one that never returns
+    hangs its grid, serial or pooled.
     """
 
 

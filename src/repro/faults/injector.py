@@ -146,20 +146,6 @@ class FaultInjector:
         self._record("store_torn")
         return line[: max(1, len(line) // 2)]
 
-    def lease_heartbeat(self, worker_id: str) -> bool:
-        """Whether a fleet lease heartbeat should actually be sent.
-
-        False simulates a worker that lost connectivity: it keeps
-        computing, but its lease expires and the reaper hands the point to
-        someone else (the content-addressed store makes the double
-        execution harmless).
-        """
-        count = self._next_count("heartbeat")
-        if self._periodic(self.plan.lease_drop_every, count):
-            self._record("lease_drop")
-            return False
-        return True
-
     def __repr__(self) -> str:
         with self._lock:
             fired = sum(self._injected.values())

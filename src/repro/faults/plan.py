@@ -61,7 +61,7 @@ class FaultPlan:
         succeed on retry).
     hang_every:
         Sleep ``hang_s`` wall seconds before every Nth point attempt —
-        the trigger for exercising per-point timeouts and lease expiry.
+        the trigger for exercising per-point timeouts.
     hang_s:
         Duration of an injected hang.
     sink_fail_every:
@@ -70,10 +70,6 @@ class FaultPlan:
     store_torn_every:
         Truncate every Nth :class:`~repro.store.store.ResultStore` shard
         append mid-line — a simulated mid-write kill.
-    lease_drop_every:
-        Make every Nth fleet lease heartbeat report a dropped connection
-        (the heartbeat is skipped), so the lease expires under a live
-        worker and the reaper's reclamation path runs.
     """
 
     seed: int = 0
@@ -86,12 +82,11 @@ class FaultPlan:
     hang_s: float = 0.05
     sink_fail_every: int = 0
     store_torn_every: int = 0
-    lease_drop_every: int = 0
 
     def __post_init__(self) -> None:
         for name in ("crash_every", "crash_limit", "hang_every",
-                     "sink_fail_every", "store_torn_every",
-                     "lease_drop_every", "seed", "crash_point_attempts"):
+                     "sink_fail_every", "store_torn_every", "seed",
+                     "crash_point_attempts"):
             if int(getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.crash_rate <= 1.0:
@@ -105,7 +100,7 @@ class FaultPlan:
         return bool(
             self.crash_every or self.crash_rate or self.crash_points
             or self.hang_every or self.sink_fail_every
-            or self.store_torn_every or self.lease_drop_every
+            or self.store_torn_every
         )
 
     # ------------------------------------------------------------ spec syntax

@@ -10,8 +10,8 @@ point that raised ``ValueError`` once will raise it every time).
 When the attempts are exhausted (or the error is fatal), the policy's
 ``on_error`` mode decides the blast radius:
 
-* ``"raise"`` (default) — the error propagates and the grid aborts, the
-  pre-PR behaviour;
+* ``"raise"`` (default) — the point's :class:`PointFailed` re-raises once
+  the rest of the grid has run;
 * ``"record"`` — the point degrades to a :class:`FailedPoint` record in
   the executor's result list, the rest of the grid keeps running, and the
   caller reads the partial results plus
@@ -45,6 +45,7 @@ __all__ = [
     "PointFailed",
     "RetryPolicy",
     "PointOutcome",
+    "give_up",
     "run_point_attempts",
 ]
 
@@ -140,7 +141,9 @@ class RetryPolicy:
     Attributes
     ----------
     max_attempts:
-        Total attempts per point (1 = no retry).
+        Total attempts per point (1 = no retry).  A
+        :class:`~repro.api.executors.ParallelExecutor` also fails a point
+        whose worker died under it this many times.
     backoff_s:
         Base backoff before attempt 2; attempt ``n`` waits
         ``backoff_s * backoff_factor**(n-2)``, capped at ``max_backoff_s``.
@@ -159,11 +162,13 @@ class RetryPolicy:
         Seed of the jitter stream (independent of every simulation seed).
     timeout_s:
         Cooperative per-point time budget: an attempt whose wall time
-        exceeds it is discarded and classified as a transient
-        :class:`~repro.faults.errors.PointTimeout`.  ``None`` disables.
+        exceeds it is discarded, once it returns, and classified as a
+        transient :class:`~repro.faults.errors.PointTimeout`.  ``None``
+        disables.
     on_error:
-        ``"raise"`` (abort the grid) or ``"record"`` (degrade the point to
-        a :class:`FailedPoint` and keep going).
+        ``"raise"`` (a :class:`PointFailed` re-raises after the grid) or
+        ``"record"`` (degrade the point to a :class:`FailedPoint` and keep
+        going).
     """
 
     max_attempts: int = 3
@@ -270,12 +275,25 @@ def run_point_attempts(
             continue
         return result
     assert last_error is not None
+    return give_up(policy, run_hash, last_error, attempts_made, transient)
+
+
+def give_up(
+    policy: RetryPolicy,
+    run_hash: str,
+    error: BaseException,
+    attempts: int,
+    transient: bool,
+) -> FailedPoint:
+    """Fail a point for good: its :class:`FailedPoint` in ``"record"`` mode.
+
+    In ``"raise"`` mode it raises :class:`PointFailed` from ``error``
+    instead.  Either way ``executor.failed_points`` counts the failure.
+    """
     m = _metrics.METRICS
     if m.enabled:
         m.inc("executor.failed_points")
-    failed = FailedPoint.from_error(
-        run_hash, last_error, attempts_made, transient
-    )
+    failed = FailedPoint.from_error(run_hash, error, attempts, transient)
     if policy.on_error == "record":
         return failed
-    raise PointFailed(failed) from last_error
+    raise PointFailed(failed) from error

@@ -468,12 +468,11 @@ class KernelClockRule(Rule):
 # -------------------------------------------------------------------- FLT001
 
 #: Path fragments whose modules form the fault-tolerance perimeter: the
-#: executor retry paths, the store-backed executors and the fleet/faults
-#: subsystems, where a swallowed exception silently loses a point.
+#: executor retry paths, the store-backed executors and the faults
+#: subsystem, where a swallowed exception silently loses a point.
 _FLT_PATHS = (
     "api/executors.py",
     "store/caching.py",
-    "fleet/",
     "faults/",
 )
 
@@ -512,11 +511,11 @@ class FaultSwallowRule(Rule):
     The retry/degradation contract says every point is *accounted for*: a
     failure either propagates (``raise``), or is recorded somewhere a
     caller can see it (the bound exception passed into a call — a
-    ``FailedPoint`` constructor, ``service.fail(...)``, an error list).  A
+    ``FailedPoint`` constructor, an error list's ``append``).  A
     broad ``except Exception`` whose handler does neither silently loses
     the point, which is exactly the bug class the fault-injection suite
-    exists to catch.  Scoped to the executor retry paths and the
-    fleet/faults subsystems; narrow handlers (``except KeyError``) are
+    exists to catch.  Scoped to the executor retry paths and the faults
+    subsystem; narrow handlers (``except KeyError``) are
     out of scope.  Deliberate swallows (e.g. best-effort cleanup) must
     carry an explicit ``# lint: allow[FLT001]`` stating why losing the
     exception is safe.
@@ -524,7 +523,7 @@ class FaultSwallowRule(Rule):
 
     id = "FLT001"
     severity = "error"
-    summary = "broad except swallows a fault on the retry/fleet path"
+    summary = "broad except swallows a fault on the retry path"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.iter_parsed():

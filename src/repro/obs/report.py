@@ -4,9 +4,8 @@ Every executor hands its result sink a :class:`PointReport` with each
 point's outcome; :func:`repro.api.run` records what its sink delivers into
 a :class:`RunTelemetry`, and :meth:`RunTelemetry.report` freezes that into
 a :class:`RunReport`, the JSON-ready payload persisted as a
-:class:`~repro.store.store.ResultStore` artifact.  The fleet worker reuses
-:class:`RunReport` as its heartbeat payload, so the shape is versioned just
-like the trace schema.
+:class:`~repro.store.store.ResultStore` artifact, so the shape is
+versioned just like the trace schema.
 
 The reports are deliberately decoupled from :class:`~repro.api.spec`:
 they hold plain values (``run_hash``, ``protocol``, ``coords``), so this

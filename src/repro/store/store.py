@@ -95,9 +95,8 @@ class ResultStore:
     fsync:
         Flush and ``os.fsync`` every shard append before releasing the
         store lock.  Off by default (the OS page cache is plenty for a
-        local cache); fleet workers turn it on so a completed point's
-        record provably survives the worker being SIGKILLed right after
-        its lease is marked done.
+        local cache); turn it on when a stored record must survive an
+        operating-system crash or power loss right after the append.
     """
 
     def __init__(
@@ -149,7 +148,7 @@ class ResultStore:
 
     @staticmethod
     def _write_atomic(path: Path, text: str) -> None:
-        # One temporary name per process: fleet workers that open a fresh
+        # One temporary name per process: processes that open a fresh
         # store together each write a manifest, and a shared name would
         # let one rename the other's file away mid-write.
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -120,11 +120,6 @@ class TestInjectorTriggers:
         assert maimed != line
         assert line.startswith(maimed)
 
-    def test_lease_heartbeat_drops_every_nth(self):
-        injector = FaultInjector(FaultPlan(lease_drop_every=3))
-        beats = [injector.lease_heartbeat("w") for _ in range(6)]
-        assert beats == [True, True, False, True, True, False]
-
 
 class TestInstallation:
     def teardown_method(self):

@@ -12,6 +12,7 @@ from repro.faults import (
     TransientPointError,
     run_point_attempts,
 )
+from repro.faults.retry import give_up
 
 HASH = "ab" + "0" * 14
 
@@ -174,3 +175,49 @@ class TestFailedPoint:
         assert failed.error_type == "ValueError"
         assert failed.message == "nope"
         assert failed.attempts == 2
+
+    def test_point_failed_survives_a_pickle_round_trip(self):
+        # A pool worker's PointFailed travels back to the caller pickled,
+        # with the metrics snapshot it carries as an attribute.
+        import pickle
+
+        failed = FailedPoint(run_hash=HASH, error_type="InjectedFault",
+                             message="injected", attempts=3, transient=True)
+        error = PointFailed(failed)
+        error.metrics_snapshot = {"counters": {"retry.attempts": 2}}
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is PointFailed
+        assert copy.failed == failed
+        assert str(copy) == str(error)
+        assert copy.metrics_snapshot == error.metrics_snapshot
+
+
+class TestGiveUp:
+    """The terminal failure the attempt loop and the process pool share."""
+
+    def test_record_mode_returns_the_failed_point(self):
+        error = InjectedFault("point", 4)
+        failed = give_up(RetryPolicy(on_error="record"), HASH, error, 4, True)
+        assert failed == FailedPoint.from_error(HASH, error, 4, True)
+
+    def test_raise_mode_raises_point_failed_from_the_error(self):
+        error = ValueError("nope")
+        with pytest.raises(PointFailed) as excinfo:
+            give_up(RetryPolicy(), HASH, error, 2, False)
+        assert excinfo.value.failed == FailedPoint.from_error(
+            HASH, error, 2, False)
+        assert excinfo.value.__cause__ is error
+
+    @pytest.mark.parametrize("on_error", ("raise", "record"))
+    def test_counts_one_failed_point(self, on_error):
+        from contextlib import nullcontext
+
+        from repro.obs import metrics as _metrics
+
+        policy = RetryPolicy(on_error=on_error)
+        raises = (pytest.raises(PointFailed) if on_error == "raise"
+                  else nullcontext())
+        with _metrics.recording() as registry, raises:
+            give_up(policy, HASH, ValueError("nope"), 1, False)
+        assert registry.snapshot()["counters"] == {
+            "executor.failed_points": 1}

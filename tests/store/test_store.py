@@ -180,7 +180,7 @@ class TestCrashSafety:
     def test_two_processes_creating_one_store_do_not_collide(
         self, tmp_path, monkeypatch
     ):
-        # Fleet workers open a fresh store together: here another process
+        # Two processes open a fresh store together: here another process
         # writes and renames its manifest between this one's temporary
         # write and its rename.
         import os

@@ -175,29 +175,28 @@ class TestCommands:
         assert "failed" in out
         assert "InjectedFault" in out
 
-    def test_fleet_run_and_status(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        code = main([
-            "fleet", "run", "--protocols", "rama", "--n-voice", "4",
-            "--n-data", "1", "--duration", "0.4", "--warmup", "0.2",
-            "--store", store, "--workers", "2", "--ttl", "5",
-            "--deadline", "120",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "1/1 points completed" in out
-        assert "voice_loss_rate" in out
-        assert main(["fleet", "status", "--db", store + "/fleet.db"]) == 0
-        out = capsys.readouterr().out
-        assert "done" in out
-        code = main(["fleet", "status", "--db", store + "/fleet.db",
-                     "--json"])
-        assert code == 0
-        import json
+    def test_compare_under_faults_fills_the_cache_like_a_clean_run(
+            self, capsys, tmp_path):
+        from repro.store import ResultStore
 
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["counts"]["done"] == 1
-        assert snapshot["points"][0]["state"] == "done"
+        cache_dir = str(tmp_path / "chaos-store")
+        argv = ["compare", "--protocols", "charisma", "rama",
+                "--n-voice", "6", "--n-data", "2",
+                "--duration", "0.3", "--warmup", "0.1"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert main(argv + [
+            "--cache", cache_dir,
+            "--faults", "crash_every=2,crash_limit=4,seed=11",
+            "--retries", "4",
+        ]) == 0
+        # The injected crashes were retried away: no failure digest, and
+        # the tables equal the fault-free run's.
+        assert capsys.readouterr().out == clean
+        assert len(ResultStore(cache_dir)) == 2
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        stats = capsys.readouterr().out.split()
+        assert stats[stats.index("n_results") + 1] == "2"
 
     def test_profile_json_reports_the_run(self, capsys):
         import json
